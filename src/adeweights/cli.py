@@ -5,7 +5,7 @@ are json / text / latex (dot for graphs only). --out writes atomically via a
 temp file and rename, so failures never leave partial files.
 
 Exit status: 0 on success, 1 when verification reports a failure, 2 on usage
-errors.
+errors, an --out path that cannot be written among them.
 """
 from __future__ import annotations
 
@@ -16,13 +16,11 @@ import sys
 import tempfile
 
 from .errors import InvalidParameter
-from .graphs import (DynkinType, build_graph, char_poly, charpoly_report,
-                     parse_type_selector)
-from .poly import Polynomial, series_coefficients
+from .graphs import build_graph, charpoly_report, parse_type_selector
+from .poly import series_coefficients
 from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, report_json,
                      report_text, run_suite)
-from .weights import (common_denominator, numerators_latex, solve_semiaffine,
-                      to_q_numerators)
+from .weights import numerators_latex, solve_semiaffine
 
 USAGE_ERROR = 2
 
@@ -40,24 +38,25 @@ def _grouped(items: list[str]) -> str:
     return "; ".join(out)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".adeweights-")
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".adeweights-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {out_path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _types_arg(parser: argparse.ArgumentParser) -> None:
@@ -65,7 +64,13 @@ def _types_arg(parser: argparse.ArgumentParser) -> None:
                         help='type selector, e.g. "D4", "E6,E7,E8", "A1..A12"')
 
 
-def _sections(types, render) -> str:
+def _emit(types, fmt: str, to_json, render) -> str:
+    """One JSON object (a list for several types), else rendered text with a
+    header per section when there are several types."""
+    if fmt == "json":
+        payload = [to_json(dt) for dt in types]
+        return json.dumps(payload[0] if len(types) == 1 else payload,
+                          indent=2) + "\n"
     parts = []
     for dt in types:
         body = render(dt)
@@ -80,9 +85,6 @@ def _cmd_graph(args) -> tuple[str, int]:
             raise InvalidParameter("dot output requires a single type")
         g = build_graph(types[0], args.form)
         return g.to_dot(f"{types[0]}_{args.form}"), 0
-    if args.format == "json":
-        payload = [build_graph(dt, args.form).to_json() for dt in types]
-        return _dump(payload[0] if len(types) == 1 else payload), 0
 
     def render(dt):
         g = build_graph(dt, args.form)
@@ -90,17 +92,13 @@ def _cmd_graph(args) -> tuple[str, int]:
         lines += [f"  {i} -> {j}  (x{g.mult[i][j]})"
                   for i in range(g.n) for j in range(g.n) if g.mult[i][j]]
         return "\n".join(lines) + "\n"
-    return _sections(types, render), 0
+    return _emit(types, args.format,
+                 lambda dt: build_graph(dt, args.form).to_json(), render), 0
 
 
 def _cmd_weights(args) -> tuple[str, int]:
     types = parse_type_selector(args.types)
     if args.basis == "t":
-        if args.format == "json":
-            payload = [solve_semiaffine(build_graph(dt, "semiaffine")).to_json()
-                       for dt in types]
-            return _dump(payload[0] if len(types) == 1 else payload), 0
-
         def render(dt):
             w = solve_semiaffine(build_graph(dt, "semiaffine"))
             if args.format == "latex":
@@ -109,16 +107,10 @@ def _cmd_weights(args) -> tuple[str, int]:
                            for v in w.values]
                 return ",".join(entries) + "\n"
             return _grouped([str(v) for v in w.values]) + "\n"
-        return _sections(types, render), 0
+        return _emit(types, args.format, lambda dt: solve_semiaffine(
+            build_graph(dt, "semiaffine")).to_json(), render), 0
 
     # basis q and molien both emit the standard-form numerators
-    if args.format == "json":
-        payload = []
-        for dt in types:
-            b = build_bundle(dt)
-            payload.append(b.numerators.to_json())
-        return _dump(payload[0] if len(types) == 1 else payload), 0
-
     def render(dt):
         b = build_bundle(dt)
         if args.format == "latex":
@@ -127,24 +119,25 @@ def _cmd_weights(args) -> tuple[str, int]:
         if args.basis == "molien":
             text += f"   over (1-q^{b.numerators.a})(1-q^{b.numerators.b})"
         return text + "\n"
-    return _sections(types, render), 0
+    return _emit(types, args.format,
+                 lambda dt: build_bundle(dt).numerators.to_json(), render), 0
 
 
 def _cmd_molien(args) -> tuple[str, int]:
     types = parse_type_selector(args.types)
-    if args.format == "json":
-        payload = []
-        for dt in types:
-            b = build_bundle(dt)
-            obj = b.molien.to_json()
-            obj["classes"] = b.group.classes_to_json()
-            obj["char_table"] = b.table.to_json()
-            if args.series_terms:
-                obj["series_coefficients"] = [
-                    [str(c) for c in series_coefficients(s, args.series_terms)]
-                    for s in b.molien.series]
-            payload.append(obj)
-        return _dump(payload[0] if len(types) == 1 else payload), 0
+    if args.series_terms < 0:
+        raise InvalidParameter("--series-terms must be nonnegative")
+
+    def to_json(dt):
+        b = build_bundle(dt)
+        obj = b.molien.to_json()
+        obj["classes"] = b.group.classes_to_json()
+        obj["char_table"] = b.table.to_json()
+        if args.series_terms:
+            obj["series_coefficients"] = [
+                [str(c) for c in series_coefficients(s, args.series_terms)]
+                for s in b.molien.series]
+        return obj
 
     def render(dt):
         b = build_bundle(dt)
@@ -158,20 +151,18 @@ def _cmd_molien(args) -> tuple[str, int]:
                 line += "   series " + " ".join(str(c) for c in coeffs)
             lines.append(line)
         return "\n".join(lines) + "\n"
-    return _sections(types, render), 0
+    return _emit(types, args.format, to_json, render), 0
 
 
 def _cmd_group(args) -> tuple[str, int]:
     types = parse_type_selector(args.types)
-    if args.format == "json":
-        payload = []
-        for dt in types:
-            b = build_bundle(dt)
-            payload.append({"type": str(dt), "order": b.group.order,
-                            "conductor": b.group.conductor,
-                            "classes": b.group.classes_to_json(),
-                            "char_table": b.table.to_json()})
-        return _dump(payload[0] if len(types) == 1 else payload), 0
+
+    def to_json(dt):
+        b = build_bundle(dt)
+        return {"type": str(dt), "order": b.group.order,
+                "conductor": b.group.conductor,
+                "classes": b.group.classes_to_json(),
+                "char_table": b.table.to_json()}
 
     def render(dt):
         b = build_bundle(dt)
@@ -181,25 +172,24 @@ def _cmd_group(args) -> tuple[str, int]:
             lines.append(f"  class {i}: size {c.size}, element order {c.order}, "
                          f"trace {c.trace}")
         return "\n".join(lines) + "\n"
-    return _sections(types, render), 0
+    return _emit(types, args.format, to_json, render), 0
 
 
 def _cmd_charpoly(args) -> tuple[str, int]:
     types = parse_type_selector(args.types)
-    if args.format == "json":
-        payload = [charpoly_report(dt).to_json() for dt in types]
-        return _dump(payload[0] if len(types) == 1 else payload), 0
 
     def render(dt):
         rep = charpoly_report(dt)
         return (f"{dt}: char(semiaffine) = {rep.char_semiaffine} "
                 f"= t^{rep.d} * ({rep.cofactor}); cox(h) = {rep.cox}; "
                 f"claim {'holds' if rep.claim_holds else 'does not hold'}\n")
-    return _sections(types, render), 0
+    return _emit(types, args.format, lambda dt: charpoly_report(dt).to_json(),
+                 render), 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    types = parse_type_selector(args.types) if args.types else list(DEFAULT_SUITE)
+    types = (list(DEFAULT_SUITE) if args.types is None
+             else parse_type_selector(args.types))
     fault = None
     if args.inject_fault is not None:
         fault = FaultSpec.from_seed(args.inject_fault, sorted(set(types)))
@@ -267,10 +257,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         text, status = args.func(args)
+        _write_output(text, args.out)
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _write_output(text, args.out)
     return status
 
 

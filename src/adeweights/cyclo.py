@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotRational
-from .poly import Polynomial, cyclotomic
+from .poly import Polynomial, cyclotomic, format_coeff
 
 
 def euler_phi(n: int) -> int:
@@ -123,6 +123,12 @@ class CycNumber:
         return cls(N, nums, value.denominator)
 
     @classmethod
+    def from_fractions(cls, N: int, coords) -> CycNumber:
+        """Element with the given rational power-basis coordinates."""
+        den = lcm(*(c.denominator for c in coords))
+        return cls(N, [c.numerator * (den // c.denominator) for c in coords], den)
+
+    @classmethod
     def root_of_unity(cls, N: int, e: int) -> CycNumber:
         fld = _field(N)
         e %= N
@@ -218,11 +224,8 @@ class CycNumber:
             s0, s1 = s1, s0 - quo * s1
         assert r0.degree == 0
         inv = s0.scaled(Fraction(1) / r0.coefficient(0))
-        nums = [inv.coefficient(k) for k in range(_field(self.N).phi)]
-        den = 1
-        for c in nums:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return CycNumber(self.N, [int(c * den) for c in nums], den)
+        return CycNumber.from_fractions(
+            self.N, [inv.coefficient(k) for k in range(_field(self.N).phi)])
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -307,26 +310,11 @@ class CycNumber:
 
     # -- JSON ---------------------------------------------------------------------------
     def to_json(self) -> dict:
-        out = []
-        for a in self._nums:
-            f = Fraction(a, self._den)
-            out.append(str(f.numerator) if f.denominator == 1
-                       else f"{f.numerator}/{f.denominator}")
-        return {"N": self.N, "coeffs": out}
+        return {"N": self.N, "coeffs": [format_coeff(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> CycNumber:
-        N = obj["N"]
-        fracs = [Fraction(s) for s in obj["coeffs"]]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return cls(N, [int(f * den) for f in fracs], den)
-
-
-def cyc_to_rational(x: CycNumber) -> Fraction:
-    """Collapse a Galois-invariant cyclotomic value to Q."""
-    return x.to_rational()
+        return cls.from_fractions(obj["N"], [Fraction(s) for s in obj["coeffs"]])
 
 
 def minimal_polynomial(x: CycNumber, var: str = "t") -> Polynomial:

@@ -11,20 +11,22 @@ characters; four linear characters plus the induced two-dimensional ones).
 The E types are built constructively: linear characters from the
 abelianization, symmetric powers of the defining character, tensor peeling
 against the known rows, and a regular-character completion for the last row.
-Every table must pass ``validate_table`` before use.
+Every table must pass ``table_violation`` before use. Every inner product of
+class functions goes through ``decompose``.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .cyclo import CycNumber, minimal_polynomial
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType, build_graph, graph_marks
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, one_plus_q
 
 
 class Matrix2:
@@ -242,17 +244,38 @@ class CharTable:
     values: tuple[tuple[CycNumber, ...], ...]
     classes: tuple[ConjClass, ...]
 
+    @cached_property
+    def weighted(self) -> tuple[tuple[CycNumber, ...], ...]:
+        """Each row as conj(chi_i)*|C| per class, the form ``decompose`` takes."""
+        return tuple(_weigh(row, self.classes) for row in self.values)
+
     def to_json(self) -> dict:
         return {"degrees": list(self.degrees),
                 "values": [[v.to_json() for v in row] for row in self.values]}
 
 
-def _ip(values_a, values_b, classes, order) -> Fraction:
-    """Hermitian inner product of class functions, collapsed to Q."""
-    acc = CycNumber.zero(values_a[0].N)
-    for va, vb, c in zip(values_a, values_b, classes):
-        acc = acc + va * vb.conj() * c.size
-    return acc.to_rational() / order
+def _weigh(row, classes) -> tuple[CycNumber, ...]:
+    return tuple(v.conj() * c.size for v, c in zip(row, classes))
+
+
+def decompose(values, weighted, order: int) -> list[Fraction]:
+    """Hermitian inner products of the class function ``values`` with each
+    weighted row (conj(chi)*|C| per class), collapsed to Q."""
+    out = []
+    for w in weighted:
+        acc = CycNumber.zero(values[0].N)
+        for v, x in zip(values, w):
+            acc = acc + v * x
+        out.append(acc.to_rational() / order)
+    return out
+
+
+def _multiplicities(mults, what: str) -> list[int]:
+    """Multiplicities of ``what``, which must be nonnegative integers."""
+    for m in mults:
+        if m.denominator != 1 or m < 0:
+            raise ValidationFailed(f"{what} has multiplicity {m}")
+    return [int(m) for m in mults]
 
 
 def _dlog_table(N: int, n: int) -> dict[CycNumber, int]:
@@ -429,12 +452,15 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     chi_v = [c.trace for c in G.classes]
     linear = _linear_characters(G)
     known: list[tuple[CycNumber, ...]] = [tuple(row) for row in linear]
+    known_w = [_weigh(row, G.classes) for row in known]
 
     def peel(cand):
+        # the known rows are orthonormal, so one decomposition of the
+        # candidate gives every multiplicity of the sequential peel
         rem = list(cand)
-        for psi in known:
-            mult = _ip(rem, psi, G.classes, order)
-            assert mult.denominator == 1 and mult >= 0
+        mults = _multiplicities(decompose(cand, known_w, order),
+                                f"{dt}: tensor candidate")
+        for mult, psi in zip(mults, known):
             if mult:
                 rem = [a - mult * b for a, b in zip(rem, psi)]
         return tuple(rem)
@@ -460,8 +486,10 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
         cand = queue.popleft()
         rem = peel(cand)
         if any(not v.is_zero() for v in rem):
-            if _ip(rem, rem, G.classes, order) == 1 and rem not in known:
+            rem_w = _weigh(rem, G.classes)
+            if decompose(rem, [rem_w], order) == [1] and rem not in known:
                 known.append(rem)
+                known_w.append(rem_w)
                 push_products(rem)
 
     id_col = next(i for i, c in enumerate(G.classes) if c.order == 1)
@@ -512,8 +540,7 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     if sum(d * d for d in table.degrees) != order:
         return "degree squares do not sum to |G|"
     for i in range(k):
-        for j in range(i, k):
-            got = _ip(values[i], values[j], table.classes, order)
+        for j, got in enumerate(decompose(values[i], table.weighted[i:], order), i):
             if got != (1 if i == j else 0):
                 return f"row orthogonality fails at ({i},{j}): {got}"
     for ci in range(k):
@@ -534,12 +561,11 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
                 return f"chi_{i} not conjugate-symmetric on class {ci}"
     # the defining character decomposes with nonnegative integer multiplicities
     tau = [c.trace for c in table.classes]
-    mults = []
-    for row in values:
-        m = _ip(tau, row, table.classes, order)
-        if m.denominator != 1 or m < 0:
-            return f"defining character has multiplicity {m}"
-        mults.append(int(m))
+    try:
+        mults = _multiplicities(decompose(tau, table.weighted, order),
+                                "defining character")
+    except ValidationFailed as exc:
+        return str(exc)
     for col in range(k):
         acc = CycNumber.zero(table.conductor)
         for m, row in zip(mults, values):
@@ -547,10 +573,6 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
         if acc != tau[col]:
             return "defining character does not match its decomposition"
     return None
-
-
-def validate_table(table: CharTable, G: FiniteSubgroup) -> bool:
-    return table_violation(table, G) is None
 
 
 @dataclass(frozen=True)
@@ -564,17 +586,13 @@ def mckay_matrix(G: FiniteSubgroup, table: CharTable) -> McKayResult:
     onto the affine graph (trivial character -> node 0)."""
     k = len(table.classes)
     tau = [c.trace for c in table.classes]
-    rows = []
-    for i in range(k):
-        tv = [t * v for t, v in zip(tau, table.values[i])]
-        row = []
-        for j in range(k):
-            m = _ip(tv, table.values[j], table.classes, table.group_order)
-            assert m.denominator == 1 and m >= 0
-            row.append(int(m))
-        rows.append(tuple(row))
-    matrix = tuple(rows)
-    assert all(matrix[i][j] == matrix[j][i] for i in range(k) for j in range(k))
+    matrix = tuple(
+        tuple(_multiplicities(decompose([t * v for t, v in zip(tau, row)],
+                                        table.weighted, table.group_order),
+                              f"{G.dynkin}: V x chi_{i}"))
+        for i, row in enumerate(table.values))
+    if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
+        raise NoIsomorphism(f"{G.dynkin}: McKay matrix is not symmetric")
     g = build_graph(G.dynkin, "affine")
     marks = graph_marks(G.dynkin)
     bijection = _match_affine(matrix, table.degrees, g, marks)
@@ -644,10 +662,6 @@ class MolienSet:
                                                   self.series)]}
 
 
-def _one_minus_q(k: int) -> Polynomial:
-    return Polynomial("q", (1,) + (0,) * (k - 1) + (-1,))
-
-
 def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     """Average of chi_i(x)/det(I - x q) over the group, done per class with
     det(I - x q) = 1 - trace(x) q + q^2, then collapsed to Q."""
@@ -661,7 +675,7 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     for qd in quads:
         denom = denom * qd
     partial = [denom.exact_div(qd) for qd in quads]
-    std = _one_minus_q(a) * _one_minus_q(b)
+    std = one_plus_q(a, -1) * one_plus_q(b, -1)
     numerators = []
     series = []
     for row in table.values:
@@ -683,8 +697,8 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
         num = Polynomial("q", coeffs)
         numerators.append(num)
         series.append(RationalFunction(num, std))
-    expected0 = Polynomial("q", (1,) + (0,) * (h - 1) + (1,))
-    assert numerators[0] == expected0, "trivial numerator is not 1 + q^h"
+    if numerators[0] != one_plus_q(h):
+        raise NonPolynomialResult(f"{dt}: trivial numerator is not 1 + q^{h}")
     return MolienSet(dt, h, a, b, table.degrees, tuple(numerators), tuple(series))
 
 
@@ -694,8 +708,6 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     defining representation, via eigenvalue power sums per class."""
     N = G.conductor
     k = len(G.classes)
-    weights = [[row[c].conj() * G.classes[c].size for c in range(k)]
-               for row in table.values]
     exps = [c.eigen_exp for c in G.classes]
     tcache: list[dict[int, CycNumber]] = [{} for _ in range(k)]
 
@@ -703,7 +715,7 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
         s %= N
         if s not in tcache[i]:
             acc = CycNumber.zero(N)
-            for w, e in zip(weights[i], exps):
+            for w, e in zip(table.weighted[i], exps):
                 acc = acc + w.times_zeta((s * e) % N)
             tcache[i][s] = acc
         return tcache[i][s]
@@ -718,12 +730,8 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
             vals = [tval(i, 1) + tval(i, -1) for i in range(k)]
         else:
             vals = [prev2[i] + tval(i, m) + tval(i, -m) for i in range(k)]
-        row = []
-        for v in vals:
-            f = v.to_rational() / G.order
-            assert f.denominator == 1 and f >= 0
-            row.append(int(f))
-        rows.append(tuple(row))
+        rows.append(tuple(_multiplicities(
+            [v.to_rational() / G.order for v in vals], f"{G.dynkin}: Sym^{m}")))
         prev2, prev1 = prev1, vals
     return tuple(rows)
 
@@ -737,7 +745,7 @@ def recurrence_check(mset: MolienSet, matrix) -> bool:
     forced to be exactly 1/q by the specialization identity, and that is
     checked too.
     """
-    tq = RationalFunction(Polynomial("q", (1, 0, 1)), Polynomial.monomial("q", 1))
+    tq = RationalFunction(one_plus_q(2), Polynomial.monomial("q", 1))
     inv_q = RationalFunction(Polynomial.one("q"), Polynomial.monomial("q", 1))
     for i, mi in enumerate(mset.series):
         acc = RationalFunction.zero("q")

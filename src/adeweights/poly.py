@@ -33,10 +33,6 @@ def format_coeff(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def parse_coeff(s: str) -> Fraction:
-    return Fraction(s)
-
-
 class Polynomial:
     """Dense univariate polynomial; ``coeffs[k]`` multiplies ``var**k``.
 
@@ -278,7 +274,13 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> Polynomial:
-        return cls(obj["var"], [parse_coeff(c) for c in obj["coeffs"]])
+        return cls(obj["var"], [Fraction(c) for c in obj["coeffs"]])
+
+
+def one_plus_q(k: int, c=1) -> Polynomial:
+    """1 + c*q^k: the factors 1 - q^a of the standard form, the affine
+    normalization 1 + q^h, and q^2 + 1 = q * (q + 1/q)."""
+    return Polynomial.monomial("q", k, c) + 1
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -449,7 +451,7 @@ def cyclotomic(n: int) -> Polynomial:
     cyclotomic polynomials of the proper divisors of n."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    p = Polynomial("q", (-1,) + (0,) * (n - 1) + (1,))
+    p = -one_plus_q(n, -1)
     for d in range(1, n):
         if n % d == 0:
             p = p.exact_div(cyclotomic(d))
@@ -491,7 +493,7 @@ def substitute_t(p: Polynomial) -> tuple[Polynomial, int]:
     if p.is_zero():
         return Polynomial.zero("q"), 0
     d = p.degree
-    basis = Polynomial("q", (1, 0, 1))  # q^2 + 1 = q * (q + 1/q)
+    basis = one_plus_q(2)  # q^2 + 1 = q * (q + 1/q)
     power = Polynomial.one("q")
     acc = Polynomial.zero("q")
     for i, c in enumerate(p.coeffs):

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import (DirectedGraph, DynkinType, build_graph, char_poly,
+from .graphs import (CharPolyReport, DirectedGraph, DynkinType, build_graph,
                      charpoly_report, graph_marks)
 from .groups import (CharTable, FiniteSubgroup, McKayResult, MolienSet,
                      build_group, char_table, mckay_matrix, molien_series,
-                     recurrence_check, sym_power_multiplicities, validate_table)
+                     sym_power_multiplicities)
 from .poly import Polynomial, cox, series_coefficients
 from .weights import (QNumerators, TWeights, check_notes, closed_form,
                       common_denominator, finite_reduction_check,
@@ -241,8 +241,7 @@ def _check_sym_oracle(b: TypeBundle) -> CheckResult:
                    "symmetric-power multiplicities disagree with the series")
 
 
-def _check_charpoly_claim(b: TypeBundle) -> CheckResult:
-    rep = charpoly_report(b.dynkin)
+def _check_charpoly_claim(b: TypeBundle, rep: CharPolyReport) -> CheckResult:
     payload = {"d": rep.d, "cofactor": rep.cofactor.to_json(),
                "cox": rep.cox.to_json(), "claim_holds": rep.claim_holds}
     word = "matches" if rep.claim_holds else "exceeds"
@@ -251,11 +250,8 @@ def _check_charpoly_claim(b: TypeBundle) -> CheckResult:
                        f"d = {rep.d}", payload)
 
 
-def _check_structural(b: TypeBundle) -> CheckResult:
-    semi = char_poly(b.semiaffine)
-    fin = char_poly(b.finite)
-    ok = semi == fin.shifted(1)
-    ok = ok and semi.degree == b.dynkin.rank + 1
+def _check_structural(b: TypeBundle, rep: CharPolyReport) -> CheckResult:
+    ok = rep.structural_ok and rep.char_semiaffine.degree == b.dynkin.rank + 1
     ok = ok and b.semiaffine.mult != tuple(zip(*b.semiaffine.mult))
     return _result("STRUCTURAL_CHARPOLY", b.dynkin, ok,
                    "char(semiaffine) = t * char(finite), degree rank+1, "
@@ -264,6 +260,8 @@ def _check_structural(b: TypeBundle) -> CheckResult:
 
 
 def _type_checks(b: TypeBundle, fault: FaultSpec | None) -> list[CheckResult]:
+    # computed here, not in the bundle: the query commands never read it
+    rep = charpoly_report(b.dynkin)
     return [
         _check_cross_match(b, fault),
         _check_closed_form(b),
@@ -276,8 +274,8 @@ def _type_checks(b: TypeBundle, fault: FaultSpec | None) -> list[CheckResult]:
         _check_mckay(b),
         _check_smith(b),
         _check_sym_oracle(b),
-        _check_charpoly_claim(b),
-        _check_structural(b),
+        _check_charpoly_claim(b, rep),
+        _check_structural(b, rep),
     ]
 
 
@@ -290,7 +288,8 @@ def run_suite(types, fault: FaultSpec | None = None) -> VerificationReport:
             bundle = build_bundle(dt)
         except Exception as exc:  # a failure to build is data, not a crash
             checks.extend(CheckResult(name, str(dt), "fail",
-                                      f"bundle construction failed: {exc}")
+                                      "bundle construction failed: "
+                                      f"{type(exc).__name__}: {exc}")
                           for name in CHECK_NAMES)
             continue
         checks.extend(_type_checks(bundle, fault))

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .errors import NonPolynomialResult, SingularSystem
 from .graphs import DirectedGraph, DynkinType, build_graph
-from .poly import (Polynomial, RationalFunction, cox, poly_lcm, substitute_t)
+from .poly import (Polynomial, RationalFunction, cox, format_coeff, one_plus_q,
+                   poly_lcm, substitute_t)
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,13 @@ class QNumerators:
 
     def to_json(self) -> dict:
         return {"type": str(self.dynkin), "h": self.h, "a": self.a, "b": self.b,
-                "N": [[_int_str(c) for c in p.coeffs] for p in self.N]}
+                "N": [[format_coeff(c) for c in p.coeffs] for p in self.N]}
 
     @classmethod
     def from_json(cls, obj: dict) -> QNumerators:
         return cls(DynkinType.parse(obj["type"]), obj["h"], obj["a"], obj["b"],
                    tuple(Polynomial("q", [Fraction(c) for c in row])
                          for row in obj["N"]))
-
-
-def _int_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def solve_semiaffine(g: DirectedGraph) -> TWeights:
@@ -126,7 +123,7 @@ def to_q_numerators(w: TWeights) -> QNumerators:
     dt = w.dynkin
     h = dt.coxeter_number
     a, b = dt.standard_ab
-    scale = Polynomial("q", (1,) + (0,) * (h - 1) + (1,))  # 1 + q^h
+    scale = one_plus_q(h)
     out = []
     for v in w.values:
         nq = _substitute_ratfunc(v) * scale
@@ -210,26 +207,21 @@ def specialization_identity(nq: QNumerators) -> bool:
     """q * [(q+1/q) N_0 - sum over the affine neighbors of node 0] must equal
     (1-q^a)(1-q^b)."""
     g = build_graph(nq.dynkin, "affine")
-    lhs = Polynomial("q", (1, 0, 1)) * nq.N[0]
+    lhs = one_plus_q(2) * nq.N[0]
     for j in range(1, g.n):
         if g.mult[0][j]:
             lhs = lhs - nq.N[j].scaled(g.mult[0][j]).shifted(1)
-    rhs = _one_minus(nq.a) * _one_minus(nq.b)
+    rhs = one_plus_q(nq.a, -1) * one_plus_q(nq.b, -1)
     return lhs == rhs
-
-
-def _one_minus(k: int) -> Polynomial:
-    return Polynomial("q", (1,) + (0,) * (k - 1) + (-1,))
 
 
 def finite_reduction_check(nq: QNumerators) -> bool:
     """Modulo 1 + q^h the numerators satisfy the finite-type equations:
     weighting the affine node with zero recovers the finite constraints."""
     g = build_graph(nq.dynkin, "affine")
-    h = nq.h
-    mod = Polynomial("q", (1,) + (0,) * (h - 1) + (1,))
+    mod = one_plus_q(nq.h)
     for i in range(1, g.n):
-        lhs = Polynomial("q", (1, 0, 1)) * nq.N[i]
+        lhs = one_plus_q(2) * nq.N[i]
         for j in range(1, g.n):
             if g.mult[i][j]:
                 lhs = lhs - nq.N[j].scaled(g.mult[i][j]).shifted(1)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -126,6 +128,25 @@ class TestOtherCommands:
         assert run_cli(capsys, "weights")[0] == 2
 
 
+class TestRejectedArguments:
+    """Each bad argument exits 2 with a single error line, before any work."""
+
+    def assert_rejected(self, capsys, *argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_empty_verify_types(self, capsys):
+        self.assert_rejected(capsys, "verify", "--types", "")
+
+    def test_negative_series_terms(self, capsys):
+        self.assert_rejected(capsys, "molien", "--type", "A1",
+                             "--series-terms", "-3")
+
+    def test_leading_zero_type(self, capsys):
+        self.assert_rejected(capsys, "graph", "--type", "A01")
+
+
 class TestAtomicOutput:
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
@@ -137,6 +158,25 @@ class TestAtomicOutput:
         assert obj["type"] == "D4"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
         assert not leftovers
+
+    def test_out_file_gets_umask_mode(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        old = os.umask(0o022)
+        try:
+            status, _, _ = run_cli(capsys, "graph", "--type", "A2",
+                                   "--out", str(target))
+        finally:
+            os.umask(old)
+        assert status == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        status, out, err = run_cli(capsys, "graph", "--type", "A2",
+                                   "--out", str(target))
+        assert status == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_leaves_no_file(self, capsys, tmp_path):
         target = tmp_path / "never.json"

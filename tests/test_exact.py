@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adeweights.cyclo import CycNumber, cyc_to_rational, euler_phi, minimal_polynomial
+from adeweights.cyclo import CycNumber, euler_phi, minimal_polynomial
 from adeweights.errors import NotRational
 from adeweights.poly import (Polynomial, RationalFunction, cox, cyclotomic,
-                             fold_palindromic, poly_gcd, series_coefficients,
-                             substitute_t)
+                             fold_palindromic, one_plus_q, poly_gcd,
+                             series_coefficients, substitute_t)
 from oracles import cyclotomic_moebius
 
 Q = lambda *cs: Polynomial("q", cs)
@@ -126,17 +126,17 @@ class TestCycNumber:
 
     def test_rational_embedding(self):
         x = CycNumber.from_rational(12, Fraction(3, 2))
-        assert cyc_to_rational(x) == Fraction(3, 2)
+        assert x.to_rational() == Fraction(3, 2)
 
     def test_primitive_root_sum(self):
         total = CycNumber.zero(5)
         for e in range(1, 5):
             total = total + CycNumber.root_of_unity(5, e)
-        assert cyc_to_rational(total) == -1
+        assert total.to_rational() == -1
 
     def test_irrational_raises(self):
         with pytest.raises(NotRational):
-            cyc_to_rational(CycNumber.root_of_unity(8, 1))
+            CycNumber.root_of_unity(8, 1).to_rational()
 
     def test_conductor_mixing_rejected(self):
         with pytest.raises(ValueError):
@@ -171,6 +171,11 @@ class TestCycNumber:
 
 
 class TestPolynomial:
+    def test_one_plus_q(self):
+        assert one_plus_q(4, -1) == Q(1, 0, 0, 0, -1)
+        assert one_plus_q(6) == Q(1, 0, 0, 0, 0, 0, 1)
+        assert one_plus_q(2) == Q(1, 0, 1)
+
     def test_variable_mismatch(self):
         with pytest.raises(ValueError):
             Q(1, 1) + T(1, 1)

@@ -43,7 +43,7 @@ class TestDynkinType:
             assert a + b == t.coxeter_number + 2
 
     def test_invalid(self):
-        for bad in ("D3", "E9", "E5", "A0", "B2", "banana"):
+        for bad in ("D3", "E9", "E5", "A0", "B2", "banana", "A01", "A1\u0660"):
             with pytest.raises(InvalidParameter):
                 dt(bad)
 

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from adeweights.cyclo import CycNumber
-from adeweights.errors import ClosureOverflow, NoIsomorphism
+from adeweights.errors import ClosureOverflow, NoIsomorphism, ValidationFailed
 from adeweights.graphs import DynkinType, build_graph, graph_marks
 from adeweights.groups import (CharTable, Matrix2, build_group, char_table,
-                               enumerate_subgroup, generators, mckay_matrix,
-                               molien_series, recurrence_check,
+                               decompose, enumerate_subgroup, generators,
+                               mckay_matrix, molien_series, recurrence_check,
                                sym_power_multiplicities, sym_power_values,
-                               table_violation, validate_table, _match_affine)
+                               table_violation, _match_affine)
 from adeweights.poly import Polynomial, series_coefficients
 from oracles import molien_by_elements
 
@@ -89,7 +89,7 @@ class TestCharTable:
     def test_all_tables_validate(self, bundle):
         for name in SUITE_NAMES:
             b = bundle(name)
-            assert validate_table(b.table, b.group)
+            assert table_violation(b.table, b.group) is None
 
     def test_d4_degrees(self, bundle):
         assert sorted(bundle("D4").table.degrees) == [1, 1, 1, 1, 2]
@@ -116,11 +116,20 @@ class TestCharTable:
             b.table.conductor, b.table.group_order, b.table.degrees,
             tuple(tuple(row[p] for p in perm) for row in b.table.values),
             tuple(b.table.classes[p] for p in perm))
-        assert validate_table(permuted, b.group)
+        assert table_violation(permuted, b.group) is None
 
     def test_trivial_row_first(self, bundle):
         for name in ("A6", "D8", "E7"):
             assert all(v == 1 for v in bundle(name).table.values[0])
+
+    def test_regular_character_decomposes_into_degrees(self, bundle):
+        for name in SUITE_NAMES:
+            t = bundle(name).table
+            regular = [CycNumber.from_rational(t.conductor,
+                                               t.group_order if c.order == 1 else 0)
+                       for c in t.classes]
+            assert decompose(regular, t.weighted, t.group_order) == \
+                list(t.degrees)
 
 
 class TestMcKay:
@@ -144,6 +153,15 @@ class TestMcKay:
             marks = graph_marks(b.dynkin)
             for row, node in enumerate(b.mckay.bijection):
                 assert b.table.degrees[row] == marks[node]
+
+    def test_halved_row_raises_validation_failed(self, bundle):
+        b = bundle("D4")
+        values = [list(r) for r in b.table.values]
+        values[1] = [v * Fraction(1, 2) for v in values[1]]
+        bad = CharTable(b.table.conductor, b.table.group_order, b.table.degrees,
+                        tuple(tuple(r) for r in values), b.table.classes)
+        with pytest.raises(ValidationFailed):
+            mckay_matrix(b.group, bad)
 
     def test_no_isomorphism_raises(self, bundle):
         b = bundle("D4")

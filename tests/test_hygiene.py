@@ -1,0 +1,37 @@
+"""Lint-style checks that need no linter: the public names resolve and no
+module imports a name it never uses."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import adeweights
+
+SRC = Path(adeweights.__file__).parent
+
+
+def test_public_names_resolve():
+    for name in adeweights.__all__:
+        assert hasattr(adeweights, name), name
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":  # its imports are the re-exports
+            unused += _unused_imports(path)
+    assert unused == []

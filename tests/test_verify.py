@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+from adeweights import verify
+from adeweights.errors import ValidationFailed
 from adeweights.graphs import DynkinType
 from adeweights.verify import (CHECK_NAMES, DEFAULT_SUITE, FaultSpec,
                                report_json, report_text, run_suite)
@@ -42,6 +44,18 @@ class TestRunSuite:
         assert all(c.status == "informational" for c in claims)
         for c in claims:
             assert set(c.payload) == {"d", "cofactor", "cox", "claim_holds"}
+
+    def test_failed_bundle_names_the_exception(self, monkeypatch):
+        def broken(dt, group):
+            raise ValidationFailed("row orthogonality fails at (0,1): 1/2")
+        # A13 is outside the default suite, so no cached bundle hides the patch
+        monkeypatch.setattr(verify, "char_table", broken)
+        rep = run_suite([dt("A13")])
+        assert [c.name for c in rep.checks] == list(CHECK_NAMES)
+        for c in rep.checks:
+            assert (c.type_name, c.status) == ("A13", "fail")
+            assert c.detail == ("bundle construction failed: ValidationFailed: "
+                                "row orthogonality fails at (0,1): 1/2")
 
     def test_types_deduplicated_and_sorted(self):
         rep = run_suite([dt("E6"), dt("A2"), dt("E6")])
