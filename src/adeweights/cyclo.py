@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 
-from .errors import NotRational
+from .errors import NotRational, ValidationFailed
 from .poly import Polynomial, cyclotomic, format_coeff
 
 
@@ -42,7 +42,8 @@ class _Field:
         self.N = N
         self.phi = euler_phi(N)
         coeffs = cyclotomic(N).coeffs
-        assert all(c.denominator == 1 for c in coeffs)
+        if any(c.denominator != 1 for c in coeffs):
+            raise ValidationFailed(f"Phi_{N} has a non-integer coefficient")
         # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
         self._base = tuple(-int(c) for c in coeffs[: self.phi])
         self._rows: list[tuple[int, ...]] = [self._base]
@@ -222,7 +223,8 @@ class CycNumber:
             quo, rem = divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, s0 - quo * s1
-        assert r0.degree == 0
+        if r0.degree != 0:
+            raise ValidationFailed(f"{self} shares a factor with Phi_{self.N}")
         inv = s0.scaled(Fraction(1) / r0.coefficient(0))
         return CycNumber.from_fractions(
             self.N, [inv.coefficient(k) for k in range(_field(self.N).phi)])

@@ -22,7 +22,8 @@ class ClosureOverflow(RuntimeError):
 
 
 class ValidationFailed(ValueError):
-    """A character table violates an orthogonality or degree relation."""
+    """A computed object breaks a relation the theory guarantees: a character
+    table relation, a group order or class count, or an integrality."""
 
 
 class NoIsomorphism(RuntimeError):

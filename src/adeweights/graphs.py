@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, SingularSystem, ValidationFailed
 from .poly import Polynomial, cox
 
 _E_COXETER = {6: 12, 7: 18, 8: 30}
@@ -207,7 +207,9 @@ def char_poly(g: DirectedGraph) -> Polynomial:
         MB = [[sum(M[i][l] * B[l][j] for l in range(n)) for j in range(n)]
               for i in range(n)]
         tr = sum(MB[i][i] for i in range(n))
-        assert tr % k == 0
+        if tr % k:
+            raise ValidationFailed(
+                f"{g.dynkin}: trace {tr} at step {k} is not divisible by {k}")
         ck = -(tr // k)
         cs.append(ck)
         B = [[MB[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
@@ -244,11 +246,14 @@ def graph_marks(dt: DynkinType) -> tuple[int, ...]:
                 rhs[r] -= f * rhs[pivot_row]
         where[col] = pivot_row
         pivot_row += 1
-    assert all(w >= 0 for w in where), "affine marks system lost rank"
-    assert all(rhs[r] == 0 for r in range(pivot_row, n)), "marks system inconsistent"
+    if any(w < 0 for w in where):
+        raise SingularSystem(f"{dt}: affine marks system lost rank")
+    if any(rhs[r] != 0 for r in range(pivot_row, n)):
+        raise SingularSystem(f"{dt}: marks system inconsistent")
     x = [rhs[where[col]] for col in range(n - 1)]
     marks = [Fraction(1)] + x
-    assert all(v.denominator == 1 and v > 0 for v in marks)
+    if any(v.denominator != 1 or v <= 0 for v in marks):
+        raise ValidationFailed(f"{dt}: marks are not positive integers")
     return tuple(int(v) for v in marks)
 
 

@@ -6,6 +6,19 @@ tables, the McKay matrix, generalized Molien series, and symmetric-power
 multiplicities are all computed over the same field and collapsed to Q
 where the theory says they must be rational.
 
+Matrices are multiplied only in the closure and in the generators'
+unitarity check. The closure records each element's word over the
+generators and each generator's right-multiplication table, and
+``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
+orders, commutators, the derived subgroup and its cosets are all index
+arithmetic.
+
+Molien numerators come from one cofactor per class: the integer standard
+form (1-q^a)(1-q^b) divided by det(I - x q) = 1 - tau q + q^2, which must
+leave no remainder, weighted by |C| and the character values. They read the
+plain table rows and no symmetric-power code, so the symmetric-power oracle
+stays an independent route.
+
 Character tables: the A and D families are written down directly (cyclic
 characters; four linear characters plus the induced two-dimensional ones).
 The E types are built constructively: linear characters from the
@@ -134,23 +147,55 @@ class ConjClass:
 
 
 class FiniteSubgroup:
-    """Enumerated subgroup with its conjugacy class partition."""
+    """Enumerated subgroup with its conjugacy class partition.
+
+    The closure records how it reached each element: ``words[i]`` lists the
+    generator positions whose product, left to right, is element i, and
+    ``right[g][i]`` is the index of element i times generator g. ``mul``
+    walks a word through those tables, so group products after the closure
+    are index lookups, not matrix products.
+    """
 
     def __init__(self, dynkin: DynkinType, conductor: int, gens: list[Matrix2],
                  elements: list[Matrix2], index: dict[Matrix2, int],
-                 classes: list[ConjClass], class_of: list[int]):
+                 words: list[tuple[int, ...]], right: list[list[int]]):
         self.dynkin = dynkin
         self.conductor = conductor
         self.generators = tuple(gens)
         self.elements = tuple(elements)
         self.index = index
-        self.classes = tuple(classes)
-        self.class_of = tuple(class_of)
+        self.words = tuple(words)
+        self.right = tuple(tuple(r) for r in right)
+        # element indices of each generator and of its inverse
+        self.gen_index = tuple(r[0] for r in self.right)
+        self.gen_inverse = tuple(r.index(0) for r in self.right)
+        self.classes: tuple[ConjClass, ...] = ()
+        self.class_of: tuple[int, ...] = ()
         self.identity_index = 0
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def mul(self, i: int, j: int) -> int:
+        """Index of elements[i] @ elements[j]."""
+        for g in self.words[j]:
+            i = self.right[g][i]
+        return i
+
+    def conjugate(self, x: int, g: int) -> int:
+        """Index of g x g^-1 for generator position g."""
+        return self.mul(self.mul(self.gen_index[g], x), self.gen_inverse[g])
+
+    def element_order(self, x: int) -> int:
+        k, y = 1, x
+        while y != 0:
+            if k >= self.order:
+                raise ValidationFailed(f"{self.dynkin}: element {x} has no "
+                                       f"power equal to the identity")
+            y = self.mul(y, x)
+            k += 1
+        return k
 
     def classes_to_json(self) -> list[dict]:
         return [{"order": c.order, "size": c.size, "trace": c.trace.to_json(),
@@ -158,27 +203,22 @@ class FiniteSubgroup:
                 for c in self.classes]
 
 
-def _element_order(m: Matrix2) -> int:
-    ident = Matrix2.identity(m.conductor)
-    p = m
-    k = 1
-    while p != ident:
-        p = p @ m
-        k += 1
-    return k
-
-
-def _eigen_exponent(trace: CycNumber) -> int:
-    N = trace.N
+def _eigen_exponents(N: int) -> dict[CycNumber, int]:
+    """Map zeta^e + zeta^-e -> e at conductor N, keeping the least e."""
+    out: dict[CycNumber, int] = {}
     for e in range(N):
-        if CycNumber.root_of_unity(N, e) + CycNumber.root_of_unity(N, N - e) == trace:
-            return e
-    raise ValueError(f"trace {trace} is not a sum zeta^e + zeta^-e")
+        out.setdefault(CycNumber.root_of_unity(N, e)
+                       + CycNumber.root_of_unity(N, N - e), e)
+    return out
 
 
 def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
-    """Breadth-first closure under multiplication, then conjugacy classes as
-    orbits of generator conjugation."""
+    """Breadth-first closure under right multiplication by the generators,
+    recording each element's generator word and each generator's
+    right-multiplication table; then conjugacy classes as orbits of
+    generator conjugation, computed on indices. The closure holds the only
+    matrix products; it must reach exactly the expected order and class
+    count, or ``ValidationFailed`` is raised."""
     N = gens[0].conductor
     for g in gens:
         if not g.is_unitary():
@@ -187,22 +227,29 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
     ident = Matrix2.identity(N)
     elements = [ident]
     index = {ident: 0}
+    words: list[tuple[int, ...]] = [()]
+    right: list[list[int]] = [[] for _ in gens]
     pos = 0
     while pos < len(elements):
         x = elements[pos]
-        pos += 1
-        for g in gens:
+        for gi, g in enumerate(gens):
             y = x @ g
-            if y not in index:
+            j = index.get(y)
+            if j is None:
                 if len(elements) >= limit:
                     raise ClosureOverflow(
                         f"closure of {dt} exceeded {limit} elements")
-                index[y] = len(elements)
+                j = index[y] = len(elements)
                 elements.append(y)
-    assert len(elements) == dt.group_order, \
-        f"{dt}: closure has {len(elements)} elements, expected {dt.group_order}"
+                words.append(words[pos] + (gi,))
+            right[gi].append(j)
+        pos += 1
+    if len(elements) != dt.group_order:
+        raise ValidationFailed(f"{dt}: closure has {len(elements)} elements, "
+                               f"expected {dt.group_order}")
+    G = FiniteSubgroup(dt, N, gens, elements, index, words, right)
 
-    ginv = [g.conj_transpose() for g in gens]
+    exps = _eigen_exponents(N)
     class_of = [-1] * len(elements)
     classes: list[ConjClass] = []
     for i in range(len(elements)):
@@ -212,8 +259,8 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
         stack = [i]
         while stack:
             x = stack.pop()
-            for g, gi in zip(gens, ginv):
-                j = index[(g @ elements[x]) @ gi]
+            for g in range(len(gens)):
+                j = G.conjugate(x, g)
                 if j not in orbit:
                     orbit.add(j)
                     stack.append(j)
@@ -221,12 +268,16 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
         for j in orbit:
             class_of[j] = cid
         trace = elements[i].trace()
+        if trace not in exps:
+            raise ValueError(f"trace {trace} is not a sum zeta^e + zeta^-e")
         classes.append(ConjClass(i, tuple(sorted(orbit)), len(orbit), trace,
-                                 _element_order(elements[i]),
-                                 _eigen_exponent(trace)))
-    assert len(classes) == dt.rank + 1, \
-        f"{dt}: {len(classes)} classes, expected {dt.rank + 1}"
-    return FiniteSubgroup(dt, N, gens, elements, index, classes, class_of)
+                                 G.element_order(i), exps[trace]))
+    if len(classes) != dt.rank + 1:
+        raise ValidationFailed(
+            f"{dt}: {len(classes)} classes, expected {dt.rank + 1}")
+    G.classes = tuple(classes)
+    G.class_of = tuple(class_of)
+    return G
 
 
 def build_group(dt: DynkinType) -> FiniteSubgroup:
@@ -358,7 +409,7 @@ def _subgroup_indices(G: FiniteSubgroup, seed: list[int]) -> set[int]:
     while frontier:
         x = frontier.pop()
         for g in gens:
-            z = G.index[G.elements[x] @ G.elements[g]]
+            z = G.mul(x, g)
             if z not in members:
                 members.add(z)
                 frontier.append(z)
@@ -366,28 +417,20 @@ def _subgroup_indices(G: FiniteSubgroup, seed: list[int]) -> set[int]:
 
 
 def _derived_subgroup(G: FiniteSubgroup) -> set[int]:
-    gens = G.generators
-    seed = []
-    for g in gens:
-        for h in gens:
-            comm = g @ h @ g.conj_transpose() @ h.conj_transpose()
-            seed.append(G.index[comm])
-    members = _subgroup_indices(G, seed)
-    # normal closure: conjugate by the group generators until stable
-    changed = True
-    while changed:
-        changed = False
-        extra = []
-        for g in gens:
-            gi = g.conj_transpose()
-            for x in members:
-                j = G.index[(g @ G.elements[x]) @ gi]
-                if j not in members:
-                    extra.append(j)
-        if extra:
-            members = _subgroup_indices(G, list(members) + extra)
-            changed = True
-    return members
+    """Normal closure of the generators' commutators g h g^-1 h^-1, grown
+    from a small generating set: the subgroup is normal once every
+    generating element stays inside under conjugation by each generator."""
+    ngen = len(G.generators)
+    span = [G.mul(G.conjugate(G.gen_index[h], g), G.gen_inverse[h])
+            for g in range(ngen) for h in range(ngen)]
+    members = _subgroup_indices(G, span)
+    while True:
+        extra = {j for x in span for g in range(ngen)
+                 if (j := G.conjugate(x, g)) not in members}
+        if not extra:
+            return members
+        span += sorted(extra)
+        members = _subgroup_indices(G, span)
 
 
 def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
@@ -399,7 +442,9 @@ def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
     ones = [CycNumber.one(N)] * len(G.classes)
     if d == 1:
         return [ones]
-    assert N % d == 0
+    if N % d:
+        raise ValidationFailed(f"{G.dynkin}: abelianization order {d} "
+                               f"does not divide the conductor {N}")
     coset_of = [-1] * n
     reps: list[int] = []
     for i in range(n):
@@ -407,25 +452,26 @@ def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
             cid = len(reps)
             reps.append(i)
             for x in derived:
-                coset_of[G.index[G.elements[i] @ G.elements[x]]] = cid
-    assert len(reps) == d
-    gen_cid = None
-    dlog = {}
-    for cid in range(d):
+                coset_of[G.mul(i, x)] = cid
+    if len(reps) != d:
+        raise ValidationFailed(f"{G.dynkin}: {len(reps)} cosets of the "
+                               f"derived subgroup, expected {d}")
+    dlog = None
+    for rep in reps:
         walk = {0: 0}
-        y = G.elements[reps[cid]]
-        cur = coset_of[G.index[y]]
+        y = rep
+        cur = coset_of[y]
         power = 1
         while cur not in walk:
             walk[cur] = power
-            y = y @ G.elements[reps[cid]]
-            cur = coset_of[G.index[y]]
+            y = G.mul(y, rep)
+            cur = coset_of[y]
             power += 1
         if len(walk) == d:
-            gen_cid = cid
             dlog = walk
             break
-    assert gen_cid is not None, "abelianization is not cyclic"
+    if dlog is None:
+        raise ValidationFailed(f"{G.dynkin}: abelianization is not cyclic")
     out = []
     for j in range(d):
         out.append([CycNumber.root_of_unity(N, (N // d) * j * dlog[coset_of[c.rep]])
@@ -495,7 +541,8 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     id_col = next(i for i, c in enumerate(G.classes) if c.order == 1)
     def degree(row):
         val = row[id_col].to_rational()
-        assert val.denominator == 1 and val > 0
+        if val.denominator != 1 or val <= 0:
+            raise ValidationFailed(f"{dt}: character degree {val}")
         return int(val)
 
     trivial = known[0]
@@ -512,7 +559,9 @@ def _regular_completion(G: FiniteSubgroup, known) -> tuple[CycNumber, ...]:
     degs = [int(row[id_col].to_rational()) for row in known]
     d2 = G.order - sum(d * d for d in degs)
     d = isqrt(d2)
-    assert d * d == d2 and d > 0
+    if d * d != d2 or d <= 0:
+        raise ValidationFailed(f"{G.dynkin}: regular completion leaves "
+                               f"{d2}, not the square of a degree")
     out = []
     for col, c in enumerate(G.classes):
         reg = CycNumber.from_rational(N, G.order if col == id_col else 0)
@@ -662,34 +711,44 @@ class MolienSet:
                                                   self.series)]}
 
 
+def _class_cofactor(std: list[int], tau: CycNumber, size: int, dt: DynkinType):
+    """|C| * std / (1 - tau q + q^2) by synthetic division over Q(zeta_N),
+    coefficients ascending; a nonzero remainder raises NonPolynomialResult."""
+    r = [size * c for c in std]
+    quo = [0] * (len(r) - 2)
+    for k in range(len(r) - 1, 1, -1):
+        c = quo[k - 2] = r[k]
+        r[k - 1] = r[k - 1] + tau * c
+        r[k - 2] = r[k - 2] - c
+    if r[0] != 0 or r[1] != 0:
+        raise NonPolynomialResult(
+            f"{dt}: 1 - ({tau}) q + q^2 does not divide the standard form")
+    return quo
+
+
 def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
-    """Average of chi_i(x)/det(I - x q) over the group, done per class with
-    det(I - x q) = 1 - trace(x) q + q^2, then collapsed to Q."""
+    """Generalized Molien series m_i = (1/|G|) sum_x chi_i(x)/det(I - x q)
+    in standard form N_i/((1-q^a)(1-q^b)).
+
+    det(I - x q) = 1 - trace(x) q + q^2 is constant on a class C and divides
+    the standard form, so each class has a cofactor P_C of degree h with
+    (1 - tau_C q + q^2) P_C = (1-q^a)(1-q^b), and
+    N_i = (1/|G|) sum_C |C| chi_i(C) P_C, collapsed to Q.
+    """
     dt = G.dynkin
-    N = G.conductor
     h = dt.coxeter_number
     a, b = dt.standard_ab
-    one = CycNumber.one(N)
-    quads = [Polynomial("q", (one, -c.trace, one)) for c in G.classes]
-    denom = Polynomial.one("q")
-    for qd in quads:
-        denom = denom * qd
-    partial = [denom.exact_div(qd) for qd in quads]
     std = one_plus_q(a, -1) * one_plus_q(b, -1)
+    std_coeffs = [int(c) for c in std.coeffs]
+    # column j holds coefficient j of every class's |C| P_C
+    columns = list(zip(*(_class_cofactor(std_coeffs, c.trace, c.size, dt)
+                         for c in G.classes)))
     numerators = []
     series = []
     for row in table.values:
-        acc = Polynomial.zero("q")
-        for val, c, part in zip(row, G.classes, partial):
-            acc = acc + part.scaled(val * c.size)
-        quo, rem = divmod(acc * std, denom)
-        if not rem.is_zero():
-            raise NonPolynomialResult(
-                f"{dt}: standard form does not clear for a character")
         coeffs = []
-        for cy in quo.coeffs:
-            v = cy.to_rational() / G.order if isinstance(cy, CycNumber) \
-                else cy / G.order
+        for col in columns:
+            v = sum(x * p for x, p in zip(row, col)).to_rational() / G.order
             if v.denominator != 1 or v < 0:
                 raise NonPolynomialResult(
                     f"{dt}: numerator coefficient {v} is not a nonnegative integer")

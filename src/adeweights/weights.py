@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonPolynomialResult, SingularSystem
+from .errors import NonPolynomialResult, SingularSystem, ValidationFailed
 from .graphs import DirectedGraph, DynkinType, build_graph
 from .poly import (Polynomial, RationalFunction, cox, format_coeff, one_plus_q,
                    poly_lcm, substitute_t)
@@ -278,7 +278,8 @@ def exponent_sum_latex(p: Polynomial) -> str:
     parts = []
     for e in p.support():
         c = p.coefficient(e)
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ValidationFailed(f"coefficient {c} of q^{e} is not integral")
         parts.append(str(e) if c == 1 else f"{c.numerator}\\times {e}")
     return "(" + "+".join(parts) + ")"
 

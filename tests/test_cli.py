@@ -3,9 +3,13 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adeweights
 from adeweights.cli import main
 
 
@@ -103,6 +107,22 @@ class TestVerifyCommand:
     def test_report_round_trip_bytes(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--types", "D4", "--format", "json")
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+    def test_same_report_under_python_O(self):
+        # -O strips assert statements; no check may depend on them
+        env = dict(os.environ)
+        src = str(Path(adeweights.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        argv = ["-m", "adeweights.cli", "verify", "--types", "D4,E6",
+                "--format", "json"]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, timeout=120)
+            for flags in ((), ("-O",)))
+        assert plain.returncode == 0 and plain.stdout
+        assert (optimized.returncode, optimized.stdout) == \
+            (plain.returncode, plain.stdout)
 
 
 class TestOtherCommands:

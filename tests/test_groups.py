@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from adeweights.cyclo import CycNumber
-from adeweights.errors import ClosureOverflow, NoIsomorphism, ValidationFailed
+from adeweights.errors import (ClosureOverflow, NoIsomorphism,
+                               NonPolynomialResult, ValidationFailed)
 from adeweights.graphs import DynkinType, build_graph, graph_marks
 from adeweights.groups import (CharTable, Matrix2, build_group, char_table,
                                decompose, enumerate_subgroup, generators,
                                mckay_matrix, molien_series, recurrence_check,
                                sym_power_multiplicities, sym_power_values,
-                               table_violation, _match_affine)
+                               table_violation, _derived_subgroup,
+                               _match_affine)
 from adeweights.poly import Polynomial, series_coefficients
 from oracles import molien_by_elements
 
@@ -83,6 +86,72 @@ class TestEnumeration:
     def test_closure_overflow_on_bad_generators(self):
         with pytest.raises(ClosureOverflow):
             enumerate_subgroup(generators(dt("D4")), dt("A1"))
+
+    def test_short_closure_raises_validation_failed(self):
+        # the rotation alone closes on 4 of the 8 quaternions
+        with pytest.raises(ValidationFailed):
+            enumerate_subgroup([generators(dt("D4"))[0]], dt("D4"))
+
+    def test_eigen_exponent_is_least(self, bundle):
+        for name in SUITE_NAMES:
+            g = bundle(name).group
+            N = g.conductor
+            for c in g.classes:
+                least = next(e for e in range(N)
+                             if CycNumber.root_of_unity(N, e)
+                             + CycNumber.root_of_unity(N, -e) == c.trace)
+                assert c.eigen_exp == least
+
+
+class TestIndexKernel:
+    @staticmethod
+    def _check(g, i, j):
+        assert g.mul(i, j) == g.index[g.elements[i] @ g.elements[j]]
+
+    def test_mul_on_every_pair(self, bundle):
+        for name in ("A5", "D4", "E6"):
+            g = bundle(name).group
+            for i in range(g.order):
+                for j in range(g.order):
+                    self._check(g, i, j)
+
+    def test_mul_on_sampled_e8_pairs(self, bundle):
+        g = bundle("E8").group
+        rng = random.Random(20261018)
+        for _ in range(500):
+            self._check(g, rng.randrange(g.order), rng.randrange(g.order))
+
+    def test_words_spell_their_elements(self, bundle):
+        for name in ("D5", "E7"):
+            g = bundle(name).group
+            for x, word in zip(g.elements, g.words):
+                prod = g.elements[0]
+                for k in word:
+                    prod = prod @ g.generators[k]
+                assert prod == x
+
+    def test_class_orders_match_matrix_powers(self, bundle):
+        for name in ("E7", "E8"):
+            g = bundle(name).group
+            for c in g.classes:
+                m = g.elements[c.rep]
+                power, k = m, 1
+                while power != g.elements[0]:
+                    power = power @ m
+                    k += 1
+                assert c.order == k
+
+    def test_conjugate_by_generators(self, bundle):
+        g = bundle("E6").group
+        for k, gen in enumerate(g.generators):
+            for i, x in enumerate(g.elements):
+                assert g.conjugate(i, k) == \
+                    g.index[gen @ x @ gen.conj_transpose()]
+
+    def test_derived_subgroup_sizes(self, bundle):
+        sizes = [len(_derived_subgroup(bundle(name).group))
+                 for name in ("E6", "E7", "E8")]
+        assert sizes == [8, 24, 120]
 
 
 class TestCharTable:
@@ -185,10 +254,19 @@ class TestMolien:
         assert b.molien.numerators[1] == Q(0, 2)
 
     def test_against_elementwise_oracle(self, bundle):
-        for name in ("A1", "A3", "A4", "D4", "D5", "E6"):
+        for name in SUITE_NAMES:
             b = bundle(name)
             assert list(b.molien.numerators) == \
                 molien_by_elements(b.group, b.table)
+
+    def test_class_quadratic_must_divide_standard_form(self, bundle,
+                                                       monkeypatch):
+        # D4 has elements of order 4, so 1 + q^2 must divide the standard
+        # form; it does not divide (1-q^2)(1-q^6)
+        b = bundle("D4")
+        monkeypatch.setattr(DynkinType, "standard_ab", property(lambda s: (2, 6)))
+        with pytest.raises(NonPolynomialResult, match="does not divide"):
+            molien_series(b.group, b.table)
 
     def test_series_coefficients_nonnegative_integers(self, bundle):
         for name in SUITE_NAMES:

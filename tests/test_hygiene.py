@@ -1,5 +1,6 @@
-"""Lint-style checks that need no linter: the public names resolve and no
-module imports a name it never uses."""
+"""Lint-style checks that need no linter: the public names resolve, no
+module imports a name it never uses, and no invariant rests on ``assert``
+(which ``python -O`` strips)."""
 from __future__ import annotations
 
 import ast
@@ -35,3 +36,12 @@ def test_no_unused_imports():
         if path.name != "__init__.py":  # its imports are the re-exports
             unused += _unused_imports(path)
     assert unused == []
+
+
+def test_no_assert_in_src():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Assert)]
+    assert found == []
