@@ -198,14 +198,21 @@ def build_graph(dt: DynkinType, form: str) -> DirectedGraph:
 
 def char_poly(g: DirectedGraph) -> Polynomial:
     """Characteristic polynomial det(tI - mult) by the Faddeev-LeVerrier
-    trace recursion over exact integers."""
+    trace recursion over exact integers.
+
+    Each product mult * B is formed from the nonzero entries of each row of
+    mult (at most 3 on an ADE tree), so a step costs O(n^2), not O(n^3)."""
     n = g.n
-    M = [list(row) for row in g.mult]
+    rows = [[(l, v) for l, v in enumerate(row) if v] for row in g.mult]
     B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     cs = [1]
     for k in range(1, n + 1):
-        MB = [[sum(M[i][l] * B[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
+        MB = []
+        for nz in rows:
+            acc = [0] * n
+            for l, v in nz:
+                acc = [a + v * b for a, b in zip(acc, B[l])]
+            MB.append(acc)
         tr = sum(MB[i][i] for i in range(n))
         if tr % k:
             raise ValidationFailed(

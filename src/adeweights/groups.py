@@ -711,7 +711,8 @@ class MolienSet:
                                                   self.series)]}
 
 
-def _class_cofactor(std: list[int], tau: CycNumber, size: int, dt: DynkinType):
+def _class_cofactor(std: tuple[int, ...], tau: CycNumber, size: int,
+                    dt: DynkinType):
     """|C| * std / (1 - tau q + q^2) by synthetic division over Q(zeta_N),
     coefficients ascending; a nonzero remainder raises NonPolynomialResult."""
     r = [size * c for c in std]
@@ -739,9 +740,8 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     h = dt.coxeter_number
     a, b = dt.standard_ab
     std = one_plus_q(a, -1) * one_plus_q(b, -1)
-    std_coeffs = [int(c) for c in std.coeffs]
     # column j holds coefficient j of every class's |C| P_C
-    columns = list(zip(*(_class_cofactor(std_coeffs, c.trace, c.size, dt)
+    columns = list(zip(*(_class_cofactor(std.coeffs, c.trace, c.size, dt)
                          for c in G.classes)))
     numerators = []
     series = []
@@ -752,8 +752,8 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
             if v.denominator != 1 or v < 0:
                 raise NonPolynomialResult(
                     f"{dt}: numerator coefficient {v} is not a nonnegative integer")
-            coeffs.append(v)
-        num = Polynomial("q", coeffs)
+            coeffs.append(v.numerator)
+        num = Polynomial("q", coeffs)  # in Z[q], so the reduction runs over Z
         numerators.append(num)
         series.append(RationalFunction(num, std))
     if numerators[0] != one_plus_q(h):

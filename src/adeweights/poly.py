@@ -1,7 +1,23 @@
 """Dense exact univariate polynomials and reduced rational functions.
 
-Coefficients are ``fractions.Fraction`` by default; any exact field element
-supporting ``+ - * ==`` and ``inverse()`` (e.g. ``CycNumber``) works as well.
+Coefficients come in three kinds, and one polynomial holds one kind:
+
+- ``int``: integer polynomials stay in Z[x] under ``+``, ``-``, ``*``,
+  scaling by an int, and ``exact_div`` or ``divmod`` by a divisor whose
+  leading coefficient is +-1 (synthetic division). Division by any other
+  divisor leaves Z and yields ``Fraction`` coefficients.
+- ``fractions.Fraction``: a constructor given a mix of ``int`` and other
+  coefficients turns the ints into Fractions.
+- any other exact field element supporting ``+ - * ==`` and ``inverse()``,
+  e.g. ``CycNumber``; the zeros that products and quotients fill in are of
+  the same kind as the operands.
+
+``poly_gcd`` of two integer polynomials runs a primitive polynomial
+remainder sequence over Z (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1) and
+makes the result monic, so a rational function whose denominator is monic
+in Z[x] reduces without leaving Z (Gauss's lemma). Every other kind keeps
+Euclid over its field.
+
 Every polynomial carries a variable tag (``"t"`` or ``"q"``) and binary
 operations refuse to mix tags.
 
@@ -12,22 +28,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-
-
-def _coerce(c):
-    return Fraction(c) if isinstance(c, int) else c
+from math import comb, gcd
 
 
 def _inv(c):
-    """Multiplicative inverse of a coefficient."""
+    """Multiplicative inverse of a coefficient; the units +-1 of Z stay int."""
+    if type(c) is int:
+        return c if c in (1, -1) else Fraction(1, c)
     if isinstance(c, Fraction):
         return Fraction(c.denominator, c.numerator)
     return c.inverse()
 
 
-def format_coeff(c: Fraction) -> str:
-    """Render a rational as a decimal string, "p" or "p/q"."""
+def format_coeff(c) -> str:
+    """Render a rational (int or Fraction) as a decimal string, "p" or "p/q"."""
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
@@ -43,7 +57,10 @@ class Polynomial:
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs=()):
-        norm = [_coerce(c) for c in coeffs]
+        norm = list(coeffs)
+        kinds = set(map(type, norm))
+        if int in kinds and len(kinds) > 1:
+            norm = [Fraction(c) if type(c) is int else c for c in norm]
         while norm and norm[-1] == 0:
             norm.pop()
         self.var = var
@@ -79,7 +96,7 @@ class Polynomial:
     def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, c in enumerate(self.coeffs) if c != 0)
@@ -141,7 +158,8 @@ class Polynomial:
         self._check_var(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        zero = self.coeffs[-1] * other.coeffs[-1] * 0  # of the product's kind
+        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -154,7 +172,6 @@ class Polynomial:
         return self.scaled(other)
 
     def scaled(self, c) -> Polynomial:
-        c = _coerce(c)
         return Polynomial(self.var, tuple(c * a for a in self.coeffs))
 
     def shifted(self, k: int) -> Polynomial:
@@ -176,21 +193,7 @@ class Polynomial:
         return out
 
     def __divmod__(self, other: Polynomial):
-        self._check_var(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = other.degree
-        lead_inv = _inv(other.leading())
-        quo = [Fraction(0)] * max(len(rem) - dq, 0)
-        for k in range(len(rem) - 1, dq - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            f = c * lead_inv
-            quo[k - dq] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - dq + j] = rem[k - dq + j] - f * b
+        quo, rem = self._divide(other)
         return Polynomial(self.var, quo), Polynomial(self.var, rem)
 
     def __floordiv__(self, other):
@@ -199,11 +202,39 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
+    def _divide(self, other: Polynomial):
+        """Schoolbook division: (quotient, remainder) as coefficient lists,
+        the remainder of at most deg(other) coefficients. Synthetic division
+        over Z when both are integer and other's leading coefficient is
+        +-1."""
+        self._check_var(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dq = other.degree
+        if len(rem) <= dq:
+            return [], rem
+        lead_inv = _inv(other.leading())
+        zero = rem[-1] * lead_inv * 0  # of the quotient's coefficient kind
+        quo = [zero] * (len(rem) - dq)
+        low = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if b != 0]
+        for k in range(len(rem) - 1, dq - 1, -1):
+            c = rem[k]
+            if c == 0:
+                continue
+            f = quo[k - dq] = c * lead_inv
+            for j, b in low:
+                rem[k - dq + j] = rem[k - dq + j] - f * b
+        return quo, rem[:dq]
+
     def exact_div(self, other: Polynomial) -> Polynomial:
-        quo, rem = divmod(self, other)
-        if not rem.is_zero():
+        """Quotient of a division that must leave no remainder; over Z when
+        both are integer polynomials and ``other`` has leading coefficient
+        +-1."""
+        quo, rem = self._divide(other)
+        if any(c != 0 for c in rem):
             raise ValueError(f"{self} is not divisible by {other}")
-        return quo
+        return Polynomial(self.var, quo)
 
     def monic(self) -> Polynomial:
         if self.is_zero():
@@ -242,7 +273,7 @@ class Polynomial:
         for k, c in order:
             if c == 0:
                 continue
-            if isinstance(c, Fraction):
+            if isinstance(c, (int, Fraction)):
                 neg = c < 0
                 mag = -c if neg else c
                 if k == 0:
@@ -283,9 +314,43 @@ def one_plus_q(k: int, c=1) -> Polynomial:
     return Polynomial.monomial("q", k, c) + 1
 
 
+def _primitive(coeffs: list[int]) -> list[int]:
+    """Primitive part of an integer coefficient list, trailing zeros dropped."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd in Z[x] up to content, by the primitive PRS: pseudo-remainders
+    lc(b)^(deg a - deg b + 1) * a mod b, each reduced to its primitive part."""
+    a, b = _primitive(list(a)), _primitive(list(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return [1]
+        lb, db = b[-1], len(b) - 1
+        r = a
+        for k in range(len(r) - 1, db - 1, -1):
+            c = r.pop()
+            if lb != 1:
+                r = [lb * x for x in r]
+            if c:
+                base = k - db
+                for j in range(db):
+                    r[base + j] -= c * b[j]
+        a, b = b, _primitive(r)
+    return a
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the coefficient field."""
+    """Monic gcd: the primitive PRS over Z for two integer polynomials,
+    Euclid over the coefficient field otherwise."""
     a._check_var(b)
+    if all(type(c) is int for c in a.coeffs + b.coeffs):
+        return Polynomial(a.var, _int_gcd(a.coeffs, b.coeffs)).monic()
     while not b.is_zero():
         a, b = b, a % b
     if a.is_zero():
@@ -318,8 +383,9 @@ class RationalFunction:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
             lead_inv = _inv(den.leading())
-            num = num.scaled(lead_inv)
-            den = den.scaled(lead_inv)
+            if lead_inv != 1:
+                num = num.scaled(lead_inv)
+                den = den.scaled(lead_inv)
         self.num = num
         self.den = den
 
@@ -472,8 +538,8 @@ def fold_palindromic(p: Polynomial) -> Polynomial:
     if not p.is_palindromic():
         raise ValueError("cannot fold a non-palindromic polynomial")
     k = d // 2
-    work = list(p.coeffs) + [Fraction(0)] * (2 * k + 1 - len(p.coeffs))
-    out = [Fraction(0)] * (k + 1)
+    work = list(p.coeffs)
+    out = [0] * (k + 1)
     for j in range(k, -1, -1):
         c = work[k + j]
         out[j] = c

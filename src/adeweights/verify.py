@@ -128,7 +128,7 @@ def _check_cross_match(b: TypeBundle, fault: FaultSpec | None) -> CheckResult:
     noted = ""
     if fault is not None and fault.type_name == str(b.dynkin):
         p = graph_side[fault.node]
-        coeffs = list(p.coeffs) + [Fraction(0)] * (fault.exponent + 1 - len(p.coeffs))
+        coeffs = list(p.coeffs) + [0] * (fault.exponent + 1 - len(p.coeffs))
         coeffs[fault.exponent] += fault.delta
         graph_side[fault.node] = Polynomial("q", coeffs)
         noted = (f" (fault injected at node {fault.node}, "
@@ -211,16 +211,24 @@ def _check_mckay(b: TypeBundle) -> CheckResult:
                    "McKay matrix differs from the affine adjacency")
 
 
-def _check_smith(b: TypeBundle) -> CheckResult:
-    ones = [p.evaluate(Fraction(1)) for p in b.numerators.N]
+def _halved_values_at_one(numerators) -> list | None:
+    """N_i(1) / 2 for every numerator, in exact arithmetic; None when some
+    N_i(1) is odd."""
+    ones = [p.evaluate(Fraction(1)) for p in numerators]
     if any(v % 2 for v in ones):
+        return None
+    return [v // 2 for v in ones]
+
+
+def _check_smith(b: TypeBundle) -> CheckResult:
+    marks = _halved_values_at_one(b.numerators.N)
+    if marks is None:
         return _result("SMITH_EIGEN", b.dynkin, False, "",
                        "some N_i(1) is odd; marks are not integral")
-    marks = [v / 2 for v in ones]
     g = b.affine
     ok = all(sum(g.mult[i][j] * marks[j] for j in range(g.n)) == 2 * marks[i]
              for i in range(g.n))
-    ok = ok and list(graph_marks(b.dynkin)) == [int(v) for v in marks]
+    ok = ok and list(graph_marks(b.dynkin)) == marks
     return _result("SMITH_EIGEN", b.dynkin, ok,
                    "adjacency * (N(1)/2) = 2 * (N(1)/2), the Perron vector",
                    "marks vector is not the eigenvalue-2 eigenvector")

@@ -2,7 +2,8 @@
 
 ``solve_semiaffine`` imposes t*n_i = sum of the successors of i at every node
 of positive out-degree (the affine node is a sink and is normalized to 1) and
-solves the resulting system over Q(t) by fraction-free elimination.
+solves the resulting system by fraction-free elimination in Z[t]; each weight
+is then one reduced quotient in Q(t).
 
 Two renormalizations follow the substitution t = q + 1/q: clearing by cox(h)
 gives the primitive q-weights (when cox(h) really is the common denominator;
@@ -59,8 +60,21 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
 
     Unknowns are the non-affine nodes; the equation at node i reads
     t*n_i - sum_j mult[i][j]*n_j = mult[i][0] after moving the known n_0 = 1
-    across. Forward elimination is fraction-free over Q[t] (Bareiss), the
-    back substitution divides once at the end.
+    across, i.e. (tI - A_fin) x = b. Every entry lies in Z[t], and so does
+    every step:
+
+    - Forward elimination is fraction-free (Bareiss): each update is divided
+      exactly by the previous pivot, a leading principal minor of
+      tI - A_fin and so monic, which makes the division synthetic division
+      over Z. On a tree most entries are zero: where m[i][k] = 0 the update
+      is only pivot*m[i][j]/prev, and where m[i][j] = 0 as well it is
+      skipped.
+    - Back substitution is fraction-free too (Nakos, Turner and Williams
+      1997). The last pivot is D = det(tI - A_fin), and by Cramer's rule
+      y_i = D*x_i is an integer polynomial. Going up the triangle,
+      m[i][i]*y_i = D*m[i][r] - sum_j m[i][j]*y_j, divided exactly by the
+      monic pivot m[i][i].
+    - Each weight y_i / D is then reduced once, by the integer gcd.
     """
     if g.form != "semiaffine":
         raise ValueError("solver expects a semi-affine graph")
@@ -68,6 +82,7 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
     t = Polynomial.monomial("t", 1)
     m = [[t.scaled(1 if i == j else 0) - g.mult[i + 1][j + 1] for j in range(r)]
          + [Polynomial.constant("t", g.mult[i + 1][0])] for i in range(r)]
+    zero = Polynomial.zero("t")
     prev = Polynomial.one("t")
     for k in range(r):
         if m[k][k].is_zero():
@@ -75,19 +90,28 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
             if sel is None:
                 raise SingularSystem(f"no pivot in column {k}")
             m[k], m[sel] = m[sel], m[k]
+        pivot, row_k = m[k][k], m[k]
         for i in range(k + 1, r):
+            row = m[i]
+            mik = row[k]
             for j in range(k + 1, r + 1):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = Polynomial.zero("t")
-        prev = m[k][k]
-    x: list[RationalFunction] = [RationalFunction.zero("t")] * r
+                if not mik.is_zero():
+                    row[j] = (pivot * row[j] - mik * row_k[j]).exact_div(prev)
+                elif not row[j].is_zero():
+                    row[j] = (pivot * row[j]).exact_div(prev)
+            row[k] = zero
+        prev = pivot
+    det = prev
+    y = [zero] * r
     for i in range(r - 1, -1, -1):
-        acc = RationalFunction(m[i][r])
+        acc = det * m[i][r]
         for j in range(i + 1, r):
-            acc = acc - x[j] * m[i][j]
-        x[i] = acc / m[i][i]
+            if not m[i][j].is_zero():
+                acc = acc - m[i][j] * y[j]
+        y[i] = acc.exact_div(m[i][i])
     dt = g.dynkin
-    return TWeights(dt, (RationalFunction.one("t"),) + tuple(x))
+    return TWeights(dt, (RationalFunction.one("t"),)
+                    + tuple(RationalFunction(yi, det) for yi in y))
 
 
 def weights_satisfy(g: DirectedGraph, w: TWeights) -> bool:

@@ -206,6 +206,68 @@ class TestPolynomial:
     def test_evaluate(self):
         assert Q(1, 2, 1).evaluate(Fraction(2)) == 9
 
+    def test_int_coefficients_stay_int(self):
+        a, b = Q(3, -1, 2), Q(-1, 0, 1)   # b is monic
+        results = [a + b, a - b, a * b, b * b - a, (a * b).exact_div(b),
+                   a.scaled(-4), divmod(a * b + 1, b)[0], -b, b ** 3]
+        for p in results:
+            assert p.coeffs and all(type(c) is int for c in p.coeffs), p
+        assert (a * b).exact_div(b) == a
+        assert divmod(a * b + 1, b)[1] == 1
+        # leading coefficient -1 is a unit of Z as well
+        assert (a * -b).exact_div(-b) == a
+        assert all(type(c) is int for c in (a * -b).exact_div(-b).coeffs)
+        # a non-unit leading coefficient leaves Z
+        half = Q(1, 1).exact_div(Q(2))
+        assert half == Q(Fraction(1, 2), Fraction(1, 2))
+        assert all(type(c) is Fraction for c in half.coeffs)
+
+    def test_mixed_kinds_become_fractions(self):
+        p = Q(1, 2) + Q(Fraction(1, 2), 0, 3)
+        assert p == Q(Fraction(3, 2), 2, 3)
+        assert all(type(c) is Fraction for c in p.coeffs)
+
+    def test_monic_exact_div_with_remainder_raises(self):
+        with pytest.raises(ValueError):
+            Q(1, 0, 1).exact_div(Q(-1, 1))     # q^2 + 1 = (q + 1)(q - 1) + 2
+        with pytest.raises(ValueError):
+            T(5, 0, 0, 1).exact_div(T(1, 1, 1))
+
+    def test_int_gcd_equals_fraction_euclid(self):
+        rng = random.Random(20261018)
+
+        def rand(max_deg):
+            return Polynomial("q", [rng.randint(-6, 6)
+                                    for _ in range(rng.randint(0, max_deg + 1))])
+
+        def as_fractions(p):
+            return Polynomial("q", [Fraction(c) for c in p.coeffs])
+
+        pairs = [(Q(), Q()), (Q(), Q(0, 3)), (Q(4), Q()), (Q(6), Q(4)),
+                 (Q(2, 4), Q(3, 6)), (Q(0, 0, 2), Q(0, 3))]
+        for _ in range(150):
+            f = rand(3)
+            pairs.append((f * rand(4), f * rand(4)))
+        for a, b in pairs:
+            fa, fb = as_fractions(a), as_fractions(b)
+            expected = poly_gcd(fa, fb)
+            got = poly_gcd(a, b)
+            assert got == expected, (a, b)
+            assert got == poly_gcd(b, a)
+            if not got.is_zero():
+                assert got.leading() == 1
+
+    def test_cyclotomic_product_keeps_its_kind(self):
+        N = 12
+        one, z = CycNumber.one(N), CycNumber.root_of_unity(N, 1)
+        p = Polynomial("q", (one, CycNumber.zero(N), z))   # interior zero
+        for prod in (p * p, p * Polynomial("q", (z, CycNumber.zero(N), one))):
+            assert prod.coefficient(1).is_zero() and prod.coefficient(3).is_zero()
+            assert all(isinstance(c, CycNumber) for c in prod.coeffs)
+        quo = (p * p).exact_div(p)
+        assert quo == p
+        assert all(isinstance(c, CycNumber) for c in quo.coeffs)
+
 
 def _random_poly(rng, max_deg):
     while True:

@@ -5,6 +5,7 @@ import json
 from adeweights import verify
 from adeweights.errors import ValidationFailed
 from adeweights.graphs import DynkinType
+from adeweights.poly import Polynomial
 from adeweights.verify import (CHECK_NAMES, DEFAULT_SUITE, FaultSpec,
                                report_json, report_text, run_suite)
 
@@ -117,3 +118,15 @@ class TestTextReport:
         text = report_text(run_suite([dt("D4")]))
         assert text.splitlines()[-1].startswith("summary:")
         assert "CROSS_MATCH" in text
+
+
+class TestSmithMarks:
+    def test_halving_stays_exact(self):
+        numerators = [Polynomial("q", (2,)), Polynomial("q", (0, 1, 0, 1)),
+                      Polynomial("q", (1, 0, 0, 0, 0, 0, 1)),
+                      Polynomial("q", (0, 3, 0, 3))]
+        marks = verify._halved_values_at_one(numerators)
+        assert marks == [1, 1, 1, 3]
+        assert all(type(v) is int for v in marks)
+        assert verify._halved_values_at_one([Polynomial("q", (3,))]) is None
+

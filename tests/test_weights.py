@@ -52,6 +52,18 @@ class TestSolver:
             g = build_graph(DynkinType.parse(name), "semiaffine")
             assert weights_satisfy(g, solve_semiaffine(g))
 
+    def test_ladder_in_integer_polynomials(self):
+        # every weight is y_i / det(tI - A_fin) reduced in Z[t]: integer
+        # coefficients, the equations hold, and the LCD is the Krylov
+        # minimal polynomial
+        for name in ("A24", "D24", "A48", "D40"):
+            g = build_graph(DynkinType.parse(name), "semiaffine")
+            w = solve_semiaffine(g)
+            assert all(type(c) is int
+                       for v in w.values for c in v.num.coeffs + v.den.coeffs)
+            assert weights_satisfy(g, w)
+            assert common_denominator(w) == krylov_minpoly(g.mult)
+
     def test_rejects_non_semiaffine(self):
         with pytest.raises(ValueError):
             solve_semiaffine(build_graph(DynkinType.parse("D4"), "affine"))
