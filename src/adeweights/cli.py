@@ -5,11 +5,13 @@ are json / text / latex (dot for graphs only). --out writes atomically via a
 temp file and rename, so failures never leave partial files.
 
 Exit status: 0 on success, 1 when verification reports a failure, 2 on usage
-errors, an --out path that cannot be written among them.
+errors, an --out path that cannot be written among them, and 3 on an
+internal error, reported as one "internal error:" line on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,6 +25,7 @@ from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, report_json,
 from .weights import numerators_latex, solve_semiaffine
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _grouped(items: list[str]) -> str:
@@ -198,7 +201,9 @@ def _cmd_verify(args) -> tuple[str, int]:
     return text, 0 if report.ok() else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="adeweights",
         description="Exact semi-affine ADE weight systems and SU(2) Molien series")
@@ -261,6 +266,9 @@ def main(argv=None) -> int:
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     return status
 
 

@@ -572,7 +572,17 @@ def _regular_completion(G: FiniteSubgroup, known) -> tuple[CycNumber, ...]:
 
 
 def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
-    """First violated relation, or None when the table is valid."""
+    """First violated relation, or None when the table is valid.
+
+    Checked: k rows for k classes, the trivial row, the degrees and their
+    squares, row orthogonality, conjugate symmetry, and nonnegative integer
+    multiplicities of the defining character. Column orthogonality and the
+    defining character's reconstruction from its multiplicities are implied
+    (Serre, Linear Representations of Finite Groups, 2.5): row orthogonality
+    reads X W X* = |G| I with W = diag(|C|), so the square table X is
+    invertible and X* X = |G| W^-1, and then every class function f equals
+    sum_i <f, chi_i> chi_i.
+    """
     k = len(table.classes)
     order = table.group_order
     values = table.values
@@ -592,14 +602,6 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
         for j, got in enumerate(decompose(values[i], table.weighted[i:], order), i):
             if got != (1 if i == j else 0):
                 return f"row orthogonality fails at ({i},{j}): {got}"
-    for ci in range(k):
-        for cj in range(ci, k):
-            acc = CycNumber.zero(table.conductor)
-            for row in values:
-                acc = acc + row[ci] * row[cj].conj()
-            want = Fraction(order, table.classes[ci].size) if ci == cj else 0
-            if acc != want:
-                return f"column orthogonality fails at ({ci},{cj})"
     # conjugate symmetry: chi(x^-1) = conj(chi(x))
     col_of_class = {c.rep: i for i, c in enumerate(table.classes)}
     for ci, c in enumerate(table.classes):
@@ -611,16 +613,9 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     # the defining character decomposes with nonnegative integer multiplicities
     tau = [c.trace for c in table.classes]
     try:
-        mults = _multiplicities(decompose(tau, table.weighted, order),
-                                "defining character")
+        _multiplicities(decompose(tau, table.weighted, order), "defining character")
     except ValidationFailed as exc:
         return str(exc)
-    for col in range(k):
-        acc = CycNumber.zero(table.conductor)
-        for m, row in zip(mults, values):
-            acc = acc + row[col] * m
-        if acc != tau[col]:
-            return "defining character does not match its decomposition"
     return None
 
 
@@ -796,22 +791,22 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
 
 
 def recurrence_check(mset: MolienSet, matrix) -> bool:
-    """(q + 1/q) m_i = sum over successors of m_j, as exact rational
-    functions.
+    """(q + 1/q) m_i = sum over successors of m_j, cleared of the standard
+    form: (q^2 + 1) N_i - q sum_j A_ij N_j = 0 in Z[q].
 
     Successor sums live on the semi-affine graph, so the identity binds every
-    row except the trivial one (its node is a sink); there the defect is
-    forced to be exactly 1/q by the specialization identity, and that is
-    checked too.
+    row except the trivial one (its node is a sink); there the defect of
+    (q + 1/q) m_0 is forced to be exactly 1/q by the specialization identity,
+    i.e. the cleared defect is the standard form (1 - q^a)(1 - q^b), and that
+    is checked too. It reads only the numerators, a, b and the McKay matrix.
     """
-    tq = RationalFunction(one_plus_q(2), Polynomial.monomial("q", 1))
-    inv_q = RationalFunction(Polynomial.one("q"), Polynomial.monomial("q", 1))
-    for i, mi in enumerate(mset.series):
-        acc = RationalFunction.zero("q")
-        for j, mj in enumerate(mset.series):
+    std = one_plus_q(mset.a, -1) * one_plus_q(mset.b, -1)
+    for i, ni in enumerate(mset.numerators):
+        acc = Polynomial.zero("q")
+        for j, nj in enumerate(mset.numerators):
             if matrix[i][j]:
-                acc = acc + mj * matrix[i][j]
-        defect = tq * mi - acc
-        if defect != (inv_q if i == 0 else RationalFunction.zero("q")):
+                acc = acc + nj.scaled(matrix[i][j])
+        defect = one_plus_q(2) * ni - acc.shifted(1)
+        if defect != (std if i == 0 else 0):
             return False
     return True

@@ -196,9 +196,6 @@ class Polynomial:
         quo, rem = self._divide(other)
         return Polynomial(self.var, quo), Polynomial(self.var, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -242,7 +239,7 @@ class Polynomial:
         return self.scaled(_inv(self.leading()))
 
     def evaluate(self, x):
-        """Horner evaluation; x may be a Fraction, CycNumber, or RationalFunction."""
+        """Horner evaluation; x may be a Fraction or a CycNumber."""
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
@@ -365,7 +362,8 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials with a monic denominator."""
+    """Reduced fraction of polynomials with a monic denominator: a value with
+    no arithmetic. Identities are checked over a known denominator in Z[x]."""
 
     __slots__ = ("num", "den")
 
@@ -389,86 +387,16 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def zero(cls, var: str) -> RationalFunction:
-        return cls(Polynomial.zero(var))
-
-    @classmethod
-    def one(cls, var: str) -> RationalFunction:
-        return cls(Polynomial.one(var))
-
-    @classmethod
-    def constant(cls, var: str, value) -> RationalFunction:
-        return cls(Polynomial.constant(var, value))
-
     @property
     def var(self) -> str:
         return self.num.var
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def is_polynomial(self) -> bool:
         return self.den == 1
 
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
-    def _lift(self, other) -> RationalFunction:
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(self.var, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __eq__(self, other):
         if isinstance(other, (Polynomial, int, Fraction)):
-            other = self._lift(other)
+            return self.is_polynomial() and self.num == other
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den

@@ -110,19 +110,22 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
                 acc = acc - m[i][j] * y[j]
         y[i] = acc.exact_div(m[i][i])
     dt = g.dynkin
-    return TWeights(dt, (RationalFunction.one("t"),)
+    return TWeights(dt, (RationalFunction(Polynomial.one("t")),)
                     + tuple(RationalFunction(yi, det) for yi in y))
 
 
 def weights_satisfy(g: DirectedGraph, w: TWeights) -> bool:
-    """Re-substitution check of the defining equations at all non-sink nodes."""
-    t = RationalFunction(Polynomial.monomial("t", 1))
+    """Re-substitution check of the defining equations at all non-sink
+    nodes, cleared of denominators: with L the common denominator and
+    p_j = n_j * L in Z[t], t*p_i = sum_j mult[i][j]*p_j."""
+    lcd = common_denominator(w)
+    p = [v.num * lcd.exact_div(v.den) for v in w.values]
     for i in range(1, g.n):
-        rhs = RationalFunction.zero("t")
+        rhs = Polynomial.zero("t")
         for j in range(g.n):
             if g.mult[i][j]:
-                rhs = rhs + w.values[j] * g.mult[i][j]
-        if t * w.values[i] != rhs:
+                rhs = rhs + p[j].scaled(g.mult[i][j])
+        if p[i].shifted(1) != rhs:
             return False
     return True
 
@@ -134,26 +137,26 @@ def common_denominator(w: TWeights) -> Polynomial:
     return acc
 
 
-def _substitute_ratfunc(v: RationalFunction) -> RationalFunction:
-    """Image of a rational function of t under t = q + 1/q, as a reduced
-    rational function of q."""
-    pn, dn = substitute_t(v.num)
-    pd, dd = substitute_t(v.den)
-    return RationalFunction(pn.shifted(dd), pd.shifted(dn))
-
-
 def to_q_numerators(w: TWeights) -> QNumerators:
-    """Substitute t = q + 1/q and normalize the affine node to 1 + q^h."""
+    """Substitute t = q + 1/q and normalize the affine node to 1 + q^h.
+
+    With num(q + 1/q) = P(q)/q^dn and den(q + 1/q) = D(q)/q^dd, the
+    numerator is N = P q^dd (1 + q^h) / (D q^dn); D is monic because den
+    is, so the division is synthetic division over Z.
+    """
     dt = w.dynkin
     h = dt.coxeter_number
     a, b = dt.standard_ab
     scale = one_plus_q(h)
     out = []
     for v in w.values:
-        nq = _substitute_ratfunc(v) * scale
-        if not nq.is_polynomial():
-            raise NonPolynomialResult(f"{v} does not clear modulo 1+q^{h}")
-        p = nq.as_polynomial()
+        pn, dn = substitute_t(v.num)
+        pd, dd = substitute_t(v.den)
+        try:
+            p = (pn.shifted(dd) * scale).exact_div(pd.shifted(dn))
+        except ValueError:
+            raise NonPolynomialResult(
+                f"{v} does not clear modulo 1+q^{h}") from None
         if any(c.denominator != 1 for c in p.coeffs):
             raise NonPolynomialResult(f"non-integer coefficients in {p}")
         out.append(p)
@@ -166,10 +169,11 @@ def intermediate_q_weights(w: TWeights) -> tuple[Polynomial, ...]:
     c = cox(w.dynkin.coxeter_number)
     out = []
     for v in w.values:
-        cleared = v * c
-        if not cleared.is_polynomial():
-            raise NonPolynomialResult(f"{v} is not cleared by {c}")
-        p, d = substitute_t(cleared.as_polynomial())
+        try:
+            cleared = (v.num * c).exact_div(v.den)
+        except ValueError:
+            raise NonPolynomialResult(f"{v} is not cleared by {c}") from None
+        p, d = substitute_t(cleared)
         out.append(p.shifted(c.degree - d))
     return tuple(out)
 

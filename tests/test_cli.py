@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import adeweights
+from adeweights import cli
 from adeweights.cli import main
 
 
@@ -165,6 +166,20 @@ class TestRejectedArguments:
 
     def test_leading_zero_type(self, capsys):
         self.assert_rejected(capsys, "graph", "--type", "A01")
+
+
+class TestExitStatus:
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "run_suite", crash)
+        status, out, err = run_cli(capsys, "verify", "--types", "D4")
+        assert (status, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+    def test_parser_is_built_once(self, capsys):
+        parser = cli.build_parser()
+        assert run_cli(capsys, "charpoly", "--type", "A2")[0] == 0
+        assert cli.build_parser() is parser
 
 
 class TestAtomicOutput:

@@ -269,24 +269,7 @@ class TestPolynomial:
         assert all(isinstance(c, CycNumber) for c in quo.coeffs)
 
 
-def _random_poly(rng, max_deg):
-    while True:
-        p = Polynomial("q", [rng.randint(-5, 5)
-                             for _ in range(rng.randint(1, max_deg + 1))])
-        if not p.is_zero():
-            return p
-
-
 class TestRationalFunction:
-    def test_field_axioms_random(self):
-        rng = random.Random(99)
-        for _ in range(60):
-            a = _random_poly(rng, 8)
-            b = _random_poly(rng, 8)
-            r = RationalFunction(a, b)
-            assert r * (RationalFunction(b, a)) == 1
-            assert r + (-r) == 0
-
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=9),
            st.lists(st.integers(-5, 5), min_size=1, max_size=9))
     @settings(max_examples=60, deadline=None)

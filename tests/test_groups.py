@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -169,12 +170,21 @@ class TestCharTable:
         assert sum(d * d for d in degrees) == 120
 
     def test_flipped_sign_fails_validation(self, bundle):
-        b = bundle("D4")
-        values = [list(r) for r in b.table.values]
-        values[1][2] = -values[1][2]
-        bad = CharTable(b.table.conductor, b.table.group_order, b.table.degrees,
-                        tuple(tuple(r) for r in values), b.table.classes)
-        assert table_violation(bad, b.group) is not None
+        # every entry moved by +-1, one at a time, is rejected: the clauses
+        # that column orthogonality would add are implied by the others
+        for name in ("D4", "E6"):
+            b = bundle(name)
+            k = len(b.table.classes)
+            for i in range(k):
+                for j in range(k):
+                    for delta in (1, -1):
+                        values = [list(r) for r in b.table.values]
+                        values[i][j] = values[i][j] + delta
+                        bad = CharTable(b.table.conductor, b.table.group_order,
+                                        b.table.degrees,
+                                        tuple(tuple(r) for r in values),
+                                        b.table.classes)
+                        assert table_violation(bad, b.group) is not None
 
     def test_permuted_columns_still_valid(self, bundle):
         b = bundle("D5")
@@ -279,6 +289,21 @@ class TestMolien:
         for name in SUITE_NAMES:
             b = bundle(name)
             assert recurrence_check(b.molien, b.mckay.matrix)
+
+    def test_recurrence_rejects_perturbed_inputs(self, bundle):
+        for name in ("A1", "D4", "A5", "E8"):
+            b = bundle(name)
+            k = len(b.table.classes)
+            for i in range(k):
+                for j in range(k):
+                    if i != j:
+                        raised = [list(r) for r in b.mckay.matrix]
+                        raised[i][j] += 1
+                        assert not recurrence_check(b.molien, raised)
+                nums = list(b.molien.numerators)
+                nums[i] = nums[i] + Polynomial.monomial("q", 1)
+                assert not recurrence_check(
+                    replace(b.molien, numerators=tuple(nums)), b.mckay.matrix)
 
 
 class TestSymPowers:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,15 @@ class TestSolver:
                        for v in w.values for c in v.num.coeffs + v.den.coeffs)
             assert weights_satisfy(g, w)
             assert common_denominator(w) == krylov_minpoly(g.mult)
+
+    def test_perturbed_weight_fails_equations(self):
+        for name in ("A1", "D4", "E8"):
+            g = build_graph(DynkinType.parse(name), "semiaffine")
+            w = solve_semiaffine(g)
+            for i, v in enumerate(w.values):
+                values = list(w.values)
+                values[i] = RationalFunction(v.num + 1, v.den)
+                assert not weights_satisfy(g, replace(w, values=tuple(values)))
 
     def test_rejects_non_semiaffine(self):
         with pytest.raises(ValueError):
@@ -142,6 +152,14 @@ class TestQNormalizations:
     def test_intermediate_raises_when_cox_does_not_clear(self):
         with pytest.raises(NonPolynomialResult):
             intermediate_q_weights(solve("A5"))
+
+    def test_final_raises_when_affine_scale_does_not_clear(self):
+        # t^2 - 5 becomes q^4 - 3q^2 + 1, which does not divide q^k (1 + q^6)
+        w = solve("D4")
+        values = list(w.values)
+        values[1] = RationalFunction(T(1), T(-5, 0, 1))
+        with pytest.raises(NonPolynomialResult, match="does not clear"):
+            to_q_numerators(replace(w, values=tuple(values)))
 
 
 class TestClosedForm:
