@@ -3,10 +3,11 @@
 Elements are residues modulo the N-th cyclotomic polynomial, stored in the
 power basis 1, zeta, ..., zeta^(phi(N)-1). Internally a value is a vector of
 integers over one common denominator, which keeps products cheap; the
-``coeffs`` property exposes the vector of Fractions.
-
-Arithmetic never mixes conductors: callers embed into a common conductor
-first (``embed``), which is exponent scaling zeta_N -> zeta_M**(M/N).
+``coeffs`` property exposes the vector of Fractions. Arithmetic never mixes
+conductors. The inverse is the product of the other Galois conjugates over
+the norm, a rational number, so no polynomial division is needed; the
+minimal polynomial of an element is the product of t - y over its Galois
+orbit, which must lie in Z[t].
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from .errors import NotRational, ValidationFailed
-from .poly import Polynomial, cyclotomic, format_coeff
+from .poly import Polynomial, cyclotomic
 
 
 def euler_phi(n: int) -> int:
@@ -41,11 +42,8 @@ class _Field:
     def __init__(self, N: int):
         self.N = N
         self.phi = euler_phi(N)
-        coeffs = cyclotomic(N).coeffs
-        if any(c.denominator != 1 for c in coeffs):
-            raise ValidationFailed(f"Phi_{N} has a non-integer coefficient")
         # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
-        self._base = tuple(-int(c) for c in coeffs[: self.phi])
+        self._base = tuple(-c for c in cyclotomic(N).coeffs[: self.phi])
         self._rows: list[tuple[int, ...]] = [self._base]
 
     def row(self, e: int) -> tuple[int, ...]:
@@ -208,38 +206,15 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> CycNumber:
-        """Extended Euclid against the cyclotomic polynomial."""
+        """The product of the other Galois conjugates divided by the norm,
+        the product of all of them (a nonzero rational)."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
-        if self.is_rational():
-            r = self.to_rational()
-            return CycNumber.from_rational(self.N, Fraction(r.denominator, r.numerator))
-        mod = cyclotomic(self.N)
-        a = Polynomial("q", self.coeffs)
-        # Bezout: s*a + t*mod = gcd = nonzero constant
-        r0, r1 = a, mod
-        s0, s1 = Polynomial.one("q"), Polynomial.zero("q")
-        while not r1.is_zero():
-            quo, rem = divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s0 - quo * s1
-        if r0.degree != 0:
-            raise ValidationFailed(f"{self} shares a factor with Phi_{self.N}")
-        inv = s0.scaled(Fraction(1) / r0.coefficient(0))
-        return CycNumber.from_fractions(
-            self.N, [inv.coefficient(k) for k in range(_field(self.N).phi)])
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        others = CycNumber.one(self.N)
+        for a in range(2, self.N):
+            if gcd(a, self.N) == 1:
+                others = others * self.galois(a)
+        return others * (1 / (self * others).to_rational())
 
     # -- Galois action -----------------------------------------------------------
     def galois(self, a: int) -> CycNumber:
@@ -267,20 +242,6 @@ class CycNumber:
             if c:
                 out[i + e] += c
         return CycNumber(self.N, fld.reduce(out), self._den)
-
-    def embed(self, M: int) -> CycNumber:
-        """Embed into Q(zeta_M) for N | M via zeta_N = zeta_M**(M/N)."""
-        if M % self.N:
-            raise ValueError(f"{self.N} does not divide {M}")
-        if M == self.N:
-            return self
-        step = M // self.N
-        fld = _field(M)
-        out = [0] * max(fld.phi, (len(self._nums) - 1) * step + 1)
-        for i, c in enumerate(self._nums):
-            if c:
-                out[i * step] += c
-        return CycNumber(M, fld.reduce(out), self._den)
 
     # -- comparisons ----------------------------------------------------------------
     def __eq__(self, other):
@@ -312,7 +273,7 @@ class CycNumber:
 
     # -- JSON ---------------------------------------------------------------------------
     def to_json(self) -> dict:
-        return {"N": self.N, "coeffs": [format_coeff(c) for c in self.coeffs]}
+        return {"N": self.N, "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> CycNumber:
@@ -320,15 +281,18 @@ class CycNumber:
 
 
 def minimal_polynomial(x: CycNumber, var: str = "t") -> Polynomial:
-    """Minimal polynomial over Q, as the product over the Galois orbit."""
+    """Minimal polynomial over Q of an algebraic integer x: the product of
+    t - y over the Galois orbit, multiplied as ascending coefficient lists
+    over Q(zeta_N). A coefficient outside Z raises ``ValidationFailed``."""
     orbit = []
+    acc = [CycNumber.one(x.N)]
     for a in range(1, x.N + 1):
         if gcd(a, x.N) == 1:
             y = x.galois(a)
             if y not in orbit:
                 orbit.append(y)
-    acc = Polynomial.one(var)
-    for y in orbit:
-        acc = acc * Polynomial(var, (-y, CycNumber.one(x.N)))
-    return Polynomial(var, [c.to_rational() if isinstance(c, CycNumber) else c
-                            for c in acc.coeffs])
+                acc = [s - y * c for s, c in zip([0] + acc, acc + [0])]
+    coeffs = [c.to_rational() for c in acc]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValidationFailed(f"minimal polynomial of {x} is not in Z[{var}]")
+    return Polynomial(var, [c.numerator for c in coeffs])

@@ -1,22 +1,16 @@
-"""Dense exact univariate polynomials and reduced rational functions.
+"""Dense univariate polynomials over Z and reduced quotients of them.
 
-Coefficients come in three kinds, and one polynomial holds one kind:
+Coefficients are ``int``, and every operation stays in Z[x]: ``+``, ``-``,
+``*``, scaling by an int, and ``exact_div`` or ``divmod``, which raise
+``ValueError`` when a quotient coefficient is not an integer. By a divisor
+whose leading coefficient is +-1 that cannot happen: the division is
+synthetic division.
 
-- ``int``: integer polynomials stay in Z[x] under ``+``, ``-``, ``*``,
-  scaling by an int, and ``exact_div`` or ``divmod`` by a divisor whose
-  leading coefficient is +-1 (synthetic division). Division by any other
-  divisor leaves Z and yields ``Fraction`` coefficients.
-- ``fractions.Fraction``: a constructor given a mix of ``int`` and other
-  coefficients turns the ints into Fractions.
-- any other exact field element supporting ``+ - * ==`` and ``inverse()``,
-  e.g. ``CycNumber``; the zeros that products and quotients fill in are of
-  the same kind as the operands.
-
-``poly_gcd`` of two integer polynomials runs a primitive polynomial
-remainder sequence over Z (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1) and
-makes the result monic, so a rational function whose denominator is monic
-in Z[x] reduces without leaving Z (Gauss's lemma). Every other kind keeps
-Euclid over its field.
+``poly_gcd`` runs a primitive polynomial remainder sequence over Z (Collins
+1967; Knuth, TAOCP vol. 2, 4.6.1) and returns the primitive gcd with a
+positive leading coefficient, which is monic whenever it divides a monic
+polynomial (Gauss's lemma). So a rational function whose denominator is
+monic reduces to a monic denominator without leaving Z.
 
 Every polynomial carries a variable tag (``"t"`` or ``"q"``) and binary
 operations refuse to mix tags.
@@ -26,29 +20,12 @@ between palindromic polynomials in q and polynomials in t = q + 1/q.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
 
-def _inv(c):
-    """Multiplicative inverse of a coefficient; the units +-1 of Z stay int."""
-    if type(c) is int:
-        return c if c in (1, -1) else Fraction(1, c)
-    if isinstance(c, Fraction):
-        return Fraction(c.denominator, c.numerator)
-    return c.inverse()
-
-
-def format_coeff(c) -> str:
-    """Render a rational (int or Fraction) as a decimal string, "p" or "p/q"."""
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 class Polynomial:
-    """Dense univariate polynomial; ``coeffs[k]`` multiplies ``var**k``.
+    """Dense univariate polynomial over Z; ``coeffs[k]`` multiplies ``var**k``.
 
     Trailing zero coefficients are stripped, so the zero polynomial has an
     empty coefficient tuple and degree -1.
@@ -58,9 +35,6 @@ class Polynomial:
 
     def __init__(self, var: str, coeffs=()):
         norm = list(coeffs)
-        kinds = set(map(type, norm))
-        if int in kinds and len(kinds) > 1:
-            norm = [Fraction(c) if type(c) is int else c for c in norm]
         while norm and norm[-1] == 0:
             norm.pop()
         self.var = var
@@ -126,7 +100,7 @@ class Polynomial:
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Polynomial.constant(self.var, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -145,7 +119,7 @@ class Polynomial:
         return Polynomial(self.var, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Polynomial.constant(self.var, other)
         return self + (-other)
 
@@ -158,8 +132,7 @@ class Polynomial:
         self._check_var(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.var)
-        zero = self.coeffs[-1] * other.coeffs[-1] * 0  # of the product's kind
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -180,18 +153,6 @@ class Polynomial:
             return self
         return Polynomial(self.var, (0,) * k + self.coeffs)
 
-    def __pow__(self, n: int) -> Polynomial:
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __divmod__(self, other: Polynomial):
         quo, rem = self._divide(other)
         return Polynomial(self.var, quo), Polynomial(self.var, rem)
@@ -200,10 +161,10 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def _divide(self, other: Polynomial):
-        """Schoolbook division: (quotient, remainder) as coefficient lists,
-        the remainder of at most deg(other) coefficients. Synthetic division
-        over Z when both are integer and other's leading coefficient is
-        +-1."""
+        """Schoolbook division in Z[x]: (quotient, remainder) as coefficient
+        lists, the remainder of at most deg(other) coefficients. Raises
+        ``ValueError`` when a quotient coefficient is not an integer, which
+        a leading coefficient of +-1 rules out (synthetic division)."""
         self._check_var(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -211,45 +172,40 @@ class Polynomial:
         dq = other.degree
         if len(rem) <= dq:
             return [], rem
-        lead_inv = _inv(other.leading())
-        zero = rem[-1] * lead_inv * 0  # of the quotient's coefficient kind
-        quo = [zero] * (len(rem) - dq)
+        lead = other.leading()
+        quo = [0] * (len(rem) - dq)
         low = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if b != 0]
         for k in range(len(rem) - 1, dq - 1, -1):
             c = rem[k]
             if c == 0:
                 continue
-            f = quo[k - dq] = c * lead_inv
+            f, r = divmod(c, lead)
+            if r:
+                raise ValueError(f"{self} / {other} leaves Z at {self.var}^{k - dq}")
+            quo[k - dq] = f
             for j, b in low:
                 rem[k - dq + j] = rem[k - dq + j] - f * b
         return quo, rem[:dq]
 
     def exact_div(self, other: Polynomial) -> Polynomial:
-        """Quotient of a division that must leave no remainder; over Z when
-        both are integer polynomials and ``other`` has leading coefficient
-        +-1."""
+        """Quotient of a division in Z[x] that must leave no remainder."""
         quo, rem = self._divide(other)
         if any(c != 0 for c in rem):
             raise ValueError(f"{self} is not divisible by {other}")
         return Polynomial(self.var, quo)
 
-    def monic(self) -> Polynomial:
-        if self.is_zero():
-            return self
-        return self.scaled(_inv(self.leading()))
-
     def evaluate(self, x):
-        """Horner evaluation; x may be a Fraction or a CycNumber."""
-        acc = None
+        """Horner evaluation; x may be an int, a Fraction or a CycNumber."""
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc if acc is not None else Fraction(0)
+            acc = acc * x + c
+        return acc
 
     # -- comparisons ------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.var == other.var and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if other == 0:
                 return self.is_zero()
             return self.degree == 0 and self.coeffs[0] == other
@@ -270,23 +226,13 @@ class Polynomial:
         for k, c in order:
             if c == 0:
                 continue
-            if isinstance(c, (int, Fraction)):
-                neg = c < 0
-                mag = -c if neg else c
-                if k == 0:
-                    body = format_coeff(mag)
-                else:
-                    unit = self.var if k == 1 else f"{self.var}^{k}"
-                    if mag == 1:
-                        body = unit
-                    elif mag.denominator == 1:
-                        body = f"{mag.numerator}{unit}"
-                    else:
-                        body = f"({format_coeff(mag)}){unit}"
-                parts.append(("-" if neg else "+", body))
+            mag = abs(c)
+            if k == 0:
+                body = str(mag)
             else:
-                unit = "" if k == 0 else (self.var if k == 1 else f"{self.var}^{k}")
-                parts.append(("+", f"({c}){unit}"))
+                unit = self.var if k == 1 else f"{self.var}^{k}"
+                body = unit if mag == 1 else f"{mag}{unit}"
+            parts.append(("-" if c < 0 else "+", body))
         sign, first = parts[0]
         text = ("-" if sign == "-" else "") + first
         for sign, body in parts[1:]:
@@ -298,11 +244,11 @@ class Polynomial:
 
     # -- JSON ---------------------------------------------------------------
     def to_json(self) -> dict:
-        return {"var": self.var, "coeffs": [format_coeff(c) for c in self.coeffs]}
+        return {"var": self.var, "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> Polynomial:
-        return cls(obj["var"], [Fraction(c) for c in obj["coeffs"]])
+        return cls(obj["var"], [int(c) for c in obj["coeffs"]])
 
 
 def one_plus_q(k: int, c=1) -> Polynomial:
@@ -342,28 +288,30 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+def _positive(p: Polynomial) -> Polynomial:
+    """p or -p, whichever has a positive leading coefficient (0 stays 0)."""
+    return -p if p.coeffs and p.coeffs[-1] < 0 else p
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd: the primitive PRS over Z for two integer polynomials,
-    Euclid over the coefficient field otherwise."""
+    """The primitive gcd with a positive leading coefficient (0 when both
+    are 0), by the primitive PRS over Z."""
     a._check_var(b)
-    if all(type(c) is int for c in a.coeffs + b.coeffs):
-        return Polynomial(a.var, _int_gcd(a.coeffs, b.coeffs)).monic()
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    return _positive(Polynomial(a.var, _int_gcd(a.coeffs, b.coeffs)))
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() or b.is_zero():
         return Polynomial.zero(a.var)
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
+    return _positive((a * b).exact_div(poly_gcd(a, b)))
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials with a monic denominator: a value with
-    no arithmetic. Identities are checked over a known denominator in Z[x]."""
+    """Reduced fraction of polynomials over Z: a value with no arithmetic.
+    Numerator and denominator are coprime in Z[x], contents included, and
+    the denominator has a positive leading coefficient, so a monic
+    denominator stays monic. Identities are checked over a known
+    denominator in Z[x]."""
 
     __slots__ = ("num", "den")
 
@@ -376,14 +324,14 @@ class RationalFunction:
         if num.is_zero():
             den = Polynomial.one(num.var)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
+            # exact in Z[x] by Gauss's lemma: g is the primitive gcd times
+            # the gcd of the contents
+            g = poly_gcd(num, den).scaled(gcd(*num.coeffs, *den.coeffs))
+            if den.leading() < 0:
+                g = -g
+            if g != 1:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lead_inv = _inv(den.leading())
-            if lead_inv != 1:
-                num = num.scaled(lead_inv)
-                den = den.scaled(lead_inv)
         self.num = num
         self.den = den
 
@@ -395,7 +343,7 @@ class RationalFunction:
         return self.den == 1
 
     def __eq__(self, other):
-        if isinstance(other, (Polynomial, int, Fraction)):
+        if isinstance(other, (Polynomial, int)):
             return self.is_polynomial() and self.num == other
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -423,19 +371,19 @@ class RationalFunction:
         return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
 
 
-def series_coefficients(rf: RationalFunction, nterms: int) -> list[Fraction]:
-    """First ``nterms`` Taylor coefficients of ``rf`` at 0 (den(0) != 0)."""
+def series_coefficients(rf: RationalFunction, nterms: int) -> list[int]:
+    """First ``nterms`` Taylor coefficients of ``rf`` at 0, in Z; raises
+    ``ValueError`` unless den(0) = +-1."""
     den = rf.den
     d0 = den.coefficient(0)
-    if d0 == 0:
-        raise ZeroDivisionError("denominator vanishes at 0")
-    inv0 = _inv(d0)
+    if d0 not in (1, -1):
+        raise ValueError(f"denominator {den} is {d0} at 0, not a unit of Z")
     out = []
     for k in range(nterms):
         acc = rf.num.coefficient(k)
         for j in range(1, min(k, den.degree) + 1):
             acc = acc - den.coefficient(j) * out[k - j]
-        out.append(acc * inv0)
+        out.append(acc * d0)
     return out
 
 

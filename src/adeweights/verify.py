@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import (CharPolyReport, DirectedGraph, DynkinType, build_graph,
@@ -214,7 +213,7 @@ def _check_mckay(b: TypeBundle) -> CheckResult:
 def _halved_values_at_one(numerators) -> list | None:
     """N_i(1) / 2 for every numerator, in exact arithmetic; None when some
     N_i(1) is odd."""
-    ones = [p.evaluate(Fraction(1)) for p in numerators]
+    ones = [p.evaluate(1) for p in numerators]
     if any(v % 2 for v in ones):
         return None
     return [v // 2 for v in ones]
@@ -260,7 +259,7 @@ def _check_charpoly_claim(b: TypeBundle, rep: CharPolyReport) -> CheckResult:
 
 def _check_structural(b: TypeBundle, rep: CharPolyReport) -> CheckResult:
     ok = rep.structural_ok and rep.char_semiaffine.degree == b.dynkin.rank + 1
-    ok = ok and b.semiaffine.mult != tuple(zip(*b.semiaffine.mult))
+    ok = ok and not b.semiaffine.is_symmetric()
     return _result("STRUCTURAL_CHARPOLY", b.dynkin, ok,
                    "char(semiaffine) = t * char(finite), degree rank+1, "
                    "matrix asymmetric",

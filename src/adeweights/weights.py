@@ -14,12 +14,11 @@ that the group side reproduces as Molien numerators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NonPolynomialResult, SingularSystem, ValidationFailed
+from .errors import NonPolynomialResult, SingularSystem
 from .graphs import DirectedGraph, DynkinType, build_graph
-from .poly import (Polynomial, RationalFunction, cox, format_coeff, one_plus_q,
-                   poly_lcm, substitute_t)
+from .poly import (Polynomial, RationalFunction, cox, one_plus_q, poly_lcm,
+                   substitute_t)
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,12 @@ class QNumerators:
 
     def to_json(self) -> dict:
         return {"type": str(self.dynkin), "h": self.h, "a": self.a, "b": self.b,
-                "N": [[format_coeff(c) for c in p.coeffs] for p in self.N]}
+                "N": [[str(c) for c in p.coeffs] for p in self.N]}
 
     @classmethod
     def from_json(cls, obj: dict) -> QNumerators:
         return cls(DynkinType.parse(obj["type"]), obj["h"], obj["a"], obj["b"],
-                   tuple(Polynomial("q", [Fraction(c) for c in row])
+                   tuple(Polynomial("q", [int(c) for c in row])
                          for row in obj["N"]))
 
 
@@ -157,8 +156,6 @@ def to_q_numerators(w: TWeights) -> QNumerators:
         except ValueError:
             raise NonPolynomialResult(
                 f"{v} does not clear modulo 1+q^{h}") from None
-        if any(c.denominator != 1 for c in p.coeffs):
-            raise NonPolynomialResult(f"non-integer coefficients in {p}")
         out.append(p)
     return QNumerators(dt, h, a, b, tuple(out))
 
@@ -292,7 +289,7 @@ def check_notes(nq: QNumerators) -> NotesReport:
             for p in nq.N for e in p.support())
 
     count_ok = True
-    ones = [p.evaluate(Fraction(1)) for p in nq.N]
+    ones = [p.evaluate(1) for p in nq.N]
     for i in range(g.n):
         acc = sum(g.mult[i][j] * ones[j] for j in range(g.n))
         if 2 * ones[i] != acc:
@@ -306,9 +303,7 @@ def exponent_sum_latex(p: Polynomial) -> str:
     parts = []
     for e in p.support():
         c = p.coefficient(e)
-        if c.denominator != 1:
-            raise ValidationFailed(f"coefficient {c} of q^{e} is not integral")
-        parts.append(str(e) if c == 1 else f"{c.numerator}\\times {e}")
+        parts.append(str(e) if c == 1 else f"{c}\\times {e}")
     return "(" + "+".join(parts) + ")"
 
 

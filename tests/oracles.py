@@ -106,40 +106,79 @@ def krylov_minpoly(mult) -> Polynomial:
     raise AssertionError("Krylov sequence exceeded the dimension")
 
 
+def euclid_gcd(a: Polynomial, b: Polynomial) -> list[Fraction]:
+    """Monic gcd over Q as ascending Fraction coefficients ([] when both are
+    zero), by Euclid's algorithm on coefficient lists; no PRS, content or
+    Polynomial division is used."""
+    def strip(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def remainder(p, d):
+        p = list(p)
+        while len(p) >= len(d):
+            f = p[-1] / d[-1]
+            shift = len(p) - len(d)
+            for j, c in enumerate(d):
+                p[shift + j] -= f * c
+            strip(p)
+        return p
+
+    x = strip([Fraction(c) for c in a.coeffs])
+    y = strip([Fraction(c) for c in b.coeffs])
+    while y:
+        x, y = y, remainder(x, y)
+    return [c / x[-1] for c in x]
+
+
+def _list_mul(p, r):
+    out = [0] * (len(p) + len(r) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(r):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _list_div_monic(p, d):
+    """Exact quotient of coefficient lists by a divisor with leading 1."""
+    p = list(p)
+    quo = [0] * (len(p) - len(d) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = p[k + len(d) - 1]
+        for j, y in enumerate(d):
+            p[k + j] = p[k + j] - c * y
+    assert all(x == 0 for x in p), "inexact division"
+    return quo
+
+
 def molien_by_elements(G, table):
     """Molien numerators summed element by element (not class by class),
-    returned as Polynomials over Q against (1-q^a)(1-q^b)."""
-    from adeweights.cyclo import CycNumber
-
+    against (1-q^a)(1-q^b). The quadratics 1 - tr(x) q + q^2 and their
+    product are ascending coefficient lists over Q(zeta_N); each numerator
+    must come out integral and is returned as a Polynomial in q."""
     dt = G.dynkin
     a, b = dt.standard_ab
-    N = G.conductor
-    one = CycNumber.one(N)
     quads = {}
     for x in G.elements:
         tr = x.trace()
         if tr not in quads:
-            quads[tr] = Polynomial("q", (one, -tr, one))
-    denom = Polynomial.one("q")
-    seen = []
-    for x in G.elements:
-        tr = x.trace()
-        if tr not in seen:
-            seen.append(tr)
-            denom = denom * quads[tr]
-    partial = {tr: denom.exact_div(quads[tr]) for tr in seen}
-    std = (Polynomial("q", (1,) + (0,) * (a - 1) + (-1,))
-           * Polynomial("q", (1,) + (0,) * (b - 1) + (-1,)))
+            quads[tr] = [1, -tr, 1]
+    denom = [1]
+    for quad in quads.values():
+        denom = _list_mul(denom, quad)
+    partial = {tr: _list_div_monic(denom, quad) for tr, quad in quads.items()}
+    std = _list_mul([1] + [0] * (a - 1) + [-1], [1] + [0] * (b - 1) + [-1])
     out = []
     for row in table.values:
-        acc = Polynomial.zero("q")
+        acc = [0] * (len(denom) - 2)
         for idx, x in enumerate(G.elements):
             val = row[G.class_of[idx]]
-            acc = acc + partial[x.trace()].scaled(val)
-        quo = (acc * std).exact_div(denom)
+            acc = [s + val * c for s, c in zip(acc, partial[x.trace()])]
         coeffs = []
-        for c in quo.coeffs:
-            v = c.to_rational() if not isinstance(c, Fraction) else c
-            coeffs.append(v / G.order)
+        for c in _list_div_monic(_list_mul(acc, std), denom):
+            v = c.to_rational() / G.order
+            assert v.denominator == 1, v
+            coeffs.append(v.numerator)
         out.append(Polynomial("q", coeffs))
     return out

@@ -1,6 +1,6 @@
 """Lint-style checks that need no linter: the public names resolve, no
-module imports a name it never uses, and no invariant rests on ``assert``
-(which ``python -O`` strips)."""
+module imports a name it never uses, no invariant rests on ``assert``
+(which ``python -O`` strips), and polynomials stay over Z."""
 from __future__ import annotations
 
 import ast
@@ -44,4 +44,13 @@ def test_no_assert_in_src():
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_poly_imports_nothing_from_fractions():
+    tree = ast.parse((SRC / "poly.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+             or isinstance(node, ast.Import)
+             and any(a.name == "fractions" for a in node.names)]
     assert found == []

@@ -3,8 +3,9 @@ from __future__ import annotations
 import json
 
 from adeweights import verify
+from adeweights.cyclo import minimal_polynomial
 from adeweights.errors import ValidationFailed
-from adeweights.graphs import DynkinType
+from adeweights.graphs import DynkinType, charpoly_report
 from adeweights.poly import Polynomial
 from adeweights.verify import (CHECK_NAMES, DEFAULT_SUITE, FaultSpec,
                                report_json, report_text, run_suite)
@@ -130,3 +131,17 @@ class TestSmithMarks:
         assert all(type(v) is int for v in marks)
         assert verify._halved_values_at_one([Polynomial("q", (3,))]) is None
 
+
+
+class TestIntegerCoefficients:
+    def test_every_polynomial_is_in_z(self, bundle, suite_types):
+        for t in suite_types:
+            b = bundle(str(t))
+            rep = charpoly_report(t)
+            polys = [p for v in b.tweights.values for p in (v.num, v.den)]
+            polys += list(b.numerators.N) + list(b.molien.numerators)
+            polys += [p for s in b.molien.series for p in (s.num, s.den)]
+            polys += [rep.cofactor, rep.cox, rep.char_semiaffine, rep.char_finite]
+            polys += [minimal_polynomial(c.trace) for c in b.group.classes]
+            for p in polys:
+                assert all(type(c) is int for c in p.coeffs), (t, p)
