@@ -4,8 +4,11 @@ Elements are residues modulo the N-th cyclotomic polynomial, stored in the
 power basis 1, zeta, ..., zeta^(phi(N)-1). Internally a value is a vector of
 integers over one common denominator, which keeps products cheap; the
 ``coeffs`` property exposes the vector of Fractions. Arithmetic never mixes
-conductors. The inverse is the product of the other Galois conjugates over
-the norm, a rational number, so no polynomial division is needed; the
+conductors. ``dot`` is the one sum-of-products kernel: it accumulates every
+term's coordinate products in one unreduced integer buffer and reduces
+modulo Phi_N and by the content once per sum, so a sum of k products builds
+one value, not 2k. The inverse is the product of the other Galois conjugates
+over the norm, a rational number, so no polynomial division is needed; the
 minimal polynomial of an element is the product of t - y over its Galois
 orbit, which must lie in Z[t].
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress, count
 from math import gcd, lcm
 
 from .errors import NotRational, ValidationFailed
@@ -44,32 +48,42 @@ class _Field:
         self.phi = euler_phi(N)
         # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
         self._base = tuple(-c for c in cyclotomic(N).coeffs[: self.phi])
-        self._rows: list[tuple[int, ...]] = [self._base]
+        self._last = self._base
+        self._rows: list[tuple[tuple[int, int], ...]] = [_nonzero(self._base)]
+        self._supports: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def row(self, e: int) -> tuple[int, ...]:
-        """Integer row expressing zeta^e in the power basis (e >= phi)."""
+    def row(self, e: int) -> tuple[tuple[int, int], ...]:
+        """The nonzero terms (i, c) of zeta^e in the power basis (e >= phi)."""
         while e - self.phi >= len(self._rows):
-            prev = self._rows[-1]
+            prev = self._last
             top = prev[-1]
             shifted = [0] + list(prev[:-1])
             if top:
                 for i, b in enumerate(self._base):
                     shifted[i] += top * b
-            self._rows.append(tuple(shifted))
+            self._last = tuple(shifted)
+            self._rows.append(_nonzero(shifted))
         return self._rows[e - self.phi]
 
     def reduce(self, nums: list[int]) -> list[int]:
         for e in range(len(nums) - 1, self.phi - 1, -1):
             c = nums[e]
             if c:
-                nums[e] = 0
-                for i, r in enumerate(self.row(e)):
-                    if r:
-                        nums[i] += c * r
+                for i, r in self.row(e):
+                    nums[i] += c * r
         del nums[self.phi:]
-        while len(nums) < self.phi:
-            nums.append(0)
+        nums.extend([0] * (self.phi - len(nums)))
         return nums
+
+    def support(self, nums) -> tuple[int, ...]:
+        """Positions of the nonzero nums; equal patterns share one tuple, so
+        a value ``dot`` has read keeps no tuple of its own."""
+        s = tuple(compress(count(), nums))
+        return self._supports.setdefault(s, s)
+
+
+def _nonzero(nums) -> tuple[tuple[int, int], ...]:
+    return tuple((i, a) for i, a in enumerate(nums) if a)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +94,7 @@ def _field(N: int) -> _Field:
 class CycNumber:
     """Element of Q(zeta_N): integer coordinate vector over one denominator."""
 
-    __slots__ = ("N", "_den", "_nums", "_hash")
+    __slots__ = ("N", "_den", "_nums", "_support")
 
     def __init__(self, N: int, nums, den: int = 1):
         if N < 1:
@@ -103,7 +117,7 @@ class CycNumber:
         self.N = N
         self._den = den
         self._nums = tuple(nums)
-        self._hash = hash((N, den, self._nums))
+        self._support = None  # positions of the nonzero nums, set by ``dot``
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -233,16 +247,6 @@ class CycNumber:
         """Complex conjugation zeta -> zeta**(-1)."""
         return self.galois(self.N - 1) if self.N > 1 else self
 
-    def times_zeta(self, e: int) -> CycNumber:
-        """Fast multiplication by zeta**e (an exponent shift)."""
-        fld = _field(self.N)
-        e %= self.N
-        out = [0] * max(fld.phi, fld.phi - 1 + e + 1)
-        for i, c in enumerate(self._nums):
-            if c:
-                out[i + e] += c
-        return CycNumber(self.N, fld.reduce(out), self._den)
-
     # -- comparisons ----------------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, CycNumber):
@@ -256,7 +260,7 @@ class CycNumber:
         # rational values hash like their Fraction so cross-type eq stays sound
         if self.is_rational():
             return hash(Fraction(self._nums[0], self._den))
-        return self._hash
+        return hash((self.N, self._den, self._nums))
 
     def __str__(self):
         if self.is_rational():
@@ -278,6 +282,59 @@ class CycNumber:
     @classmethod
     def from_json(cls, obj: dict) -> CycNumber:
         return cls.from_fractions(obj["N"], [Fraction(s) for s in obj["coeffs"]])
+
+
+def dot(N: int, xs, ys, *, powers: bool = False) -> CycNumber:
+    """sum_k x_k * y_k in Q(zeta_N), built as one CycNumber.
+
+    Entries are CycNumbers of conductor N or ints. Zero coordinates are
+    skipped; the products of the nonzero ones go into one unreduced integer
+    buffer over the lcm of the term denominators, which is reduced modulo
+    Phi_N and by its content once, at the end. With ``powers`` the y_k are
+    integer exponents e_k standing for zeta^e_k, so a term scatters the
+    coordinates of x_k instead of multiplying them.
+    """
+    fld = _field(N)
+    buf = [0] * (N if powers else 2 * fld.phi - 1)
+    den = 1
+    for x, y in zip(xs, ys):
+        xd, xn, xt = _parts(N, x)
+        if powers:
+            yd, e = 1, y % N
+        else:
+            yd, yn, yt = _parts(N, y)
+            if not yt:
+                continue
+        if not xt:
+            continue
+        d = xd * yd
+        if den % d:
+            grown = lcm(den, d)
+            buf = [c * (grown // den) for c in buf]
+            den = grown
+        s = den // d
+        if powers:
+            for i in xt:
+                buf[(i + e) % N] += xn[i] * s
+        else:
+            for i in xt:
+                a = xn[i] * s
+                for j in yt:
+                    buf[i + j] += a * yn[j]
+    return CycNumber(N, fld.reduce(buf), den)
+
+
+def _parts(N: int, x) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Denominator, coordinates and nonzero positions of a ``dot`` entry."""
+    if isinstance(x, CycNumber):
+        if x.N != N:
+            raise ValueError(f"conductor mismatch: {x.N} vs {N}")
+        if x._support is None:
+            x._support = _field(N).support(x._nums)
+        return x._den, x._nums, x._support
+    if isinstance(x, int):
+        return 1, (x,), (0,) if x else ()
+    raise TypeError(f"dot entry {x!r} is neither a CycNumber nor an int")
 
 
 def minimal_polynomial(x: CycNumber, var: str = "t") -> Polynomial:

@@ -25,7 +25,9 @@ The E types are built constructively: linear characters from the
 abelianization, symmetric powers of the defining character, tensor peeling
 against the known rows, and a regular-character completion for the last row.
 Every table must pass ``table_violation`` before use. Every inner product of
-class functions goes through ``decompose``.
+class functions goes through ``decompose``, which is one ``cyclo.dot`` per
+row; the Molien class sums and the symmetric-power traces are ``cyclo.dot``
+calls of their own, so each class sum reduces modulo Phi_N once.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from .cyclo import CycNumber, minimal_polynomial
+from .cyclo import CycNumber, dot, minimal_polynomial
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType, build_graph, graph_marks
@@ -312,13 +314,8 @@ def _weigh(row, classes) -> tuple[CycNumber, ...]:
 def decompose(values, weighted, order: int) -> list[Fraction]:
     """Hermitian inner products of the class function ``values`` with each
     weighted row (conj(chi)*|C| per class), collapsed to Q."""
-    out = []
-    for w in weighted:
-        acc = CycNumber.zero(values[0].N)
-        for v, x in zip(values, w):
-            acc = acc + v * x
-        out.append(acc.to_rational() / order)
-    return out
+    N = values[0].N
+    return [dot(N, values, w).to_rational() / order for w in weighted]
 
 
 def _multiplicities(mults, what: str) -> list[int]:
@@ -482,14 +479,9 @@ def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
 def sym_power_values(G: FiniteSubgroup, m: int) -> list[CycNumber]:
     """Character of the m-th symmetric power of the defining representation,
     from the eigenvalue power sums lambda^(m-2j) per class."""
-    N = G.conductor
-    out = []
-    for c in G.classes:
-        acc = CycNumber.zero(N)
-        for j in range(m + 1):
-            acc = acc + CycNumber.root_of_unity(N, (c.eigen_exp * (m - 2 * j)) % N)
-        out.append(acc)
-    return out
+    return [dot(G.conductor, [1] * (m + 1),
+                [c.eigen_exp * (m - 2 * j) for j in range(m + 1)], powers=True)
+            for c in G.classes]
 
 
 def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
@@ -563,11 +555,9 @@ def _regular_completion(G: FiniteSubgroup, known) -> tuple[CycNumber, ...]:
         raise ValidationFailed(f"{G.dynkin}: regular completion leaves "
                                f"{d2}, not the square of a degree")
     out = []
-    for col, c in enumerate(G.classes):
-        reg = CycNumber.from_rational(N, G.order if col == id_col else 0)
-        for deg, row in zip(degs, known):
-            reg = reg - row[col] * deg
-        out.append(reg * Fraction(1, d))
+    for col in range(len(G.classes)):
+        rest = dot(N, degs, [row[col] for row in known])
+        out.append(((G.order if col == id_col else 0) - rest) * Fraction(1, d))
     return tuple(out)
 
 
@@ -743,7 +733,7 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     for row in table.values:
         coeffs = []
         for col in columns:
-            v = sum(x * p for x, p in zip(row, col)).to_rational() / G.order
+            v = dot(G.conductor, row, col).to_rational() / G.order
             if v.denominator != 1 or v < 0:
                 raise NonPolynomialResult(
                     f"{dt}: numerator coefficient {v} is not a nonnegative integer")
@@ -759,33 +749,28 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
 def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
                              mmax: int) -> tuple[tuple[int, ...], ...]:
     """Row m lists the multiplicity of each irreducible inside Sym^m of the
-    defining representation, via eigenvalue power sums per class."""
+    defining representation, via eigenvalue power sums per class:
+    Sym^m = Sym^(m-2) + lambda^m + lambda^-m, where lambda^s is the class
+    function zeta^(s e_C) and each <lambda^m + lambda^-m, chi_i> is one
+    shifted ``dot`` over the weighted row taken twice, once per sign."""
     N = G.conductor
     k = len(G.classes)
     exps = [c.eigen_exp for c in G.classes]
-    tcache: list[dict[int, CycNumber]] = [{} for _ in range(k)]
 
-    def tval(i: int, s: int) -> CycNumber:
-        s %= N
-        if s not in tcache[i]:
-            acc = CycNumber.zero(N)
-            for w, e in zip(table.weighted[i], exps):
-                acc = acc + w.times_zeta((s * e) % N)
-            tcache[i][s] = acc
-        return tcache[i][s]
+    def power_sum(i: int, m: int) -> Fraction:
+        # |G| <lambda^m + lambda^-m, chi_i>, or |G| <1, chi_i> at m = 0
+        w = table.weighted[i]
+        shifts = [m * e for e in exps]
+        if m:
+            w, shifts = w + w, shifts + [-s for s in shifts]
+        return dot(N, w, shifts, powers=True).to_rational()
 
     rows = []
-    prev2: list[CycNumber] = []
-    prev1: list[CycNumber] = []
+    prev2 = prev1 = [Fraction(0)] * k
     for m in range(mmax + 1):
-        if m == 0:
-            vals = [tval(i, 0) for i in range(k)]
-        elif m == 1:
-            vals = [tval(i, 1) + tval(i, -1) for i in range(k)]
-        else:
-            vals = [prev2[i] + tval(i, m) + tval(i, -m) for i in range(k)]
+        vals = [prev2[i] + power_sum(i, m) for i in range(k)]
         rows.append(tuple(_multiplicities(
-            [v.to_rational() / G.order for v in vals], f"{G.dynkin}: Sym^{m}")))
+            [v / G.order for v in vals], f"{G.dynkin}: Sym^{m}")))
         prev2, prev1 = prev1, vals
     return tuple(rows)
 

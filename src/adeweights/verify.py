@@ -18,12 +18,12 @@ from .graphs import (CharPolyReport, DirectedGraph, DynkinType, build_graph,
                      charpoly_report, graph_marks)
 from .groups import (CharTable, FiniteSubgroup, McKayResult, MolienSet,
                      build_group, char_table, mckay_matrix, molien_series,
-                     sym_power_multiplicities)
+                     recurrence_check, sym_power_multiplicities)
 from .poly import Polynomial, cox, series_coefficients
 from .weights import (QNumerators, TWeights, check_notes, closed_form,
                       common_denominator, finite_reduction_check,
                       solve_semiaffine, specialization_identity,
-                      to_q_numerators)
+                      to_q_numerators, weights_satisfy)
 
 DEFAULT_SUITE = tuple(
     [DynkinType("A", m) for m in range(1, 13)]
@@ -142,6 +142,10 @@ def _check_cross_match(b: TypeBundle, fault: FaultSpec | None) -> CheckResult:
 
 
 def _check_closed_form(b: TypeBundle) -> CheckResult:
+    if not weights_satisfy(b.semiaffine, b.tweights):
+        return _result("CLOSED_FORM", b.dynkin, False, "",
+                       "solved t-weights do not satisfy the semi-affine "
+                       "equations")
     expected = closed_form(b.dynkin)
     ok = b.numerators.N == expected.N
     return _result("CLOSED_FORM", b.dynkin, ok,
@@ -201,6 +205,10 @@ def _check_lcd(b: TypeBundle) -> CheckResult:
 
 
 def _check_mckay(b: TypeBundle) -> CheckResult:
+    if not recurrence_check(b.molien, b.mckay.matrix):
+        return _result("MCKAY_ADJ", b.dynkin, False, "",
+                       "Molien numerators fail (q + 1/q) m_i = "
+                       "sum_j A_ij m_j on the McKay matrix")
     k = b.affine.n
     ok = all(b.mckay.matrix[i][j] ==
              b.affine.mult[b.mckay.bijection[i]][b.mckay.bijection[j]]

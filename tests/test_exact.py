@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adeweights.cyclo import CycNumber, euler_phi, minimal_polynomial
+from adeweights.cyclo import CycNumber, dot, euler_phi, minimal_polynomial
 from adeweights.errors import NotRational, ValidationFailed
 from adeweights.poly import (Polynomial, RationalFunction, cox, cyclotomic,
                              fold_palindromic, one_plus_q, poly_gcd,
@@ -160,6 +160,65 @@ class TestCycNumber:
     def test_json_round_trip(self):
         x = CycNumber(12, [1, -3, 0, 2], 2)
         assert CycNumber.from_json(x.to_json()) == x
+
+
+DOT_CONDUCTORS = (1, 2, 3, 4, 8, 12, 20, 24, 60)
+
+
+def _dot_entries(N):
+    """Sparse CycNumbers over mixed denominators, zero included, and ints."""
+    coord = st.one_of(st.just(0), st.integers(-6, 6))
+    cyc = st.builds(lambda nums, den: CycNumber(N, nums, den),
+                    st.lists(coord, min_size=euler_phi(N),
+                             max_size=euler_phi(N)),
+                    st.integers(1, 6))
+    return st.one_of(cyc, st.integers(-5, 5))
+
+
+def _same(got, want):
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+class TestDot:
+    """``dot`` against the term-by-term CycNumber fold it replaces."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equals_naive_fold(self, data):
+        N = data.draw(st.sampled_from(DOT_CONDUCTORS))
+        pairs = data.draw(st.lists(st.tuples(_dot_entries(N), _dot_entries(N)),
+                                   max_size=8))
+        want = CycNumber.zero(N)
+        for x, y in pairs:
+            want = want + x * y
+        _same(dot(N, [x for x, _ in pairs], [y for _, y in pairs]), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_powers_equal_root_of_unity_products(self, data):
+        N = data.draw(st.sampled_from(DOT_CONDUCTORS))
+        pairs = data.draw(st.lists(
+            st.tuples(_dot_entries(N), st.integers(-2 * N, 2 * N)), max_size=8))
+        want = CycNumber.zero(N)
+        for w, e in pairs:
+            want = want + w * CycNumber.root_of_unity(N, e)
+        _same(dot(N, [w for w, _ in pairs], [e for _, e in pairs], powers=True),
+              want)
+
+    def test_empty_and_all_zero(self):
+        for N in DOT_CONDUCTORS:
+            zero = CycNumber.zero(N)
+            one = CycNumber.one(N)
+            _same(dot(N, [], []), zero)
+            _same(dot(N, [], [], powers=True), zero)
+            _same(dot(N, [0, zero, one], [one, 3, zero]), zero)
+            _same(dot(N, [0, zero], [1, 5], powers=True), zero)
+
+    def test_rejects_foreign_entries(self):
+        with pytest.raises(ValueError):
+            dot(8, [CycNumber.one(12)], [1])
+        with pytest.raises(TypeError):
+            dot(8, [Fraction(1, 2)], [1])
 
 
 class TestPolynomial:

@@ -1,6 +1,7 @@
 """Lint-style checks that need no linter: the public names resolve, no
 module imports a name it never uses, no invariant rests on ``assert``
-(which ``python -O`` strips), and polynomials stay over Z."""
+(which ``python -O`` strips), polynomials stay over Z, and the Molien route
+stays off the other group-side routes."""
 from __future__ import annotations
 
 import ast
@@ -54,3 +55,16 @@ def test_poly_imports_nothing_from_fractions():
              or isinstance(node, ast.Import)
              and any(a.name == "fractions" for a in node.names)]
     assert found == []
+
+
+def test_molien_series_stays_off_the_other_group_routes():
+    """The Molien class sum shares the ``dot`` kernel with ``decompose`` and
+    the symmetric-power oracle, never their intermediate results."""
+    tree = ast.parse((SRC / "groups.py").read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "molien_series")
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(body)
+              if isinstance(node, ast.Attribute)}
+    assert names & {"weighted", "decompose", "sym_power_values",
+                    "sym_power_multiplicities"} == set()

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from adeweights import verify
 from adeweights.cyclo import minimal_polynomial
 from adeweights.errors import ValidationFailed
 from adeweights.graphs import DynkinType, charpoly_report
-from adeweights.poly import Polynomial
+from adeweights.poly import Polynomial, RationalFunction
 from adeweights.verify import (CHECK_NAMES, DEFAULT_SUITE, FaultSpec,
                                report_json, report_text, run_suite)
 
@@ -63,6 +64,45 @@ class TestRunSuite:
         rep = run_suite([dt("E6"), dt("A2"), dt("E6")])
         types = [c.type_name for c in rep.checks]
         assert types == ["A2"] * 13 + ["E6"] * 13
+
+
+class TestIdentityGates:
+    """CLOSED_FORM re-substitutes the t-weights into the semi-affine
+    equations and MCKAY_ADJ checks the Molien recurrence on the McKay
+    matrix; either identity failing turns its check red on its own."""
+
+    def _statuses(self, b):
+        return {c.name: (c.status, c.detail)
+                for c in verify._type_checks(b, None)}
+
+    def test_clean_bundles_pass_both(self, bundle):
+        for name in ("A1", "D4", "E8"):
+            got = self._statuses(bundle(name))
+            assert got["CLOSED_FORM"][0] == got["MCKAY_ADJ"][0] == "pass"
+
+    def test_perturbed_t_weight_fails_closed_form(self, bundle):
+        for name in ("A1", "D4", "E8"):
+            b = bundle(name)
+            values = list(b.tweights.values)
+            values[-1] = RationalFunction(values[-1].num + 1, values[-1].den)
+            got = self._statuses(
+                replace(b, tweights=replace(b.tweights, values=tuple(values))))
+            assert got["CLOSED_FORM"] == (
+                "fail", "solved t-weights do not satisfy the semi-affine "
+                "equations")
+            assert got["MCKAY_ADJ"][0] == "pass"
+
+    def test_perturbed_molien_numerator_fails_mckay(self, bundle):
+        for name in ("A1", "D4", "E8"):
+            b = bundle(name)
+            nums = list(b.molien.numerators)
+            nums[-1] = nums[-1] + Polynomial.monomial("q", 1)
+            got = self._statuses(
+                replace(b, molien=replace(b.molien, numerators=tuple(nums))))
+            assert got["MCKAY_ADJ"] == (
+                "fail", "Molien numerators fail (q + 1/q) m_i = sum_j A_ij m_j "
+                "on the McKay matrix")
+            assert got["CLOSED_FORM"][0] == "pass"
 
 
 class TestDeterminism:
