@@ -178,15 +178,19 @@ def _cmd_group(args) -> tuple[str, int]:
     return _emit(types, args.format, to_json, render), 0
 
 
+def _charpoly(dt):
+    return charpoly_report(build_graph(dt, "semiaffine"), build_graph(dt, "finite"))
+
+
 def _cmd_charpoly(args) -> tuple[str, int]:
     types = parse_type_selector(args.types)
 
     def render(dt):
-        rep = charpoly_report(dt)
+        rep = _charpoly(dt)
         return (f"{dt}: char(semiaffine) = {rep.char_semiaffine} "
                 f"= t^{rep.d} * ({rep.cofactor}); cox(h) = {rep.cox}; "
                 f"claim {'holds' if rep.claim_holds else 'does not hold'}\n")
-    return _emit(types, args.format, lambda dt: charpoly_report(dt).to_json(),
+    return _emit(types, args.format, lambda dt: _charpoly(dt).to_json(),
                  render), 0
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .errors import InvalidParameter, SingularSystem, ValidationFailed
@@ -110,6 +109,15 @@ class DirectedGraph:
     def is_symmetric(self) -> bool:
         return all(self.mult[i][j] == self.mult[j][i]
                    for i in range(self.n) for j in range(self.n))
+
+    def neighbor_sums(self, values) -> list:
+        """Row sums sum_j mult[i][j] * values[j] for every node i.
+
+        Each sum starts at a zero of the values' own kind, so an empty row
+        gives 0 for ints and the zero polynomial for polynomials."""
+        zero = 0 * values[0]
+        return [sum((c * v for c, v in zip(row, values) if c), zero)
+                for row in self.mult]
 
     def undirected_neighbors(self, i: int) -> list[int]:
         return [j for j in range(self.n) if self.mult[i][j] or self.mult[j][i]]
@@ -224,44 +232,43 @@ def char_poly(g: DirectedGraph) -> Polynomial:
     return Polynomial("t", list(reversed(cs)))
 
 
-@lru_cache(maxsize=None)
-def graph_marks(dt: DynkinType) -> tuple[int, ...]:
+def graph_marks(affine: DirectedGraph) -> tuple[int, ...]:
     """Integer eigenvector of the affine adjacency at eigenvalue 2,
-    normalized so the affine node carries 1 (the marks)."""
-    g = build_graph(dt, "affine")
-    n = g.n
-    # solve (A - 2I) x = 0 with x_0 = 1 pinned
-    rows = [[Fraction(g.mult[i][j] - (2 if i == j else 0)) for j in range(1, n)]
-            for i in range(n)]
-    rhs = [Fraction(-(g.mult[i][0] - (2 if i == 0 else 0))) for i in range(n)]
-    # Gaussian elimination on the n x (n-1) overdetermined system
-    pivot_row = 0
-    where = [-1] * (n - 1)
-    for col in range(n - 1):
-        sel = next((r for r in range(pivot_row, n) if rows[r][col] != 0), None)
+    normalized so the affine node carries 1 (the marks).
+
+    With x_0 = 1 pinned, the rows of the finite nodes form the square system
+    (A_fin - 2I) x = -A_{.,0}, nonsingular because every eigenvalue of a
+    finite ADE adjacency lies below 2. The whole eigen-equation, the affine
+    row included, is then checked on the solution.
+
+    Elimination runs forward only, then back-substitutes: A_fin is a tree
+    in canonical node order, so the rows fill in little, where clearing
+    above the pivots as well would fill the upper triangle."""
+    r = affine.n - 1
+    rows = [[Fraction(affine.mult[i][j] - (2 if i == j else 0))
+             for j in range(1, r + 1)] + [Fraction(-affine.mult[i][0])]
+            for i in range(1, r + 1)]
+    for col in range(r):
+        sel = next((k for k in range(col, r) if rows[k][col] != 0), None)
         if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        rhs[pivot_row], rhs[sel] = rhs[sel], rhs[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        rhs[pivot_row] *= inv
-        for r in range(n):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * p for v, p in zip(rows[r], rows[pivot_row])]
-                rhs[r] -= f * rhs[pivot_row]
-        where[col] = pivot_row
-        pivot_row += 1
-    if any(w < 0 for w in where):
-        raise SingularSystem(f"{dt}: affine marks system lost rank")
-    if any(rhs[r] != 0 for r in range(pivot_row, n)):
-        raise SingularSystem(f"{dt}: marks system inconsistent")
-    x = [rhs[where[col]] for col in range(n - 1)]
+            raise SingularSystem(f"{affine.dynkin}: marks system lost rank")
+        rows[col], rows[sel] = rows[sel], rows[col]
+        pivot = rows[col]
+        for k in range(col + 1, r):
+            if rows[k][col] != 0:
+                f = rows[k][col] / pivot[col]
+                rows[k] = [v - f * p for v, p in zip(rows[k], pivot)]
+    x = [Fraction(0)] * r
+    for i in range(r - 1, -1, -1):
+        row = rows[i]
+        x[i] = (row[r] - sum(row[j] * x[j] for j in range(i + 1, r) if row[j])) / row[i]
     marks = [Fraction(1)] + x
     if any(v.denominator != 1 or v <= 0 for v in marks):
-        raise ValidationFailed(f"{dt}: marks are not positive integers")
-    return tuple(int(v) for v in marks)
+        raise ValidationFailed(f"{affine.dynkin}: marks are not positive integers")
+    marks = tuple(int(v) for v in marks)
+    if affine.neighbor_sums(marks) != [2 * v for v in marks]:
+        raise SingularSystem(f"{affine.dynkin}: marks system inconsistent")
+    return marks
 
 
 @dataclass(frozen=True)
@@ -288,19 +295,19 @@ class CharPolyReport:
         }
 
 
-def charpoly_report(dt: DynkinType) -> CharPolyReport:
+def charpoly_report(semi: DirectedGraph, finite: DirectedGraph) -> CharPolyReport:
     """Factor the semi-affine characteristic polynomial as t^d * cofactor and
     compare the cofactor against cox(h); also record whether the structural
     identity char(semiaffine) = t * char(finite) holds."""
-    semi = char_poly(build_graph(dt, "semiaffine"))
-    fin = char_poly(build_graph(dt, "finite"))
-    structural_ok = semi == fin.shifted(1)
-    d = semi.min_exponent()
-    cofactor = Polynomial("t", semi.coeffs[d:])
-    h = dt.coxeter_number
-    coxh = cox(h)
+    dt = semi.dynkin
+    char_semi, char_fin = char_poly(semi), char_poly(finite)
+    structural_ok = char_semi == char_fin.shifted(1)
+    d = char_semi.min_exponent()
+    cofactor = Polynomial("t", char_semi.coeffs[d:])
+    coxh = cox(dt.coxeter_number)
     claim = (cofactor == coxh) and (d == dt.rank + 1 - coxh.degree)
-    return CharPolyReport(dt, d, cofactor, coxh, claim, semi, fin, structural_ok)
+    return CharPolyReport(dt, d, cofactor, coxh, claim, char_semi, char_fin,
+                          structural_ok)
 
 
 def parse_type_selector(text: str) -> list[DynkinType]:

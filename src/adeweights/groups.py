@@ -40,7 +40,7 @@ from math import isqrt
 from .cyclo import CycNumber, dot, minimal_polynomial
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
-from .graphs import DirectedGraph, DynkinType, build_graph, graph_marks
+from .graphs import DirectedGraph, DynkinType
 from .poly import Polynomial, RationalFunction, one_plus_q
 
 
@@ -156,6 +156,9 @@ class FiniteSubgroup:
     ``right[g][i]`` is the index of element i times generator g. ``mul``
     walks a word through those tables, so group products after the closure
     are index lookups, not matrix products.
+
+    The closure starts from the identity and the class scan from element 0,
+    so element 0 is the identity and ``classes[0]`` is {1}.
     """
 
     def __init__(self, dynkin: DynkinType, conductor: int, gens: list[Matrix2],
@@ -173,7 +176,6 @@ class FiniteSubgroup:
         self.gen_inverse = tuple(r.index(0) for r in self.right)
         self.classes: tuple[ConjClass, ...] = ()
         self.class_of: tuple[int, ...] = ()
-        self.identity_index = 0
 
     @property
     def order(self) -> int:
@@ -530,9 +532,8 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
                 known_w.append(rem_w)
                 push_products(rem)
 
-    id_col = next(i for i, c in enumerate(G.classes) if c.order == 1)
     def degree(row):
-        val = row[id_col].to_rational()
+        val = row[0].to_rational()
         if val.denominator != 1 or val <= 0:
             raise ValidationFailed(f"{dt}: character degree {val}")
         return int(val)
@@ -547,8 +548,7 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
 def _regular_completion(G: FiniteSubgroup, known) -> tuple[CycNumber, ...]:
     """The one missing irreducible, read off the regular character."""
     N = G.conductor
-    id_col = next(i for i, c in enumerate(G.classes) if c.order == 1)
-    degs = [int(row[id_col].to_rational()) for row in known]
+    degs = [int(row[0].to_rational()) for row in known]
     d2 = G.order - sum(d * d for d in degs)
     d = isqrt(d2)
     if d * d != d2 or d <= 0:
@@ -557,7 +557,7 @@ def _regular_completion(G: FiniteSubgroup, known) -> tuple[CycNumber, ...]:
     out = []
     for col in range(len(G.classes)):
         rest = dot(N, degs, [row[col] for row in known])
-        out.append(((G.order if col == id_col else 0) - rest) * Fraction(1, d))
+        out.append(((G.order if col == 0 else 0) - rest) * Fraction(1, d))
     return tuple(out)
 
 
@@ -615,9 +615,11 @@ class McKayResult:
     bijection: tuple[int, ...]  # table row -> affine node
 
 
-def mckay_matrix(G: FiniteSubgroup, table: CharTable) -> McKayResult:
+def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
+                 marks: tuple[int, ...]) -> McKayResult:
     """Multiplicities of chi_j inside V tensor chi_i, plus the node bijection
-    onto the affine graph (trivial character -> node 0)."""
+    onto the affine graph (trivial character -> node 0), matching each
+    character degree against the marks."""
     k = len(table.classes)
     tau = [c.trace for c in table.classes]
     matrix = tuple(
@@ -627,9 +629,7 @@ def mckay_matrix(G: FiniteSubgroup, table: CharTable) -> McKayResult:
         for i, row in enumerate(table.values))
     if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
         raise NoIsomorphism(f"{G.dynkin}: McKay matrix is not symmetric")
-    g = build_graph(G.dynkin, "affine")
-    marks = graph_marks(G.dynkin)
-    bijection = _match_affine(matrix, table.degrees, g, marks)
+    bijection = _match_affine(matrix, table.degrees, affine, marks)
     return McKayResult(matrix, bijection)
 
 

@@ -88,7 +88,7 @@ class FaultSpec:
         return cls(str(dt), node, exponent)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypeBundle:
     """Everything both sides compute for one type."""
 
@@ -96,6 +96,7 @@ class TypeBundle:
     finite: DirectedGraph
     affine: DirectedGraph
     semiaffine: DirectedGraph
+    marks: tuple[int, ...]
     tweights: TWeights
     numerators: QNumerators
     group: FiniteSubgroup
@@ -109,12 +110,14 @@ def build_bundle(dt: DynkinType) -> TypeBundle:
     finite = build_graph(dt, "finite")
     affine = build_graph(dt, "affine")
     semi = build_graph(dt, "semiaffine")
+    marks = graph_marks(affine)
     w = solve_semiaffine(semi)
     group = build_group(dt)
     table = char_table(dt, group)
-    return TypeBundle(dt, finite, affine, semi, w,
+    return TypeBundle(dt, finite, affine, semi, marks, w,
                       to_q_numerators(w), group, table,
-                      mckay_matrix(group, table), molien_series(group, table))
+                      mckay_matrix(group, table, affine, marks),
+                      molien_series(group, table))
 
 
 def _result(name, dt, ok, detail_ok, detail_fail, payload=None) -> CheckResult:
@@ -141,8 +144,8 @@ def _check_cross_match(b: TypeBundle, fault: FaultSpec | None) -> CheckResult:
         f"numerator mismatch at character rows {mismatches}{noted}")
 
 
-def _check_closed_form(b: TypeBundle) -> CheckResult:
-    if not weights_satisfy(b.semiaffine, b.tweights):
+def _check_closed_form(b: TypeBundle, lcd: Polynomial) -> CheckResult:
+    if not weights_satisfy(b.semiaffine, b.tweights, lcd):
         return _result("CLOSED_FORM", b.dynkin, False, "",
                        "solved t-weights do not satisfy the semi-affine "
                        "equations")
@@ -165,14 +168,14 @@ def _check_ab(b: TypeBundle) -> CheckResult:
 
 def _check_specialization(b: TypeBundle) -> CheckResult:
     return _result("SPECIALIZATION", b.dynkin,
-                   specialization_identity(b.numerators),
+                   specialization_identity(b.numerators, b.affine),
                    "q[(q+1/q)N_0 - neighbor sum] = (1-q^a)(1-q^b)",
                    "specialization identity fails")
 
 
 def _check_finite_reduction(b: TypeBundle) -> CheckResult:
     return _result("FINITE_REDUCTION", b.dynkin,
-                   finite_reduction_check(b.numerators),
+                   finite_reduction_check(b.numerators, b.finite),
                    "finite-type equations hold modulo 1+q^h",
                    "finite-type reduction fails modulo 1+q^h")
 
@@ -188,7 +191,7 @@ def _check_palindrome(b: TypeBundle) -> CheckResult:
 
 
 def _check_notes(b: TypeBundle) -> CheckResult:
-    rep = check_notes(b.numerators)
+    rep = check_notes(b.numerators, b.affine)
     return _result(
         "NOTES123", b.dynkin, rep.all_ok(),
         f"exponent chain, parity ({rep.h_parity} h), and doubling counts hold",
@@ -196,8 +199,7 @@ def _check_notes(b: TypeBundle) -> CheckResult:
         f"count={rep.count_ok}")
 
 
-def _check_lcd(b: TypeBundle) -> CheckResult:
-    lcd = common_denominator(b.tweights)
+def _check_lcd(b: TypeBundle, lcd: Polynomial) -> CheckResult:
     expected = cox(b.dynkin.coxeter_number)
     return _result("LCD_COX", b.dynkin, lcd == expected,
                    f"common denominator is cox(h) = {expected}",
@@ -232,10 +234,8 @@ def _check_smith(b: TypeBundle) -> CheckResult:
     if marks is None:
         return _result("SMITH_EIGEN", b.dynkin, False, "",
                        "some N_i(1) is odd; marks are not integral")
-    g = b.affine
-    ok = all(sum(g.mult[i][j] * marks[j] for j in range(g.n)) == 2 * marks[i]
-             for i in range(g.n))
-    ok = ok and list(graph_marks(b.dynkin)) == marks
+    ok = b.affine.neighbor_sums(marks) == [2 * v for v in marks]
+    ok = ok and list(b.marks) == marks
     return _result("SMITH_EIGEN", b.dynkin, ok,
                    "adjacency * (N(1)/2) = 2 * (N(1)/2), the Perron vector",
                    "marks vector is not the eigenvalue-2 eigenvector")
@@ -275,17 +275,18 @@ def _check_structural(b: TypeBundle, rep: CharPolyReport) -> CheckResult:
 
 
 def _type_checks(b: TypeBundle, fault: FaultSpec | None) -> list[CheckResult]:
-    # computed here, not in the bundle: the query commands never read it
-    rep = charpoly_report(b.dynkin)
+    # computed here, not in the bundle: the query commands never read them
+    rep = charpoly_report(b.semiaffine, b.finite)
+    lcd = common_denominator(b.tweights)
     return [
         _check_cross_match(b, fault),
-        _check_closed_form(b),
+        _check_closed_form(b, lcd),
         _check_ab(b),
         _check_specialization(b),
         _check_finite_reduction(b),
         _check_palindrome(b),
         _check_notes(b),
-        _check_lcd(b),
+        _check_lcd(b, lcd),
         _check_mckay(b),
         _check_smith(b),
         _check_sym_oracle(b),

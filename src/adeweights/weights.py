@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonPolynomialResult, SingularSystem
-from .graphs import DirectedGraph, DynkinType, build_graph
+from .graphs import DirectedGraph, DynkinType
 from .poly import (Polynomial, RationalFunction, cox, one_plus_q, poly_lcm,
                    substitute_t)
 
@@ -113,20 +113,13 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
                     + tuple(RationalFunction(yi, det) for yi in y))
 
 
-def weights_satisfy(g: DirectedGraph, w: TWeights) -> bool:
+def weights_satisfy(g: DirectedGraph, w: TWeights, lcd: Polynomial) -> bool:
     """Re-substitution check of the defining equations at all non-sink
-    nodes, cleared of denominators: with L the common denominator and
+    nodes, cleared of denominators: with L = lcd the common denominator and
     p_j = n_j * L in Z[t], t*p_i = sum_j mult[i][j]*p_j."""
-    lcd = common_denominator(w)
     p = [v.num * lcd.exact_div(v.den) for v in w.values]
-    for i in range(1, g.n):
-        rhs = Polynomial.zero("t")
-        for j in range(g.n):
-            if g.mult[i][j]:
-                rhs = rhs + p[j].scaled(g.mult[i][j])
-        if p[i].shifted(1) != rhs:
-            return False
-    return True
+    sums = g.neighbor_sums(p)
+    return all(p[i].shifted(1) == sums[i] for i in range(1, g.n))
 
 
 def common_denominator(w: TWeights) -> Polynomial:
@@ -228,31 +221,21 @@ def _exponent_table(dt: DynkinType) -> list[tuple[int, ...]]:
     return {6: _E6_EXPONENTS, 7: _E7_EXPONENTS, 8: _E8_EXPONENTS}[dt.m]
 
 
-def specialization_identity(nq: QNumerators) -> bool:
+def specialization_identity(nq: QNumerators, affine: DirectedGraph) -> bool:
     """q * [(q+1/q) N_0 - sum over the affine neighbors of node 0] must equal
     (1-q^a)(1-q^b)."""
-    g = build_graph(nq.dynkin, "affine")
-    lhs = one_plus_q(2) * nq.N[0]
-    for j in range(1, g.n):
-        if g.mult[0][j]:
-            lhs = lhs - nq.N[j].scaled(g.mult[0][j]).shifted(1)
-    rhs = one_plus_q(nq.a, -1) * one_plus_q(nq.b, -1)
-    return lhs == rhs
+    lhs = one_plus_q(2) * nq.N[0] - affine.neighbor_sums(nq.N)[0].shifted(1)
+    return lhs == one_plus_q(nq.a, -1) * one_plus_q(nq.b, -1)
 
 
-def finite_reduction_check(nq: QNumerators) -> bool:
+def finite_reduction_check(nq: QNumerators, finite: DirectedGraph) -> bool:
     """Modulo 1 + q^h the numerators satisfy the finite-type equations:
-    weighting the affine node with zero recovers the finite constraints."""
-    g = build_graph(nq.dynkin, "affine")
+    weighting the affine node with zero recovers the finite constraints,
+    which read the finite graph on N_1, ..., N_r."""
     mod = one_plus_q(nq.h)
-    for i in range(1, g.n):
-        lhs = one_plus_q(2) * nq.N[i]
-        for j in range(1, g.n):
-            if g.mult[i][j]:
-                lhs = lhs - nq.N[j].scaled(g.mult[i][j]).shifted(1)
-        if not (lhs % mod).is_zero():
-            return False
-    return True
+    nodes = nq.N[1:]
+    return all(((one_plus_q(2) * ni - si.shifted(1)) % mod).is_zero()
+               for ni, si in zip(nodes, finite.neighbor_sums(nodes)))
 
 
 @dataclass(frozen=True)
@@ -268,10 +251,9 @@ class NotesReport:
         return self.chain_ok and self.parity_ok and self.count_ok
 
 
-def check_notes(nq: QNumerators) -> NotesReport:
-    g = build_graph(nq.dynkin, "affine")
+def check_notes(nq: QNumerators, affine: DirectedGraph) -> NotesReport:
     h = nq.h
-    dist = g.distances_from(0)
+    dist = affine.distances_from(0)
 
     chain_ok = all(p.min_exponent() == dist[i] and p.degree == h - dist[i]
                    for i, p in enumerate(nq.N))
@@ -282,18 +264,14 @@ def check_notes(nq: QNumerators) -> NotesReport:
         parity_ok = all(uniform(p, dist[i] % 2) for i, p in enumerate(nq.N))
         parity_ok = parity_ok and all(
             dist[i] % 2 != dist[j] % 2
-            for i in range(g.n) for j in g.undirected_neighbors(i))
+            for i in range(affine.n) for j in affine.undirected_neighbors(i))
     else:
         parity_ok = all(
             (e % 2) != ((h - e) % 2) and p.coefficient(e) == p.coefficient(h - e)
             for p in nq.N for e in p.support())
 
-    count_ok = True
     ones = [p.evaluate(1) for p in nq.N]
-    for i in range(g.n):
-        acc = sum(g.mult[i][j] * ones[j] for j in range(g.n))
-        if 2 * ones[i] != acc:
-            count_ok = False
+    count_ok = affine.neighbor_sums(ones) == [2 * v for v in ones]
     return NotesReport(chain_ok, parity_ok, count_ok,
                        "even" if h % 2 == 0 else "odd")
 

@@ -148,7 +148,7 @@ def test_criterion_06_standard_form_relations():
 
 
 def test_criterion_07_specialization_identities():
-    ok = all(specialization_identity(b.numerators) for b in bundles())
+    ok = all(specialization_identity(b.numerators, b.affine) for b in bundles())
     report(7, ok, "q[(q+1/q)N_0 - neighbors] = (1-q^a)(1-q^b) per family row")
     assert ok
 
@@ -201,9 +201,9 @@ def test_criterion_11_property_suite():
             if not all(p.coefficient(k) == p.coefficient(h - k)
                        for k in range(h + 1)):
                 failures.append(f"{name}: palindrome at node {i}")
-        if not check_notes(b.numerators).all_ok():
+        if not check_notes(b.numerators, b.affine).all_ok():
             failures.append(f"{name}: notes 1-3")
-        if not finite_reduction_check(b.numerators):
+        if not finite_reduction_check(b.numerators, b.finite):
             failures.append(f"{name}: finite reduction mod 1+q^h")
         lcd = common_denominator(b.tweights)
         if lcd != krylov_minpoly(b.semiaffine.mult):
@@ -216,7 +216,8 @@ def test_criterion_11_property_suite():
             failures.append(f"{name}: structural charpoly")
         if b.semiaffine.mult == tuple(zip(*b.semiaffine.mult)):
             failures.append(f"{name}: semiaffine matrix is symmetric")
-        rep = charpoly_report(b.dynkin)  # informational claim, always attached
+        # informational claim, always attached
+        rep = charpoly_report(b.semiaffine, b.finite)
         if rep.d + rep.cofactor.degree != b.dynkin.rank + 1:
             failures.append(f"{name}: charpoly report inconsistent")
     if beyond_cox != LCD_EXCEPTIONS:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adeweights.errors import InvalidParameter
+from adeweights.errors import InvalidParameter, SingularSystem, ValidationFailed
 from adeweights.graphs import (DirectedGraph, DynkinType, build_graph,
                                char_poly, charpoly_report, graph_marks,
                                parse_type_selector)
@@ -12,12 +12,18 @@ from adeweights.poly import Polynomial, cox
 from oracles import char_poly_bareiss
 
 T = lambda *cs: Polynomial("t", cs)
+Q = lambda *cs: Polynomial("q", cs)
 SUITE_NAMES = [f"A{m}" for m in range(1, 13)] + \
               [f"D{m}" for m in range(4, 13)] + ["E6", "E7", "E8"]
 
 
 def dt(name):
     return DynkinType.parse(name)
+
+
+def report(name):
+    t = dt(name)
+    return charpoly_report(build_graph(t, "semiaffine"), build_graph(t, "finite"))
 
 
 class TestDynkinType:
@@ -104,6 +110,27 @@ class TestBuildGraph:
             build_graph(dt("D4"), "projective")
 
 
+class TestNeighborSums:
+    def test_ints_follow_directed_rows(self):
+        g = build_graph(dt("A2"), "semiaffine")
+        sums = g.neighbor_sums([1, 10, 100])
+        assert sums == [0, 101, 11]
+        assert all(type(v) is int for v in sums)
+
+    def test_polynomials_keep_their_variable(self):
+        g = build_graph(dt("A1"), "affine")  # the double bond
+        assert g.neighbor_sums([T(1), T(0, 1)]) == [T(0, 2), T(2)]
+        sums = build_graph(dt("A1"), "semiaffine").neighbor_sums([Q(1), Q(0, 1)])
+        assert sums == [Q(), Q(2)]
+        assert all(p.var == "q" for p in sums)
+
+    def test_edgeless_row_is_a_zero_polynomial(self):
+        g = build_graph(dt("A1"), "finite")
+        assert (g.n, g.mult) == (1, ((0,),))
+        (s,) = g.neighbor_sums([Q(0, 1, 0, 1)])
+        assert isinstance(s, Polynomial) and s.var == "q" and s.is_zero()
+
+
 class TestCharPoly:
     def test_frozen_examples(self):
         assert char_poly(build_graph(dt("D4"), "semiaffine")) == T(0, 0, 0, -3, 0, 1)
@@ -127,16 +154,16 @@ class TestCharPoly:
 
 class TestCharpolyReport:
     def test_d4(self):
-        rep = charpoly_report(dt("D4"))
+        rep = report("D4")
         assert (rep.d, rep.cofactor, rep.claim_holds) == (3, T(-3, 0, 1), True)
 
     def test_a3(self):
-        rep = charpoly_report(dt("A3"))
+        rep = report("A3")
         assert (rep.d, rep.cofactor, rep.claim_holds) == (2, T(-2, 0, 1), True)
 
     def test_e6_consistency(self):
         # no expected boolean frozen here: assert internal consistency only
-        rep = charpoly_report(dt("E6"))
+        rep = report("E6")
         assert rep.structural_ok
         assert rep.cofactor.coefficient(0) != 0
         assert rep.char_semiaffine == rep.cofactor.shifted(rep.d)
@@ -145,7 +172,7 @@ class TestCharpolyReport:
 
     def test_cofactor_always_divisible_by_cox(self):
         for name in SUITE_NAMES:
-            rep = charpoly_report(dt(name))
+            rep = report(name)
             t = dt(name)
             full = rep.cofactor.shifted(rep.d)
             assert (full % cox(t.coxeter_number)).is_zero()
@@ -156,16 +183,33 @@ class TestMarks:
         for name in SUITE_NAMES:
             t = dt(name)
             g = build_graph(t, "affine")
-            marks = graph_marks(t)
+            marks = graph_marks(g)
             assert marks[0] == 1
             assert all(v >= 1 for v in marks)
             for i in range(g.n):
                 assert sum(g.mult[i][j] * marks[j] for j in range(g.n)) == 2 * marks[i]
 
     def test_known_vectors(self):
-        assert graph_marks(dt("E8")) == (1, 2, 3, 4, 5, 6, 4, 2, 3)
-        assert graph_marks(dt("D4")) == (1, 2, 1, 1, 1)
-        assert graph_marks(dt("A7")) == (1,) * 8
+        marks = lambda name: graph_marks(build_graph(dt(name), "affine"))
+        assert marks("E8") == (1, 2, 3, 4, 5, 6, 4, 2, 3)
+        assert marks("D4") == (1, 2, 1, 1, 1)
+        assert marks("A7") == (1,) * 8
+
+    def test_affine_row_is_checked(self):
+        # the finite row solves to x_1 = 1, which breaks the affine row
+        g = DirectedGraph(2, ((0, 1), (2, 0)), 0, ("0", "1"))
+        with pytest.raises(SingularSystem, match="inconsistent"):
+            graph_marks(g)
+
+    def test_singular_finite_system_raises(self):
+        g = DirectedGraph(2, ((0, 2), (2, 2)), 0, ("0", "1"))
+        with pytest.raises(SingularSystem, match="lost rank"):
+            graph_marks(g)
+
+    def test_fractional_marks_raise(self):
+        g = DirectedGraph(2, ((0, 1), (1, 0)), 0, ("0", "1"))
+        with pytest.raises(ValidationFailed, match="positive integers"):
+            graph_marks(g)
 
 
 class TestExport:

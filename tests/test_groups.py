@@ -230,7 +230,8 @@ class TestMcKay:
     def test_degrees_match_marks(self, bundle):
         for name in SUITE_NAMES:
             b = bundle(name)
-            marks = graph_marks(b.dynkin)
+            marks = graph_marks(b.affine)
+            assert b.marks == marks
             for row, node in enumerate(b.mckay.bijection):
                 assert b.table.degrees[row] == marks[node]
 
@@ -241,13 +242,14 @@ class TestMcKay:
         bad = CharTable(b.table.conductor, b.table.group_order, b.table.degrees,
                         tuple(tuple(r) for r in values), b.table.classes)
         with pytest.raises(ValidationFailed):
-            mckay_matrix(b.group, bad)
+            mckay_matrix(b.group, bad, b.affine, b.marks)
 
     def test_no_isomorphism_raises(self, bundle):
         b = bundle("D4")
+        a4 = build_graph(dt("A4"), "affine")
         with pytest.raises(NoIsomorphism):
             _match_affine(b.mckay.matrix, b.table.degrees,
-                          build_graph(dt("A4"), "affine"), graph_marks(dt("A4")))
+                          a4, graph_marks(a4))
 
 
 class TestMolien:

@@ -68,3 +68,24 @@ def test_molien_series_stays_off_the_other_group_routes():
               if isinstance(node, ast.Attribute)}
     assert names & {"weighted", "decompose", "sym_power_values",
                     "sym_power_multiplicities"} == set()
+
+
+def _named(path: Path) -> set[str]:
+    """Every name a module binds, loads or imports, and every attribute it
+    reads."""
+    tree = ast.parse(path.read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    names |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return names
+
+
+def test_group_side_shares_no_graph_identity_code():
+    """The McKay matching reads the affine graph and marks it is handed, and
+    the Molien recurrence keeps its own loop over the McKay matrix; the
+    weight identities read the graphs they are handed."""
+    assert _named(SRC / "groups.py") & {"build_graph", "graph_marks",
+                                        "neighbor_sums"} == set()
+    assert "build_graph" not in _named(SRC / "weights.py")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+
+import pytest
 
 from adeweights import verify
 from adeweights.cyclo import minimal_polynomial
@@ -104,6 +106,39 @@ class TestIdentityGates:
                 "on the McKay matrix")
             assert got["CLOSED_FORM"][0] == "pass"
 
+    def _perturbed(self, b, node):
+        # 2q^e at the node's lowest exponent e keeps every N_i(1) even and
+        # the exponent chain and parities intact, so SMITH_EIGEN reaches its
+        # eigen-equation and NOTES123 fails on the doubling count alone
+        nums = list(b.numerators.N)
+        p = nums[node]
+        nums[node] = p + Polynomial.monomial("q", p.min_exponent(), 2)
+        return self._statuses(
+            replace(b, numerators=replace(b.numerators, N=tuple(nums))))
+
+    def _assert_graph_side_red(self, got):
+        assert got["FINITE_REDUCTION"] == (
+            "fail", "finite-type reduction fails modulo 1+q^h")
+        assert got["NOTES123"] == (
+            "fail", "notes violated: chain=True parity=True count=False")
+        assert got["SMITH_EIGEN"] == (
+            "fail", "marks vector is not the eigenvalue-2 eigenvector")
+
+    def test_perturbed_q_numerator_fails_graph_identities(self, bundle):
+        for name in ("D4", "E8"):
+            got = self._perturbed(bundle(name), 1)  # node 1 neighbors node 0
+            assert got["SPECIALIZATION"] == (
+                "fail", "specialization identity fails")
+            self._assert_graph_side_red(got)
+
+    def test_specialization_reads_only_the_affine_node_row(self, bundle):
+        for name in ("D4", "E8"):
+            b = bundle(name)
+            assert b.affine.mult[0][-1] == 0
+            got = self._perturbed(b, b.affine.n - 1)
+            assert got["SPECIALIZATION"][0] == "pass"
+            self._assert_graph_side_red(got)
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self):
@@ -161,6 +196,12 @@ class TestTextReport:
         assert "CROSS_MATCH" in text
 
 
+class TestBundle:
+    def test_bundle_is_frozen(self, bundle):
+        with pytest.raises(FrozenInstanceError):
+            bundle("D4").marks = (1,) * 5
+
+
 class TestSmithMarks:
     def test_halving_stays_exact(self):
         numerators = [Polynomial("q", (2,)), Polynomial("q", (0, 1, 0, 1)),
@@ -177,7 +218,7 @@ class TestIntegerCoefficients:
     def test_every_polynomial_is_in_z(self, bundle, suite_types):
         for t in suite_types:
             b = bundle(str(t))
-            rep = charpoly_report(t)
+            rep = charpoly_report(b.semiaffine, b.finite)
             polys = [p for v in b.tweights.values for p in (v.num, v.den)]
             polys += list(b.numerators.N) + list(b.molien.numerators)
             polys += [p for s in b.molien.series for p in (s.num, s.den)]

@@ -27,8 +27,16 @@ COX_CLEARING = [n for n in SUITE_NAMES
                 if n not in ("A5", "A8", "A9", "A11", "D7", "D10", "D11")]
 
 
+def dt(name):
+    return DynkinType.parse(name)
+
+
 def solve(name):
-    return solve_semiaffine(build_graph(DynkinType.parse(name), "semiaffine"))
+    return solve_semiaffine(build_graph(dt(name), "semiaffine"))
+
+
+def affine(name):
+    return build_graph(dt(name), "affine")
 
 
 class TestSolver:
@@ -51,7 +59,8 @@ class TestSolver:
     def test_equations_hold_suite_wide(self):
         for name in SUITE_NAMES:
             g = build_graph(DynkinType.parse(name), "semiaffine")
-            assert weights_satisfy(g, solve_semiaffine(g))
+            w = solve_semiaffine(g)
+            assert weights_satisfy(g, w, common_denominator(w))
 
     def test_ladder_in_integer_polynomials(self):
         # every weight is y_i / det(tI - A_fin) reduced in Z[t]: integer
@@ -62,7 +71,7 @@ class TestSolver:
             w = solve_semiaffine(g)
             assert all(type(c) is int
                        for v in w.values for c in v.num.coeffs + v.den.coeffs)
-            assert weights_satisfy(g, w)
+            assert weights_satisfy(g, w, common_denominator(w))
             assert common_denominator(w) == krylov_minpoly(g.mult)
 
     def test_perturbed_weight_fails_equations(self):
@@ -72,7 +81,8 @@ class TestSolver:
             for i, v in enumerate(w.values):
                 values = list(w.values)
                 values[i] = RationalFunction(v.num + 1, v.den)
-                assert not weights_satisfy(g, replace(w, values=tuple(values)))
+                bad = replace(w, values=tuple(values))
+                assert not weights_satisfy(g, bad, common_denominator(bad))
 
     def test_rejects_non_semiaffine(self):
         with pytest.raises(ValueError):
@@ -192,7 +202,8 @@ class TestClosedForm:
 class TestIdentities:
     def test_specialization_all_types(self):
         for name in SUITE_NAMES:
-            assert specialization_identity(to_q_numerators(solve(name)))
+            assert specialization_identity(to_q_numerators(solve(name)),
+                                           affine(name))
 
     def test_specialization_row_shapes(self):
         # the neighbor sums match the per-family rows of the table
@@ -208,7 +219,8 @@ class TestIdentities:
 
     def test_finite_reduction_all_types(self):
         for name in SUITE_NAMES:
-            assert finite_reduction_check(to_q_numerators(solve(name)))
+            assert finite_reduction_check(to_q_numerators(solve(name)),
+                                          build_graph(dt(name), "finite"))
 
     def test_d4_center_reduction_by_hand(self):
         # q(q+1/q)(q+2q^3+q^5) - 3q(q^2+q^4) = (1+q^2)(1+q^6) - (1+q^2) ... = 0 mod 1+q^6
@@ -217,7 +229,7 @@ class TestIdentities:
 
     def test_notes_all_types(self):
         for name in SUITE_NAMES:
-            rep = check_notes(to_q_numerators(solve(name)))
+            rep = check_notes(to_q_numerators(solve(name)), affine(name))
             assert rep.all_ok(), f"{name}: {rep}"
 
     def test_e6_chain_minima(self):
