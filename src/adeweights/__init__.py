@@ -9,7 +9,7 @@ from .groups import (CharTable, FiniteSubgroup, MolienSet, build_group,
                      molien_series, recurrence_check, sym_power_multiplicities,
                      table_violation)
 from .poly import (Polynomial, RationalFunction, cox, cyclotomic,
-                   fold_palindromic, series_coefficients, substitute_t)
+                   fold_palindromic, substitute_t)
 from .verify import DEFAULT_SUITE, FaultSpec, build_bundle, run_suite
 from .weights import (QNumerators, TWeights, check_notes, closed_form,
                       common_denominator, finite_reduction_check,
@@ -26,7 +26,7 @@ __all__ = [
     "enumerate_subgroup", "generators", "mckay_matrix", "molien_series",
     "recurrence_check", "sym_power_multiplicities", "table_violation",
     "Polynomial", "RationalFunction", "cox", "cyclotomic", "fold_palindromic",
-    "series_coefficients", "substitute_t",
+    "substitute_t",
     "DEFAULT_SUITE", "FaultSpec", "build_bundle", "run_suite",
     "QNumerators", "TWeights", "check_notes", "closed_form",
     "common_denominator", "finite_reduction_check", "intermediate_q_weights",

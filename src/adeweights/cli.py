@@ -19,7 +19,6 @@ import tempfile
 
 from .errors import InvalidParameter
 from .graphs import build_graph, charpoly_report, parse_type_selector
-from .poly import series_coefficients
 from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, report_json,
                      report_text, run_suite)
 from .weights import numerators_latex, solve_semiaffine
@@ -138,8 +137,8 @@ def _cmd_molien(args) -> tuple[str, int]:
         obj["char_table"] = b.table.to_json()
         if args.series_terms:
             obj["series_coefficients"] = [
-                [str(c) for c in series_coefficients(s, args.series_terms)]
-                for s in b.molien.series]
+                [str(c) for c in b.molien.coefficients(i, args.series_terms)]
+                for i in range(len(b.molien.numerators))]
         return obj
 
     def render(dt):
@@ -150,7 +149,7 @@ def _cmd_molien(args) -> tuple[str, int]:
         for i, (d, num) in enumerate(zip(ms.degrees, ms.numerators)):
             line = f"  chi_{i} (degree {d}): N = {num}"
             if args.series_terms:
-                coeffs = series_coefficients(ms.series[i], args.series_terms)
+                coeffs = ms.coefficients(i, args.series_terms)
                 line += "   series " + " ".join(str(c) for c in coeffs)
             lines.append(line)
         return "\n".join(lines) + "\n"

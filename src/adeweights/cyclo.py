@@ -5,18 +5,19 @@ power basis 1, zeta, ..., zeta^(phi(N)-1). Internally a value is a vector of
 integers over one common denominator, which keeps products cheap; the
 ``coeffs`` property exposes the vector of Fractions. Arithmetic never mixes
 conductors. ``dot`` is the one sum-of-products kernel: it accumulates every
-term's coordinate products in one unreduced integer buffer and reduces
-modulo Phi_N and by the content once per sum, so a sum of k products builds
-one value, not 2k. The inverse is the product of the other Galois conjugates
-over the norm, a rational number, so no polynomial division is needed; the
-minimal polynomial of an element is the product of t - y over its Galois
-orbit, which must lie in Z[t].
+term's coordinate products, times an optional integer factor, in one
+unreduced integer buffer and reduces modulo Phi_N and by the content once
+per sum, so a sum of k products builds one value, not 2k. The inverse is
+the product of the other Galois conjugates over the norm, a rational
+number, so no polynomial division is needed; the minimal polynomial of an
+element is the product of t - y over its Galois orbit, which must lie in
+Z[t].
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, count
+from itertools import compress, count, repeat
 from math import gcd, lcm
 
 from .errors import NotRational, ValidationFailed
@@ -284,10 +285,11 @@ class CycNumber:
         return cls.from_fractions(obj["N"], [Fraction(s) for s in obj["coeffs"]])
 
 
-def dot(N: int, xs, ys, *, powers: bool = False) -> CycNumber:
-    """sum_k x_k * y_k in Q(zeta_N), built as one CycNumber.
+def dot(N: int, xs, ys, factors=None, *, powers: bool = False) -> CycNumber:
+    """sum_k n_k * x_k * y_k in Q(zeta_N), built as one CycNumber.
 
-    Entries are CycNumbers of conductor N or ints. Zero coordinates are
+    Entries are CycNumbers of conductor N or ints, and the int ``factors``
+    n_k (1 when None) scale a term's coordinates. Zero coordinates are
     skipped; the products of the nonzero ones go into one unreduced integer
     buffer over the lcm of the term denominators, which is reduced modulo
     Phi_N and by its content once, at the end. With ``powers`` the y_k are
@@ -297,7 +299,7 @@ def dot(N: int, xs, ys, *, powers: bool = False) -> CycNumber:
     fld = _field(N)
     buf = [0] * (N if powers else 2 * fld.phi - 1)
     den = 1
-    for x, y in zip(xs, ys):
+    for x, y, n in zip(xs, ys, repeat(1) if factors is None else factors):
         xd, xn, xt = _parts(N, x)
         if powers:
             yd, e = 1, y % N
@@ -312,7 +314,7 @@ def dot(N: int, xs, ys, *, powers: bool = False) -> CycNumber:
             grown = lcm(den, d)
             buf = [c * (grown // den) for c in buf]
             den = grown
-        s = den // d
+        s = den // d * n
         if powers:
             for i in xt:
                 buf[(i + e) % N] += xn[i] * s

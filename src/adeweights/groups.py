@@ -10,14 +10,14 @@ Matrices are multiplied only in the closure and in the generators'
 unitarity check. The closure records each element's word over the
 generators and each generator's right-multiplication table, and
 ``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
-orders, commutators, the derived subgroup and its cosets are all index
-arithmetic.
+orders, each class's inverse class, commutators, the derived subgroup and
+its cosets are all index arithmetic.
 
 Molien numerators come from one cofactor per class: the integer standard
 form (1-q^a)(1-q^b) divided by det(I - x q) = 1 - tau q + q^2, which must
-leave no remainder, weighted by |C| and the character values. They read the
+leave no remainder, summed against the character values. They read the
 plain table rows and no symmetric-power code, so the symmetric-power oracle
-stays an independent route.
+stays an independent route. ``MolienSet`` keeps only the numerators.
 
 Character tables: the A and D families are written down directly (cyclic
 characters; four linear characters plus the induced two-dimensional ones).
@@ -26,15 +26,15 @@ abelianization, symmetric powers of the defining character, tensor peeling
 against the known rows, and a regular-character completion for the last row.
 Every table must pass ``table_violation`` before use. Every inner product of
 class functions goes through ``decompose``, which is one ``cyclo.dot`` per
-row; the Molien class sums and the symmetric-power traces are ``cyclo.dot``
-calls of their own, so each class sum reduces modulo Phi_N once.
+row and reads conj(chi(C)) as chi(C^-1); the Molien class sums and the
+symmetric-power traces are ``cyclo.dot`` calls of their own, so each class
+sum reduces modulo Phi_N once, with |C| an integer factor inside it.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 
 from .cyclo import CycNumber, dot, minimal_polynomial
@@ -146,6 +146,7 @@ class ConjClass:
     trace: CycNumber
     order: int
     eigen_exp: int  # trace = zeta^e + zeta^(-e)
+    inverse: int  # rep of the class of rep^-1
 
 
 class FiniteSubgroup:
@@ -191,15 +192,16 @@ class FiniteSubgroup:
         """Index of g x g^-1 for generator position g."""
         return self.mul(self.mul(self.gen_index[g], x), self.gen_inverse[g])
 
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
+    def order_and_inverse(self, x: int) -> tuple[int, int]:
+        """Order k of element x and the index of x^-1 = x^(k-1)."""
+        k, prev, y = 1, 0, x
         while y != 0:
             if k >= self.order:
                 raise ValidationFailed(f"{self.dynkin}: element {x} has no "
                                        f"power equal to the identity")
-            y = self.mul(y, x)
+            prev, y = y, self.mul(y, x)
             k += 1
-        return k
+        return k, prev
 
     def classes_to_json(self) -> list[dict]:
         return [{"order": c.order, "size": c.size, "trace": c.trace.to_json(),
@@ -220,9 +222,9 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
     """Breadth-first closure under right multiplication by the generators,
     recording each element's generator word and each generator's
     right-multiplication table; then conjugacy classes as orbits of
-    generator conjugation, computed on indices. The closure holds the only
-    matrix products; it must reach exactly the expected order and class
-    count, or ``ValidationFailed`` is raised."""
+    generator conjugation, computed on indices, each with its inverse class.
+    The closure holds the only matrix products; it must reach exactly the
+    expected order and class count, or ``ValidationFailed`` is raised."""
     N = gens[0].conductor
     for g in gens:
         if not g.is_unitary():
@@ -253,9 +255,8 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
                                f"expected {dt.group_order}")
     G = FiniteSubgroup(dt, N, gens, elements, index, words, right)
 
-    exps = _eigen_exponents(N)
     class_of = [-1] * len(elements)
-    classes: list[ConjClass] = []
+    orbits: list[tuple[int, ...]] = []  # each class's members, rep first
     for i in range(len(elements)):
         if class_of[i] >= 0:
             continue
@@ -268,17 +269,22 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
                 if j not in orbit:
                     orbit.add(j)
                     stack.append(j)
-        cid = len(classes)
         for j in orbit:
-            class_of[j] = cid
-        trace = elements[i].trace()
+            class_of[j] = len(orbits)
+        orbits.append(tuple(sorted(orbit)))
+    if len(orbits) != dt.rank + 1:
+        raise ValidationFailed(
+            f"{dt}: {len(orbits)} classes, expected {dt.rank + 1}")
+    exps = _eigen_exponents(N)
+    classes = []
+    for members in orbits:
+        rep = members[0]
+        trace = elements[rep].trace()
         if trace not in exps:
             raise ValueError(f"trace {trace} is not a sum zeta^e + zeta^-e")
-        classes.append(ConjClass(i, tuple(sorted(orbit)), len(orbit), trace,
-                                 G.element_order(i), exps[trace]))
-    if len(classes) != dt.rank + 1:
-        raise ValidationFailed(
-            f"{dt}: {len(classes)} classes, expected {dt.rank + 1}")
+        order, inv = G.order_and_inverse(rep)
+        classes.append(ConjClass(rep, members, len(members), trace, order,
+                                 exps[trace], orbits[class_of[inv]][0]))
     G.classes = tuple(classes)
     G.class_of = tuple(class_of)
     return G
@@ -299,25 +305,23 @@ class CharTable:
     values: tuple[tuple[CycNumber, ...], ...]
     classes: tuple[ConjClass, ...]
 
-    @cached_property
-    def weighted(self) -> tuple[tuple[CycNumber, ...], ...]:
-        """Each row as conj(chi_i)*|C| per class, the form ``decompose`` takes."""
-        return tuple(_weigh(row, self.classes) for row in self.values)
-
     def to_json(self) -> dict:
         return {"degrees": list(self.degrees),
                 "values": [[v.to_json() for v in row] for row in self.values]}
 
 
-def _weigh(row, classes) -> tuple[CycNumber, ...]:
-    return tuple(v.conj() * c.size for v, c in zip(row, classes))
-
-
-def decompose(values, weighted, order: int) -> list[Fraction]:
-    """Hermitian inner products of the class function ``values`` with each
-    weighted row (conj(chi)*|C| per class), collapsed to Q."""
+def decompose(values, rows, classes) -> list[Fraction]:
+    """Hermitian inner products (1/|G|) sum_C |C| f(C) conj(chi(C)) of the
+    class function f = ``values`` with each row chi over the aligned
+    ``classes``, collapsed to Q. The rows must be conjugate-symmetric,
+    conj(chi(C)) = chi(C^-1), and C -> C^-1 keeps |C|, so this is
+    sum_C |C| f(C^-1) chi(C): one ``dot`` per row with |C| as a factor."""
+    col = {c.rep: i for i, c in enumerate(classes)}
+    flipped = [values[col[c.inverse]] for c in classes]
+    sizes = [c.size for c in classes]
+    order = sum(sizes)
     N = values[0].N
-    return [dot(N, values, w).to_rational() / order for w in weighted]
+    return [dot(N, flipped, row, sizes).to_rational() / order for row in rows]
 
 
 def _multiplicities(mults, what: str) -> list[int]:
@@ -488,17 +492,15 @@ def sym_power_values(G: FiniteSubgroup, m: int) -> list[CycNumber]:
 
 def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     k = len(G.classes)
-    order = G.order
     chi_v = [c.trace for c in G.classes]
     linear = _linear_characters(G)
     known: list[tuple[CycNumber, ...]] = [tuple(row) for row in linear]
-    known_w = [_weigh(row, G.classes) for row in known]
 
     def peel(cand):
         # the known rows are orthonormal, so one decomposition of the
         # candidate gives every multiplicity of the sequential peel
         rem = list(cand)
-        mults = _multiplicities(decompose(cand, known_w, order),
+        mults = _multiplicities(decompose(cand, known, G.classes),
                                 f"{dt}: tensor candidate")
         for mult, psi in zip(mults, known):
             if mult:
@@ -526,10 +528,8 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
         cand = queue.popleft()
         rem = peel(cand)
         if any(not v.is_zero() for v in rem):
-            rem_w = _weigh(rem, G.classes)
-            if decompose(rem, [rem_w], order) == [1] and rem not in known:
+            if decompose(rem, [rem], G.classes) == [1] and rem not in known:
                 known.append(rem)
-                known_w.append(rem_w)
                 push_products(rem)
 
     def degree(row):
@@ -564,9 +564,10 @@ def _regular_completion(G: FiniteSubgroup, known) -> tuple[CycNumber, ...]:
 def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     """First violated relation, or None when the table is valid.
 
-    Checked: k rows for k classes, the trivial row, the degrees and their
-    squares, row orthogonality, conjugate symmetry, and nonnegative integer
-    multiplicities of the defining character. Column orthogonality and the
+    Checked: the columns are G's classes, k rows for k classes, the trivial
+    row, the degrees and their squares, conjugate symmetry (``decompose``
+    relies on it), row orthogonality, and nonnegative integer multiplicities
+    of the defining character. Column orthogonality and the
     defining character's reconstruction from its multiplicities are implied
     (Serre, Linear Representations of Finite Groups, 2.5): row orthogonality
     reads X W X* = |G| I with W = diag(|C|), so the square table X is
@@ -574,8 +575,9 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     sum_i <f, chi_i> chi_i.
     """
     k = len(table.classes)
-    order = table.group_order
     values = table.values
+    if tuple(sorted(table.classes, key=lambda c: c.rep)) != G.classes:
+        return "columns are not the group's classes"
     if len(values) != k:
         return f"{len(values)} rows for {k} classes"
     if any(not v == 1 for v in values[0]):
@@ -586,24 +588,23 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     for i, row in enumerate(values):
         if row[id_col] != table.degrees[i] or table.degrees[i] <= 0:
             return f"chi_{i}(1) != degree {table.degrees[i]}"
-    if sum(d * d for d in table.degrees) != order:
+    if sum(d * d for d in table.degrees) != table.group_order:
         return "degree squares do not sum to |G|"
-    for i in range(k):
-        for j, got in enumerate(decompose(values[i], table.weighted[i:], order), i):
-            if got != (1 if i == j else 0):
-                return f"row orthogonality fails at ({i},{j}): {got}"
     # conjugate symmetry: chi(x^-1) = conj(chi(x))
     col_of_class = {c.rep: i for i, c in enumerate(table.classes)}
     for ci, c in enumerate(table.classes):
-        inv = G.elements[c.rep].conj_transpose()
-        cj = col_of_class[G.classes[G.class_of[G.index[inv]]].rep]
+        cj = col_of_class[c.inverse]
         for i, row in enumerate(values):
             if row[cj] != row[ci].conj():
                 return f"chi_{i} not conjugate-symmetric on class {ci}"
+    for i in range(k):
+        for j, got in enumerate(decompose(values[i], values[i:], table.classes), i):
+            if got != (1 if i == j else 0):
+                return f"row orthogonality fails at ({i},{j}): {got}"
     # the defining character decomposes with nonnegative integer multiplicities
     tau = [c.trace for c in table.classes]
     try:
-        _multiplicities(decompose(tau, table.weighted, order), "defining character")
+        _multiplicities(decompose(tau, values, table.classes), "defining character")
     except ValidationFailed as exc:
         return str(exc)
     return None
@@ -624,7 +625,7 @@ def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
     tau = [c.trace for c in table.classes]
     matrix = tuple(
         tuple(_multiplicities(decompose([t * v for t, v in zip(tau, row)],
-                                        table.weighted, table.group_order),
+                                        table.values, table.classes),
                               f"{G.dynkin}: V x chi_{i}"))
         for i, row in enumerate(table.values))
     if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
@@ -677,8 +678,8 @@ def _match_affine(A, degrees, g: DirectedGraph, marks) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MolienSet:
-    """Per irreducible character: the Molien series over Q and its
-    standard-form numerator against (1-q^a)(1-q^b)."""
+    """Per irreducible character: the numerator N_i of its Molien series
+    m_i = N_i / ((1-q^a)(1-q^b)), the standard form."""
 
     dynkin: DynkinType
     h: int
@@ -686,7 +687,22 @@ class MolienSet:
     b: int
     degrees: tuple[int, ...]
     numerators: tuple[Polynomial, ...]
-    series: tuple[RationalFunction, ...]
+
+    @property
+    def series(self) -> tuple[RationalFunction, ...]:
+        """Each m_i reduced over Z, built on every read."""
+        std = one_plus_q(self.a, -1) * one_plus_q(self.b, -1)
+        return tuple(RationalFunction(n, std) for n in self.numerators)
+
+    def coefficients(self, i: int, n: int) -> list[int]:
+        """The first n Taylor coefficients of m_i: N_i's coefficients run
+        through one strided prefix sum per factor, since 1/(1-q^s) adds in
+        the coefficient s places below."""
+        c = [self.numerators[i].coefficient(k) for k in range(n)]
+        for s in (self.a, self.b):
+            for k in range(s, n):
+                c[k] += c[k - s]
+        return c
 
     def to_json(self) -> dict:
         return {"type": str(self.dynkin), "h": self.h, "a": self.a, "b": self.b,
@@ -696,11 +712,10 @@ class MolienSet:
                                                   self.series)]}
 
 
-def _class_cofactor(std: tuple[int, ...], tau: CycNumber, size: int,
-                    dt: DynkinType):
-    """|C| * std / (1 - tau q + q^2) by synthetic division over Q(zeta_N),
+def _class_cofactor(std: tuple[int, ...], tau: CycNumber, dt: DynkinType):
+    """std / (1 - tau q + q^2) by synthetic division over Q(zeta_N),
     coefficients ascending; a nonzero remainder raises NonPolynomialResult."""
-    r = [size * c for c in std]
+    r = list(std)
     quo = [0] * (len(r) - 2)
     for k in range(len(r) - 1, 1, -1):
         c = quo[k - 2] = r[k]
@@ -725,25 +740,23 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     h = dt.coxeter_number
     a, b = dt.standard_ab
     std = one_plus_q(a, -1) * one_plus_q(b, -1)
-    # column j holds coefficient j of every class's |C| P_C
-    columns = list(zip(*(_class_cofactor(std.coeffs, c.trace, c.size, dt)
-                         for c in G.classes)))
+    # column j holds coefficient j of every class's P_C
+    columns = list(zip(*(_class_cofactor(std.coeffs, c.trace, dt)
+                         for c in table.classes)))
+    sizes = [c.size for c in table.classes]
     numerators = []
-    series = []
     for row in table.values:
         coeffs = []
         for col in columns:
-            v = dot(G.conductor, row, col).to_rational() / G.order
+            v = dot(G.conductor, row, col, sizes).to_rational() / G.order
             if v.denominator != 1 or v < 0:
                 raise NonPolynomialResult(
                     f"{dt}: numerator coefficient {v} is not a nonnegative integer")
             coeffs.append(v.numerator)
-        num = Polynomial("q", coeffs)  # in Z[q], so the reduction runs over Z
-        numerators.append(num)
-        series.append(RationalFunction(num, std))
+        numerators.append(Polynomial("q", coeffs))
     if numerators[0] != one_plus_q(h):
         raise NonPolynomialResult(f"{dt}: trivial numerator is not 1 + q^{h}")
-    return MolienSet(dt, h, a, b, table.degrees, tuple(numerators), tuple(series))
+    return MolienSet(dt, h, a, b, table.degrees, tuple(numerators))
 
 
 def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
@@ -752,23 +765,23 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     defining representation, via eigenvalue power sums per class:
     Sym^m = Sym^(m-2) + lambda^m + lambda^-m, where lambda^s is the class
     function zeta^(s e_C) and each <lambda^m + lambda^-m, chi_i> is one
-    shifted ``dot`` over the weighted row taken twice, once per sign."""
+    shifted ``dot`` over the plain row taken twice, once per sign: the class
+    function is real, so chi_i and conj(chi_i) give the same rational sum."""
     N = G.conductor
-    k = len(G.classes)
-    exps = [c.eigen_exp for c in G.classes]
+    exps = [c.eigen_exp for c in table.classes]
+    sizes = [c.size for c in table.classes]
 
-    def power_sum(i: int, m: int) -> Fraction:
+    def power_sum(row, m: int) -> Fraction:
         # |G| <lambda^m + lambda^-m, chi_i>, or |G| <1, chi_i> at m = 0
-        w = table.weighted[i]
-        shifts = [m * e for e in exps]
+        shifts, n = [m * e for e in exps], sizes
         if m:
-            w, shifts = w + w, shifts + [-s for s in shifts]
-        return dot(N, w, shifts, powers=True).to_rational()
+            row, shifts, n = row + row, shifts + [-s for s in shifts], n + n
+        return dot(N, row, shifts, n, powers=True).to_rational()
 
     rows = []
-    prev2 = prev1 = [Fraction(0)] * k
+    prev2 = prev1 = [Fraction(0)] * len(table.values)
     for m in range(mmax + 1):
-        vals = [prev2[i] + power_sum(i, m) for i in range(k)]
+        vals = [p + power_sum(row, m) for p, row in zip(prev2, table.values)]
         rows.append(tuple(_multiplicities(
             [v / G.order for v in vals], f"{G.dynkin}: Sym^{m}")))
         prev2, prev1 = prev1, vals

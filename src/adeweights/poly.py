@@ -371,22 +371,6 @@ class RationalFunction:
         return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
 
 
-def series_coefficients(rf: RationalFunction, nterms: int) -> list[int]:
-    """First ``nterms`` Taylor coefficients of ``rf`` at 0, in Z; raises
-    ``ValueError`` unless den(0) = +-1."""
-    den = rf.den
-    d0 = den.coefficient(0)
-    if d0 not in (1, -1):
-        raise ValueError(f"denominator {den} is {d0} at 0, not a unit of Z")
-    out = []
-    for k in range(nterms):
-        acc = rf.num.coefficient(k)
-        for j in range(1, min(k, den.degree) + 1):
-            acc = acc - den.coefficient(j) * out[k - j]
-        out.append(acc * d0)
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Polynomial:
     """The n-th cyclotomic polynomial in q, by dividing q**n - 1 by the

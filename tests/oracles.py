@@ -132,6 +132,23 @@ def euclid_gcd(a: Polynomial, b: Polynomial) -> list[Fraction]:
     return [c / x[-1] for c in x]
 
 
+def series_coefficients(rf, nterms: int) -> list[int]:
+    """First ``nterms`` Taylor coefficients of a reduced rational function
+    ``rf`` at 0, in Z, by long division of its numerator by its denominator;
+    raises ``ValueError`` unless den(0) = +-1."""
+    den = rf.den
+    d0 = den.coefficient(0)
+    if d0 not in (1, -1):
+        raise ValueError(f"denominator {den} is {d0} at 0, not a unit of Z")
+    out = []
+    for k in range(nterms):
+        acc = rf.num.coefficient(k)
+        for j in range(1, min(k, den.degree) + 1):
+            acc = acc - den.coefficient(j) * out[k - j]
+        out.append(acc * d0)
+    return out
+
+
 def _list_mul(p, r):
     out = [0] * (len(p) + len(r) - 1)
     for i, x in enumerate(p):

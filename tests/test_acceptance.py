@@ -16,13 +16,13 @@ from fractions import Fraction
 
 from adeweights.cli import main as cli_main
 from adeweights.graphs import DynkinType, build_graph, charpoly_report, char_poly
-from adeweights.poly import Polynomial, RationalFunction, cox, series_coefficients
+from adeweights.poly import Polynomial, RationalFunction, cox
 from adeweights.verify import (DEFAULT_SUITE, FaultSpec, build_bundle,
                                run_suite)
 from adeweights.weights import (check_notes, common_denominator,
                                 finite_reduction_check, intermediate_q_weights,
                                 specialization_identity)
-from oracles import krylov_minpoly
+from oracles import krylov_minpoly, series_coefficients
 
 Q = lambda *cs: Polynomial("q", cs)
 T = lambda *cs: Polynomial("t", cs)

@@ -12,6 +12,9 @@ import pytest
 import adeweights
 from adeweights import cli
 from adeweights.cli import main
+from adeweights.graphs import DynkinType
+from adeweights.poly import RationalFunction, one_plus_q
+from adeweights.verify import build_bundle
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +144,15 @@ class TestOtherCommands:
         _, out, _ = run_cli(capsys, "molien", "--type", "A1",
                             "--series-terms", "6")
         assert "series 0 2 0 4 0 6" in out
+
+    def test_molien_json_entries_are_the_standard_form_quotients(self, capsys):
+        _, out, _ = run_cli(capsys, "molien", "--types",
+                            "A1..A12,D4..D12,E6..E8", "--format", "json")
+        for obj in json.loads(out):
+            std = one_plus_q(obj["a"], -1) * one_plus_q(obj["b"], -1)
+            nums = build_bundle(DynkinType.parse(obj["type"])).molien.numerators
+            assert [c["molien"] for c in obj["characters"]] == \
+                [RationalFunction(n, std).to_json() for n in nums]
 
     def test_usage_error_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2

@@ -13,8 +13,8 @@ from adeweights.cyclo import CycNumber, dot, euler_phi, minimal_polynomial
 from adeweights.errors import NotRational, ValidationFailed
 from adeweights.poly import (Polynomial, RationalFunction, cox, cyclotomic,
                              fold_palindromic, one_plus_q, poly_gcd,
-                             series_coefficients, substitute_t)
-from oracles import cyclotomic_moebius, euclid_gcd
+                             substitute_t)
+from oracles import cyclotomic_moebius, euclid_gcd, series_coefficients
 
 Q = lambda *cs: Polynomial("q", cs)
 T = lambda *cs: Polynomial("t", cs)
@@ -186,24 +186,29 @@ class TestDot:
     @given(st.data())
     def test_equals_naive_fold(self, data):
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
-        pairs = data.draw(st.lists(st.tuples(_dot_entries(N), _dot_entries(N)),
-                                   max_size=8))
+        terms = data.draw(st.lists(st.tuples(_dot_entries(N), _dot_entries(N),
+                                             st.integers(-3, 5)), max_size=8))
+        factors = [n for _, _, n in terms] if data.draw(st.booleans()) else None
         want = CycNumber.zero(N)
-        for x, y in pairs:
-            want = want + x * y
-        _same(dot(N, [x for x, _ in pairs], [y for _, y in pairs]), want)
+        for x, y, n in terms:
+            want = want + x * y * (1 if factors is None else n)
+        _same(dot(N, [x for x, _, _ in terms], [y for _, y, _ in terms],
+                  factors), want)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_powers_equal_root_of_unity_products(self, data):
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
-        pairs = data.draw(st.lists(
-            st.tuples(_dot_entries(N), st.integers(-2 * N, 2 * N)), max_size=8))
+        terms = data.draw(st.lists(
+            st.tuples(_dot_entries(N), st.integers(-2 * N, 2 * N),
+                      st.integers(-3, 5)), max_size=8))
+        factors = [n for _, _, n in terms] if data.draw(st.booleans()) else None
         want = CycNumber.zero(N)
-        for w, e in pairs:
-            want = want + w * CycNumber.root_of_unity(N, e)
-        _same(dot(N, [w for w, _ in pairs], [e for _, e in pairs], powers=True),
-              want)
+        for w, e, n in terms:
+            want = want + w * CycNumber.root_of_unity(N, e) * (
+                1 if factors is None else n)
+        _same(dot(N, [w for w, _, _ in terms], [e for _, e, _ in terms],
+                  factors, powers=True), want)
 
     def test_empty_and_all_zero(self):
         for N in DOT_CONDUCTORS:

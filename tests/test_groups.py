@@ -16,9 +16,9 @@ from adeweights.groups import (CharTable, Matrix2, build_group, char_table,
                                sym_power_multiplicities, sym_power_values,
                                table_violation, _derived_subgroup,
                                _match_affine)
-from adeweights.poly import Polynomial, series_coefficients
+from adeweights.poly import Polynomial
 from adeweights.verify import build_bundle, run_suite
-from oracles import molien_by_elements
+from oracles import molien_by_elements, series_coefficients
 
 Q = lambda *cs: Polynomial("q", cs)
 SUITE_NAMES = [f"A{m}" for m in range(1, 13)] + \
@@ -187,6 +187,22 @@ class TestCharTable:
                                         b.table.classes)
                         assert table_violation(bad, b.group) is not None
 
+    def test_foreign_columns_fail_validation(self, bundle):
+        # decompose reads each column's size and inverse class, so they must
+        # be the group's own classes
+        b = bundle("D5")
+        assert table_violation(b.table, bundle("A7").group) == \
+            "columns are not the group's classes"
+
+    def test_inverse_classes(self, bundle):
+        for name in ("A5", "D5", "E6"):
+            g = bundle(name).group
+            reps = {c.rep for c in g.classes}
+            for c in g.classes:
+                inv = g.index[g.elements[c.rep].conj_transpose()]
+                assert c.inverse in reps
+                assert c.inverse == g.classes[g.class_of[inv]].rep
+
     def test_permuted_columns_still_valid(self, bundle):
         b = bundle("D5")
         k = len(b.table.classes)
@@ -208,8 +224,7 @@ class TestCharTable:
             regular = [CycNumber.from_rational(t.conductor,
                                                t.group_order if c.order == 1 else 0)
                        for c in t.classes]
-            assert decompose(regular, t.weighted, t.group_order) == \
-                list(t.degrees)
+            assert decompose(regular, t.values, t.classes) == list(t.degrees)
 
 
 class TestMcKay:
@@ -281,6 +296,16 @@ class TestMolien:
         with pytest.raises(NonPolynomialResult, match="does not divide"):
             molien_series(b.group, b.table)
 
+    def test_coefficients_equal_long_division(self, bundle):
+        # the two strided prefix sums against the reference long division of
+        # the reduced series, on either side of each stride
+        for name in SUITE_NAMES:
+            m = bundle(name).molien
+            for n in (0, 1, m.a - 1, m.a, m.b, 2 * m.h + 2):
+                for i, s in enumerate(m.series):
+                    assert m.coefficients(i, n) == series_coefficients(s, n), \
+                        (name, i, n)
+
     def test_series_coefficients_nonnegative_integers(self, bundle):
         for name in SUITE_NAMES:
             b = bundle(name)
@@ -335,6 +360,36 @@ class TestOpCounts:
             finally:
                 CycNumber.__init__ = original
             assert count[0] <= self.LIMIT, (name, count[0])
+
+    def test_class_sums_build_no_cyclotomic_products(self, bundle,
+                                                     monkeypatch):
+        """On a freshly built table, validation, ``decompose`` and the Sym^m
+        oracle build no CycNumber product: |C| is an integer factor of
+        ``dot`` and conj(chi(C)) is read as chi(C^-1). ``mckay_matrix``
+        builds only its k^2 products tau * chi_i. A table that kept its rows
+        weighted by conj(chi)*|C| paid k^2 products on first use."""
+        original = CycNumber.__mul__
+        count = [0]
+
+        def counting(self, other):
+            count[0] += 1
+            return original(self, other)
+
+        for name in ("A12", "D12", "E8"):
+            b = bundle(name)
+            table = replace(b.table)
+            k = len(table.classes)
+            monkeypatch.setattr(CycNumber, "__mul__", counting)
+            monkeypatch.setattr(CycNumber, "__rmul__", counting)
+            count[0] = 0
+            assert table_violation(table, b.group) is None
+            assert decompose(table.values[1], table.values, table.classes) \
+                == [int(i == 1) for i in range(k)]
+            sym_power_multiplicities(b.group, table, 2 * b.molien.h + 1)
+            assert count[0] == 0, name
+            mckay_matrix(b.group, table, b.affine, b.marks)
+            assert count[0] <= k * k, name
+            monkeypatch.undo()
 
 
 class TestSymPowers:

@@ -5,9 +5,11 @@ stays off the other group-side routes."""
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import adeweights
+from adeweights.groups import CharTable, MolienSet
 
 SRC = Path(adeweights.__file__).parent
 
@@ -57,17 +59,28 @@ def test_poly_imports_nothing_from_fractions():
     assert found == []
 
 
+def _names_in_function(path: Path, name: str) -> set[str]:
+    """Every name and attribute the top-level function ``name`` reads."""
+    tree = ast.parse(path.read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == name)
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(body)
+                    if isinstance(node, ast.Attribute)}
+
+
 def test_molien_series_stays_off_the_other_group_routes():
     """The Molien class sum shares the ``dot`` kernel with ``decompose`` and
     the symmetric-power oracle, never their intermediate results."""
-    tree = ast.parse((SRC / "groups.py").read_text())
-    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                and node.name == "molien_series")
-    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(body)
-              if isinstance(node, ast.Attribute)}
+    names = _names_in_function(SRC / "groups.py", "molien_series")
     assert names & {"weighted", "decompose", "sym_power_values",
                     "sym_power_multiplicities"} == set()
+
+
+def test_sym_powers_stay_off_the_molien_route():
+    names = _names_in_function(SRC / "groups.py", "sym_power_multiplicities")
+    assert names & {"numerators", "molien_series", "_class_cofactor",
+                    "MolienSet", "coefficients"} == set()
 
 
 def _named(path: Path) -> set[str]:
@@ -89,3 +102,30 @@ def test_group_side_shares_no_graph_identity_code():
     assert _named(SRC / "groups.py") & {"build_graph", "graph_marks",
                                         "neighbor_sums"} == set()
     assert "build_graph" not in _named(SRC / "weights.py")
+
+
+def test_tables_keep_no_weighted_rows():
+    assert not hasattr(CharTable, "weighted")
+    assert "_weigh" not in _named(SRC / "groups.py")
+
+
+def test_molien_set_stores_no_series():
+    for f in fields(MolienSet):
+        assert "series" not in f.name and "RationalFunction" not in str(f.type)
+
+
+def test_series_expansion_lives_in_one_place():
+    """The long division stays in tests/oracles.py as the reference the
+    prefix-sum expansion is compared against; src/ neither defines it nor
+    imports the oracles."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.FunctionDef)
+                       and node.name == "series_coefficients"
+                       for node in ast.walk(tree)), path.name
+        modules = {node.module or "" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)}
+        modules |= {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        assert "oracles" not in {m.rsplit(".", 1)[-1] for m in modules}, \
+            path.name
