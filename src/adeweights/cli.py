@@ -18,7 +18,8 @@ import sys
 import tempfile
 
 from .errors import InvalidParameter
-from .graphs import build_graph, charpoly_report, parse_type_selector
+from .graphs import (build_graph, char_poly, charpoly_report,
+                     parse_type_selector)
 from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, report_json,
                      report_text, run_suite)
 from .weights import numerators_latex, solve_semiaffine
@@ -178,7 +179,8 @@ def _cmd_group(args) -> tuple[str, int]:
 
 
 def _charpoly(dt):
-    return charpoly_report(build_graph(dt, "semiaffine"), build_graph(dt, "finite"))
+    return charpoly_report(build_graph(dt, "semiaffine"),
+                           char_poly(build_graph(dt, "finite")))
 
 
 def _cmd_charpoly(args) -> tuple[str, int]:

@@ -339,7 +339,7 @@ def _parts(N: int, x) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     raise TypeError(f"dot entry {x!r} is neither a CycNumber nor an int")
 
 
-def minimal_polynomial(x: CycNumber, var: str = "t") -> Polynomial:
+def minimal_polynomial(x: CycNumber) -> Polynomial:
     """Minimal polynomial over Q of an algebraic integer x: the product of
     t - y over the Galois orbit, multiplied as ascending coefficient lists
     over Q(zeta_N). A coefficient outside Z raises ``ValidationFailed``."""
@@ -353,5 +353,5 @@ def minimal_polynomial(x: CycNumber, var: str = "t") -> Polynomial:
                 acc = [s - y * c for s, c in zip([0] + acc, acc + [0])]
     coeffs = [c.to_rational() for c in acc]
     if any(c.denominator != 1 for c in coeffs):
-        raise ValidationFailed(f"minimal polynomial of {x} is not in Z[{var}]")
-    return Polynomial(var, [c.numerator for c in coeffs])
+        raise ValidationFailed(f"minimal polynomial of {x} is not in Z[t]")
+    return Polynomial("t", [c.numerator for c in coeffs])

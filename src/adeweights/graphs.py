@@ -102,7 +102,6 @@ class DirectedGraph:
     n: int
     mult: tuple[tuple[int, ...], ...]
     affine_index: int | None
-    labels: tuple[str, ...]
     dynkin: DynkinType | None = None
     form: str | None = None
 
@@ -148,14 +147,13 @@ class DirectedGraph:
         mult = [[0] * n for _ in range(n)]
         for e in obj["edges"]:
             mult[e["from"]][e["to"]] = e["mult"]
-        return cls(n, tuple(tuple(r) for r in mult), obj["affine_index"],
-                   tuple(str(i) for i in range(n)))
+        return cls(n, tuple(tuple(r) for r in mult), obj["affine_index"])
 
     def to_dot(self, name: str = "g") -> str:
         lines = [f'digraph "{name}" {{']
         for i in range(self.n):
             shape = ", shape=doublecircle" if i == self.affine_index else ""
-            lines.append(f'  {i} [label="{self.labels[i]}"{shape}];')
+            lines.append(f'  {i} [label="{i}"{shape}];')
         for i in range(self.n):
             for j in range(self.n):
                 lines.extend([f"  {i} -> {j};"] * self.mult[i][j])
@@ -197,11 +195,10 @@ def build_graph(dt: DynkinType, form: str) -> DirectedGraph:
     if form == "finite":
         sub = [row[1:] for row in mult[1:]]
         return DirectedGraph(n - 1, tuple(tuple(r) for r in sub), None,
-                             tuple(str(i) for i in range(n - 1)), dt, form)
+                             dt, form)
     if form == "semiaffine":
         mult[0] = [0] * n
-    return DirectedGraph(n, tuple(tuple(r) for r in mult), 0,
-                         tuple(str(i) for i in range(n)), dt, form)
+    return DirectedGraph(n, tuple(tuple(r) for r in mult), 0, dt, form)
 
 
 def char_poly(g: DirectedGraph) -> Polynomial:
@@ -295,12 +292,13 @@ class CharPolyReport:
         }
 
 
-def charpoly_report(semi: DirectedGraph, finite: DirectedGraph) -> CharPolyReport:
+def charpoly_report(semi: DirectedGraph, char_fin: Polynomial) -> CharPolyReport:
     """Factor the semi-affine characteristic polynomial as t^d * cofactor and
     compare the cofactor against cox(h); also record whether the structural
-    identity char(semiaffine) = t * char(finite) holds."""
+    identity char(semiaffine) = t * char_fin holds, where the caller brings
+    char_fin = det(tI - A_fin) from its own route."""
     dt = semi.dynkin
-    char_semi, char_fin = char_poly(semi), char_poly(finite)
+    char_semi = char_poly(semi)
     structural_ok = char_semi == char_fin.shifted(1)
     d = char_semi.min_exponent()
     cofactor = Polynomial("t", char_semi.coeffs[d:])

@@ -163,20 +163,18 @@ class FiniteSubgroup:
     """
 
     def __init__(self, dynkin: DynkinType, conductor: int, gens: list[Matrix2],
-                 elements: list[Matrix2], index: dict[Matrix2, int],
-                 words: list[tuple[int, ...]], right: list[list[int]]):
+                 elements: list[Matrix2], words: list[tuple[int, ...]],
+                 right: list[list[int]]):
         self.dynkin = dynkin
         self.conductor = conductor
         self.generators = tuple(gens)
         self.elements = tuple(elements)
-        self.index = index
         self.words = tuple(words)
         self.right = tuple(tuple(r) for r in right)
         # element indices of each generator and of its inverse
         self.gen_index = tuple(r[0] for r in self.right)
         self.gen_inverse = tuple(r.index(0) for r in self.right)
         self.classes: tuple[ConjClass, ...] = ()
-        self.class_of: tuple[int, ...] = ()
 
     @property
     def order(self) -> int:
@@ -253,7 +251,7 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
     if len(elements) != dt.group_order:
         raise ValidationFailed(f"{dt}: closure has {len(elements)} elements, "
                                f"expected {dt.group_order}")
-    G = FiniteSubgroup(dt, N, gens, elements, index, words, right)
+    G = FiniteSubgroup(dt, N, gens, elements, words, right)
 
     class_of = [-1] * len(elements)
     orbits: list[tuple[int, ...]] = []  # each class's members, rep first
@@ -286,7 +284,6 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
         classes.append(ConjClass(rep, members, len(members), trace, order,
                                  exps[trace], orbits[class_of[inv]][0]))
     G.classes = tuple(classes)
-    G.class_of = tuple(class_of)
     return G
 
 

@@ -300,12 +300,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return _positive(Polynomial(a.var, _int_gcd(a.coeffs, b.coeffs)))
 
 
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero() or b.is_zero():
-        return Polynomial.zero(a.var)
-    return _positive((a * b).exact_div(poly_gcd(a, b)))
-
-
 class RationalFunction:
     """Reduced fraction of polynomials over Z: a value with no arithmetic.
     Numerator and denominator are coprime in Z[x], contents included, and

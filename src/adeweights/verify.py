@@ -77,7 +77,6 @@ class FaultSpec:
     type_name: str
     node: int
     exponent: int
-    delta: int = 1
 
     @classmethod
     def from_seed(cls, seed: int, types) -> FaultSpec:
@@ -131,10 +130,9 @@ def _check_cross_match(b: TypeBundle, fault: FaultSpec | None) -> CheckResult:
     if fault is not None and fault.type_name == str(b.dynkin):
         p = graph_side[fault.node]
         coeffs = list(p.coeffs) + [0] * (fault.exponent + 1 - len(p.coeffs))
-        coeffs[fault.exponent] += fault.delta
+        coeffs[fault.exponent] += 1
         graph_side[fault.node] = Polynomial("q", coeffs)
-        noted = (f" (fault injected at node {fault.node}, "
-                 f"q^{fault.exponent} {fault.delta:+d})")
+        noted = f" (fault injected at node {fault.node}, q^{fault.exponent} +1)"
     mismatches = [i for i, num in enumerate(b.molien.numerators)
                   if num != graph_side[b.mckay.bijection[i]]]
     return _result(
@@ -144,8 +142,8 @@ def _check_cross_match(b: TypeBundle, fault: FaultSpec | None) -> CheckResult:
         f"numerator mismatch at character rows {mismatches}{noted}")
 
 
-def _check_closed_form(b: TypeBundle, lcd: Polynomial) -> CheckResult:
-    if not weights_satisfy(b.semiaffine, b.tweights, lcd):
+def _check_closed_form(b: TypeBundle) -> CheckResult:
+    if not weights_satisfy(b.semiaffine, b.tweights):
         return _result("CLOSED_FORM", b.dynkin, False, "",
                        "solved t-weights do not satisfy the semi-affine "
                        "equations")
@@ -199,7 +197,8 @@ def _check_notes(b: TypeBundle) -> CheckResult:
         f"count={rep.count_ok}")
 
 
-def _check_lcd(b: TypeBundle, lcd: Polynomial) -> CheckResult:
+def _check_lcd(b: TypeBundle) -> CheckResult:
+    lcd = common_denominator(b.tweights)
     expected = cox(b.dynkin.coxeter_number)
     return _result("LCD_COX", b.dynkin, lcd == expected,
                    f"common denominator is cox(h) = {expected}",
@@ -275,18 +274,18 @@ def _check_structural(b: TypeBundle, rep: CharPolyReport) -> CheckResult:
 
 
 def _type_checks(b: TypeBundle, fault: FaultSpec | None) -> list[CheckResult]:
-    # computed here, not in the bundle: the query commands never read them
-    rep = charpoly_report(b.semiaffine, b.finite)
-    lcd = common_denominator(b.tweights)
+    # computed here, not in the bundle, as the query commands never read it;
+    # it holds LeVerrier on the semi-affine graph against the solver's det
+    rep = charpoly_report(b.semiaffine, b.tweights.det)
     return [
         _check_cross_match(b, fault),
-        _check_closed_form(b, lcd),
+        _check_closed_form(b),
         _check_ab(b),
         _check_specialization(b),
         _check_finite_reduction(b),
         _check_palindrome(b),
         _check_notes(b),
-        _check_lcd(b, lcd),
+        _check_lcd(b),
         _check_mckay(b),
         _check_smith(b),
         _check_sym_oracle(b),
@@ -318,7 +317,7 @@ def run_suite(types, fault: FaultSpec | None = None) -> VerificationReport:
         (",".join(str(t) for t in ordered) if ordered else "(empty)")
     if fault is not None:
         desc += (f" [fault: {fault.type_name} node {fault.node} "
-                 f"q^{fault.exponent} {fault.delta:+d}]")
+                 f"q^{fault.exponent} +1]")
     return VerificationReport(desc, tuple(checks), summary)
 
 

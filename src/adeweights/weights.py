@@ -2,8 +2,9 @@
 
 ``solve_semiaffine`` imposes t*n_i = sum of the successors of i at every node
 of positive out-degree (the affine node is a sink and is normalized to 1) and
-solves the resulting system by fraction-free elimination in Z[t]; each weight
-is then one reduced quotient in Q(t).
+solves the resulting system by fraction-free elimination in Z[t] into the
+Cramer vector y_i = det(tI - A_fin) * n_i; a weight is reduced to one
+quotient in Q(t) only when it is read.
 
 Two renormalizations follow the substitution t = q + 1/q: clearing by cox(h)
 gives the primitive q-weights (when cox(h) really is the common denominator;
@@ -14,19 +15,31 @@ that the group side reproduces as Molien numerators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .errors import NonPolynomialResult, SingularSystem
+from .errors import NonPolynomialResult
 from .graphs import DirectedGraph, DynkinType
-from .poly import (Polynomial, RationalFunction, cox, one_plus_q, poly_lcm,
+from .poly import (Polynomial, RationalFunction, cox, one_plus_q, poly_gcd,
                    substitute_t)
 
 
 @dataclass(frozen=True)
 class TWeights:
-    """Node weights over Q(t) in canonical node order, with n_0 = 1."""
+    """Node weights n_i = y_i / det in canonical node order, held as the
+    Cramer vector y in Z[t]; y_0 = det because n_0 = 1."""
 
     dynkin: DynkinType
-    values: tuple[RationalFunction, ...]
+    y: tuple[Polynomial, ...]
+
+    @property
+    def det(self) -> Polynomial:
+        """det(tI - A_fin), the solver's last pivot."""
+        return self.y[0]
+
+    @property
+    def values(self) -> tuple[RationalFunction, ...]:
+        """Each weight y_i / det, reduced when read."""
+        return tuple(RationalFunction(yi, self.det) for yi in self.y)
 
     def to_json(self) -> dict:
         return {"type": str(self.dynkin),
@@ -62,18 +75,18 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
     across, i.e. (tI - A_fin) x = b. Every entry lies in Z[t], and so does
     every step:
 
-    - Forward elimination is fraction-free (Bareiss): each update is divided
-      exactly by the previous pivot, a leading principal minor of
-      tI - A_fin and so monic, which makes the division synthetic division
-      over Z. On a tree most entries are zero: where m[i][k] = 0 the update
-      is only pivot*m[i][j]/prev, and where m[i][j] = 0 as well it is
-      skipped.
+    - Forward elimination is fraction-free (Bareiss) and needs no pivot
+      search: the k-th pivot is the leading principal minor of order k of
+      tI - A_fin, a characteristic polynomial and so monic, never zero. Each
+      update is divided exactly by the previous pivot, which makes the
+      division synthetic division over Z. On a tree most entries are zero:
+      where m[i][k] = 0 the update is only pivot*m[i][j]/prev, and where
+      m[i][j] = 0 as well it is skipped.
     - Back substitution is fraction-free too (Nakos, Turner and Williams
-      1997). The last pivot is D = det(tI - A_fin), and by Cramer's rule
-      y_i = D*x_i is an integer polynomial. Going up the triangle,
-      m[i][i]*y_i = D*m[i][r] - sum_j m[i][j]*y_j, divided exactly by the
-      monic pivot m[i][i].
-    - Each weight y_i / D is then reduced once, by the integer gcd.
+      1997). With no row swaps the last pivot is D = det(tI - A_fin), and
+      by Cramer's rule y_i = D*x_i is an integer polynomial. Going up the
+      triangle, m[i][i]*y_i = D*m[i][r] - sum_j m[i][j]*y_j, divided
+      exactly by the monic pivot m[i][i]. (D, y_1, ..., y_r) is returned.
     """
     if g.form != "semiaffine":
         raise ValueError("solver expects a semi-affine graph")
@@ -84,11 +97,6 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
     zero = Polynomial.zero("t")
     prev = Polynomial.one("t")
     for k in range(r):
-        if m[k][k].is_zero():
-            sel = next((i for i in range(k + 1, r) if not m[i][k].is_zero()), None)
-            if sel is None:
-                raise SingularSystem(f"no pivot in column {k}")
-            m[k], m[sel] = m[sel], m[k]
         pivot, row_k = m[k][k], m[k]
         for i in range(k + 1, r):
             row = m[i]
@@ -108,47 +116,44 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
             if not m[i][j].is_zero():
                 acc = acc - m[i][j] * y[j]
         y[i] = acc.exact_div(m[i][i])
-    dt = g.dynkin
-    return TWeights(dt, (RationalFunction(Polynomial.one("t")),)
-                    + tuple(RationalFunction(yi, det) for yi in y))
+    return TWeights(g.dynkin, (det, *y))
 
 
-def weights_satisfy(g: DirectedGraph, w: TWeights, lcd: Polynomial) -> bool:
+def weights_satisfy(g: DirectedGraph, w: TWeights) -> bool:
     """Re-substitution check of the defining equations at all non-sink
-    nodes, cleared of denominators: with L = lcd the common denominator and
-    p_j = n_j * L in Z[t], t*p_i = sum_j mult[i][j]*p_j."""
-    p = [v.num * lcd.exact_div(v.den) for v in w.values]
-    sums = g.neighbor_sums(p)
-    return all(p[i].shifted(1) == sums[i] for i in range(1, g.n))
+    nodes, on the Cramer vector: y_j = det * n_j in Z[t], so
+    t*y_i = sum_j mult[i][j]*y_j."""
+    sums = g.neighbor_sums(w.y)
+    return all(w.y[i].shifted(1) == sums[i] for i in range(1, g.n))
 
 
 def common_denominator(w: TWeights) -> Polynomial:
-    acc = Polynomial.one("t")
-    for v in w.values:
-        acc = poly_lcm(acc, v.den)
-    return acc
+    """det / gcd(det, y_1, ..., y_r): the least common denominator of the
+    reduced weights y_i / det, monic because det is."""
+    return w.det.exact_div(reduce(poly_gcd, w.y[1:], w.det))
 
 
 def to_q_numerators(w: TWeights) -> QNumerators:
     """Substitute t = q + 1/q and normalize the affine node to 1 + q^h.
 
-    With num(q + 1/q) = P(q)/q^dn and den(q + 1/q) = D(q)/q^dd, the
-    numerator is N = P q^dd (1 + q^h) / (D q^dn); D is monic because den
-    is, so the division is synthetic division over Z.
+    With y_i(q + 1/q) = Y_i(q)/q^dy and det(q + 1/q) = D(q)/q^dd, the
+    numerator is N_i = Y_i q^dd (1 + q^h) / (D q^dy); D is monic because
+    det is, so the division is synthetic division over Z. det is
+    substituted once, as y_0.
     """
     dt = w.dynkin
     h = dt.coxeter_number
     a, b = dt.standard_ab
     scale = one_plus_q(h)
+    subs = [substitute_t(yi) for yi in w.y]
+    pd, dd = subs[0]
     out = []
-    for v in w.values:
-        pn, dn = substitute_t(v.num)
-        pd, dd = substitute_t(v.den)
+    for yi, (py, dy) in zip(w.y, subs):
         try:
-            p = (pn.shifted(dd) * scale).exact_div(pd.shifted(dn))
+            p = (py.shifted(dd) * scale).exact_div(pd.shifted(dy))
         except ValueError:
-            raise NonPolynomialResult(
-                f"{v} does not clear modulo 1+q^{h}") from None
+            raise NonPolynomialResult(f"{RationalFunction(yi, w.det)} does "
+                                      f"not clear modulo 1+q^{h}") from None
         out.append(p)
     return QNumerators(dt, h, a, b, tuple(out))
 
@@ -158,11 +163,12 @@ def intermediate_q_weights(w: TWeights) -> tuple[Polynomial, ...]:
     homogenize with q^(deg cox); the resulting vector has no common factor."""
     c = cox(w.dynkin.coxeter_number)
     out = []
-    for v in w.values:
+    for yi in w.y:
         try:
-            cleared = (v.num * c).exact_div(v.den)
+            cleared = (yi * c).exact_div(w.det)
         except ValueError:
-            raise NonPolynomialResult(f"{v} is not cleared by {c}") from None
+            raise NonPolynomialResult(
+                f"{RationalFunction(yi, w.det)} is not cleared by {c}") from None
         p, d = substitute_t(cleared)
         out.append(p.shifted(c.degree - d))
     return tuple(out)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from adeweights.poly import Polynomial
+from adeweights.poly import Polynomial, cox
 
 
 def moebius(n: int) -> int:
@@ -106,6 +106,30 @@ def krylov_minpoly(mult) -> Polynomial:
     raise AssertionError("Krylov sequence exceeded the dimension")
 
 
+def lcd_law(dt) -> Polynomial:
+    """The least common denominator of the t-weights of type ``dt`` by the
+    per-family law, from ``cox`` products alone:
+
+    - A_m (h = m+1): the product of cox(d) over d | h with h/d odd, d >= 2;
+    - D_m (h = 2m-2): the same product over d >= 3;
+    - E6, E7, E8: cox(h).
+
+    For A, b = e_1 + e_m is symmetric under the path's reflection, so it
+    meets exactly the eigenvectors sin(jk pi/h) with k odd, of eigenvalue
+    2cos(k pi/h); grouping the odd k by d = h/gcd(k, h) gives the roots of
+    cox(d), the fold of Phi_2d. No solver or rational-function code is used.
+    """
+    h = dt.coxeter_number
+    if dt.family == "E":
+        return cox(h)
+    least = 2 if dt.family == "A" else 3
+    out = Polynomial.one("t")
+    for d in range(least, h + 1):
+        if h % d == 0 and (h // d) % 2 == 1:
+            out = out * cox(d)
+    return out
+
+
 def euclid_gcd(a: Polynomial, b: Polynomial) -> list[Fraction]:
     """Monic gcd over Q as ascending Fraction coefficients ([] when both are
     zero), by Euclid's algorithm on coefficient lists; no PRS, content or
@@ -186,11 +210,12 @@ def molien_by_elements(G, table):
         denom = _list_mul(denom, quad)
     partial = {tr: _list_div_monic(denom, quad) for tr, quad in quads.items()}
     std = _list_mul([1] + [0] * (a - 1) + [-1], [1] + [0] * (b - 1) + [-1])
+    class_of = {j: k for k, c in enumerate(G.classes) for j in c.members}
     out = []
     for row in table.values:
         acc = [0] * (len(denom) - 2)
         for idx, x in enumerate(G.elements):
-            val = row[G.class_of[idx]]
+            val = row[class_of[idx]]
             acc = [s + val * c for s, c in zip(acc, partial[x.trace()])]
         coeffs = []
         for c in _list_div_monic(_list_mul(acc, std), denom):

@@ -217,7 +217,7 @@ def test_criterion_11_property_suite():
         if b.semiaffine.mult == tuple(zip(*b.semiaffine.mult)):
             failures.append(f"{name}: semiaffine matrix is symmetric")
         # informational claim, always attached
-        rep = charpoly_report(b.semiaffine, b.finite)
+        rep = charpoly_report(b.semiaffine, char_poly(b.finite))
         if rep.d + rep.cofactor.degree != b.dynkin.rank + 1:
             failures.append(f"{name}: charpoly report inconsistent")
     if beyond_cox != LCD_EXCEPTIONS:

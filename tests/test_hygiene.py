@@ -10,6 +10,7 @@ from pathlib import Path
 
 import adeweights
 from adeweights.groups import CharTable, MolienSet
+from adeweights.weights import TWeights
 
 SRC = Path(adeweights.__file__).parent
 
@@ -129,3 +130,30 @@ def test_series_expansion_lives_in_one_place():
                     if isinstance(node, ast.Import) for alias in node.names}
         assert "oracles" not in {m.rsplit(".", 1)[-1] for m in modules}, \
             path.name
+
+
+def test_tweights_hold_only_the_cramer_vector():
+    """The solver keeps y = det(tI - A_fin) * n unreduced; a weight is
+    reduced only when ``TWeights.values`` is read."""
+    assert [f.name for f in fields(TWeights)] == ["dynkin", "y"]
+    assert "RationalFunction" not in _names_in_function(SRC / "weights.py",
+                                                        "solve_semiaffine")
+
+
+def test_poly_defines_no_lcm():
+    tree = ast.parse((SRC / "poly.py").read_text())
+    assert "poly_lcm" not in {node.name for node in ast.walk(tree)
+                              if isinstance(node, ast.FunctionDef)}
+
+
+def test_no_dead_module_level_helpers():
+    """Every top-level function and class in src/ is read (as a name, an
+    attribute or an import) somewhere in src/, or exported in ``__all__``;
+    ``cli.run`` is the console entry point."""
+    paths = sorted(SRC.glob("*.py"))
+    read = set(adeweights.__all__).union(*(_named(path) for path in paths))
+    unread = [f"{path.name}:{node.name}" for path in paths
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in read]
+    assert [name for name in unread if name != "cli.py:run"] == []

@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import FrozenInstanceError, replace
+from functools import lru_cache
 
 import pytest
 
-from adeweights import verify
+from adeweights import graphs, verify
 from adeweights.cyclo import minimal_polynomial
 from adeweights.errors import ValidationFailed
-from adeweights.graphs import DynkinType, charpoly_report
-from adeweights.poly import Polynomial, RationalFunction
+from adeweights.graphs import DynkinType, char_poly, charpoly_report
+from adeweights.poly import Polynomial
 from adeweights.verify import (CHECK_NAMES, DEFAULT_SUITE, FaultSpec,
                                report_json, report_text, run_suite)
 
@@ -71,7 +72,8 @@ class TestRunSuite:
 class TestIdentityGates:
     """CLOSED_FORM re-substitutes the t-weights into the semi-affine
     equations and MCKAY_ADJ checks the Molien recurrence on the McKay
-    matrix; either identity failing turns its check red on its own."""
+    matrix; either identity failing turns its check red on its own.
+    STRUCTURAL_CHARPOLY holds the solver's det against LeVerrier."""
 
     def _statuses(self, b):
         return {c.name: (c.status, c.detail)
@@ -85,14 +87,25 @@ class TestIdentityGates:
     def test_perturbed_t_weight_fails_closed_form(self, bundle):
         for name in ("A1", "D4", "E8"):
             b = bundle(name)
-            values = list(b.tweights.values)
-            values[-1] = RationalFunction(values[-1].num + 1, values[-1].den)
+            y = list(b.tweights.y)
+            y[-1] = y[-1] + 1
             got = self._statuses(
-                replace(b, tweights=replace(b.tweights, values=tuple(values))))
+                replace(b, tweights=replace(b.tweights, y=tuple(y))))
             assert got["CLOSED_FORM"] == (
                 "fail", "solved t-weights do not satisfy the semi-affine "
                 "equations")
             assert got["MCKAY_ADJ"][0] == "pass"
+
+    def test_perturbed_det_fails_structural(self, bundle):
+        for name in ("A1", "D4", "E8"):
+            b = bundle(name)
+            y = list(b.tweights.y)
+            y[0] = y[0] + 1
+            got = self._statuses(
+                replace(b, tweights=replace(b.tweights, y=tuple(y))))
+            assert got["STRUCTURAL_CHARPOLY"] == (
+                "fail", "structural characteristic-polynomial identity fails")
+            assert got["CROSS_MATCH"][0] == "pass"
 
     def test_perturbed_molien_numerator_fails_mckay(self, bundle):
         for name in ("A1", "D4", "E8"):
@@ -201,6 +214,25 @@ class TestBundle:
         with pytest.raises(FrozenInstanceError):
             bundle("D4").marks = (1,) * 5
 
+    def test_solver_det_is_the_finite_char_poly(self, bundle, suite_types):
+        for t in suite_types:
+            b = bundle(str(t))
+            assert b.tweights.det == char_poly(b.finite), t
+
+    def test_one_leverrier_per_type(self, monkeypatch):
+        forms = []
+        leverrier = graphs.char_poly
+
+        def counted(g):
+            forms.append(g.form)
+            return leverrier(g)
+        monkeypatch.setattr(graphs, "char_poly", counted)
+        # a cache of its own, so the E8 bundle is built cold
+        monkeypatch.setattr(verify, "build_bundle", lru_cache(maxsize=None)(
+            verify.build_bundle.__wrapped__))
+        run_suite([dt("E8")])
+        assert forms == ["semiaffine"]
+
 
 class TestSmithMarks:
     def test_halving_stays_exact(self):
@@ -218,8 +250,9 @@ class TestIntegerCoefficients:
     def test_every_polynomial_is_in_z(self, bundle, suite_types):
         for t in suite_types:
             b = bundle(str(t))
-            rep = charpoly_report(b.semiaffine, b.finite)
-            polys = [p for v in b.tweights.values for p in (v.num, v.den)]
+            rep = charpoly_report(b.semiaffine, b.tweights.det)
+            polys = list(b.tweights.y)
+            polys += [p for v in b.tweights.values for p in (v.num, v.den)]
             polys += list(b.numerators.N) + list(b.molien.numerators)
             polys += [p for s in b.molien.series for p in (s.num, s.den)]
             polys += [rep.cofactor, rep.cox, rep.char_semiaffine, rep.char_finite]

@@ -14,17 +14,18 @@ from adeweights.weights import (QNumerators, check_notes, closed_form,
                                 numerators_latex, solve_semiaffine,
                                 specialization_identity, to_q_numerators,
                                 weights_satisfy)
-from oracles import krylov_minpoly
+from oracles import krylov_minpoly, lcd_law
 
 Q = lambda *cs: Polynomial("q", cs)
 T = lambda *cs: Polynomial("t", cs)
 SUITE_NAMES = [f"A{m}" for m in range(1, 13)] + \
               [f"D{m}" for m in range(4, 13)] + ["E6", "E7", "E8"]
 
-# types whose reduced weight denominators stay inside cox(h); the others
-# pick up extra eigenvalue factors (see "Verification suite" in the README)
-COX_CLEARING = [n for n in SUITE_NAMES
-                if n not in ("A5", "A8", "A9", "A11", "D7", "D10", "D11")]
+# the suite types whose reduced weight denominators pick up eigenvalue
+# factors beyond cox(h) (see "Verification suite" in the README); the others
+# stay inside cox(h)
+LCD_EXCEPTIONS = {"A5", "A8", "A9", "A11", "D7", "D10", "D11"}
+COX_CLEARING = [n for n in SUITE_NAMES if n not in LCD_EXCEPTIONS]
 
 
 def dt(name):
@@ -60,7 +61,7 @@ class TestSolver:
         for name in SUITE_NAMES:
             g = build_graph(DynkinType.parse(name), "semiaffine")
             w = solve_semiaffine(g)
-            assert weights_satisfy(g, w, common_denominator(w))
+            assert weights_satisfy(g, w)
 
     def test_ladder_in_integer_polynomials(self):
         # every weight is y_i / det(tI - A_fin) reduced in Z[t]: integer
@@ -71,18 +72,17 @@ class TestSolver:
             w = solve_semiaffine(g)
             assert all(type(c) is int
                        for v in w.values for c in v.num.coeffs + v.den.coeffs)
-            assert weights_satisfy(g, w, common_denominator(w))
+            assert weights_satisfy(g, w)
             assert common_denominator(w) == krylov_minpoly(g.mult)
 
     def test_perturbed_weight_fails_equations(self):
         for name in ("A1", "D4", "E8"):
             g = build_graph(DynkinType.parse(name), "semiaffine")
             w = solve_semiaffine(g)
-            for i, v in enumerate(w.values):
-                values = list(w.values)
-                values[i] = RationalFunction(v.num + 1, v.den)
-                bad = replace(w, values=tuple(values))
-                assert not weights_satisfy(g, bad, common_denominator(bad))
+            for i, yi in enumerate(w.y):
+                y = list(w.y)
+                y[i] = yi + 1
+                assert not weights_satisfy(g, replace(w, y=tuple(y)))
 
     def test_rejects_non_semiaffine(self):
         with pytest.raises(ValueError):
@@ -108,6 +108,17 @@ class TestCommonDenominator:
             lcd = common_denominator(solve(name))
             assert (lcd % cox(h)).is_zero()
         assert common_denominator(solve("A5")) == T(0, -3, 0, 1)  # t(t^2-3)
+
+    def test_family_law(self):
+        # the cox-product law, which uses no solver, against the solver's
+        # LCD det / gcd(det, y) up to rank 24
+        names = [f"A{m}" for m in range(1, 25)] + \
+            [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"]
+        for name in names:
+            assert common_denominator(solve(name)) == lcd_law(dt(name)), name
+        off_cox = {n for n in SUITE_NAMES
+                   if lcd_law(dt(n)) != cox(dt(n).coxeter_number)}
+        assert off_cox == LCD_EXCEPTIONS
 
     def test_krylov_oracle_hand_values(self):
         # A5: n_1 = n_5, n_2 = n_4 by symmetry, so x = n_3 solves
@@ -164,12 +175,14 @@ class TestQNormalizations:
             intermediate_q_weights(solve("A5"))
 
     def test_final_raises_when_affine_scale_does_not_clear(self):
-        # t^2 - 5 becomes q^4 - 3q^2 + 1, which does not divide q^k (1 + q^6)
+        # t^2 - 5 becomes q^4 - 3q^2 + 1, which does not divide q^k (1 + q^6);
+        # n_1 = 1/(t^2 - 5) over the common denominator det * (t^2 - 5)
         w = solve("D4")
-        values = list(w.values)
-        values[1] = RationalFunction(T(1), T(-5, 0, 1))
-        with pytest.raises(NonPolynomialResult, match="does not clear"):
-            to_q_numerators(replace(w, values=tuple(values)))
+        y = [yi * T(-5, 0, 1) for yi in w.y]
+        y[1] = w.det
+        with pytest.raises(NonPolynomialResult,
+                           match=r"^1/\(t\^2-5\) does not clear"):
+            to_q_numerators(replace(w, y=tuple(y)))
 
 
 class TestClosedForm:
