@@ -120,7 +120,7 @@ def _cmd_weights(args) -> tuple[str, int]:
             return numerators_latex(b.numerators) + "\n"
         text = _grouped([str(p) for p in b.numerators.N])
         if args.basis == "molien":
-            text += f"   over (1-q^{b.numerators.a})(1-q^{b.numerators.b})"
+            text += "   over (1-q^{})(1-q^{})".format(*dt.standard_ab)
         return text + "\n"
     return _emit(types, args.format,
                  lambda dt: build_bundle(dt).numerators.to_json(), render), 0
@@ -145,8 +145,8 @@ def _cmd_molien(args) -> tuple[str, int]:
     def render(dt):
         b = build_bundle(dt)
         ms = b.molien
-        lines = [f"{dt}: |G|={b.group.order}, h={ms.h}, "
-                 f"denominator (1-q^{ms.a})(1-q^{ms.b})"]
+        lines = [f"{dt}: |G|={b.group.order}, h={dt.coxeter_number}, "
+                 + "denominator (1-q^{})(1-q^{})".format(*dt.standard_ab)]
         for i, (d, num) in enumerate(zip(ms.degrees, ms.numerators)):
             line = f"  chi_{i} (degree {d}): N = {num}"
             if args.series_terms:

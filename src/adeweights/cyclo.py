@@ -137,12 +137,6 @@ class CycNumber:
         return cls(N, nums, value.denominator)
 
     @classmethod
-    def from_fractions(cls, N: int, coords) -> CycNumber:
-        """Element with the given rational power-basis coordinates."""
-        den = lcm(*(c.denominator for c in coords))
-        return cls(N, [c.numerator * (den // c.denominator) for c in coords], den)
-
-    @classmethod
     def root_of_unity(cls, N: int, e: int) -> CycNumber:
         fld = _field(N)
         e %= N
@@ -279,10 +273,6 @@ class CycNumber:
     # -- JSON ---------------------------------------------------------------------------
     def to_json(self) -> dict:
         return {"N": self.N, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> CycNumber:
-        return cls.from_fractions(obj["N"], [Fraction(s) for s in obj["coeffs"]])
 
 
 def dot(N: int, xs, ys, factors=None, *, powers: bool = False) -> CycNumber:

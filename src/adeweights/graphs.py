@@ -99,11 +99,18 @@ FORMS = ("finite", "affine", "semiaffine")
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    n: int
     mult: tuple[tuple[int, ...], ...]
-    affine_index: int | None
-    dynkin: DynkinType | None = None
-    form: str | None = None
+    dynkin: DynkinType | None
+    form: str
+
+    @property
+    def n(self) -> int:
+        return len(self.mult)
+
+    @property
+    def affine_index(self) -> int | None:
+        """Node 0 is the affine node; the finite form has none."""
+        return None if self.form == "finite" else 0
 
     def is_symmetric(self) -> bool:
         return all(self.mult[i][j] == self.mult[j][i]
@@ -140,14 +147,6 @@ class DirectedGraph:
         edges = [{"from": i, "to": j, "mult": self.mult[i][j]}
                  for i in range(self.n) for j in range(self.n) if self.mult[i][j]]
         return {"nodes": self.n, "affine_index": self.affine_index, "edges": edges}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> DirectedGraph:
-        n = obj["nodes"]
-        mult = [[0] * n for _ in range(n)]
-        for e in obj["edges"]:
-            mult[e["from"]][e["to"]] = e["mult"]
-        return cls(n, tuple(tuple(r) for r in mult), obj["affine_index"])
 
     def to_dot(self, name: str = "g") -> str:
         lines = [f'digraph "{name}" {{']
@@ -193,12 +192,10 @@ def build_graph(dt: DynkinType, form: str) -> DirectedGraph:
         mult[i][j] += 1
         mult[j][i] += 1
     if form == "finite":
-        sub = [row[1:] for row in mult[1:]]
-        return DirectedGraph(n - 1, tuple(tuple(r) for r in sub), None,
-                             dt, form)
-    if form == "semiaffine":
+        mult = [row[1:] for row in mult[1:]]
+    elif form == "semiaffine":
         mult[0] = [0] * n
-    return DirectedGraph(n, tuple(tuple(r) for r in mult), 0, dt, form)
+    return DirectedGraph(tuple(tuple(r) for r in mult), dt, form)
 
 
 def char_poly(g: DirectedGraph) -> Polynomial:
@@ -240,17 +237,17 @@ def graph_marks(affine: DirectedGraph) -> tuple[int, ...]:
 
     Elimination runs forward only, then back-substitutes: A_fin is a tree
     in canonical node order, so the rows fill in little, where clearing
-    above the pivots as well would fill the upper triangle."""
+    above the pivots as well would fill the upper triangle. No row swaps:
+    2I - A_fin is positive definite, so no pivot is zero, and a zero pivot
+    means the system is not of finite ADE type."""
     r = affine.n - 1
     rows = [[Fraction(affine.mult[i][j] - (2 if i == j else 0))
              for j in range(1, r + 1)] + [Fraction(-affine.mult[i][0])]
             for i in range(1, r + 1)]
     for col in range(r):
-        sel = next((k for k in range(col, r) if rows[k][col] != 0), None)
-        if sel is None:
-            raise SingularSystem(f"{affine.dynkin}: marks system lost rank")
-        rows[col], rows[sel] = rows[sel], rows[col]
         pivot = rows[col]
+        if pivot[col] == 0:
+            raise SingularSystem(f"{affine.dynkin}: marks system lost rank")
         for k in range(col + 1, r):
             if rows[k][col] != 0:
                 f = rows[k][col] / pivot[col]

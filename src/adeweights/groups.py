@@ -296,8 +296,6 @@ class CharTable:
     """Rows are irreducible characters (row 0 trivial), columns follow the
     aligned ``classes`` tuple."""
 
-    conductor: int
-    group_order: int
     degrees: tuple[int, ...]
     values: tuple[tuple[CycNumber, ...], ...]
     classes: tuple[ConjClass, ...]
@@ -342,8 +340,7 @@ def char_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
         rows, degrees = _binary_dihedral_table(dt, G)
     else:
         rows, degrees = _e_type_table(dt, G)
-    table = CharTable(G.conductor, G.order, tuple(degrees),
-                      tuple(tuple(r) for r in rows), G.classes)
+    table = CharTable(tuple(degrees), tuple(tuple(r) for r in rows), G.classes)
     problem = table_violation(table, G)
     if problem is not None:
         raise ValidationFailed(problem)
@@ -585,7 +582,7 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     for i, row in enumerate(values):
         if row[id_col] != table.degrees[i] or table.degrees[i] <= 0:
             return f"chi_{i}(1) != degree {table.degrees[i]}"
-    if sum(d * d for d in table.degrees) != table.group_order:
+    if sum(d * d for d in table.degrees) != G.order:
         return "degree squares do not sum to |G|"
     # conjugate symmetry: chi(x^-1) = conj(chi(x))
     col_of_class = {c.rep: i for i, c in enumerate(table.classes)}
@@ -679,16 +676,14 @@ class MolienSet:
     m_i = N_i / ((1-q^a)(1-q^b)), the standard form."""
 
     dynkin: DynkinType
-    h: int
-    a: int
-    b: int
     degrees: tuple[int, ...]
     numerators: tuple[Polynomial, ...]
 
     @property
     def series(self) -> tuple[RationalFunction, ...]:
         """Each m_i reduced over Z, built on every read."""
-        std = one_plus_q(self.a, -1) * one_plus_q(self.b, -1)
+        a, b = self.dynkin.standard_ab
+        std = one_plus_q(a, -1) * one_plus_q(b, -1)
         return tuple(RationalFunction(n, std) for n in self.numerators)
 
     def coefficients(self, i: int, n: int) -> list[int]:
@@ -696,13 +691,15 @@ class MolienSet:
         through one strided prefix sum per factor, since 1/(1-q^s) adds in
         the coefficient s places below."""
         c = [self.numerators[i].coefficient(k) for k in range(n)]
-        for s in (self.a, self.b):
+        for s in self.dynkin.standard_ab:
             for k in range(s, n):
                 c[k] += c[k - s]
         return c
 
     def to_json(self) -> dict:
-        return {"type": str(self.dynkin), "h": self.h, "a": self.a, "b": self.b,
+        a, b = self.dynkin.standard_ab
+        return {"type": str(self.dynkin), "h": self.dynkin.coxeter_number,
+                "a": a, "b": b,
                 "characters": [{"degree": d, "numerator": n.to_json(),
                                 "molien": s.to_json()}
                                for d, n, s in zip(self.degrees, self.numerators,
@@ -753,7 +750,7 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
         numerators.append(Polynomial("q", coeffs))
     if numerators[0] != one_plus_q(h):
         raise NonPolynomialResult(f"{dt}: trivial numerator is not 1 + q^{h}")
-    return MolienSet(dt, h, a, b, table.degrees, tuple(numerators))
+    return MolienSet(dt, table.degrees, tuple(numerators))
 
 
 def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
@@ -795,7 +792,8 @@ def recurrence_check(mset: MolienSet, matrix) -> bool:
     i.e. the cleared defect is the standard form (1 - q^a)(1 - q^b), and that
     is checked too. It reads only the numerators, a, b and the McKay matrix.
     """
-    std = one_plus_q(mset.a, -1) * one_plus_q(mset.b, -1)
+    a, b = mset.dynkin.standard_ab
+    std = one_plus_q(a, -1) * one_plus_q(b, -1)
     for i, ni in enumerate(mset.numerators):
         acc = Polynomial.zero("q")
         for j, nj in enumerate(mset.numerators):

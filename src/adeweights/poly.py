@@ -123,12 +123,7 @@ class Polynomial:
             other = Polynomial.constant(self.var, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scaled(other)
+    def __mul__(self, other: Polynomial):
         self._check_var(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.var)
@@ -246,10 +241,6 @@ class Polynomial:
     def to_json(self) -> dict:
         return {"var": self.var, "coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> Polynomial:
-        return cls(obj["var"], [int(c) for c in obj["coeffs"]])
-
 
 def one_plus_q(k: int, c=1) -> Polynomial:
     """1 + c*q^k: the factors 1 - q^a of the standard form, the affine
@@ -309,9 +300,7 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None):
-        if den is None:
-            den = Polynomial.one(num.var)
+    def __init__(self, num: Polynomial, den: Polynomial):
         num._check_var(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -328,10 +317,6 @@ class RationalFunction:
                 den = den.exact_div(g)
         self.num = num
         self.den = den
-
-    @property
-    def var(self) -> str:
-        return self.num.var
 
     def is_polynomial(self) -> bool:
         return self.den == 1
@@ -359,10 +344,6 @@ class RationalFunction:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> RationalFunction:
-        return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
 
 
 @lru_cache(maxsize=None)
@@ -407,21 +388,21 @@ def fold_palindromic(p: Polynomial) -> Polynomial:
 
 def substitute_t(p: Polynomial) -> tuple[Polynomial, int]:
     """Substitute t = q + 1/q and clear: returns (P, d) with
-    p(q + 1/q) = P(q) / q**d and d = deg p."""
+    p(q + 1/q) = P(q) / q**d and d = deg p.
+
+    t**i becomes q**(d-i) * (q^2+1)**i, so c * t**i spreads as
+    c * C(i, k) into q**(d-i+2k) for k = 0..i."""
     if p.var != "t":
         raise ValueError(f"substitute_t expects a polynomial in t, got {p.var!r}")
     if p.is_zero():
         return Polynomial.zero("q"), 0
     d = p.degree
-    basis = one_plus_q(2)  # q^2 + 1 = q * (q + 1/q)
-    power = Polynomial.one("q")
-    acc = Polynomial.zero("q")
+    out = [0] * (2 * d + 1)
     for i, c in enumerate(p.coeffs):
         if c != 0:
-            acc = acc + power.scaled(c).shifted(d - i)
-        if i < d:
-            power = power * basis
-    return acc, d
+            for k in range(i + 1):
+                out[d - i + 2 * k] += c * comb(i, k)
+    return Polynomial("q", out), d
 
 
 @lru_cache(maxsize=None)

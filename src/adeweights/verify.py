@@ -179,7 +179,7 @@ def _check_finite_reduction(b: TypeBundle) -> CheckResult:
 
 
 def _check_palindrome(b: TypeBundle) -> CheckResult:
-    h = b.numerators.h
+    h = b.dynkin.coxeter_number
     bad = [i for i, p in enumerate(b.numerators.N)
            if not all(p.coefficient(k) == p.coefficient(h - k)
                       for k in range(h + 1))]

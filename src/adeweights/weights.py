@@ -51,20 +51,13 @@ class QNumerators:
     """Standard-form numerators N_i(q), normalized to N_0 = 1 + q^h."""
 
     dynkin: DynkinType
-    h: int
-    a: int
-    b: int
     N: tuple[Polynomial, ...]
 
     def to_json(self) -> dict:
-        return {"type": str(self.dynkin), "h": self.h, "a": self.a, "b": self.b,
+        a, b = self.dynkin.standard_ab
+        return {"type": str(self.dynkin), "h": self.dynkin.coxeter_number,
+                "a": a, "b": b,
                 "N": [[str(c) for c in p.coeffs] for p in self.N]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> QNumerators:
-        return cls(DynkinType.parse(obj["type"]), obj["h"], obj["a"], obj["b"],
-                   tuple(Polynomial("q", [int(c) for c in row])
-                         for row in obj["N"]))
 
 
 def solve_semiaffine(g: DirectedGraph) -> TWeights:
@@ -80,8 +73,8 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
       tI - A_fin, a characteristic polynomial and so monic, never zero. Each
       update is divided exactly by the previous pivot, which makes the
       division synthetic division over Z. On a tree most entries are zero:
-      where m[i][k] = 0 the update is only pivot*m[i][j]/prev, and where
-      m[i][j] = 0 as well it is skipped.
+      where m[i][k] or m[k][j] is zero the update is only pivot*m[i][j]/prev,
+      and where m[i][j] = 0 as well it is skipped.
     - Back substitution is fraction-free too (Nakos, Turner and Williams
       1997). With no row swaps the last pivot is D = det(tI - A_fin), and
       by Cramer's rule y_i = D*x_i is an integer polynomial. Going up the
@@ -102,7 +95,7 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
             row = m[i]
             mik = row[k]
             for j in range(k + 1, r + 1):
-                if not mik.is_zero():
+                if not (mik.is_zero() or row_k[j].is_zero()):
                     row[j] = (pivot * row[j] - mik * row_k[j]).exact_div(prev)
                 elif not row[j].is_zero():
                     row[j] = (pivot * row[j]).exact_div(prev)
@@ -143,7 +136,6 @@ def to_q_numerators(w: TWeights) -> QNumerators:
     """
     dt = w.dynkin
     h = dt.coxeter_number
-    a, b = dt.standard_ab
     scale = one_plus_q(h)
     subs = [substitute_t(yi) for yi in w.y]
     pd, dd = subs[0]
@@ -155,7 +147,7 @@ def to_q_numerators(w: TWeights) -> QNumerators:
             raise NonPolynomialResult(f"{RationalFunction(yi, w.det)} does "
                                       f"not clear modulo 1+q^{h}") from None
         out.append(p)
-    return QNumerators(dt, h, a, b, tuple(out))
+    return QNumerators(dt, tuple(out))
 
 
 def intermediate_q_weights(w: TWeights) -> tuple[Polynomial, ...]:
@@ -177,14 +169,13 @@ def intermediate_q_weights(w: TWeights) -> tuple[Polynomial, ...]:
 def closed_form(dt: DynkinType) -> QNumerators:
     """Expected numerators assembled from the per-family exponent tables."""
     h = dt.coxeter_number
-    a, b = dt.standard_ab
     rows = []
     for exps in _exponent_table(dt):
         coeffs = [0] * (h + 1)
         for e in exps:
             coeffs[e] += 1
         rows.append(Polynomial("q", coeffs))
-    return QNumerators(dt, h, a, b, tuple(rows))
+    return QNumerators(dt, tuple(rows))
 
 
 _E6_EXPONENTS = [
@@ -230,15 +221,16 @@ def _exponent_table(dt: DynkinType) -> list[tuple[int, ...]]:
 def specialization_identity(nq: QNumerators, affine: DirectedGraph) -> bool:
     """q * [(q+1/q) N_0 - sum over the affine neighbors of node 0] must equal
     (1-q^a)(1-q^b)."""
+    a, b = nq.dynkin.standard_ab
     lhs = one_plus_q(2) * nq.N[0] - affine.neighbor_sums(nq.N)[0].shifted(1)
-    return lhs == one_plus_q(nq.a, -1) * one_plus_q(nq.b, -1)
+    return lhs == one_plus_q(a, -1) * one_plus_q(b, -1)
 
 
 def finite_reduction_check(nq: QNumerators, finite: DirectedGraph) -> bool:
     """Modulo 1 + q^h the numerators satisfy the finite-type equations:
     weighting the affine node with zero recovers the finite constraints,
     which read the finite graph on N_1, ..., N_r."""
-    mod = one_plus_q(nq.h)
+    mod = one_plus_q(nq.dynkin.coxeter_number)
     nodes = nq.N[1:]
     return all(((one_plus_q(2) * ni - si.shifted(1)) % mod).is_zero()
                for ni, si in zip(nodes, finite.neighbor_sums(nodes)))
@@ -258,7 +250,7 @@ class NotesReport:
 
 
 def check_notes(nq: QNumerators, affine: DirectedGraph) -> NotesReport:
-    h = nq.h
+    h = nq.dynkin.coxeter_number
     dist = affine.distances_from(0)
 
     chain_ok = all(p.min_exponent() == dist[i] and p.degree == h - dist[i]

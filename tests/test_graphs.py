@@ -198,17 +198,17 @@ class TestMarks:
 
     def test_affine_row_is_checked(self):
         # the finite row solves to x_1 = 1, which breaks the affine row
-        g = DirectedGraph(2, ((0, 1), (2, 0)), 0)
+        g = DirectedGraph(((0, 1), (2, 0)), None, "affine")
         with pytest.raises(SingularSystem, match="inconsistent"):
             graph_marks(g)
 
     def test_singular_finite_system_raises(self):
-        g = DirectedGraph(2, ((0, 2), (2, 2)), 0)
+        g = DirectedGraph(((0, 2), (2, 2)), None, "affine")
         with pytest.raises(SingularSystem, match="lost rank"):
             graph_marks(g)
 
     def test_fractional_marks_raise(self):
-        g = DirectedGraph(2, ((0, 1), (1, 0)), 0)
+        g = DirectedGraph(((0, 1), (1, 0)), None, "affine")
         with pytest.raises(ValidationFailed, match="positive integers"):
             graph_marks(g)
 
@@ -228,7 +228,11 @@ class TestExport:
     def test_json_round_trip(self):
         g = build_graph(dt("D5"), "semiaffine")
         obj = g.to_json()
-        assert set(obj) == {"nodes", "affine_index", "edges"}
-        back = DirectedGraph.from_json(json.loads(json.dumps(obj)))
-        assert back.mult == g.mult
-        assert back.affine_index == g.affine_index
+        assert list(obj) == ["nodes", "affine_index", "edges"]
+        assert json.loads(json.dumps(obj)) == obj
+        assert (obj["nodes"], obj["affine_index"]) == (6, 0)
+        assert obj["edges"] == [{"from": i, "to": j, "mult": g.mult[i][j]}
+                                for i in range(6) for j in range(6)
+                                if g.mult[i][j]]
+        assert len(obj["edges"]) == 2 * 5 - 1  # the affine row is zeroed
+        assert build_graph(dt("D5"), "finite").to_json()["affine_index"] is None

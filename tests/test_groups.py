@@ -190,8 +190,7 @@ class TestCharTable:
                     for delta in (1, -1):
                         values = [list(r) for r in b.table.values]
                         values[i][j] = values[i][j] + delta
-                        bad = CharTable(b.table.conductor, b.table.group_order,
-                                        b.table.degrees,
+                        bad = CharTable(b.table.degrees,
                                         tuple(tuple(r) for r in values),
                                         b.table.classes)
                         assert table_violation(bad, b.group) is not None
@@ -220,7 +219,7 @@ class TestCharTable:
         perm = list(range(k))
         perm[1], perm[k - 1] = perm[k - 1], perm[1]  # relabel two classes
         permuted = CharTable(
-            b.table.conductor, b.table.group_order, b.table.degrees,
+            b.table.degrees,
             tuple(tuple(row[p] for p in perm) for row in b.table.values),
             tuple(b.table.classes[p] for p in perm))
         assert table_violation(permuted, b.group) is None
@@ -231,9 +230,10 @@ class TestCharTable:
 
     def test_regular_character_decomposes_into_degrees(self, bundle):
         for name in SUITE_NAMES:
-            t = bundle(name).table
-            regular = [CycNumber.from_rational(t.conductor,
-                                               t.group_order if c.order == 1 else 0)
+            b = bundle(name)
+            g, t = b.group, b.table
+            regular = [CycNumber.from_rational(g.conductor,
+                                               g.order if c.order == 1 else 0)
                        for c in t.classes]
             assert decompose(regular, t.values, t.classes) == list(t.degrees)
 
@@ -265,8 +265,8 @@ class TestMcKay:
         b = bundle("D4")
         values = [list(r) for r in b.table.values]
         values[1] = [v * Fraction(1, 2) for v in values[1]]
-        bad = CharTable(b.table.conductor, b.table.group_order, b.table.degrees,
-                        tuple(tuple(r) for r in values), b.table.classes)
+        bad = CharTable(b.table.degrees, tuple(tuple(r) for r in values),
+                        b.table.classes)
         with pytest.raises(ValidationFailed):
             mckay_matrix(b.group, bad, b.affine, b.marks)
 
@@ -282,14 +282,14 @@ class TestMolien:
     def test_d4_values(self, bundle):
         b = bundle("D4")
         assert b.molien.numerators[0] == Q(1, 0, 0, 0, 0, 0, 1)
-        assert (b.molien.a, b.molien.b) == (4, 4)
+        assert b.molien.dynkin.standard_ab == (4, 4)
         defining = [n for n, d in zip(b.molien.numerators, b.molien.degrees)
                     if d == 2]
         assert defining == [Q(0, 1, 0, 2, 0, 1)]
 
     def test_a1_nontrivial(self, bundle):
         b = bundle("A1")
-        assert (b.molien.a, b.molien.b) == (2, 2)
+        assert b.molien.dynkin.standard_ab == (2, 2)
         assert b.molien.numerators[1] == Q(0, 2)
 
     def test_against_elementwise_oracle(self, bundle):
@@ -312,7 +312,8 @@ class TestMolien:
         # the reduced series, on either side of each stride
         for name in SUITE_NAMES:
             m = bundle(name).molien
-            for n in (0, 1, m.a - 1, m.a, m.b, 2 * m.h + 2):
+            a, b = m.dynkin.standard_ab
+            for n in (0, 1, a - 1, a, b, 2 * m.dynkin.coxeter_number + 2):
                 for i, s in enumerate(m.series):
                     assert m.coefficients(i, n) == series_coefficients(s, n), \
                         (name, i, n)
@@ -396,7 +397,8 @@ class TestOpCounts:
             assert table_violation(table, b.group) is None
             assert decompose(table.values[1], table.values, table.classes) \
                 == [int(i == 1) for i in range(k)]
-            sym_power_multiplicities(b.group, table, 2 * b.molien.h + 1)
+            sym_power_multiplicities(b.group, table,
+                                     2 * b.dynkin.coxeter_number + 1)
             assert count[0] == 0, name
             mckay_matrix(b.group, table, b.affine, b.marks)
             assert count[0] <= k * k, name

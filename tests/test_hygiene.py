@@ -1,7 +1,8 @@
 """Lint-style checks that need no linter: the public names resolve, no
-module imports a name it never uses, no invariant rests on ``assert``
-(which ``python -O`` strips), polynomials stay over Z, and the Molien route
-stays off the other group-side routes."""
+module imports a name it never uses and no class defines a method nothing
+calls, no invariant rests on ``assert`` (which ``python -O`` strips),
+polynomials stay over Z, values hold no fact the ADE type already fixes, and
+the Molien route stays off the other group-side routes."""
 from __future__ import annotations
 
 import ast
@@ -9,8 +10,9 @@ from dataclasses import fields
 from pathlib import Path
 
 import adeweights
+from adeweights.graphs import DirectedGraph
 from adeweights.groups import CharTable, MolienSet
-from adeweights.weights import TWeights
+from adeweights.weights import QNumerators, TWeights
 
 SRC = Path(adeweights.__file__).parent
 
@@ -157,3 +159,49 @@ def test_no_dead_module_level_helpers():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in read]
     assert [name for name in unread if name != "cli.py:run"] == []
+
+
+def _reads_outside_namesakes(tree: ast.AST) -> set[str]:
+    """Every name and attribute ``tree`` reads, except a read inside a
+    function of the same name: a method that only a namesake calls (a
+    ``to_json`` delegating to its parts, a recursion) is not kept alive."""
+    out: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+        if isinstance(node, ast.FunctionDef):
+            enclosing = enclosing | {node.name}
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name is not None and name not in enclosing:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return out
+
+
+def test_no_dead_methods():
+    """Every method and property a class in src/ defines, dunders aside, is
+    read somewhere in src/. The program writes JSON and reads none, so no
+    class keeps a ``from_json``."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = set().union(*(_reads_outside_namesakes(tree) for tree in trees))
+    unread = [f"{cls.name}.{node.name}" for tree in trees
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef)
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in read]
+    assert unread == []
+
+
+def test_values_hold_no_copied_type_facts():
+    """h, a, b, |G| and the conductor are functions of the ADE type, and a
+    graph's size and affine node follow from its matrix and form: each value
+    keeps only what cannot be derived."""
+    assert [f.name for f in fields(QNumerators)] == ["dynkin", "N"]
+    assert [f.name for f in fields(MolienSet)] == ["dynkin", "degrees",
+                                                   "numerators"]
+    assert [f.name for f in fields(CharTable)] == ["degrees", "values",
+                                                   "classes"]
+    assert [f.name for f in fields(DirectedGraph)] == ["mult", "dynkin", "form"]

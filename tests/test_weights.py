@@ -7,8 +7,9 @@ import pytest
 
 from adeweights.errors import NonPolynomialResult
 from adeweights.graphs import DynkinType, build_graph
-from adeweights.poly import Polynomial, RationalFunction, cox, poly_gcd
-from adeweights.weights import (QNumerators, check_notes, closed_form,
+from adeweights.poly import (Polynomial, RationalFunction, cox, poly_gcd,
+                             substitute_t)
+from adeweights.weights import (check_notes, closed_form,
                                 common_denominator, exponent_sum_latex,
                                 finite_reduction_check, intermediate_q_weights,
                                 numerators_latex, solve_semiaffine,
@@ -133,7 +134,7 @@ class TestQNormalizations:
         nq = to_q_numerators(solve("D4"))
         assert list(nq.N) == [Q(1, 0, 0, 0, 0, 0, 1), Q(0, 1, 0, 2, 0, 1),
                               Q(0, 0, 1, 0, 1), Q(0, 0, 1, 0, 1), Q(0, 0, 1, 0, 1)]
-        assert (nq.h, nq.a, nq.b) == (6, 4, 4)
+        assert (nq.dynkin.coxeter_number, nq.dynkin.standard_ab) == (6, (4, 4))
 
     def test_a2_final_numerators(self):
         nq = to_q_numerators(solve("A2"))
@@ -256,7 +257,7 @@ class TestIdentities:
     def test_numerator_invariants(self):
         for name in SUITE_NAMES:
             nq = to_q_numerators(solve(name))
-            h = nq.h
+            h = nq.dynkin.coxeter_number
             for p in nq.N:
                 assert p.degree <= h
                 assert all(c.denominator == 1 and c >= 0 for c in p.coeffs)
@@ -265,11 +266,53 @@ class TestIdentities:
                            for k in range(h + 1))
 
 
+class TestProducts:
+    """Upper bounds on ``Polynomial.__mul__`` calls. The solver multiplies
+    only where both factors of an update product are nonzero, and t = q + 1/q
+    is substituted by binomial coefficients, with no product at all."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        original = Polynomial.__mul__
+        count = [0]
+
+        def counting(self, other):
+            count[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        return count
+
+    def test_solver(self, products):
+        for name, limit in (("A24", 920), ("D24", 1040)):
+            g = build_graph(dt(name), "semiaffine")
+            products[0] = 0
+            w = solve_semiaffine(g)
+            assert products[0] <= limit, (name, products[0])
+            assert weights_satisfy(g, w)
+
+    def test_q_normalization(self, products):
+        for name in ("A24", "D24"):
+            w = solve(name)
+            products[0] = 0
+            for y in w.y:
+                substitute_t(y)
+            assert products[0] == 0, name
+            to_q_numerators(w)
+            assert products[0] <= 25, (name, products[0])
+
+
 class TestSerialization:
     def test_qnumerators_json_round_trip(self):
-        nq = to_q_numerators(solve("D4"))
-        back = QNumerators.from_json(nq.to_json())
-        assert back.N == nq.N and (back.h, back.a, back.b) == (nq.h, nq.a, nq.b)
+        # h, a and b are written from the type, in this key order
+        obj = to_q_numerators(solve("D4")).to_json()
+        assert list(obj) == ["type", "h", "a", "b", "N"]
+        assert obj == {"type": "D4", "h": 6, "a": 4, "b": 4,
+                       "N": [["1", "0", "0", "0", "0", "0", "1"],
+                             ["0", "1", "0", "2", "0", "1"],
+                             ["0", "0", "1", "0", "1"],
+                             ["0", "0", "1", "0", "1"],
+                             ["0", "0", "1", "0", "1"]]}
 
     def test_latex_exponent_sums(self):
         assert exponent_sum_latex(Q(0, 1, 0, 2, 0, 1)) == "(1+2\\times 3+5)"
