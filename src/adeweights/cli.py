@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 from .errors import InvalidParameter
-from .graphs import (build_graph, char_poly, charpoly_report,
+from .graphs import (FORMS, build_graph, char_poly, charpoly_report,
                      parse_type_selector)
 from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, report_json,
                      report_text, run_suite)
@@ -216,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="emit a graph in dot/json/text form")
     _types_arg(p)
-    p.add_argument("--form", choices=("finite", "affine", "semiaffine"),
-                   default="semiaffine")
+    p.add_argument("--form", choices=FORMS, default="semiaffine")
     p.add_argument("--format", choices=("json", "text", "dot"), default="text")
     p.set_defaults(func=_cmd_graph)
 

@@ -202,6 +202,8 @@ class CycNumber:
         other = self._lift(other)
         if other is None:
             return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return CycNumber.zero(self.N)
         fld = _field(self.N)
         phi = fld.phi
         out = [0] * (2 * phi - 1)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidParameter, SingularSystem, ValidationFailed
-from .poly import Polynomial, cox
+from .poly import Polynomial, cox, one_plus_q
 
 _E_COXETER = {6: 12, 7: 18, 8: 30}
 _E_ORDER = {6: 24, 7: 48, 8: 120}
@@ -83,6 +83,13 @@ class DynkinType:
         if self.family == "D":
             return (4, h - 2)
         return _E_AB[self.m]
+
+    @property
+    def standard_form(self) -> Polynomial:
+        """(1-q^a)(1-q^b) as p - q^b p with p = 1 - q^a, built on every read."""
+        a, b = self.standard_ab
+        p = one_plus_q(a, -1)
+        return p - p.shifted(b)
 
     @property
     def conductor(self) -> int:

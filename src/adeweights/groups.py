@@ -682,8 +682,7 @@ class MolienSet:
     @property
     def series(self) -> tuple[RationalFunction, ...]:
         """Each m_i reduced over Z, built on every read."""
-        a, b = self.dynkin.standard_ab
-        std = one_plus_q(a, -1) * one_plus_q(b, -1)
+        std = self.dynkin.standard_form
         return tuple(RationalFunction(n, std) for n in self.numerators)
 
     def coefficients(self, i: int, n: int) -> list[int]:
@@ -732,8 +731,7 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     """
     dt = G.dynkin
     h = dt.coxeter_number
-    a, b = dt.standard_ab
-    std = one_plus_q(a, -1) * one_plus_q(b, -1)
+    std = dt.standard_form
     # column j holds coefficient j of every class's P_C
     columns = list(zip(*(_class_cofactor(std.coeffs, c.trace, dt)
                          for c in table.classes)))
@@ -790,16 +788,16 @@ def recurrence_check(mset: MolienSet, matrix) -> bool:
     row except the trivial one (its node is a sink); there the defect of
     (q + 1/q) m_0 is forced to be exactly 1/q by the specialization identity,
     i.e. the cleared defect is the standard form (1 - q^a)(1 - q^b), and that
-    is checked too. It reads only the numerators, a, b and the McKay matrix.
+    is checked too. It reads only the numerators, the standard form of the
+    type and the McKay matrix.
     """
-    a, b = mset.dynkin.standard_ab
-    std = one_plus_q(a, -1) * one_plus_q(b, -1)
+    std = mset.dynkin.standard_form
     for i, ni in enumerate(mset.numerators):
         acc = Polynomial.zero("q")
         for j, nj in enumerate(mset.numerators):
             if matrix[i][j]:
                 acc = acc + nj.scaled(matrix[i][j])
-        defect = one_plus_q(2) * ni - acc.shifted(1)
+        defect = ni.shifted(2) + ni - acc.shifted(1)
         if defect != (std if i == 0 else 0):
             return False
     return True

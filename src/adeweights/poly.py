@@ -206,9 +206,6 @@ class Polynomial:
             return self.degree == 0 and self.coeffs[0] == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
-
     # -- presentation ------------------------------------------------------
     def __str__(self):
         if self.is_zero():
@@ -244,7 +241,7 @@ class Polynomial:
 
 def one_plus_q(k: int, c=1) -> Polynomial:
     """1 + c*q^k: the factors 1 - q^a of the standard form, the affine
-    normalization 1 + q^h, and q^2 + 1 = q * (q + 1/q)."""
+    numerator and modulus 1 + q^h; multiplying by one is a shift and an add."""
     return Polynomial.monomial("q", k, c) + 1
 
 
@@ -327,9 +324,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __str__(self):
         if self.is_polynomial():

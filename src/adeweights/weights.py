@@ -130,19 +130,19 @@ def to_q_numerators(w: TWeights) -> QNumerators:
     """Substitute t = q + 1/q and normalize the affine node to 1 + q^h.
 
     With y_i(q + 1/q) = Y_i(q)/q^dy and det(q + 1/q) = D(q)/q^dd, the
-    numerator is N_i = Y_i q^dd (1 + q^h) / (D q^dy); D is monic because
-    det is, so the division is synthetic division over Z. det is
-    substituted once, as y_0.
+    numerator is N_i = M (1 + q^h) / D with M = Y_i q^(dd - dy) (dd >= dy),
+    a shift and an add over D, monic because det is, so the division is
+    synthetic division over Z. det is substituted once, as y_0.
     """
     dt = w.dynkin
     h = dt.coxeter_number
-    scale = one_plus_q(h)
     subs = [substitute_t(yi) for yi in w.y]
     pd, dd = subs[0]
     out = []
     for yi, (py, dy) in zip(w.y, subs):
+        num = py.shifted(dd - dy)
         try:
-            p = (py.shifted(dd) * scale).exact_div(pd.shifted(dy))
+            p = (num.shifted(h) + num).exact_div(pd)
         except ValueError:
             raise NonPolynomialResult(f"{RationalFunction(yi, w.det)} does "
                                       f"not clear modulo 1+q^{h}") from None
@@ -221,9 +221,9 @@ def _exponent_table(dt: DynkinType) -> list[tuple[int, ...]]:
 def specialization_identity(nq: QNumerators, affine: DirectedGraph) -> bool:
     """q * [(q+1/q) N_0 - sum over the affine neighbors of node 0] must equal
     (1-q^a)(1-q^b)."""
-    a, b = nq.dynkin.standard_ab
-    lhs = one_plus_q(2) * nq.N[0] - affine.neighbor_sums(nq.N)[0].shifted(1)
-    return lhs == one_plus_q(a, -1) * one_plus_q(b, -1)
+    n0 = nq.N[0]
+    lhs = n0.shifted(2) + n0 - affine.neighbor_sums(nq.N)[0].shifted(1)
+    return lhs == nq.dynkin.standard_form
 
 
 def finite_reduction_check(nq: QNumerators, finite: DirectedGraph) -> bool:
@@ -232,7 +232,7 @@ def finite_reduction_check(nq: QNumerators, finite: DirectedGraph) -> bool:
     which read the finite graph on N_1, ..., N_r."""
     mod = one_plus_q(nq.dynkin.coxeter_number)
     nodes = nq.N[1:]
-    return all(((one_plus_q(2) * ni - si.shifted(1)) % mod).is_zero()
+    return all(((ni.shifted(2) + ni - si.shifted(1)) % mod).is_zero()
                for ni, si in zip(nodes, finite.neighbor_sums(nodes)))
 
 

@@ -12,7 +12,7 @@ import pytest
 import adeweights
 from adeweights import cli
 from adeweights.cli import main
-from adeweights.graphs import DynkinType
+from adeweights.graphs import FORMS, DynkinType
 from adeweights.poly import RationalFunction, one_plus_q
 from adeweights.verify import build_bundle
 
@@ -71,6 +71,15 @@ class TestGraphCommand:
         lines = out.splitlines()
         assert sum("->" in ln for ln in lines) == 4
         assert sum("label" in ln for ln in lines) == 3
+
+    def test_form_choices_are_the_graph_forms(self, capsys):
+        status, out, _ = run_cli(capsys, "graph", "--help")
+        assert status == 0 and "--form {finite,affine,semiaffine}" in out
+        commands = next(a for a in cli.build_parser()._actions
+                        if a.dest == "command")
+        form = next(a for a in commands.choices["graph"]._actions
+                    if a.dest == "form")
+        assert form.choices is FORMS
 
     def test_dot_rejects_ranges(self, capsys):
         status, _, err = run_cli(capsys, "graph", "--type", "A1..A3",

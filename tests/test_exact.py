@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adeweights.cyclo import CycNumber, dot, euler_phi, minimal_polynomial
+from adeweights.cyclo import (CycNumber, _Field, dot, euler_phi,
+                              minimal_polynomial)
 from adeweights.errors import NotRational, ValidationFailed
 from adeweights.poly import (Polynomial, RationalFunction, cox, cyclotomic,
                              fold_palindromic, one_plus_q, poly_gcd,
@@ -108,6 +109,16 @@ class TestCycNumber:
             nums = [rng.randint(-6, 6) for _ in range(phi)]
             if any(nums):
                 return CycNumber(N, nums, rng.randint(1, 4))
+
+    def test_zero_factor_skips_the_reduction(self, monkeypatch):
+        x = self._random_element(random.Random(7), 12)
+        zero = CycNumber.zero(12)
+        reductions = []
+        reduce = _Field.reduce
+        monkeypatch.setattr(_Field, "reduce", lambda fld, nums:
+                            reductions.append(1) or reduce(fld, nums))
+        assert x * 0 == zero and 0 * x == zero and x * zero == zero
+        assert reductions == []
 
     def test_inverse_and_conj(self):
         rng = random.Random(20240811)
@@ -233,6 +244,15 @@ class TestPolynomial:
         assert one_plus_q(4, -1) == Q(1, 0, 0, 0, -1)
         assert one_plus_q(6) == Q(1, 0, 0, 0, 0, 0, 1)
         assert one_plus_q(2) == Q(1, 0, 1)
+
+    def test_equal_to_ints_but_unhashable(self):
+        """A hash could not agree with == against an int, so neither value
+        type has one."""
+        assert Polynomial.one("q") == 1 and Polynomial.zero("q") == 0
+        assert RationalFunction(Q(2, 2), Q(1, 1)) == 2
+        for value in (Q(1), RationalFunction(Q(1), Q(1, 1))):
+            with pytest.raises(TypeError):
+                hash(value)
 
     def test_variable_mismatch(self):
         with pytest.raises(ValueError):

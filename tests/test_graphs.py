@@ -8,7 +8,7 @@ from adeweights.errors import InvalidParameter, SingularSystem, ValidationFailed
 from adeweights.graphs import (DirectedGraph, DynkinType, build_graph,
                                char_poly, charpoly_report, graph_marks,
                                parse_type_selector)
-from adeweights.poly import Polynomial, cox
+from adeweights.poly import Polynomial, cox, one_plus_q
 from oracles import char_poly_bareiss
 
 T = lambda *cs: Polynomial("t", cs)
@@ -48,6 +48,15 @@ class TestDynkinType:
             a, b = t.standard_ab
             assert a * b == 2 * t.group_order
             assert a + b == t.coxeter_number + 2
+
+    def test_standard_form_is_the_product_of_its_factors(self):
+        names = [f"A{m}" for m in range(1, 25)] + \
+                [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"]
+        for name in names:
+            a, b = dt(name).standard_ab
+            assert dt(name).standard_form == \
+                one_plus_q(a, -1) * one_plus_q(b, -1), name
+        assert dt("A1").standard_form == Q(1, 0, -2, 0, 1)
 
     def test_invalid(self):
         for bad in ("D3", "E9", "E5", "A0", "B2", "banana", "A01", "A1\u0660"):

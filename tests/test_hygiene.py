@@ -205,3 +205,16 @@ def test_values_hold_no_copied_type_facts():
     assert [f.name for f in fields(CharTable)] == ["degrees", "values",
                                                    "classes"]
     assert [f.name for f in fields(DirectedGraph)] == ["mult", "dynkin", "form"]
+
+
+def test_no_product_by_a_one_plus_q_factor():
+    """Multiplying by 1 + c*q^k is a shift and an add, so no ``*`` in src/
+    has a ``one_plus_q(...)`` call as an operand."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+             and any(isinstance(side, ast.Call)
+                     and isinstance(side.func, ast.Name)
+                     and side.func.id == "one_plus_q"
+                     for side in (node.left, node.right))]
+    assert found == []

@@ -10,9 +10,12 @@ from adeweights import graphs, verify
 from adeweights.cyclo import minimal_polynomial
 from adeweights.errors import ValidationFailed
 from adeweights.graphs import DynkinType, char_poly, charpoly_report
+from adeweights.groups import molien_series, recurrence_check
 from adeweights.poly import Polynomial
 from adeweights.verify import (CHECK_NAMES, DEFAULT_SUITE, FaultSpec,
                                report_json, report_text, run_suite)
+from adeweights.weights import (finite_reduction_check,
+                                specialization_identity, to_q_numerators)
 
 # the types whose reduced common denominator strictly exceeds cox(h); the
 # LCD_COX check honestly fails there (see "Verification suite" in the README)
@@ -259,3 +262,21 @@ class TestIntegerCoefficients:
             polys += [minimal_polynomial(c.trace) for c in b.group.classes]
             for p in polys:
                 assert all(type(c) is int for c in p.coeffs), (t, p)
+
+
+@pytest.mark.parametrize("name", ["A1", "D4", "E8"])
+def test_q_side_identities_build_no_product(name, bundle, monkeypatch):
+    """The standard form and every factor 1 + q^h and q^2 + 1 are a shift
+    and an add, so no q-side identity calls ``Polynomial.__mul__``."""
+    b = bundle(name)
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda p, other:
+                        products.append(1) or mul(p, other))
+    assert to_q_numerators(b.tweights) == b.numerators
+    assert specialization_identity(b.numerators, b.affine)
+    assert finite_reduction_check(b.numerators, b.finite)
+    assert recurrence_check(b.molien, b.mckay.matrix)
+    assert molien_series(b.group, b.table) == b.molien
+    assert len(b.molien.series) == len(b.molien.degrees)
+    assert products == []
