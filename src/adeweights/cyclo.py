@@ -7,11 +7,14 @@ integers over one common denominator, which keeps products cheap; the
 conductors. ``dot`` is the one sum-of-products kernel: it accumulates every
 term's coordinate products, times an optional integer factor, in one
 unreduced integer buffer and reduces modulo Phi_N and by the content once
-per sum, so a sum of k products builds one value, not 2k. The inverse is
-the product of the other Galois conjugates over the norm, a rational
-number, so no polynomial division is needed; the minimal polynomial of an
-element is the product of t - y over its Galois orbit, which must lie in
-Z[t].
+per sum, so a sum of k products builds one value, not 2k. A caller that
+sweeps one row of entries against many others reads it once with ``split``
+(denominator, coordinates and nonzero positions per entry) and hands the
+split row to every ``dot`` of the sweep; the split is dropped with the call
+that made it, and nothing holds it afterwards. The inverse is the product
+of the other Galois conjugates over the norm, a rational number, so no
+polynomial division is needed; the minimal polynomial of an element is the
+product of t - y over its Galois orbit, which must lie in Z[t].
 """
 from __future__ import annotations
 
@@ -78,7 +81,7 @@ class _Field:
 
     def support(self, nums) -> tuple[int, ...]:
         """Positions of the nonzero nums; equal patterns share one tuple, so
-        a value ``dot`` has read keeps no tuple of its own."""
+        a value ``split`` has read keeps no tuple of its own."""
         s = tuple(compress(count(), nums))
         return self._supports.setdefault(s, s)
 
@@ -118,7 +121,7 @@ class CycNumber:
         self.N = N
         self._den = den
         self._nums = tuple(nums)
-        self._support = None  # positions of the nonzero nums, set by ``dot``
+        self._support = None  # positions of the nonzero nums, set by ``split``
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -277,31 +280,52 @@ class CycNumber:
         return {"N": self.N, "coeffs": [str(c) for c in self.coeffs]}
 
 
+class Split(tuple):
+    """A row of ``dot`` entries read once, by ``split``: per entry its
+    denominator, its coordinates and the positions of the nonzero ones. It
+    is built inside the call that sweeps it and is dropped with that call."""
+
+    __slots__ = ()
+
+
+def split(N: int, xs) -> Split:
+    """Read each entry of ``xs`` once, so that every ``dot`` of a sweep over
+    the same row reuses the reading instead of taking it apart per term."""
+    return Split(_parts(N, x) for x in xs)
+
+
 def dot(N: int, xs, ys, factors=None, *, powers: bool = False) -> CycNumber:
     """sum_k n_k * x_k * y_k in Q(zeta_N), built as one CycNumber.
 
     Entries are CycNumbers of conductor N or ints, and the int ``factors``
-    n_k (1 when None) scale a term's coordinates. Zero coordinates are
-    skipped; the products of the nonzero ones go into one unreduced integer
-    buffer over the lcm of the term denominators, which is reduced modulo
-    Phi_N and by its content once, at the end. With ``powers`` the y_k are
-    integer exponents e_k standing for zeta^e_k, so a term scatters the
-    coordinates of x_k instead of multiplying them.
+    n_k (1 when None) scale a term's coordinates. ``xs`` and ``ys`` are rows
+    of entries or rows already read by ``split``; a caller that sweeps one
+    row against many splits it once and passes the split row to every
+    ``dot``. Zero coordinates are skipped; the products of the nonzero ones
+    go into one unreduced integer buffer over the lcm of the term
+    denominators, which is reduced modulo Phi_N and by its content once, at
+    the end. With ``powers`` the y_k are integer exponents e_k standing for
+    zeta^e_k, so a term scatters the coordinates of x_k instead of
+    multiplying them.
     """
     fld = _field(N)
+    if not isinstance(xs, Split):
+        xs = split(N, xs)
+    if not (powers or isinstance(ys, Split)):
+        ys = split(N, ys)
     buf = [0] * (N if powers else 2 * fld.phi - 1)
     den = 1
-    for x, y, n in zip(xs, ys, repeat(1) if factors is None else factors):
-        xd, xn, xt = _parts(N, x)
-        if powers:
-            yd, e = 1, y % N
-        else:
-            yd, yn, yt = _parts(N, y)
-            if not yt:
-                continue
+    for (xd, xn, xt), y, n in zip(xs, ys,
+                                  repeat(1) if factors is None else factors):
         if not xt:
             continue
-        d = xd * yd
+        if powers:
+            d, e = xd, y % N
+        else:
+            yd, yn, yt = y
+            if not yt:
+                continue
+            d = xd * yd
         if den % d:
             grown = lcm(den, d)
             buf = [c * (grown // den) for c in buf]

@@ -28,7 +28,10 @@ Every table must pass ``table_violation`` before use. Every inner product of
 class functions goes through ``decompose``, which is one ``cyclo.dot`` per
 row and reads conj(chi(C)) as chi(C^-1); the Molien class sums and the
 symmetric-power traces are ``cyclo.dot`` calls of their own, so each class
-sum reduces modulo Phi_N once, with |C| an integer factor inside it.
+sum reduces modulo Phi_N once, with |C| an integer factor inside it. A sweep
+of many sums over the same rows reads each row once with ``cyclo.split``,
+and the symmetric-power traces sum each distinct power sum once, since
+lambda^m depends on m only modulo N and up to m -> N - m.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .cyclo import CycNumber, dot, minimal_polynomial
+from .cyclo import CycNumber, Split, dot, minimal_polynomial, split
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
@@ -310,12 +313,13 @@ def decompose(values, rows, classes) -> list[Fraction]:
     class function f = ``values`` with each row chi over the aligned
     ``classes``, collapsed to Q. The rows must be conjugate-symmetric,
     conj(chi(C)) = chi(C^-1), and C -> C^-1 keeps |C|, so this is
-    sum_C |C| f(C^-1) chi(C): one ``dot`` per row with |C| as a factor."""
+    sum_C |C| f(C^-1) chi(C): one ``dot`` per row with |C| as a factor.
+    f(C^-1) is split once for all the rows, and the rows may come split."""
     col = {c.rep: i for i, c in enumerate(classes)}
-    flipped = [values[col[c.inverse]] for c in classes]
+    N = values[0].N
+    flipped = split(N, [values[col[c.inverse]] for c in classes])
     sizes = [c.size for c in classes]
     order = sum(sizes)
-    N = values[0].N
     return [dot(N, flipped, row, sizes).to_rational() / order for row in rows]
 
 
@@ -591,14 +595,15 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
         for i, row in enumerate(values):
             if row[cj] != row[ci].conj():
                 return f"chi_{i} not conjugate-symmetric on class {ci}"
+    rows = [split(G.conductor, row) for row in values]
     for i in range(k):
-        for j, got in enumerate(decompose(values[i], values[i:], table.classes), i):
+        for j, got in enumerate(decompose(values[i], rows[i:], table.classes), i):
             if got != (1 if i == j else 0):
                 return f"row orthogonality fails at ({i},{j}): {got}"
     # the defining character decomposes with nonnegative integer multiplicities
     tau = [c.trace for c in table.classes]
     try:
-        _multiplicities(decompose(tau, values, table.classes), "defining character")
+        _multiplicities(decompose(tau, rows, table.classes), "defining character")
     except ValidationFailed as exc:
         return str(exc)
     return None
@@ -617,9 +622,10 @@ def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
     character degree against the marks."""
     k = len(table.classes)
     tau = [c.trace for c in table.classes]
+    rows = [split(G.conductor, row) for row in table.values]
     matrix = tuple(
         tuple(_multiplicities(decompose([t * v for t, v in zip(tau, row)],
-                                        table.values, table.classes),
+                                        rows, table.classes),
                               f"{G.dynkin}: V x chi_{i}"))
         for i, row in enumerate(table.values))
     if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
@@ -730,17 +736,20 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     N_i = (1/|G|) sum_C |C| chi_i(C) P_C, collapsed to Q.
     """
     dt = G.dynkin
+    N = G.conductor
     h = dt.coxeter_number
     std = dt.standard_form
-    # column j holds coefficient j of every class's P_C
-    columns = list(zip(*(_class_cofactor(std.coeffs, c.trace, dt)
-                         for c in table.classes)))
+    # column j holds coefficient j of every class's P_C; each row and each
+    # column is split once for the k(h+1) class sums
+    columns = [split(N, col) for col in zip(*(
+        _class_cofactor(std.coeffs, c.trace, dt) for c in table.classes))]
     sizes = [c.size for c in table.classes]
     numerators = []
     for row in table.values:
+        row = split(N, row)
         coeffs = []
         for col in columns:
-            v = dot(G.conductor, row, col, sizes).to_rational() / G.order
+            v = dot(N, row, col, sizes).to_rational() / G.order
             if v.denominator != 1 or v < 0:
                 raise NonPolynomialResult(
                     f"{dt}: numerator coefficient {v} is not a nonnegative integer")
@@ -758,26 +767,43 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     Sym^m = Sym^(m-2) + lambda^m + lambda^-m, where lambda^s is the class
     function zeta^(s e_C) and each <lambda^m + lambda^-m, chi_i> is one
     shifted ``dot`` over the plain row taken twice, once per sign: the class
-    function is real, so chi_i and conj(chi_i) give the same rational sum."""
+    function is real, so chi_i and conj(chi_i) give the same rational sum.
+
+    lambda^m reads m only modulo N, and m -> N - m swaps the two signed
+    halves of the doubled row, so the sums depend on m only through
+    (m > 0, min(m mod N, -m mod N)): each distinct key is summed once, at
+    most floor(N/2) + 2 ``dot`` calls per character. Each row is split once,
+    and its doubled form reuses the split."""
     N = G.conductor
     exps = [c.eigen_exp for c in table.classes]
     sizes = [c.size for c in table.classes]
+    rows = [split(N, row) for row in table.values]
+    doubled = [Split(row + row) for row in rows]
+    sums: dict[tuple[bool, int], list[Fraction]] = {}
 
-    def power_sum(row, m: int) -> Fraction:
-        # |G| <lambda^m + lambda^-m, chi_i>, or |G| <1, chi_i> at m = 0
-        shifts, n = [m * e for e in exps], sizes
-        if m:
-            row, shifts, n = row + row, shifts + [-s for s in shifts], n + n
-        return dot(N, row, shifts, n, powers=True).to_rational()
+    def power_sums(m: int) -> list[Fraction]:
+        # |G| <lambda^m + lambda^-m, chi_i> per row, or |G| <1, chi_i> at m = 0
+        r = min(m % N, -m % N)
+        key = (m > 0, r)
+        if key not in sums:
+            shifts = [r * e for e in exps]
+            if m:
+                shifts += [-s for s in shifts]
+                sums[key] = [dot(N, row, shifts, sizes + sizes,
+                                 powers=True).to_rational() for row in doubled]
+            else:
+                sums[key] = [dot(N, row, shifts, sizes,
+                                 powers=True).to_rational() for row in rows]
+        return sums[key]
 
-    rows = []
+    out = []
     prev2 = prev1 = [Fraction(0)] * len(table.values)
     for m in range(mmax + 1):
-        vals = [p + power_sum(row, m) for p, row in zip(prev2, table.values)]
-        rows.append(tuple(_multiplicities(
+        vals = [p + s for p, s in zip(prev2, power_sums(m))]
+        out.append(tuple(_multiplicities(
             [v / G.order for v in vals], f"{G.dynkin}: Sym^{m}")))
         prev2, prev1 = prev1, vals
-    return tuple(rows)
+    return tuple(out)
 
 
 def recurrence_check(mset: MolienSet, matrix) -> bool:

@@ -19,8 +19,7 @@ from functools import reduce
 
 from .errors import NonPolynomialResult
 from .graphs import DirectedGraph, DynkinType
-from .poly import (Polynomial, RationalFunction, cox, one_plus_q, poly_gcd,
-                   substitute_t)
+from .poly import Polynomial, RationalFunction, cox, poly_gcd, substitute_t
 
 
 @dataclass(frozen=True)
@@ -69,17 +68,29 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
     every step:
 
     - Forward elimination is fraction-free (Bareiss) and needs no pivot
-      search: the k-th pivot is the leading principal minor of order k of
-      tI - A_fin, a characteristic polynomial and so monic, never zero. Each
-      update is divided exactly by the previous pivot, which makes the
-      division synthetic division over Z. On a tree most entries are zero:
-      where m[i][k] or m[k][j] is zero the update is only pivot*m[i][j]/prev,
-      and where m[i][j] = 0 as well it is skipped.
+      search: the pivot of step k is p_(k+1), where p_s is the leading
+      principal minor of order s of tI - A_fin (p_0 = 1), a characteristic
+      polynomial and so monic, never zero. Every division is by some p_s,
+      which makes it synthetic division over Z.
+    - Rows are scaled lazily. A row last updated at step s holds its
+      Bareiss values of level s. Where the pivot column is zero in a row,
+      a Bareiss step only multiplies the row by p_(k+1)/p_k, so a row
+      skipped since level s stands for its values times p_k/p_s at level k.
+      When the pivot column next reaches the row at step k, its update is
+      (p_(k+1)*row[j] - row[k]*pivot_row[j]) / p_s, and the pivot row is
+      brought up to date once, by * p_k / p_s, before it is used. Each
+      quotient is a true Bareiss value, a minor of tI - A_fin, so it lies
+      in Z[t] and the division by the monic p_s is exact. A row the pivot
+      column does not reach costs nothing; on a tree most rows are not
+      reached, and within a reached row an entry zero in both rows is
+      skipped.
     - Back substitution is fraction-free too (Nakos, Turner and Williams
-      1997). With no row swaps the last pivot is D = det(tI - A_fin), and
-      by Cramer's rule y_i = D*x_i is an integer polynomial. Going up the
-      triangle, m[i][i]*y_i = D*m[i][r] - sum_j m[i][j]*y_j, divided
-      exactly by the monic pivot m[i][i]. (D, y_1, ..., y_r) is returned.
+      1997). Row i ends at level i, where it was the pivot row, so the
+      triangle is Bareiss's; with no row swaps the last pivot is
+      D = p_r = det(tI - A_fin), and by Cramer's rule y_i = D*x_i is an
+      integer polynomial. Going up the triangle,
+      m[i][i]*y_i = D*m[i][r] - sum_j m[i][j]*y_j, divided exactly by the
+      monic pivot m[i][i]. (D, y_1, ..., y_r) is returned.
     """
     if g.form != "semiaffine":
         raise ValueError("solver expects a semi-affine graph")
@@ -88,20 +99,34 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
     m = [[t.scaled(1 if i == j else 0) - g.mult[i + 1][j + 1] for j in range(r)]
          + [Polynomial.constant("t", g.mult[i + 1][0])] for i in range(r)]
     zero = Polynomial.zero("t")
-    prev = Polynomial.one("t")
+    minors = [Polynomial.one("t")]  # p_0, p_1, ...: the pivots so far
+    level = [0] * r  # the step whose Bareiss values row i holds
     for k in range(r):
-        pivot, row_k = m[k][k], m[k]
+        row_k, p_k = m[k], minors[k]
+        if level[k] < k:
+            p_s = minors[level[k]]
+            for j in range(k, r + 1):
+                if not row_k[j].is_zero():
+                    row_k[j] = (p_k * row_k[j]).exact_div(p_s)
+        pivot = row_k[k]
+        minors.append(pivot)
         for i in range(k + 1, r):
             row = m[i]
             mik = row[k]
+            if mik.is_zero():
+                continue
+            p_s = minors[level[i]]
             for j in range(k + 1, r + 1):
-                if not (mik.is_zero() or row_k[j].is_zero()):
-                    row[j] = (pivot * row[j] - mik * row_k[j]).exact_div(prev)
-                elif not row[j].is_zero():
-                    row[j] = (pivot * row[j]).exact_div(prev)
+                if row_k[j].is_zero():
+                    if not row[j].is_zero():
+                        row[j] = (pivot * row[j]).exact_div(p_s)
+                elif row[j].is_zero():
+                    row[j] = -(mik * row_k[j]).exact_div(p_s)
+                else:
+                    row[j] = (pivot * row[j] - mik * row_k[j]).exact_div(p_s)
             row[k] = zero
-        prev = pivot
-    det = prev
+            level[i] = k + 1
+    det = minors[r]
     y = [zero] * r
     for i in range(r - 1, -1, -1):
         acc = det * m[i][r]
@@ -230,10 +255,19 @@ def finite_reduction_check(nq: QNumerators, finite: DirectedGraph) -> bool:
     """Modulo 1 + q^h the numerators satisfy the finite-type equations:
     weighting the affine node with zero recovers the finite constraints,
     which read the finite graph on N_1, ..., N_r."""
-    mod = one_plus_q(nq.dynkin.coxeter_number)
+    h = nq.dynkin.coxeter_number
     nodes = nq.N[1:]
-    return all(((ni.shifted(2) + ni - si.shifted(1)) % mod).is_zero()
+    return all(not any(_mod_one_plus_q(ni.shifted(2) + ni - si.shifted(1), h))
                for ni, si in zip(nodes, finite.neighbor_sums(nodes)))
+
+
+def _mod_one_plus_q(p: Polynomial, h: int) -> list[int]:
+    """Coefficients of p modulo 1 + q^h, by folding: q^h = -1, so from the
+    top down coefficient k >= h moves to k - h with its sign flipped."""
+    c = list(p.coeffs)
+    for k in range(len(c) - 1, h - 1, -1):
+        c[k - h] -= c[k]
+    return c[:h]
 
 
 @dataclass(frozen=True)

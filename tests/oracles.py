@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from adeweights.cyclo import CycNumber
 from adeweights.poly import Polynomial, cox
 
 
@@ -223,4 +224,27 @@ def molien_by_elements(G, table):
             assert v.denominator == 1, v
             coeffs.append(v.numerator)
         out.append(Polynomial("q", coeffs))
+    return out
+
+
+def sym_power_multiplicities_direct(G, table, m: int) -> list[Fraction]:
+    """Multiplicity of each irreducible in Sym^m of the defining
+    representation for one m, summed directly: the character of Sym^m at a
+    class with eigenvalues zeta^(+-e) is sum_j zeta^((m-2j) e), built from
+    ``CycNumber.root_of_unity`` alone, and each multiplicity is
+    (1/|G|) sum_C |C| Sym^m(C) conj(chi(C)) by CycNumber products and sums.
+    No ``dot``, no recurrence in m and no periodicity in m is used."""
+    N = G.conductor
+    chars = []
+    for c in table.classes:
+        s = CycNumber.zero(N)
+        for j in range(m + 1):
+            s = s + CycNumber.root_of_unity(N, (m - 2 * j) * c.eigen_exp)
+        chars.append(s)
+    out = []
+    for row in table.values:
+        acc = CycNumber.zero(N)
+        for c, x, chi in zip(table.classes, chars, row):
+            acc = acc + x * chi.conj() * c.size
+        out.append(acc.to_rational() / G.order)
     return out

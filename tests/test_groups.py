@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from adeweights import cyclo, groups
 from adeweights.cyclo import CycNumber
 from adeweights.errors import (ClosureOverflow, NoIsomorphism,
                                NonPolynomialResult, ValidationFailed)
@@ -18,7 +19,8 @@ from adeweights.groups import (CharTable, Matrix2, build_group, char_table,
                                _match_affine)
 from adeweights.poly import Polynomial
 from adeweights.verify import build_bundle, run_suite
-from oracles import molien_by_elements, series_coefficients
+from oracles import (molien_by_elements, series_coefficients,
+                     sym_power_multiplicities_direct)
 
 Q = lambda *cs: Polynomial("q", cs)
 SUITE_NAMES = [f"A{m}" for m in range(1, 13)] + \
@@ -349,9 +351,11 @@ class TestMolien:
 class TestOpCounts:
     """CycNumber constructions over one cold ``verify`` of a type, a count
     that does not jitter the way wall time does. With every class sum one
-    ``dot``, E8 builds 6,833 values and D12 4,975. Building one per term and
-    per partial sum took them to 27,326 and 27,595, and doing so in
-    ``decompose`` alone, or in the Molien class sum alone, to 10,577-12,918."""
+    ``dot`` and each distinct Sym^m power sum summed once, E8 builds 6,014
+    values and D12 3,974; one power sum per m took them to 6,833 and 4,975.
+    Building one per term and per partial sum took them to 27,326 and
+    27,595, and doing so in ``decompose`` alone, or in the Molien class sum
+    alone, to 10,577-12,918."""
 
     LIMIT = 9_000
 
@@ -404,6 +408,48 @@ class TestOpCounts:
             assert count[0] <= k * k, name
             monkeypatch.undo()
 
+    def test_sym_powers_sum_each_power_once(self, bundle, monkeypatch):
+        """lambda^m reads m only modulo N and m -> N - m swaps the signed
+        halves of the doubled row, so Sym^0..Sym^(2h+1) make at most
+        floor(N/2) + 2 power-sum ``dot`` calls per character, where one call
+        per m took 2h + 2 (52 on A24, 94 on D24)."""
+        original = groups.dot
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groups, "dot", counting)
+        for name in ("A24", "D7", "D24", "E8"):
+            b = bundle(name)
+            N, k = b.group.conductor, len(b.table.classes)
+            calls[0] = 0
+            sym_power_multiplicities(b.group, b.table,
+                                     2 * b.dynkin.coxeter_number + 1)
+            assert calls[0] <= (N // 2 + 2) * k, (name, calls[0])
+
+    def test_molien_series_reads_each_entry_once(self, bundle, monkeypatch):
+        """``molien_series`` splits each table row and each cofactor column
+        once and hands the split rows to all k(h+1) class sums: at most
+        k^2 + k(h+1) entry reads, where reading both per sum took
+        2k^2(h+1)."""
+        original = cyclo._parts
+        reads = [0]
+
+        def counting(N, x):
+            reads[0] += 1
+            return original(N, x)
+
+        monkeypatch.setattr(cyclo, "_parts", counting)
+        for name in ("D24", "E8"):
+            b = bundle(name)
+            k, h = len(b.table.classes), b.dynkin.coxeter_number
+            reads[0] = 0
+            assert molien_series(b.group, b.table).numerators \
+                == b.molien.numerators
+            assert reads[0] <= k * k + k * (h + 1), (name, reads[0])
+
 
 class TestSymPowers:
     def test_m0_is_trivial_module(self, bundle):
@@ -429,6 +475,18 @@ class TestSymPowers:
     def test_sym_values_match_trace_on_m1(self, bundle):
         b = bundle("D6")
         assert sym_power_values(b.group, 1) == [c.trace for c in b.group.classes]
+
+    def test_direct_power_sum_oracle(self, bundle):
+        """Each Sym^m row against a per-m sum of roots of unity over the
+        classes, through every m up to 2h+1, so the periods mod N (N = 4(m-2)
+        on odd D) and the m -> N - m fold are all crossed."""
+        for name in ("A1", "A5", "D5", "D7", "E6", "E7", "E8", "A24"):
+            b = bundle(name)
+            mmax = 2 * b.dynkin.coxeter_number + 1
+            sym = sym_power_multiplicities(b.group, b.table, mmax)
+            for m in range(mmax + 1):
+                assert list(sym[m]) == sym_power_multiplicities_direct(
+                    b.group, b.table, m), (name, m)
 
     def test_oracle_agreement(self, bundle):
         for name in SUITE_NAMES:

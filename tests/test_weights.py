@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from adeweights.errors import NonPolynomialResult
-from adeweights.graphs import DynkinType, build_graph
-from adeweights.poly import (Polynomial, RationalFunction, cox, poly_gcd,
-                             substitute_t)
-from adeweights.weights import (check_notes, closed_form,
+from adeweights.graphs import DynkinType, build_graph, char_poly
+from adeweights.poly import (Polynomial, RationalFunction, cox, one_plus_q,
+                             poly_gcd, substitute_t)
+from adeweights.weights import (_mod_one_plus_q, check_notes, closed_form,
                                 common_denominator, exponent_sum_latex,
                                 finite_reduction_check, intermediate_q_weights,
                                 numerators_latex, solve_semiaffine,
@@ -75,6 +76,14 @@ class TestSolver:
                        for v in w.values for c in v.num.coeffs + v.den.coeffs)
             assert weights_satisfy(g, w)
             assert common_denominator(w) == krylov_minpoly(g.mult)
+
+    def test_det_is_the_finite_characteristic_polynomial(self):
+        """The solver's last pivot, y_0, is det(tI - A_fin): the
+        Faddeev-LeVerrier characteristic polynomial of the finite graph."""
+        for name in [f"A{m}" for m in range(1, 49)] + \
+                    [f"D{m}" for m in range(4, 41)]:
+            w = solve(name)
+            assert w.det == char_poly(build_graph(dt(name), "finite")), name
 
     def test_perturbed_weight_fails_equations(self):
         for name in ("A1", "D4", "E8"):
@@ -236,6 +245,37 @@ class TestIdentities:
             assert finite_reduction_check(to_q_numerators(solve(name)),
                                           build_graph(dt(name), "finite"))
 
+    def test_finite_reduction_folds_without_division(self, monkeypatch):
+        """The check reduces modulo 1 + q^h by folding q^h = -1, with no
+        polynomial division, and a numerator moved by q fails it."""
+        original = Polynomial._divide
+        calls = [0]
+
+        def counting(self, other):
+            calls[0] += 1
+            return original(self, other)
+
+        for name in ("A5", "D7", "E8"):
+            nq = to_q_numerators(solve(name))
+            finite = build_graph(nq.dynkin, "finite")
+            moved = list(nq.N)
+            moved[1] = moved[1] + Q(0, 1)
+            monkeypatch.setattr(Polynomial, "_divide", counting)
+            assert finite_reduction_check(nq, finite), name
+            assert not finite_reduction_check(replace(nq, N=tuple(moved)),
+                                              finite), name
+            monkeypatch.undo()
+        assert calls[0] == 0
+
+    def test_fold_equals_the_remainder(self):
+        rng = random.Random(15)
+        for h in (1, 2, 5, 12, 30):
+            for _ in range(20):
+                p = Polynomial("q", [rng.randint(-5, 5)
+                                     for _ in range(rng.randint(0, 3 * h + 2))])
+                assert Polynomial("q", _mod_one_plus_q(p, h)) \
+                    == p % one_plus_q(h), (h, p)
+
     def test_d4_center_reduction_by_hand(self):
         # q(q+1/q)(q+2q^3+q^5) - 3q(q^2+q^4) = (1+q^2)(1+q^6) - (1+q^2) ... = 0 mod 1+q^6
         lhs = Q(1, 0, 1) * Q(0, 1, 0, 2, 0, 1) - Q(0, 0, 0, 3, 0, 3)
@@ -268,8 +308,9 @@ class TestIdentities:
 
 class TestProducts:
     """Upper bounds on ``Polynomial.__mul__`` calls. The solver multiplies
-    only where both factors of an update product are nonzero, and t = q + 1/q
-    is substituted by binomial coefficients, with no product at all."""
+    only in rows the pivot column reaches, and there only by nonzero
+    factors, and t = q + 1/q is substituted by binomial coefficients, with no
+    product at all."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -285,6 +326,19 @@ class TestProducts:
 
     def test_solver(self, products):
         for name, limit in (("A24", 920), ("D24", 1040)):
+            g = build_graph(dt(name), "semiaffine")
+            products[0] = 0
+            w = solve_semiaffine(g)
+            assert products[0] <= limit, (name, products[0])
+            assert weights_satisfy(g, w)
+
+    def test_solver_scales_rows_lazily(self, products):
+        """A row the pivot column does not reach keeps its older Bareiss
+        level instead of being rescaled at every step: rescaling every row
+        took A24, D24, A48 and A96 to 920, 1,040, 3,572 and 14,060
+        products."""
+        for name, limit in (("A24", 170), ("D24", 380), ("A48", 340),
+                            ("A96", 700)):
             g = build_graph(dt(name), "semiaffine")
             products[0] = 0
             w = solve_semiaffine(g)
