@@ -5,16 +5,18 @@ power basis 1, zeta, ..., zeta^(phi(N)-1). Internally a value is a vector of
 integers over one common denominator, which keeps products cheap; the
 ``coeffs`` property exposes the vector of Fractions. Arithmetic never mixes
 conductors. ``dot`` is the one sum-of-products kernel: it accumulates every
-term's coordinate products, times an optional integer factor, in one
-unreduced integer buffer and reduces modulo Phi_N and by the content once
-per sum, so a sum of k products builds one value, not 2k. A caller that
-sweeps one row of entries against many others reads it once with ``split``
-(denominator, coordinates and nonzero positions per entry) and hands the
-split row to every ``dot`` of the sweep; the split is dropped with the call
-that made it, and nothing holds it afterwards. The inverse is the product
-of the other Galois conjugates over the norm, a rational number, so no
-polynomial division is needed; the minimal polynomial of an element is the
-product of t - y over its Galois orbit, which must lie in Z[t].
+term's coordinate products, times an optional integer factor and rotated by
+an optional zeta^s, in one integer buffer modulo x^N - 1 and reduces modulo
+Phi_N (a factor of x^N - 1) and by the content once per sum, so a sum of k
+products builds one value, not 2k, and a root of unity costs no product;
+an entry may also be a lift, an integer tuple in Z[x]/(x^N - 1). A caller
+that sweeps one row of entries against many others reads it once with
+``split`` (denominator, coordinates and nonzero positions per entry) and
+hands the split row to every ``dot`` of the sweep; the split is dropped with
+the call that made it, and nothing holds it afterwards. The inverse is the
+product of the other Galois conjugates over the norm, a rational number, so
+no polynomial division is needed; the minimal polynomial of an element is
+the product of t - y over its Galois orbit, which must lie in Z[t].
 """
 from __future__ import annotations
 
@@ -48,35 +50,31 @@ class _Field:
     """Per-conductor context: reduction rows for zeta^e, e >= phi(N)."""
 
     def __init__(self, N: int):
-        self.N = N
         self.phi = euler_phi(N)
         # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
         self._base = tuple(-c for c in cyclotomic(N).coeffs[: self.phi])
-        self._last = self._base
-        self._rows: list[tuple[tuple[int, int], ...]] = [_nonzero(self._base)]
+        self._last = (0,) * (self.phi - 1) + (1,)  # zeta^(phi-1)
+        self._rows: list[tuple[tuple[int, int], ...]] = []
         self._supports: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def row(self, e: int) -> tuple[tuple[int, int], ...]:
-        """The nonzero terms (i, c) of zeta^e in the power basis (e >= phi)."""
-        while e - self.phi >= len(self._rows):
-            prev = self._last
-            top = prev[-1]
-            shifted = [0] + list(prev[:-1])
-            if top:
-                for i, b in enumerate(self._base):
-                    shifted[i] += top * b
-            self._last = tuple(shifted)
-            self._rows.append(_nonzero(shifted))
-        return self._rows[e - self.phi]
-
     def reduce(self, nums: list[int]) -> list[int]:
-        for e in range(len(nums) - 1, self.phi - 1, -1):
+        """nums reduced in place; rows[e - phi], the nonzero terms (i, c) of
+        zeta^e, are extended once per call, to len(nums), then indexed."""
+        phi, rows = self.phi, self._rows
+        while len(rows) < len(nums) - phi:
+            top = self._last[-1]
+            self._last = (0,) + self._last[:-1]
+            if top:
+                self._last = tuple(a + top * b
+                                   for a, b in zip(self._last, self._base))
+            rows.append(tuple((i, a) for i, a in enumerate(self._last) if a))
+        for e in range(len(nums) - 1, phi - 1, -1):
             c = nums[e]
             if c:
-                for i, r in self.row(e):
+                for i, r in rows[e - phi]:
                     nums[i] += c * r
-        del nums[self.phi:]
-        nums.extend([0] * (self.phi - len(nums)))
+        del nums[phi:]
+        nums.extend([0] * (phi - len(nums)))
         return nums
 
     def support(self, nums) -> tuple[int, ...]:
@@ -84,10 +82,6 @@ class _Field:
         a value ``split`` has read keeps no tuple of its own."""
         s = tuple(compress(count(), nums))
         return self._supports.setdefault(s, s)
-
-
-def _nonzero(nums) -> tuple[tuple[int, int], ...]:
-    return tuple((i, a) for i, a in enumerate(nums) if a)
 
 
 @lru_cache(maxsize=None)
@@ -141,11 +135,12 @@ class CycNumber:
 
     @classmethod
     def root_of_unity(cls, N: int, e: int) -> CycNumber:
-        fld = _field(N)
-        e %= N
-        nums = [0] * max(fld.phi, e + 1)
-        nums[e] = 1
-        return cls(N, fld.reduce(nums))
+        return cls.from_lift(N, [0] * (e % N) + [1])
+
+    @classmethod
+    def from_lift(cls, N: int, lift) -> CycNumber:
+        """The polynomial with coefficients ``lift`` at zeta_N."""
+        return cls(N, _field(N).reduce(list(lift)))
 
     # -- inspection -------------------------------------------------------
     @property
@@ -236,12 +231,11 @@ class CycNumber:
         a %= self.N
         if gcd(a, self.N) != 1:
             raise ValueError(f"{a} is not coprime to {self.N}")
-        fld = _field(self.N)
-        out = [0] * max(fld.phi, self.N)
+        out = [0] * self.N
         for i, c in enumerate(self._nums):
             if c:
                 out[(i * a) % self.N] += c
-        return CycNumber(self.N, fld.reduce(out), self._den)
+        return CycNumber(self.N, _field(self.N).reduce(out), self._den)
 
     def conj(self) -> CycNumber:
         """Complex conjugation zeta -> zeta**(-1)."""
@@ -294,52 +288,44 @@ def split(N: int, xs) -> Split:
     return Split(_parts(N, x) for x in xs)
 
 
-def dot(N: int, xs, ys, factors=None, *, powers: bool = False) -> CycNumber:
-    """sum_k n_k * x_k * y_k in Q(zeta_N), built as one CycNumber.
+def dot(N: int, xs, ys, factors=None, shifts=None) -> CycNumber:
+    """sum_k n_k * x_k * y_k * zeta^s_k in Q(zeta_N), built as one CycNumber.
 
-    Entries are CycNumbers of conductor N or ints, and the int ``factors``
-    n_k (1 when None) scale a term's coordinates. ``xs`` and ``ys`` are rows
-    of entries or rows already read by ``split``; a caller that sweeps one
-    row against many splits it once and passes the split row to every
-    ``dot``. Zero coordinates are skipped; the products of the nonzero ones
-    go into one unreduced integer buffer over the lcm of the term
-    denominators, which is reduced modulo Phi_N and by its content once, at
-    the end. With ``powers`` the y_k are integer exponents e_k standing for
-    zeta^e_k, so a term scatters the coordinates of x_k instead of
-    multiplying them.
+    Entries are CycNumbers of conductor N, ints, or lifts: tuples of at most
+    N ints, the coefficients of a polynomial in x read at x = zeta. The int
+    ``factors`` n_k (1 when None) scale a term's coordinates and the int
+    ``shifts`` s_k (0 when None) rotate them, so a root of unity costs no
+    product. ``xs`` and ``ys`` are rows of entries or rows already read by
+    ``split``; a caller that sweeps one row against many splits it once and
+    passes the split row to every ``dot``. Zero coordinates are skipped;
+    the products of the nonzero ones go into one integer buffer over the lcm
+    of the term denominators, which is folded modulo x^N - 1 and reduced
+    modulo Phi_N and by its content once, at the end.
     """
-    fld = _field(N)
     if not isinstance(xs, Split):
         xs = split(N, xs)
-    if not (powers or isinstance(ys, Split)):
+    if not isinstance(ys, Split):
         ys = split(N, ys)
-    buf = [0] * (N if powers else 2 * fld.phi - 1)
+    buf = [0] * (2 * N)  # i + s is taken mod N, and j < N
     den = 1
-    for (xd, xn, xt), y, n in zip(xs, ys,
-                                  repeat(1) if factors is None else factors):
-        if not xt:
+    for (xd, xn, xt), (yd, yn, yt), n, s in zip(
+            xs, ys, repeat(1) if factors is None else factors,
+            repeat(0) if shifts is None else shifts):
+        if not (xt and yt):
             continue
-        if powers:
-            d, e = xd, y % N
-        else:
-            yd, yn, yt = y
-            if not yt:
-                continue
-            d = xd * yd
+        d = xd * yd
         if den % d:
             grown = lcm(den, d)
             buf = [c * (grown // den) for c in buf]
             den = grown
-        s = den // d * n
-        if powers:
-            for i in xt:
-                buf[(i + e) % N] += xn[i] * s
-        else:
-            for i in xt:
-                a = xn[i] * s
-                for j in yt:
-                    buf[i + j] += a * yn[j]
-    return CycNumber(N, fld.reduce(buf), den)
+        m = den // d * n
+        for i in xt:
+            a = xn[i] * m
+            i = (i + s) % N
+            for j in yt:
+                buf[i + j] += a * yn[j]
+    folded = [a + b for a, b in zip(buf, buf[N:])]
+    return CycNumber(N, _field(N).reduce(folded), den)
 
 
 def _parts(N: int, x) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -351,8 +337,13 @@ def _parts(N: int, x) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
             x._support = _field(N).support(x._nums)
         return x._den, x._nums, x._support
     if isinstance(x, int):
-        return 1, (x,), (0,) if x else ()
-    raise TypeError(f"dot entry {x!r} is neither a CycNumber nor an int")
+        x = (x,)  # an int is a lift of length 1
+    if isinstance(x, tuple):
+        if len(x) > N:
+            raise ValueError(f"lift of length {len(x)} at conductor {N}")
+        # a lift's support is not interned: lifts are built per sweep
+        return 1, x, tuple(compress(count(), x))
+    raise TypeError(f"dot entry {x!r} is not a CycNumber, an int or a lift")
 
 
 def minimal_polynomial(x: CycNumber) -> Polynomial:

@@ -14,8 +14,8 @@ orders, each class's inverse class, commutators, the derived subgroup and
 its cosets are all index arithmetic.
 
 Molien numerators come from one cofactor per class: the integer standard
-form (1-q^a)(1-q^b) divided by det(I - x q) = 1 - tau q + q^2, which must
-leave no remainder, summed against the character values. They read the
+form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q), with no
+remainder at x = zeta, summed against the character values. They read the
 plain table rows and no symmetric-power code, so the symmetric-power oracle
 stays an independent route. ``MolienSet`` keeps only the numerators.
 
@@ -28,7 +28,9 @@ Every table must pass ``table_violation`` before use. Every inner product of
 class functions goes through ``decompose``, which is one ``cyclo.dot`` per
 row and reads conj(chi(C)) as chi(C^-1); the Molien class sums and the
 symmetric-power traces are ``cyclo.dot`` calls of their own, so each class
-sum reduces modulo Phi_N once, with |C| an integer factor inside it. A sweep
+sum reduces modulo Phi_N once, with |C| an integer factor inside it. A class
+trace tau_C = zeta^e_C + zeta^-e_C enters det(I - x q) and V tensor chi as
+two rotations by e_C, never as a cyclotomic product. A sweep
 of many sums over the same rows reads each row once with ``cyclo.split``,
 and the symmetric-power traces sum each distinct power sum once, since
 lambda^m depends on m only modulo N and up to m -> N - m.
@@ -308,19 +310,25 @@ class CharTable:
                 "values": [[v.to_json() for v in row] for row in self.values]}
 
 
-def decompose(values, rows, classes) -> list[Fraction]:
+def decompose(values, rows, classes, tensor_v=False) -> list[Fraction]:
     """Hermitian inner products (1/|G|) sum_C |C| f(C) conj(chi(C)) of the
     class function f = ``values`` with each row chi over the aligned
     ``classes``, collapsed to Q. The rows must be conjugate-symmetric,
     conj(chi(C)) = chi(C^-1), and C -> C^-1 keeps |C|, so this is
     sum_C |C| f(C^-1) chi(C): one ``dot`` per row with |C| as a factor.
-    f(C^-1) is split once for all the rows, and the rows may come split."""
+    f(C^-1) is split once for all the rows, and the rows may come split.
+    With ``tensor_v`` f is V tensor f, (zeta^e_C + zeta^-e_C) f(C): f(C^-1)
+    is taken twice, rotated by +e_C and -e_C, against rows doubled chi + chi.
+    """
     col = {c.rep: i for i, c in enumerate(classes)}
     N = values[0].N
-    flipped = split(N, [values[col[c.inverse]] for c in classes])
+    turns = (1, -1) if tensor_v else (0,)
+    flipped = split(N, [values[col[c.inverse]] for c in classes] * len(turns))
     sizes = [c.size for c in classes]
     order = sum(sizes)
-    return [dot(N, flipped, row, sizes).to_rational() / order for row in rows]
+    shifts = [t * c.eigen_exp for t in turns for c in classes]
+    return [dot(N, flipped, row, sizes * len(turns), shifts).to_rational()
+            / order for row in rows]
 
 
 def _multiplicities(mults, what: str) -> list[int]:
@@ -483,8 +491,8 @@ def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
 def sym_power_values(G: FiniteSubgroup, m: int) -> list[CycNumber]:
     """Character of the m-th symmetric power of the defining representation,
     from the eigenvalue power sums lambda^(m-2j) per class."""
-    return [dot(G.conductor, [1] * (m + 1),
-                [c.eigen_exp * (m - 2 * j) for j in range(m + 1)], powers=True)
+    return [dot(G.conductor, [1] * (m + 1), [1] * (m + 1), None,
+                [c.eigen_exp * (m - 2 * j) for j in range(m + 1)])
             for c in G.classes]
 
 
@@ -617,15 +625,13 @@ class McKayResult:
 
 def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
                  marks: tuple[int, ...]) -> McKayResult:
-    """Multiplicities of chi_j inside V tensor chi_i, plus the node bijection
-    onto the affine graph (trivial character -> node 0), matching each
-    character degree against the marks."""
+    """Multiplicities of chi_j inside V tensor chi_i (``decompose`` by
+    rotations), plus the node bijection onto the affine graph (trivial
+    character -> node 0), matching each character degree against the marks."""
     k = len(table.classes)
-    tau = [c.trace for c in table.classes]
-    rows = [split(G.conductor, row) for row in table.values]
+    doubled = [Split(split(G.conductor, row) * 2) for row in table.values]
     matrix = tuple(
-        tuple(_multiplicities(decompose([t * v for t, v in zip(tau, row)],
-                                        rows, table.classes),
+        tuple(_multiplicities(decompose(row, doubled, table.classes, True),
                               f"{G.dynkin}: V x chi_{i}"))
         for i, row in enumerate(table.values))
     if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
@@ -711,19 +717,20 @@ class MolienSet:
                                                   self.series)]}
 
 
-def _class_cofactor(std: tuple[int, ...], tau: CycNumber, dt: DynkinType):
-    """std / (1 - tau q + q^2) by synthetic division over Q(zeta_N),
-    coefficients ascending; a nonzero remainder raises NonPolynomialResult."""
-    r = list(std)
-    quo = [0] * (len(r) - 2)
+def _cofactor_lifts(std: tuple[int, ...], e: int, N: int, dt: DynkinType):
+    """std / (1 - (x^e + x^-e) q + q^2) by synthetic division over
+    Z[x]/(x^N - 1), coefficients ascending, (x^e + x^-e) c as two rotations
+    of c; a remainder nonzero at x = zeta_N raises NonPolynomialResult."""
+    r = [[c] + [0] * (N - 1) for c in std]
     for k in range(len(r) - 1, 1, -1):
-        c = quo[k - 2] = r[k]
-        r[k - 1] = r[k - 1] + tau * c
-        r[k - 2] = r[k - 2] - c
-    if r[0] != 0 or r[1] != 0:
+        c = r[k]
+        r[k - 1] = [a + u + d for a, u, d in
+                    zip(r[k - 1], c[-e:] + c[:-e], c[e:] + c[:e])]
+        r[k - 2] = [a - u for a, u in zip(r[k - 2], c)]
+    if not all(CycNumber.from_lift(N, c).is_zero() for c in r[:2]):
         raise NonPolynomialResult(
-            f"{dt}: 1 - ({tau}) q + q^2 does not divide the standard form")
-    return quo
+            f"{dt}: 1 - (z^{e} + z^-{e}) q + q^2 does not divide the standard form")
+    return [tuple(c) for c in r[2:]]
 
 
 def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
@@ -733,16 +740,17 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     det(I - x q) = 1 - trace(x) q + q^2 is constant on a class C and divides
     the standard form, so each class has a cofactor P_C of degree h with
     (1 - tau_C q + q^2) P_C = (1-q^a)(1-q^b), and
-    N_i = (1/|G|) sum_C |C| chi_i(C) P_C, collapsed to Q.
+    N_i = (1/|G|) sum_C |C| chi_i(C) P_C, collapsed to Q, with P_C's
+    coefficients lifts in Z[x]/(x^N - 1), built with no cyclotomic product.
     """
     dt = G.dynkin
     N = G.conductor
     h = dt.coxeter_number
-    std = dt.standard_form
+    std = dt.standard_form.coeffs
     # column j holds coefficient j of every class's P_C; each row and each
     # column is split once for the k(h+1) class sums
     columns = [split(N, col) for col in zip(*(
-        _class_cofactor(std.coeffs, c.trace, dt) for c in table.classes))]
+        _cofactor_lifts(std, c.eigen_exp, N, dt) for c in table.classes))]
     sizes = [c.size for c in table.classes]
     numerators = []
     for row in table.values:
@@ -766,38 +774,38 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     defining representation, via eigenvalue power sums per class:
     Sym^m = Sym^(m-2) + lambda^m + lambda^-m, where lambda^s is the class
     function zeta^(s e_C) and each <lambda^m + lambda^-m, chi_i> is one
-    shifted ``dot`` over the plain row taken twice, once per sign: the class
-    function is real, so chi_i and conj(chi_i) give the same rational sum.
+    ``dot`` of the plain row taken twice against ones, its halves rotated by
+    +m e_C and -m e_C: the class function is real, so chi_i and conj(chi_i)
+    give the same rational sum. The recurrence starts at Sym^-2 = -1 and
+    Sym^-1 = 0, the Weyl character (lambda^(m+1) - lambda^-(m+1)) /
+    (lambda - lambda^-1) at m = -2, -1, so Sym^0 needs no case of its own.
 
     lambda^m reads m only modulo N, and m -> N - m swaps the two signed
     halves of the doubled row, so the sums depend on m only through
-    (m > 0, min(m mod N, -m mod N)): each distinct key is summed once, at
-    most floor(N/2) + 2 ``dot`` calls per character. Each row is split once,
-    and its doubled form reuses the split."""
+    min(m mod N, -m mod N): each is summed once, at most floor(N/2) + 1
+    ``dot`` calls per character. Each row is split once, and its doubled
+    form reuses the split."""
     N = G.conductor
     exps = [c.eigen_exp for c in table.classes]
-    sizes = [c.size for c in table.classes]
-    rows = [split(N, row) for row in table.values]
-    doubled = [Split(row + row) for row in rows]
-    sums: dict[tuple[bool, int], list[Fraction]] = {}
+    sizes = [c.size for c in table.classes] * 2
+    doubled = [Split(split(N, row) * 2) for row in table.values]
+    ones = split(N, [1] * len(sizes))
+    sums: dict[int, list[Fraction]] = {}
 
     def power_sums(m: int) -> list[Fraction]:
-        # |G| <lambda^m + lambda^-m, chi_i> per row, or |G| <1, chi_i> at m = 0
+        # |G| <lambda^m + lambda^-m, chi_i> per row
         r = min(m % N, -m % N)
-        key = (m > 0, r)
-        if key not in sums:
+        if r not in sums:
             shifts = [r * e for e in exps]
-            if m:
-                shifts += [-s for s in shifts]
-                sums[key] = [dot(N, row, shifts, sizes + sizes,
-                                 powers=True).to_rational() for row in doubled]
-            else:
-                sums[key] = [dot(N, row, shifts, sizes,
-                                 powers=True).to_rational() for row in rows]
-        return sums[key]
+            shifts += [-s for s in shifts]
+            sums[r] = [dot(N, row, ones, sizes, shifts).to_rational()
+                       for row in doubled]
+        return sums[r]
 
     out = []
-    prev2 = prev1 = [Fraction(0)] * len(table.values)
+    # |G| <Sym^-2, chi_i> and |G| <Sym^-1, chi_i>; row 0 is the trivial one
+    prev2 = [-G.order] + [0] * (len(doubled) - 1)
+    prev1 = [0] * len(doubled)
     for m in range(mmax + 1):
         vals = [p + s for p, s in zip(prev2, power_sums(m))]
         out.append(tuple(_multiplicities(

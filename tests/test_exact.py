@@ -179,13 +179,26 @@ DOT_CONDUCTORS = (1, 2, 3, 4, 8, 12, 20, 24, 60)
 
 
 def _dot_entries(N):
-    """Sparse CycNumbers over mixed denominators, zero included, and ints."""
+    """Sparse CycNumbers over mixed denominators, zero included, ints, and
+    lifts: int tuples of length at most N, coefficients of powers of zeta."""
     coord = st.one_of(st.just(0), st.integers(-6, 6))
     cyc = st.builds(lambda nums, den: CycNumber(N, nums, den),
                     st.lists(coord, min_size=euler_phi(N),
                              max_size=euler_phi(N)),
                     st.integers(1, 6))
-    return st.one_of(cyc, st.integers(-5, 5))
+    lift = st.lists(coord, max_size=N).map(tuple)
+    return st.one_of(cyc, st.integers(-5, 5), lift)
+
+
+def _value(N, x):
+    """A ``dot`` entry as a CycNumber; a lift is summed monomial by monomial
+    from roots of unity."""
+    if not isinstance(x, tuple):
+        return x
+    total = CycNumber.zero(N)
+    for e, c in enumerate(x):
+        total = total + CycNumber.root_of_unity(N, e) * c
+    return total
 
 
 def _same(got, want):
@@ -204,13 +217,16 @@ class TestDot:
         factors = [n for _, _, n in terms] if data.draw(st.booleans()) else None
         want = CycNumber.zero(N)
         for x, y, n in terms:
-            want = want + x * y * (1 if factors is None else n)
+            want = want + _value(N, x) * _value(N, y) * (
+                1 if factors is None else n)
         _same(dot(N, [x for x, _, _ in terms], [y for _, y, _ in terms],
                   factors), want)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_powers_equal_root_of_unity_products(self, data):
+        """A shift e_k multiplies its term by zeta^e_k, so a row of ones
+        with shifts is a sum of roots of unity."""
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
         terms = data.draw(st.lists(
             st.tuples(_dot_entries(N), st.integers(-2 * N, 2 * N),
@@ -218,25 +234,54 @@ class TestDot:
         factors = [n for _, _, n in terms] if data.draw(st.booleans()) else None
         want = CycNumber.zero(N)
         for w, e, n in terms:
-            want = want + w * CycNumber.root_of_unity(N, e) * (
+            want = want + _value(N, w) * CycNumber.root_of_unity(N, e) * (
                 1 if factors is None else n)
-        _same(dot(N, [w for w, _, _ in terms], [e for _, e, _ in terms],
-                  factors, powers=True), want)
+        _same(dot(N, [w for w, _, _ in terms], [1] * len(terms), factors,
+                  [e for _, e, _ in terms]), want)
 
     def test_empty_and_all_zero(self):
         for N in DOT_CONDUCTORS:
             zero = CycNumber.zero(N)
             one = CycNumber.one(N)
             _same(dot(N, [], []), zero)
-            _same(dot(N, [], [], powers=True), zero)
+            _same(dot(N, [], [], None, []), zero)
             _same(dot(N, [0, zero, one], [one, 3, zero]), zero)
-            _same(dot(N, [0, zero], [1, 5], powers=True), zero)
+            _same(dot(N, [0, zero], [1, 1], None, [1, 5]), zero)
+
+    def test_lifts_wrap_modulo_x_to_the_n(self):
+        """A lift and a shift are read modulo x^N - 1, which Phi_N divides,
+        so x^(N-1) rotated by 1 is 1 and a lift of length N + 1 is
+        refused."""
+        for N in DOT_CONDUCTORS:
+            top = (0,) * (N - 1) + (1,)
+            _same(dot(N, [top], [1], None, [1]), CycNumber.one(N))
+            _same(dot(N, [top], [top]), CycNumber.root_of_unity(N, -2))
+            with pytest.raises(ValueError):
+                dot(N, [(1,) * (N + 1)], [1])
 
     def test_rejects_foreign_entries(self):
         with pytest.raises(ValueError):
             dot(8, [CycNumber.one(12)], [1])
         with pytest.raises(TypeError):
             dot(8, [Fraction(1, 2)], [1])
+
+
+class TestReduceTable:
+    def test_reduce_extends_the_table_once(self):
+        """A reduce extends the rows zeta^e, e >= phi, to its own length in
+        one pass and then indexes them; no ``row`` lookup is left."""
+        assert not hasattr(_Field, "row")
+        N = 45
+        fld = _Field(N)  # a fresh table, not the cached one
+        phi = fld.phi
+        nums = [(e % 7) - 3 for e in range(N)]
+        want = _value(N, tuple(nums))
+        assert CycNumber(N, fld.reduce(list(nums))) == want
+        rows = list(fld._rows)
+        assert len(rows) == N - phi
+        assert CycNumber(N, fld.reduce(list(nums))) == want
+        assert len(fld._rows) == N - phi
+        assert all(a is b for a, b in zip(fld._rows, rows))
 
 
 class TestPolynomial:

@@ -83,7 +83,16 @@ def test_molien_series_stays_off_the_other_group_routes():
 def test_sym_powers_stay_off_the_molien_route():
     names = _names_in_function(SRC / "groups.py", "sym_power_multiplicities")
     assert names & {"numerators", "molien_series", "_class_cofactor",
-                    "MolienSet", "coefficients"} == set()
+                    "_cofactor_lifts", "MolienSet", "coefficients"} == set()
+
+
+def test_mckay_and_molien_read_no_class_trace():
+    """The McKay matrix and the Molien cofactors take tau_C = zeta^e_C +
+    zeta^-e_C as two rotations by ``eigen_exp``, so neither reads a class
+    trace to multiply by."""
+    for name in ("mckay_matrix", "molien_series", "_cofactor_lifts"):
+        assert "trace" not in _names_in_function(SRC / "groups.py", name), \
+            name
 
 
 def _named(path: Path) -> set[str]:

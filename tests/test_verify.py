@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import FrozenInstanceError, replace
 from functools import lru_cache
@@ -154,6 +155,62 @@ class TestIdentityGates:
             got = self._perturbed(b, b.affine.n - 1)
             assert got["SPECIALIZATION"][0] == "pass"
             self._assert_graph_side_red(got)
+
+
+def _numerator_times_q(b, monkeypatch):
+    """The last node's graph-side numerator times q: its coefficients run
+    from q^1 to q^(h+1), so it is not self-reciprocal over span h. The last
+    node is no neighbour of the affine node on D4 and E8, so SPECIALIZATION
+    does not read it."""
+    nums = list(b.numerators.N)
+    nums[-1] = nums[-1].shifted(1)
+    return replace(b, numerators=replace(b.numerators, N=tuple(nums)))
+
+
+def _sym_multiplicity_bumped(b, monkeypatch):
+    """One Sym^m multiplicity raised at m = 2h+1, the top of the range that
+    SYM_ORACLE compares with the Molien series."""
+    original = verify.sym_power_multiplicities
+
+    def bumped(G, table, mmax):
+        rows = [list(row) for row in original(G, table, mmax)]
+        rows[mmax][-1] += 1
+        return tuple(tuple(row) for row in rows)
+    monkeypatch.setattr(verify, "sym_power_multiplicities", bumped)
+    return b
+
+
+def _group_order_doubled(b, monkeypatch):
+    """Every element listed twice and every class size doubled: each inner
+    product, so every Sym^m multiplicity, is unchanged, and only
+    a*b = 2|G| can see the order."""
+    group = copy.copy(b.group)
+    group.elements = b.group.elements * 2
+    group.classes = tuple(replace(c, size=2 * c.size)
+                          for c in b.group.classes)
+    return replace(b, group=group,
+                   table=replace(b.table, classes=group.classes))
+
+
+# a perturbation of a clean bundle and the exact set of checks it turns red
+RED_WITNESSES = {
+    "PALINDROME": (_numerator_times_q,
+                   {"CROSS_MATCH", "CLOSED_FORM", "FINITE_REDUCTION",
+                    "PALINDROME", "NOTES123"}),
+    "SYM_ORACLE": (_sym_multiplicity_bumped, {"SYM_ORACLE"}),
+    "AB_RELATIONS": (_group_order_doubled, {"AB_RELATIONS"}),
+}
+
+
+@pytest.mark.parametrize("name", ["D4", "E8"])
+@pytest.mark.parametrize("gate", sorted(RED_WITNESSES))
+def test_hard_gate_has_a_red_witness(gate, name, bundle, monkeypatch):
+    perturb, red = RED_WITNESSES[gate]
+    b = bundle(name)
+    assert all(c.status != "fail" for c in verify._type_checks(b, None))
+    got = {c.name for c in verify._type_checks(perturb(b, monkeypatch), None)
+           if c.status == "fail"}
+    assert got == red
 
 
 class TestDeterminism:
