@@ -4,19 +4,20 @@ Elements are residues modulo the N-th cyclotomic polynomial, stored in the
 power basis 1, zeta, ..., zeta^(phi(N)-1). Internally a value is a vector of
 integers over one common denominator, which keeps products cheap; the
 ``coeffs`` property exposes the vector of Fractions. Arithmetic never mixes
-conductors. ``dot`` is the one sum-of-products kernel: it accumulates every
-term's coordinate products, times an optional integer factor and rotated by
-an optional zeta^s, in one integer buffer modulo x^N - 1 and reduces modulo
-Phi_N (a factor of x^N - 1) and by the content once per sum, so a sum of k
-products builds one value, not 2k, and a root of unity costs no product;
-an entry may also be a lift, an integer tuple in Z[x]/(x^N - 1). A caller
-that sweeps one row of entries against many others reads it once with
-``split`` (denominator, coordinates and nonzero positions per entry) and
-hands the split row to every ``dot`` of the sweep; the split is dropped with
-the call that made it, and nothing holds it afterwards. The inverse is the
-product of the other Galois conjugates over the norm, a rational number, so
-no polynomial division is needed; the minimal polynomial of an element is
-the product of t - y over its Galois orbit, which must lie in Z[t].
+conductors. A lift is an int sequence in Z[x]/(x^N - 1) (``to_lift`` pads an
+algebraic integer to one, ``from_lift`` reduces one), on which a root of
+unity acts by rotation. ``dot`` is the one sum-of-products kernel: it
+accumulates every term's coordinate products, times an optional integer
+factor, in one integer buffer modulo x^N - 1 and reduces modulo Phi_N (a
+factor of x^N - 1) and by the content once per sum, so a sum of k products
+builds one value, not 2k; an entry is a CycNumber, an int or a lift. A
+caller that sweeps one row of entries against many others reads it once
+with ``split`` (denominator, coordinates and nonzero positions per entry)
+and hands the split row to every ``dot`` of the sweep; the split is dropped
+with the call that made it. The inverse is the product of the other Galois
+conjugates over the norm, a rational number, so no polynomial division is
+needed; the minimal polynomial of an element is the product of t - y over
+its Galois orbit, which must lie in Z[t].
 """
 from __future__ import annotations
 
@@ -142,6 +143,12 @@ class CycNumber:
         """The polynomial with coefficients ``lift`` at zeta_N."""
         return cls(N, _field(N).reduce(list(lift)))
 
+    def to_lift(self) -> list[int]:
+        """The coordinates padded to length N, which ``from_lift`` inverts."""
+        if self._den != 1:
+            raise ValidationFailed(f"{self} is not an algebraic integer")
+        return list(self._nums) + [0] * (self.N - len(self._nums))
+
     # -- inspection -------------------------------------------------------
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -162,7 +169,7 @@ class CycNumber:
         return (self._den, self._nums)
 
     # -- coercion -----------------------------------------------------------
-    def _lift(self, other):
+    def _coerce(self, other):
         if isinstance(other, CycNumber):
             if other.N != self.N:
                 raise ValueError(f"conductor mismatch: {self.N} vs {other.N}")
@@ -173,7 +180,7 @@ class CycNumber:
 
     # -- ring operations ------------------------------------------------------
     def __add__(self, other):
-        other = self._lift(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         da, db = self._den, other._den
@@ -188,7 +195,7 @@ class CycNumber:
         return CycNumber(self.N, [-a for a in self._nums], self._den)
 
     def __sub__(self, other):
-        other = self._lift(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self + (-other)
@@ -197,7 +204,7 @@ class CycNumber:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._lift(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -288,29 +295,27 @@ def split(N: int, xs) -> Split:
     return Split(_parts(N, x) for x in xs)
 
 
-def dot(N: int, xs, ys, factors=None, shifts=None) -> CycNumber:
-    """sum_k n_k * x_k * y_k * zeta^s_k in Q(zeta_N), built as one CycNumber.
+def dot(N: int, xs, ys, factors=None) -> CycNumber:
+    """sum_k n_k * x_k * y_k in Q(zeta_N), built as one CycNumber.
 
-    Entries are CycNumbers of conductor N, ints, or lifts: tuples of at most
-    N ints, the coefficients of a polynomial in x read at x = zeta. The int
-    ``factors`` n_k (1 when None) scale a term's coordinates and the int
-    ``shifts`` s_k (0 when None) rotate them, so a root of unity costs no
-    product. ``xs`` and ``ys`` are rows of entries or rows already read by
-    ``split``; a caller that sweeps one row against many splits it once and
-    passes the split row to every ``dot``. Zero coordinates are skipped;
-    the products of the nonzero ones go into one integer buffer over the lcm
-    of the term denominators, which is folded modulo x^N - 1 and reduced
-    modulo Phi_N and by its content once, at the end.
+    Entries are CycNumbers of conductor N, ints, or lifts: tuples or lists
+    of at most N ints, the coefficients of a polynomial in x read at
+    x = zeta. The int ``factors`` n_k (1 when None) scale a term's
+    coordinates. ``xs`` and ``ys`` are rows of entries or rows already read
+    by ``split``; a caller that sweeps one row against many splits it once
+    and passes the split row to every ``dot``. Zero coordinates are
+    skipped; the products of the nonzero ones go into one integer buffer
+    over the lcm of the term denominators, which is folded modulo x^N - 1
+    and reduced modulo Phi_N and by its content once, at the end.
     """
     if not isinstance(xs, Split):
         xs = split(N, xs)
     if not isinstance(ys, Split):
         ys = split(N, ys)
-    buf = [0] * (2 * N)  # i + s is taken mod N, and j < N
+    buf = [0] * (2 * N)  # i, j < N
     den = 1
-    for (xd, xn, xt), (yd, yn, yt), n, s in zip(
-            xs, ys, repeat(1) if factors is None else factors,
-            repeat(0) if shifts is None else shifts):
+    for (xd, xn, xt), (yd, yn, yt), n in zip(
+            xs, ys, repeat(1) if factors is None else factors):
         if not (xt and yt):
             continue
         d = xd * yd
@@ -321,14 +326,13 @@ def dot(N: int, xs, ys, factors=None, shifts=None) -> CycNumber:
         m = den // d * n
         for i in xt:
             a = xn[i] * m
-            i = (i + s) % N
             for j in yt:
                 buf[i + j] += a * yn[j]
     folded = [a + b for a, b in zip(buf, buf[N:])]
     return CycNumber(N, _field(N).reduce(folded), den)
 
 
-def _parts(N: int, x) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _parts(N: int, x) -> tuple:
     """Denominator, coordinates and nonzero positions of a ``dot`` entry."""
     if isinstance(x, CycNumber):
         if x.N != N:
@@ -338,11 +342,11 @@ def _parts(N: int, x) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         return x._den, x._nums, x._support
     if isinstance(x, int):
         x = (x,)  # an int is a lift of length 1
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         if len(x) > N:
             raise ValueError(f"lift of length {len(x)} at conductor {N}")
-        # a lift's support is not interned: lifts are built per sweep
-        return 1, x, tuple(compress(count(), x))
+        # a list, not an interned tuple: a freed tuple stays on a free list
+        return 1, x, list(compress(count(), x))
     raise TypeError(f"dot entry {x!r} is not a CycNumber, an int or a lift")
 
 

@@ -25,15 +25,16 @@ The E types are built constructively: linear characters from the
 abelianization, symmetric powers of the defining character, tensor peeling
 against the known rows, and a regular-character completion for the last row.
 Every table must pass ``table_violation`` before use. Every inner product of
-class functions goes through ``decompose``, which is one ``cyclo.dot`` per
-row and reads conj(chi(C)) as chi(C^-1); the Molien class sums and the
-symmetric-power traces are ``cyclo.dot`` calls of their own, so each class
-sum reduces modulo Phi_N once, with |C| an integer factor inside it. A class
-trace tau_C = zeta^e_C + zeta^-e_C enters det(I - x q) and V tensor chi as
-two rotations by e_C, never as a cyclotomic product. A sweep
-of many sums over the same rows reads each row once with ``cyclo.split``,
-and the symmetric-power traces sum each distinct power sum once, since
-lambda^m depends on m only modulo N and up to m -> N - m.
+class functions (validation, peeling, McKay, the symmetric-power oracle) is
+``decompose``, one ``cyclo.dot`` per row reading conj(chi(C)) as chi(C^-1);
+the Molien class sums are ``cyclo.dot`` calls of their own, so each class
+sum reduces modulo Phi_N once, with |C| an integer factor inside it. Every
+product by a class trace tau_C = zeta^e_C + zeta^-e_C (V tensor chi,
+det(I - x q), lambda^m + lambda^-m) is ``_tau_times``, two rotations of a
+lift in Z[x]/(x^N - 1). A sweep of many sums over the same rows reads each
+row once with ``cyclo.split``, and the symmetric-power oracle sums each
+distinct power sum once, since lambda^m + lambda^-m depends on m only
+modulo N and up to m -> N - m.
 """
 from __future__ import annotations
 
@@ -41,8 +42,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import add, sub
 
-from .cyclo import CycNumber, Split, dot, minimal_polynomial, split
+from .cyclo import CycNumber, dot, minimal_polynomial, split
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
@@ -103,11 +105,6 @@ class Matrix2:
 def quaternion(N: int, a, b, c, d) -> Matrix2:
     """Unit quaternion a + b i + c j + d k as an SU(2) matrix (4 | N)."""
     i = CycNumber.root_of_unity(N, N // 4)
-
-    def lift(v):
-        return v if isinstance(v, CycNumber) else CycNumber.from_rational(N, v)
-
-    a, b, c, d = lift(a), lift(b), lift(c), lift(d)
     return Matrix2(a + b * i, c + d * i, -c + d * i, a - b * i)
 
 
@@ -310,25 +307,26 @@ class CharTable:
                 "values": [[v.to_json() for v in row] for row in self.values]}
 
 
-def decompose(values, rows, classes, tensor_v=False) -> list[Fraction]:
+def decompose(N: int, values, rows, classes) -> list[Fraction]:
     """Hermitian inner products (1/|G|) sum_C |C| f(C) conj(chi(C)) of the
-    class function f = ``values`` with each row chi over the aligned
-    ``classes``, collapsed to Q. The rows must be conjugate-symmetric,
-    conj(chi(C)) = chi(C^-1), and C -> C^-1 keeps |C|, so this is
-    sum_C |C| f(C^-1) chi(C): one ``dot`` per row with |C| as a factor.
-    f(C^-1) is split once for all the rows, and the rows may come split.
-    With ``tensor_v`` f is V tensor f, (zeta^e_C + zeta^-e_C) f(C): f(C^-1)
-    is taken twice, rotated by +e_C and -e_C, against rows doubled chi + chi.
+    class function f = ``values``, ``dot`` entries at conductor N, with each
+    row chi over the aligned ``classes``, collapsed to Q, |G| = sum_C |C|.
+    The rows must be conjugate-symmetric, conj(chi(C)) = chi(C^-1), and
+    C -> C^-1 keeps |C|, so this is sum_C |C| f(C^-1) chi(C): one ``dot``
+    per row with |C| as a factor, f(C^-1) split once, the rows maybe split.
     """
     col = {c.rep: i for i, c in enumerate(classes)}
-    N = values[0].N
-    turns = (1, -1) if tensor_v else (0,)
-    flipped = split(N, [values[col[c.inverse]] for c in classes] * len(turns))
+    flipped = split(N, [values[col[c.inverse]] for c in classes])
     sizes = [c.size for c in classes]
     order = sum(sizes)
-    shifts = [t * c.eigen_exp for t in turns for c in classes]
-    return [dot(N, flipped, row, sizes * len(turns), shifts).to_rational()
-            / order for row in rows]
+    return [dot(N, flipped, row, sizes).to_rational() / order for row in rows]
+
+
+def _tau_times(c, e: int) -> list[int]:
+    """(x^e + x^-e) c for a lift c in Z[x]/(x^N - 1), N = len(c), as two
+    rotations of c: at x = zeta_N, the product by a class trace tau_C."""
+    e %= len(c)
+    return list(map(add, c[-e:] + c[:-e], c[e:] + c[:e]))
 
 
 def _multiplicities(mults, what: str) -> list[int]:
@@ -490,15 +488,19 @@ def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
 
 def sym_power_values(G: FiniteSubgroup, m: int) -> list[CycNumber]:
     """Character of the m-th symmetric power of the defining representation,
-    from the eigenvalue power sums lambda^(m-2j) per class."""
-    return [dot(G.conductor, [1] * (m + 1), [1] * (m + 1), None,
-                [c.eigen_exp * (m - 2 * j) for j in range(m + 1)])
-            for c in G.classes]
+    from the eigenvalue power sums lambda^(m-2j) per class: the exponents
+    are counted into a lift and reduced once."""
+    N = G.conductor
+    lifts = [[0] * N for _ in G.classes]
+    for lift, c in zip(lifts, G.classes):
+        for j in range(m + 1):
+            lift[c.eigen_exp * (m - 2 * j) % N] += 1
+    return [CycNumber.from_lift(N, lift) for lift in lifts]
 
 
 def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     k = len(G.classes)
-    chi_v = [c.trace for c in G.classes]
+    N = G.conductor
     linear = _linear_characters(G)
     known: list[tuple[CycNumber, ...]] = [tuple(row) for row in linear]
 
@@ -506,7 +508,7 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
         # the known rows are orthonormal, so one decomposition of the
         # candidate gives every multiplicity of the sequential peel
         rem = list(cand)
-        mults = _multiplicities(decompose(cand, known, G.classes),
+        mults = _multiplicities(decompose(N, cand, known, G.classes),
                                 f"{dt}: tensor candidate")
         for mult, psi in zip(mults, known):
             if mult:
@@ -514,11 +516,12 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
         return tuple(rem)
 
     def push_products(row):
-        queue.append(tuple(a * b for a, b in zip(row, chi_v)))
+        queue.append(tuple(CycNumber.from_lift(N, _tau_times(a.to_lift(), c.eigen_exp))
+                           for a, c in zip(row, G.classes)))
         for lin in linear[1:]:
             queue.append(tuple(a * b for a, b in zip(row, lin)))
 
-    queue: deque = deque([tuple(chi_v)])
+    queue: deque = deque([tuple(c.trace for c in G.classes)])
     sym_m = 1
     max_sym = 2 * dt.coxeter_number + 2
     while len(known) < k:
@@ -534,7 +537,7 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
         cand = queue.popleft()
         rem = peel(cand)
         if any(not v.is_zero() for v in rem):
-            if decompose(rem, [rem], G.classes) == [1] and rem not in known:
+            if decompose(N, rem, [rem], G.classes) == [1] and rem not in known:
                 known.append(rem)
                 push_products(rem)
 
@@ -603,15 +606,16 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
         for i, row in enumerate(values):
             if row[cj] != row[ci].conj():
                 return f"chi_{i} not conjugate-symmetric on class {ci}"
-    rows = [split(G.conductor, row) for row in values]
+    N = G.conductor
+    rows = [split(N, row) for row in values]
     for i in range(k):
-        for j, got in enumerate(decompose(values[i], rows[i:], table.classes), i):
+        for j, got in enumerate(decompose(N, values[i], rows[i:], table.classes), i):
             if got != (1 if i == j else 0):
                 return f"row orthogonality fails at ({i},{j}): {got}"
     # the defining character decomposes with nonnegative integer multiplicities
     tau = [c.trace for c in table.classes]
     try:
-        _multiplicities(decompose(tau, rows, table.classes), "defining character")
+        _multiplicities(decompose(N, tau, rows, table.classes), "defining character")
     except ValidationFailed as exc:
         return str(exc)
     return None
@@ -625,14 +629,16 @@ class McKayResult:
 
 def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
                  marks: tuple[int, ...]) -> McKayResult:
-    """Multiplicities of chi_j inside V tensor chi_i (``decompose`` by
-    rotations), plus the node bijection onto the affine graph (trivial
-    character -> node 0), matching each character degree against the marks."""
+    """Multiplicities of chi_j inside V tensor chi_i (``decompose`` of the
+    lifts ``_tau_times``), plus the node bijection onto the affine graph
+    (trivial character -> node 0), matching degrees against the marks."""
     k = len(table.classes)
-    doubled = [Split(split(G.conductor, row) * 2) for row in table.values]
+    rows = [split(G.conductor, row) for row in table.values]
     matrix = tuple(
-        tuple(_multiplicities(decompose(row, doubled, table.classes, True),
-                              f"{G.dynkin}: V x chi_{i}"))
+        tuple(_multiplicities(decompose(
+            G.conductor, [_tau_times(v.to_lift(), c.eigen_exp)
+                          for v, c in zip(row, table.classes)], rows, table.classes),
+            f"{G.dynkin}: V x chi_{i}"))
         for i, row in enumerate(table.values))
     if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
         raise NoIsomorphism(f"{G.dynkin}: McKay matrix is not symmetric")
@@ -719,14 +725,13 @@ class MolienSet:
 
 def _cofactor_lifts(std: tuple[int, ...], e: int, N: int, dt: DynkinType):
     """std / (1 - (x^e + x^-e) q + q^2) by synthetic division over
-    Z[x]/(x^N - 1), coefficients ascending, (x^e + x^-e) c as two rotations
-    of c; a remainder nonzero at x = zeta_N raises NonPolynomialResult."""
+    Z[x]/(x^N - 1), coefficients ascending, (x^e + x^-e) c by ``_tau_times``;
+    a remainder nonzero at x = zeta_N raises NonPolynomialResult."""
     r = [[c] + [0] * (N - 1) for c in std]
     for k in range(len(r) - 1, 1, -1):
         c = r[k]
-        r[k - 1] = [a + u + d for a, u, d in
-                    zip(r[k - 1], c[-e:] + c[:-e], c[e:] + c[:e])]
-        r[k - 2] = [a - u for a, u in zip(r[k - 2], c)]
+        r[k - 1] = list(map(add, r[k - 1], _tau_times(c, e)))
+        r[k - 2] = list(map(sub, r[k - 2], c))
     if not all(CycNumber.from_lift(N, c).is_zero() for c in r[:2]):
         raise NonPolynomialResult(
             f"{dt}: 1 - (z^{e} + z^-{e}) q + q^2 does not divide the standard form")
@@ -773,43 +778,35 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     """Row m lists the multiplicity of each irreducible inside Sym^m of the
     defining representation, via eigenvalue power sums per class:
     Sym^m = Sym^(m-2) + lambda^m + lambda^-m, where lambda^s is the class
-    function zeta^(s e_C) and each <lambda^m + lambda^-m, chi_i> is one
-    ``dot`` of the plain row taken twice against ones, its halves rotated by
-    +m e_C and -m e_C: the class function is real, so chi_i and conj(chi_i)
-    give the same rational sum. The recurrence starts at Sym^-2 = -1 and
-    Sym^-1 = 0, the Weyl character (lambda^(m+1) - lambda^-(m+1)) /
-    (lambda - lambda^-1) at m = -2, -1, so Sym^0 needs no case of its own.
+    function zeta^(s e_C) and lambda^m + lambda^-m is the lift
+    x^(m e_C) + x^-(m e_C), ``_tau_times`` of 1, handed to ``decompose``.
+    The recurrence starts at Sym^-2 = -1 and Sym^-1 = 0, the Weyl character
+    (lambda^(m+1) - lambda^-(m+1)) / (lambda - lambda^-1) at m = -2, -1, so
+    Sym^0 needs no case of its own.
 
-    lambda^m reads m only modulo N, and m -> N - m swaps the two signed
-    halves of the doubled row, so the sums depend on m only through
-    min(m mod N, -m mod N): each is summed once, at most floor(N/2) + 1
-    ``dot`` calls per character. Each row is split once, and its doubled
-    form reuses the split."""
+    lambda^m + lambda^-m reads m only modulo N and is unchanged by
+    m -> N - m, so each row, split once, makes one sum per min(m mod N,
+    -m mod N): at most floor(N/2) + 1 ``dot`` calls per character."""
     N = G.conductor
-    exps = [c.eigen_exp for c in table.classes]
-    sizes = [c.size for c in table.classes] * 2
-    doubled = [Split(split(N, row) * 2) for row in table.values]
-    ones = split(N, [1] * len(sizes))
+    rows = [split(N, row) for row in table.values]
+    one = [1] + [0] * (N - 1)
     sums: dict[int, list[Fraction]] = {}
 
     def power_sums(m: int) -> list[Fraction]:
-        # |G| <lambda^m + lambda^-m, chi_i> per row
+        # <lambda^m + lambda^-m, chi_i> per row
         r = min(m % N, -m % N)
         if r not in sums:
-            shifts = [r * e for e in exps]
-            shifts += [-s for s in shifts]
-            sums[r] = [dot(N, row, ones, sizes, shifts).to_rational()
-                       for row in doubled]
+            sums[r] = decompose(N, [_tau_times(one, r * c.eigen_exp)
+                                    for c in table.classes], rows, table.classes)
         return sums[r]
 
     out = []
-    # |G| <Sym^-2, chi_i> and |G| <Sym^-1, chi_i>; row 0 is the trivial one
-    prev2 = [-G.order] + [0] * (len(doubled) - 1)
-    prev1 = [0] * len(doubled)
+    # <Sym^-2, chi_i> and <Sym^-1, chi_i>; row 0 is the trivial one
+    prev2 = [-1] + [0] * (len(rows) - 1)
+    prev1 = [0] * len(rows)
     for m in range(mmax + 1):
         vals = [p + s for p, s in zip(prev2, power_sums(m))]
-        out.append(tuple(_multiplicities(
-            [v / G.order for v in vals], f"{G.dynkin}: Sym^{m}")))
+        out.append(tuple(_multiplicities(vals, f"{G.dynkin}: Sym^{m}")))
         prev2, prev1 = prev1, vals
     return tuple(out)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from adeweights.cyclo import (CycNumber, _Field, dot, euler_phi,
                               minimal_polynomial)
 from adeweights.errors import NotRational, ValidationFailed
+from adeweights.groups import _tau_times
 from adeweights.poly import (Polynomial, RationalFunction, cox, cyclotomic,
                              fold_palindromic, one_plus_q, poly_gcd,
                              substitute_t)
@@ -201,6 +202,11 @@ def _value(N, x):
     return total
 
 
+def _monomial(N, e):
+    """The lift x^(e mod N)."""
+    return (0,) * (e % N) + (1,)
+
+
 def _same(got, want):
     assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
 
@@ -225,8 +231,8 @@ class TestDot:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_powers_equal_root_of_unity_products(self, data):
-        """A shift e_k multiplies its term by zeta^e_k, so a row of ones
-        with shifts is a sum of roots of unity."""
+        """A monomial lift x^e_k multiplies its term by zeta^e_k, so a row
+        of monomials is a sum of roots of unity."""
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
         terms = data.draw(st.lists(
             st.tuples(_dot_entries(N), st.integers(-2 * N, 2 * N),
@@ -236,25 +242,24 @@ class TestDot:
         for w, e, n in terms:
             want = want + _value(N, w) * CycNumber.root_of_unity(N, e) * (
                 1 if factors is None else n)
-        _same(dot(N, [w for w, _, _ in terms], [1] * len(terms), factors,
-                  [e for _, e, _ in terms]), want)
+        _same(dot(N, [w for w, _, _ in terms],
+                  [_monomial(N, e) for _, e, _ in terms], factors), want)
 
     def test_empty_and_all_zero(self):
         for N in DOT_CONDUCTORS:
             zero = CycNumber.zero(N)
             one = CycNumber.one(N)
             _same(dot(N, [], []), zero)
-            _same(dot(N, [], [], None, []), zero)
+            _same(dot(N, [], [], []), zero)
             _same(dot(N, [0, zero, one], [one, 3, zero]), zero)
-            _same(dot(N, [0, zero], [1, 1], None, [1, 5]), zero)
+            _same(dot(N, [0, zero], [_monomial(N, 1), _monomial(N, 5)]), zero)
 
     def test_lifts_wrap_modulo_x_to_the_n(self):
-        """A lift and a shift are read modulo x^N - 1, which Phi_N divides,
-        so x^(N-1) rotated by 1 is 1 and a lift of length N + 1 is
-        refused."""
+        """A product of lifts is read modulo x^N - 1, which Phi_N divides,
+        so x^(N-1) times x is 1 and a lift of length N + 1 is refused."""
         for N in DOT_CONDUCTORS:
             top = (0,) * (N - 1) + (1,)
-            _same(dot(N, [top], [1], None, [1]), CycNumber.one(N))
+            _same(dot(N, [top], [_monomial(N, 1)]), CycNumber.one(N))
             _same(dot(N, [top], [top]), CycNumber.root_of_unity(N, -2))
             with pytest.raises(ValueError):
                 dot(N, [(1,) * (N + 1)], [1])
@@ -264,6 +269,41 @@ class TestDot:
             dot(8, [CycNumber.one(12)], [1])
         with pytest.raises(TypeError):
             dot(8, [Fraction(1, 2)], [1])
+
+
+def _integers(N):
+    """Algebraic integers of conductor N, zero included."""
+    phi = euler_phi(N)
+    return st.lists(st.one_of(st.just(0), st.integers(-6, 6)), min_size=phi,
+                    max_size=phi).map(lambda nums: CycNumber(N, nums))
+
+
+class TestTauTimes:
+    """``_tau_times`` is the one product by a class trace zeta^e + zeta^-e:
+    two rotations of a lift, which ``to_lift`` and ``from_lift`` carry to
+    and from Q(zeta_N)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rotations_equal_the_trace_product(self, data):
+        N = data.draw(st.sampled_from(DOT_CONDUCTORS))
+        x = data.draw(_integers(N))
+        e = data.draw(st.integers(-2 * N, 2 * N))
+        tau = CycNumber.root_of_unity(N, e) + CycNumber.root_of_unity(N, -e)
+        lift = x.to_lift()
+        assert len(lift) == N and all(type(a) is int for a in lift)
+        _same(CycNumber.from_lift(N, lift), x)
+        _same(CycNumber.from_lift(N, _tau_times(lift, e)), x * tau)
+        _same(dot(N, [_tau_times(lift, e)], [1]), x * tau)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_non_integral_value_has_no_lift(self, data):
+        N = data.draw(st.sampled_from(DOT_CONDUCTORS))
+        x = data.draw(_integers(N))
+        den = data.draw(st.integers(2, 6))
+        with pytest.raises(ValidationFailed):
+            (x + Fraction(1, den)).to_lift()
 
 
 class TestReduceTable:

@@ -237,7 +237,8 @@ class TestCharTable:
             regular = [CycNumber.from_rational(g.conductor,
                                                g.order if c.order == 1 else 0)
                        for c in t.classes]
-            assert decompose(regular, t.values, t.classes) == list(t.degrees)
+            assert decompose(g.conductor, regular, t.values, t.classes) \
+                == list(t.degrees)
 
 
 class TestMcKay:
@@ -402,8 +403,8 @@ class TestOpCounts:
             monkeypatch.setattr(CycNumber, "__rmul__", counting)
             count[0] = 0
             assert table_violation(table, b.group) is None
-            assert decompose(table.values[1], table.values, table.classes) \
-                == [int(i == 1) for i in range(k)]
+            assert decompose(b.group.conductor, table.values[1], table.values,
+                             table.classes) == [int(i == 1) for i in range(k)]
             sym_power_multiplicities(b.group, table,
                                      2 * b.dynkin.coxeter_number + 1)
             assert count[0] == 0, name
@@ -414,8 +415,8 @@ class TestOpCounts:
             monkeypatch.undo()
 
     def test_sym_powers_sum_each_power_once(self, bundle, monkeypatch):
-        """lambda^m reads m only modulo N and m -> N - m swaps the signed
-        halves of the doubled row, so Sym^0..Sym^(2h+1) make at most
+        """lambda^m + lambda^-m reads m only modulo N and is unchanged by
+        m -> N - m, so Sym^0..Sym^(2h+1) make at most
         floor(N/2) + 2 power-sum ``dot`` calls per character, where one call
         per m took 2h + 2 (52 on A24, 94 on D24)."""
         original = groups.dot
@@ -433,6 +434,27 @@ class TestOpCounts:
             sym_power_multiplicities(b.group, b.table,
                                      2 * b.dynkin.coxeter_number + 1)
             assert calls[0] <= (N // 2 + 2) * k, (name, calls[0])
+
+    def test_trace_sums_carry_one_term_per_class(self, bundle, monkeypatch):
+        """V tensor chi_i and lambda^m + lambda^-m are lifts multiplied by
+        tau_C through ``_tau_times``, so every ``dot`` that the McKay matrix
+        and the Sym^m power sums make has k terms, one per class, where
+        rows doubled for two rotations gave 2k."""
+        original = groups.dot
+        terms = []
+
+        def counting(N, xs, ys, *args):
+            terms.append((len(xs), len(ys)))
+            return original(N, xs, ys, *args)
+
+        monkeypatch.setattr(groups, "dot", counting)
+        b = bundle("D24")
+        k = len(b.table.classes)
+        mckay_matrix(b.group, b.table, b.affine, b.marks)
+        sym_power_multiplicities(b.group, b.table,
+                                 2 * b.dynkin.coxeter_number + 1)
+        assert len(terms) > k * k
+        assert set(terms) == {(k, k)}
 
     def test_molien_series_reads_each_entry_once(self, bundle, monkeypatch):
         """``molien_series`` splits each table row and each cofactor column

@@ -6,12 +6,14 @@ the Molien route stays off the other group-side routes."""
 from __future__ import annotations
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
 import adeweights
+from adeweights.cyclo import dot
 from adeweights.graphs import DirectedGraph
-from adeweights.groups import CharTable, MolienSet
+from adeweights.groups import CharTable, MolienSet, decompose
 from adeweights.weights import QNumerators, TWeights
 
 SRC = Path(adeweights.__file__).parent
@@ -92,6 +94,19 @@ def test_mckay_and_molien_read_no_class_trace():
     trace to multiply by."""
     for name in ("mckay_matrix", "molien_series", "_cofactor_lifts"):
         assert "trace" not in _names_in_function(SRC / "groups.py", name), \
+            name
+
+
+def test_trace_products_go_through_one_helper():
+    """tau_C = zeta^e_C + zeta^-e_C multiplies through ``_tau_times`` alone:
+    ``dot`` takes no rotations and ``decompose`` no tensor mode."""
+    assert list(inspect.signature(dot).parameters) == ["N", "xs", "ys",
+                                                       "factors"]
+    assert list(inspect.signature(decompose).parameters) == [
+        "N", "values", "rows", "classes"]
+    for name in ("mckay_matrix", "sym_power_multiplicities",
+                 "_cofactor_lifts", "_e_type_table"):
+        assert "_tau_times" in _names_in_function(SRC / "groups.py", name), \
             name
 
 

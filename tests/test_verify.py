@@ -3,11 +3,11 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import FrozenInstanceError, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
-from adeweights import graphs, verify
+from adeweights import cli, graphs, verify
 from adeweights.cyclo import minimal_polynomial
 from adeweights.errors import ValidationFailed
 from adeweights.graphs import DynkinType, char_poly, charpoly_report
@@ -157,13 +157,15 @@ class TestIdentityGates:
             self._assert_graph_side_red(got)
 
 
-def _numerator_times_q(b, monkeypatch):
-    """The last node's graph-side numerator times q: its coefficients run
-    from q^1 to q^(h+1), so it is not self-reciprocal over span h. The last
-    node is no neighbour of the affine node on D4 and E8, so SPECIALIZATION
-    does not read it."""
+def _numerator_times_q(b, monkeypatch, node=-1):
+    """One graph-side numerator times q, the last node's unless ``node``
+    says otherwise: its coefficients run from q^1 to q^(h+1), so it is not
+    self-reciprocal over span h. The last node is no neighbour of the affine
+    node on D4 and E8, so SPECIALIZATION does not read it. On A1 the affine
+    node's 1 + q^2 becomes q + q^3, whose coefficients up to q^h still pair
+    up: only its degree, above h, shows it."""
     nums = list(b.numerators.N)
-    nums[-1] = nums[-1].shifted(1)
+    nums[node] = nums[node].shifted(1)
     return replace(b, numerators=replace(b.numerators, N=tuple(nums)))
 
 
@@ -192,25 +194,57 @@ def _group_order_doubled(b, monkeypatch):
                    table=replace(b.table, classes=group.classes))
 
 
-# a perturbation of a clean bundle and the exact set of checks it turns red
+# per gate and type, a perturbation of a clean bundle and the exact set of
+# checks it turns red
 RED_WITNESSES = {
-    "PALINDROME": (_numerator_times_q,
-                   {"CROSS_MATCH", "CLOSED_FORM", "FINITE_REDUCTION",
-                    "PALINDROME", "NOTES123"}),
-    "SYM_ORACLE": (_sym_multiplicity_bumped, {"SYM_ORACLE"}),
-    "AB_RELATIONS": (_group_order_doubled, {"AB_RELATIONS"}),
+    **{(gate, name): witness for name in ("D4", "E8") for gate, witness in {
+        "PALINDROME": (_numerator_times_q,
+                       {"CROSS_MATCH", "CLOSED_FORM", "FINITE_REDUCTION",
+                        "PALINDROME", "NOTES123"}),
+        "SYM_ORACLE": (_sym_multiplicity_bumped, {"SYM_ORACLE"}),
+        "AB_RELATIONS": (_group_order_doubled, {"AB_RELATIONS"}),
+    }.items()},
+    ("PALINDROME", "A1"): (partial(_numerator_times_q, node=0),
+                           {"CROSS_MATCH", "CLOSED_FORM", "SPECIALIZATION",
+                            "PALINDROME", "NOTES123"}),
 }
 
 
-@pytest.mark.parametrize("name", ["D4", "E8"])
-@pytest.mark.parametrize("gate", sorted(RED_WITNESSES))
+@pytest.mark.parametrize("gate, name", sorted(RED_WITNESSES))
 def test_hard_gate_has_a_red_witness(gate, name, bundle, monkeypatch):
-    perturb, red = RED_WITNESSES[gate]
+    perturb, red = RED_WITNESSES[gate, name]
     b = bundle(name)
     assert all(c.status != "fail" for c in verify._type_checks(b, None))
     got = {c.name for c in verify._type_checks(perturb(b, monkeypatch), None)
            if c.status == "fail"}
     assert got == red
+
+
+def test_a_check_that_raises_is_that_checks_failure(bundle, monkeypatch,
+                                                     capsys):
+    """An exception inside one check becomes that check's fail record, in
+    its place; every other record and the rest of the report stay as they
+    are, and the CLI exits 1 for a failing check, not 3 for a crash."""
+    clean = run_suite([dt("D4")])
+
+    def raising(G, table, mmax):
+        raise ValidationFailed(f"{G.dynkin}: Sym^1 has multiplicity 1/2")
+    monkeypatch.setattr(verify, "sym_power_multiplicities", raising)
+    want = tuple(verify.CheckResult(
+        "SYM_ORACLE", "D4", "fail", "check raised ValidationFailed: "
+        "D4: Sym^1 has multiplicity 1/2") if c.name == "SYM_ORACLE" else c
+        for c in clean.checks)
+    assert run_suite([dt("D4")]).checks == want
+    assert cli.main(["verify", "--types", "D4"]) == 1
+    assert "check raised ValidationFailed" in capsys.readouterr().out
+    monkeypatch.undo()
+    # the group listed twice with its class sizes kept: SYM_ORACLE takes
+    # |G| as sum_C |C|, as ``decompose`` does, so only a*b = 2|G| sees it
+    b = bundle("D4")
+    group = copy.copy(b.group)
+    group.elements = b.group.elements * 2
+    assert {c.name for c in verify._type_checks(replace(b, group=group), None)
+            if c.status == "fail"} == {"AB_RELATIONS"}
 
 
 class TestDeterminism:
