@@ -6,10 +6,13 @@ tables, the McKay matrix, generalized Molien series, and symmetric-power
 multiplicities are all computed over the same field and collapsed to Q
 where the theory says they must be rational.
 
-Matrices are multiplied only in the closure and in the generators'
-unitarity check. The closure records each element's word over the
-generators and each generator's right-multiplication table, and
-``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
+An element of SU(2) is [[a, b], [-conj(b), conj(a)]], so its top row
+(a, b) determines it. The closure keys elements on the top row and computes
+the top row of x g as two 2-term ``cyclo.dot`` calls against g's columns,
+building the full matrix only for a new element; the generators' unitarity
+check is the only ``Matrix2`` product. The closure records each element's
+word over the generators and each generator's right-multiplication table,
+and ``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
 orders, each class's inverse class, commutators, the derived subgroup and
 its cosets are all index arithmetic.
 
@@ -54,11 +57,10 @@ from .poly import Polynomial, RationalFunction, one_plus_q
 class Matrix2:
     """Immutable 2x2 matrix over a fixed-conductor cyclotomic field."""
 
-    __slots__ = ("a", "b", "c", "d", "_hash")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: CycNumber, b: CycNumber, c: CycNumber, d: CycNumber):
         self.a, self.b, self.c, self.d = a, b, c, d
-        self._hash = hash((a, b, c, d))
 
     @property
     def conductor(self) -> int:
@@ -96,7 +98,7 @@ class Matrix2:
                 and self.c == other.c and self.d == other.d)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
         return f"Matrix2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
@@ -210,12 +212,12 @@ class FiniteSubgroup:
 
 
 def _eigen_exponents(N: int) -> dict[CycNumber, int]:
-    """Map zeta^e + zeta^-e -> e at conductor N, keeping the least e."""
-    out: dict[CycNumber, int] = {}
-    for e in range(N):
-        out.setdefault(CycNumber.root_of_unity(N, e)
-                       + CycNumber.root_of_unity(N, N - e), e)
-    return out
+    """Map zeta^e + zeta^-e -> e at conductor N, keeping the least e: e and
+    N - e give the same trace, and the traces of 0 <= e <= N/2 are distinct,
+    so each is built once, as the lift x^e + x^-e."""
+    one = [1] + [0] * (N - 1)
+    return {CycNumber.from_lift(N, _tau_times(one, e)): e
+            for e in range(N // 2 + 1)}
 
 
 def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
@@ -223,8 +225,14 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
     recording each element's generator word and each generator's
     right-multiplication table; then conjugacy classes as orbits of
     generator conjugation, computed on indices, each with its inverse class.
-    The closure holds the only matrix products; it must reach exactly the
-    expected order and class count, or ``ValidationFailed`` is raised."""
+
+    The generators must be special unitary, so every element is
+    [[a, b], [-conj(b), conj(a)]]: the closure keys elements on the top row
+    (a, b), computes the top row of x g as two ``dot`` calls of x's split top
+    row against g's split columns, and builds the matrix of a new element
+    from its top row. It makes no CycNumber product per step and must reach
+    exactly the expected order and class count, or ``ValidationFailed`` is
+    raised."""
     N = gens[0].conductor
     for g in gens:
         if not g.is_unitary():
@@ -232,21 +240,24 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
     limit = 2 * dt.group_order
     ident = Matrix2.identity(N)
     elements = [ident]
-    index = {ident: 0}
+    index = {(ident.a.sort_key(), ident.b.sort_key()): 0}
+    columns = [(split(N, (g.a, g.c)), split(N, (g.b, g.d))) for g in gens]
     words: list[tuple[int, ...]] = [()]
     right: list[list[int]] = [[] for _ in gens]
     pos = 0
     while pos < len(elements):
         x = elements[pos]
-        for gi, g in enumerate(gens):
-            y = x @ g
-            j = index.get(y)
+        top = split(N, (x.a, x.b))
+        for gi, (first, second) in enumerate(columns):
+            a, b = dot(N, top, first), dot(N, top, second)
+            key = (a.sort_key(), b.sort_key())
+            j = index.get(key)
             if j is None:
                 if len(elements) >= limit:
                     raise ClosureOverflow(
                         f"closure of {dt} exceeded {limit} elements")
-                j = index[y] = len(elements)
-                elements.append(y)
+                j = index[key] = len(elements)
+                elements.append(Matrix2(a, b, -b.conj(), a.conj()))
                 words.append(words[pos] + (gi,))
             right[gi].append(j)
         pos += 1
@@ -362,8 +373,8 @@ def _cyclic_table(dt: DynkinType, G: FiniteSubgroup):
     N = G.conductor
     dlog = _dlog_table(N, n)
     exps = [dlog[G.elements[c.rep].a] for c in G.classes]
-    rows = [[CycNumber.root_of_unity(N, (i * j) % n) for j in exps]
-            for i in range(n)]
+    roots = [CycNumber.root_of_unity(N, e) for e in range(n)]
+    rows = [[roots[i * j % n] for j in exps] for i in range(n)]
     return rows, [1] * n
 
 
@@ -394,16 +405,13 @@ def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
         rows.append(row)
         degrees.append(1)
     zero = CycNumber.zero(N)
+    # zeta_2k^r + zeta_2k^-r for each r mod 2k, each built once
     step = N // (2 * k)
+    taus = [CycNumber.from_lift(N, _tau_times(one.to_lift(), step * r))
+            for r in range(2 * k)]
     for ell in range(1, k):
-        row = []
-        for kind, j in tags:
-            if kind == "s":
-                row.append(zero)
-            else:
-                row.append(CycNumber.root_of_unity(N, (step * ell * j) % N)
-                           + CycNumber.root_of_unity(N, (-step * ell * j) % N))
-        rows.append(row)
+        rows.append([zero if kind == "s" else taus[ell * j % (2 * k)]
+                     for kind, j in tags])
         degrees.append(2)
     return rows, degrees
 

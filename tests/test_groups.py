@@ -133,6 +133,17 @@ class TestIndexKernel:
             self._check(g, index, rng.randrange(g.order),
                         rng.randrange(g.order))
 
+    def test_right_tables_are_matrix_products(self, bundle):
+        """The closure keys elements on their top rows and derives the
+        bottom rows; the exact matrix product is the oracle for both."""
+        for name in SUITE_NAMES:
+            g = bundle(name).group
+            for x in g.elements:
+                assert x.c == -x.b.conj() and x.d == x.a.conj(), name
+            for k, gen in enumerate(g.generators):
+                for i, x in enumerate(g.elements):
+                    assert x @ gen == g.elements[g.right[k][i]], (name, k, i)
+
     def test_words_spell_their_elements(self, bundle):
         for name in ("D5", "E7"):
             g = bundle(name).group
@@ -351,14 +362,16 @@ class TestMolien:
 
 class TestOpCounts:
     """CycNumber constructions over one cold ``verify`` of a type, a count
-    that does not jitter the way wall time does. With every class sum one
-    ``dot`` and each distinct Sym^m power sum summed once, E8 builds 6,014
-    values and D12 3,974; one power sum per m took them to 6,833 and 4,975.
-    Building one per term and per partial sum took them to 27,326 and
-    27,595, and doing so in ``decompose`` alone, or in the Molien class sum
-    alone, to 10,577-12,918."""
+    that does not jitter the way wall time does. With the closure computing
+    top rows by ``dot``, every class sum one ``dot`` and each distinct Sym^m
+    power sum summed once, E8 builds 2,359 values and D12 1,314; the closure
+    by full matrix products took them to 4,551 and 2,323, and one power sum
+    per m to 6,833 and 4,975 before that. Building one per term and per
+    partial sum took them to 27,326 and 27,595, and doing so in
+    ``decompose`` alone, or in the Molien class sum alone, to
+    10,577-12,918."""
 
-    LIMIT = 9_000
+    LIMIT = 2_500
 
     def test_constructions_per_cold_verify(self):
         original = CycNumber.__init__
@@ -377,6 +390,28 @@ class TestOpCounts:
             finally:
                 CycNumber.__init__ = original
             assert count[0] <= self.LIMIT, (name, count[0])
+
+    def test_closure_makes_no_product_per_step(self, monkeypatch):
+        """The closure computes each top row of x g by ``dot`` and derives
+        the bottom row by conjugation, so its only CycNumber products are
+        the generators' unitarity checks, 10 per generator, whatever |G|;
+        full matrix products took 8 per element and generator."""
+        original = CycNumber.__mul__
+        count = [0]
+
+        def counting(self, other):
+            count[0] += 1
+            return original(self, other)
+
+        for name in ("A24", "D24", "E7", "E8"):
+            gens = generators(dt(name))
+            monkeypatch.setattr(CycNumber, "__mul__", counting)
+            monkeypatch.setattr(CycNumber, "__rmul__", counting)
+            count[0] = 0
+            g = enumerate_subgroup(gens, dt(name))
+            monkeypatch.undo()
+            assert g.order == dt(name).group_order
+            assert count[0] <= 10 * len(gens), (name, count[0])
 
     def test_class_sums_build_no_cyclotomic_products(self, bundle,
                                                      monkeypatch):
