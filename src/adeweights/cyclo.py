@@ -10,7 +10,11 @@ unity acts by rotation. ``dot`` is the one sum-of-products kernel: it
 accumulates every term's coordinate products, times an optional integer
 factor, in one integer buffer modulo x^N - 1 and reduces modulo Phi_N (a
 factor of x^N - 1) and by the content once per sum, so a sum of k products
-builds one value, not 2k; an entry is a CycNumber, an int or a lift. A
+builds one value, not 2k; an entry is a CycNumber, an int or a lift, and
+rows of different lengths are refused. ``rational_dot`` reads a sum that
+must be rational off coordinate 0 of the same buffer, divided by an integer,
+as an int where it is integral and a Fraction otherwise, and builds no
+value; ``vanishes`` likewise tests a lift for zero at zeta. A
 caller that sweeps one row of entries against many others reads it once
 with ``split`` (denominator, coordinates and nonzero positions per entry)
 and hands the split row to every ``dot`` of the sweep; the split is dropped
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, count, repeat
+from itertools import compress, count
 from math import gcd, lcm
 
 from .errors import NotRational, ValidationFailed
@@ -303,11 +307,37 @@ def dot(N: int, xs, ys, factors=None) -> CycNumber:
     x = zeta. The int ``factors`` n_k (1 when None) scale a term's
     coordinates. ``xs`` and ``ys`` are rows of entries or rows already read
     by ``split``; a caller that sweeps one row against many splits it once
-    and passes the split row to every ``dot``. Zero coordinates are
-    skipped; the products of the nonzero ones go into one integer buffer
-    over the lcm of the term denominators, which is folded modulo x^N - 1
-    and reduced modulo Phi_N and by its content once, at the end.
+    and passes the split row to every ``dot``. Rows of different lengths
+    raise ValueError. Zero coordinates are skipped; the products of the
+    nonzero ones go into one integer buffer over the lcm of the term
+    denominators, which is folded modulo x^N - 1 and reduced modulo Phi_N
+    and by its content once, at the end.
     """
+    return CycNumber(N, *_accumulate(N, xs, ys, factors))
+
+
+def rational_dot(N: int, xs, ys, factors, divisor: int) -> int | Fraction:
+    """``dot(N, xs, ys, factors).to_rational() / divisor`` for a sum that
+    must be rational, read off coordinate 0 with no CycNumber built: an int
+    when the quotient is integral, else a Fraction. An irrational sum raises
+    the NotRational of ``to_rational``."""
+    nums, den = _accumulate(N, xs, ys, factors)
+    if any(nums[1:]):
+        CycNumber(N, nums, den).to_rational()  # raises NotRational
+    den *= divisor
+    q, r = divmod(nums[0], den)
+    return Fraction(nums[0], den) if r else q
+
+
+def vanishes(N: int, lift) -> bool:
+    """Whether the lift is zero at x = zeta_N, read off its reduction modulo
+    Phi_N with no CycNumber built."""
+    return not any(_field(N).reduce(list(lift)))
+
+
+def _accumulate(N: int, xs, ys, factors) -> tuple[list[int], int]:
+    """The coordinates of ``dot`` over one common denominator, reduced
+    modulo Phi_N but not by their content."""
     if not isinstance(xs, Split):
         xs = split(N, xs)
     if not isinstance(ys, Split):
@@ -315,7 +345,8 @@ def dot(N: int, xs, ys, factors=None) -> CycNumber:
     buf = [0] * (2 * N)  # i, j < N
     den = 1
     for (xd, xn, xt), (yd, yn, yt), n in zip(
-            xs, ys, repeat(1) if factors is None else factors):
+            xs, ys, [1] * len(xs) if factors is None else factors,
+            strict=True):
         if not (xt and yt):
             continue
         d = xd * yd
@@ -329,7 +360,7 @@ def dot(N: int, xs, ys, factors=None) -> CycNumber:
             for j in yt:
                 buf[i + j] += a * yn[j]
     folded = [a + b for a, b in zip(buf, buf[N:])]
-    return CycNumber(N, _field(N).reduce(folded), den)
+    return _field(N).reduce(folded), den
 
 
 def _parts(N: int, x) -> tuple:

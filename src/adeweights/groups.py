@@ -29,9 +29,11 @@ abelianization, symmetric powers of the defining character, tensor peeling
 against the known rows, and a regular-character completion for the last row.
 Every table must pass ``table_violation`` before use. Every inner product of
 class functions (validation, peeling, McKay, the symmetric-power oracle) is
-``decompose``, one ``cyclo.dot`` per row reading conj(chi(C)) as chi(C^-1);
-the Molien class sums are ``cyclo.dot`` calls of their own, so each class
-sum reduces modulo Phi_N once, with |C| an integer factor inside it. Every
+``decompose``, one ``cyclo.rational_dot`` per row reading conj(chi(C)) as
+chi(C^-1); the Molien class sums are ``cyclo.rational_dot`` calls of their
+own, so each class sum reduces modulo Phi_N once, with |C| an integer factor
+inside it and |G| its divisor, and is read as an int when integral, with no
+CycNumber or Fraction built. Every
 product by a class trace tau_C = zeta^e_C + zeta^-e_C (V tensor chi,
 det(I - x q), lambda^m + lambda^-m) is ``_tau_times``, two rotations of a
 lift in Z[x]/(x^N - 1). A sweep of many sums over the same rows reads each
@@ -47,7 +49,8 @@ from fractions import Fraction
 from math import isqrt
 from operator import add, sub
 
-from .cyclo import CycNumber, dot, minimal_polynomial, split
+from .cyclo import (CycNumber, dot, minimal_polynomial, rational_dot, split,
+                    vanishes)
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
@@ -318,19 +321,21 @@ class CharTable:
                 "values": [[v.to_json() for v in row] for row in self.values]}
 
 
-def decompose(N: int, values, rows, classes) -> list[Fraction]:
+def decompose(N: int, values, rows, classes) -> list[int | Fraction]:
     """Hermitian inner products (1/|G|) sum_C |C| f(C) conj(chi(C)) of the
     class function f = ``values``, ``dot`` entries at conductor N, with each
-    row chi over the aligned ``classes``, collapsed to Q, |G| = sum_C |C|.
+    row chi over the aligned ``classes``, collapsed to Q, |G| = sum_C |C|:
+    an int where the product is integral, else a Fraction.
     The rows must be conjugate-symmetric, conj(chi(C)) = chi(C^-1), and
-    C -> C^-1 keeps |C|, so this is sum_C |C| f(C^-1) chi(C): one ``dot``
-    per row with |C| as a factor, f(C^-1) split once, the rows maybe split.
+    C -> C^-1 keeps |C|, so this is sum_C |C| f(C^-1) chi(C): one
+    ``rational_dot`` per row with |C| as a factor and |G| as the divisor,
+    f(C^-1) split once, the rows maybe split.
     """
     col = {c.rep: i for i, c in enumerate(classes)}
     flipped = split(N, [values[col[c.inverse]] for c in classes])
     sizes = [c.size for c in classes]
     order = sum(sizes)
-    return [dot(N, flipped, row, sizes).to_rational() / order for row in rows]
+    return [rational_dot(N, flipped, row, sizes, order) for row in rows]
 
 
 def _tau_times(c, e: int) -> list[int]:
@@ -597,6 +602,9 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
         return "columns are not the group's classes"
     if len(values) != k:
         return f"{len(values)} rows for {k} classes"
+    for i, row in enumerate(values):
+        if len(row) != k:
+            return f"chi_{i} has {len(row)} entries for {k} classes"
     if any(not v == 1 for v in values[0]):
         return "row 0 is not the trivial character"
     id_col = next((i for i, c in enumerate(table.classes) if c.order == 1), None)
@@ -607,10 +615,13 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
             return f"chi_{i}(1) != degree {table.degrees[i]}"
     if sum(d * d for d in table.degrees) != G.order:
         return "degree squares do not sum to |G|"
-    # conjugate symmetry: chi(x^-1) = conj(chi(x))
+    # conjugate symmetry: chi(x^-1) = conj(chi(x)), a relation symmetric in
+    # {C, C^-1}, checked once per pair at its first column
     col_of_class = {c.rep: i for i, c in enumerate(table.classes)}
     for ci, c in enumerate(table.classes):
         cj = col_of_class[c.inverse]
+        if cj < ci:
+            continue
         for i, row in enumerate(values):
             if row[cj] != row[ci].conj():
                 return f"chi_{i} not conjugate-symmetric on class {ci}"
@@ -740,7 +751,7 @@ def _cofactor_lifts(std: tuple[int, ...], e: int, N: int, dt: DynkinType):
         c = r[k]
         r[k - 1] = list(map(add, r[k - 1], _tau_times(c, e)))
         r[k - 2] = list(map(sub, r[k - 2], c))
-    if not all(CycNumber.from_lift(N, c).is_zero() for c in r[:2]):
+    if not all(vanishes(N, c) for c in r[:2]):
         raise NonPolynomialResult(
             f"{dt}: 1 - (z^{e} + z^-{e}) q + q^2 does not divide the standard form")
     return [tuple(c) for c in r[2:]]
@@ -754,7 +765,8 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     the standard form, so each class has a cofactor P_C of degree h with
     (1 - tau_C q + q^2) P_C = (1-q^a)(1-q^b), and
     N_i = (1/|G|) sum_C |C| chi_i(C) P_C, collapsed to Q, with P_C's
-    coefficients lifts in Z[x]/(x^N - 1), built with no cyclotomic product.
+    coefficients lifts in Z[x]/(x^N - 1), built with no cyclotomic product;
+    each coefficient of N_i is one ``rational_dot``, read as an int.
     """
     dt = G.dynkin
     N = G.conductor
@@ -770,11 +782,11 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
         row = split(N, row)
         coeffs = []
         for col in columns:
-            v = dot(N, row, col, sizes).to_rational() / G.order
+            v = rational_dot(N, row, col, sizes, G.order)
             if v.denominator != 1 or v < 0:
                 raise NonPolynomialResult(
                     f"{dt}: numerator coefficient {v} is not a nonnegative integer")
-            coeffs.append(v.numerator)
+            coeffs.append(v)
         numerators.append(Polynomial("q", coeffs))
     if numerators[0] != one_plus_q(h):
         raise NonPolynomialResult(f"{dt}: trivial numerator is not 1 + q^{h}")
@@ -794,13 +806,13 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
 
     lambda^m + lambda^-m reads m only modulo N and is unchanged by
     m -> N - m, so each row, split once, makes one sum per min(m mod N,
-    -m mod N): at most floor(N/2) + 1 ``dot`` calls per character."""
+    -m mod N): at most floor(N/2) + 1 ``rational_dot`` calls per character."""
     N = G.conductor
     rows = [split(N, row) for row in table.values]
     one = [1] + [0] * (N - 1)
-    sums: dict[int, list[Fraction]] = {}
+    sums: dict[int, list[int | Fraction]] = {}
 
-    def power_sums(m: int) -> list[Fraction]:
+    def power_sums(m: int) -> list[int | Fraction]:
         # <lambda^m + lambda^-m, chi_i> per row
         r = min(m % N, -m % N)
         if r not in sums:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adeweights.cyclo import (CycNumber, _Field, dot, euler_phi,
-                              minimal_polynomial)
+                              minimal_polynomial, rational_dot, vanishes)
 from adeweights.errors import NotRational, ValidationFailed
 from adeweights.groups import _tau_times
 from adeweights.poly import (Polynomial, RationalFunction, cox, cyclotomic,
@@ -269,6 +269,78 @@ class TestDot:
             dot(8, [CycNumber.one(12)], [1])
         with pytest.raises(TypeError):
             dot(8, [Fraction(1, 2)], [1])
+
+    def test_rejects_rows_of_different_lengths(self):
+        # zip used to truncate: dot(N, [1, 2, 3], [1, 1]) read 3
+        for xs, ys, factors in (([1, 2, 3], [1, 1], None),
+                                ([1, 1], [1, 2, 3], None),
+                                ([1, 2], [1, 1], [1]),
+                                ([1, 2], [1, 1], [1, 1, 1])):
+            with pytest.raises(ValueError):
+                dot(8, xs, ys, factors)
+            with pytest.raises(ValueError):
+                rational_dot(8, xs, ys, factors, 1)
+
+
+class TestRationalDot:
+    """``rational_dot`` against the ``dot`` it reads without building."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_dot_over_the_divisor(self, data):
+        N = data.draw(st.sampled_from(DOT_CONDUCTORS))
+        terms = data.draw(st.lists(st.tuples(_dot_entries(N), _dot_entries(N),
+                                             st.integers(-3, 5)), max_size=8))
+        xs, ys = [x for x, _, _ in terms], [y for _, y, _ in terms]
+        factors = [n for _, _, n in terms] if data.draw(st.booleans()) else None
+        d = data.draw(st.integers(1, 12))
+        value = dot(N, xs, ys, factors)
+        if value.is_rational():
+            got = rational_dot(N, xs, ys, factors, d)
+            want = value.to_rational() / d
+            assert got == want
+            assert type(got) is (int if want.denominator == 1 else Fraction)
+        else:
+            with pytest.raises(NotRational) as want:
+                value.to_rational()
+            with pytest.raises(NotRational) as got:
+                rational_dot(N, xs, ys, factors, d)
+            assert str(got.value) == str(want.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_galois_traces_are_read_exactly(self, data):
+        """Rational sums, which random entries rarely give: the trace
+        n sum_a sigma_a(x) sigma_a(y) over the Galois group, with x and y
+        drawn as CycNumbers over mixed denominators, ints or lifts."""
+        N = data.draw(st.sampled_from(DOT_CONDUCTORS))
+        x, y = (_value(N, data.draw(_dot_entries(N))) for _ in range(2))
+        x, y = (CycNumber.from_rational(N, v) if isinstance(v, int) else v
+                for v in (x, y))
+        units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
+        xs, ys = [x.galois(a) for a in units], [y.galois(a) for a in units]
+        factors = [data.draw(st.integers(-3, 5))] * len(units)
+        d = data.draw(st.integers(1, 12))
+        want = dot(N, xs, ys, factors).to_rational() / d
+        got = rational_dot(N, xs, ys, factors, d)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+class TestVanishes:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_reduced_value(self, data):
+        N = data.draw(st.sampled_from(DOT_CONDUCTORS))
+        lift = data.draw(st.lists(st.integers(-3, 3), max_size=N))
+        assert vanishes(N, lift) == CycNumber.from_lift(N, lift).is_zero()
+
+    def test_multiples_of_phi_n_vanish(self):
+        for N in DOT_CONDUCTORS[1:]:  # Phi_1 = x - 1 is no lift of length 1
+            phi = list(cyclotomic(N).coeffs)
+            phi += [0] * (N - len(phi))
+            assert vanishes(N, phi) and vanishes(N, phi[-1:] + phi[:-1])
+            assert vanishes(N, []) and not vanishes(N, [1])
 
 
 def _integers(N):
