@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InvalidParameter, SingularSystem, ValidationFailed
 from .poly import Polynomial, cox, one_plus_q
@@ -242,31 +241,36 @@ def graph_marks(affine: DirectedGraph) -> tuple[int, ...]:
     finite ADE adjacency lies below 2. The whole eigen-equation, the affine
     row included, is then checked on the solution.
 
-    Elimination runs forward only, then back-substitutes: A_fin is a tree
-    in canonical node order, so the rows fill in little, where clearing
-    above the pivots as well would fill the upper triangle. No row swaps:
-    2I - A_fin is positive definite, so no pivot is zero, and a zero pivot
-    means the system is not of finite ADE type."""
+    Elimination runs over Z, forward only, then back-substitutes: A_fin is a
+    tree in canonical node order, so the rows fill in little, where clearing
+    above the pivots as well would fill the upper triangle. Each eliminated
+    row is cross-multiplied by the pivot and divided by its content, and
+    back substitution divides exactly or raises. No row swaps: 2I - A_fin is
+    positive definite, so no pivot is zero, and a zero pivot means the
+    system is not of finite ADE type."""
     r = affine.n - 1
-    rows = [[Fraction(affine.mult[i][j] - (2 if i == j else 0))
-             for j in range(1, r + 1)] + [Fraction(-affine.mult[i][0])]
-            for i in range(1, r + 1)]
+    rows = [[affine.mult[i][j] - (2 if i == j else 0) for j in range(1, r + 1)]
+            + [-affine.mult[i][0]] for i in range(1, r + 1)]
     for col in range(r):
         pivot = rows[col]
-        if pivot[col] == 0:
+        p = pivot[col]
+        if p == 0:
             raise SingularSystem(f"{affine.dynkin}: marks system lost rank")
         for k in range(col + 1, r):
-            if rows[k][col] != 0:
-                f = rows[k][col] / pivot[col]
-                rows[k] = [v - f * p for v, p in zip(rows[k], pivot)]
-    x = [Fraction(0)] * r
+            f = rows[k][col]
+            if f:
+                row = [p * v - f * w for v, w in zip(rows[k], pivot)]
+                g = gcd(*row)
+                rows[k] = [v // g for v in row] if g > 1 else row
+    x = [0] * r
     for i in range(r - 1, -1, -1):
         row = rows[i]
-        x[i] = (row[r] - sum(row[j] * x[j] for j in range(i + 1, r) if row[j])) / row[i]
-    marks = [Fraction(1)] + x
-    if any(v.denominator != 1 or v <= 0 for v in marks):
-        raise ValidationFailed(f"{affine.dynkin}: marks are not positive integers")
-    marks = tuple(int(v) for v in marks)
+        num = row[r] - sum(row[j] * x[j] for j in range(i + 1, r) if row[j])
+        x[i], rem = divmod(num, row[i])
+        if rem or x[i] <= 0:
+            raise ValidationFailed(
+                f"{affine.dynkin}: marks are not positive integers")
+    marks = (1, *x)
     if affine.neighbor_sums(marks) != [2 * v for v in marks]:
         raise SingularSystem(f"{affine.dynkin}: marks system inconsistent")
     return marks

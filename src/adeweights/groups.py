@@ -1,18 +1,19 @@
 """Finite subgroups of SU(2) attached to the ADE types.
 
-Each group is enumerated as exact 2x2 unitary matrices over a cyclotomic
-field whose conductor is the group exponent. Conjugacy classes, character
-tables, the McKay matrix, generalized Molien series, and symmetric-power
-multiplicities are all computed over the same field and collapsed to Q
-where the theory says they must be rational.
+Each group is enumerated exactly over a cyclotomic field whose conductor
+is the group exponent. Conjugacy classes, character tables, the McKay
+matrix, generalized Molien series, and symmetric-power multiplicities are
+all computed over the same field and collapsed to Q where the theory says
+they must be rational.
 
 An element of SU(2) is [[a, b], [-conj(b), conj(a)]], so its top row
-(a, b) determines it. The closure keys elements on the top row and computes
-the top row of x g as two 2-term ``cyclo.dot`` calls against g's columns,
-building the full matrix only for a new element; the generators' unitarity
-check is the only ``Matrix2`` product. The closure records each element's
-word over the generators and each generator's right-multiplication table,
-and ``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
+(a, b) determines it, and each generator and element is held as that pair
+alone: its trace is a + conj(a), and the generators' unitarity check is one
+``dot``, |a|^2 + |b|^2 = 1. The closure computes the top row of x g as two
+2-term ``cyclo.dot`` calls against g's columns, so it makes no CycNumber
+product and builds no bottom row. It records each element's word over the
+generators and each generator's right-multiplication table, and
+``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
 orders, each class's inverse class, commutators, the derived subgroup and
 its cosets are all index arithmetic.
 
@@ -57,88 +58,35 @@ from .graphs import DirectedGraph, DynkinType
 from .poly import Polynomial, RationalFunction, one_plus_q
 
 
-class Matrix2:
-    """Immutable 2x2 matrix over a fixed-conductor cyclotomic field."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: CycNumber, b: CycNumber, c: CycNumber, d: CycNumber):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @property
-    def conductor(self) -> int:
-        return self.a.N
-
-    @classmethod
-    def identity(cls, N: int) -> Matrix2:
-        one, zero = CycNumber.one(N), CycNumber.zero(N)
-        return cls(one, zero, zero, one)
-
-    def __matmul__(self, other: Matrix2) -> Matrix2:
-        return Matrix2(self.a * other.a + self.b * other.c,
-                       self.a * other.b + self.b * other.d,
-                       self.c * other.a + self.d * other.c,
-                       self.c * other.b + self.d * other.d)
-
-    def conj_transpose(self) -> Matrix2:
-        return Matrix2(self.a.conj(), self.c.conj(), self.b.conj(), self.d.conj())
-
-    def det(self) -> CycNumber:
-        return self.a * self.d - self.b * self.c
-
-    def trace(self) -> CycNumber:
-        return self.a + self.d
-
-    def is_unitary(self) -> bool:
-        m = self.conj_transpose() @ self
-        return (self.det() == 1 and m.a == 1 and m.d == 1
-                and m.b.is_zero() and m.c.is_zero())
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix2):
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"Matrix2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
+TopRow = tuple[CycNumber, CycNumber]
 
 
-def quaternion(N: int, a, b, c, d) -> Matrix2:
-    """Unit quaternion a + b i + c j + d k as an SU(2) matrix (4 | N)."""
+def quaternion(N: int, a, b, c, d) -> TopRow:
+    """Unit quaternion a + b i + c j + d k as the top row (a + b i, c + d i)
+    of its SU(2) matrix (4 | N)."""
     i = CycNumber.root_of_unity(N, N // 4)
-    return Matrix2(a + b * i, c + d * i, -c + d * i, a - b * i)
+    return a + b * i, c + d * i
 
 
-def generators(dt: DynkinType) -> list[Matrix2]:
-    """Standard generators: cyclic rotations for A, a rotation plus the
-    quaternion j for D, Hurwitz units for E6, adding zeta_8 for E7, and an
-    icosian pair for E8."""
+def generators(dt: DynkinType) -> list[TopRow]:
+    """Standard generators, as top rows: cyclic rotations for A, a rotation
+    plus the quaternion j for D, Hurwitz units for E6, adding zeta_8 for E7,
+    and an icosian pair for E8."""
     N = dt.conductor
+    zero = CycNumber.zero(N)
     if dt.family == "A":
-        z = CycNumber.root_of_unity(N, 1)
-        zero = CycNumber.zero(N)
-        return [Matrix2(z, zero, zero, z.conj())]
+        return [(CycNumber.root_of_unity(N, 1), zero)]
     if dt.family == "D":
-        k = dt.m - 2
-        z = CycNumber.root_of_unity(N, N // (2 * k))
-        zero, one = CycNumber.zero(N), CycNumber.one(N)
-        rot = Matrix2(z, zero, zero, z.conj())
-        s = Matrix2(zero, one, -one, zero)
-        return [rot, s]
+        z = CycNumber.root_of_unity(N, N // (2 * (dt.m - 2)))
+        return [(z, zero), (zero, CycNumber.one(N))]
     half = Fraction(1, 2)
     if dt.m == 6:
         return [quaternion(N, 0, 1, 0, 0), quaternion(N, 0, 0, 1, 0),
                 quaternion(N, -half, half, half, half)]
     if dt.m == 7:
-        z8 = CycNumber.root_of_unity(N, N // 8)
-        zero = CycNumber.zero(N)
         return [quaternion(N, 0, 1, 0, 0), quaternion(N, 0, 0, 1, 0),
                 quaternion(N, -half, half, half, half),
-                Matrix2(z8, zero, zero, z8.conj())]
+                (CycNumber.root_of_unity(N, N // 8), zero)]
     # E8: golden ratio lives in Q(zeta_5) inside Q(zeta_60)
     phi = -(CycNumber.root_of_unity(N, 24) + CycNumber.root_of_unity(N, 36))
     return [quaternion(N, -half, half, half, half),
@@ -169,8 +117,8 @@ class FiniteSubgroup:
     so element 0 is the identity and ``classes[0]`` is {1}.
     """
 
-    def __init__(self, dynkin: DynkinType, conductor: int, gens: list[Matrix2],
-                 elements: list[Matrix2], words: list[tuple[int, ...]],
+    def __init__(self, dynkin: DynkinType, conductor: int, gens: list[TopRow],
+                 elements: list[TopRow], words: list[tuple[int, ...]],
                  right: list[list[int]]):
         self.dynkin = dynkin
         self.conductor = conductor
@@ -188,7 +136,7 @@ class FiniteSubgroup:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] @ elements[j]."""
+        """Index of the product elements[i] elements[j]."""
         for g in self.words[j]:
             i = self.right[g][i]
         return i
@@ -223,34 +171,35 @@ def _eigen_exponents(N: int) -> dict[CycNumber, int]:
             for e in range(N // 2 + 1)}
 
 
-def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
+def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     """Breadth-first closure under right multiplication by the generators,
     recording each element's generator word and each generator's
     right-multiplication table; then conjugacy classes as orbits of
     generator conjugation, computed on indices, each with its inverse class.
 
-    The generators must be special unitary, so every element is
-    [[a, b], [-conj(b), conj(a)]]: the closure keys elements on the top row
-    (a, b), computes the top row of x g as two ``dot`` calls of x's split top
-    row against g's split columns, and builds the matrix of a new element
-    from its top row. It makes no CycNumber product per step and must reach
-    exactly the expected order and class count, or ``ValidationFailed`` is
-    raised."""
-    N = gens[0].conductor
-    for g in gens:
-        if not g.is_unitary():
-            raise ValueError(f"generator is not special unitary: {g!r}")
+    Each generator and element is a top row (a, b), standing for the
+    matrix [[a, b], [-conj(b), conj(a)]], which is special unitary exactly
+    when |a|^2 + |b|^2 = 1; a generator failing that raises ``ValueError``.
+    The closure keys elements on the top row and computes the top row of
+    x g as two ``dot`` calls of x's split top row against g's split columns
+    (a, -conj(b)) and (b, conj(a)). It makes no CycNumber product and must
+    reach exactly the expected order and class count, or
+    ``ValidationFailed`` is raised."""
+    N = gens[0][0].N
+    for a, b in gens:
+        if dot(N, (a, b), (a.conj(), b.conj())) != 1:
+            raise ValueError(f"generator is not special unitary: ({a}, {b})")
     limit = 2 * dt.group_order
-    ident = Matrix2.identity(N)
-    elements = [ident]
-    index = {(ident.a.sort_key(), ident.b.sort_key()): 0}
-    columns = [(split(N, (g.a, g.c)), split(N, (g.b, g.d))) for g in gens]
+    one, zero = CycNumber.one(N), CycNumber.zero(N)
+    elements = [(one, zero)]
+    index = {(one.sort_key(), zero.sort_key()): 0}
+    columns = [(split(N, (a, -b.conj())), split(N, (b, a.conj())))
+               for a, b in gens]
     words: list[tuple[int, ...]] = [()]
     right: list[list[int]] = [[] for _ in gens]
     pos = 0
     while pos < len(elements):
-        x = elements[pos]
-        top = split(N, (x.a, x.b))
+        top = split(N, elements[pos])
         for gi, (first, second) in enumerate(columns):
             a, b = dot(N, top, first), dot(N, top, second)
             key = (a.sort_key(), b.sort_key())
@@ -260,7 +209,7 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
                     raise ClosureOverflow(
                         f"closure of {dt} exceeded {limit} elements")
                 j = index[key] = len(elements)
-                elements.append(Matrix2(a, b, -b.conj(), a.conj()))
+                elements.append((a, b))
                 words.append(words[pos] + (gi,))
             right[gi].append(j)
         pos += 1
@@ -293,7 +242,8 @@ def enumerate_subgroup(gens: list[Matrix2], dt: DynkinType) -> FiniteSubgroup:
     classes = []
     for members in orbits:
         rep = members[0]
-        trace = elements[rep].trace()
+        a = elements[rep][0]
+        trace = a + a.conj()
         if trace not in exps:
             raise ValueError(f"trace {trace} is not a sum zeta^e + zeta^-e")
         order, inv = G.order_and_inverse(rep)
@@ -377,7 +327,7 @@ def _cyclic_table(dt: DynkinType, G: FiniteSubgroup):
     n = G.order
     N = G.conductor
     dlog = _dlog_table(N, n)
-    exps = [dlog[G.elements[c.rep].a] for c in G.classes]
+    exps = [dlog[G.elements[c.rep][0]] for c in G.classes]
     roots = [CycNumber.root_of_unity(N, e) for e in range(n)]
     rows = [[roots[i * j % n] for j in exps] for i in range(n)]
     return rows, [1] * n
@@ -389,11 +339,11 @@ def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
     dlog = _dlog_table(N, 2 * k)
     tags = []  # ("r", j) or ("s", j) per class
     for c in G.classes:
-        m = G.elements[c.rep]
-        if m.b.is_zero() and m.c.is_zero():
-            tags.append(("r", dlog[m.a]))
+        a, b = G.elements[c.rep]
+        if b.is_zero():
+            tags.append(("r", dlog[a]))
         else:
-            tags.append(("s", dlog[-m.c]))
+            tags.append(("s", dlog[b.conj()]))
     one = CycNumber.one(N)
     if k % 2 == 0:
         deltas = (one, -one)

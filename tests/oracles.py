@@ -194,6 +194,29 @@ def _list_div_monic(p, d):
     return quo
 
 
+def su2_matrix(row):
+    """The full matrix [[a, b], [-conj(b), conj(a)]] of the SU(2) element
+    whose top row is (a, b), as a tuple of rows."""
+    a, b = row
+    return (a, b), (-b.conj(), a.conj())
+
+
+def matrix_product(x, y):
+    """2x2 matrix product by CycNumber ``*`` and ``+``, with no ``dot``."""
+    return tuple(tuple(r[0] * y[0][j] + r[1] * y[1][j] for j in range(2))
+                 for r in x)
+
+
+def matrix_trace(m):
+    return m[0][0] + m[1][1]
+
+
+def matrix_inverse(m):
+    """The conjugate transpose, the inverse of a unitary matrix."""
+    return ((m[0][0].conj(), m[1][0].conj()),
+            (m[0][1].conj(), m[1][1].conj()))
+
+
 def molien_by_elements(G, table):
     """Molien numerators summed element by element (not class by class),
     against (1-q^a)(1-q^b). The quadratics 1 - tr(x) q + q^2 and their
@@ -202,8 +225,8 @@ def molien_by_elements(G, table):
     dt = G.dynkin
     a, b = dt.standard_ab
     quads = {}
-    for x in G.elements:
-        tr = x.trace()
+    traces = [matrix_trace(su2_matrix(x)) for x in G.elements]
+    for tr in traces:
         if tr not in quads:
             quads[tr] = [1, -tr, 1]
     denom = [1]
@@ -215,9 +238,9 @@ def molien_by_elements(G, table):
     out = []
     for row in table.values:
         acc = [0] * (len(denom) - 2)
-        for idx, x in enumerate(G.elements):
+        for idx, tr in enumerate(traces):
             val = row[class_of[idx]]
-            acc = [s + val * c for s, c in zip(acc, partial[x.trace()])]
+            acc = [s + val * c for s, c in zip(acc, partial[tr])]
         coeffs = []
         for c in _list_div_monic(_list_mul(acc, std), denom):
             v = c.to_rational() / G.order

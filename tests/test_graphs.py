@@ -217,9 +217,12 @@ class TestMarks:
             graph_marks(g)
 
     def test_fractional_marks_raise(self):
-        g = DirectedGraph(((0, 1), (1, 0)), None, "affine")
-        with pytest.raises(ValidationFailed, match="positive integers"):
-            graph_marks(g)
+        # x_1 = 1/2, and x_1 = 3/2, which back substitution over Z must not
+        # round down to 1
+        for mult in (((0, 1), (1, 0)), ((0, 1), (3, 0))):
+            g = DirectedGraph(mult, None, "affine")
+            with pytest.raises(ValidationFailed, match="positive integers"):
+                graph_marks(g)
 
 
 class TestExport:

@@ -11,7 +11,7 @@ from adeweights.cyclo import CycNumber
 from adeweights.errors import (ClosureOverflow, NoIsomorphism,
                                NonPolynomialResult, ValidationFailed)
 from adeweights.graphs import DynkinType, build_graph, graph_marks
-from adeweights.groups import (CharTable, Matrix2, build_group, char_table,
+from adeweights.groups import (CharTable, build_group, char_table,
                                decompose, enumerate_subgroup, generators,
                                mckay_matrix, molien_series, recurrence_check,
                                sym_power_multiplicities, sym_power_values,
@@ -19,7 +19,8 @@ from adeweights.groups import (CharTable, Matrix2, build_group, char_table,
                                _match_affine)
 from adeweights.poly import Polynomial
 from adeweights.verify import build_bundle, run_suite
-from oracles import (molien_by_elements, series_coefficients,
+from oracles import (matrix_inverse, matrix_product, matrix_trace,
+                     molien_by_elements, series_coefficients, su2_matrix,
                      sym_power_multiplicities_direct)
 
 Q = lambda *cs: Polynomial("q", cs)
@@ -32,8 +33,15 @@ def dt(name):
 
 
 def element_index(g) -> dict:
-    """Each element matrix's position in ``g.elements``."""
-    return {x: i for i, x in enumerate(g.elements)}
+    """Each element's full matrix -> its position in ``g.elements``."""
+    return {su2_matrix(x): i for i, x in enumerate(g.elements)}
+
+
+def is_special_unitary(m) -> bool:
+    """m* m = I by CycNumber products; for a matrix
+    [[a, b], [-conj(b), conj(a)]] this also gives det m = 1."""
+    (p, q), (r, s) = matrix_product(matrix_inverse(m), m)
+    return p == 1 and s == 1 and q.is_zero() and r.is_zero()
 
 
 class TestEnumeration:
@@ -47,7 +55,8 @@ class TestEnumeration:
     def test_a1_is_plus_minus_identity(self, bundle):
         g = bundle("A1").group
         assert g.order == 2
-        assert g.elements[1] @ g.elements[1] == g.elements[0]
+        m = su2_matrix(g.elements[1])
+        assert matrix_product(m, m) == su2_matrix(g.elements[0])
 
     def test_a2_cyclic(self, bundle):
         assert bundle("A2").group.order == 3
@@ -64,8 +73,8 @@ class TestEnumeration:
 
     def test_all_elements_special_unitary(self, bundle):
         for name in ("A3", "D5", "E6"):
-            for m in bundle(name).group.elements:
-                assert m.is_unitary()
+            for x in bundle(name).group.elements:
+                assert is_special_unitary(su2_matrix(x))
 
     def test_class_traces_real_and_constant(self, bundle):
         for name in ("A4", "D6", "E7"):
@@ -73,7 +82,8 @@ class TestEnumeration:
             for c in g.classes:
                 assert c.trace.conj() == c.trace
                 for member in c.members:
-                    assert g.elements[member].trace() == c.trace
+                    assert matrix_trace(su2_matrix(g.elements[member])) \
+                        == c.trace
 
     def test_classes_partition_the_group(self, bundle):
         for name in ("A5", "D7", "E8"):
@@ -115,7 +125,8 @@ class TestEnumeration:
 class TestIndexKernel:
     @staticmethod
     def _check(g, index, i, j):
-        assert g.mul(i, j) == index[g.elements[i] @ g.elements[j]]
+        assert g.mul(i, j) == index[matrix_product(
+            su2_matrix(g.elements[i]), su2_matrix(g.elements[j]))]
 
     def test_mul_on_every_pair(self, bundle):
         for name in ("A5", "D4", "E6"):
@@ -134,33 +145,33 @@ class TestIndexKernel:
                         rng.randrange(g.order))
 
     def test_right_tables_are_matrix_products(self, bundle):
-        """The closure keys elements on their top rows and derives the
-        bottom rows; the exact matrix product is the oracle for both."""
+        """The closure holds elements as top rows and computes the top row
+        of each product by ``dot``; the full 2x2 product by CycNumber
+        products, bottom rows included, is the oracle."""
         for name in SUITE_NAMES:
             g = bundle(name).group
-            for x in g.elements:
-                assert x.c == -x.b.conj() and x.d == x.a.conj(), name
             for k, gen in enumerate(g.generators):
                 for i, x in enumerate(g.elements):
-                    assert x @ gen == g.elements[g.right[k][i]], (name, k, i)
+                    assert matrix_product(su2_matrix(x), su2_matrix(gen)) \
+                        == su2_matrix(g.elements[g.right[k][i]]), (name, k, i)
 
     def test_words_spell_their_elements(self, bundle):
         for name in ("D5", "E7"):
             g = bundle(name).group
             for x, word in zip(g.elements, g.words):
-                prod = g.elements[0]
+                prod = su2_matrix(g.elements[0])
                 for k in word:
-                    prod = prod @ g.generators[k]
-                assert prod == x
+                    prod = matrix_product(prod, su2_matrix(g.generators[k]))
+                assert prod == su2_matrix(x)
 
     def test_class_orders_match_matrix_powers(self, bundle):
         for name in ("E7", "E8"):
             g = bundle(name).group
             for c in g.classes:
-                m = g.elements[c.rep]
+                m = su2_matrix(g.elements[c.rep])
                 power, k = m, 1
-                while power != g.elements[0]:
-                    power = power @ m
+                while power != su2_matrix(g.elements[0]):
+                    power = matrix_product(power, m)
                     k += 1
                 assert c.order == k
 
@@ -168,9 +179,10 @@ class TestIndexKernel:
         g = bundle("E6").group
         index = element_index(g)
         for k, gen in enumerate(g.generators):
+            m = su2_matrix(gen)
             for i, x in enumerate(g.elements):
-                assert g.conjugate(i, k) == \
-                    index[gen @ x @ gen.conj_transpose()]
+                assert g.conjugate(i, k) == index[matrix_product(
+                    matrix_product(m, su2_matrix(x)), matrix_inverse(m))]
 
     def test_derived_subgroup_sizes(self, bundle):
         sizes = [len(_derived_subgroup(bundle(name).group))
@@ -260,7 +272,7 @@ class TestCharTable:
             rep_of = {j: c.rep for c in g.classes for j in c.members}
             reps = {c.rep for c in g.classes}
             for c in g.classes:
-                inv = index[g.elements[c.rep].conj_transpose()]
+                inv = index[matrix_inverse(su2_matrix(g.elements[c.rep]))]
                 assert c.inverse in reps
                 assert c.inverse == rep_of[inv]
 
@@ -400,17 +412,18 @@ class TestMolien:
 
 class TestOpCounts:
     """CycNumber constructions over one cold ``verify`` of a type, a count
-    that does not jitter the way wall time does. With the closure computing
-    top rows by ``dot``, every class sum a ``rational_dot`` that builds no
-    value and each distinct Sym^m power sum summed once, E8 builds 1,575
-    values and D12 573; a CycNumber per class sum took them to 2,359 and
-    1,314, the closure by full matrix products to 4,551 and 2,323, and one
-    power sum per m to 6,833 and 4,975 before that. Building one per term
-    and per partial sum took them to 27,326 and 27,595, and doing so in
-    ``decompose`` alone, or in the Molien class sum alone, to
-    10,577-12,918."""
+    that does not jitter the way wall time does. With the closure holding
+    each element as its top row and computing top rows by ``dot``, every
+    class sum a ``rational_dot`` that builds no value and each distinct
+    Sym^m power sum summed once, E8 builds 1,184 values and D12 439; a
+    bottom row per element took them to 1,575 and 573, a CycNumber per
+    class sum to 2,359 and 1,314, the closure by full matrix products to
+    4,551 and 2,323, and one power sum per m to 6,833 and 4,975 before
+    that. Building one per term and per partial sum took them to 27,326
+    and 27,595, and doing so in ``decompose`` alone, or in the Molien class
+    sum alone, to 10,577-12,918."""
 
-    LIMIT = 1_700
+    LIMIT = 1_300
 
     def test_constructions_per_cold_verify(self):
         original = CycNumber.__init__
@@ -431,10 +444,11 @@ class TestOpCounts:
             assert count[0] <= self.LIMIT, (name, count[0])
 
     def test_closure_makes_no_product_per_step(self, monkeypatch):
-        """The closure computes each top row of x g by ``dot`` and derives
-        the bottom row by conjugation, so its only CycNumber products are
-        the generators' unitarity checks, 10 per generator, whatever |G|;
-        full matrix products took 8 per element and generator."""
+        """The closure computes each top row of x g by ``dot`` and checks
+        each generator's |a|^2 + |b|^2 = 1 by ``dot``, so it makes no
+        CycNumber product, whatever |G|; the 2x2 unitarity check took 10
+        per generator, and full matrix products 8 per element and
+        generator."""
         original = CycNumber.__mul__
         count = [0]
 
@@ -450,7 +464,7 @@ class TestOpCounts:
             g = enumerate_subgroup(gens, dt(name))
             monkeypatch.undo()
             assert g.order == dt(name).group_order
-            assert count[0] <= 10 * len(gens), (name, count[0])
+            assert count[0] == 0, (name, count[0])
 
     def test_class_sums_build_no_cyclotomic_products(self, bundle,
                                                      monkeypatch):
@@ -625,14 +639,15 @@ class TestCrossModule:
         assert all(len(c["trace_min_poly"]["coeffs"]) == 3 for c in golden)
 
 
-class TestMatrix2:
-    def test_unitarity_check(self):
-        half = Fraction(1, 2)
-        m = Matrix2(CycNumber.from_rational(4, half), CycNumber.zero(4),
-                    CycNumber.zero(4), CycNumber.from_rational(4, 2))
-        assert not m.is_unitary()
+class TestGenerators:
+    def test_non_unitary_generator_raises(self):
+        half = CycNumber.from_rational(4, Fraction(1, 2))
+        with pytest.raises(ValueError, match="not special unitary"):
+            enumerate_subgroup([(half, CycNumber.zero(4))], dt("A3"))
 
-    def test_generator_matrices_are_unitary(self):
+    def test_generators_are_special_unitary(self):
+        """|a|^2 + |b|^2 = 1 by CycNumber products, not by ``dot``."""
         for name in SUITE_NAMES:
-            for g in generators(dt(name)):
-                assert g.is_unitary()
+            for a, b in generators(dt(name)):
+                assert a * a.conj() + b * b.conj() == 1
+                assert is_special_unitary(su2_matrix((a, b)))

@@ -56,11 +56,28 @@ def test_no_assert_in_src():
 
 
 def test_poly_imports_nothing_from_fractions():
-    tree = ast.parse((SRC / "poly.py").read_text())
-    found = [node.lineno for node in ast.walk(tree)
+    """Polynomials stay over Z, and the graph side (marks included) solves
+    its integer systems over Z."""
+    found = [f"{name}:{node.lineno}" for name in ("poly.py", "graphs.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text()))
              if isinstance(node, ast.ImportFrom) and node.module == "fractions"
              or isinstance(node, ast.Import)
              and any(a.name == "fractions" for a in node.names)]
+    assert found == []
+
+
+def test_no_matrix_class_or_matrix_product_in_src():
+    """An SU(2) element is its top row (a, b): src/ has no 2x2 matrix class
+    and no ``@``; full matrices live in tests/oracles.py as the oracle."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        if "Matrix2" in text:
+            found.append(f"{path.name}: Matrix2")
+        found += [f"{path.name}:{node.lineno} @"
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
     assert found == []
 
 
