@@ -2,18 +2,20 @@
 
 Every identity the library computes twice (graph side vs group side, solver
 vs closed form, characteristic polynomial factorizations, ...) is run per
-type and recorded as a CheckResult. Failures are data, not exceptions; the
-charpoly claim is informational by design. A seeded fault-injection hook
-perturbs one numerator coefficient at the cross-match boundary so the suite
-can prove it is not vacuous.
+type and recorded as a CheckResult; ``CHECKS`` is the one list of them.
+Failures are data, not exceptions; the charpoly claim is informational by
+design. A seeded fault-injection hook perturbs one numerator coefficient at
+the cross-match boundary so the suite can prove it is not vacuous.
 """
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cached_property, lru_cache
 
+from .errors import InvalidParameter
 from .graphs import (CharPolyReport, DirectedGraph, DynkinType, build_graph,
                      charpoly_report, graph_marks)
 from .groups import (CharTable, FiniteSubgroup, McKayResult, MolienSet,
@@ -30,13 +32,6 @@ DEFAULT_SUITE = tuple(
     + [DynkinType("D", m) for m in range(4, 13)]
     + [DynkinType("E", m) for m in (6, 7, 8)]
 )
-
-CHECK_NAMES = (
-    "CROSS_MATCH", "CLOSED_FORM", "AB_RELATIONS", "SPECIALIZATION",
-    "FINITE_REDUCTION", "PALINDROME", "NOTES123", "LCD_COX", "MCKAY_ADJ",
-    "SMITH_EIGEN", "SYM_ORACLE", "CHARPOLY_CLAIM", "STRUCTURAL_CHARPOLY",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -103,6 +98,12 @@ class TypeBundle:
     mckay: McKayResult
     molien: MolienSet
 
+    @cached_property
+    def charpoly(self) -> CharPolyReport:
+        """LeVerrier on the semi-affine graph held against the solver's det,
+        computed when a check first reads it; the query commands never do."""
+        return charpoly_report(self.semiaffine, self.tweights.det)
+
 
 @lru_cache(maxsize=None)
 def build_bundle(dt: DynkinType) -> TypeBundle:
@@ -119,12 +120,7 @@ def build_bundle(dt: DynkinType) -> TypeBundle:
                       molien_series(group, table))
 
 
-def _result(name, dt, ok, detail_ok, detail_fail, payload=None) -> CheckResult:
-    return CheckResult(name, str(dt), "pass" if ok else "fail",
-                       detail_ok if ok else detail_fail, payload)
-
-
-def _check_cross_match(b: TypeBundle, fault: FaultSpec | None) -> CheckResult:
+def _check_cross_match(b: TypeBundle, fault: FaultSpec | None) -> tuple:
     graph_side = list(b.numerators.N)
     noted = ""
     if fault is not None and fault.type_name == str(b.dynkin):
@@ -135,88 +131,76 @@ def _check_cross_match(b: TypeBundle, fault: FaultSpec | None) -> CheckResult:
         noted = f" (fault injected at node {fault.node}, q^{fault.exponent} +1)"
     mismatches = [i for i, num in enumerate(b.molien.numerators)
                   if num != graph_side[b.mckay.bijection[i]]]
-    return _result(
-        "CROSS_MATCH", b.dynkin, not mismatches,
-        f"all {len(b.molien.numerators)} Molien numerators equal the graph "
-        f"weights under the node bijection{noted}",
-        f"numerator mismatch at character rows {mismatches}{noted}")
+    return (not mismatches,
+            f"all {len(b.molien.numerators)} Molien numerators equal the "
+            f"graph weights under the node bijection{noted}",
+            f"numerator mismatch at character rows {mismatches}{noted}")
 
 
-def _check_closed_form(b: TypeBundle) -> CheckResult:
+def _check_closed_form(b: TypeBundle, _fault) -> tuple:
     if not weights_satisfy(b.semiaffine, b.tweights):
-        return _result("CLOSED_FORM", b.dynkin, False, "",
-                       "solved t-weights do not satisfy the semi-affine "
-                       "equations")
-    expected = closed_form(b.dynkin)
-    ok = b.numerators.N == expected.N
-    return _result("CLOSED_FORM", b.dynkin, ok,
-                   "solver numerators equal the tabulated exponent lists",
-                   "solver numerators differ from the tabulated exponent lists")
+        return (False, "",
+                "solved t-weights do not satisfy the semi-affine equations")
+    return (b.numerators.N == closed_form(b.dynkin).N,
+            "solver numerators equal the tabulated exponent lists",
+            "solver numerators differ from the tabulated exponent lists")
 
 
-def _check_ab(b: TypeBundle) -> CheckResult:
-    dt = b.dynkin
-    a, g_b = dt.standard_ab
-    h = dt.coxeter_number
-    ok = (a * g_b == 2 * b.group.order) and (a + g_b == h + 2)
-    return _result("AB_RELATIONS", dt, ok,
-                   f"a*b = 2|G| = {2 * b.group.order} and a+b = h+2 = {h + 2}",
-                   f"standard form broken: a={a} b={g_b} |G|={b.group.order} h={h}")
+def _check_ab(b: TypeBundle, _fault) -> tuple:
+    a, g_b = b.dynkin.standard_ab
+    h = b.dynkin.coxeter_number
+    return ((a * g_b == 2 * b.group.order) and (a + g_b == h + 2),
+            f"a*b = 2|G| = {2 * b.group.order} and a+b = h+2 = {h + 2}",
+            f"standard form broken: a={a} b={g_b} |G|={b.group.order} h={h}")
 
 
-def _check_specialization(b: TypeBundle) -> CheckResult:
-    return _result("SPECIALIZATION", b.dynkin,
-                   specialization_identity(b.numerators, b.affine),
-                   "q[(q+1/q)N_0 - neighbor sum] = (1-q^a)(1-q^b)",
-                   "specialization identity fails")
+def _check_specialization(b: TypeBundle, _fault) -> tuple:
+    return (specialization_identity(b.numerators, b.affine),
+            "q[(q+1/q)N_0 - neighbor sum] = (1-q^a)(1-q^b)",
+            "specialization identity fails")
 
 
-def _check_finite_reduction(b: TypeBundle) -> CheckResult:
-    return _result("FINITE_REDUCTION", b.dynkin,
-                   finite_reduction_check(b.numerators, b.finite),
-                   "finite-type equations hold modulo 1+q^h",
-                   "finite-type reduction fails modulo 1+q^h")
+def _check_finite_reduction(b: TypeBundle, _fault) -> tuple:
+    return (finite_reduction_check(b.numerators, b.finite),
+            "finite-type equations hold modulo 1+q^h",
+            "finite-type reduction fails modulo 1+q^h")
 
 
-def _check_palindrome(b: TypeBundle) -> CheckResult:
+def _check_palindrome(b: TypeBundle, _fault) -> tuple:
     h = b.dynkin.coxeter_number
     bad = [i for i, p in enumerate(b.numerators.N)
            if p.degree > h or not all(p.coefficient(k) == p.coefficient(h - k)
                                       for k in range(h + 1))]
-    return _result("PALINDROME", b.dynkin, not bad,
-                   "q^h N(1/q) = N(q) at every node",
-                   f"nodes {bad} are not self-reciprocal over span h")
+    return (not bad, "q^h N(1/q) = N(q) at every node",
+            f"nodes {bad} are not self-reciprocal over span h")
 
 
-def _check_notes(b: TypeBundle) -> CheckResult:
+def _check_notes(b: TypeBundle, _fault) -> tuple:
     rep = check_notes(b.numerators, b.affine)
-    return _result(
-        "NOTES123", b.dynkin, rep.all_ok(),
-        f"exponent chain, parity ({rep.h_parity} h), and doubling counts hold",
-        f"notes violated: chain={rep.chain_ok} parity={rep.parity_ok} "
-        f"count={rep.count_ok}")
+    return (rep.all_ok(),
+            f"exponent chain, parity ({rep.h_parity} h), and doubling counts "
+            "hold",
+            f"notes violated: chain={rep.chain_ok} parity={rep.parity_ok} "
+            f"count={rep.count_ok}")
 
 
-def _check_lcd(b: TypeBundle) -> CheckResult:
+def _check_lcd(b: TypeBundle, _fault) -> tuple:
     lcd = common_denominator(b.tweights)
     expected = cox(b.dynkin.coxeter_number)
-    return _result("LCD_COX", b.dynkin, lcd == expected,
-                   f"common denominator is cox(h) = {expected}",
-                   f"common denominator {lcd} differs from cox(h) = {expected}")
+    return (lcd == expected, f"common denominator is cox(h) = {expected}",
+            f"common denominator {lcd} differs from cox(h) = {expected}")
 
 
-def _check_mckay(b: TypeBundle) -> CheckResult:
+def _check_mckay(b: TypeBundle, _fault) -> tuple:
     if not recurrence_check(b.molien, b.mckay.matrix):
-        return _result("MCKAY_ADJ", b.dynkin, False, "",
-                       "Molien numerators fail (q + 1/q) m_i = "
-                       "sum_j A_ij m_j on the McKay matrix")
+        return (False, "", "Molien numerators fail (q + 1/q) m_i = "
+                "sum_j A_ij m_j on the McKay matrix")
     k = b.affine.n
-    ok = all(b.mckay.matrix[i][j] ==
-             b.affine.mult[b.mckay.bijection[i]][b.mckay.bijection[j]]
-             for i in range(k) for j in range(k))
-    return _result("MCKAY_ADJ", b.dynkin, ok,
-                   "McKay matrix equals the affine adjacency",
-                   "McKay matrix differs from the affine adjacency")
+    return (all(b.mckay.matrix[i][j] ==
+                b.affine.mult[b.mckay.bijection[i]][b.mckay.bijection[j]]
+                for i in range(k) for j in range(k)),
+            "McKay matrix equals the affine adjacency",
+            "McKay matrix differs from the affine adjacency")
 
 
 def _halved_values_at_one(numerators) -> list | None:
@@ -228,83 +212,107 @@ def _halved_values_at_one(numerators) -> list | None:
     return [v // 2 for v in ones]
 
 
-def _check_smith(b: TypeBundle) -> CheckResult:
+def _check_smith(b: TypeBundle, _fault) -> tuple:
     marks = _halved_values_at_one(b.numerators.N)
     if marks is None:
-        return _result("SMITH_EIGEN", b.dynkin, False, "",
-                       "some N_i(1) is odd; marks are not integral")
+        return False, "", "some N_i(1) is odd; marks are not integral"
     # graph_marks checked the eigen-equation for b.marks on the affine graph
-    ok = list(b.marks) == marks
-    return _result("SMITH_EIGEN", b.dynkin, ok,
-                   "adjacency * (N(1)/2) = 2 * (N(1)/2), the Perron vector",
-                   "marks vector is not the eigenvalue-2 eigenvector")
+    return (list(b.marks) == marks,
+            "adjacency * (N(1)/2) = 2 * (N(1)/2), the Perron vector",
+            "marks vector is not the eigenvalue-2 eigenvector")
 
 
-def _check_sym_oracle(b: TypeBundle) -> CheckResult:
-    h = b.dynkin.coxeter_number
-    mmax = 2 * h + 1
+def _check_sym_oracle(b: TypeBundle, _fault) -> tuple:
+    mmax = 2 * b.dynkin.coxeter_number + 1
     sym = sym_power_multiplicities(b.group, b.table, mmax)
-    k = len(b.table.classes)
-    ok = True
-    for i in range(k):
-        coeffs = b.molien.coefficients(i, mmax + 1)
-        if any(coeffs[m] != sym[m][i] for m in range(mmax + 1)):
-            ok = False
-    return _result("SYM_ORACLE", b.dynkin, ok,
-                   f"symmetric-power multiplicities match the series to q^{mmax}",
-                   "symmetric-power multiplicities disagree with the series")
+    return (all(b.molien.coefficients(i, mmax + 1) == [row[i] for row in sym]
+                for i in range(len(b.table.classes))),
+            f"symmetric-power multiplicities match the series to q^{mmax}",
+            "symmetric-power multiplicities disagree with the series")
 
 
-def _check_charpoly_claim(b: TypeBundle, rep: CharPolyReport) -> CheckResult:
+def _check_charpoly_claim(b: TypeBundle, _fault) -> tuple:
+    rep = b.charpoly
     payload = {"d": rep.d, "cofactor": rep.cofactor.to_json(),
                "cox": rep.cox.to_json(), "claim_holds": rep.claim_holds}
-    word = "matches" if rep.claim_holds else "exceeds"
-    return CheckResult("CHARPOLY_CLAIM", str(b.dynkin), "informational",
-                       f"cofactor {rep.cofactor} {word} cox(h) = {rep.cox}, "
-                       f"d = {rep.d}", payload)
+    tail = f"cox(h) = {rep.cox}, d = {rep.d}"
+    return (rep.claim_holds, f"cofactor {rep.cofactor} matches {tail}",
+            f"cofactor {rep.cofactor} exceeds {tail}", payload)
 
 
-def _check_structural(b: TypeBundle, rep: CharPolyReport) -> CheckResult:
-    ok = rep.structural_ok and rep.char_semiaffine.degree == b.dynkin.rank + 1
-    ok = ok and not b.semiaffine.is_symmetric()
-    return _result("STRUCTURAL_CHARPOLY", b.dynkin, ok,
-                   "char(semiaffine) = t * char(finite), degree rank+1, "
-                   "matrix asymmetric",
-                   "structural characteristic-polynomial identity fails")
+def _check_structural(b: TypeBundle, _fault) -> tuple:
+    rep = b.charpoly
+    return (rep.structural_ok and rep.char_semiaffine.degree == b.dynkin.rank + 1
+            and not b.semiaffine.is_symmetric(),
+            "char(semiaffine) = t * char(finite), degree rank+1, matrix "
+            "asymmetric",
+            "structural characteristic-polynomial identity fails")
+
+
+@dataclass(frozen=True)
+class Check:
+    """``run(bundle, fault)`` returns a verdict, the detail for a true one,
+    the detail for a false one and, optionally, a payload."""
+
+    name: str
+    run: Callable[[TypeBundle, FaultSpec | None], tuple]
+    kind: str = "hard"  # hard | informational
+
+
+CHECKS = (
+    Check("CROSS_MATCH", _check_cross_match),
+    Check("CLOSED_FORM", _check_closed_form),
+    Check("AB_RELATIONS", _check_ab),
+    Check("SPECIALIZATION", _check_specialization),
+    Check("FINITE_REDUCTION", _check_finite_reduction),
+    Check("PALINDROME", _check_palindrome),
+    Check("NOTES123", _check_notes),
+    Check("LCD_COX", _check_lcd),
+    Check("MCKAY_ADJ", _check_mckay),
+    Check("SMITH_EIGEN", _check_smith),
+    Check("SYM_ORACLE", _check_sym_oracle),
+    Check("CHARPOLY_CLAIM", _check_charpoly_claim, "informational"),
+    Check("STRUCTURAL_CHARPOLY", _check_structural),
+)
+CHECK_NAMES = tuple(c.name for c in CHECKS)
 
 
 def _type_checks(b: TypeBundle, fault: FaultSpec | None) -> list[CheckResult]:
-    # computed here, not in the bundle, as the query commands never read it;
-    # it holds LeVerrier on the semi-affine graph against the solver's det
-    rep = cache(lambda: charpoly_report(b.semiaffine, b.tweights.det))
-    checks = (partial(_check_cross_match, fault=fault), _check_closed_form,
-              _check_ab, _check_specialization, _check_finite_reduction,
-              _check_palindrome, _check_notes, _check_lcd, _check_mckay,
-              _check_smith, _check_sym_oracle,
-              lambda b: _check_charpoly_claim(b, rep()),
-              lambda b: _check_structural(b, rep()))
     out = []
-    for name, check in zip(CHECK_NAMES, checks):
+    for check in CHECKS:
         try:
-            out.append(check(b))
+            ok, if_true, if_false, *payload = check.run(b, fault)
+            status = ("informational" if check.kind == "informational"
+                      else "pass" if ok else "fail")
+            detail = if_true if ok else if_false
         except Exception as exc:  # a check that raises fails, the rest run
-            out.append(CheckResult(name, str(b.dynkin), "fail", "check raised "
-                                   f"{type(exc).__name__}: {exc}"))
+            status, payload = "fail", []
+            detail = f"check raised {type(exc).__name__}: {exc}"
+        out.append(CheckResult(check.name, str(b.dynkin), status, detail,
+                               *payload))
     return out
 
 
 def run_suite(types, fault: FaultSpec | None = None) -> VerificationReport:
     """Run every check on every type, in canonical type order."""
     ordered = sorted(set(types))
+    if fault is not None:
+        dt = next((t for t in ordered if str(t) == fault.type_name), None)
+        if dt is None or not (0 <= fault.node <= dt.rank and
+                              0 <= fault.exponent <= dt.coxeter_number):
+            raise InvalidParameter(
+                f"fault {fault.type_name} node {fault.node} q^{fault.exponent}"
+                " needs its type in the run, 0 <= node <= rank and "
+                "0 <= exponent <= h")
     checks: list[CheckResult] = []
     for dt in ordered:
         try:
             bundle = build_bundle(dt)
         except Exception as exc:  # a failure to build is data, not a crash
-            checks.extend(CheckResult(name, str(dt), "fail",
+            checks.extend(CheckResult(check.name, str(dt), "fail",
                                       "bundle construction failed: "
                                       f"{type(exc).__name__}: {exc}")
-                          for name in CHECK_NAMES)
+                          for check in CHECKS)
             continue
         checks.extend(_type_checks(bundle, fault))
     summary = {

@@ -1,12 +1,14 @@
 """Lint-style checks that need no linter: the public names resolve, no
 module imports a name it never uses and no class defines a method nothing
 calls, no invariant rests on ``assert`` (which ``python -O`` strips),
-polynomials stay over Z, values hold no fact the ADE type already fixes, and
-the Molien route stays off the other group-side routes."""
+polynomials stay over Z, values hold no fact the ADE type already fixes, the
+Molien route stays off the other group-side routes, and each check is named
+in one place."""
 from __future__ import annotations
 
 import ast
 import inspect
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import adeweights
 from adeweights.cyclo import dot
 from adeweights.graphs import DirectedGraph
 from adeweights.groups import CharTable, MolienSet, decompose
+from adeweights.verify import CHECK_NAMES
 from adeweights.weights import QNumerators, TWeights
 
 SRC = Path(adeweights.__file__).parent
@@ -81,11 +84,16 @@ def test_no_matrix_class_or_matrix_product_in_src():
     assert found == []
 
 
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    """The top-level function ``name`` of the module at ``path``."""
+    tree = ast.parse(path.read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def _names_in_function(path: Path, name: str) -> set[str]:
     """Every name and attribute the top-level function ``name`` reads."""
-    tree = ast.parse(path.read_text())
-    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                and node.name == name)
+    body = _function(path, name)
     names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     return names | {node.attr for node in ast.walk(body)
                     if isinstance(node, ast.Attribute)}
@@ -259,3 +267,23 @@ def test_no_product_by_a_one_plus_q_factor():
                      and side.func.id == "one_plus_q"
                      for side in (node.left, node.right))]
     assert found == []
+
+
+def test_each_check_is_named_once():
+    """``verify.CHECKS`` is the one list of checks: each check's name is one
+    string literal in src/, and no check body names itself."""
+    literals = Counter(node.value for path in sorted(SRC.glob("*.py"))
+                       for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Constant))
+    assert len(CHECK_NAMES) == 13
+    assert {name: literals[name] for name in CHECK_NAMES} == dict.fromkeys(
+        CHECK_NAMES, 1)
+
+
+def test_type_checks_calls_every_check_the_same_way():
+    """``_type_checks`` runs each registry entry as ``run(bundle, fault)``:
+    it wraps no check in a lambda, a ``partial`` or a cache."""
+    body = _function(SRC / "verify.py", "_type_checks")
+    assert not any(isinstance(node, ast.Lambda) for node in ast.walk(body))
+    assert _names_in_function(SRC / "verify.py", "_type_checks") & {
+        "partial", "cache", "lru_cache", "cached_property"} == set()

@@ -9,11 +9,11 @@ import pytest
 
 from adeweights import cli, graphs, verify
 from adeweights.cyclo import minimal_polynomial
-from adeweights.errors import ValidationFailed
+from adeweights.errors import InvalidParameter, ValidationFailed
 from adeweights.graphs import DynkinType, char_poly, charpoly_report
 from adeweights.groups import molien_series, recurrence_check
 from adeweights.poly import Polynomial
-from adeweights.verify import (CHECK_NAMES, DEFAULT_SUITE, FaultSpec,
+from adeweights.verify import (CHECK_NAMES, CHECKS, DEFAULT_SUITE, FaultSpec,
                                report_json, report_text, run_suite)
 from adeweights.weights import (finite_reduction_check,
                                 specialization_identity, to_q_numerators)
@@ -70,7 +70,34 @@ class TestRunSuite:
     def test_types_deduplicated_and_sorted(self):
         rep = run_suite([dt("E6"), dt("A2"), dt("E6")])
         types = [c.type_name for c in rep.checks]
-        assert types == ["A2"] * 13 + ["E6"] * 13
+        assert types == ["A2"] * len(CHECKS) + ["E6"] * len(CHECKS)
+
+
+def _t_weight_bumped(b, monkeypatch=None, index=-1):
+    """One Cramer entry y_i raised by 1, the last node's unless ``index``
+    says otherwise; y_0 is the solver's det. The q-numerators stay as they
+    were solved."""
+    y = list(b.tweights.y)
+    y[index] = y[index] + 1
+    return replace(b, tweights=replace(b.tweights, y=tuple(y)))
+
+
+def _molien_numerator_bumped(b, monkeypatch=None):
+    """The last Molien numerator plus q."""
+    nums = list(b.molien.numerators)
+    nums[-1] = nums[-1] + Polynomial.monomial("q", 1)
+    return replace(b, molien=replace(b.molien, numerators=tuple(nums)))
+
+
+def _q_numerator_bumped(b, monkeypatch=None, node=1):
+    """2q^e added to one graph-side numerator, node 1's unless ``node`` says
+    otherwise, at its lowest exponent e: that keeps every N_i(1) even and the
+    exponent chain and parities intact, so SMITH_EIGEN reaches its
+    eigen-equation and NOTES123 fails on the doubling count alone."""
+    nums = list(b.numerators.N)
+    p = nums[node]
+    nums[node] = p + Polynomial.monomial("q", p.min_exponent(), 2)
+    return replace(b, numerators=replace(b.numerators, N=tuple(nums)))
 
 
 class TestIdentityGates:
@@ -90,11 +117,7 @@ class TestIdentityGates:
 
     def test_perturbed_t_weight_fails_closed_form(self, bundle):
         for name in ("A1", "D4", "E8"):
-            b = bundle(name)
-            y = list(b.tweights.y)
-            y[-1] = y[-1] + 1
-            got = self._statuses(
-                replace(b, tweights=replace(b.tweights, y=tuple(y))))
+            got = self._statuses(_t_weight_bumped(bundle(name)))
             assert got["CLOSED_FORM"] == (
                 "fail", "solved t-weights do not satisfy the semi-affine "
                 "equations")
@@ -102,36 +125,18 @@ class TestIdentityGates:
 
     def test_perturbed_det_fails_structural(self, bundle):
         for name in ("A1", "D4", "E8"):
-            b = bundle(name)
-            y = list(b.tweights.y)
-            y[0] = y[0] + 1
-            got = self._statuses(
-                replace(b, tweights=replace(b.tweights, y=tuple(y))))
+            got = self._statuses(_t_weight_bumped(bundle(name), index=0))
             assert got["STRUCTURAL_CHARPOLY"] == (
                 "fail", "structural characteristic-polynomial identity fails")
             assert got["CROSS_MATCH"][0] == "pass"
 
     def test_perturbed_molien_numerator_fails_mckay(self, bundle):
         for name in ("A1", "D4", "E8"):
-            b = bundle(name)
-            nums = list(b.molien.numerators)
-            nums[-1] = nums[-1] + Polynomial.monomial("q", 1)
-            got = self._statuses(
-                replace(b, molien=replace(b.molien, numerators=tuple(nums))))
+            got = self._statuses(_molien_numerator_bumped(bundle(name)))
             assert got["MCKAY_ADJ"] == (
                 "fail", "Molien numerators fail (q + 1/q) m_i = sum_j A_ij m_j "
                 "on the McKay matrix")
             assert got["CLOSED_FORM"][0] == "pass"
-
-    def _perturbed(self, b, node):
-        # 2q^e at the node's lowest exponent e keeps every N_i(1) even and
-        # the exponent chain and parities intact, so SMITH_EIGEN reaches its
-        # eigen-equation and NOTES123 fails on the doubling count alone
-        nums = list(b.numerators.N)
-        p = nums[node]
-        nums[node] = p + Polynomial.monomial("q", p.min_exponent(), 2)
-        return self._statuses(
-            replace(b, numerators=replace(b.numerators, N=tuple(nums))))
 
     def _assert_graph_side_red(self, got):
         assert got["FINITE_REDUCTION"] == (
@@ -143,7 +148,8 @@ class TestIdentityGates:
 
     def test_perturbed_q_numerator_fails_graph_identities(self, bundle):
         for name in ("D4", "E8"):
-            got = self._perturbed(bundle(name), 1)  # node 1 neighbors node 0
+            # node 1 neighbors node 0
+            got = self._statuses(_q_numerator_bumped(bundle(name)))
             assert got["SPECIALIZATION"] == (
                 "fail", "specialization identity fails")
             self._assert_graph_side_red(got)
@@ -152,7 +158,7 @@ class TestIdentityGates:
         for name in ("D4", "E8"):
             b = bundle(name)
             assert b.affine.mult[0][-1] == 0
-            got = self._perturbed(b, b.affine.n - 1)
+            got = self._statuses(_q_numerator_bumped(b, node=b.affine.n - 1))
             assert got["SPECIALIZATION"][0] == "pass"
             self._assert_graph_side_red(got)
 
@@ -194,16 +200,33 @@ def _group_order_doubled(b, monkeypatch):
                    table=replace(b.table, classes=group.classes))
 
 
+# the checks a bumped Molien numerator, a bumped det and a bumped graph-side
+# numerator at a node off the affine node's row turn red on D4 and E8
+MOLIEN_RED = {"CROSS_MATCH", "MCKAY_ADJ", "SYM_ORACLE"}
+DET_RED = {"CLOSED_FORM", "LCD_COX", "STRUCTURAL_CHARPOLY"}
+Q_RED = {"CROSS_MATCH", "CLOSED_FORM", "FINITE_REDUCTION", "PALINDROME",
+         "NOTES123", "SMITH_EIGEN"}
+
 # per gate and type, a perturbation of a clean bundle and the exact set of
 # checks it turns red
 RED_WITNESSES = {
     **{(gate, name): witness for name in ("D4", "E8") for gate, witness in {
+        "CROSS_MATCH": (_molien_numerator_bumped, MOLIEN_RED),
+        "AB_RELATIONS": (_group_order_doubled, {"AB_RELATIONS"}),
+        "SPECIALIZATION": (_q_numerator_bumped, Q_RED | {"SPECIALIZATION"}),
+        **dict.fromkeys(("FINITE_REDUCTION", "NOTES123", "SMITH_EIGEN"),
+                        (partial(_q_numerator_bumped, node=-1), Q_RED)),
         "PALINDROME": (_numerator_times_q,
                        {"CROSS_MATCH", "CLOSED_FORM", "FINITE_REDUCTION",
                         "PALINDROME", "NOTES123"}),
+        "LCD_COX": (partial(_t_weight_bumped, index=0), DET_RED),
+        "MCKAY_ADJ": (_molien_numerator_bumped, MOLIEN_RED),
         "SYM_ORACLE": (_sym_multiplicity_bumped, {"SYM_ORACLE"}),
-        "AB_RELATIONS": (_group_order_doubled, {"AB_RELATIONS"}),
+        "STRUCTURAL_CHARPOLY": (partial(_t_weight_bumped, index=0), DET_RED),
     }.items()},
+    # on D4 the bumped last y_i also moves the common denominator
+    ("CLOSED_FORM", "D4"): (_t_weight_bumped, {"CLOSED_FORM", "LCD_COX"}),
+    ("CLOSED_FORM", "E8"): (_t_weight_bumped, {"CLOSED_FORM"}),
     ("PALINDROME", "A1"): (partial(_numerator_times_q, node=0),
                            {"CROSS_MATCH", "CLOSED_FORM", "SPECIALIZATION",
                             "PALINDROME", "NOTES123"}),
@@ -218,6 +241,12 @@ def test_hard_gate_has_a_red_witness(gate, name, bundle, monkeypatch):
     got = {c.name for c in verify._type_checks(perturb(b, monkeypatch), None)
            if c.status == "fail"}
     assert got == red
+
+
+def test_every_hard_check_has_a_red_witness():
+    """An informational check never turns red, so it has no witness."""
+    assert {gate for gate, _ in RED_WITNESSES} == {
+        c.name for c in CHECKS if c.kind == "hard"}
 
 
 def test_a_check_that_raises_is_that_checks_failure(bundle, monkeypatch,
@@ -245,6 +274,33 @@ def test_a_check_that_raises_is_that_checks_failure(bundle, monkeypatch,
     group.elements = b.group.elements * 2
     assert {c.name for c in verify._type_checks(replace(b, group=group), None)
             if c.status == "fail"} == {"AB_RELATIONS"}
+
+
+def test_a_raising_charpoly_report_fails_only_its_two_readers(monkeypatch,
+                                                              capsys):
+    """CHARPOLY_CLAIM and STRUCTURAL_CHARPOLY read the bundle's one charpoly
+    report: a raise there fails those two records alone, on that type alone,
+    and the CLI exits 1. The bundles come from a cache of their own, as a
+    cached bundle may already hold its report."""
+    clean = run_suite([dt("D4"), dt("E6")])
+    monkeypatch.setattr(verify, "build_bundle", lru_cache(maxsize=None)(
+        verify.build_bundle.__wrapped__))
+    original = verify.charpoly_report
+
+    def raising(g, det):
+        if str(g.dynkin) == "D4":
+            raise ValidationFailed("D4: LeVerrier trace 1/2 is not integral")
+        return original(g, det)
+    monkeypatch.setattr(verify, "charpoly_report", raising)
+    readers = {"CHARPOLY_CLAIM", "STRUCTURAL_CHARPOLY"}
+    want = tuple(verify.CheckResult(
+        c.name, "D4", "fail", "check raised ValidationFailed: D4: LeVerrier "
+        "trace 1/2 is not integral")
+        if c.type_name == "D4" and c.name in readers else c
+        for c in clean.checks)
+    assert run_suite([dt("D4"), dt("E6")]).checks == want
+    assert cli.main(["verify", "--types", "D4"]) == 1
+    assert capsys.readouterr().out.count("check raised ValidationFailed") == 2
 
 
 class TestDeterminism:
@@ -282,6 +338,22 @@ class TestFaultInjection:
             fails = [c for c in rep.checks if c.status == "fail"]
             assert [(c.type_name, c.name) for c in fails] == \
                 [(fault.type_name, "CROSS_MATCH")]
+
+    def test_fault_outside_the_run_is_refused(self, monkeypatch):
+        """A fault names a type in the run, a node 0..rank and an exponent
+        0..h, the ranges ``from_seed`` draws from; any other is refused
+        before a bundle is built."""
+        monkeypatch.setattr(verify, "build_bundle", lambda dt: pytest.fail(
+            f"bundle {dt} built for a refused fault"))
+        for fault in (FaultSpec("D4", 1, -1), FaultSpec("D4", 1, 7),
+                      FaultSpec("D4", -1, 1), FaultSpec("D4", 9, 1),
+                      FaultSpec("D4", 5, 1), FaultSpec("E6", 1, 1)):
+            with pytest.raises(InvalidParameter):
+                run_suite([dt("D4")], fault=fault)
+        monkeypatch.undo()
+        rep = run_suite([dt("D4")], fault=FaultSpec("D4", 4, 6))
+        assert [c.name for c in rep.checks if c.status == "fail"] == [
+            "CROSS_MATCH"]
 
     def test_seeded_fault_deterministic(self):
         types = sorted(set(DEFAULT_SUITE))
