@@ -4,24 +4,26 @@ Elements are residues modulo the N-th cyclotomic polynomial, stored in the
 power basis 1, zeta, ..., zeta^(phi(N)-1). Internally a value is a vector of
 integers over one common denominator, which keeps products cheap; the
 ``coeffs`` property exposes the vector of Fractions. Arithmetic never mixes
-conductors. A lift is an int sequence in Z[x]/(x^N - 1) (``to_lift`` pads an
-algebraic integer to one, ``from_lift`` reduces one), on which a root of
-unity acts by rotation. ``dot`` is the one sum-of-products kernel: it
-accumulates every term's coordinate products, times an optional integer
-factor, in one integer buffer modulo x^N - 1 and reduces modulo Phi_N (a
-factor of x^N - 1) and by the content once per sum, so a sum of k products
-builds one value, not 2k; an entry is a CycNumber, an int or a lift, and
-rows of different lengths are refused. ``rational_dot`` reads a sum that
-must be rational off coordinate 0 of the same buffer, divided by an integer,
-as an int where it is integral and a Fraction otherwise, and builds no
-value; ``vanishes`` likewise tests a lift for zero at zeta. A
-caller that sweeps one row of entries against many others reads it once
-with ``split`` (denominator, coordinates and nonzero positions per entry)
-and hands the split row to every ``dot`` of the sweep; the split is dropped
-with the call that made it. The inverse is the product of the other Galois
-conjugates over the norm, a rational number, so no polynomial division is
-needed; the minimal polynomial of an element is the product of t - y over
-its Galois orbit, which must lie in Z[t].
+conductors. A lift is an int sequence of at most N entries in
+Z[x]/(x^N - 1) (``to_lift`` pads an algebraic integer to one, ``from_lift``
+reduces one), on which a root of unity acts by rotation. Each conductor
+builds its reduction rows, zeta^e in the power basis for phi(N) <= e < N,
+once; a reduction only indexes them and refuses more than N entries.
+``dot`` is the one sum-of-products kernel: it accumulates every term's
+coordinate products, times an optional integer factor, in one integer
+buffer modulo x^N - 1 and reduces modulo Phi_N (a factor of x^N - 1) and by
+the content once per sum, so a sum of k products builds one value, not 2k;
+an entry is a CycNumber, an int or a lift, and rows of different lengths
+are refused. ``x * y`` is the one-term ``dot`` after a zero shortcut.
+``rational_dot`` reads a sum that must be rational off coordinate 0 of the
+same buffer, divided by an integer, as an int where it is integral and a
+Fraction otherwise, and builds no value; ``vanishes`` likewise tests a lift
+for zero at zeta. A caller that sweeps one row of entries against many
+others reads it once with ``split`` (denominator, coordinates and nonzero
+positions per entry) and hands the split row to every ``dot`` of the sweep;
+the split is dropped with the call that made it. The inverse is the product
+of the other Galois conjugates over the norm, a rational number, so no
+polynomial division is needed.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from itertools import compress, count
 from math import gcd, lcm
 
 from .errors import NotRational, ValidationFailed
-from .poly import Polynomial, cyclotomic
+from .poly import cyclotomic
 
 
 def euler_phi(n: int) -> int:
@@ -52,27 +54,30 @@ def euler_phi(n: int) -> int:
 
 
 class _Field:
-    """Per-conductor context: reduction rows for zeta^e, e >= phi(N)."""
+    """Per-conductor context: reduction rows for zeta^e, phi(N) <= e < N."""
 
     def __init__(self, N: int):
-        self.phi = euler_phi(N)
+        self.N = N
+        self.phi = phi = euler_phi(N)
         # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
-        self._base = tuple(-c for c in cyclotomic(N).coeffs[: self.phi])
-        self._last = (0,) * (self.phi - 1) + (1,)  # zeta^(phi-1)
-        self._rows: list[tuple[tuple[int, int], ...]] = []
+        base = [-c for c in cyclotomic(N).coeffs[:phi]]
+        last = [0] * (phi - 1) + [1]  # zeta^(phi-1)
+        rows = []
+        for _ in range(N - phi):
+            top = last[-1]
+            last = [0] + last[:-1]
+            if top:
+                last = [a + top * b for a, b in zip(last, base)]
+            rows.append(tuple((i, a) for i, a in enumerate(last) if a))
+        self._rows = tuple(rows)
         self._supports: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def reduce(self, nums: list[int]) -> list[int]:
-        """nums reduced in place; rows[e - phi], the nonzero terms (i, c) of
-        zeta^e, are extended once per call, to len(nums), then indexed."""
-        phi, rows = self.phi, self._rows
-        while len(rows) < len(nums) - phi:
-            top = self._last[-1]
-            self._last = (0,) + self._last[:-1]
-            if top:
-                self._last = tuple(a + top * b
-                                   for a, b in zip(self._last, self._base))
-            rows.append(tuple((i, a) for i, a in enumerate(self._last) if a))
+        """nums, at most N of them, reduced in place by indexing rows[e - phi],
+        the nonzero terms (i, c) of zeta^e."""
+        phi, rows, N = self.phi, self._rows, self.N
+        if len(nums) > N:
+            raise ValueError(f"lift of length {len(nums)} at conductor {N}")
         for e in range(len(nums) - 1, phi - 1, -1):
             c = nums[e]
             if c:
@@ -213,15 +218,7 @@ class CycNumber:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return CycNumber.zero(self.N)
-        fld = _field(self.N)
-        phi = fld.phi
-        out = [0] * (2 * phi - 1)
-        for i, a in enumerate(self._nums):
-            if a:
-                for j, b in enumerate(other._nums):
-                    if b:
-                        out[i + j] += a * b
-        return CycNumber(self.N, fld.reduce(out), self._den * other._den)
+        return dot(self.N, (self,), (other,))
 
     __rmul__ = __mul__
 
@@ -380,20 +377,3 @@ def _parts(N: int, x) -> tuple:
         return 1, x, list(compress(count(), x))
     raise TypeError(f"dot entry {x!r} is not a CycNumber, an int or a lift")
 
-
-def minimal_polynomial(x: CycNumber) -> Polynomial:
-    """Minimal polynomial over Q of an algebraic integer x: the product of
-    t - y over the Galois orbit, multiplied as ascending coefficient lists
-    over Q(zeta_N). A coefficient outside Z raises ``ValidationFailed``."""
-    orbit = []
-    acc = [CycNumber.one(x.N)]
-    for a in range(1, x.N + 1):
-        if gcd(a, x.N) == 1:
-            y = x.galois(a)
-            if y not in orbit:
-                orbit.append(y)
-                acc = [s - y * c for s, c in zip([0] + acc, acc + [0])]
-    coeffs = [c.to_rational() for c in acc]
-    if any(c.denominator != 1 for c in coeffs):
-        raise ValidationFailed(f"minimal polynomial of {x} is not in Z[t]")
-    return Polynomial("t", [c.numerator for c in coeffs])

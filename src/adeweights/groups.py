@@ -36,22 +36,21 @@ own, so each class sum reduces modulo Phi_N once, with |C| an integer factor
 inside it and |G| its divisor, and is read as an int when integral, with no
 CycNumber or Fraction built. Every
 product by a class trace tau_C = zeta^e_C + zeta^-e_C (V tensor chi,
-det(I - x q), lambda^m + lambda^-m) is ``_tau_times``, two rotations of a
-lift in Z[x]/(x^N - 1). A sweep of many sums over the same rows reads each
-row once with ``cyclo.split``, and the symmetric-power oracle sums each
-distinct power sum once, since lambda^m + lambda^-m depends on m only
-modulo N and up to m -> N - m.
+det(I - x q), lambda^m + lambda^-m, the factors of ``trace_min_poly``) is
+``_tau_times``, two rotations of a lift in Z[x]/(x^N - 1). A sweep of many
+sums over the same rows reads each row once with ``cyclo.split``, and the
+symmetric-power oracle sums each distinct power sum once, since
+lambda^m + lambda^-m depends on m only modulo N and up to m -> N - m.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, sub
 
-from .cyclo import (CycNumber, dot, minimal_polynomial, rational_dot, split,
-                    vanishes)
+from .cyclo import CycNumber, dot, rational_dot, split, vanishes
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
@@ -158,7 +157,8 @@ class FiniteSubgroup:
 
     def classes_to_json(self) -> list[dict]:
         return [{"order": c.order, "size": c.size, "trace": c.trace.to_json(),
-                 "trace_min_poly": minimal_polynomial(c.trace).to_json()}
+                 "trace_min_poly": _trace_minimal_polynomial(
+                     self.conductor, c.eigen_exp).to_json()}
                 for c in self.classes]
 
 
@@ -293,6 +293,22 @@ def _tau_times(c, e: int) -> list[int]:
     rotations of c: at x = zeta_N, the product by a class trace tau_C."""
     e %= len(c)
     return list(map(add, c[-e:] + c[:-e], c[e:] + c[:e]))
+
+
+def _trace_minimal_polynomial(N: int, e: int) -> Polynomial:
+    """Minimal polynomial over Q of zeta^e + zeta^-e at conductor N: the
+    product of t - (x^r + x^-r) over its distinct Galois conjugates,
+    r = min(a e mod N, -a e mod N) for a prime to N, multiplied as ascending
+    coefficient lists of lifts by ``_tau_times``. Each coefficient is
+    reduced once and read as an int; an irrational one raises
+    ``NotRational``."""
+    acc = [[1] + [0] * (N - 1)]
+    zero = [0] * N
+    for r in {min(a * e % N, -a * e % N) for a in range(1, N + 1)
+              if gcd(a, N) == 1}:
+        acc = [list(map(sub, s, _tau_times(c, r)))
+               for s, c in zip([zero] + acc, acc + [zero])]
+    return Polynomial("t", [rational_dot(N, [c], [1], None, 1) for c in acc])
 
 
 def _multiplicities(mults, what: str) -> list[int]:

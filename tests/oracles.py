@@ -4,8 +4,10 @@ are checking."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from adeweights.cyclo import CycNumber
+from adeweights.errors import ValidationFailed
 from adeweights.poly import Polynomial, cox
 
 
@@ -271,3 +273,21 @@ def sym_power_multiplicities_direct(G, table, m: int) -> list[Fraction]:
             acc = acc + x * chi.conj() * c.size
         out.append(acc.to_rational() / G.order)
     return out
+
+
+def minimal_polynomial(x: CycNumber) -> Polynomial:
+    """Minimal polynomial over Q of an algebraic integer x: the product of
+    t - y over the Galois orbit, multiplied as ascending coefficient lists
+    over Q(zeta_N). A coefficient outside Z raises ``ValidationFailed``."""
+    orbit = []
+    acc = [CycNumber.one(x.N)]
+    for a in range(1, x.N + 1):
+        if gcd(a, x.N) == 1:
+            y = x.galois(a)
+            if y not in orbit:
+                orbit.append(y)
+                acc = [s - y * c for s, c in zip([0] + acc, acc + [0])]
+    coeffs = [c.to_rational() for c in acc]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValidationFailed(f"minimal polynomial of {x} is not in Z[t]")
+    return Polynomial("t", [c.numerator for c in coeffs])

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adeweights.cyclo import (CycNumber, _Field, dot, euler_phi,
-                              minimal_polynomial, rational_dot, vanishes)
+                              rational_dot, vanishes)
 from adeweights.errors import NotRational, ValidationFailed
-from adeweights.groups import _tau_times
+from adeweights.groups import _tau_times, _trace_minimal_polynomial
 from adeweights.poly import (Polynomial, RationalFunction, cox, cyclotomic,
                              fold_palindromic, one_plus_q, poly_gcd,
                              substitute_t)
-from oracles import cyclotomic_moebius, euclid_gcd, series_coefficients
+from oracles import (cyclotomic_moebius, euclid_gcd, minimal_polynomial,
+                     series_coefficients)
 
 Q = lambda *cs: Polynomial("q", cs)
 T = lambda *cs: Polynomial("t", cs)
@@ -170,6 +171,7 @@ class TestCycNumber:
         assert minimal_polynomial(tau) == T(-3, 0, 1)
         with pytest.raises(ValidationFailed):
             minimal_polynomial(CycNumber.from_rational(12, Fraction(1, 2)))
+        assert _trace_minimal_polynomial(12, 1) == T(-3, 0, 1)
 
     def test_json_round_trip(self):
         x = CycNumber(12, [1, -3, 0, 2], 2)
@@ -379,21 +381,29 @@ class TestTauTimes:
 
 
 class TestReduceTable:
-    def test_reduce_extends_the_table_once(self):
-        """A reduce extends the rows zeta^e, e >= phi, to its own length in
-        one pass and then indexes them; no ``row`` lookup is left."""
+    def test_reduce_only_indexes_the_table(self):
+        """A field builds its N - phi rows zeta^e, phi <= e < N, when it is
+        made; a reduce indexes them and changes none; no ``row`` lookup is
+        left."""
         assert not hasattr(_Field, "row")
         N = 45
         fld = _Field(N)  # a fresh table, not the cached one
-        phi = fld.phi
+        rows = fld._rows
+        assert len(rows) == N - fld.phi
         nums = [(e % 7) - 3 for e in range(N)]
         want = _value(N, tuple(nums))
-        assert CycNumber(N, fld.reduce(list(nums))) == want
-        rows = list(fld._rows)
-        assert len(rows) == N - phi
-        assert CycNumber(N, fld.reduce(list(nums))) == want
-        assert len(fld._rows) == N - phi
-        assert all(a is b for a, b in zip(fld._rows, rows))
+        for _ in range(2):
+            assert CycNumber(N, fld.reduce(list(nums))) == want
+            assert fld._rows is rows and len(rows) == N - fld.phi
+
+    def test_lift_longer_than_the_conductor_is_refused(self):
+        """A lift has at most N entries: ``from_lift`` and ``vanishes``
+        refuse one more, as ``dot`` does, instead of reducing it."""
+        refused = "lift of length 13 at conductor 12"
+        with pytest.raises(ValueError, match=refused):
+            CycNumber.from_lift(12, [0] * 12 + [1])
+        with pytest.raises(ValueError, match=refused):
+            vanishes(12, [1] + [0] * 12)
 
 
 class TestPolynomial:

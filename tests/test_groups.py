@@ -16,16 +16,19 @@ from adeweights.groups import (CharTable, build_group, char_table,
                                mckay_matrix, molien_series, recurrence_check,
                                sym_power_multiplicities, sym_power_values,
                                table_violation, _derived_subgroup,
-                               _match_affine)
+                               _match_affine, _trace_minimal_polynomial)
 from adeweights.poly import Polynomial
 from adeweights.verify import build_bundle, run_suite
 from oracles import (matrix_inverse, matrix_product, matrix_trace,
-                     molien_by_elements, series_coefficients, su2_matrix,
+                     minimal_polynomial, molien_by_elements,
+                     series_coefficients, su2_matrix,
                      sym_power_multiplicities_direct)
 
 Q = lambda *cs: Polynomial("q", cs)
 SUITE_NAMES = [f"A{m}" for m in range(1, 13)] + \
               [f"D{m}" for m in range(4, 13)] + ["E6", "E7", "E8"]
+SESSION_NAMES = [f"A{m}" for m in range(1, 17)] + \
+                [f"D{m}" for m in range(4, 17)] + ["E6", "E7", "E8"]
 
 
 def dt(name):
@@ -101,6 +104,18 @@ class TestEnumeration:
                 assert len(minus) == 1 and minus[0].size == 1
             else:
                 assert not minus
+
+    def test_trace_minimal_polynomial_matches_the_galois_orbit(self):
+        """The rotation product over the distinct exponents
+        min(a e mod N, -a e mod N) equals the oracle's product of t - y
+        over the Galois orbit of the trace, computed in Q(zeta_N)."""
+        names = [f"A{m}" for m in range(1, 25)] + \
+                [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"]
+        for name in names:
+            g = build_group(dt(name))
+            for c in g.classes:
+                assert _trace_minimal_polynomial(g.conductor, c.eigen_exp) \
+                    == minimal_polynomial(c.trace), (name, c.rep)
 
     def test_closure_overflow_on_bad_generators(self):
         with pytest.raises(ClosureOverflow):
@@ -442,6 +457,32 @@ class TestOpCounts:
             finally:
                 CycNumber.__init__ = original
             assert count[0] <= self.LIMIT, (name, count[0])
+
+    def test_class_json_makes_no_cyclotomic_product(self, monkeypatch):
+        """``classes_to_json`` builds each ``trace_min_poly`` from lifts by
+        ``_tau_times`` and reads each coefficient with ``rational_dot``, so
+        over A1..A16, D4..D16 and E6..E8 it makes no CycNumber product and
+        builds no CycNumber; the product of t - y over the Galois orbit in
+        Q(zeta_N) made 3,206 products and 14,675 constructions."""
+        enumerated = [build_group(dt(name)) for name in SESSION_NAMES]
+        original_mul, original_init = CycNumber.__mul__, CycNumber.__init__
+        products, built = [0], [0]
+
+        def counting_mul(self, other):
+            products[0] += 1
+            return original_mul(self, other)
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CycNumber, "__mul__", counting_mul)
+        monkeypatch.setattr(CycNumber, "__rmul__", counting_mul)
+        monkeypatch.setattr(CycNumber, "__init__", counting_init)
+        out = [g.classes_to_json() for g in enumerated]
+        monkeypatch.undo()
+        assert (products[0], built[0]) == (0, 0)
+        assert sum(map(len, out)) == sum(dt(n).rank + 1 for n in SESSION_NAMES)
 
     def test_closure_makes_no_product_per_step(self, monkeypatch):
         """The closure computes each top row of x g by ``dot`` and checks

@@ -135,6 +135,24 @@ def test_trace_products_go_through_one_helper():
             name
 
 
+def test_cyclo_has_one_product_loop():
+    """``cyclo`` takes only Phi_N from ``poly``, since no cyclotomic value
+    becomes a polynomial there, and ``CycNumber.__mul__`` is a one-term
+    ``dot``: the one product loop is ``_accumulate``'s."""
+    tree = ast.parse((SRC / "cyclo.py").read_text())
+    assert [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "poly"
+            for alias in node.names] == ["cyclotomic"]
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "CycNumber")
+    mul = next(node for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name == "__mul__")
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(mul))
+    assert "dot" in {node.id for node in ast.walk(mul)
+                     if isinstance(node, ast.Name)}
+
+
 def _named(path: Path) -> set[str]:
     """Every name a module binds, loads or imports, and every attribute it
     reads."""

@@ -8,10 +8,10 @@ from functools import lru_cache, partial
 import pytest
 
 from adeweights import cli, graphs, verify
-from adeweights.cyclo import minimal_polynomial
 from adeweights.errors import InvalidParameter, ValidationFailed
 from adeweights.graphs import DynkinType, char_poly, charpoly_report
-from adeweights.groups import molien_series, recurrence_check
+from adeweights.groups import (_trace_minimal_polynomial, molien_series,
+                              recurrence_check)
 from adeweights.poly import Polynomial
 from adeweights.verify import (CHECK_NAMES, CHECKS, DEFAULT_SUITE, FaultSpec,
                                report_json, report_text, run_suite)
@@ -422,7 +422,8 @@ class TestIntegerCoefficients:
             polys += list(b.numerators.N) + list(b.molien.numerators)
             polys += [p for s in b.molien.series for p in (s.num, s.den)]
             polys += [rep.cofactor, rep.cox, rep.char_semiaffine, rep.char_finite]
-            polys += [minimal_polynomial(c.trace) for c in b.group.classes]
+            polys += [_trace_minimal_polynomial(b.group.conductor, c.eigen_exp)
+                      for c in b.group.classes]
             for p in polys:
                 assert all(type(c) is int for c in p.coeffs), (t, p)
 
