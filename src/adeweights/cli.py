@@ -26,6 +26,8 @@ from .weights import numerators_latex, solve_semiaffine
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+# at the cap E8's JSON is about 11 MB; an unbounded count runs until killed
+MAX_SERIES_TERMS = 100_000
 
 
 def _grouped(items: list[str]) -> str:
@@ -128,8 +130,9 @@ def _cmd_weights(args) -> tuple[str, int]:
 
 def _cmd_molien(args) -> tuple[str, int]:
     types = parse_type_selector(args.types)
-    if args.series_terms < 0:
-        raise InvalidParameter("--series-terms must be nonnegative")
+    if not 0 <= args.series_terms <= MAX_SERIES_TERMS:
+        raise InvalidParameter(
+            f"--series-terms must be between 0 and {MAX_SERIES_TERMS}")
 
     def to_json(dt):
         b = build_bundle(dt)
@@ -229,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("molien", help="group-side Molien series per character")
     _types_arg(p)
     p.add_argument("--series-terms", type=int, default=0,
-                   help="also print the first N series coefficients")
+                   help="also print the first N series coefficients "
+                        f"(at most {MAX_SERIES_TERMS})")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_molien)
 

@@ -14,8 +14,7 @@ alone: its trace is a + conj(a), and the generators' unitarity check is one
 product and builds no bottom row. It records each element's word over the
 generators and each generator's right-multiplication table, and
 ``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
-orders, each class's inverse class, commutators, the derived subgroup and
-its cosets are all index arithmetic.
+orders and each class's inverse class are all index arithmetic.
 
 Molien numerators come from one cofactor per class: the integer standard
 form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q), with no
@@ -23,11 +22,13 @@ remainder at x = zeta, summed against the character values. They read the
 plain table rows and no symmetric-power code, so the symmetric-power oracle
 stays an independent route. ``MolienSet`` keeps only the numerators.
 
-Character tables: the A and D families are written down directly (cyclic
-characters; four linear characters plus the induced two-dimensional ones).
-The E types are built constructively: linear characters from the
-abelianization, symmetric powers of the defining character, tensor peeling
-against the known rows, and a regular-character completion for the last row.
+Character tables: every table starts from ``_linear_characters``, the
+homomorphisms G -> <zeta_N> found by a search over generator images that
+reads only the right-multiplication tables. They are the whole table for A;
+D adds the two-dimensional characters induced from the rotations, written
+down directly; the E types add symmetric powers of the defining character,
+tensor peeling against the known rows, and a regular-character completion
+for the last row.
 Every table must pass ``table_violation`` before use. Every inner product of
 class functions (validation, peeling, McKay, the symmetric-power oracle) is
 ``decompose``, one ``cyclo.rational_dot`` per row reading conj(chi(C)) as
@@ -47,6 +48,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 from operator import add, sub
 
@@ -319,15 +321,10 @@ def _multiplicities(mults, what: str) -> list[int]:
     return [int(m) for m in mults]
 
 
-def _dlog_table(N: int, n: int) -> dict[CycNumber, int]:
-    """Map zeta_n^j -> j at conductor N (n | N)."""
-    step = N // n
-    return {CycNumber.root_of_unity(N, step * j): j for j in range(n)}
-
-
 def char_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
     if dt.family == "A":
-        rows, degrees = _cyclic_table(dt, G)
+        rows = _linear_characters(G)
+        degrees = [1] * len(rows)
     elif dt.family == "D":
         rows, degrees = _binary_dihedral_table(dt, G)
     else:
@@ -339,130 +336,70 @@ def char_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
     return table
 
 
-def _cyclic_table(dt: DynkinType, G: FiniteSubgroup):
-    n = G.order
+def _exponent_labels(G: FiniteSubgroup, ks) -> list[int] | None:
+    """The exponent e_i of zeta^e_i = chi(element i) for the assignment
+    chi(generator g) = zeta^ks[g], or None when some Cayley edge
+    i -> ``right[g][i]`` does not add ks[g], so no character extends it.
+    Each element is reached in the closure from an earlier one, so one pass
+    in index order labels every element before it is read."""
     N = G.conductor
-    dlog = _dlog_table(N, n)
-    exps = [dlog[G.elements[c.rep][0]] for c in G.classes]
-    roots = [CycNumber.root_of_unity(N, e) for e in range(n)]
-    rows = [[roots[i * j % n] for j in exps] for i in range(n)]
-    return rows, [1] * n
-
-
-def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
-    k = dt.m - 2
-    N = G.conductor
-    dlog = _dlog_table(N, 2 * k)
-    tags = []  # ("r", j) or ("s", j) per class
-    for c in G.classes:
-        a, b = G.elements[c.rep]
-        if b.is_zero():
-            tags.append(("r", dlog[a]))
-        else:
-            tags.append(("s", dlog[b.conj()]))
-    one = CycNumber.one(N)
-    if k % 2 == 0:
-        deltas = (one, -one)
-    else:
-        i4 = CycNumber.root_of_unity(N, N // 4)
-        deltas = (i4, -i4)
-    rows = []
-    degrees = []
-    for eps, delta in ((one, one), (one, -one), (-one, deltas[0]), (-one, deltas[1])):
-        row = []
-        for kind, j in tags:
-            v = eps if j % 2 else one
-            row.append(v if kind == "r" else delta * v)
-        rows.append(row)
-        degrees.append(1)
-    zero = CycNumber.zero(N)
-    # zeta_2k^r + zeta_2k^-r for each r mod 2k, each built once
-    step = N // (2 * k)
-    taus = [CycNumber.from_lift(N, _tau_times(one.to_lift(), step * r))
-            for r in range(2 * k)]
-    for ell in range(1, k):
-        rows.append([zero if kind == "s" else taus[ell * j % (2 * k)]
-                     for kind, j in tags])
-        degrees.append(2)
-    return rows, degrees
-
-
-def _subgroup_indices(G: FiniteSubgroup, seed: list[int]) -> set[int]:
-    """Subgroup generated by the given element indices (BFS over words)."""
-    gens = sorted(set(seed) - {0})
-    members = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            z = G.mul(x, g)
-            if z not in members:
-                members.add(z)
-                frontier.append(z)
-    return members
-
-
-def _derived_subgroup(G: FiniteSubgroup) -> set[int]:
-    """Normal closure of the generators' commutators g h g^-1 h^-1, grown
-    from a small generating set: the subgroup is normal once every
-    generating element stays inside under conjugation by each generator."""
-    ngen = len(G.generators)
-    span = [G.mul(G.conjugate(G.gen_index[h], g), G.gen_inverse[h])
-            for g in range(ngen) for h in range(ngen)]
-    members = _subgroup_indices(G, span)
-    while True:
-        extra = {j for x in span for g in range(ngen)
-                 if (j := G.conjugate(x, g)) not in members}
-        if not extra:
-            return members
-        span += sorted(extra)
-        members = _subgroup_indices(G, span)
+    label: list[int | None] = [0] + [None] * (G.order - 1)
+    for i in range(G.order):
+        for step, k in zip(G.right, ks):
+            e, j = (label[i] + k) % N, step[i]
+            if label[j] is None:
+                label[j] = e
+            elif label[j] != e:
+                return None
+    return label
 
 
 def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
-    """Characters of the (cyclic, for these groups) abelianization."""
+    """Every degree-1 character, a homomorphism G -> <zeta_N>, as a row over
+    G's classes: each generator g is sent to a zeta^k_g whose order divides
+    ord(g), and the assignments that ``_exponent_labels`` extends are kept.
+    The all-zero assignment comes first, so row 0 is trivial; each root of
+    unity is built once."""
     N = G.conductor
-    n = G.order
-    derived = _derived_subgroup(G)
-    d = n // len(derived)
-    ones = [CycNumber.one(N)] * len(G.classes)
-    if d == 1:
-        return [ones]
-    if N % d:
-        raise ValidationFailed(f"{G.dynkin}: abelianization order {d} "
-                               f"does not divide the conductor {N}")
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for i in range(n):
-        if coset_of[i] < 0:
-            cid = len(reps)
-            reps.append(i)
-            for x in derived:
-                coset_of[G.mul(i, x)] = cid
-    if len(reps) != d:
-        raise ValidationFailed(f"{G.dynkin}: {len(reps)} cosets of the "
-                               f"derived subgroup, expected {d}")
-    dlog = None
-    for rep in reps:
-        walk = {0: 0}
-        y = rep
-        cur = coset_of[y]
-        power = 1
-        while cur not in walk:
-            walk[cur] = power
-            y = G.mul(y, rep)
-            cur = coset_of[y]
-            power += 1
-        if len(walk) == d:
-            dlog = walk
-            break
-    if dlog is None:
-        raise ValidationFailed(f"{G.dynkin}: abelianization is not cyclic")
-    out = []
-    for j in range(d):
-        out.append([CycNumber.root_of_unity(N, (N // d) * j * dlog[coset_of[c.rep]])
-                    for c in G.classes])
-    return out
+    orders = [G.order_and_inverse(x)[0] for x in G.gen_index]
+    roots: dict[int, CycNumber] = {}
+    rows = []
+    for ks in product(*(range(0, N, N // n) for n in orders)):
+        label = _exponent_labels(G, ks)
+        if label is None:
+            continue
+        exps = [label[c.rep] for c in G.classes]
+        for e in exps:
+            if e not in roots:
+                roots[e] = CycNumber.root_of_unity(N, e)
+        rows.append([roots[e] for e in exps])
+    return rows
+
+
+def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
+    """The four linear characters, then for 1 <= l < k = m - 2 the character
+    induced from the rotation subgroup: zeta^(l e_C) + zeta^-(l e_C) on a
+    rotation class (top row (a, 0)) and 0 elsewhere, each such value built
+    once, keyed by min(l e_C mod N, -l e_C mod N)."""
+    k = dt.m - 2
+    N = G.conductor
+    one = [1] + [0] * (N - 1)
+    zero = CycNumber.zero(N)
+    taus: dict[int, CycNumber] = {}
+    rows = _linear_characters(G)
+    degrees = [1] * len(rows) + [2] * (k - 1)
+    for ell in range(1, k):
+        row = []
+        for c in G.classes:
+            if not G.elements[c.rep][1].is_zero():
+                row.append(zero)
+                continue
+            r = min(ell * c.eigen_exp % N, -ell * c.eigen_exp % N)
+            if r not in taus:
+                taus[r] = CycNumber.from_lift(N, _tau_times(one, r))
+            row.append(taus[r])
+        rows.append(row)
+    return rows, degrees
 
 
 def sym_power_values(G: FiniteSubgroup, m: int) -> list[CycNumber]:

@@ -152,9 +152,6 @@ class Polynomial:
         quo, rem = self._divide(other)
         return Polynomial(self.var, quo), Polynomial(self.var, rem)
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def _divide(self, other: Polynomial):
         """Schoolbook division in Z[x]: (quotient, remainder) as coefficient
         lists, the remainder of at most deg(other) coefficients. Raises

@@ -95,9 +95,9 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
     if g.form != "semiaffine":
         raise ValueError("solver expects a semi-affine graph")
     r = g.n - 1
-    t = Polynomial.monomial("t", 1)
-    m = [[t.scaled(1 if i == j else 0) - g.mult[i + 1][j + 1] for j in range(r)]
-         + [Polynomial.constant("t", g.mult[i + 1][0])] for i in range(r)]
+    m = [[Polynomial("t", (-g.mult[i + 1][j + 1], int(i == j)))
+          for j in range(r)] + [Polynomial.constant("t", g.mult[i + 1][0])]
+         for i in range(r)]
     zero = Polynomial.zero("t")
     minors = [Polynomial.one("t")]  # p_0, p_1, ...: the pivots so far
     level = [0] * r  # the step whose Bareiss values row i holds

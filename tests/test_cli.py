@@ -185,6 +185,16 @@ class TestRejectedArguments:
         self.assert_rejected(capsys, "molien", "--type", "A1",
                              "--series-terms", "-3")
 
+    def test_series_terms_above_the_cap(self, capsys, monkeypatch):
+        # refused before any bundle is built: an unbounded count would run
+        # the series expansion until the process is killed
+        def refuse(dt):
+            raise AssertionError(f"built a bundle for {dt}")
+        monkeypatch.setattr(cli, "build_bundle", refuse)
+        for terms in (cli.MAX_SERIES_TERMS + 1, 99999999999999999999):
+            self.assert_rejected(capsys, "molien", "--type", "A1",
+                                 "--series-terms", str(terms))
+
     def test_leading_zero_type(self, capsys):
         self.assert_rejected(capsys, "graph", "--type", "A01")
 

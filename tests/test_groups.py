@@ -15,7 +15,7 @@ from adeweights.groups import (CharTable, build_group, char_table,
                                decompose, enumerate_subgroup, generators,
                                mckay_matrix, molien_series, recurrence_check,
                                sym_power_multiplicities, sym_power_values,
-                               table_violation, _derived_subgroup,
+                               table_violation, _linear_characters,
                                _match_affine, _trace_minimal_polynomial)
 from adeweights.poly import Polynomial
 from adeweights.verify import build_bundle, run_suite
@@ -199,10 +199,36 @@ class TestIndexKernel:
                 assert g.conjugate(i, k) == index[matrix_product(
                     matrix_product(m, su2_matrix(x)), matrix_inverse(m))]
 
-    def test_derived_subgroup_sizes(self, bundle):
-        sizes = [len(_derived_subgroup(bundle(name).group))
-                 for name in ("E6", "E7", "E8")]
-        assert sizes == [8, 24, 120]
+    def test_linear_character_counts(self, bundle):
+        # |G / [G, G]|: m + 1 for the cyclic group of A_m, 4 for every
+        # binary dihedral group, 3, 2, 1 for the binary tetrahedral,
+        # octahedral and icosahedral groups
+        for name in SUITE_NAMES:
+            t = dt(name)
+            want = (t.m + 1 if t.family == "A" else 4 if t.family == "D"
+                    else {6: 3, 7: 2, 8: 1}[t.m])
+            assert len(_linear_characters(bundle(name).group)) == want, name
+
+    def test_linear_characters_are_multiplicative(self, bundle):
+        """chi(xy) = chi(x) chi(y) for every linear row, with xy found by
+        matrix products, not through the Cayley tables the search reads:
+        every pair for |G| <= 48, seeded samples for E8."""
+        rng = random.Random(23)
+        for name in SUITE_NAMES:
+            g = bundle(name).group
+            n = g.order
+            index = element_index(g)
+            mats = [su2_matrix(x) for x in g.elements]
+            col = {j: ci for ci, c in enumerate(g.classes) for j in c.members}
+            pairs = ([(x, y) for x in range(n) for y in range(n)] if n <= 48
+                     else [(rng.randrange(n), rng.randrange(n))
+                           for _ in range(500)])
+            products = [index[matrix_product(mats[x], mats[y])]
+                        for x, y in pairs]
+            for row in _linear_characters(g):
+                chi = [row[col[i]] for i in range(n)]
+                for (x, y), xy in zip(pairs, products):
+                    assert chi[xy] == chi[x] * chi[y], (name, x, y)
 
 
 class TestCharTable:

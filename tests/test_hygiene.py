@@ -135,6 +135,18 @@ def test_trace_products_go_through_one_helper():
             name
 
 
+def test_degree_one_rows_come_from_one_search():
+    """In groups.py a root of unity is built only for a generator and by
+    ``_linear_characters``, so every character table takes its degree-1
+    rows from that one homomorphism search."""
+    tree = ast.parse((SRC / "groups.py").read_text())
+    callers = {getattr(node, "name", type(node).__name__)
+               for node in tree.body for sub in ast.walk(node)
+               if isinstance(sub, ast.Attribute)
+               and sub.attr == "root_of_unity"}
+    assert callers == {"quaternion", "generators", "_linear_characters"}
+
+
 def test_cyclo_has_one_product_loop():
     """``cyclo`` takes only Phi_N from ``poly``, since no cyclotomic value
     becomes a polynomial there, and ``CycNumber.__mul__`` is a one-term

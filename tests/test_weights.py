@@ -116,7 +116,7 @@ class TestCommonDenominator:
         for name in SUITE_NAMES:
             h = DynkinType.parse(name).coxeter_number
             lcd = common_denominator(solve(name))
-            assert (lcd % cox(h)).is_zero()
+            assert divmod(lcd, cox(h))[1].is_zero()
         assert common_denominator(solve("A5")) == T(0, -3, 0, 1)  # t(t^2-3)
 
     def test_family_law(self):
@@ -274,12 +274,12 @@ class TestIdentities:
                 p = Polynomial("q", [rng.randint(-5, 5)
                                      for _ in range(rng.randint(0, 3 * h + 2))])
                 assert Polynomial("q", _mod_one_plus_q(p, h)) \
-                    == p % one_plus_q(h), (h, p)
+                    == divmod(p, one_plus_q(h))[1], (h, p)
 
     def test_d4_center_reduction_by_hand(self):
         # q(q+1/q)(q+2q^3+q^5) - 3q(q^2+q^4) = (1+q^2)(1+q^6) - (1+q^2) ... = 0 mod 1+q^6
         lhs = Q(1, 0, 1) * Q(0, 1, 0, 2, 0, 1) - Q(0, 0, 0, 3, 0, 3)
-        assert (lhs % Q(1, 0, 0, 0, 0, 0, 1)).is_zero()
+        assert divmod(lhs, Q(1, 0, 0, 0, 0, 0, 1))[1].is_zero()
 
     def test_notes_all_types(self):
         for name in SUITE_NAMES:
