@@ -26,9 +26,9 @@ Character tables: every table starts from ``_linear_characters``, the
 homomorphisms G -> <zeta_N> found by a search over generator images that
 reads only the right-multiplication tables. They are the whole table for A;
 D adds the two-dimensional characters induced from the rotations, written
-down directly; the E types add symmetric powers of the defining character,
-tensor peeling against the known rows, and a regular-character completion
-for the last row.
+down directly; the E types add the Galois conjugates of the defining
+character V and then walk the McKay graph, V tensor chi = sum of the chi_j
+adjacent to chi, peeling each new row off V tensor chi of a row already found.
 Every table must pass ``table_violation`` before use. Every inner product of
 class functions (validation, peeling, McKay, the symmetric-power oracle) is
 ``decompose``, one ``cyclo.rational_dot`` per row reading conj(chi(C)) as
@@ -45,11 +45,10 @@ lambda^m + lambda^-m depends on m only modulo N and up to m -> N - m.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 from operator import add, sub
 
 from .cyclo import CycNumber, dot, rational_dot, split, vanishes
@@ -402,60 +401,40 @@ def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
     return rows, degrees
 
 
-def sym_power_values(G: FiniteSubgroup, m: int) -> list[CycNumber]:
-    """Character of the m-th symmetric power of the defining representation,
-    from the eigenvalue power sums lambda^(m-2j) per class: the exponents
-    are counted into a lift and reduced once."""
-    N = G.conductor
-    lifts = [[0] * N for _ in G.classes]
-    for lift, c in zip(lifts, G.classes):
-        for j in range(m + 1):
-            lift[c.eigen_exp * (m - 2 * j) % N] += 1
-    return [CycNumber.from_lift(N, lift) for lift in lifts]
-
-
 def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
-    k = len(G.classes)
+    """One walk of the McKay graph, V tensor chi = sum of the chi_j adjacent
+    to chi (McKay 1980), over a growing list of found rows: the linear
+    characters and the distinct Galois conjugates sigma_a V, 1 <= a <= N/2
+    prime to N (V is real). On E8 sigma_7 V is the second two-dimensional
+    character, which no walk from the linear rows reaches: V tensor chi of
+    the six-dimensional one leaves two new rows at once. For each found row
+    chi, appended ones included, V tensor chi is one ``_tau_times`` lift per
+    class and one ``decompose`` gives its multiplicities m; the found rows
+    are orthonormal, so V tensor chi - sum m_j chi_j is a new irreducible
+    exactly when <V tensor chi, V tensor chi> - sum m_j^2 = 1, and it is one
+    ``dot`` per class over the nonzero m. Row 0 is trivial, the rest are
+    sorted by degree and ``sort_key``."""
     N = G.conductor
-    linear = _linear_characters(G)
-    known: list[tuple[CycNumber, ...]] = [tuple(row) for row in linear]
-
-    def peel(cand):
-        # the known rows are orthonormal, so one decomposition of the
-        # candidate gives every multiplicity of the sequential peel
-        rem = list(cand)
-        mults = _multiplicities(decompose(N, cand, known, G.classes),
-                                f"{dt}: tensor candidate")
-        for mult, psi in zip(mults, known):
-            if mult:
-                rem = [a - mult * b for a, b in zip(rem, psi)]
-        return tuple(rem)
-
-    def push_products(row):
-        queue.append(tuple(CycNumber.from_lift(N, _tau_times(a.to_lift(), c.eigen_exp))
-                           for a, c in zip(row, G.classes)))
-        for lin in linear[1:]:
-            queue.append(tuple(a * b for a, b in zip(row, lin)))
-
-    queue: deque = deque([tuple(c.trace for c in G.classes)])
-    sym_m = 1
-    max_sym = 2 * dt.coxeter_number + 2
-    while len(known) < k:
-        if len(known) == k - 1:
-            known.append(_regular_completion(G, known))
-            break
-        if not queue:
-            sym_m += 1
-            if sym_m > max_sym:
-                raise ValidationFailed(f"{dt}: irreducible search did not saturate")
-            queue.append(tuple(sym_power_values(G, sym_m)))
-            continue
-        cand = queue.popleft()
-        rem = peel(cand)
-        if any(not v.is_zero() for v in rem):
-            if decompose(N, rem, [rem], G.classes) == [1] and rem not in known:
-                known.append(rem)
-                push_products(rem)
+    one = [1] + [0] * (N - 1)
+    rows = _linear_characters(G)
+    conjugates = dict.fromkeys(
+        tuple(min(a * c.eigen_exp % N, -a * c.eigen_exp % N) for c in G.classes)
+        for a in range(1, N // 2 + 1) if gcd(a, N) == 1)
+    rows += [[CycNumber.from_lift(N, _tau_times(one, r)) for r in exps]
+             for exps in conjugates]
+    for chi in rows:
+        tensor = [_tau_times(v.to_lift(), c.eigen_exp)
+                  for v, c in zip(chi, G.classes)]
+        mults = _multiplicities(decompose(N, tensor, rows, G.classes),
+                                f"{dt}: V x chi")
+        norm = decompose(N, tensor, [tensor], G.classes)[0]
+        if norm - sum(m * m for m in mults) == 1:
+            used = [j for j, m in enumerate(mults) if m]
+            coeffs = [1] + [-mults[j] for j in used]
+            rows.append([dot(N, [t] + [rows[j][i] for j in used], coeffs)
+                         for i, t in enumerate(tensor)])
+    if len(rows) < len(G.classes):
+        raise ValidationFailed(f"{dt}: irreducible search did not saturate")
 
     def degree(row):
         val = row[0].to_rational()
@@ -463,27 +442,9 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
             raise ValidationFailed(f"{dt}: character degree {val}")
         return int(val)
 
-    trivial = known[0]
-    rest = sorted(known[1:], key=lambda r: (degree(r),
-                                            tuple(v.sort_key() for v in r)))
-    rows = [list(trivial)] + [list(r) for r in rest]
-    return rows, [degree(tuple(r)) for r in rows]
-
-
-def _regular_completion(G: FiniteSubgroup, known) -> tuple[CycNumber, ...]:
-    """The one missing irreducible, read off the regular character."""
-    N = G.conductor
-    degs = [int(row[0].to_rational()) for row in known]
-    d2 = G.order - sum(d * d for d in degs)
-    d = isqrt(d2)
-    if d * d != d2 or d <= 0:
-        raise ValidationFailed(f"{G.dynkin}: regular completion leaves "
-                               f"{d2}, not the square of a degree")
-    out = []
-    for col in range(len(G.classes)):
-        rest = dot(N, degs, [row[col] for row in known])
-        out.append(((G.order if col == 0 else 0) - rest) * Fraction(1, d))
-    return tuple(out)
+    rows = rows[:1] + sorted(rows[1:], key=lambda r: (
+        degree(r), tuple(v.sort_key() for v in r)))
+    return rows, [degree(r) for r in rows]
 
 
 def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:

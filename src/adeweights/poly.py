@@ -143,7 +143,9 @@ class Polynomial:
         return Polynomial(self.var, tuple(c * a for a in self.coeffs))
 
     def shifted(self, k: int) -> Polynomial:
-        """Multiplication by var**k."""
+        """Multiplication by var**k, k >= 0."""
+        if k < 0:
+            raise ValueError("negative exponent")
         if self.is_zero():
             return self
         return Polynomial(self.var, (0,) * k + self.coeffs)

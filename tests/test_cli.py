@@ -127,7 +127,7 @@ class TestVerifyCommand:
         src = str(Path(adeweights.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        argv = ["-m", "adeweights.cli", "verify", "--types", "D4,E6",
+        argv = ["-m", "adeweights.cli", "verify", "--types", "D4,E6,E8",
                 "--format", "json"]
         plain, optimized = (
             subprocess.run([sys.executable, *flags, *argv], env=env,

@@ -452,6 +452,15 @@ class TestPolynomial:
     def test_evaluate(self):
         assert Q(1, 2, 1).evaluate(Fraction(2)) == 9
 
+    def test_shift_refuses_a_negative_exponent(self):
+        """A negative shift would divide by q^k; it was silently ignored,
+        turning q + 2q^2 shifted by -1 into q + 2q^2."""
+        assert Q(0, 1, 2).shifted(2) == Q(0, 0, 0, 1, 2)
+        assert Q(0, 1, 2).shifted(0) == Q(0, 1, 2)
+        for p in (Q(0, 1, 2), Q()):
+            with pytest.raises(ValueError, match="negative exponent"):
+                p.shifted(-1)
+
     def test_int_coefficients_stay_int(self):
         a, b = Q(3, -1, 2), Q(-1, 0, 1)   # b is monic
         results = [a + b, a - b, a * b, b * b - a, (a * b).exact_div(b),

@@ -14,9 +14,9 @@ from adeweights.graphs import DynkinType, build_graph, graph_marks
 from adeweights.groups import (CharTable, build_group, char_table,
                                decompose, enumerate_subgroup, generators,
                                mckay_matrix, molien_series, recurrence_check,
-                               sym_power_multiplicities, sym_power_values,
-                               table_violation, _linear_characters,
-                               _match_affine, _trace_minimal_polynomial)
+                               sym_power_multiplicities, table_violation,
+                               _linear_characters, _match_affine,
+                               _trace_minimal_polynomial)
 from adeweights.poly import Polynomial
 from adeweights.verify import build_bundle, run_suite
 from oracles import (matrix_inverse, matrix_product, matrix_trace,
@@ -245,6 +245,17 @@ class TestCharTable:
         assert len(degrees) == 9
         assert sum(d * d for d in degrees) == 120
 
+    def test_walk_short_of_k_rows_raises(self, bundle, monkeypatch):
+        """The saturation guard has a red witness: with only the trivial row
+        to start from, E6's walk reaches the three-dimensional character,
+        whose V tensor chi leaves two new rows at once, and stops there."""
+        G = bundle("E6").group
+        linear = _linear_characters(G)
+        monkeypatch.setattr(groups, "_linear_characters", lambda G: linear[:1])
+        with pytest.raises(ValidationFailed,
+                           match="irreducible search did not saturate"):
+            char_table(dt("E6"), G)
+
     def test_flipped_sign_fails_validation(self, bundle):
         # every entry moved by +-1, one at a time, is rejected: the clauses
         # that column orthogonality would add are implied by the others
@@ -455,16 +466,19 @@ class TestOpCounts:
     """CycNumber constructions over one cold ``verify`` of a type, a count
     that does not jitter the way wall time does. With the closure holding
     each element as its top row and computing top rows by ``dot``, every
-    class sum a ``rational_dot`` that builds no value and each distinct
-    Sym^m power sum summed once, E8 builds 1,184 values and D12 439; a
-    bottom row per element took them to 1,575 and 573, a CycNumber per
-    class sum to 2,359 and 1,314, the closure by full matrix products to
-    4,551 and 2,323, and one power sum per m to 6,833 and 4,975 before
-    that. Building one per term and per partial sum took them to 27,326
-    and 27,595, and doing so in ``decompose`` alone, or in the Molien class
-    sum alone, to 10,577-12,918."""
+    class sum a ``rational_dot`` that builds no value, each distinct Sym^m
+    power sum summed once and the E table one walk of the McKay graph that
+    builds only the rows it finds, E8 builds 725 values and D12 397; the
+    E-type queue of CycNumber tensor candidates, its Sym^m fallback and a
+    regular-character completion took E8 to 1,184, discrete-log tables for
+    the linear rows D12 to 439, a bottom row per element them to 1,575 and
+    573, a CycNumber per class sum to 2,359 and 1,314, the closure by full
+    matrix products to 4,551 and 2,323, and one power sum per m to 6,833
+    and 4,975 before that. Building one per term and per partial sum took
+    them to 27,326 and 27,595, and doing so in ``decompose`` alone, or in
+    the Molien class sum alone, to 10,577-12,918."""
 
-    LIMIT = 1_300
+    LIMIT = 800
 
     def test_constructions_per_cold_verify(self):
         original = CycNumber.__init__
@@ -662,10 +676,6 @@ class TestSymPowers:
     def test_c3_sym2(self, bundle):
         b = bundle("A2")
         assert sym_power_multiplicities(b.group, b.table, 2)[2] == (1, 1, 1)
-
-    def test_sym_values_match_trace_on_m1(self, bundle):
-        b = bundle("D6")
-        assert sym_power_values(b.group, 1) == [c.trace for c in b.group.classes]
 
     def test_direct_power_sum_oracle(self, bundle):
         """Each Sym^m row against a per-m sum of roots of unity over the
