@@ -205,29 +205,35 @@ def build_graph(dt: DynkinType, form: str) -> DirectedGraph:
 
 
 def char_poly(g: DirectedGraph) -> Polynomial:
-    """Characteristic polynomial det(tI - mult) by the Faddeev-LeVerrier
-    trace recursion over exact integers.
+    """Characteristic polynomial det(tI - M) of M = g.mult by LeVerrier's
+    method over exact integers: Newton's identities on the power traces
+    p_k = tr(M^k), c_k = -(sum_{j<k} c_j p_{k-j}) / k with c_0 = 1, for
+    k = 1..n. The sum divided by k is Faddeev's tr(M B_{k-1}), so a
+    non-integral quotient raises.
 
-    Each product mult * B is formed from the nonzero entries of each row of
-    mult (at most 3 on an ADE tree), so a step costs O(n^2), not O(n^3)."""
+    Row i of M^k is one int with entry j in the w-bit slot [j*w, (j+1)*w),
+    and row i of M^(k+1) is sum_l M[i][l] * (row l of M^k) over the nonzero
+    M[i][l] (at most 3 on an ADE tree). The packing is exact: the entries
+    are nonnegative with row sums at most r, so every entry of M^k is at
+    most r^k <= r^n < 2^w for w = n * r.bit_length() + 1, and no slot
+    carries into the next. A negative entry would break that, so it is
+    refused before anything is packed."""
     n = g.n
+    if any(v < 0 for row in g.mult for v in row):
+        raise ValueError(f"{g.dynkin}: negative multiplicity in char_poly")
+    w = n * max(map(sum, g.mult), default=0).bit_length() + 1
+    mask = (1 << w) - 1
     rows = [[(l, v) for l, v in enumerate(row) if v] for row in g.mult]
-    B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    cs = [1]
+    P = [1 << (i * w) for i in range(n)]
+    cs, ps = [1], []
     for k in range(1, n + 1):
-        MB = []
-        for nz in rows:
-            acc = [0] * n
-            for l, v in nz:
-                acc = [a + v * b for a, b in zip(acc, B[l])]
-            MB.append(acc)
-        tr = sum(MB[i][i] for i in range(n))
+        P = [sum(v * P[l] for l, v in nz) for nz in rows]
+        ps.append(sum((P[i] >> (i * w)) & mask for i in range(n)))
+        tr = sum(c * p for c, p in zip(cs, reversed(ps)))
         if tr % k:
             raise ValidationFailed(
                 f"{g.dynkin}: trace {tr} at step {k} is not divisible by {k}")
-        ck = -(tr // k)
-        cs.append(ck)
-        B = [[MB[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+        cs.append(-(tr // k))
     # char(t) = t^n + cs[1] t^(n-1) + ... + cs[n]
     return Polynomial("t", list(reversed(cs)))
 

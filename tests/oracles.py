@@ -66,8 +66,8 @@ def det_bareiss(rows: list[list[Polynomial]]) -> Polynomial:
 
 
 def char_poly_bareiss(mult) -> Polynomial:
-    """det(tI - M) via the Bareiss determinant, independent of the
-    Faddeev-LeVerrier implementation."""
+    """det(tI - M) via the Bareiss determinant over Z[t], independent of
+    ``graphs.char_poly``, which runs LeVerrier's power traces on ints."""
     n = len(mult)
     t = Polynomial.monomial("t", 1)
     rows = [[(t if i == j else Polynomial.zero("t")) - mult[i][j]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -154,12 +155,66 @@ class TestCharPoly:
                 assert char_poly(g) == char_poly_bareiss(g.mult)
 
     def test_structural_identity(self):
-        for name in SUITE_NAMES:
+        for name in SUITE_NAMES + ["A96", "D64"]:
             t = dt(name)
             semi = char_poly(build_graph(t, "semiaffine"))
             fin = char_poly(build_graph(t, "finite"))
             assert semi == fin.shifted(1)
             assert semi.degree == t.rank + 1
+
+    def test_dense_asymmetric_matrices_against_bareiss(self):
+        """Asymmetric, with row sums up to 24 where an ADE tree's reach 4,
+        so the slots of the packed rows of M^k hold values no ADE graph
+        gives; the all-3 8x8 matrix has the largest row sums."""
+        rng = random.Random(25)
+        mats = [tuple(tuple(rng.randint(0, 3) for _ in range(n))
+                      for _ in range(n))
+                for n in range(1, 9) for _ in range(37)]
+        mats.append(((3,) * 8,) * 8)
+        for mult in mats:
+            g = DirectedGraph(mult, None, "affine")
+            assert char_poly(g) == char_poly_bareiss(mult), mult
+
+    def test_negative_multiplicity_is_refused(self):
+        g = DirectedGraph(((0, -1), (1, 0)), None, "affine")
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            char_poly(g)
+
+    def test_path_recurrence_up_to_a96(self):
+        """phi(A_m) = t phi(A_{m-1}) - phi(A_{m-2}), expanding det(tI - A)
+        along the last node of the path, over plain coefficient lists."""
+        prev, cur = [1], [0, 1]
+        for m in range(1, 97):
+            assert char_poly(build_graph(dt(f"A{m}"), "finite")) == \
+                Polynomial("t", cur), m
+            nxt = [0] + cur
+            for i, c in enumerate(prev):
+                nxt[i] -= c
+            prev, cur = cur, nxt
+
+    def test_builds_one_polynomial_and_no_product(self, monkeypatch):
+        """LeVerrier runs on ints and builds the result once, so it shares
+        no Polynomial arithmetic with the solver's Bareiss det."""
+        counts = {"init": 0, "mul": 0, "exact_div": 0}
+        init, mul, exact_div = (Polynomial.__init__, Polynomial.__mul__,
+                                Polynomial.exact_div)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        graphs = [build_graph(dt(name), "semiaffine") for name in ("A48", "D40")]
+        monkeypatch.setattr(Polynomial, "__init__", counted("init", init))
+        monkeypatch.setattr(Polynomial, "__mul__", counted("mul", mul))
+        monkeypatch.setattr(Polynomial, "__rmul__", counted("mul", mul))
+        monkeypatch.setattr(Polynomial, "exact_div",
+                            counted("exact_div", exact_div))
+        for g in graphs:
+            counts.update(init=0, mul=0, exact_div=0)
+            assert char_poly(g).degree == g.n
+            assert counts == {"init": 1, "mul": 0, "exact_div": 0}, g.dynkin
 
 
 class TestCharpolyReport:

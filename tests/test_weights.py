@@ -79,7 +79,7 @@ class TestSolver:
 
     def test_det_is_the_finite_characteristic_polynomial(self):
         """The solver's last pivot, y_0, is det(tI - A_fin): the
-        Faddeev-LeVerrier characteristic polynomial of the finite graph."""
+        LeVerrier characteristic polynomial of the finite graph."""
         for name in [f"A{m}" for m in range(1, 49)] + \
                     [f"D{m}" for m in range(4, 41)]:
             w = solve(name)
