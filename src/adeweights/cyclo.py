@@ -209,9 +209,6 @@ class CycNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:

@@ -14,7 +14,10 @@ alone: its trace is a + conj(a), and the generators' unitarity check is one
 product and builds no bottom row. It records each element's word over the
 generators and each generator's right-multiplication table, and
 ``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
-orders and each class's inverse class are all index arithmetic.
+orders and each class's inverse class are all index arithmetic. Each
+zeta^r + zeta^-r, 0 <= r <= N/2, is built once per group into
+``FiniteSubgroup.traces``, which gives each class its eigen-exponent and
+the D and E tables their trace-valued rows.
 
 Molien numerators come from one cofactor per class: the integer standard
 form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q), with no
@@ -130,6 +133,7 @@ class FiniteSubgroup:
         self.gen_index = tuple(r[0] for r in self.right)
         self.gen_inverse = tuple(r.index(0) for r in self.right)
         self.classes: tuple[ConjClass, ...] = ()
+        self.traces: tuple[CycNumber, ...] = ()  # zeta^r + zeta^-r, r <= N/2
 
     @property
     def order(self) -> int:
@@ -163,20 +167,15 @@ class FiniteSubgroup:
                 for c in self.classes]
 
 
-def _eigen_exponents(N: int) -> dict[CycNumber, int]:
-    """Map zeta^e + zeta^-e -> e at conductor N, keeping the least e: e and
-    N - e give the same trace, and the traces of 0 <= e <= N/2 are distinct,
-    so each is built once, as the lift x^e + x^-e."""
-    one = [1] + [0] * (N - 1)
-    return {CycNumber.from_lift(N, _tau_times(one, e)): e
-            for e in range(N // 2 + 1)}
-
-
 def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     """Breadth-first closure under right multiplication by the generators,
     recording each element's generator word and each generator's
     right-multiplication table; then conjugacy classes as orbits of
     generator conjugation, computed on indices, each with its inverse class.
+    ``traces`` holds zeta^r + zeta^-r for 0 <= r <= N/2, each built once
+    from the lift x^r + x^-r; they are distinct, and r and N - r give the
+    same trace, so a class's eigen-exponent is the least e with
+    trace = zeta^e + zeta^-e.
 
     Each generator and element is a top row (a, b), standing for the
     matrix [[a, b], [-conj(b), conj(a)]], which is special unitary exactly
@@ -239,7 +238,10 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     if len(orbits) != dt.rank + 1:
         raise ValidationFailed(
             f"{dt}: {len(orbits)} classes, expected {dt.rank + 1}")
-    exps = _eigen_exponents(N)
+    unit = [1] + [0] * (N - 1)
+    G.traces = tuple(CycNumber.from_lift(N, _tau_times(unit, r))
+                     for r in range(N // 2 + 1))
+    exps = {t: r for r, t in enumerate(G.traces)}
     classes = []
     for members in orbits:
         rep = members[0]
@@ -378,13 +380,11 @@ def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
 def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
     """The four linear characters, then for 1 <= l < k = m - 2 the character
     induced from the rotation subgroup: zeta^(l e_C) + zeta^-(l e_C) on a
-    rotation class (top row (a, 0)) and 0 elsewhere, each such value built
-    once, keyed by min(l e_C mod N, -l e_C mod N)."""
+    rotation class (top row (a, 0)) and 0 elsewhere, read from
+    ``G.traces`` at min(l e_C mod N, -l e_C mod N)."""
     k = dt.m - 2
     N = G.conductor
-    one = [1] + [0] * (N - 1)
     zero = CycNumber.zero(N)
-    taus: dict[int, CycNumber] = {}
     rows = _linear_characters(G)
     degrees = [1] * len(rows) + [2] * (k - 1)
     for ell in range(1, k):
@@ -393,10 +393,8 @@ def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
             if not G.elements[c.rep][1].is_zero():
                 row.append(zero)
                 continue
-            r = min(ell * c.eigen_exp % N, -ell * c.eigen_exp % N)
-            if r not in taus:
-                taus[r] = CycNumber.from_lift(N, _tau_times(one, r))
-            row.append(taus[r])
+            row.append(G.traces[min(ell * c.eigen_exp % N,
+                                    -ell * c.eigen_exp % N)])
         rows.append(row)
     return rows, degrees
 
@@ -405,23 +403,22 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     """One walk of the McKay graph, V tensor chi = sum of the chi_j adjacent
     to chi (McKay 1980), over a growing list of found rows: the linear
     characters and the distinct Galois conjugates sigma_a V, 1 <= a <= N/2
-    prime to N (V is real). On E8 sigma_7 V is the second two-dimensional
-    character, which no walk from the linear rows reaches: V tensor chi of
-    the six-dimensional one leaves two new rows at once. For each found row
-    chi, appended ones included, V tensor chi is one ``_tau_times`` lift per
-    class and one ``decompose`` gives its multiplicities m; the found rows
-    are orthonormal, so V tensor chi - sum m_j chi_j is a new irreducible
-    exactly when <V tensor chi, V tensor chi> - sum m_j^2 = 1, and it is one
-    ``dot`` per class over the nonzero m. Row 0 is trivial, the rest are
-    sorted by degree and ``sort_key``."""
+    prime to N (V is real), read from ``G.traces``. On E8 sigma_7 V is the
+    second two-dimensional character, which no walk from the linear rows
+    reaches: V tensor chi of the six-dimensional one leaves two new rows at
+    once. For each found row chi, appended ones included, V tensor chi is
+    one ``_tau_times`` lift per class and one ``decompose`` gives its
+    multiplicities m; the found rows are orthonormal, so
+    V tensor chi - sum m_j chi_j is a new irreducible exactly when
+    <V tensor chi, V tensor chi> - sum m_j^2 = 1, and it is one ``dot`` per
+    class over the nonzero m. Row 0 is trivial, the rest are sorted by
+    degree and ``sort_key``."""
     N = G.conductor
-    one = [1] + [0] * (N - 1)
     rows = _linear_characters(G)
     conjugates = dict.fromkeys(
         tuple(min(a * c.eigen_exp % N, -a * c.eigen_exp % N) for c in G.classes)
         for a in range(1, N // 2 + 1) if gcd(a, N) == 1)
-    rows += [[CycNumber.from_lift(N, _tau_times(one, r)) for r in exps]
-             for exps in conjugates]
+    rows += [[G.traces[r] for r in exps] for exps in conjugates]
     for chi in rows:
         tensor = [_tau_times(v.to_lift(), c.eigen_exp)
                   for v, c in zip(chi, G.classes)]

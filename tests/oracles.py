@@ -226,12 +226,13 @@ def molien_by_elements(G, table):
     must come out integral and is returned as a Polynomial in q."""
     dt = G.dynkin
     a, b = dt.standard_ab
+    one = CycNumber.one(G.conductor)
     quads = {}
     traces = [matrix_trace(su2_matrix(x)) for x in G.elements]
     for tr in traces:
         if tr not in quads:
-            quads[tr] = [1, -tr, 1]
-    denom = [1]
+            quads[tr] = [one, -tr, one]
+    denom = [one]
     for quad in quads.values():
         denom = _list_mul(denom, quad)
     partial = {tr: _list_div_monic(denom, quad) for tr, quad in quads.items()}
@@ -280,13 +281,14 @@ def minimal_polynomial(x: CycNumber) -> Polynomial:
     t - y over the Galois orbit, multiplied as ascending coefficient lists
     over Q(zeta_N). A coefficient outside Z raises ``ValidationFailed``."""
     orbit = []
+    zero = CycNumber.zero(x.N)
     acc = [CycNumber.one(x.N)]
     for a in range(1, x.N + 1):
         if gcd(a, x.N) == 1:
             y = x.galois(a)
             if y not in orbit:
                 orbit.append(y)
-                acc = [s - y * c for s, c in zip([0] + acc, acc + [0])]
+                acc = [s - y * c for s, c in zip([zero] + acc, acc + [zero])]
     coeffs = [c.to_rational() for c in acc]
     if any(c.denominator != 1 for c in coeffs):
         raise ValidationFailed(f"minimal polynomial of {x} is not in Z[t]")

@@ -122,20 +122,24 @@ class TestVerifyCommand:
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
     def test_same_report_under_python_O(self):
-        # -O strips assert statements; no check may depend on them
+        # -O strips assert statements; no check may depend on them, and no
+        # report byte may depend on the order of a set or dict of str keys,
+        # which PYTHONHASHSEED changes
         env = dict(os.environ)
         src = str(Path(adeweights.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         argv = ["-m", "adeweights.cli", "verify", "--types", "D4,E6,E8",
                 "--format", "json"]
-        plain, optimized = (
-            subprocess.run([sys.executable, *flags, *argv], env=env,
+        plain, optimized, reseeded = (
+            subprocess.run([sys.executable, *flags, *argv],
+                           env=dict(env, PYTHONHASHSEED=seed),
                            capture_output=True, timeout=120)
-            for flags in ((), ("-O",)))
+            for flags, seed in (((), "0"), (("-O",), "0"), ((), "1")))
         assert plain.returncode == 0 and plain.stdout
-        assert (optimized.returncode, optimized.stdout) == \
-            (plain.returncode, plain.stdout)
+        for other in (optimized, reseeded):
+            assert (other.returncode, other.stdout) == \
+                (plain.returncode, plain.stdout)
 
 
 class TestOtherCommands:

@@ -467,9 +467,12 @@ class TestOpCounts:
     that does not jitter the way wall time does. With the closure holding
     each element as its top row and computing top rows by ``dot``, every
     class sum a ``rational_dot`` that builds no value, each distinct Sym^m
-    power sum summed once and the E table one walk of the McKay graph that
-    builds only the rows it finds, E8 builds 725 values and D12 397; the
-    E-type queue of CycNumber tensor candidates, its Sym^m fallback and a
+    power sum summed once, the E table one walk of the McKay graph that
+    builds only the rows it finds and each zeta^r + zeta^-r built once per
+    group, in ``FiniteSubgroup.traces``, E8 builds 707 values and D12 386;
+    building those traces apart for the eigen-exponent lookup, the D rows
+    and the E Galois-conjugate rows took them to 725 and 397, the E-type
+    queue of CycNumber tensor candidates, its Sym^m fallback and a
     regular-character completion took E8 to 1,184, discrete-log tables for
     the linear rows D12 to 439, a bottom row per element them to 1,575 and
     573, a CycNumber per class sum to 2,359 and 1,314, the closure by full
@@ -478,7 +481,7 @@ class TestOpCounts:
     them to 27,326 and 27,595, and doing so in ``decompose`` alone, or in
     the Molien class sum alone, to 10,577-12,918."""
 
-    LIMIT = 800
+    LIMIT = 710
 
     def test_constructions_per_cold_verify(self):
         original = CycNumber.__init__

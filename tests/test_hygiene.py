@@ -263,7 +263,9 @@ def _reads_outside_namesakes(tree: ast.AST) -> set[str]:
 def test_no_dead_methods():
     """Every method and property a class in src/ defines, dunders aside, is
     read somewhere in src/. The program writes JSON and reads none, so no
-    class keeps a ``from_json``."""
+    class keeps a ``from_json``. Dunders, and methods that share a name with
+    something read, are covered by test_reachability.py, which runs the
+    CLI and lists what no call enters."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     read = set().union(*(_reads_outside_namesakes(tree) for tree in trees))
     unread = [f"{cls.name}.{node.name}" for tree in trees
