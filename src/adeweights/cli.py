@@ -5,8 +5,9 @@ are json / text / latex (dot for graphs only). --out writes atomically via a
 temp file and rename, so failures never leave partial files.
 
 Exit status: 0 on success, 1 when verification reports a failure, 2 on usage
-errors, an --out path that cannot be written among them, and 3 on an
-internal error, reported as one "internal error:" line on stderr.
+errors, an --out path that cannot be written and a type of rank above
+graphs.MAX_RANK among them, and 3 on an internal error, reported as one
+"internal error:" line on stderr.
 """
 from __future__ import annotations
 

@@ -322,9 +322,18 @@ def charpoly_report(semi: DirectedGraph, char_fin: Polynomial) -> CharPolyReport
                           structural_ok)
 
 
+# the rank cap on each type of a selector; at the cap `verify`,
+# `weights --basis q` and `molien` on D128 take about 26 s each on a 2-core
+# x86-64 host, and A20000 would exhaust memory in build_graph. It bounds
+# each type, not the sum over a selector's types.
+MAX_RANK = 128
+
+
 def parse_type_selector(text: str) -> list[DynkinType]:
     """Expand a selector like "D4", "E6,E7", or "A1..A12" (inclusive ranges
-    within one family). Invalid members raise before any computation."""
+    within one family). Invalid members, and members of rank above
+    MAX_RANK, raise before any range is expanded. ``DynkinType`` and
+    ``build_graph`` themselves take any rank."""
     out = []
     for token in text.split(","):
         token = token.strip()
@@ -336,7 +345,10 @@ def parse_type_selector(text: str) -> list[DynkinType]:
             hi = DynkinType.parse(hi_s)
             if lo.family != hi.family or lo.m > hi.m:
                 raise InvalidParameter(f"bad range {token!r}")
-            out.extend(DynkinType(lo.family, m) for m in range(lo.m, hi.m + 1))
         else:
-            out.append(DynkinType.parse(token))
+            lo = hi = DynkinType.parse(token)
+        if hi.rank > MAX_RANK:
+            raise InvalidParameter(
+                f"{hi} has rank {hi.rank}, above the limit of {MAX_RANK}")
+        out.extend(DynkinType(lo.family, m) for m in range(lo.m, hi.m + 1))
     return out

@@ -100,8 +100,9 @@ class TypeBundle:
 
     @cached_property
     def charpoly(self) -> CharPolyReport:
-        """LeVerrier on the semi-affine graph held against the solver's det,
-        computed when a check first reads it; the query commands never do."""
+        """LeVerrier on the semi-affine graph held against the solver's det
+        from the tree recurrence, computed when a check first reads it; the
+        query commands never do."""
         return charpoly_report(self.semiaffine, self.tweights.det)
 
 

@@ -1,10 +1,10 @@
 """Weight systems on semi-affine ADE graphs.
 
 ``solve_semiaffine`` imposes t*n_i = sum of the successors of i at every node
-of positive out-degree (the affine node is a sink and is normalized to 1) and
-solves the resulting system by fraction-free elimination in Z[t] into the
-Cramer vector y_i = det(tI - A_fin) * n_i; a weight is reduced to one
-quotient in Q(t) only when it is read.
+of positive out-degree (the affine node is a sink and is normalized to 1).
+The finite part is a tree: Schwenk's recurrence gives det(tI - A_fin), and
+Faddeev's gives the Cramer vector y_i = det(tI - A_fin) * n_i over the ints,
+checked by Cayley-Hamilton. A weight is reduced in Q(t) only when read.
 
 Two renormalizations follow the substitution t = q + 1/q: clearing by cox(h)
 gives the primitive q-weights (when cox(h) really is the common denominator;
@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 
-from .errors import NonPolynomialResult
+from .errors import NonPolynomialResult, ValidationFailed
 from .graphs import DirectedGraph, DynkinType
 from .poly import Polynomial, RationalFunction, cox, poly_gcd, substitute_t
 
@@ -32,7 +33,7 @@ class TWeights:
 
     @property
     def det(self) -> Polynomial:
-        """det(tI - A_fin), the solver's last pivot."""
+        """det(tI - A_fin), from the tree recurrence."""
         return self.y[0]
 
     @property
@@ -59,81 +60,54 @@ class QNumerators:
                 "N": [[str(c) for c in p.coeffs] for p in self.N]}
 
 
+def _tree_det(children: list[list[int]]) -> Polynomial:
+    """det(tI - A) of a tree whose node v has the children ``children[v]``,
+    numbered after v, by Schwenk's recurrence (1974) on the subtree T_v at v:
+    phi(T_v) = t*phi(T_v - v) - sum over the children u of phi(T_v - v - u).
+    Removing v leaves the children's subtrees, and removing u too trades
+    phi(T_u) for phi(T_u - u). Nodes go last first; node 0 is the root."""
+    phi, rest = {}, {}  # phi(T_v), phi(T_v - v)
+    for v in reversed(range(len(children))):
+        kids = children[v]
+        rest[v] = reduce(mul, [phi[u] for u in kids] or [Polynomial.one("t")])
+        phi[v] = rest[v].shifted(1) - sum(
+            (reduce(mul, (phi[w] for w in kids if w != u), rest[u])
+             for u in kids), Polynomial.zero("t"))
+    return phi[0]
+
+
 def solve_semiaffine(g: DirectedGraph) -> TWeights:
-    """Solve the weight equations of a semi-affine graph.
+    """Solve (tI - A_fin) x = b, the weight equations with n_0 = 1 moved
+    across (b_i = mult[i][0]), as y = det(tI - A_fin) x = adj(tI - A_fin) b.
 
-    Unknowns are the non-affine nodes; the equation at node i reads
-    t*n_i - sum_j mult[i][j]*n_j = mult[i][0] after moving the known n_0 = 1
-    across, i.e. (tI - A_fin) x = b. Every entry lies in Z[t], and so does
-    every step:
-
-    - Forward elimination is fraction-free (Bareiss) and needs no pivot
-      search: the pivot of step k is p_(k+1), where p_s is the leading
-      principal minor of order s of tI - A_fin (p_0 = 1), a characteristic
-      polynomial and so monic, never zero. Every division is by some p_s,
-      which makes it synthetic division over Z.
-    - Rows are scaled lazily. A row last updated at step s holds its
-      Bareiss values of level s. Where the pivot column is zero in a row,
-      a Bareiss step only multiplies the row by p_(k+1)/p_k, so a row
-      skipped since level s stands for its values times p_k/p_s at level k.
-      When the pivot column next reaches the row at step k, its update is
-      (p_(k+1)*row[j] - row[k]*pivot_row[j]) / p_s, and the pivot row is
-      brought up to date once, by * p_k / p_s, before it is used. Each
-      quotient is a true Bareiss value, a minor of tI - A_fin, so it lies
-      in Z[t] and the division by the monic p_s is exact. A row the pivot
-      column does not reach costs nothing; on a tree most rows are not
-      reached, and within a reached row an entry zero in both rows is
-      skipped.
-    - Back substitution is fraction-free too (Nakos, Turner and Williams
-      1997). Row i ends at level i, where it was the pivot row, so the
-      triangle is Bareiss's; with no row swaps the last pivot is
-      D = p_r = det(tI - A_fin), and by Cramer's rule y_i = D*x_i is an
-      integer polynomial. Going up the triangle,
-      m[i][i]*y_i = D*m[i][r] - sum_j m[i][j]*y_j, divided exactly by the
-      monic pivot m[i][i]. (D, y_1, ..., y_r) is returned.
+    A_fin must be a 0/1 tree in which each node but the first has exactly
+    one neighbour before it, its parent; else ``ValueError``. With det from
+    ``_tree_det`` as sum_k c_k t^(r-k), Faddeev's expansion
+    adj(tI - A) = sum_k t^(r-1-k) B_k, B_0 = I, B_k = A B_(k-1) + c_k I,
+    makes coefficient r-1-k of y the int vector v_k = A v_(k-1) + c_k b,
+    v_0 = b. Cayley-Hamilton makes v_r zero, or ``ValidationFailed``.
     """
     if g.form != "semiaffine":
         raise ValueError("solver expects a semi-affine graph")
     r = g.n - 1
-    m = [[Polynomial("t", (-g.mult[i + 1][j + 1], int(i == j)))
-          for j in range(r)] + [Polynomial.constant("t", g.mult[i + 1][0])]
-         for i in range(r)]
-    zero = Polynomial.zero("t")
-    minors = [Polynomial.one("t")]  # p_0, p_1, ...: the pivots so far
-    level = [0] * r  # the step whose Bareiss values row i holds
-    for k in range(r):
-        row_k, p_k = m[k], minors[k]
-        if level[k] < k:
-            p_s = minors[level[k]]
-            for j in range(k, r + 1):
-                if not row_k[j].is_zero():
-                    row_k[j] = (p_k * row_k[j]).exact_div(p_s)
-        pivot = row_k[k]
-        minors.append(pivot)
-        for i in range(k + 1, r):
-            row = m[i]
-            mik = row[k]
-            if mik.is_zero():
-                continue
-            p_s = minors[level[i]]
-            for j in range(k + 1, r + 1):
-                if row_k[j].is_zero():
-                    if not row[j].is_zero():
-                        row[j] = (pivot * row[j]).exact_div(p_s)
-                elif row[j].is_zero():
-                    row[j] = -(mik * row_k[j]).exact_div(p_s)
-                else:
-                    row[j] = (pivot * row[j] - mik * row_k[j]).exact_div(p_s)
-            row[k] = zero
-            level[i] = k + 1
-    det = minors[r]
-    y = [zero] * r
-    for i in range(r - 1, -1, -1):
-        acc = det * m[i][r]
-        for j in range(i + 1, r):
-            if not m[i][j].is_zero():
-                acc = acc - m[i][j] * y[j]
-        y[i] = acc.exact_div(m[i][i])
+    fin = [row[1:] for row in g.mult[1:]]
+    nbrs = [[j for j in range(r) if fin[i][j]] for i in range(r)]
+    if (r < 1 or any(v not in (0, 1) for row in fin for v in row)
+            or fin != list(zip(*fin)) or any(fin[i][i] for i in range(r))
+            or [sum(j < i for j in js) for i, js in enumerate(nbrs)]
+            != [int(i > 0) for i in range(r)]):
+        raise ValueError(f"{g.dynkin}: the finite graph is not a tree with "
+                         "each parent before its children")
+    det = _tree_det([[j for j in js if j > i] for i, js in enumerate(nbrs)])
+    b = [row[0] for row in g.mult[1:]]
+    vs = [b]
+    for k in range(1, r + 1):
+        vs.append([sum(vs[-1][j] for j in js) + det.coefficient(r - k) * bi
+                   for js, bi in zip(nbrs, b)])
+    if any(vs.pop()):
+        raise ValidationFailed(f"{g.dynkin}: adj(tI - A_fin) b leaves "
+                               "v_r != 0, so the tree det is wrong")
+    y = [Polynomial("t", [v[i] for v in reversed(vs)]) for i in range(r)]
     return TWeights(g.dynkin, (det, *y))
 
 

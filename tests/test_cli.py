@@ -12,7 +12,7 @@ import pytest
 import adeweights
 from adeweights import cli
 from adeweights.cli import main
-from adeweights.graphs import FORMS, DynkinType
+from adeweights.graphs import FORMS, MAX_RANK, DynkinType
 from adeweights.poly import RationalFunction, one_plus_q
 from adeweights.verify import build_bundle
 
@@ -201,6 +201,27 @@ class TestRejectedArguments:
 
     def test_leading_zero_type(self, capsys):
         self.assert_rejected(capsys, "graph", "--type", "A01")
+
+    def test_rank_above_the_cap(self, capsys, monkeypatch):
+        # every type of the selector is checked before anything is built,
+        # and a range before it is expanded
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a graph, bundle or suite")
+        for name in ("build_graph", "build_bundle", "run_suite"):
+            monkeypatch.setattr(cli, name, refuse)
+        commands = [["graph"], ["weights", "--basis", "t"], ["weights"],
+                    ["molien"], ["group"], ["charpoly"], ["verify"]]
+        over = MAX_RANK + 1
+        for selector in (f"A{over}", f"D{over}", f"A1..A{over}",
+                         f"E6,D4..D{over}", "A1..A99999999999999999999"):
+            for command in commands:
+                self.assert_rejected(capsys, *command, "--types", selector)
+
+    def test_rank_at_the_cap_is_accepted(self, capsys):
+        status, out, err = run_cli(capsys, "graph", "--type",
+                                   f"D{MAX_RANK}", "--format", "json")
+        assert (status, err) == (0, "")
+        assert json.loads(out)["nodes"] == MAX_RANK + 1
 
 
 class TestExitStatus:

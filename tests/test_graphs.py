@@ -6,9 +6,9 @@ import random
 import pytest
 
 from adeweights.errors import InvalidParameter, SingularSystem, ValidationFailed
-from adeweights.graphs import (DirectedGraph, DynkinType, build_graph,
-                               char_poly, charpoly_report, graph_marks,
-                               parse_type_selector)
+from adeweights.graphs import (MAX_RANK, DirectedGraph, DynkinType,
+                               build_graph, char_poly, charpoly_report,
+                               graph_marks, parse_type_selector)
 from adeweights.poly import Polynomial, cox, one_plus_q
 from oracles import char_poly_bareiss
 
@@ -73,6 +73,14 @@ class TestDynkinType:
             parse_type_selector("A3..A1")
         with pytest.raises(InvalidParameter):
             parse_type_selector("A1,,A2")
+        # every type is held to MAX_RANK, a range by its upper end before it
+        # is expanded; DynkinType itself takes any rank
+        assert parse_type_selector(f"D{MAX_RANK}")[0].rank == MAX_RANK
+        for text in (f"A{MAX_RANK + 1}", f"E6,D4..D{MAX_RANK + 1}",
+                     "A1..A99999999999999999999"):
+            with pytest.raises(InvalidParameter, match="above the limit"):
+                parse_type_selector(text)
+        assert dt(f"A{MAX_RANK + 1}").rank == MAX_RANK + 1
 
 
 class TestBuildGraph:
@@ -119,6 +127,20 @@ class TestBuildGraph:
     def test_bad_form(self):
         with pytest.raises(InvalidParameter):
             build_graph(dt("D4"), "projective")
+
+    def test_canonical_order_puts_each_parent_first(self):
+        """The weight solver's tree recurrence reads A_fin as a 0/1
+        symmetric tree with a zero diagonal in which every node after the
+        first has exactly one neighbour before it, its parent."""
+        names = [f"A{m}" for m in range(1, 49)] + \
+                [f"D{m}" for m in range(4, 41)] + ["E6", "E7", "E8"]
+        for name in names:
+            mult = build_graph(dt(name), "finite").mult
+            assert all(v in (0, 1) for row in mult for v in row), name
+            assert mult == tuple(zip(*mult)), name
+            assert not any(mult[i][i] for i in range(len(mult))), name
+            assert [sum(mult[i][:i]) for i in range(len(mult))] == \
+                [0] + [1] * (len(mult) - 1), name
 
 
 class TestNeighborSums:
@@ -194,7 +216,7 @@ class TestCharPoly:
 
     def test_builds_one_polynomial_and_no_product(self, monkeypatch):
         """LeVerrier runs on ints and builds the result once, so it shares
-        no Polynomial arithmetic with the solver's Bareiss det."""
+        no Polynomial arithmetic with the solver's tree-recurrence det."""
         counts = {"init": 0, "mul": 0, "exact_div": 0}
         init, mul, exact_div = (Polynomial.__init__, Polynomial.__mul__,
                                 Polynomial.exact_div)

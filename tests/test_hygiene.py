@@ -221,6 +221,13 @@ def test_tweights_hold_only_the_cramer_vector():
                                                         "solve_semiaffine")
 
 
+def test_solver_det_takes_its_own_route():
+    """STRUCTURAL_CHARPOLY holds LeVerrier against the solver's det, so the
+    solver must not reach LeVerrier."""
+    assert _named(SRC / "weights.py") & {"char_poly", "charpoly_report"} \
+        == set()
+
+
 def test_poly_defines_no_lcm():
     tree = ast.parse((SRC / "poly.py").read_text())
     assert "poly_lcm" not in {node.name for node in ast.walk(tree)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from adeweights.errors import NonPolynomialResult
-from adeweights.graphs import DynkinType, build_graph, char_poly
+from adeweights import weights
+from adeweights.errors import NonPolynomialResult, ValidationFailed
+from adeweights.graphs import DirectedGraph, DynkinType, build_graph, char_poly
 from adeweights.poly import (Polynomial, RationalFunction, cox, one_plus_q,
                              poly_gcd, substitute_t)
 from adeweights.weights import (_mod_one_plus_q, check_notes, closed_form,
@@ -16,7 +17,7 @@ from adeweights.weights import (_mod_one_plus_q, check_notes, closed_form,
                                 numerators_latex, solve_semiaffine,
                                 specialization_identity, to_q_numerators,
                                 weights_satisfy)
-from oracles import krylov_minpoly, lcd_law
+from oracles import char_poly_bareiss, krylov_minpoly, lcd_law
 
 Q = lambda *cs: Polynomial("q", cs)
 T = lambda *cs: Polynomial("t", cs)
@@ -40,6 +41,14 @@ def solve(name):
 
 def affine(name):
     return build_graph(dt(name), "affine")
+
+
+def semiaffine_graph(fin, b):
+    """A semi-affine graph on a sink and the finite matrix ``fin``, with
+    b_i edges from finite node i into the sink."""
+    r = len(fin)
+    rows = [(0,) * (r + 1)] + [(b[i], *fin[i]) for i in range(r)]
+    return DirectedGraph(tuple(rows), None, "semiaffine")
 
 
 class TestSolver:
@@ -78,8 +87,8 @@ class TestSolver:
             assert common_denominator(w) == krylov_minpoly(g.mult)
 
     def test_det_is_the_finite_characteristic_polynomial(self):
-        """The solver's last pivot, y_0, is det(tI - A_fin): the
-        LeVerrier characteristic polynomial of the finite graph."""
+        """The solver's y_0, det(tI - A_fin) from the tree recurrence, is
+        the LeVerrier characteristic polynomial of the finite graph."""
         for name in [f"A{m}" for m in range(1, 49)] + \
                     [f"D{m}" for m in range(4, 41)]:
             w = solve(name)
@@ -97,6 +106,54 @@ class TestSolver:
     def test_rejects_non_semiaffine(self):
         with pytest.raises(ValueError):
             solve_semiaffine(build_graph(DynkinType.parse("D4"), "affine"))
+
+    def test_random_trees_against_bareiss(self):
+        """Trees of rank up to 12 with each parent before its children, and
+        random edges into the sink: det is the Bareiss determinant of the
+        oracle, and y solves the equations."""
+        rng = random.Random(27)
+        for _ in range(200):
+            r = rng.randint(1, 12)
+            fin = [[0] * r for _ in range(r)]
+            for i in range(1, r):
+                p = rng.randrange(i)
+                fin[i][p] = fin[p][i] = 1
+            b = [rng.randint(0, 2) for _ in range(r)]
+            g = semiaffine_graph(fin, b)
+            w = solve_semiaffine(g)
+            assert w.det == char_poly_bareiss(fin), fin
+            assert weights_satisfy(g, w), (fin, b)
+
+    @pytest.mark.parametrize("fin", [
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+        [[0, 0], [0, 0]],
+        [[0, 2], [2, 0]],
+        [[1, 1], [1, 0]],
+        [[0, 0], [0, 1]],
+        [[0, 0], [1, 0]],
+    ], ids=["cycle", "child_before_parent", "two_components", "double_edge",
+            "loop", "loop_on_a_second_root", "one_way_edge"])
+    def test_rejects_a_finite_part_that_is_no_ordered_tree(self, fin):
+        """With b only at the first node, a loop on a second root would
+        leave v_r zero and pass the Cayley-Hamilton check, so the input
+        check is what refuses it."""
+        r = len(fin)
+        for b in ([1] * r, [1] + [0] * (r - 1)):
+            with pytest.raises(ValueError, match="not a tree"):
+                solve_semiaffine(semiaffine_graph(fin, b))
+
+    def test_cayley_hamilton_catches_a_wrong_det(self, monkeypatch):
+        """v_r = p(A_fin) b for the det p the solver was given; it is zero
+        when the Krylov minimal polynomial of b divides p, so it catches a
+        det that does not annihilate b, such as det + 1. STRUCTURAL_CHARPOLY
+        in verify is what pins det itself."""
+        original = weights._tree_det
+        monkeypatch.setattr(weights, "_tree_det",
+                            lambda children: original(children) + 1)
+        for name in ("A1", "D4", "E8"):
+            with pytest.raises(ValidationFailed, match="v_r"):
+                solve(name)
 
 
 class TestCommonDenominator:
@@ -307,42 +364,54 @@ class TestIdentities:
 
 
 class TestProducts:
-    """Upper bounds on ``Polynomial.__mul__`` calls. The solver multiplies
-    only in rows the pivot column reaches, and there only by nonzero
-    factors, and t = q + 1/q is substituted by binomial coefficients, with no
-    product at all."""
+    """Upper bounds on ``Polynomial.__mul__`` calls, and on
+    ``Polynomial.exact_div`` calls. The solver multiplies only at the
+    branch nodes of the tree recurrence, works the adjugate on int vectors,
+    and divides nowhere, and t = q + 1/q is substituted by binomial
+    coefficients, with no product at all."""
 
     @pytest.fixture
     def products(self, monkeypatch):
-        original = Polynomial.__mul__
-        count = [0]
+        """[products, exact divisions] since the last reset."""
+        mul, exact_div = Polynomial.__mul__, Polynomial.exact_div
+        count = [0, 0]
 
         def counting(self, other):
             count[0] += 1
-            return original(self, other)
+            return mul(self, other)
+
+        def dividing(self, other):
+            count[1] += 1
+            return exact_div(self, other)
 
         monkeypatch.setattr(Polynomial, "__mul__", counting)
+        monkeypatch.setattr(Polynomial, "exact_div", dividing)
         return count
 
     def test_solver(self, products):
-        for name, limit in (("A24", 920), ("D24", 1040)):
+        """Bareiss elimination over Z[t] with every row rescaled at each
+        step was held to 920 and 1,040 products on A24 and D24."""
+        for name, limit in (("A24", 24), ("D24", 28)):
             g = build_graph(dt(name), "semiaffine")
-            products[0] = 0
+            products[:] = [0, 0]
             w = solve_semiaffine(g)
             assert products[0] <= limit, (name, products[0])
+            assert products[1] == 0, (name, products[1])
             assert weights_satisfy(g, w)
 
-    def test_solver_scales_rows_lazily(self, products):
-        """A row the pivot column does not reach keeps its older Bareiss
-        level instead of being rescaled at every step: rescaling every row
-        took A24, D24, A48 and A96 to 920, 1,040, 3,572 and 14,060
-        products."""
-        for name, limit in (("A24", 170), ("D24", 380), ("A48", 340),
-                            ("A96", 700)):
+    def test_solver_products_stay_below_the_rank(self, products):
+        """At most one product per node. The Bareiss solver with lazily
+        scaled rows took A24, D24, A48 and A96 to 139, 302, 283 and 571
+        products and 92, 185, 188 and 380 exact divisions (its limits were
+        170, 380, 340 and 700 products); rescaling every row took them to
+        920, 1,040, 3,572 and 14,060 products."""
+        for name, limit in (("A24", 24), ("D24", 28), ("A48", 48),
+                            ("A96", 96)):
             g = build_graph(dt(name), "semiaffine")
-            products[0] = 0
+            products[:] = [0, 0]
             w = solve_semiaffine(g)
             assert products[0] <= limit, (name, products[0])
+            assert products[1] == 0, (name, products[1])
             assert weights_satisfy(g, w)
 
     def test_q_normalization(self, products):
