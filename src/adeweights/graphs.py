@@ -46,10 +46,14 @@ class DynkinType:
 
     @classmethod
     def parse(cls, text: str) -> DynkinType:
-        m = _TYPE_RE.match(text.strip())
-        if not m:
+        found = _TYPE_RE.match(text.strip())
+        try:
+            m = int(found.group(2)) if found else -1
+        except ValueError:  # more digits than int() converts
+            m = -1
+        if m < 0:
             raise InvalidParameter(f"cannot parse Dynkin type {text!r}")
-        return cls(m.group(1), int(m.group(2)))
+        return cls(found.group(1), m)
 
     def __str__(self):
         return f"{self.family}{self.m}"

@@ -1,14 +1,14 @@
 """Finite subgroups of SU(2) attached to the ADE types.
 
-Each group is enumerated exactly over a cyclotomic field whose conductor
-is the group exponent. Conjugacy classes, character tables, the McKay
-matrix, generalized Molien series, and symmetric-power multiplicities are
-all computed over the same field and collapsed to Q where the theory says
-they must be rational.
+Each group is enumerated exactly over a cyclotomic field whose conductor is
+the group exponent. Conjugacy classes, character tables, the McKay matrix,
+generalized Molien series, and symmetric-power multiplicities are all
+computed over the same field and collapsed to Q where the theory says they
+must be rational.
 
-An element of SU(2) is [[a, b], [-conj(b), conj(a)]], so its top row
-(a, b) determines it, and each generator and element is held as that pair
-alone: its trace is a + conj(a), and the generators' unitarity check is one
+An element of SU(2) is [[a, b], [-conj(b), conj(a)]], so its top row (a, b)
+determines it, and each generator and element is held as that pair alone:
+its trace is a + conj(a), and the generators' unitarity check is one
 ``dot``, |a|^2 + |b|^2 = 1. The closure computes the top row of x g as two
 2-term ``cyclo.dot`` calls against g's columns, so it makes no CycNumber
 product and builds no bottom row. It records each element's word over the
@@ -16,8 +16,9 @@ generators and each generator's right-multiplication table, and
 ``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
 orders and each class's inverse class are all index arithmetic. Each
 zeta^r + zeta^-r, 0 <= r <= N/2, is built once per group into
-``FiniteSubgroup.traces``, which gives each class its eigen-exponent and
-the D and E tables their trace-valued rows.
+``FiniteSubgroup.traces``. A class's trace is one sum, a plus the top left
+entry conj(a) of the inverse, looked up there for the class's stored trace
+and eigen-exponent; the D and E tables read their trace-valued rows there.
 
 Molien numerators come from one cofactor per class: the integer standard
 form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q), with no
@@ -25,25 +26,28 @@ remainder at x = zeta, summed against the character values. They read the
 plain table rows and no symmetric-power code, so the symmetric-power oracle
 stays an independent route. ``MolienSet`` keeps only the numerators.
 
-Character tables: every table starts from ``_linear_characters``, the
-homomorphisms G -> <zeta_N> found by a search over generator images that
-reads only the right-multiplication tables. They are the whole table for A;
-D adds the two-dimensional characters induced from the rotations, written
-down directly; the E types add the Galois conjugates of the defining
-character V and then walk the McKay graph, V tensor chi = sum of the chi_j
-adjacent to chi, peeling each new row off V tensor chi of a row already found.
-Every table must pass ``table_violation`` before use. Every inner product of
-class functions (validation, peeling, McKay, the symmetric-power oracle) is
-``decompose``, one ``cyclo.rational_dot`` per row reading conj(chi(C)) as
-chi(C^-1); the Molien class sums are ``cyclo.rational_dot`` calls of their
-own, so each class sum reduces modulo Phi_N once, with |C| an integer factor
-inside it and |G| its divisor, and is read as an int when integral, with no
-CycNumber or Fraction built. Every
-product by a class trace tau_C = zeta^e_C + zeta^-e_C (V tensor chi,
-det(I - x q), lambda^m + lambda^-m, the factors of ``trace_min_poly``) is
-``_tau_times``, two rotations of a lift in Z[x]/(x^N - 1). A sweep of many
-sums over the same rows reads each row once with ``cyclo.split``, and the
-symmetric-power oracle sums each distinct power sum once, since
+Character tables: a ``CharTable`` is its rows alone, each over
+``G.classes``, whose class 0 is the identity, so column 0 holds the degrees.
+Every table starts from ``_linear_characters``, the homomorphisms
+G -> <zeta_N> found by a search over generator images that reads only the
+right-multiplication tables. They are the whole table for A; D adds the
+two-dimensional characters induced from the rotations, written down
+directly; the E types add the Galois conjugates of the defining character V
+and then walk the McKay graph, V tensor chi = sum of the chi_j adjacent to
+chi, peeling each new row off V tensor chi of a row already found. Every
+table must pass ``table_violation`` before use. The McKay matrix is matched
+onto the affine graph in one breadth-first pass with no backtracking. Every
+inner product of class functions (validation, peeling, McKay, the
+symmetric-power oracle) is ``decompose(G, values, rows)``, one
+``cyclo.rational_dot`` per row reading conj(chi(C)) as chi(C^-1); the Molien
+class sums are ``cyclo.rational_dot`` calls of their own, so each class sum
+reduces modulo Phi_N once, with |C| an integer factor inside it and |G| its
+divisor, and is read as an int when integral, with no CycNumber or Fraction
+built. Every product by a class trace tau_C = zeta^e_C + zeta^-e_C (V tensor
+chi, det(I - x q), lambda^m + lambda^-m, the factors of ``trace_min_poly``)
+is ``_tau_times``, two rotations of a lift in Z[x]/(x^N - 1). A sweep of
+many sums over the same rows reads each row once with ``cyclo.split``, and
+the symmetric-power oracle sums each distinct power sum once, since
 lambda^m + lambda^-m depends on m only modulo N and up to m -> N - m.
 """
 from __future__ import annotations
@@ -245,13 +249,14 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     classes = []
     for members in orbits:
         rep = members[0]
-        a = elements[rep][0]
-        trace = a + a.conj()
+        order, inv = G.order_and_inverse(rep)
+        # the top left entry of x^-1 is conj(a), so trace(x) = a + conj(a)
+        trace = elements[rep][0] + elements[inv][0]
         if trace not in exps:
             raise ValueError(f"trace {trace} is not a sum zeta^e + zeta^-e")
-        order, inv = G.order_and_inverse(rep)
-        classes.append(ConjClass(rep, members, len(members), trace, order,
-                                 exps[trace], orbits[class_of[inv]][0]))
+        e = exps[trace]
+        classes.append(ConjClass(rep, members, len(members), G.traces[e],
+                                 order, e, orbits[class_of[inv]][0]))
     G.classes = tuple(classes)
     return G
 
@@ -262,33 +267,36 @@ def build_group(dt: DynkinType) -> FiniteSubgroup:
 
 @dataclass(frozen=True)
 class CharTable:
-    """Rows are irreducible characters (row 0 trivial), columns follow the
-    aligned ``classes`` tuple."""
+    """Rows are irreducible characters (row 0 trivial) over the group's
+    ``classes``, so column 0 is the identity class and holds the degrees."""
 
-    degrees: tuple[int, ...]
     values: tuple[tuple[CycNumber, ...], ...]
-    classes: tuple[ConjClass, ...]
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """chi_i(1), column 0: a positive integer on a valid table."""
+        return tuple(int(row[0].to_rational()) for row in self.values)
 
     def to_json(self) -> dict:
         return {"degrees": list(self.degrees),
                 "values": [[v.to_json() for v in row] for row in self.values]}
 
 
-def decompose(N: int, values, rows, classes) -> list[int | Fraction]:
+def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     """Hermitian inner products (1/|G|) sum_C |C| f(C) conj(chi(C)) of the
-    class function f = ``values``, ``dot`` entries at conductor N, with each
-    row chi over the aligned ``classes``, collapsed to Q, |G| = sum_C |C|:
+    class function f = ``values``, ``dot`` entries at G's conductor, with
+    each row chi, both over ``G.classes``, collapsed to Q, |G| = sum_C |C|:
     an int where the product is integral, else a Fraction.
     The rows must be conjugate-symmetric, conj(chi(C)) = chi(C^-1), and
     C -> C^-1 keeps |C|, so this is sum_C |C| f(C^-1) chi(C): one
     ``rational_dot`` per row with |C| as a factor and |G| as the divisor,
     f(C^-1) split once, the rows maybe split.
     """
-    col = {c.rep: i for i, c in enumerate(classes)}
-    flipped = split(N, [values[col[c.inverse]] for c in classes])
-    sizes = [c.size for c in classes]
-    order = sum(sizes)
-    return [rational_dot(N, flipped, row, sizes, order) for row in rows]
+    N = G.conductor
+    col = {c.rep: i for i, c in enumerate(G.classes)}
+    flipped = split(N, [values[col[c.inverse]] for c in G.classes])
+    sizes = [c.size for c in G.classes]
+    return [rational_dot(N, flipped, row, sizes, sum(sizes)) for row in rows]
 
 
 def _tau_times(c, e: int) -> list[int]:
@@ -325,12 +333,11 @@ def _multiplicities(mults, what: str) -> list[int]:
 def char_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
     if dt.family == "A":
         rows = _linear_characters(G)
-        degrees = [1] * len(rows)
     elif dt.family == "D":
-        rows, degrees = _binary_dihedral_table(dt, G)
+        rows = _binary_dihedral_table(dt, G)
     else:
-        rows, degrees = _e_type_table(dt, G)
-    table = CharTable(tuple(degrees), tuple(tuple(r) for r in rows), G.classes)
+        rows = _e_type_table(dt, G)
+    table = CharTable(tuple(tuple(r) for r in rows))
     problem = table_violation(table, G)
     if problem is not None:
         raise ValidationFailed(problem)
@@ -382,21 +389,12 @@ def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
     induced from the rotation subgroup: zeta^(l e_C) + zeta^-(l e_C) on a
     rotation class (top row (a, 0)) and 0 elsewhere, read from
     ``G.traces`` at min(l e_C mod N, -l e_C mod N)."""
-    k = dt.m - 2
     N = G.conductor
     zero = CycNumber.zero(N)
-    rows = _linear_characters(G)
-    degrees = [1] * len(rows) + [2] * (k - 1)
-    for ell in range(1, k):
-        row = []
-        for c in G.classes:
-            if not G.elements[c.rep][1].is_zero():
-                row.append(zero)
-                continue
-            row.append(G.traces[min(ell * c.eigen_exp % N,
-                                    -ell * c.eigen_exp % N)])
-        rows.append(row)
-    return rows, degrees
+    return _linear_characters(G) + [
+        [G.traces[min(ell * c.eigen_exp % N, -ell * c.eigen_exp % N)]
+         if G.elements[c.rep][1].is_zero() else zero for c in G.classes]
+        for ell in range(1, dt.m - 2)]
 
 
 def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
@@ -411,8 +409,9 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     multiplicities m; the found rows are orthonormal, so
     V tensor chi - sum m_j chi_j is a new irreducible exactly when
     <V tensor chi, V tensor chi> - sum m_j^2 = 1, and it is one ``dot`` per
-    class over the nonzero m. Row 0 is trivial, the rest are sorted by
-    degree and ``sort_key``."""
+    class over the nonzero m. Row 0 is trivial, the rest are sorted by the
+    ``sort_key`` of each entry in turn; column 0 is the identity, where a
+    degree d has the key (1, (d, 0, ...)), so the order is by degree first."""
     N = G.conductor
     rows = _linear_characters(G)
     conjugates = dict.fromkeys(
@@ -422,9 +421,8 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     for chi in rows:
         tensor = [_tau_times(v.to_lift(), c.eigen_exp)
                   for v, c in zip(chi, G.classes)]
-        mults = _multiplicities(decompose(N, tensor, rows, G.classes),
-                                f"{dt}: V x chi")
-        norm = decompose(N, tensor, [tensor], G.classes)[0]
+        mults = _multiplicities(decompose(G, tensor, rows), f"{dt}: V x chi")
+        norm = decompose(G, tensor, [tensor])[0]
         if norm - sum(m * m for m in mults) == 1:
             used = [j for j, m in enumerate(mults) if m]
             coeffs = [1] + [-mults[j] for j in used]
@@ -432,35 +430,26 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
                          for i, t in enumerate(tensor)])
     if len(rows) < len(G.classes):
         raise ValidationFailed(f"{dt}: irreducible search did not saturate")
-
-    def degree(row):
-        val = row[0].to_rational()
-        if val.denominator != 1 or val <= 0:
-            raise ValidationFailed(f"{dt}: character degree {val}")
-        return int(val)
-
-    rows = rows[:1] + sorted(rows[1:], key=lambda r: (
-        degree(r), tuple(v.sort_key() for v in r)))
-    return rows, [degree(r) for r in rows]
+    return rows[:1] + sorted(rows[1:],
+                             key=lambda r: tuple(v.sort_key() for v in r))
 
 
 def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     """First violated relation, or None when the table is valid.
 
-    Checked: the columns are G's classes, k rows for k classes, the trivial
-    row, the degrees and their squares, conjugate symmetry (``decompose``
-    relies on it), row orthogonality, and nonnegative integer multiplicities
-    of the defining character. Column orthogonality and the
-    defining character's reconstruction from its multiplicities are implied
-    (Serre, Linear Representations of Finite Groups, 2.5): row orthogonality
-    reads X W X* = |G| I with W = diag(|C|), so the square table X is
-    invertible and X* X = |G| W^-1, and then every class function f equals
-    sum_i <f, chi_i> chi_i.
+    The columns are ``G.classes``, identity first. Checked: k rows of k
+    entries, the trivial row 0, each chi_i(1) a positive integer, conjugate
+    symmetry (``decompose`` relies on it) and row orthonormality. Implied
+    (Serre, Linear Representations of Finite Groups, 2.5): row
+    orthonormality reads X W X* = |G| I with W = diag(|C|), so the square
+    table X is invertible and X* X = |G| W^-1; that is column orthogonality,
+    at the identity column sum_i chi_i(1)^2 = |G|, and every class function
+    f equals sum_i <f, chi_i> chi_i. The defining character's multiplicities
+    are checked once, as row 0 of ``mckay_matrix``, V tensor 1 = V, under the
+    same nonnegative-integer gate.
     """
-    k = len(table.classes)
+    k = len(G.classes)
     values = table.values
-    if tuple(sorted(table.classes, key=lambda c: c.rep)) != G.classes:
-        return "columns are not the group's classes"
     if len(values) != k:
         return f"{len(values)} rows for {k} classes"
     for i, row in enumerate(values):
@@ -468,36 +457,26 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
             return f"chi_{i} has {len(row)} entries for {k} classes"
     if any(not v == 1 for v in values[0]):
         return "row 0 is not the trivial character"
-    id_col = next((i for i, c in enumerate(table.classes) if c.order == 1), None)
-    if id_col is None:
-        return "no identity class"
     for i, row in enumerate(values):
-        if row[id_col] != table.degrees[i] or table.degrees[i] <= 0:
-            return f"chi_{i}(1) != degree {table.degrees[i]}"
-    if sum(d * d for d in table.degrees) != G.order:
-        return "degree squares do not sum to |G|"
+        d = row[0]
+        if not (d.is_rational() and d.to_rational().denominator == 1
+                and d.to_rational() > 0):
+            return f"chi_{i}(1) = {d} is not a positive integer"
     # conjugate symmetry: chi(x^-1) = conj(chi(x)), a relation symmetric in
     # {C, C^-1}, checked once per pair at its first column
-    col_of_class = {c.rep: i for i, c in enumerate(table.classes)}
-    for ci, c in enumerate(table.classes):
+    col_of_class = {c.rep: i for i, c in enumerate(G.classes)}
+    for ci, c in enumerate(G.classes):
         cj = col_of_class[c.inverse]
         if cj < ci:
             continue
         for i, row in enumerate(values):
             if row[cj] != row[ci].conj():
                 return f"chi_{i} not conjugate-symmetric on class {ci}"
-    N = G.conductor
-    rows = [split(N, row) for row in values]
+    rows = [split(G.conductor, row) for row in values]
     for i in range(k):
-        for j, got in enumerate(decompose(N, values[i], rows[i:], table.classes), i):
+        for j, got in enumerate(decompose(G, values[i], rows[i:]), i):
             if got != (1 if i == j else 0):
                 return f"row orthogonality fails at ({i},{j}): {got}"
-    # the defining character decomposes with nonnegative integer multiplicities
-    tau = [c.trace for c in table.classes]
-    try:
-        _multiplicities(decompose(N, tau, rows, table.classes), "defining character")
-    except ValidationFailed as exc:
-        return str(exc)
     return None
 
 
@@ -512,12 +491,12 @@ def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
     """Multiplicities of chi_j inside V tensor chi_i (``decompose`` of the
     lifts ``_tau_times``), plus the node bijection onto the affine graph
     (trivial character -> node 0), matching degrees against the marks."""
-    k = len(table.classes)
+    k = len(G.classes)
     rows = [split(G.conductor, row) for row in table.values]
     matrix = tuple(
         tuple(_multiplicities(decompose(
-            G.conductor, [_tau_times(v.to_lift(), c.eigen_exp)
-                          for v, c in zip(row, table.classes)], rows, table.classes),
+            G, [_tau_times(v.to_lift(), c.eigen_exp)
+                for v, c in zip(row, G.classes)], rows),
             f"{G.dynkin}: V x chi_{i}"))
         for i, row in enumerate(table.values))
     if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
@@ -527,45 +506,35 @@ def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
 
 
 def _match_affine(A, degrees, g: DirectedGraph, marks) -> tuple[int, ...]:
-    k = g.n
+    """Rows onto the nodes of g, the trivial row onto node 0, in one
+    breadth-first pass over the McKay graph A: each row, as it is reached,
+    takes the first unused node whose mark is its degree and whose
+    multiplicities to the nodes of every placed row are A's. There is no
+    backtracking; a row no node fits raises ``NoIsomorphism``, and so does a
+    row the pass never reaches."""
+    k, mult = g.n, g.mult
+    if degrees[0] != marks[0]:
+        raise NoIsomorphism(f"no bijection onto affine {g.dynkin}")
+    assign = {0: 0}  # row -> node
+    used = {0}
     order = [0]
-    seen = {0}
-    pos = 0
-    while pos < len(order):
-        i = order[pos]
-        pos += 1
+    for row in order:  # grows as rows are placed
         for j in range(k):
-            if A[i][j] and j not in seen:
-                seen.add(j)
-                order.append(j)
+            if not A[row][j] or j in assign:
+                continue
+            for node in range(k):
+                if node not in used and marks[node] == degrees[j] and all(
+                        A[j][q] == mult[node][p] and A[q][j] == mult[p][node]
+                        for q, p in assign.items()):
+                    break
+            else:
+                raise NoIsomorphism(f"no bijection onto affine {g.dynkin}")
+            assign[j] = node
+            used.add(node)
+            order.append(j)
     if len(order) != k:
         raise NoIsomorphism("McKay graph is disconnected")
-    assign: list[int | None] = [None] * k
-    used = [False] * k
-    assign[0] = 0
-    used[0] = True
-
-    def extend(p: int) -> bool:
-        if p == len(order):
-            return True
-        row = order[p]
-        for node in range(k):
-            if used[node] or marks[node] != degrees[row]:
-                continue
-            if all(A[row][order[q]] == g.mult[node][assign[order[q]]]
-                   and A[order[q]][row] == g.mult[assign[order[q]]][node]
-                   for q in range(p)):
-                assign[row] = node
-                used[node] = True
-                if extend(p + 1):
-                    return True
-                assign[row] = None
-                used[node] = False
-        return False
-
-    if degrees[0] != marks[0] or not extend(1):
-        raise NoIsomorphism(f"no bijection onto affine {g.dynkin}")
-    return tuple(assign)  # type: ignore[arg-type]
+    return tuple(assign[i] for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -636,8 +605,8 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     # column j holds coefficient j of every class's P_C; each row and each
     # column is split once for the k(h+1) class sums
     columns = [split(N, col) for col in zip(*(
-        _cofactor_lifts(std, c.eigen_exp, N, dt) for c in table.classes))]
-    sizes = [c.size for c in table.classes]
+        _cofactor_lifts(std, c.eigen_exp, N, dt) for c in G.classes))]
+    sizes = [c.size for c in G.classes]
     numerators = []
     for row in table.values:
         row = split(N, row)
@@ -677,8 +646,8 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
         # <lambda^m + lambda^-m, chi_i> per row
         r = min(m % N, -m % N)
         if r not in sums:
-            sums[r] = decompose(N, [_tau_times(one, r * c.eigen_exp)
-                                    for c in table.classes], rows, table.classes)
+            sums[r] = decompose(G, [_tau_times(one, r * c.eigen_exp)
+                                    for c in G.classes], rows)
         return sums[r]
 
     out = []

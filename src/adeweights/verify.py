@@ -227,7 +227,7 @@ def _check_sym_oracle(b: TypeBundle, _fault) -> tuple:
     mmax = 2 * b.dynkin.coxeter_number + 1
     sym = sym_power_multiplicities(b.group, b.table, mmax)
     return (all(b.molien.coefficients(i, mmax + 1) == [row[i] for row in sym]
-                for i in range(len(b.table.classes))),
+                for i in range(len(b.group.classes))),
             f"symmetric-power multiplicities match the series to q^{mmax}",
             "symmetric-power multiplicities disagree with the series")
 

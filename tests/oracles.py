@@ -262,7 +262,7 @@ def sym_power_multiplicities_direct(G, table, m: int) -> list[Fraction]:
     No ``dot``, no recurrence in m and no periodicity in m is used."""
     N = G.conductor
     chars = []
-    for c in table.classes:
+    for c in G.classes:
         s = CycNumber.zero(N)
         for j in range(m + 1):
             s = s + CycNumber.root_of_unity(N, (m - 2 * j) * c.eigen_exp)
@@ -270,7 +270,7 @@ def sym_power_multiplicities_direct(G, table, m: int) -> list[Fraction]:
     out = []
     for row in table.values:
         acc = CycNumber.zero(N)
-        for c, x, chi in zip(table.classes, chars, row):
+        for c, x, chi in zip(G.classes, chars, row):
             acc = acc + x * chi.conj() * c.size
         out.append(acc.to_rational() / G.order)
     return out

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import adeweights
 from adeweights import cli
@@ -275,3 +280,82 @@ class TestAtomicOutput:
                                "--format", "json", "--out", str(target))
         assert status == 2
         assert not target.exists()
+
+
+# The argv grammar of the contract test: every subcommand and a misspelt one,
+# type tokens right and wrong (ranks <= 8 where right), every choice of
+# --form, --basis and --format and one outside each, integers small, bad and
+# huge, an unknown flag, and --help.
+TYPE_TOKENS = ([f"A{m}" for m in range(1, 9)] + [f"D{m}" for m in range(4, 9)]
+               + ["E6", "E7", "E8", "A2..A5", "D4..D6", "E6..E8"])
+BAD_TYPE_TOKENS = ["A0", "D3", "E5", "E9", "B4", "a4", "A04", "A", "", " ",
+                   "A1..", "..A2", "A3..A1", "A2..D5", "A1...A3", "A-1",
+                   "A1.5", "D4..D999", "A" + "9" * 30, "A" + "9" * 5000]
+INTEGERS = ["0", "1", "3", "8", "-1", str(cli.MAX_SERIES_TERMS + 1), "9" * 30,
+            "-" + "9" * 30, "9" * 5000, "x", "1.5", ""]
+OPTIONS = {"--form": FORMS + ("bogus",), "--basis": ("t", "q", "molien", "z"),
+           "--format": ("json", "text", "latex", "dot", "yaml"),
+           "--series-terms": INTEGERS, "--inject-fault": INTEGERS,
+           "--frobnicate": ("1",), "--help": ()}
+COMMAND_OPTIONS = {"graph": ("--form", "--format"),
+                   "weights": ("--basis", "--format"),
+                   "molien": ("--series-terms", "--format"),
+                   "group": ("--format",), "charpoly": ("--format",),
+                   "verify": ("--format", "--inject-fault")}
+
+
+@st.composite
+def argv_and_out(draw):
+    argv = [draw(st.sampled_from(list(COMMAND_OPTIONS) + ["frobnicate"]))]
+    if draw(st.integers(0, 3)):
+        tokens = draw(st.lists(st.sampled_from(TYPE_TOKENS) | st.sampled_from(
+            BAD_TYPE_TOKENS), min_size=1, max_size=3))
+        argv += [draw(st.sampled_from(["--type", "--types"])), ",".join(tokens)]
+    own = COMMAND_OPTIONS.get(argv[0], ())
+    for flag in draw(st.lists(st.sampled_from(own) if own and draw(
+            st.booleans()) else st.sampled_from(list(OPTIONS)), max_size=3)):
+        values = OPTIONS[flag]
+        argv += [flag] + ([draw(st.sampled_from(values))] if values else [])
+    return argv, draw(st.sampled_from([None, "out.txt", "missing/out.txt"]))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+class TestContract:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(argv_and_out())
+    @example((["group", "--type", "A" + "9" * 5000], None))
+    @example((["molien", "--type", "E8", "--series-terms", "9" * 5000], None))
+    @example((["verify", "--types", "D4", "--format", "json"], "out.txt"))
+    @example((["charpoly", "--type", "D4..D6"], "missing/out.txt"))
+    def test_exit_status_streams_and_bytes(self, case):
+        """Whatever the argv: exit 0, 1 or 2, never 3; a usage error writes
+        nothing to stdout and ends stderr with an ``error:`` line; a run
+        that exits 0 or 1 writes nothing to stderr; a failed --out leaves no
+        file; and the same argv gives the same bytes twice."""
+        argv, out = case
+        with tempfile.TemporaryDirectory() as tmp:
+            if out is not None:
+                argv = argv + ["--out", os.path.join(tmp, out)]
+            runs = []
+            for _ in range(2):
+                status, stdout, stderr = _run(argv)
+                assert status in (0, 1, 2), (argv, stderr)
+                if status == 2:
+                    assert stdout == "", argv
+                    assert "error:" in stderr.splitlines()[-1], argv
+                else:
+                    assert stderr == "", argv
+                written = sorted(p.name for p in Path(tmp).rglob("*"))
+                if written:  # --help writes no file
+                    assert status != 2 and written == [out], (argv, written)
+                    assert stdout == "", argv
+                    stdout = Path(tmp, out).read_text()
+                    os.unlink(os.path.join(tmp, out))
+                runs.append((status, stdout, stderr))
+            assert runs[0] == runs[1], argv

@@ -128,11 +128,23 @@ def test_trace_products_go_through_one_helper():
     assert list(inspect.signature(dot).parameters) == ["N", "xs", "ys",
                                                        "factors"]
     assert list(inspect.signature(decompose).parameters) == [
-        "N", "values", "rows", "classes"]
+        "G", "values", "rows"]
     for name in ("mckay_matrix", "sym_power_multiplicities",
                  "_cofactor_lifts", "_e_type_table"):
         assert "_tau_times" in _names_in_function(SRC / "groups.py", name), \
             name
+
+
+def test_affine_matching_is_one_pass():
+    """``_match_affine`` places each row once, in breadth-first order: it
+    defines no nested function and calls nothing of its own, so it cannot
+    backtrack."""
+    body = _function(SRC / "groups.py", "_match_affine")
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    assert not any(isinstance(node, nested) for node in ast.walk(body)
+                   if node is not body)
+    assert "_match_affine" not in _names_in_function(SRC / "groups.py",
+                                                     "_match_affine")
 
 
 def test_degree_one_rows_come_from_one_search():
@@ -284,14 +296,19 @@ def test_no_dead_methods():
 
 
 def test_values_hold_no_copied_type_facts():
-    """h, a, b, |G| and the conductor are functions of the ADE type, and a
-    graph's size and affine node follow from its matrix and form: each value
-    keeps only what cannot be derived."""
+    """h, a, b, |G| and the conductor are functions of the ADE type, a
+    graph's size and affine node follow from its matrix and form, and a
+    character table's columns are its group's classes, so its degrees are
+    column 0: each value keeps only what cannot be derived, and nothing in
+    src/ reads a table's classes."""
     assert [f.name for f in fields(QNumerators)] == ["dynkin", "N"]
     assert [f.name for f in fields(MolienSet)] == ["dynkin", "degrees",
                                                    "numerators"]
-    assert [f.name for f in fields(CharTable)] == ["degrees", "values",
-                                                   "classes"]
+    assert [f.name for f in fields(CharTable)] == ["values"]
+    assert [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "classes"
+            and "table" in ast.unparse(node.value)] == []
     assert [f.name for f in fields(DirectedGraph)] == ["mult", "dynkin", "form"]
 
 
