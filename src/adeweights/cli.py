@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import tempfile
@@ -21,8 +20,8 @@ import tempfile
 from .errors import InvalidParameter
 from .graphs import (FORMS, build_graph, char_poly, charpoly_report,
                      parse_type_selector)
-from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, report_json,
-                     report_text, run_suite)
+from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, json_text,
+                     report_json, report_text, run_suite)
 from .weights import numerators_latex, solve_semiaffine
 
 USAGE_ERROR = 2
@@ -75,8 +74,7 @@ def _emit(types, fmt: str, to_json, render) -> str:
     header per section when there are several types."""
     if fmt == "json":
         payload = [to_json(dt) for dt in types]
-        return json.dumps(payload[0] if len(types) == 1 else payload,
-                          indent=2) + "\n"
+        return json_text(payload[0] if len(types) == 1 else payload) + "\n"
     parts = []
     for dt in types:
         body = render(dt)
@@ -137,7 +135,7 @@ def _cmd_molien(args) -> tuple[str, int]:
 
     def to_json(dt):
         b = build_bundle(dt)
-        obj = b.molien.to_json()
+        obj = b.molien.to_json(b.table.degrees)
         obj["classes"] = b.group.classes_to_json()
         obj["char_table"] = b.table.to_json()
         if args.series_terms:
@@ -151,7 +149,7 @@ def _cmd_molien(args) -> tuple[str, int]:
         ms = b.molien
         lines = [f"{dt}: |G|={b.group.order}, h={dt.coxeter_number}, "
                  + "denominator (1-q^{})(1-q^{})".format(*dt.standard_ab)]
-        for i, (d, num) in enumerate(zip(ms.degrees, ms.numerators)):
+        for i, (d, num) in enumerate(zip(b.table.degrees, ms.numerators)):
             line = f"  chi_{i} (degree {d}): N = {num}"
             if args.series_terms:
                 coeffs = ms.coefficients(i, args.series_terms)

@@ -2,8 +2,9 @@
 
 Elements are residues modulo the N-th cyclotomic polynomial, stored in the
 power basis 1, zeta, ..., zeta^(phi(N)-1). Internally a value is a vector of
-integers over one common denominator, which keeps products cheap; the
-``coeffs`` property exposes the vector of Fractions. Arithmetic never mixes
+integers over one common denominator, which keeps products cheap, and
+``to_json`` writes each coordinate over it, an algebraic integer's as a
+plain int with no Fraction built. Arithmetic never mixes
 conductors. A lift is an int sequence of at most N entries in
 Z[x]/(x^N - 1) (``to_lift`` pads an algebraic integer to one, ``from_lift``
 reduces one), on which a root of unity acts by rotation. Each conductor
@@ -159,10 +160,6 @@ class CycNumber:
         return list(self._nums) + [0] * (self.N - len(self._nums))
 
     # -- inspection -------------------------------------------------------
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self._den) for a in self._nums)
-
     def is_zero(self) -> bool:
         return not any(self._nums)
 
@@ -276,7 +273,13 @@ class CycNumber:
 
     # -- JSON ---------------------------------------------------------------------------
     def to_json(self) -> dict:
-        return {"N": self.N, "coeffs": [str(c) for c in self.coeffs]}
+        """The coordinates as strings, an algebraic integer's (den 1) with
+        no Fraction built."""
+        den = self._den
+        if den == 1:
+            return {"N": self.N, "coeffs": [str(a) for a in self._nums]}
+        return {"N": self.N,
+                "coeffs": [str(Fraction(a, den)) for a in self._nums]}
 
 
 class Split(tuple):

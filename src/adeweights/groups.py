@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from operator import add, sub
@@ -165,9 +166,14 @@ class FiniteSubgroup:
         return k, prev
 
     def classes_to_json(self) -> list[dict]:
+        """Each class's order, size, trace and the trace's minimal
+        polynomial, which depends only on the order d = N / gcd(N, e) of
+        the eigenvalue zeta^e, so it is asked for as zeta_d + zeta_d^-1 and
+        built once per order in the process."""
+        N = self.conductor
         return [{"order": c.order, "size": c.size, "trace": c.trace.to_json(),
                  "trace_min_poly": _trace_minimal_polynomial(
-                     self.conductor, c.eigen_exp).to_json()}
+                     N // gcd(N, c.eigen_exp), 1).to_json()}
                 for c in self.classes]
 
 
@@ -306,13 +312,16 @@ def _tau_times(c, e: int) -> list[int]:
     return list(map(add, c[-e:] + c[:-e], c[e:] + c[:e]))
 
 
+@lru_cache(maxsize=None)
 def _trace_minimal_polynomial(N: int, e: int) -> Polynomial:
     """Minimal polynomial over Q of zeta^e + zeta^-e at conductor N: the
     product of t - (x^r + x^-r) over its distinct Galois conjugates,
     r = min(a e mod N, -a e mod N) for a prime to N, multiplied as ascending
     coefficient lists of lifts by ``_tau_times``. Each coefficient is
     reduced once and read as an int; an irrational one raises
-    ``NotRational``."""
+    ``NotRational``. Cached (no Polynomial is changed in place), and
+    ``classes_to_json`` asks only for (d, 1), one entry per eigenvalue
+    order d."""
     acc = [[1] + [0] * (N - 1)]
     zero = [0] * N
     for r in {min(a * e % N, -a * e % N) for a in range(1, N + 1)
@@ -543,7 +552,6 @@ class MolienSet:
     m_i = N_i / ((1-q^a)(1-q^b)), the standard form."""
 
     dynkin: DynkinType
-    degrees: tuple[int, ...]
     numerators: tuple[Polynomial, ...]
 
     @property
@@ -562,14 +570,16 @@ class MolienSet:
                 c[k] += c[k - s]
         return c
 
-    def to_json(self) -> dict:
+    def to_json(self, degrees) -> dict:
+        """The series per character, each with its degree from ``degrees``,
+        column 0 of the character table the numerators were read from."""
         a, b = self.dynkin.standard_ab
         return {"type": str(self.dynkin), "h": self.dynkin.coxeter_number,
                 "a": a, "b": b,
                 "characters": [{"degree": d, "numerator": n.to_json(),
                                 "molien": s.to_json()}
-                               for d, n, s in zip(self.degrees, self.numerators,
-                                                  self.series)]}
+                               for d, n, s in zip(degrees, self.numerators,
+                                                  self.series, strict=True)]}
 
 
 def _cofactor_lifts(std: tuple[int, ...], e: int, N: int, dt: DynkinType):
@@ -620,7 +630,7 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
         numerators.append(Polynomial("q", coeffs))
     if numerators[0] != one_plus_q(h):
         raise NonPolynomialResult(f"{dt}: trivial numerator is not 1 + q^{h}")
-    return MolienSet(dt, table.degrees, tuple(numerators))
+    return MolienSet(dt, tuple(numerators))
 
 
 def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,

@@ -6,14 +6,16 @@ type and recorded as a CheckResult; ``CHECKS`` is the one list of them.
 Failures are data, not exceptions; the charpoly claim is informational by
 design. A seeded fault-injection hook perturbs one numerator coefficient at
 the cross-match boundary so the suite can prove it is not vacuous.
+``json_text`` writes every JSON text the program prints, the report's and
+the query commands'.
 """
 from __future__ import annotations
 
-import json
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .errors import InvalidParameter
 from .graphs import (CharPolyReport, DirectedGraph, DynkinType, build_graph,
@@ -329,8 +331,48 @@ def run_suite(types, fault: FaultSpec | None = None) -> VerificationReport:
     return VerificationReport(desc, tuple(checks), summary)
 
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)`` for the values the commands print: str,
+    int, bool, None, and lists, tuples and str-keyed dicts of them, built in
+    one recursive pass of joins with strings quoted by the C encoder (the
+    ``json`` module's C encoder runs only without an indent). Anything else,
+    a float, a set, a non-str key or a CycNumber among them, raises
+    TypeError."""
+    return _json(obj, "\n")
+
+
+def _json(obj, newline: str) -> str:
+    """The JSON text of ``obj``, whose lines below the first start with
+    ``newline``'s indent."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([_json(v, inner) for v in obj])
+                + newline + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        # the encoder raises TypeError on a key that is not a str
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(v, inner)
+             for k, v in obj.items()]) + newline + "}")
+    raise TypeError(f"{type(obj).__name__} value {obj!r} has no JSON text")
+
+
 def report_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_json(), indent=2) + "\n"
+    return json_text(report.to_json()) + "\n"
 
 
 def report_text(report: VerificationReport) -> str:

@@ -176,6 +176,8 @@ class TestCycNumber:
     def test_json_round_trip(self):
         x = CycNumber(12, [1, -3, 0, 2], 2)
         assert x.to_json() == {"N": 12, "coeffs": ["1/2", "-3/2", "0", "1"]}
+        y = CycNumber(12, [2, -6, 0, 4], 2)  # an algebraic integer
+        assert y.to_json() == {"N": 12, "coeffs": ["1", "-3", "0", "2"]}
 
 
 DOT_CONDUCTORS = (1, 2, 3, 4, 8, 12, 20, 24, 60)

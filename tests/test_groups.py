@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -116,6 +117,18 @@ class TestEnumeration:
             for c in g.classes:
                 assert _trace_minimal_polynomial(g.conductor, c.eigen_exp) \
                     == minimal_polynomial(c.trace), (name, c.rep)
+
+    def test_trace_minimal_polynomial_depends_only_on_the_order(self):
+        """zeta_N^e is a primitive d-th root of unity, d = N / gcd(N, e), so
+        zeta_N^e + zeta_N^-e is a Galois conjugate of zeta_d + zeta_d^-1
+        and has its minimal polynomial: the order is the cache key of
+        ``classes_to_json``."""
+        direct = _trace_minimal_polynomial.__wrapped__
+        names = [f"A{m}" for m in range(1, 25)] + \
+                [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"]
+        for N in {dt(name).conductor for name in names}:
+            for e in range(N // 2 + 1):
+                assert direct(N, e) == direct(N // gcd(N, e), 1), (N, e)
 
     def test_closure_overflow_on_bad_generators(self):
         with pytest.raises(ClosureOverflow):
@@ -406,7 +419,7 @@ class TestMolien:
         b = bundle("D4")
         assert b.molien.numerators[0] == Q(1, 0, 0, 0, 0, 0, 1)
         assert b.molien.dynkin.standard_ab == (4, 4)
-        defining = [n for n, d in zip(b.molien.numerators, b.molien.degrees)
+        defining = [n for n, d in zip(b.molien.numerators, b.table.degrees)
                     if d == 2]
         assert defining == [Q(0, 1, 0, 2, 0, 1)]
 
@@ -535,6 +548,26 @@ class TestOpCounts:
         monkeypatch.undo()
         assert (products[0], built[0]) == (0, 0)
         assert sum(map(len, out)) == sum(dt(n).rank + 1 for n in SESSION_NAMES)
+
+    def test_class_json_builds_one_polynomial_per_eigenvalue_order(self):
+        """``classes_to_json`` asks for each class's polynomial by its
+        eigenvalue order and the answers are cached, so two sweeps over
+        the 319 classes of the query session's types compute one per
+        distinct order, 23 of them; keyed by (N, e) and uncached, each
+        sweep computed 319."""
+        enumerated = [build_group(dt(name)) for name in SESSION_NAMES]
+        orders = {g.conductor // gcd(g.conductor, c.eigen_exp)
+                  for g in enumerated for c in g.classes}
+        _trace_minimal_polynomial.cache_clear()
+        for _ in range(2):
+            out = [c["trace_min_poly"] for g in enumerated
+                   for c in g.classes_to_json()]
+        info = _trace_minimal_polynomial.cache_info()
+        assert info.misses == len(orders) == 23
+        assert info.hits + info.misses == 2 * 319
+        direct = _trace_minimal_polynomial.__wrapped__
+        assert out == [direct(g.conductor, c.eigen_exp).to_json()
+                       for g in enumerated for c in g.classes]
 
     def test_closure_makes_no_product_per_step(self, monkeypatch):
         """The closure computes each top row of x g by ``dot`` and checks

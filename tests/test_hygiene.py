@@ -299,11 +299,11 @@ def test_values_hold_no_copied_type_facts():
     """h, a, b, |G| and the conductor are functions of the ADE type, a
     graph's size and affine node follow from its matrix and form, and a
     character table's columns are its group's classes, so its degrees are
-    column 0: each value keeps only what cannot be derived, and nothing in
-    src/ reads a table's classes."""
+    column 0, which a Molien set reads instead of keeping a copy: each value
+    keeps only what cannot be derived, and nothing in src/ reads a table's
+    classes."""
     assert [f.name for f in fields(QNumerators)] == ["dynkin", "N"]
-    assert [f.name for f in fields(MolienSet)] == ["dynkin", "degrees",
-                                                   "numerators"]
+    assert [f.name for f in fields(MolienSet)] == ["dynkin", "numerators"]
     assert [f.name for f in fields(CharTable)] == ["values"]
     assert [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))

@@ -6,15 +6,18 @@ from dataclasses import FrozenInstanceError, replace
 from functools import lru_cache, partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adeweights import cli, graphs, verify
+from adeweights.cyclo import CycNumber
 from adeweights.errors import InvalidParameter, ValidationFailed
 from adeweights.graphs import DynkinType, char_poly, charpoly_report
 from adeweights.groups import (_trace_minimal_polynomial, molien_series,
                               recurrence_check)
 from adeweights.poly import Polynomial
 from adeweights.verify import (CHECK_NAMES, CHECKS, DEFAULT_SUITE, FaultSpec,
-                               report_json, report_text, run_suite)
+                               json_text, report_json, report_text, run_suite)
 from adeweights.weights import (finite_reduction_check,
                                 specialization_identity, to_q_numerators)
 
@@ -315,6 +318,40 @@ class TestDeterminism:
             assert {"name", "type", "status", "detail"} <= set(check)
 
 
+_TEXT = st.one_of(st.text(), st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f\n\t\r", "é ü ∑ 😀", "\u2028\ud800"]))
+_JSON_VALUES = st.recursive(
+    st.one_of(_TEXT, st.integers(), st.booleans(), st.none()),
+    lambda kids: st.one_of(st.lists(kids), st.lists(kids).map(tuple),
+                           st.dictionaries(_TEXT, kids)),
+    max_leaves=20)
+
+
+class TestJsonText:
+    """``json_text`` is the one emitter of the commands' JSON."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_JSON_VALUES)
+    @example("")
+    @example([10 ** 40, -(10 ** 300)])
+    @example(-7)
+    @example(True)
+    @example(None)
+    @example([])
+    @example(())
+    @example({})
+    @example({"a": [[], {}, ()], "b": [{"c": (1, -2, False)}]})
+    def test_equals_json_dumps_indent_2(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        1.5, {1, 2}, {1: "a"}, {None: 0}, CycNumber.one(3), [0, 0.5],
+        {"a": ({"b": frozenset()},)}, {"a": {(1, 2): 3}}])
+    def test_refuses_what_no_command_prints(self, obj):
+        with pytest.raises(TypeError):
+            json_text(obj)
+
+
 class TestFaultInjection:
     def test_single_cross_match_failure(self):
         types = [dt(n) for n in ("A1", "A2", "A3", "D4", "E6")]
@@ -441,5 +478,5 @@ def test_q_side_identities_build_no_product(name, bundle, monkeypatch):
     assert finite_reduction_check(b.numerators, b.finite)
     assert recurrence_check(b.molien, b.mckay.matrix)
     assert molien_series(b.group, b.table) == b.molien
-    assert len(b.molien.series) == len(b.molien.degrees)
+    assert len(b.molien.series) == len(b.table.degrees)
     assert products == []
