@@ -14,8 +14,8 @@ its trace is a + conj(a), and the generators' unitarity check is one
 product and builds no bottom row. It records each element's word over the
 generators and each generator's right-multiplication table, and
 ``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
-orders and each class's inverse class are all index arithmetic. Each
-zeta^r + zeta^-r, 0 <= r <= N/2, is built once per group into
+orders and each class's inverse class (stored as its column) are all
+index arithmetic. Each zeta^r + zeta^-r, 0 <= r <= N/2, is built once into
 ``FiniteSubgroup.traces``. A class's trace is one sum, a plus the top left
 entry conj(a) of the inverse, looked up there for the class's stored trace
 and eigen-exponent; the D and E tables read their trace-valued rows there.
@@ -44,17 +44,17 @@ class sums are ``cyclo.rational_dot`` calls of their own, so each class sum
 reduces modulo Phi_N once, with |C| an integer factor inside it and |G| its
 divisor, and is read as an int when integral, with no CycNumber or Fraction
 built. Every product by a class trace tau_C = zeta^e_C + zeta^-e_C (V tensor
-chi, det(I - x q), lambda^m + lambda^-m, the factors of ``trace_min_poly``)
-is ``_tau_times``, two rotations of a lift in Z[x]/(x^N - 1). A sweep of
-many sums over the same rows reads each row once with ``cyclo.split``, and
-the symmetric-power oracle sums each distinct power sum once, since
-lambda^m + lambda^-m depends on m only modulo N and up to m -> N - m.
+chi, det(I - x q), lambda^m + lambda^-m) is ``_tau_times``, two rotations of
+a lift in Z[x]/(x^N - 1). A sweep of many sums over the same rows reads each
+row once with ``cyclo.split``, and the symmetric-power oracle sums each
+distinct power sum once, since lambda^m + lambda^-m depends on m only
+modulo N and up to m -> N - m. A class of order d has ``trace_min_poly``
+``poly.cos_polynomial(d)``, the fold of Phi_d: zeta^e_C has order d too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import gcd
 from operator import add, sub
@@ -63,7 +63,7 @@ from .cyclo import CycNumber, dot, rational_dot, split, vanishes
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
-from .poly import Polynomial, RationalFunction, one_plus_q
+from .poly import Polynomial, RationalFunction, cos_polynomial, one_plus_q
 
 
 TopRow = tuple[CycNumber, CycNumber]
@@ -109,7 +109,7 @@ class ConjClass:
     trace: CycNumber
     order: int
     eigen_exp: int  # trace = zeta^e + zeta^(-e)
-    inverse: int  # rep of the class of rep^-1
+    inverse: int  # column in ``classes`` of the class of rep^-1
 
 
 class FiniteSubgroup:
@@ -166,14 +166,12 @@ class FiniteSubgroup:
         return k, prev
 
     def classes_to_json(self) -> list[dict]:
-        """Each class's order, size, trace and the trace's minimal
-        polynomial, which depends only on the order d = N / gcd(N, e) of
-        the eigenvalue zeta^e, so it is asked for as zeta_d + zeta_d^-1 and
-        built once per order in the process."""
-        N = self.conductor
+        """Each class's order d, size, trace and the trace's minimal
+        polynomial, that of zeta_d + zeta_d^-1: the eigenvalue zeta^e has
+        the element's order, so the trace is its Galois conjugate.
+        ``cos_polynomial`` caches it, once per order in the process."""
         return [{"order": c.order, "size": c.size, "trace": c.trace.to_json(),
-                 "trace_min_poly": _trace_minimal_polynomial(
-                     N // gcd(N, c.eigen_exp), 1).to_json()}
+                 "trace_min_poly": cos_polynomial(c.order).to_json()}
                 for c in self.classes]
 
 
@@ -181,7 +179,8 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     """Breadth-first closure under right multiplication by the generators,
     recording each element's generator word and each generator's
     right-multiplication table; then conjugacy classes as orbits of
-    generator conjugation, computed on indices, each with its inverse class.
+    generator conjugation, computed on indices, each with the column of its
+    inverse class.
     ``traces`` holds zeta^r + zeta^-r for 0 <= r <= N/2, each built once
     from the lift x^r + x^-r; they are distinct, and r and N - r give the
     same trace, so a class's eigen-exponent is the least e with
@@ -262,7 +261,7 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
             raise ValueError(f"trace {trace} is not a sum zeta^e + zeta^-e")
         e = exps[trace]
         classes.append(ConjClass(rep, members, len(members), G.traces[e],
-                                 order, e, orbits[class_of[inv]][0]))
+                                 order, e, class_of[inv]))
     G.classes = tuple(classes)
     return G
 
@@ -296,11 +295,10 @@ def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     The rows must be conjugate-symmetric, conj(chi(C)) = chi(C^-1), and
     C -> C^-1 keeps |C|, so this is sum_C |C| f(C^-1) chi(C): one
     ``rational_dot`` per row with |C| as a factor and |G| as the divisor,
-    f(C^-1) split once, the rows maybe split.
+    f(C^-1) read at column ``c.inverse`` and split once, rows maybe split.
     """
     N = G.conductor
-    col = {c.rep: i for i, c in enumerate(G.classes)}
-    flipped = split(N, [values[col[c.inverse]] for c in G.classes])
+    flipped = split(N, [values[c.inverse] for c in G.classes])
     sizes = [c.size for c in G.classes]
     return [rational_dot(N, flipped, row, sizes, sum(sizes)) for row in rows]
 
@@ -310,25 +308,6 @@ def _tau_times(c, e: int) -> list[int]:
     rotations of c: at x = zeta_N, the product by a class trace tau_C."""
     e %= len(c)
     return list(map(add, c[-e:] + c[:-e], c[e:] + c[:e]))
-
-
-@lru_cache(maxsize=None)
-def _trace_minimal_polynomial(N: int, e: int) -> Polynomial:
-    """Minimal polynomial over Q of zeta^e + zeta^-e at conductor N: the
-    product of t - (x^r + x^-r) over its distinct Galois conjugates,
-    r = min(a e mod N, -a e mod N) for a prime to N, multiplied as ascending
-    coefficient lists of lifts by ``_tau_times``. Each coefficient is
-    reduced once and read as an int; an irrational one raises
-    ``NotRational``. Cached (no Polynomial is changed in place), and
-    ``classes_to_json`` asks only for (d, 1), one entry per eigenvalue
-    order d."""
-    acc = [[1] + [0] * (N - 1)]
-    zero = [0] * N
-    for r in {min(a * e % N, -a * e % N) for a in range(1, N + 1)
-              if gcd(a, N) == 1}:
-        acc = [list(map(sub, s, _tau_times(c, r)))
-               for s, c in zip([zero] + acc, acc + [zero])]
-    return Polynomial("t", [rational_dot(N, [c], [1], None, 1) for c in acc])
 
 
 def _multiplicities(mults, what: str) -> list[int]:
@@ -473,9 +452,8 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
             return f"chi_{i}(1) = {d} is not a positive integer"
     # conjugate symmetry: chi(x^-1) = conj(chi(x)), a relation symmetric in
     # {C, C^-1}, checked once per pair at its first column
-    col_of_class = {c.rep: i for i, c in enumerate(G.classes)}
     for ci, c in enumerate(G.classes):
-        cj = col_of_class[c.inverse]
+        cj = c.inverse
         if cj < ci:
             continue
         for i, row in enumerate(values):
@@ -645,27 +623,22 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     Sym^0 needs no case of its own.
 
     lambda^m + lambda^-m reads m only modulo N and is unchanged by
-    m -> N - m, so each row, split once, makes one sum per min(m mod N,
-    -m mod N): at most floor(N/2) + 1 ``rational_dot`` calls per character."""
+    m -> N - m, so each row, split once, makes one sum ``sums[r]`` per
+    r = min(m mod N, -m mod N), and m = r reaches each r <= min(mmax, N/2):
+    at most floor(N/2) + 1 ``rational_dot`` calls per character."""
     N = G.conductor
     rows = [split(N, row) for row in table.values]
     one = [1] + [0] * (N - 1)
-    sums: dict[int, list[int | Fraction]] = {}
-
-    def power_sums(m: int) -> list[int | Fraction]:
-        # <lambda^m + lambda^-m, chi_i> per row
-        r = min(m % N, -m % N)
-        if r not in sums:
-            sums[r] = decompose(G, [_tau_times(one, r * c.eigen_exp)
-                                    for c in G.classes], rows)
-        return sums[r]
-
+    # <lambda^r + lambda^-r, chi_i> per row
+    sums = [decompose(G, [_tau_times(one, r * c.eigen_exp)
+                          for c in G.classes], rows)
+            for r in range(min(mmax, N // 2) + 1)]
     out = []
     # <Sym^-2, chi_i> and <Sym^-1, chi_i>; row 0 is the trivial one
     prev2 = [-1] + [0] * (len(rows) - 1)
     prev1 = [0] * len(rows)
     for m in range(mmax + 1):
-        vals = [p + s for p, s in zip(prev2, power_sums(m))]
+        vals = [p + s for p, s in zip(prev2, sums[min(m % N, -m % N)])]
         out.append(tuple(_multiplicities(vals, f"{G.dynkin}: Sym^{m}")))
         prev2, prev1 = prev1, vals
     return tuple(out)

@@ -15,8 +15,10 @@ monic reduces to a monic denominator without leaving Z.
 Every polynomial carries a variable tag (``"t"`` or ``"q"``) and binary
 operations refuse to mix tags.
 
-The folding trio ``fold_palindromic`` / ``substitute_t`` / ``cox`` moves
-between palindromic polynomials in q and polynomials in t = q + 1/q.
+``fold_palindromic`` and ``substitute_t`` move between palindromic
+polynomials in q and polynomials in t = q + 1/q; ``cos_polynomial(d)``, the
+fold of Phi_d, is the minimal polynomial of 2*cos(2*pi/d), and ``cox(h)``
+is it at d = 2h.
 """
 from __future__ import annotations
 
@@ -399,9 +401,18 @@ def substitute_t(p: Polynomial) -> tuple[Polynomial, int]:
 
 
 @lru_cache(maxsize=None)
+def cos_polynomial(d: int) -> Polynomial:
+    """Minimal polynomial of zeta_d + zeta_d^-1 = 2*cos(2*pi/d) in t: the
+    fold of the d-th cyclotomic polynomial, degree max(1, phi(d)/2). For
+    d <= 2, Phi_d = q -+ 1 has odd degree, so its square folds instead,
+    to t - 2 and t + 2."""
+    p = cyclotomic(d)
+    return fold_palindromic(p * p if d <= 2 else p)
+
+
 def cox(h: int) -> Polynomial:
     """Minimal polynomial of 2*cos(pi/h) in t: the fold of the (2h)-th
     cyclotomic polynomial. Degree phi(2h)/2."""
     if h < 2:
         raise ValueError("Coxeter number must be at least 2")
-    return fold_palindromic(cyclotomic(2 * h))
+    return cos_polynomial(2 * h)

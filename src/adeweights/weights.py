@@ -249,7 +249,7 @@ class NotesReport:
     """Outcome of the three structural observations on the exponents."""
 
     chain_ok: bool      # min exponent = distance from the affine node, max = h - distance
-    parity_ok: bool     # even h: alternating support parity; odd h: {k, h-k} mixed
+    parity_ok: bool     # even h: alternating support parity; odd h: coeff q^e = coeff q^(h-e)
     count_ok: bool      # N_i(1) doubled equals the neighbor sum of N_j(1)
     h_parity: str
 
@@ -272,9 +272,8 @@ def check_notes(nq: QNumerators, affine: DirectedGraph) -> NotesReport:
             dist[i] % 2 != dist[j] % 2
             for i in range(affine.n) for j in affine.undirected_neighbors(i))
     else:
-        parity_ok = all(
-            (e % 2) != ((h - e) % 2) and p.coefficient(e) == p.coefficient(h - e)
-            for p in nq.N for e in p.support())
+        parity_ok = all(p.coefficient(e) == p.coefficient(h - e)
+                        for p in nq.N for e in p.support())
 
     ones = [p.evaluate(1) for p in nq.N]
     count_ok = affine.neighbor_sums(ones) == [2 * v for v in ones]

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from adeweights.cyclo import (CycNumber, _Field, dot, euler_phi,
                               rational_dot, vanishes)
 from adeweights.errors import NotRational, ValidationFailed
-from adeweights.groups import _tau_times, _trace_minimal_polynomial
-from adeweights.poly import (Polynomial, RationalFunction, cox, cyclotomic,
-                             fold_palindromic, one_plus_q, poly_gcd,
-                             substitute_t)
+from adeweights.groups import _tau_times
+from adeweights.poly import (Polynomial, RationalFunction, cos_polynomial,
+                             cox, cyclotomic, fold_palindromic, one_plus_q,
+                             poly_gcd, substitute_t)
 from oracles import (cyclotomic_moebius, euclid_gcd, minimal_polynomial,
                      series_coefficients)
 
@@ -101,6 +101,19 @@ class TestCox:
         for h in range(2, 31):
             assert cox(h).degree == euler_phi(2 * h) // 2
 
+    def test_cos_polynomial_is_the_minimal_polynomial(self):
+        """The fold of Phi_d (of Phi_d^2 for d <= 2) against the oracle's
+        product of t - y over the Galois orbit of zeta_d + zeta_d^-1 in
+        Q(zeta_d), with cox(h) the same polynomial at d = 2h."""
+        for d in range(1, 61):
+            tau = CycNumber.root_of_unity(d, 1) + CycNumber.root_of_unity(d, -1)
+            p = cos_polynomial(d)
+            assert p == minimal_polynomial(tau), d
+            assert p.degree == max(1, euler_phi(d) // 2), d
+        assert (cos_polynomial(1), cos_polynomial(2)) == (T(-2, 1), T(2, 1))
+        for h in range(2, 31):
+            assert cox(h) == cos_polynomial(2 * h), h
+
 
 class TestCycNumber:
     CONDUCTORS = (4, 8, 12, 20, 24, 60)
@@ -171,7 +184,7 @@ class TestCycNumber:
         assert minimal_polynomial(tau) == T(-3, 0, 1)
         with pytest.raises(ValidationFailed):
             minimal_polynomial(CycNumber.from_rational(12, Fraction(1, 2)))
-        assert _trace_minimal_polynomial(12, 1) == T(-3, 0, 1)
+        assert cos_polynomial(12) == T(-3, 0, 1)
 
     def test_json_round_trip(self):
         x = CycNumber(12, [1, -3, 0, 2], 2)

@@ -16,9 +16,8 @@ from adeweights.groups import (CharTable, build_group, char_table,
                                decompose, enumerate_subgroup, generators,
                                mckay_matrix, molien_series, recurrence_check,
                                sym_power_multiplicities, table_violation,
-                               _linear_characters, _match_affine,
-                               _trace_minimal_polynomial)
-from adeweights.poly import Polynomial
+                               _linear_characters, _match_affine)
+from adeweights.poly import Polynomial, cos_polynomial
 from adeweights.verify import build_bundle, run_suite
 from oracles import (matrix_inverse, matrix_product, matrix_trace,
                      minimal_polynomial, molien_by_elements,
@@ -30,6 +29,8 @@ SUITE_NAMES = [f"A{m}" for m in range(1, 13)] + \
               [f"D{m}" for m in range(4, 13)] + ["E6", "E7", "E8"]
 SESSION_NAMES = [f"A{m}" for m in range(1, 17)] + \
                 [f"D{m}" for m in range(4, 17)] + ["E6", "E7", "E8"]
+LADDER_NAMES = [f"A{m}" for m in range(1, 25)] + \
+               [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"]
 
 
 def dt(name):
@@ -107,28 +108,25 @@ class TestEnumeration:
                 assert not minus
 
     def test_trace_minimal_polynomial_matches_the_galois_orbit(self):
-        """The rotation product over the distinct exponents
-        min(a e mod N, -a e mod N) equals the oracle's product of t - y
-        over the Galois orbit of the trace, computed in Q(zeta_N)."""
-        names = [f"A{m}" for m in range(1, 25)] + \
-                [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"]
-        for name in names:
+        """Each class's printed ``trace_min_poly`` equals the oracle's
+        product of t - y over the Galois orbit of the trace, computed in
+        Q(zeta_N)."""
+        for name in LADDER_NAMES:
             g = build_group(dt(name))
-            for c in g.classes:
-                assert _trace_minimal_polynomial(g.conductor, c.eigen_exp) \
-                    == minimal_polynomial(c.trace), (name, c.rep)
+            for c, data in zip(g.classes, g.classes_to_json(), strict=True):
+                assert data["trace_min_poly"] == \
+                    minimal_polynomial(c.trace).to_json(), (name, c.rep)
 
-    def test_trace_minimal_polynomial_depends_only_on_the_order(self):
-        """zeta_N^e is a primitive d-th root of unity, d = N / gcd(N, e), so
-        zeta_N^e + zeta_N^-e is a Galois conjugate of zeta_d + zeta_d^-1
-        and has its minimal polynomial: the order is the cache key of
-        ``classes_to_json``."""
-        direct = _trace_minimal_polynomial.__wrapped__
-        names = [f"A{m}" for m in range(1, 25)] + \
-                [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"]
-        for N in {dt(name).conductor for name in names}:
-            for e in range(N // 2 + 1):
-                assert direct(N, e) == direct(N // gcd(N, e), 1), (N, e)
+    def test_eigenvalue_order_is_the_element_order(self):
+        """zeta_N^e is a primitive d-th root of unity, d = N / gcd(N, e),
+        and an SU(2) element is diagonalizable with eigenvalues zeta^(+-e),
+        so d is its order: ``classes_to_json`` keys the trace's minimal
+        polynomial on ``c.order``."""
+        for name in LADDER_NAMES:
+            g = build_group(dt(name))
+            N = g.conductor
+            for c in g.classes:
+                assert N // gcd(N, c.eigen_exp) == c.order, (name, c.rep)
 
     def test_closure_overflow_on_bad_generators(self):
         with pytest.raises(ClosureOverflow):
@@ -324,9 +322,8 @@ class TestCharTable:
         # inverse a non-real entry is named
         b = bundle("A5")
         classes = b.group.classes
-        col = {c.rep: i for i, c in enumerate(classes)}
-        pairs = [(ci, col[c.inverse]) for ci, c in enumerate(classes)
-                 if col[c.inverse] >= ci and c.order > 1]
+        pairs = [(ci, c.inverse) for ci, c in enumerate(classes)
+                 if c.inverse >= ci and c.order > 1]
         assert {ci == cj for ci, cj in pairs} == {True, False}
         zeta = CycNumber.root_of_unity(b.group.conductor, 1)
         for ci, cj in pairs:
@@ -341,12 +338,12 @@ class TestCharTable:
         for name in ("A5", "D5", "E6"):
             g = bundle(name).group
             index = element_index(g)
-            rep_of = {j: c.rep for c in g.classes for j in c.members}
-            reps = {c.rep for c in g.classes}
+            column_of = {j: i for i, c in enumerate(g.classes)
+                         for j in c.members}
             for c in g.classes:
                 inv = index[matrix_inverse(su2_matrix(g.elements[c.rep]))]
-                assert c.inverse in reps
-                assert c.inverse == rep_of[inv]
+                assert c.inverse == column_of[inv]
+                assert g.classes[c.inverse].size == c.size
 
     def test_trivial_row_first(self, bundle):
         for name in ("A6", "D8", "E7"):
@@ -524,8 +521,8 @@ class TestOpCounts:
             assert count[0] <= self.LIMIT, (name, count[0])
 
     def test_class_json_makes_no_cyclotomic_product(self, monkeypatch):
-        """``classes_to_json`` builds each ``trace_min_poly`` from lifts by
-        ``_tau_times`` and reads each coefficient with ``rational_dot``, so
+        """``classes_to_json`` takes each ``trace_min_poly`` from
+        ``cos_polynomial``, a fold of a cyclotomic polynomial in Z[q], so
         over A1..A16, D4..D16 and E6..E8 it makes no CycNumber product and
         builds no CycNumber; the product of t - y over the Galois orbit in
         Q(zeta_N) made 3,206 products and 14,675 constructions."""
@@ -550,23 +547,22 @@ class TestOpCounts:
         assert sum(map(len, out)) == sum(dt(n).rank + 1 for n in SESSION_NAMES)
 
     def test_class_json_builds_one_polynomial_per_eigenvalue_order(self):
-        """``classes_to_json`` asks for each class's polynomial by its
-        eigenvalue order and the answers are cached, so two sweeps over
-        the 319 classes of the query session's types compute one per
+        """``classes_to_json`` asks ``cos_polynomial`` for each class's
+        polynomial by its order, and the answers are cached, so two sweeps
+        over the 319 classes of the query session's types compute one per
         distinct order, 23 of them; keyed by (N, e) and uncached, each
         sweep computed 319."""
         enumerated = [build_group(dt(name)) for name in SESSION_NAMES]
-        orders = {g.conductor // gcd(g.conductor, c.eigen_exp)
-                  for g in enumerated for c in g.classes}
-        _trace_minimal_polynomial.cache_clear()
+        orders = {c.order for g in enumerated for c in g.classes}
+        cos_polynomial.cache_clear()
         for _ in range(2):
             out = [c["trace_min_poly"] for g in enumerated
                    for c in g.classes_to_json()]
-        info = _trace_minimal_polynomial.cache_info()
+        info = cos_polynomial.cache_info()
         assert info.misses == len(orders) == 23
         assert info.hits + info.misses == 2 * 319
-        direct = _trace_minimal_polynomial.__wrapped__
-        assert out == [direct(g.conductor, c.eigen_exp).to_json()
+        direct = cos_polynomial.__wrapped__
+        assert out == [direct(c.order).to_json()
                        for g in enumerated for c in g.classes]
 
     def test_closure_makes_no_product_per_step(self, monkeypatch):

@@ -147,6 +147,46 @@ def test_affine_matching_is_one_pass():
                                                      "_match_affine")
 
 
+def test_trace_polynomials_are_read_only_for_json():
+    """A class's ``trace_min_poly`` is ``poly.cos_polynomial`` at the
+    class's order, named in groups.py only where ``classes_to_json`` prints
+    it; no group-side computation or check reads it, and groups.py never
+    names ``cox``, the graph side's denominator."""
+    tree = ast.parse((SRC / "groups.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "FiniteSubgroup")
+    method = next(node for node in cls.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "classes_to_json")
+    inside = {id(node) for node in ast.walk(method)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "cos_polynomial"]
+    assert uses and all(id(node) in inside for node in uses)
+    assert "cox" not in _named(SRC / "groups.py")
+
+
+def test_inverse_columns_are_read_not_rebuilt():
+    """``ConjClass.inverse`` is the column of the inverse class, so neither
+    inner products nor the table check build a lookup per call."""
+    dicts = (ast.Dict, ast.DictComp)
+    for name in ("decompose", "table_violation"):
+        body = _function(SRC / "groups.py", name)
+        assert not any(isinstance(node, dicts) for node in ast.walk(body)), \
+            name
+        assert "dict" not in _names_in_function(SRC / "groups.py", name), \
+            name
+
+
+def test_power_sums_are_a_list():
+    """The symmetric-power oracle holds its power sums in a list indexed by
+    min(m mod N, -m mod N): it defines no nested memo function."""
+    body = _function(SRC / "groups.py", "sym_power_multiplicities")
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    assert not any(isinstance(node, nested) for node in ast.walk(body)
+                   if node is not body)
+
+
 def test_degree_one_rows_come_from_one_search():
     """In groups.py a root of unity is built only for a generator and by
     ``_linear_characters``, so every character table takes its degree-1

@@ -13,9 +13,8 @@ from adeweights import cli, graphs, verify
 from adeweights.cyclo import CycNumber
 from adeweights.errors import InvalidParameter, ValidationFailed
 from adeweights.graphs import DynkinType, char_poly, charpoly_report
-from adeweights.groups import (_trace_minimal_polynomial, molien_series,
-                              recurrence_check)
-from adeweights.poly import Polynomial
+from adeweights.groups import molien_series, recurrence_check
+from adeweights.poly import Polynomial, cos_polynomial
 from adeweights.verify import (CHECK_NAMES, CHECKS, DEFAULT_SUITE, FaultSpec,
                                json_text, report_json, report_text, run_suite)
 from adeweights.weights import (finite_reduction_check,
@@ -458,8 +457,7 @@ class TestIntegerCoefficients:
             polys += list(b.numerators.N) + list(b.molien.numerators)
             polys += [p for s in b.molien.series for p in (s.num, s.den)]
             polys += [rep.cofactor, rep.cox, rep.char_semiaffine, rep.char_finite]
-            polys += [_trace_minimal_polynomial(b.group.conductor, c.eigen_exp)
-                      for c in b.group.classes]
+            polys += [cos_polynomial(c.order) for c in b.group.classes]
             for p in polys:
                 assert all(type(c) is int for c in p.coeffs), (t, p)
 

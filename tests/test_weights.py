@@ -343,6 +343,22 @@ class TestIdentities:
             rep = check_notes(to_q_numerators(solve(name)), affine(name))
             assert rep.all_ok(), f"{name}: {rep}"
 
+    def test_odd_h_parity_is_the_pairing(self):
+        """For odd h the parity note is coefficient(e) = coefficient(h - e)
+        on every numerator: doubling the lowest coefficient of one numerator
+        breaks that pairing (e != h - e as h is odd) and keeps its lowest
+        and highest exponents, so only the parity note fails."""
+        for name in ("A2", "A4"):
+            nq = to_q_numerators(solve(name))
+            assert check_notes(nq, affine(name)).parity_ok, name
+            p = nq.N[1]
+            e = p.min_exponent()
+            bumped = p + Polynomial.monomial("q", e, p.coefficient(e))
+            rep = check_notes(replace(nq, N=(nq.N[0], bumped) + nq.N[2:]),
+                              affine(name))
+            assert rep.h_parity == "odd", name
+            assert (rep.chain_ok, rep.parity_ok) == (True, False), name
+
     def test_e6_chain_minima(self):
         nq = to_q_numerators(solve("E6"))
         assert [p.min_exponent() for p in nq.N[:5]] == [0, 1, 2, 3, 4]
