@@ -10,28 +10,36 @@ Z[x]/(x^N - 1) (``to_lift`` pads an algebraic integer to one, ``from_lift``
 reduces one), on which a root of unity acts by rotation. Each conductor
 builds its reduction rows, zeta^e in the power basis for phi(N) <= e < N,
 once; a reduction only indexes them and refuses more than N entries.
-``dot`` is the one sum-of-products kernel: it accumulates every term's
-coordinate products, times an optional integer factor, in one integer
-buffer modulo x^N - 1 and reduces modulo Phi_N (a factor of x^N - 1) and by
-the content once per sum, so a sum of k products builds one value, not 2k;
-an entry is a CycNumber, an int or a lift, and rows of different lengths
-are refused. ``x * y`` is the one-term ``dot`` after a zero shortcut.
-``rational_dot`` reads a sum that must be rational off coordinate 0 of the
-same buffer, divided by an integer, as an int where it is integral and a
-Fraction otherwise, and builds no value; ``vanishes`` likewise tests a lift
-for zero at zeta. A caller that sweeps one row of entries against many
-others reads it once with ``split`` (denominator, coordinates and nonzero
-positions per entry) and hands the split row to every ``dot`` of the sweep;
-the split is dropped with the call that made it. The inverse is the product
-of the other Galois conjugates over the norm, a rational number, so no
-polynomial division is needed.
+
+There is one product loop, ``_accumulate``: it adds every term's
+coordinate products, times an optional integer factor, into one integer
+buffer of 2N coefficients over the lcm of the term denominators. Two
+readers take that buffer. ``dot`` folds it modulo x^N - 1 and reduces it
+modulo Phi_N (a factor of x^N - 1) and by its content once per sum, so a
+sum of k products builds one value, not 2k; an entry is a CycNumber, an int
+or a lift, and rows of different lengths are refused. ``x * y`` is the
+one-term ``dot`` after a zero shortcut. ``trace_dot`` reads the rational
+sum of the field traces Tr(x_k y_k) off the same buffer as
+sum_k buf[k] c_N(k), where c_N(k) = Tr(zeta^k) is the Ramanujan sum, a
+table each conductor builds on first use; it divides by an integer, gives
+an int where the quotient is integral and a Fraction otherwise, reduces
+nothing modulo Phi_N and builds no value. ``vanishes`` likewise tests a
+lift for zero at zeta, and ``is_galois_image`` compares y with sigma_a(x)
+through it. A caller that
+sweeps one row of entries against many others reads it once with ``split``
+(denominator, coordinates and nonzero positions per entry, or with
+``conj`` those of the complex conjugate, the lift reversed) and hands the
+split row to every sum of the sweep; the split is dropped with the call
+that made it. The inverse is the product of the other Galois conjugates
+over the norm, a rational number, so no polynomial division is needed.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import compress, count
 from math import gcd, lcm
+from operator import mul
 
 from .errors import NotRational, ValidationFailed
 from .poly import cyclotomic
@@ -55,7 +63,8 @@ def euler_phi(n: int) -> int:
 
 
 class _Field:
-    """Per-conductor context: reduction rows for zeta^e, phi(N) <= e < N."""
+    """Per-conductor context: reduction rows for zeta^e, phi(N) <= e < N,
+    and, built on first use, the traces of the powers of zeta."""
 
     def __init__(self, N: int):
         self.N = N
@@ -87,6 +96,25 @@ class _Field:
         del nums[phi:]
         nums.extend([0] * (phi - len(nums)))
         return nums
+
+    @cached_property
+    def traces(self) -> tuple[int, ...]:
+        """Tr(zeta^k) for 0 <= k < 2N, the index range of an unfolded
+        product of two lifts: the Ramanujan sum c_N(k), by von Sterneck's
+        formula mu(m) phi(N) / phi(m) at m = N / gcd(k, N), which for
+        squarefree m is phi(N) times -1/(p - 1) per prime p | m, and 0
+        otherwise."""
+        N = self.N
+        by_m: dict[int, int] = {}
+        for m in range(1, N + 1):
+            if N % m == 0:
+                c, rest = self.phi, m
+                for p in range(2, m + 1):  # each p dividing rest is prime
+                    if rest % p == 0:
+                        rest //= p
+                        c = 0 if rest % p == 0 else -c // (p - 1)
+                by_m[m] = c
+        return tuple(by_m[N // gcd(k, N)] for k in range(2 * N))
 
     def support(self, nums) -> tuple[int, ...]:
         """Positions of the nonzero nums; equal patterns share one tuple, so
@@ -290,10 +318,21 @@ class Split(tuple):
     __slots__ = ()
 
 
-def split(N: int, xs) -> Split:
-    """Read each entry of ``xs`` once, so that every ``dot`` of a sweep over
-    the same row reuses the reading instead of taking it apart per term."""
-    return Split(_parts(N, x) for x in xs)
+def split(N: int, xs, conj: bool = False) -> Split:
+    """Read each entry of ``xs`` once, so that every sum of a sweep over
+    the same row reuses the reading instead of taking it apart per term.
+    With ``conj`` each entry is read as its complex conjugate: its lift
+    reversed, x^i -> x^(N-i), a lift of length N."""
+    if not conj:
+        return Split(_parts(N, x) for x in xs)
+    out = []
+    for x in xs:
+        den, nums, support = _parts(N, x)
+        lift = [0] * N
+        for i in support:
+            lift[-i % N] = nums[i]
+        out.append((den, lift, [-i % N for i in support]))
+    return Split(out)
 
 
 def dot(N: int, xs, ys, factors=None) -> CycNumber:
@@ -310,20 +349,24 @@ def dot(N: int, xs, ys, factors=None) -> CycNumber:
     denominators, which is folded modulo x^N - 1 and reduced modulo Phi_N
     and by its content once, at the end.
     """
-    return CycNumber(N, *_accumulate(N, xs, ys, factors))
+    buf, den = _accumulate(N, xs, ys, factors)
+    folded = [a + b for a, b in zip(buf, buf[N:])]
+    return CycNumber(N, _field(N).reduce(folded), den)
 
 
-def rational_dot(N: int, xs, ys, factors, divisor: int) -> int | Fraction:
-    """``dot(N, xs, ys, factors).to_rational() / divisor`` for a sum that
-    must be rational, read off coordinate 0 with no CycNumber built: an int
-    when the quotient is integral, else a Fraction. An irrational sum raises
-    the NotRational of ``to_rational``."""
-    nums, den = _accumulate(N, xs, ys, factors)
-    if any(nums[1:]):
-        CycNumber(N, nums, den).to_rational()  # raises NotRational
+def trace_dot(N: int, xs, ys, factors, divisor: int) -> int | Fraction:
+    """sum_k n_k Tr(x_k y_k) / divisor, Tr the trace of Q(zeta_N) over Q,
+    for the entries and int factors of ``dot``: ``_accumulate``'s buffer
+    read as sum_k buf[k] Tr(zeta^k), with no fold, no reduction modulo Phi_N
+    and no CycNumber built; an int when the quotient is integral, else a
+    Fraction.
+    Read with ``split(N, xs, conj=True)``, it is sum_k n_k Tr(conj(x_k) y_k).
+    """
+    buf, den = _accumulate(N, xs, ys, factors)
     den *= divisor
-    q, r = divmod(nums[0], den)
-    return Fraction(nums[0], den) if r else q
+    total = sum(map(mul, buf, _field(N).traces))
+    q, r = divmod(total, den)
+    return Fraction(total, den) if r else q
 
 
 def vanishes(N: int, lift) -> bool:
@@ -332,9 +375,24 @@ def vanishes(N: int, lift) -> bool:
     return not any(_field(N).reduce(list(lift)))
 
 
+def is_galois_image(N: int, y, x, a: int) -> bool:
+    """Whether y = sigma_a(x), sigma_a: zeta -> zeta^a for a prime to N, for
+    ``dot`` entries x and y: ``vanishes`` of y's lift times x's denominator
+    minus sigma_a of x's lift (x^i -> x^(ia)) times y's, so no value is
+    built."""
+    yd, yn, yt = _parts(N, y)
+    xd, xn, xt = _parts(N, x)
+    lift = [0] * N
+    for j in yt:
+        lift[j] = yn[j] * xd
+    for i in xt:
+        lift[i * a % N] -= xn[i] * yd
+    return vanishes(N, lift)
+
+
 def _accumulate(N: int, xs, ys, factors) -> tuple[list[int], int]:
-    """The coordinates of ``dot`` over one common denominator, reduced
-    modulo Phi_N but not by their content."""
+    """The one product loop: the 2N coefficients of sum_k n_k x_k y_k, a
+    sum of products of lifts, over one common denominator."""
     if not isinstance(xs, Split):
         xs = split(N, xs)
     if not isinstance(ys, Split):
@@ -356,8 +414,7 @@ def _accumulate(N: int, xs, ys, factors) -> tuple[list[int], int]:
             a = xn[i] * m
             for j in yt:
                 buf[i + j] += a * yn[j]
-    folded = [a + b for a, b in zip(buf, buf[N:])]
-    return _field(N).reduce(folded), den
+    return buf, den
 
 
 def _parts(N: int, x) -> tuple:
@@ -376,4 +433,3 @@ def _parts(N: int, x) -> tuple:
         # a list, not an interned tuple: a freed tuple stays on a free list
         return 1, x, list(compress(count(), x))
     raise TypeError(f"dot entry {x!r} is not a CycNumber, an int or a lift")
-

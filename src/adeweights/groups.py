@@ -14,8 +14,9 @@ its trace is a + conj(a), and the generators' unitarity check is one
 product and builds no bottom row. It records each element's word over the
 generators and each generator's right-multiplication table, and
 ``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
-orders and each class's inverse class (stored as its column) are all
-index arithmetic. Each zeta^r + zeta^-r, 0 <= r <= N/2, is built once into
+orders, each class's inverse class (stored as its column) and the Galois
+orbits of classes are all index arithmetic. Each zeta^r + zeta^-r,
+0 <= r <= N/2, is built once into
 ``FiniteSubgroup.traces``. A class's trace is one sum, a plus the top left
 entry conj(a) of the inverse, looked up there for the class's stored trace
 and eigen-exponent; the D and E tables read their trace-valued rows there.
@@ -36,20 +37,34 @@ directly; the E types add the Galois conjugates of the defining character V
 and then walk the McKay graph, V tensor chi = sum of the chi_j adjacent to
 chi, peeling each new row off V tensor chi of a row already found. Every
 table must pass ``table_violation`` before use. The McKay matrix is matched
-onto the affine graph in one breadth-first pass with no backtracking. Every
-inner product of class functions (validation, peeling, McKay, the
-symmetric-power oracle) is ``decompose(G, values, rows)``, one
-``cyclo.rational_dot`` per row reading conj(chi(C)) as chi(C^-1); the Molien
-class sums are ``cyclo.rational_dot`` calls of their own, so each class sum
-reduces modulo Phi_N once, with |C| an integer factor inside it and |G| its
-divisor, and is read as an int when integral, with no CycNumber or Fraction
-built. Every product by a class trace tau_C = zeta^e_C + zeta^-e_C (V tensor
-chi, det(I - x q), lambda^m + lambda^-m) is ``_tau_times``, two rotations of
-a lift in Z[x]/(x^N - 1). A sweep of many sums over the same rows reads each
-row once with ``cyclo.split``, and the symmetric-power oracle sums each
-distinct power sum once, since lambda^m + lambda^-m depends on m only
-modulo N and up to m -> N - m. A class of order d has ``trace_min_poly``
-``poly.cos_polynomial(d)``, the fold of Phi_d: zeta^e_C has order d too.
+onto the affine graph in one breadth-first pass with no backtracking.
+
+Class sums run over Galois orbits of classes. For a prime to N, C^a is the
+class of g^a, g in C, and sigma_a is zeta -> zeta^a. Every summand the
+group side sums is Galois-equivariant, f(C^a) = sigma_a(f(C)): characters
+(Serre, Linear Representations of Finite Groups, ch. 12), V tensor chi,
+lambda^m + lambda^-m and the Molien cofactors, whose coefficients are
+integer polynomials in tau_C. So the sum over an orbit O is
+(|O| / phi(N)) Tr(f(C_O)) at its rep C_O, and Tr(zeta^k) is the Ramanujan
+sum c_N(k). ``FiniteSubgroup.orbits`` holds each orbit's rep, size, twists
+and stabiliser generators, found from the powers of the rep through
+``mul``. Every inner product of class functions (validation, peeling,
+McKay, the symmetric-power oracle) is ``decompose(G, values, rows)`` over
+the orbit reps, one ``cyclo.trace_dot`` per row with conj(f) the reversed
+lift; the Molien class sums are ``cyclo.trace_dot`` calls of their own. Each
+weights orbit O by |C_O| |O|, read off the classes at the call, divides by
+phi(N) times the total weight, reduces nothing modulo Phi_N and is read as
+an int when integral, with no CycNumber or Fraction built. The trace is
+exact only on equivariant rows, so ``table_violation`` checks equivariance,
+which contains conjugate symmetry, before any sum. Every product by a class
+trace tau_C = zeta^e_C + zeta^-e_C (V tensor chi, det(I - x q),
+lambda^m + lambda^-m) is ``_tau_times``, two rotations of a lift in
+Z[x]/(x^N - 1), built at the orbit reps only. A sweep of many sums over the
+same rows reads each row once with ``cyclo.split``, and the symmetric-power
+oracle sums each distinct power sum once, since lambda^m + lambda^-m
+depends on m only modulo N and up to m -> N - m. A class of order d has
+``trace_min_poly`` ``poly.cos_polynomial(d)``, the fold of Phi_d: zeta^e_C
+has order d too.
 """
 from __future__ import annotations
 
@@ -59,7 +74,8 @@ from itertools import product
 from math import gcd
 from operator import add, sub
 
-from .cyclo import CycNumber, dot, rational_dot, split, vanishes
+from .cyclo import (CycNumber, dot, euler_phi, is_galois_image, split,
+                    trace_dot, vanishes)
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
@@ -112,6 +128,19 @@ class ConjClass:
     inverse: int  # column in ``classes`` of the class of rep^-1
 
 
+@dataclass(frozen=True)
+class GaloisOrbit:
+    """The classes C_O^a, a prime to N, of one class C_O, its ``rep``
+    column: C^a is the class of g^a for g in C. ``size`` is |O|, ``twists``
+    holds one (column of C, a) with C = C_O^a per other class C of O, and
+    ``stabiliser`` generates {a : C_O^a = C_O} in (Z/N)^*."""
+
+    rep: int
+    size: int
+    twists: tuple[tuple[int, int], ...]
+    stabiliser: tuple[int, ...]
+
+
 class FiniteSubgroup:
     """Enumerated subgroup with its conjugacy class partition.
 
@@ -138,6 +167,7 @@ class FiniteSubgroup:
         self.gen_index = tuple(r[0] for r in self.right)
         self.gen_inverse = tuple(r.index(0) for r in self.right)
         self.classes: tuple[ConjClass, ...] = ()
+        self.orbits: tuple[GaloisOrbit, ...] = ()
         self.traces: tuple[CycNumber, ...] = ()  # zeta^r + zeta^-r, r <= N/2
 
     @property
@@ -165,6 +195,10 @@ class FiniteSubgroup:
             k += 1
         return k, prev
 
+    def at_reps(self, row) -> list:
+        """The entries of ``row``, one per class, at the orbit reps."""
+        return [row[o.rep] for o in self.orbits]
+
     def classes_to_json(self) -> list[dict]:
         """Each class's order d, size, trace and the trace's minimal
         polynomial, that of zeta_d + zeta_d^-1: the eigenvalue zeta^e has
@@ -180,7 +214,7 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     recording each element's generator word and each generator's
     right-multiplication table; then conjugacy classes as orbits of
     generator conjugation, computed on indices, each with the column of its
-    inverse class.
+    inverse class, and their Galois orbits.
     ``traces`` holds zeta^r + zeta^-r for 0 <= r <= N/2, each built once
     from the lift x^r + x^-r; they are distinct, and r and N - r give the
     same trace, so a class's eigen-exponent is the least e with
@@ -263,7 +297,46 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
         classes.append(ConjClass(rep, members, len(members), G.traces[e],
                                  order, e, class_of[inv]))
     G.classes = tuple(classes)
+    G.orbits = _galois_orbits(G, class_of)
     return G
+
+
+def _galois_orbits(G: FiniteSubgroup,
+                   class_of: list[int]) -> tuple[GaloisOrbit, ...]:
+    """The Galois orbits of G's classes, each represented by its first
+    class and found from the powers of that class's rep x through ``mul``:
+    for a prime to N, C^a is the class of x^(a mod ord x). The least a
+    reaching a class is its twist; the a that return to the rep form its
+    stabiliser, whose generators are taken greedily, each one outside the
+    subgroup the earlier ones generate."""
+    N = G.conductor
+    units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
+    placed = [False] * len(G.classes)
+    orbits = []
+    for ci, c in enumerate(G.classes):
+        if placed[ci]:
+            continue
+        powers = [0]
+        for _ in range(c.order - 1):
+            powers.append(G.mul(powers[-1], c.rep))
+        twists: dict[int, int] = {}
+        gens, fixed = [], {1}  # the subgroup the gens generate
+        for a in units:
+            cj = class_of[powers[a % c.order]]
+            if cj != ci:
+                twists.setdefault(cj, a)
+            elif a not in fixed:
+                gens.append(a)
+                grown, p = set(fixed), a
+                while p not in fixed:
+                    grown |= {f * p % N for f in fixed}
+                    p = p * a % N
+                fixed = grown
+        for cj in (ci, *twists):
+            placed[cj] = True
+        orbits.append(GaloisOrbit(ci, 1 + len(twists), tuple(twists.items()),
+                                  tuple(gens)))
+    return tuple(orbits)
 
 
 def build_group(dt: DynkinType) -> FiniteSubgroup:
@@ -289,18 +362,33 @@ class CharTable:
 
 def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     """Hermitian inner products (1/|G|) sum_C |C| f(C) conj(chi(C)) of the
-    class function f = ``values``, ``dot`` entries at G's conductor, with
-    each row chi, both over ``G.classes``, collapsed to Q, |G| = sum_C |C|:
-    an int where the product is integral, else a Fraction.
-    The rows must be conjugate-symmetric, conj(chi(C)) = chi(C^-1), and
-    C -> C^-1 keeps |C|, so this is sum_C |C| f(C^-1) chi(C): one
-    ``rational_dot`` per row with |C| as a factor and |G| as the divisor,
-    f(C^-1) read at column ``c.inverse`` and split once, rows maybe split.
+    class function f with each row chi, collapsed to Q: an int where the
+    product is integral, else a Fraction. ``values`` and each row are
+    ``dot`` entries at G's conductor N over the orbit reps,
+    ``G.at_reps(...)``; rows may be split.
+
+    f and chi must be Galois-equivariant, f(C^a) = sigma_a(f(C)) for a
+    prime to N, as characters are (Serre, Linear Representations of Finite
+    Groups, ch. 12) and so are V tensor chi and lambda^m + lambda^-m. Then
+    so is f conj(chi), and |C^a| = |C|, since x -> x^a permutes G and
+    commutes with conjugation; each class of an orbit O is C_O^a for
+    phi(N) / |O| of the a, so the orbit's share of the sum is
+    |C_O| (|O| / phi(N)) Tr(f(C_O) conj(chi(C_O))). That is one
+    ``trace_dot`` per row over the orbits, f conjugated and split once, each
+    orbit weighted by |C_O| |O| and the sum divided by phi(N) times the
+    total weight, sum_C |C| = |G|.
     """
     N = G.conductor
-    flipped = split(N, [values[c.inverse] for c in G.classes])
-    sizes = [c.size for c in G.classes]
-    return [rational_dot(N, flipped, row, sizes, sum(sizes)) for row in rows]
+    weights, divisor = _orbit_weights(G)
+    conj = split(N, values, conj=True)
+    return [trace_dot(N, conj, row, weights, divisor) for row in rows]
+
+
+def _orbit_weights(G: FiniteSubgroup) -> tuple[list[int], int]:
+    """Per Galois orbit O the weight |C_O| |O|, read off G's classes at the
+    call, and the divisor phi(N) sum_O |C_O| |O| of an orbit trace sum."""
+    weights = [G.classes[o.rep].size * o.size for o in G.orbits]
+    return weights, euler_phi(G.conductor) * sum(weights)
 
 
 def _tau_times(c, e: int) -> list[int]:
@@ -393,8 +481,9 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     second two-dimensional character, which no walk from the linear rows
     reaches: V tensor chi of the six-dimensional one leaves two new rows at
     once. For each found row chi, appended ones included, V tensor chi is
-    one ``_tau_times`` lift per class and one ``decompose`` gives its
-    multiplicities m; the found rows are orthonormal, so
+    one ``_tau_times`` lift per class, since a new row needs every class,
+    and one ``decompose`` at the orbit reps gives its multiplicities m; the
+    found rows are orthonormal, so
     V tensor chi - sum m_j chi_j is a new irreducible exactly when
     <V tensor chi, V tensor chi> - sum m_j^2 = 1, and it is one ``dot`` per
     class over the nonzero m. Row 0 is trivial, the rest are sorted by the
@@ -409,8 +498,10 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     for chi in rows:
         tensor = [_tau_times(v.to_lift(), c.eigen_exp)
                   for v, c in zip(chi, G.classes)]
-        mults = _multiplicities(decompose(G, tensor, rows), f"{dt}: V x chi")
-        norm = decompose(G, tensor, [tensor])[0]
+        at_reps = G.at_reps(tensor)
+        mults = _multiplicities(decompose(G, at_reps, map(G.at_reps, rows)),
+                                f"{dt}: V x chi")
+        norm = decompose(G, at_reps, [at_reps])[0]
         if norm - sum(m * m for m in mults) == 1:
             used = [j for j, m in enumerate(mults) if m]
             coeffs = [1] + [-mults[j] for j in used]
@@ -426,9 +517,19 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     """First violated relation, or None when the table is valid.
 
     The columns are ``G.classes``, identity first. Checked: k rows of k
-    entries, the trivial row 0, each chi_i(1) a positive integer, conjugate
-    symmetry (``decompose`` relies on it) and row orthonormality. Implied
-    (Serre, Linear Representations of Finite Groups, 2.5): row
+    entries, the trivial row 0, each chi_i(1) a positive integer, Galois
+    equivariance and row orthonormality.
+
+    ``decompose`` sums over Galois orbits of classes by one field trace per
+    orbit, which is exact only for equivariant rows, so equivariance is the
+    gate before it: chi(C) = sigma_a(chi(C_O)) at each orbit's twists
+    (C, a), and chi(C_O) = sigma_s(chi(C_O)) at each stabiliser generator s,
+    each by ``is_galois_image``. Together they give chi(C^a) =
+    sigma_a(chi(C)) for every class C and every a prime to N: if
+    C_O^a = C_O^b for a twist b, then a/b fixes C_O, so it fixes chi(C_O).
+    Conjugate symmetry, chi(C^-1) = conj(chi(C)), is the case a = -1.
+
+    Implied (Serre, Linear Representations of Finite Groups, 2.5): row
     orthonormality reads X W X* = |G| I with W = diag(|C|), so the square
     table X is invertible and X* X = |G| W^-1; that is column orthogonality,
     at the identity column sum_i chi_i(1)^2 = |G|, and every class function
@@ -450,18 +551,17 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
         if not (d.is_rational() and d.to_rational().denominator == 1
                 and d.to_rational() > 0):
             return f"chi_{i}(1) = {d} is not a positive integer"
-    # conjugate symmetry: chi(x^-1) = conj(chi(x)), a relation symmetric in
-    # {C, C^-1}, checked once per pair at its first column
-    for ci, c in enumerate(G.classes):
-        cj = c.inverse
-        if cj < ci:
-            continue
-        for i, row in enumerate(values):
-            if row[cj] != row[ci].conj():
-                return f"chi_{i} not conjugate-symmetric on class {ci}"
-    rows = [split(G.conductor, row) for row in values]
+    N = G.conductor
+    for o in G.orbits:
+        for cj, a in o.twists + tuple((o.rep, s) for s in o.stabiliser):
+            for i, row in enumerate(values):
+                if not is_galois_image(N, row[cj], row[o.rep], a):
+                    return (f"chi_{i} is not Galois-equivariant: "
+                            f"chi(C_{cj}) != sigma_{a}(chi(C_{o.rep}))")
+    reps = [G.at_reps(row) for row in values]
+    rows = [split(N, row) for row in reps]
     for i in range(k):
-        for j, got in enumerate(decompose(G, values[i], rows[i:]), i):
+        for j, got in enumerate(decompose(G, reps[i], rows[i:]), i):
             if got != (1 if i == j else 0):
                 return f"row orthogonality fails at ({i},{j}): {got}"
     return None
@@ -476,16 +576,19 @@ class McKayResult:
 def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
                  marks: tuple[int, ...]) -> McKayResult:
     """Multiplicities of chi_j inside V tensor chi_i (``decompose`` of the
-    lifts ``_tau_times``), plus the node bijection onto the affine graph
-    (trivial character -> node 0), matching degrees against the marks."""
+    lifts ``_tau_times``, built at the orbit reps only), plus the node
+    bijection onto the affine graph (trivial character -> node 0), matching
+    degrees against the marks."""
     k = len(G.classes)
-    rows = [split(G.conductor, row) for row in table.values]
+    reps = [G.at_reps(row) for row in table.values]
+    rows = [split(G.conductor, row) for row in reps]
+    classes = G.at_reps(G.classes)
     matrix = tuple(
         tuple(_multiplicities(decompose(
             G, [_tau_times(v.to_lift(), c.eigen_exp)
-                for v, c in zip(row, G.classes)], rows),
+                for v, c in zip(row, classes)], rows),
             f"{G.dynkin}: V x chi_{i}"))
-        for i, row in enumerate(table.values))
+        for i, row in enumerate(reps))
     if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
         raise NoIsomorphism(f"{G.dynkin}: McKay matrix is not symmetric")
     bijection = _match_affine(matrix, table.degrees, affine, marks)
@@ -583,24 +686,30 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     the standard form, so each class has a cofactor P_C of degree h with
     (1 - tau_C q + q^2) P_C = (1-q^a)(1-q^b), and
     N_i = (1/|G|) sum_C |C| chi_i(C) P_C, collapsed to Q, with P_C's
-    coefficients lifts in Z[x]/(x^N - 1), built with no cyclotomic product;
-    each coefficient of N_i is one ``rational_dot``, read as an int.
+    coefficients lifts in Z[x]/(x^N - 1), built with no cyclotomic product.
+    P_C's coefficients are integer polynomials in tau_C, so
+    sigma_a(P_C) = P_(C^a), and chi_i P_C is Galois-equivariant: the
+    cofactors are built at the orbit reps only (the remainder at C^a is
+    sigma_a of the one at C, so it vanishes with it), and each coefficient
+    of N_i is one ``trace_dot`` over the orbits, weighted as in
+    ``decompose``, read as an int.
     """
     dt = G.dynkin
     N = G.conductor
     h = dt.coxeter_number
     std = dt.standard_form.coeffs
-    # column j holds coefficient j of every class's P_C; each row and each
-    # column is split once for the k(h+1) class sums
+    # column j holds coefficient j of every orbit rep's P_C; each row and
+    # each column is split once for the (orbits)(h+1) sums per row
     columns = [split(N, col) for col in zip(*(
-        _cofactor_lifts(std, c.eigen_exp, N, dt) for c in G.classes))]
-    sizes = [c.size for c in G.classes]
+        _cofactor_lifts(std, c.eigen_exp, N, dt)
+        for c in G.at_reps(G.classes)))]
+    weights, divisor = _orbit_weights(G)
     numerators = []
     for row in table.values:
-        row = split(N, row)
+        row = split(N, G.at_reps(row))
         coeffs = []
         for col in columns:
-            v = rational_dot(N, row, col, sizes, G.order)
+            v = trace_dot(N, row, col, weights, divisor)
             if v.denominator != 1 or v < 0:
                 raise NonPolynomialResult(
                     f"{dt}: numerator coefficient {v} is not a nonnegative integer")
@@ -623,15 +732,17 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     Sym^0 needs no case of its own.
 
     lambda^m + lambda^-m reads m only modulo N and is unchanged by
-    m -> N - m, so each row, split once, makes one sum ``sums[r]`` per
-    r = min(m mod N, -m mod N), and m = r reaches each r <= min(mmax, N/2):
-    at most floor(N/2) + 1 ``rational_dot`` calls per character."""
+    m -> N - m, so each row, split once at the orbit reps, makes one sum
+    ``sums[r]`` per r = min(m mod N, -m mod N), and m = r reaches each
+    r <= min(mmax, N/2): at most floor(N/2) + 1 ``trace_dot`` calls per
+    character, each with one term per Galois orbit."""
     N = G.conductor
-    rows = [split(N, row) for row in table.values]
+    rows = [split(N, G.at_reps(row)) for row in table.values]
     one = [1] + [0] * (N - 1)
+    classes = G.at_reps(G.classes)
     # <lambda^r + lambda^-r, chi_i> per row
     sums = [decompose(G, [_tau_times(one, r * c.eigen_exp)
-                          for c in G.classes], rows)
+                          for c in classes], rows)
             for r in range(min(mmax, N // 2) + 1)]
     out = []
     # <Sym^-2, chi_i> and <Sym^-1, chi_i>; row 0 is the trivial one

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from adeweights.cyclo import CycNumber
+from adeweights.cyclo import CycNumber, dot
 from adeweights.errors import ValidationFailed
 from adeweights.poly import Polynomial, cox
 
@@ -274,6 +274,39 @@ def sym_power_multiplicities_direct(G, table, m: int) -> list[Fraction]:
             acc = acc + x * chi.conj() * c.size
         out.append(acc.to_rational() / G.order)
     return out
+
+
+def inner_product_by_classes(G, f, chi) -> Fraction:
+    """(1/|G|) sum_C |C| f(C) conj(chi(C)) over every class, f and chi
+    given over all of G's classes: one ``dot`` with conj(chi(C)) built by
+    ``CycNumber.conj``, read with ``to_rational``, no Galois orbit used."""
+    value = dot(G.conductor, f, [x.conj() for x in chi],
+                [c.size for c in G.classes])
+    return value.to_rational() / G.order
+
+
+def galois_orbit_count(G) -> int:
+    """The classes closed under x -> x^a, a prime to the conductor, over
+    every element x: x^a by ``G.mul`` power by power, classes joined by
+    union-find, and the number of blocks left."""
+    N = G.conductor
+    units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
+    class_of = {j: k for k, c in enumerate(G.classes) for j in c.members}
+    parent = list(range(len(G.classes)))
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for x in range(G.order):
+        powers = [0]
+        while len(powers) < 2 or powers[-1] != 0:
+            powers.append(G.mul(powers[-1], x))
+        order = len(powers) - 1
+        for a in units:
+            parent[find(class_of[powers[a % order]])] = find(class_of[x])
+    return len({find(k) for k in range(len(G.classes))})
 
 
 def minimal_polynomial(x: CycNumber) -> Polynomial:

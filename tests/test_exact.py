@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adeweights.cyclo import (CycNumber, _Field, dot, euler_phi,
-                              rational_dot, vanishes)
+                              is_galois_image, split, trace_dot, vanishes)
 from adeweights.errors import NotRational, ValidationFailed
 from adeweights.groups import _tau_times
 from adeweights.poly import (Polynomial, RationalFunction, cos_polynomial,
                              cox, cyclotomic, fold_palindromic, one_plus_q,
                              poly_gcd, substitute_t)
 from oracles import (cyclotomic_moebius, euclid_gcd, minimal_polynomial,
-                     series_coefficients)
+                     moebius, series_coefficients)
 
 Q = lambda *cs: Polynomial("q", cs)
 T = lambda *cs: Polynomial("t", cs)
@@ -296,11 +296,25 @@ class TestDot:
             with pytest.raises(ValueError):
                 dot(8, xs, ys, factors)
             with pytest.raises(ValueError):
-                rational_dot(8, xs, ys, factors, 1)
+                trace_dot(8, xs, ys, factors, 1)
 
 
-class TestRationalDot:
-    """``rational_dot`` against the ``dot`` it reads without building."""
+def _units(N):
+    return [a for a in range(1, N + 1) if gcd(a, N) == 1]
+
+
+def _trace(x: CycNumber):
+    """Tr(x) as sum_a sigma_a(x) over the Galois group, by CycNumber sums,
+    read with ``to_rational``."""
+    total = CycNumber.zero(x.N)
+    for a in _units(x.N):
+        total = total + x.galois(a)
+    return total.to_rational()
+
+
+class TestTraceDot:
+    """``trace_dot`` against the trace of the ``dot`` it reads without
+    building, the trace summed over the Galois group."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -311,37 +325,64 @@ class TestRationalDot:
         xs, ys = [x for x, _, _ in terms], [y for _, y, _ in terms]
         factors = [n for _, _, n in terms] if data.draw(st.booleans()) else None
         d = data.draw(st.integers(1, 12))
-        value = dot(N, xs, ys, factors)
-        if value.is_rational():
-            got = rational_dot(N, xs, ys, factors, d)
-            want = value.to_rational() / d
-            assert got == want
-            assert type(got) is (int if want.denominator == 1 else Fraction)
-        else:
-            with pytest.raises(NotRational) as want:
-                value.to_rational()
-            with pytest.raises(NotRational) as got:
-                rational_dot(N, xs, ys, factors, d)
-            assert str(got.value) == str(want.value)
+        want = _trace(dot(N, xs, ys, factors)) / d
+        got = trace_dot(N, xs, ys, factors, d)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+        # read conjugated, each x_k is conj(x_k)
+        conj = [_value(N, x) for x in xs]
+        conj = [x.conj() if isinstance(x, CycNumber) else x for x in conj]
+        assert trace_dot(N, split(N, xs, conj=True), ys, factors, d) == \
+            _trace(dot(N, conj, ys, factors)) / d
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_galois_traces_are_read_exactly(self, data):
-        """Rational sums, which random entries rarely give: the trace
-        n sum_a sigma_a(x) sigma_a(y) over the Galois group, with x and y
-        drawn as CycNumbers over mixed denominators, ints or lifts."""
+        """Rational ``dot`` sums, which random entries rarely give: the
+        trace n sum_a sigma_a(x) sigma_a(y) over the Galois group, with x
+        and y drawn as CycNumbers over mixed denominators, ints or lifts, is
+        n Tr(x y), the one-term ``trace_dot``."""
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
         x, y = (_value(N, data.draw(_dot_entries(N))) for _ in range(2))
         x, y = (CycNumber.from_rational(N, v) if isinstance(v, int) else v
                 for v in (x, y))
-        units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
+        units = _units(N)
         xs, ys = [x.galois(a) for a in units], [y.galois(a) for a in units]
-        factors = [data.draw(st.integers(-3, 5))] * len(units)
+        n = data.draw(st.integers(-3, 5))
         d = data.draw(st.integers(1, 12))
-        want = dot(N, xs, ys, factors).to_rational() / d
-        got = rational_dot(N, xs, ys, factors, d)
+        want = dot(N, xs, ys, [n] * len(units)).to_rational() / d
+        got = trace_dot(N, [x], [y], [n], d)
         assert got == want
         assert type(got) is (int if want.denominator == 1 else Fraction)
+
+    def test_traces_of_powers_are_ramanujan_sums(self):
+        """Tr(zeta^k) = c_N(k) = sum over d | gcd(k, N) of mu(N/d) d, the
+        table ``trace_dot`` reads, against the Galois sum of zeta^k."""
+        for N in DOT_CONDUCTORS + (25, 44, 49, 97):
+            fld = _Field(N)
+            want = [sum(moebius(N // d) * d for d in range(1, N + 1)
+                        if N % d == 0 and k % d == 0) for k in range(N)]
+            assert list(fld.traces) == want + want, N
+            if N <= 60:
+                assert want == [_trace(CycNumber.root_of_unity(N, k))
+                                for k in range(N)]
+
+
+class TestGaloisImage:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_agrees_with_galois(self, data):
+        """``is_galois_image`` against ``CycNumber.galois``, on x, its image
+        and the image moved by a root of unity or a rational."""
+        N = data.draw(st.sampled_from(DOT_CONDUCTORS))
+        x = _value(N, data.draw(_dot_entries(N)))
+        x = CycNumber.from_rational(N, x) if isinstance(x, int) else x
+        a = data.draw(st.sampled_from(_units(N)))
+        y = x.galois(a)
+        assert is_galois_image(N, y, x, a)
+        for moved in (y + CycNumber.root_of_unity(N, 1), y + Fraction(1, 2),
+                      y * 2):
+            assert is_galois_image(N, moved, x, a) == (moved == y)
 
 
 class TestVanishes:

@@ -19,7 +19,8 @@ from adeweights.groups import (CharTable, build_group, char_table,
                                _linear_characters, _match_affine)
 from adeweights.poly import Polynomial, cos_polynomial
 from adeweights.verify import build_bundle, run_suite
-from oracles import (matrix_inverse, matrix_product, matrix_trace,
+from oracles import (galois_orbit_count, inner_product_by_classes,
+                     matrix_inverse, matrix_product, matrix_trace,
                      minimal_polynomial, molien_by_elements,
                      series_coefficients, su2_matrix,
                      sym_power_multiplicities_direct)
@@ -31,6 +32,8 @@ SESSION_NAMES = [f"A{m}" for m in range(1, 17)] + \
                 [f"D{m}" for m in range(4, 17)] + ["E6", "E7", "E8"]
 LADDER_NAMES = [f"A{m}" for m in range(1, 25)] + \
                [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"]
+EXTENDED_NAMES = [f"A{m}" for m in range(1, 49)] + \
+                 [f"D{m}" for m in range(4, 41)] + ["E6", "E7", "E8"]
 
 
 def dt(name):
@@ -56,6 +59,31 @@ class TestEnumeration:
             t = b.dynkin
             assert b.group.order == t.group_order
             assert len(b.group.classes) == t.rank + 1
+
+    def test_galois_orbit_counts(self):
+        """The orbits found from the powers of each orbit rep are the
+        classes closed under x -> x^a over every element; each orbit's
+        twists and stabiliser cover the units prime to N."""
+        pinned = {"A24": 3, "A48": 3, "D24": 8, "D40": 8, "E6": 5, "E7": 7,
+                  "E8": 7}
+        for name in EXTENDED_NAMES:
+            g = build_group(dt(name))
+            N = g.conductor
+            assert len(g.orbits) == galois_orbit_count(g), name
+            assert pinned.get(name, len(g.orbits)) == len(g.orbits), name
+            assert sorted(c for o in g.orbits
+                          for c in (o.rep, *(cj for cj, _ in o.twists))) \
+                == list(range(len(g.classes))), name
+            for o in g.orbits:
+                units = sum(gcd(a, N) == 1 for a in range(1, N + 1))
+                fixed = {1}  # the subgroup the stabiliser generates
+                while True:
+                    grown = fixed | {f * s % N for f in fixed
+                                     for s in o.stabiliser}
+                    if grown == fixed:
+                        break
+                    fixed = grown
+                assert len(fixed) * o.size == units, (name, o)
 
     def test_a1_is_plus_minus_identity(self, bundle):
         g = bundle("A1").group
@@ -315,24 +343,70 @@ class TestCharTable:
                     assert table_violation(bad, b.group) == \
                         f"chi_{i} has {len(row)} entries for {k} classes"
 
-    def test_conjugate_symmetry_names_the_first_class_of_the_pair(self,
-                                                                  bundle):
-        # {C, C^-1} is checked once, at its first column: breaking either
-        # entry of the pair names that column; on a class that is its own
-        # inverse a non-real entry is named
-        b = bundle("A5")
-        classes = b.group.classes
-        pairs = [(ci, c.inverse) for ci, c in enumerate(classes)
-                 if c.inverse >= ci and c.order > 1]
-        assert {ci == cj for ci, cj in pairs} == {True, False}
-        zeta = CycNumber.root_of_unity(b.group.conductor, 1)
-        for ci, cj in pairs:
-            for broken in (ci, cj):
+    def test_zeta_at_a_class_off_the_reps_names_its_twist(self, bundle):
+        """An entry moved by +zeta at a class C = C_O^a that represents no
+        orbit breaks chi(C) = sigma_a(chi(C_O)) and nothing checked before
+        it, so the message names C, a and C_O."""
+        for name in ("A5", "D5", "E6", "E8", "A24", "D24"):
+            b = bundle(name)
+            G = b.group
+            zeta = CycNumber.root_of_unity(G.conductor, 1)
+            twists = [(cj, a, o.rep) for o in G.orbits for cj, a in o.twists]
+            assert twists, name
+            for cj, a, rep in twists:
+                for i in (1, len(G.classes) - 1):
+                    values = [list(r) for r in b.table.values]
+                    values[i][cj] = values[i][cj] + zeta
+                    bad = CharTable(tuple(tuple(r) for r in values))
+                    assert table_violation(bad, G) == (
+                        f"chi_{i} is not Galois-equivariant: "
+                        f"chi(C_{cj}) != sigma_{a}(chi(C_{rep}))"), (name, cj)
+
+    def test_non_real_value_on_a_self_inverse_class_breaks_its_stabiliser(
+            self, bundle):
+        """A class that is its own inverse has -1 in its stabiliser, so its
+        values are real. On one that is an orbit by itself, a +zeta there
+        changes no twist, and the first stabiliser generator s that moves
+        the new value is named, at C_O on both sides."""
+        seen = 0
+        for name in ("A5", "D5", "D7", "E6", "E7", "E8"):
+            b = bundle(name)
+            G = b.group
+            zeta = CycNumber.root_of_unity(G.conductor, 1)
+            for o in G.orbits:
+                c = G.classes[o.rep]
+                if o.size > 1 or c.inverse != o.rep or c.order == 1:
+                    continue
+                seen += 1
                 values = [list(r) for r in b.table.values]
-                values[1][broken] = values[1][broken] + zeta
+                moved = values[1][o.rep] = values[1][o.rep] + zeta
+                s = next(s for s in o.stabiliser if moved.galois(s) != moved)
                 bad = CharTable(tuple(tuple(r) for r in values))
-                assert table_violation(bad, b.group) == \
-                    f"chi_1 not conjugate-symmetric on class {ci}"
+                assert table_violation(bad, G) == (
+                    f"chi_1 is not Galois-equivariant: "
+                    f"chi(C_{o.rep}) != sigma_{s}(chi(C_{o.rep}))"), name
+        assert seen >= 6
+
+    def test_every_perturbed_entry_is_rejected(self, bundle):
+        """Every entry of seven tables moved by +zeta, +1 and -zeta, one at
+        a time, 1,233 tables: each is rejected, by equivariance where the
+        move breaks it and by row orthonormality where it does not."""
+        tables = 0
+        for name in ("A5", "A8", "D5", "D7", "E6", "E7", "E8"):
+            b = bundle(name)
+            G = b.group
+            zeta = CycNumber.root_of_unity(G.conductor, 1)
+            k = len(G.classes)
+            for i in range(k):
+                for j in range(k):
+                    for delta in (zeta, 1, -zeta):
+                        values = [list(r) for r in b.table.values]
+                        values[i][j] = values[i][j] + delta
+                        bad = CharTable(tuple(tuple(r) for r in values))
+                        assert table_violation(bad, G) is not None, \
+                            (name, i, j, delta)
+                        tables += 1
+        assert tables == 1233
 
     def test_inverse_classes(self, bundle):
         for name in ("A5", "D5", "E6"):
@@ -355,8 +429,27 @@ class TestCharTable:
             g, t = b.group, b.table
             regular = [CycNumber.from_rational(g.conductor,
                                                g.order if c.order == 1 else 0)
-                       for c in g.classes]
-            assert decompose(g, regular, t.values) == list(t.degrees)
+                       for c in g.at_reps(g.classes)]
+            assert decompose(g, regular, map(g.at_reps, t.values)) == \
+                list(t.degrees)
+
+    def test_decompose_equals_the_sum_over_every_class(self, bundle):
+        """On equivariant class functions, rational combinations of the
+        rows (which span them), ``decompose`` over the orbit reps equals
+        the inner product summed over every class by ``dot``."""
+        rng = random.Random(31)
+        for name in ("A12", "D12", "E6", "E7", "E8", "A24", "D24"):
+            b = bundle(name)
+            g, rows = b.group, b.table.values
+            for _ in range(4):
+                f, chi = ([sum((v * n for v, n in zip(col, coeffs)),
+                               CycNumber.zero(g.conductor))
+                           for col in zip(*rows)]
+                          for coeffs in ([Fraction(rng.randint(-4, 4),
+                                                   rng.randint(1, 3))
+                                          for _ in rows] for _ in range(2)))
+                assert decompose(g, g.at_reps(f), [g.at_reps(chi)]) == \
+                    [inner_product_by_classes(g, f, chi)], name
 
 
 class TestMcKay:
@@ -483,12 +576,15 @@ class TestOpCounts:
     """CycNumber constructions over one cold ``verify`` of a type, a count that
     does not jitter the way wall time does. With the closure holding each
     element as its top row and computing top rows by ``dot``, every class
-    sum a ``rational_dot`` that builds no value, each distinct Sym^m power
-    sum summed once, the E table one walk of the McKay graph that builds
-    only the rows it finds, each zeta^r + zeta^-r built once per group, in
+    sum one ``trace_dot`` per Galois orbit of classes that builds no value,
+    the table checked for Galois equivariance by ``is_galois_image``, which
+    builds none either, each distinct Sym^m power sum summed once, the E
+    table one walk of the McKay graph that builds only the rows it finds,
+    each zeta^r + zeta^-r built once per group, in
     ``FiniteSubgroup.traces``, and each class trace one sum of the top left
-    entries of an element and its inverse, E8 builds 698 values and D12
-    373; a class trace built as a + conj(a), two values, took them to 707
+    entries of an element and its inverse, E8 builds 617 values and D12
+    204; a conjugate-symmetry check by ``conj`` took them to 698 and 373,
+    a class trace built as a + conj(a), two values, to 707
     and 386, building the traces apart for the eigen-exponent lookup, the D
     rows and the E Galois-conjugate rows to 725 and 397, the E-type queue
     of CycNumber tensor candidates, its Sym^m fallback and a
@@ -500,7 +596,7 @@ class TestOpCounts:
     them to 27,326 and 27,595, and doing so in ``decompose`` alone, or in
     the Molien class sum alone, to 10,577-12,918."""
 
-    LIMIT = 700
+    LIMIT = 617
 
     def test_constructions_per_cold_verify(self):
         original = CycNumber.__init__
@@ -592,10 +688,10 @@ class TestOpCounts:
                                                      monkeypatch):
         """On a freshly built table, validation builds no CycNumber product,
         and ``decompose``, the Sym^m oracle, the McKay matrix and the Molien
-        numerators build no CycNumber at all: every sum is a
-        ``rational_dot`` with |C| an integer factor and |G| the divisor,
-        read off coordinate 0, the cofactor remainders are tested by
-        ``vanishes``, conj(chi(C)) is read as chi(C^-1), and
+        numerators build no CycNumber at all: every sum is a ``trace_dot``
+        over the Galois orbits with |C_O| |O| an integer factor, read off
+        the Ramanujan sums, the cofactor remainders are tested by
+        ``vanishes``, conj(f) is read as the reversed lift, and
         tau_C = zeta^e + zeta^-e is two rotations by e. A CycNumber per
         class sum built k(k + h + 1) and more; a table that kept its rows
         weighted by conj(chi)*|C| paid k^2 products on first use;
@@ -622,7 +718,8 @@ class TestOpCounts:
             monkeypatch.setattr(CycNumber, "__rmul__", counting_mul)
             assert table_violation(table, G) is None
             monkeypatch.setattr(CycNumber, "__init__", counting_init)
-            assert decompose(G, table.values[1], table.values) \
+            assert decompose(G, G.at_reps(table.values[1]),
+                             map(G.at_reps, table.values)) \
                 == [int(i == 1) for i in range(k)]
             sym = sym_power_multiplicities(G, table, n - 1)
             mckay = mckay_matrix(G, table, b.affine, b.marks)
@@ -636,16 +733,16 @@ class TestOpCounts:
     def test_sym_powers_sum_each_power_once(self, bundle, monkeypatch):
         """lambda^m + lambda^-m reads m only modulo N and is unchanged by
         m -> N - m, so Sym^0..Sym^(2h+1) make at most
-        floor(N/2) + 2 power-sum ``rational_dot`` calls per character, where
+        floor(N/2) + 2 power-sum ``trace_dot`` calls per character, where
         one call per m took 2h + 2 (52 on A24, 94 on D24)."""
-        original = groups.rational_dot
+        original = groups.trace_dot
         calls = [0]
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(groups, "rational_dot", counting)
+        monkeypatch.setattr(groups, "trace_dot", counting)
         for name in ("A24", "D7", "D24", "E8"):
             b = bundle(name)
             N, k = b.group.conductor, len(b.group.classes)
@@ -654,26 +751,27 @@ class TestOpCounts:
                                      2 * b.dynkin.coxeter_number + 1)
             assert 0 < calls[0] <= (N // 2 + 2) * k, (name, calls[0])
 
-    def test_trace_sums_carry_one_term_per_class(self, bundle, monkeypatch):
+    def test_trace_sums_carry_one_term_per_orbit(self, bundle, monkeypatch):
         """V tensor chi_i and lambda^m + lambda^-m are lifts multiplied by
-        tau_C through ``_tau_times``, so every ``rational_dot`` that the
-        McKay matrix and the Sym^m power sums make has k terms, one per
-        class, where rows doubled for two rotations gave 2k."""
-        original = groups.rational_dot
+        tau_C through ``_tau_times`` at the orbit reps, so every
+        ``trace_dot`` that the McKay matrix and the Sym^m power sums make
+        has one term per Galois orbit of classes, 8 on D24, where one per
+        class took 25 and rows doubled for two rotations 50."""
+        original = groups.trace_dot
         terms = []
 
         def counting(N, xs, ys, *args):
             terms.append((len(xs), len(ys)))
             return original(N, xs, ys, *args)
 
-        monkeypatch.setattr(groups, "rational_dot", counting)
+        monkeypatch.setattr(groups, "trace_dot", counting)
         b = bundle("D24")
         k = len(b.group.classes)
         mckay_matrix(b.group, b.table, b.affine, b.marks)
         sym_power_multiplicities(b.group, b.table,
                                  2 * b.dynkin.coxeter_number + 1)
         assert len(terms) > k * k
-        assert set(terms) == {(k, k)}
+        assert set(terms) == {(8, 8)}
 
     def test_molien_series_reads_each_entry_once(self, bundle, monkeypatch):
         """``molien_series`` splits each table row and each cofactor column

@@ -167,8 +167,9 @@ def test_trace_polynomials_are_read_only_for_json():
 
 
 def test_inverse_columns_are_read_not_rebuilt():
-    """``ConjClass.inverse`` is the column of the inverse class, so neither
-    inner products nor the table check build a lookup per call."""
+    """Inner products read conj(f) as a reversed lift at the orbit reps and
+    the table check reads each orbit's stored twists, so neither builds a
+    lookup of classes per call."""
     dicts = (ast.Dict, ast.DictComp)
     for name in ("decompose", "table_violation"):
         body = _function(SRC / "groups.py", name)
@@ -201,8 +202,10 @@ def test_degree_one_rows_come_from_one_search():
 
 def test_cyclo_has_one_product_loop():
     """``cyclo`` takes only Phi_N from ``poly``, since no cyclotomic value
-    becomes a polynomial there, and ``CycNumber.__mul__`` is a one-term
-    ``dot``: the one product loop is ``_accumulate``'s."""
+    becomes a polynomial there, ``CycNumber.__mul__`` is a one-term
+    ``dot``, and ``dot`` and ``trace_dot`` read ``_accumulate``'s buffer
+    with no product loop of their own: the one product loop is
+    ``_accumulate``'s, and ``rational_dot`` is gone."""
     tree = ast.parse((SRC / "cyclo.py").read_text())
     assert [alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == "poly"
@@ -211,10 +214,16 @@ def test_cyclo_has_one_product_loop():
                if isinstance(node, ast.ClassDef) and node.name == "CycNumber")
     mul = next(node for node in cls.body
                if isinstance(node, ast.FunctionDef) and node.name == "__mul__")
-    loops = (ast.For, ast.While, ast.comprehension)
-    assert not any(isinstance(node, loops) for node in ast.walk(mul))
+    loops = (ast.For, ast.While)
+    assert not any(isinstance(node, loops + (ast.comprehension,))
+                   for node in ast.walk(mul))
     assert "dot" in {node.id for node in ast.walk(mul)
                      if isinstance(node, ast.Name)}
+    for name in ("dot", "trace_dot"):
+        body = _function(SRC / "cyclo.py", name)
+        assert not any(isinstance(node, loops) for node in ast.walk(body))
+        assert "_accumulate" in _names_in_function(SRC / "cyclo.py", name)
+    assert "rational_dot" not in _named(SRC / "cyclo.py")
 
 
 def _named(path: Path) -> set[str]:
