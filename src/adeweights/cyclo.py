@@ -24,14 +24,16 @@ sum_k buf[k] c_N(k), where c_N(k) = Tr(zeta^k) is the Ramanujan sum, a
 table each conductor builds on first use; it divides by an integer, gives
 an int where the quotient is integral and a Fraction otherwise, reduces
 nothing modulo Phi_N and builds no value. ``vanishes`` likewise tests a
-lift for zero at zeta, and ``is_galois_image`` compares y with sigma_a(x)
-through it. A caller that
-sweeps one row of entries against many others reads it once with ``split``
-(denominator, coordinates and nonzero positions per entry, or with
-``conj`` those of the complex conjugate, the lift reversed) and hands the
-split row to every sum of the sweep; the split is dropped with the call
-that made it. The inverse is the product of the other Galois conjugates
-over the norm, a rational number, so no polynomial division is needed.
+lift for zero at zeta. A caller that sweeps one row of entries against
+many others reads it once with ``split`` (denominator, coordinates and
+nonzero positions per entry) and hands the split row to every sum of the
+sweep; the split is dropped with the call that made it. The Galois action
+sigma_a: zeta -> zeta^a is written once, in ``_galois_lift``, an entry's
+lift mapped x^i -> x^(ia mod N), unreduced: ``CycNumber.galois`` reduces
+it, ``split(N, xs, conj=True)`` reads complex conjugates as the case
+a = -1, and ``is_galois_image`` compares y with sigma_a(x) by ``vanishes``.
+The inverse is the product of the other Galois conjugates over the norm, a
+rational number, so no polynomial division is needed.
 """
 from __future__ import annotations
 
@@ -261,11 +263,8 @@ class CycNumber:
         a %= self.N
         if gcd(a, self.N) != 1:
             raise ValueError(f"{a} is not coprime to {self.N}")
-        out = [0] * self.N
-        for i, c in enumerate(self._nums):
-            if c:
-                out[(i * a) % self.N] += c
-        return CycNumber(self.N, _field(self.N).reduce(out), self._den)
+        den, lift, _ = _galois_lift(self.N, self, a)
+        return CycNumber(self.N, _field(self.N).reduce(lift), den)
 
     def conj(self) -> CycNumber:
         """Complex conjugation zeta -> zeta**(-1)."""
@@ -321,18 +320,12 @@ class Split(tuple):
 def split(N: int, xs, conj: bool = False) -> Split:
     """Read each entry of ``xs`` once, so that every sum of a sweep over
     the same row reuses the reading instead of taking it apart per term.
-    With ``conj`` each entry is read as its complex conjugate: its lift
-    reversed, x^i -> x^(N-i), a lift of length N."""
-    if not conj:
-        return Split(_parts(N, x) for x in xs)
-    out = []
-    for x in xs:
-        den, nums, support = _parts(N, x)
-        lift = [0] * N
-        for i in support:
-            lift[-i % N] = nums[i]
-        out.append((den, lift, [-i % N for i in support]))
-    return Split(out)
+    With ``conj`` each entry is read as its complex conjugate, the
+    ``_galois_lift`` at a = -1: its lift reversed, x^i -> x^(N-i), a lift
+    of length N."""
+    if conj:
+        return Split(_galois_lift(N, x, -1) for x in xs)
+    return Split(_parts(N, x) for x in xs)
 
 
 def dot(N: int, xs, ys, factors=None) -> CycNumber:
@@ -377,16 +370,13 @@ def vanishes(N: int, lift) -> bool:
 
 def is_galois_image(N: int, y, x, a: int) -> bool:
     """Whether y = sigma_a(x), sigma_a: zeta -> zeta^a for a prime to N, for
-    ``dot`` entries x and y: ``vanishes`` of y's lift times x's denominator
-    minus sigma_a of x's lift (x^i -> x^(ia)) times y's, so no value is
-    built."""
+    ``dot`` entries x and y: ``vanishes`` of sigma_a of x's lift times y's
+    denominator minus y's lift times x's, so no value is built."""
     yd, yn, yt = _parts(N, y)
-    xd, xn, xt = _parts(N, x)
-    lift = [0] * N
+    xd, lift, _ = _galois_lift(N, x, a)
+    lift = lift if yd == 1 else [c * yd for c in lift]
     for j in yt:
-        lift[j] = yn[j] * xd
-    for i in xt:
-        lift[i * a % N] -= xn[i] * yd
+        lift[j] -= yn[j] * xd
     return vanishes(N, lift)
 
 
@@ -433,3 +423,15 @@ def _parts(N: int, x) -> tuple:
         # a list, not an interned tuple: a freed tuple stays on a free list
         return 1, x, list(compress(count(), x))
     raise TypeError(f"dot entry {x!r} is not a CycNumber, an int or a lift")
+
+
+def _galois_lift(N: int, x, a: int) -> tuple[int, list[int], list[int]]:
+    """Denominator, lift of length N and nonzero positions of sigma_a(x),
+    sigma_a: zeta -> zeta^a for a prime to N, for a ``dot`` entry x: its
+    lift mapped x^i -> x^(ia mod N), which permutes the positions, and left
+    unreduced."""
+    den, nums, support = _parts(N, x)
+    lift = [0] * N
+    for i in support:
+        lift[i * a % N] += nums[i]
+    return den, lift, [i * a % N for i in support]

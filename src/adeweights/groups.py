@@ -13,13 +13,14 @@ its trace is a + conj(a), and the generators' unitarity check is one
 2-term ``cyclo.dot`` calls against g's columns, so it makes no CycNumber
 product and builds no bottom row. It records each element's word over the
 generators and each generator's right-multiplication table, and
-``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits, element
-orders, each class's inverse class (stored as its column) and the Galois
-orbits of classes are all index arithmetic. Each zeta^r + zeta^-r,
-0 <= r <= N/2, is built once into
+``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits are index
+arithmetic, and so is ``FiniteSubgroup.powers``, the one walk of an
+element's powers. Each zeta^r + zeta^-r, 0 <= r <= N/2, is built once into
 ``FiniteSubgroup.traces``. A class's trace is one sum, a plus the top left
 entry conj(a) of the inverse, looked up there for the class's stored trace
-and eigen-exponent; the D and E tables read their trace-valued rows there.
+and eigen-exponent; the D and E tables read their trace-valued rows there,
+and read no coordinates: the D rotation classes are those whose rep's word
+has an even count of generator 1.
 
 Molien numerators come from one cofactor per class: the integer standard
 form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q), with no
@@ -47,10 +48,12 @@ lambda^m + lambda^-m and the Molien cofactors, whose coefficients are
 integer polynomials in tau_C. So the sum over an orbit O is
 (|O| / phi(N)) Tr(f(C_O)) at its rep C_O, and Tr(zeta^k) is the Ramanujan
 sum c_N(k). ``FiniteSubgroup.orbits`` holds each orbit's rep, size, twists
-and stabiliser generators, found from the powers of the rep through
-``mul``. Every inner product of class functions (validation, peeling,
-McKay, the symmetric-power oracle) is ``decompose(G, values, rows)`` over
-the orbit reps, one ``cyclo.trace_dot`` per row with conj(f) the reversed
+and stabiliser generators, read off one walk of the powers of the rep x,
+which also gives each class C_O^a its order, x's, its inverse, the class of
+x^-a, and its trace, read off x^a and x^-a. Every inner
+product of class functions (validation, peeling, McKay, the
+symmetric-power oracle) is ``decompose(G, values, rows)`` over the orbit
+reps, one ``cyclo.trace_dot`` per row with conj(f) the reversed
 lift; the Molien class sums are ``cyclo.trace_dot`` calls of their own. Each
 weights orbit O by |C_O| |O|, read off the classes at the call, divides by
 phi(N) times the total weight, reduces nothing modulo Phi_N and is read as
@@ -130,9 +133,9 @@ class ConjClass:
 
 @dataclass(frozen=True)
 class GaloisOrbit:
-    """The classes C_O^a, a prime to N, of one class C_O, its ``rep``
-    column: C^a is the class of g^a for g in C. ``size`` is |O|, ``twists``
-    holds one (column of C, a) with C = C_O^a per other class C of O, and
+    """The classes C_O^a, a prime to N, of the class C_O at column ``rep``:
+    C^a is the class of g^a for g in C. ``size`` is |O|, ``twists`` holds
+    one (column of C, a) with C = C_O^a per other class C of O, and
     ``stabiliser`` generates {a : C_O^a = C_O} in (Z/N)^*."""
 
     rep: int
@@ -184,16 +187,17 @@ class FiniteSubgroup:
         """Index of g x g^-1 for generator position g."""
         return self.mul(self.mul(self.gen_index[g], x), self.gen_inverse[g])
 
-    def order_and_inverse(self, x: int) -> tuple[int, int]:
-        """Order k of element x and the index of x^-1 = x^(k-1)."""
-        k, prev, y = 1, 0, x
+    def powers(self, x: int) -> list[int]:
+        """x^0, x^1, ..., x^(k-1) for element x of order k, through ``mul``:
+        the length is the order, and x^a is entry a mod k."""
+        out, y = [0], x
         while y != 0:
-            if k >= self.order:
+            if len(out) >= self.order:
                 raise ValidationFailed(f"{self.dynkin}: element {x} has no "
                                        f"power equal to the identity")
-            prev, y = y, self.mul(y, x)
-            k += 1
-        return k, prev
+            out.append(y)
+            y = self.mul(y, x)
+        return out
 
     def at_reps(self, row) -> list:
         """The entries of ``row``, one per class, at the orbit reps."""
@@ -213,8 +217,13 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     """Breadth-first closure under right multiplication by the generators,
     recording each element's generator word and each generator's
     right-multiplication table; then conjugacy classes as orbits of
-    generator conjugation, computed on indices, each with the column of its
-    inverse class, and their Galois orbits.
+    generator conjugation, computed on indices, and their Galois orbits in
+    one pass: ``powers`` walks the rep x of each new orbit once, and each a
+    prime to N, in increasing order, places the class of x^a with x's
+    order, the column of x^-a's class and the trace of x^a. The least a
+    reaching a class is its twist; the a returning to x's class are its
+    stabiliser, whose generators are taken greedily, each one outside the
+    subgroup the earlier ones generate.
     ``traces`` holds zeta^r + zeta^-r for 0 <= r <= N/2, each built once
     from the lift x^r + x^-r; they are distinct, and r and N - r give the
     same trace, so a class's eigen-exponent is the least e with
@@ -262,12 +271,11 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     G = FiniteSubgroup(dt, N, gens, elements, words, right)
 
     class_of = [-1] * len(elements)
-    orbits: list[tuple[int, ...]] = []  # each class's members, rep first
+    partition: list[tuple[int, ...]] = []  # each class's members, rep first
     for i in range(len(elements)):
         if class_of[i] >= 0:
             continue
-        orbit = {i}
-        stack = [i]
+        orbit, stack = {i}, [i]
         while stack:
             x = stack.pop()
             for g in range(len(gens)):
@@ -276,67 +284,52 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
                     orbit.add(j)
                     stack.append(j)
         for j in orbit:
-            class_of[j] = len(orbits)
-        orbits.append(tuple(sorted(orbit)))
-    if len(orbits) != dt.rank + 1:
+            class_of[j] = len(partition)
+        partition.append(tuple(sorted(orbit)))
+    if len(partition) != dt.rank + 1:
         raise ValidationFailed(
-            f"{dt}: {len(orbits)} classes, expected {dt.rank + 1}")
+            f"{dt}: {len(partition)} classes, expected {dt.rank + 1}")
     unit = [1] + [0] * (N - 1)
     G.traces = tuple(CycNumber.from_lift(N, _tau_times(unit, r))
                      for r in range(N // 2 + 1))
     exps = {t: r for r, t in enumerate(G.traces)}
-    classes = []
-    for members in orbits:
-        rep = members[0]
-        order, inv = G.order_and_inverse(rep)
-        # the top left entry of x^-1 is conj(a), so trace(x) = a + conj(a)
-        trace = elements[rep][0] + elements[inv][0]
-        if trace not in exps:
-            raise ValueError(f"trace {trace} is not a sum zeta^e + zeta^-e")
-        e = exps[trace]
-        classes.append(ConjClass(rep, members, len(members), G.traces[e],
-                                 order, e, class_of[inv]))
-    G.classes = tuple(classes)
-    G.orbits = _galois_orbits(G, class_of)
-    return G
-
-
-def _galois_orbits(G: FiniteSubgroup,
-                   class_of: list[int]) -> tuple[GaloisOrbit, ...]:
-    """The Galois orbits of G's classes, each represented by its first
-    class and found from the powers of that class's rep x through ``mul``:
-    for a prime to N, C^a is the class of x^(a mod ord x). The least a
-    reaching a class is its twist; the a that return to the rep form its
-    stabiliser, whose generators are taken greedily, each one outside the
-    subgroup the earlier ones generate."""
-    N = G.conductor
     units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
-    placed = [False] * len(G.classes)
+    classes: list[ConjClass | None] = [None] * len(partition)
     orbits = []
-    for ci, c in enumerate(G.classes):
-        if placed[ci]:
+    for ci in range(len(partition)):
+        if classes[ci] is not None:
             continue
-        powers = [0]
-        for _ in range(c.order - 1):
-            powers.append(G.mul(powers[-1], c.rep))
+        powers = G.powers(partition[ci][0])
+        order = len(powers)
         twists: dict[int, int] = {}
-        gens, fixed = [], {1}  # the subgroup the gens generate
+        stabiliser, fixed = [], {1}  # the subgroup stabiliser generates
         for a in units:
-            cj = class_of[powers[a % c.order]]
+            x, inv = powers[a % order], powers[-a % order]
+            cj = class_of[x]
+            if classes[cj] is None:
+                # x^-1's top left entry is conj(a): trace(x) = a + conj(a)
+                trace = elements[x][0] + elements[inv][0]
+                if trace not in exps:
+                    raise ValueError(
+                        f"trace {trace} is not a sum zeta^e + zeta^-e")
+                e = exps[trace]
+                members = partition[cj]
+                classes[cj] = ConjClass(members[0], members, len(members),
+                                        G.traces[e], order, e, class_of[inv])
             if cj != ci:
                 twists.setdefault(cj, a)
             elif a not in fixed:
-                gens.append(a)
+                stabiliser.append(a)
                 grown, p = set(fixed), a
                 while p not in fixed:
                     grown |= {f * p % N for f in fixed}
                     p = p * a % N
                 fixed = grown
-        for cj in (ci, *twists):
-            placed[cj] = True
         orbits.append(GaloisOrbit(ci, 1 + len(twists), tuple(twists.items()),
-                                  tuple(gens)))
-    return tuple(orbits)
+                                  tuple(stabiliser)))
+    G.classes = tuple(classes)
+    G.orbits = tuple(orbits)
+    return G
 
 
 def build_group(dt: DynkinType) -> FiniteSubgroup:
@@ -445,7 +438,7 @@ def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
     The all-zero assignment comes first, so row 0 is trivial; each root of
     unity is built once."""
     N = G.conductor
-    orders = [G.order_and_inverse(x)[0] for x in G.gen_index]
+    orders = [len(G.powers(x)) for x in G.gen_index]
     roots: dict[int, CycNumber] = {}
     rows = []
     for ks in product(*(range(0, N, N // n) for n in orders)):
@@ -463,13 +456,16 @@ def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
 def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
     """The four linear characters, then for 1 <= l < k = m - 2 the character
     induced from the rotation subgroup: zeta^(l e_C) + zeta^-(l e_C) on a
-    rotation class (top row (a, 0)) and 0 elsewhere, read from
-    ``G.traces`` at min(l e_C mod N, -l e_C mod N)."""
+    rotation class and 0 elsewhere, read from ``G.traces`` at
+    min(l e_C mod N, -l e_C mod N). The rotations are the words with an even
+    count of generator 1, the kernel of the linear character trivial on
+    generator 0 and -1 on generator 1, so no coordinate is read."""
     N = G.conductor
     zero = CycNumber.zero(N)
     return _linear_characters(G) + [
         [G.traces[min(ell * c.eigen_exp % N, -ell * c.eigen_exp % N)]
-         if G.elements[c.rep][1].is_zero() else zero for c in G.classes]
+         if G.words[c.rep].count(1) % 2 == 0 else zero
+         for c in G.classes]
         for ell in range(1, dt.m - 2)]
 
 

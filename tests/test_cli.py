@@ -129,22 +129,28 @@ class TestVerifyCommand:
     def test_same_report_under_python_O(self):
         # -O strips assert statements; no check may depend on them, and no
         # report byte may depend on the order of a set or dict of str keys,
-        # which PYTHONHASHSEED changes
+        # which PYTHONHASHSEED changes. The passing report and a faulted
+        # one, whose hard gate must stay red, are both compared.
         env = dict(os.environ)
         src = str(Path(adeweights.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         argv = ["-m", "adeweights.cli", "verify", "--types", "D4,E6,E8",
                 "--format", "json"]
-        plain, optimized, reseeded = (
-            subprocess.run([sys.executable, *flags, *argv],
-                           env=dict(env, PYTHONHASHSEED=seed),
-                           capture_output=True, timeout=120)
-            for flags, seed in (((), "0"), (("-O",), "0"), ((), "1")))
-        assert plain.returncode == 0 and plain.stdout
-        for other in (optimized, reseeded):
-            assert (other.returncode, other.stdout) == \
-                (plain.returncode, plain.stdout)
+        for extra, status in (((), 0), (("--inject-fault", "7"), 1)):
+            plain, optimized, reseeded = (
+                subprocess.run([sys.executable, *flags, *argv, *extra],
+                               env=dict(env, PYTHONHASHSEED=seed),
+                               capture_output=True, timeout=120)
+                for flags, seed in (((), "0"), (("-O",), "0"), ((), "1")))
+            assert plain.returncode == status and plain.stdout
+            for other in (optimized, reseeded):
+                assert (other.returncode, other.stdout) == \
+                    (plain.returncode, plain.stdout), extra
+            fails = [(c["type"], c["name"])
+                     for c in json.loads(plain.stdout)["checks"]
+                     if c["status"] == "fail"]
+            assert fails == ([("E6", "CROSS_MATCH")] if extra else [])
 
 
 class TestOtherCommands:

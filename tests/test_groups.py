@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,13 +11,15 @@ from math import gcd
 import pytest
 
 from adeweights import cyclo, groups
+from adeweights.cli import main
 from adeweights.cyclo import CycNumber
 from adeweights.errors import (ClosureOverflow, NoIsomorphism,
                                NonPolynomialResult, ValidationFailed)
 from adeweights.graphs import DynkinType, build_graph, graph_marks
 from adeweights.groups import (CharTable, build_group, char_table,
                                decompose, enumerate_subgroup, generators,
-                               mckay_matrix, molien_series, recurrence_check,
+                               mckay_matrix, molien_series, quaternion,
+                               recurrence_check,
                                sym_power_multiplicities, table_violation,
                                _linear_characters, _match_affine)
 from adeweights.poly import Polynomial, cos_polynomial
@@ -34,6 +39,9 @@ LADDER_NAMES = [f"A{m}" for m in range(1, 25)] + \
                [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"]
 EXTENDED_NAMES = [f"A{m}" for m in range(1, 49)] + \
                  [f"D{m}" for m in range(4, 41)] + ["E6", "E7", "E8"]
+# the class facts are read off one walk of powers per Galois orbit, so the
+# class tests read every class, not only the orbit reps
+CLASS_NAMES = SUITE_NAMES + ["A48", "D40"]
 
 
 def dt(name):
@@ -110,13 +118,14 @@ class TestEnumeration:
                 assert is_special_unitary(su2_matrix(x))
 
     def test_class_traces_real_and_constant(self, bundle):
-        for name in ("A4", "D6", "E7"):
+        for name in CLASS_NAMES:
             g = bundle(name).group
             for c in g.classes:
                 assert c.trace.conj() == c.trace
+                assert g.traces[c.eigen_exp] == c.trace, (name, c.rep)
                 for member in c.members:
                     assert matrix_trace(su2_matrix(g.elements[member])) \
-                        == c.trace
+                        == c.trace, (name, member)
 
     def test_classes_partition_the_group(self, bundle):
         for name in ("A5", "D7", "E8"):
@@ -219,15 +228,16 @@ class TestIndexKernel:
                 assert prod == su2_matrix(x)
 
     def test_class_orders_match_matrix_powers(self, bundle):
-        for name in ("E7", "E8"):
+        for name in CLASS_NAMES:
             g = bundle(name).group
+            identity = su2_matrix(g.elements[0])
             for c in g.classes:
                 m = su2_matrix(g.elements[c.rep])
                 power, k = m, 1
-                while power != su2_matrix(g.elements[0]):
+                while power != identity:
                     power = matrix_product(power, m)
                     k += 1
-                assert c.order == k
+                assert c.order == k, (name, c.rep)
 
     def test_conjugate_by_generators(self, bundle):
         g = bundle("E6").group
@@ -268,6 +278,69 @@ class TestIndexKernel:
                 chi = [row[col[i]] for i in range(n)]
                 for (x, y), xy in zip(pairs, products):
                     assert chi[xy] == chi[x] * chi[y], (name, x, y)
+
+
+class TestGeneratorIndependence:
+    """No report byte depends on which generators of G the code is given.
+    Conjugating every generator by one unit quaternion, or applying one
+    Galois automorphism sigma_a to every entry, gives an isomorphic group
+    with the same traces up to sigma_a, so ``verify --format json`` must be
+    the same bytes. A D table that found its rotation classes by the
+    coordinate test b = 0 failed every check of D5..D9 under conjugation."""
+
+    TYPES = "A1..A8,D4..D9,E6..E8"
+
+    @staticmethod
+    def conjugated(gens, N):
+        """u g u^-1 for each generator g, u = (1 + i + j + k)/2 when 4 | N,
+        else u = j, by full matrix products."""
+        half = Fraction(1, 2)
+        u = su2_matrix(quaternion(N, half, half, half, half) if N % 4 == 0
+                       else (CycNumber.zero(N), CycNumber.one(N)))
+        return [matrix_product(matrix_product(u, su2_matrix(g)),
+                               matrix_inverse(u))[0] for g in gens]
+
+    @staticmethod
+    def twisted(gens, N):
+        """sigma_a of every entry, a the least unit above 1 (a = 1 at
+        N = 2, where no other unit exists)."""
+        a = next(a for a in range(2, N + 2) if gcd(a, N) == 1)
+        return [(x.galois(a), y.galois(a)) for x, y in gens]
+
+    def verify(self):
+        build_bundle.cache_clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(["verify", "--types", self.TYPES, "--format",
+                           "json"])
+        return status, out.getvalue()
+
+    def test_reports_do_not_depend_on_the_generators(self, monkeypatch):
+        try:
+            status, plain = self.verify()
+            assert status == 1 and plain
+            for change in (self.conjugated, self.twisted):
+                moved = set()
+
+                def changed(t, change=change, moved=moved):
+                    gens = generators(t)
+                    new = change(gens, t.conductor)
+                    if new != gens:
+                        moved.add(str(t))
+                    return new
+
+                monkeypatch.setattr(groups, "generators", changed)
+                got = self.verify()
+                monkeypatch.undo()
+                differ = sorted(
+                    {c["type"] for c, d in zip(json.loads(plain)["checks"],
+                                               json.loads(got[1])["checks"])
+                     if c != d})
+                assert differ == [], change.__name__
+                assert got == (status, plain), change.__name__
+                assert {"D5", "D9", "E8"} <= moved, change.__name__
+        finally:
+            build_bundle.cache_clear()
 
 
 class TestCharTable:
@@ -409,14 +482,14 @@ class TestCharTable:
         assert tables == 1233
 
     def test_inverse_classes(self, bundle):
-        for name in ("A5", "D5", "E6"):
+        for name in CLASS_NAMES:
             g = bundle(name).group
             index = element_index(g)
             column_of = {j: i for i, c in enumerate(g.classes)
                          for j in c.members}
             for c in g.classes:
                 inv = index[matrix_inverse(su2_matrix(g.elements[c.rep]))]
-                assert c.inverse == column_of[inv]
+                assert c.inverse == column_of[inv], (name, c.rep)
                 assert g.classes[c.inverse].size == c.size
 
     def test_trivial_row_first(self, bundle):
@@ -615,6 +688,28 @@ class TestOpCounts:
             finally:
                 CycNumber.__init__ = original
             assert count[0] <= self.LIMIT, (name, count[0])
+
+    def test_class_facts_walk_each_orbit_rep_once(self, monkeypatch):
+        """``build_group`` walks the powers of each Galois orbit's rep once,
+        by ``FiniteSubgroup.powers``, and every class of the orbit takes its
+        order, inverse and trace off that walk; its other ``mul`` calls are
+        the conjugations that find the classes. A96, two orbits, makes 290
+        calls and the default suite 2,428; a walk per class for its order
+        and inverse and a second walk per orbit rep made 9,506 and 3,508."""
+        original = groups.FiniteSubgroup.mul
+        calls = [0]
+
+        def counting(self, i, j):
+            calls[0] += 1
+            return original(self, i, j)
+
+        monkeypatch.setattr(groups.FiniteSubgroup, "mul", counting)
+        build_group(dt("A96"))
+        assert calls[0] <= 300, calls[0]
+        calls[0] = 0
+        for name in SUITE_NAMES:
+            build_group(dt(name))
+        assert calls[0] <= 2500, calls[0]
 
     def test_class_json_makes_no_cyclotomic_product(self, monkeypatch):
         """``classes_to_json`` takes each ``trace_min_poly`` from

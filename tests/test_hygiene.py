@@ -226,6 +226,39 @@ def test_cyclo_has_one_product_loop():
     assert "rational_dot" not in _named(SRC / "cyclo.py")
 
 
+def test_galois_action_is_written_once():
+    """groups.py walks each Galois orbit rep's powers once, through
+    ``FiniteSubgroup.powers``, so it defines no ``_galois_orbits`` and no
+    ``order_and_inverse``. In cyclo.py one function writes the index map of
+    sigma_a, x^i -> x^(ia mod N) (a ``%`` of a product or of a negation),
+    and ``CycNumber.galois``, ``split`` and ``is_galois_image`` call it."""
+    tree = ast.parse((SRC / "groups.py").read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert "powers" in defined
+    assert defined & {"_galois_orbits", "order_and_inverse"} == set()
+    functions = [node for node in ast.walk(ast.parse(
+        (SRC / "cyclo.py").read_text())) if isinstance(node, ast.FunctionDef)]
+    moves = (ast.Mult, ast.USub)
+    writers = {fn.name for fn in functions for node in ast.walk(fn)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+               and isinstance(getattr(node.left, "op", None), moves)}
+    assert writers == {"_galois_lift"}
+    callers = {fn.name for fn in functions for node in ast.walk(fn)
+               if isinstance(node, ast.Name) and node.id == "_galois_lift"}
+    assert callers == {"galois", "split", "is_galois_image"}
+
+
+def test_table_builders_read_no_coordinates():
+    """The character tables read the group through its classes, words and
+    right-multiplication tables, never an element's coordinates, so no
+    row depends on which generators G was given."""
+    for name in ("_linear_characters", "_binary_dihedral_table",
+                 "_e_type_table"):
+        assert "elements" not in _names_in_function(SRC / "groups.py",
+                                                    name), name
+
+
 def _named(path: Path) -> set[str]:
     """Every name a module binds, loads or imports, and every attribute it
     reads."""
