@@ -13,21 +13,26 @@ once; a reduction only indexes them and refuses more than N entries.
 
 There is one product loop, ``_accumulate``: it adds every term's
 coordinate products, times an optional integer factor, into one integer
-buffer of 2N coefficients over the lcm of the term denominators. Two
-readers take that buffer. ``dot`` folds it modulo x^N - 1 and reduces it
-modulo Phi_N (a factor of x^N - 1) and by its content once per sum, so a
-sum of k products builds one value, not 2k; an entry is a CycNumber, an int
-or a lift, and rows of different lengths are refused. ``x * y`` is the
-one-term ``dot`` after a zero shortcut. ``trace_dot`` reads the rational
-sum of the field traces Tr(x_k y_k) off the same buffer as
-sum_k buf[k] c_N(k), where c_N(k) = Tr(zeta^k) is the Ramanujan sum, a
-table each conductor builds on first use; it divides by an integer, gives
-an int where the quotient is integral and a Fraction otherwise, reduces
-nothing modulo Phi_N and builds no value. ``vanishes`` likewise tests a
-lift for zero at zeta. A caller that sweeps one row of entries against
-many others reads it once with ``split`` (denominator, coordinates and
-nonzero positions per entry) and hands the split row to every sum of the
-sweep; the split is dropped with the call that made it. The Galois action
+buffer of 2N coefficients over the lcm of the term denominators, and
+``dot`` folds it modulo x^N - 1 and reduces it modulo Phi_N (a factor of
+x^N - 1) and by its content once per sum, so a sum of k products builds one
+value, not 2k; an entry is a CycNumber, an int or a lift, and rows of
+different lengths are refused. ``x * y`` is the one-term ``dot`` after a
+zero shortcut. Rational sums of field traces are swept, not built:
+``trace_rows`` reads rows chi_j of entries into a trace matrix, the
+numbers Tr(zeta^k chi_j[o]) for each entry o and power k < N, each entry's
+form over k a sum of shifted slices of the Ramanujan sums
+c_N(k) = Tr(zeta^k), a table each conductor builds on first use; and
+``trace_sums`` reads sum_o n_o Tr(x_o chi_j[o]) / divisor off that matrix
+for every row at once, one vector add per nonzero coordinate of x, an int
+where the quotient is integral and a Fraction otherwise, reducing nothing
+modulo Phi_N and building no value. A caller builds the matrix once per
+sweep of many class functions x over the same rows and drops it with the
+call. ``vanishes`` likewise tests a lift for zero at zeta. A caller that
+sweeps one row of entries against many others reads it once with ``split``
+(denominator, coordinates and nonzero positions per entry) and hands the
+split row to every sum of the sweep; the split is dropped with the call
+that made it. The Galois action
 sigma_a: zeta -> zeta^a is written once, in ``_galois_lift``, an entry's
 lift mapped x^i -> x^(ia mod N), unreduced: ``CycNumber.galois`` reduces
 it, ``split(N, xs, conj=True)`` reads complex conjugates as the case
@@ -41,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, count
 from math import gcd, lcm
-from operator import mul
+from operator import add
 
 from .errors import NotRational, ValidationFailed
 from .poly import cyclotomic
@@ -100,12 +105,13 @@ class _Field:
         return nums
 
     @cached_property
-    def traces(self) -> tuple[int, ...]:
-        """Tr(zeta^k) for 0 <= k < 2N, the index range of an unfolded
-        product of two lifts: the Ramanujan sum c_N(k), by von Sterneck's
-        formula mu(m) phi(N) / phi(m) at m = N / gcd(k, N), which for
-        squarefree m is phi(N) times -1/(p - 1) per prime p | m, and 0
-        otherwise."""
+    def traces(self) -> list[int]:
+        """Tr(zeta^k) for 0 <= k < 2N, the indices s + k, s, k < N, of the
+        slices ``trace_rows`` takes: the Ramanujan sum c_N(k), by von
+        Sterneck's formula mu(m) phi(N) / phi(m) at m = N / gcd(k, N),
+        which for squarefree m is phi(N) times -1/(p - 1) per prime p | m,
+        and 0 otherwise. A list, since a freed slice of a short tuple would
+        stay on the interpreter's tuple free list."""
         N = self.N
         by_m: dict[int, int] = {}
         for m in range(1, N + 1):
@@ -116,7 +122,7 @@ class _Field:
                         rest //= p
                         c = 0 if rest % p == 0 else -c // (p - 1)
                 by_m[m] = c
-        return tuple(by_m[N // gcd(k, N)] for k in range(2 * N))
+        return [by_m[N // gcd(k, N)] for k in range(2 * N)]
 
     def support(self, nums) -> tuple[int, ...]:
         """Positions of the nonzero nums; equal patterns share one tuple, so
@@ -347,19 +353,82 @@ def dot(N: int, xs, ys, factors=None) -> CycNumber:
     return CycNumber(N, _field(N).reduce(folded), den)
 
 
-def trace_dot(N: int, xs, ys, factors, divisor: int) -> int | Fraction:
-    """sum_k n_k Tr(x_k y_k) / divisor, Tr the trace of Q(zeta_N) over Q,
-    for the entries and int factors of ``dot``: ``_accumulate``'s buffer
-    read as sum_k buf[k] Tr(zeta^k), with no fold, no reduction modulo Phi_N
-    and no CycNumber built; an int when the quotient is integral, else a
-    Fraction.
-    Read with ``split(N, xs, conj=True)``, it is sum_k n_k Tr(conj(x_k) y_k).
-    """
-    buf, den = _accumulate(N, xs, ys, factors)
-    den *= divisor
-    total = sum(map(mul, buf, _field(N).traces))
-    q, r = divmod(total, den)
-    return Fraction(total, den) if r else q
+class TraceMatrix:
+    """The traces Tr(zeta^k chi_j[o]) of rows chi_j of ``dot`` entries, built
+    by ``trace_rows``: ``columns[o][k]`` is the vector over the rows at entry
+    o and power k < N, each row over its own denominator ``dens[j]``. It is
+    built for one caller's sweep and dropped with that call."""
+
+    __slots__ = ("dens", "columns")
+
+    def __init__(self, dens: list[int], columns: list[list[list[int]]]):
+        self.dens = dens
+        self.columns = columns
+
+
+def trace_rows(N: int, rows) -> TraceMatrix:
+    """The trace matrix of ``rows``, rows of ``dot`` entries of one length,
+    each read once by ``split``: for entry o and power k < N, the vector
+    over rows of Tr(zeta^k row[o]), Tr the trace of Q(zeta_N) over Q. An
+    entry x = sum_s x_s zeta^s gives Tr(zeta^k x) = sum_s x_s c_N(k + s),
+    so its form over k is the sum of |support| shifted slices of the
+    Ramanujan sums ``_Field.traces``, each taken by a C-level ``map``; each
+    row is put over the lcm of its entries' denominators. Rows of different
+    lengths raise ValueError."""
+    traces = _field(N).traces
+    rows = [split(N, row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"rows of {width} and {len(row)} entries")
+    dens = [lcm(*(d for d, _, support in row if support)) for row in rows]
+    columns = []
+    for o in range(width):  # one entry's forms at a time, then transposed
+        forms = []
+        for row, den in zip(rows, dens):
+            d, nums, support = row[o]
+            form, m = [0] * N, den // d
+            for s in support:
+                form = list(map(add, form,
+                                map((nums[s] * m).__mul__, traces[s:s + N])))
+            forms.append(form)
+        # lists, not tuples: freed short tuples would stay on a free list
+        columns.append(list(map(list, zip(*forms))))
+    return TraceMatrix(dens, columns)
+
+
+def trace_sums(N: int, xs, matrix: TraceMatrix, factors,
+               divisor: int) -> list[int | Fraction]:
+    """sum_o n_o Tr(x_o chi_j[o]) / divisor for every row chi_j of
+    ``matrix`` at once, for a row ``xs`` of ``dot`` entries (or a split row)
+    and int ``factors`` n_o (1 when None): one C-level vector add of the
+    matrix column (o, k) per nonzero coordinate x_o[k], over the lcm of
+    the entries' denominators, and no CycNumber built. A result is an int
+    when it is integral, else a Fraction. Read with
+    ``split(N, xs, conj=True)``, x_o is conj(x_o). ``xs`` or ``factors`` of
+    a length other than the matrix rows' raises ValueError."""
+    if not isinstance(xs, Split):
+        xs = split(N, xs)
+    acc = [0] * len(matrix.dens)
+    den = 1
+    for (xd, xn, xt), n, column in zip(
+            xs, [1] * len(xs) if factors is None else factors,
+            matrix.columns, strict=True):
+        if not xt:
+            continue
+        if den % xd:
+            grown = lcm(den, xd)
+            acc = [c * (grown // den) for c in acc]
+            den = grown
+        m = den // xd * n
+        for k in xt:
+            acc = list(map(add, acc, map((xn[k] * m).__mul__, column[k])))
+    out = []
+    for total, d in zip(acc, matrix.dens):
+        d *= den * divisor
+        q, r = divmod(total, d)
+        out.append(Fraction(total, d) if r else q)
+    return out
 
 
 def vanishes(N: int, lift) -> bool:

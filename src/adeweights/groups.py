@@ -53,19 +53,22 @@ which also gives each class C_O^a its order, x's, its inverse, the class of
 x^-a, and its trace, read off x^a and x^-a. Every inner
 product of class functions (validation, peeling, McKay, the
 symmetric-power oracle) is ``decompose(G, values, rows)`` over the orbit
-reps, one ``cyclo.trace_dot`` per row with conj(f) the reversed
-lift; the Molien class sums are ``cyclo.trace_dot`` calls of their own. Each
-weights orbit O by |C_O| |O|, read off the classes at the call, divides by
-phi(N) times the total weight, reduces nothing modulo Phi_N and is read as
-an int when integral, with no CycNumber or Fraction built. The trace is
+reps, one ``cyclo.trace_sums`` sweep of conj(f), the reversed lift, over
+the trace matrix ``cyclo.trace_rows`` of the rows, which gives the product
+with every row at once; the Molien class sums are sweeps of their own, one
+per cofactor coefficient over a matrix of their own. Each sweep weights
+orbit O by |C_O| |O|, read off the classes at the call, divides by phi(N)
+times the total weight, reduces nothing modulo Phi_N and reads a sum as an
+int when integral, with no CycNumber or Fraction built. A caller sweeping
+many class functions over the same rows builds their matrix once and drops
+it when it returns. The trace is
 exact only on equivariant rows, so ``table_violation`` checks equivariance,
 which contains conjugate symmetry, before any sum. Every product by a class
 trace tau_C = zeta^e_C + zeta^-e_C (V tensor chi, det(I - x q),
 lambda^m + lambda^-m) is ``_tau_times``, two rotations of a lift in
-Z[x]/(x^N - 1), built at the orbit reps only. A sweep of many sums over the
-same rows reads each row once with ``cyclo.split``, and the symmetric-power
-oracle sums each distinct power sum once, since lambda^m + lambda^-m
-depends on m only modulo N and up to m -> N - m. A class of order d has
+Z[x]/(x^N - 1), built at the orbit reps only. The symmetric-power oracle
+sums each distinct power sum once, since lambda^m + lambda^-m depends on m
+only modulo N and up to m -> N - m. A class of order d has
 ``trace_min_poly`` ``poly.cos_polynomial(d)``, the fold of Phi_d: zeta^e_C
 has order d too.
 """
@@ -73,12 +76,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import add, sub
 
-from .cyclo import (CycNumber, dot, euler_phi, is_galois_image, split,
-                    trace_dot, vanishes)
+from .cyclo import (CycNumber, TraceMatrix, dot, euler_phi, is_galois_image,
+                    split, trace_rows, trace_sums, vanishes)
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
@@ -358,7 +362,8 @@ def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     class function f with each row chi, collapsed to Q: an int where the
     product is integral, else a Fraction. ``values`` and each row are
     ``dot`` entries at G's conductor N over the orbit reps,
-    ``G.at_reps(...)``; rows may be split.
+    ``G.at_reps(...)``; ``rows`` may be the ``cyclo.trace_rows`` matrix of
+    the rows, which a caller sweeping many class functions builds once.
 
     f and chi must be Galois-equivariant, f(C^a) = sigma_a(f(C)) for a
     prime to N, as characters are (Serre, Linear Representations of Finite
@@ -366,15 +371,17 @@ def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     so is f conj(chi), and |C^a| = |C|, since x -> x^a permutes G and
     commutes with conjugation; each class of an orbit O is C_O^a for
     phi(N) / |O| of the a, so the orbit's share of the sum is
-    |C_O| (|O| / phi(N)) Tr(f(C_O) conj(chi(C_O))). That is one
-    ``trace_dot`` per row over the orbits, f conjugated and split once, each
-    orbit weighted by |C_O| |O| and the sum divided by phi(N) times the
-    total weight, sum_C |C| = |G|.
+    |C_O| (|O| / phi(N)) Tr(f(C_O) conj(chi(C_O))), and Tr is unchanged
+    by complex conjugation, so it is Tr(conj(f(C_O)) chi(C_O)). That is one
+    ``trace_sums`` sweep of f, split conjugated, over the rows' trace matrix,
+    each orbit weighted by |C_O| |O| and every sum divided by phi(N) times
+    the total weight, sum_C |C| = |G|.
     """
     N = G.conductor
     weights, divisor = _orbit_weights(G)
-    conj = split(N, values, conj=True)
-    return [trace_dot(N, conj, row, weights, divisor) for row in rows]
+    if not isinstance(rows, TraceMatrix):
+        rows = trace_rows(N, rows)
+    return trace_sums(N, split(N, values, conj=True), rows, weights, divisor)
 
 
 def _orbit_weights(G: FiniteSubgroup) -> tuple[list[int], int]:
@@ -555,9 +562,9 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
                     return (f"chi_{i} is not Galois-equivariant: "
                             f"chi(C_{cj}) != sigma_{a}(chi(C_{o.rep}))")
     reps = [G.at_reps(row) for row in values]
-    rows = [split(N, row) for row in reps]
+    rows = trace_rows(N, reps)
     for i in range(k):
-        for j, got in enumerate(decompose(G, reps[i], rows[i:]), i):
+        for j, got in enumerate(decompose(G, reps[i], rows)[i:], i):
             if got != (1 if i == j else 0):
                 return f"row orthogonality fails at ({i},{j}): {got}"
     return None
@@ -572,12 +579,13 @@ class McKayResult:
 def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
                  marks: tuple[int, ...]) -> McKayResult:
     """Multiplicities of chi_j inside V tensor chi_i (``decompose`` of the
-    lifts ``_tau_times``, built at the orbit reps only), plus the node
-    bijection onto the affine graph (trivial character -> node 0), matching
-    degrees against the marks."""
+    lifts ``_tau_times``, built at the orbit reps only, one sweep per i over
+    the rows' trace matrix, built once), plus the node bijection onto the
+    affine graph (trivial character -> node 0), matching degrees against the
+    marks."""
     k = len(G.classes)
     reps = [G.at_reps(row) for row in table.values]
-    rows = [split(G.conductor, row) for row in reps]
+    rows = trace_rows(G.conductor, reps)
     classes = G.at_reps(G.classes)
     matrix = tuple(
         tuple(_multiplicities(decompose(
@@ -631,9 +639,10 @@ class MolienSet:
     dynkin: DynkinType
     numerators: tuple[Polynomial, ...]
 
-    @property
+    @cached_property
     def series(self) -> tuple[RationalFunction, ...]:
-        """Each m_i reduced over Z, built on every read."""
+        """Each m_i reduced over Z, built on the first read and kept; it is
+        no field, so equality reads the numerators alone."""
         std = self.dynkin.standard_form
         return tuple(RationalFunction(n, std) for n in self.numerators)
 
@@ -686,31 +695,29 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     P_C's coefficients are integer polynomials in tau_C, so
     sigma_a(P_C) = P_(C^a), and chi_i P_C is Galois-equivariant: the
     cofactors are built at the orbit reps only (the remainder at C^a is
-    sigma_a of the one at C, so it vanishes with it), and each coefficient
-    of N_i is one ``trace_dot`` over the orbits, weighted as in
-    ``decompose``, read as an int.
+    sigma_a of the one at C, so it vanishes with it). The table rows'
+    trace matrix is built here, for this call alone, and coefficient j of
+    every N_i is one ``trace_sums`` sweep of the column of coefficients j of
+    the P_C over it, Tr(chi_i P_C) with no conjugation, weighted as in
+    ``decompose``, each read as an int: h + 1 sweeps.
     """
     dt = G.dynkin
     N = G.conductor
     h = dt.coxeter_number
     std = dt.standard_form.coeffs
-    # column j holds coefficient j of every orbit rep's P_C; each row and
-    # each column is split once for the (orbits)(h+1) sums per row
-    columns = [split(N, col) for col in zip(*(
+    matrix = trace_rows(N, map(G.at_reps, table.values))
+    weights, divisor = _orbit_weights(G)
+    # column j holds coefficient j of every orbit rep's P_C
+    sums = [trace_sums(N, col, matrix, weights, divisor) for col in zip(*(
         _cofactor_lifts(std, c.eigen_exp, N, dt)
         for c in G.at_reps(G.classes)))]
-    weights, divisor = _orbit_weights(G)
     numerators = []
-    for row in table.values:
-        row = split(N, G.at_reps(row))
-        coeffs = []
-        for col in columns:
-            v = trace_dot(N, row, col, weights, divisor)
+    for coeffs in zip(*sums):
+        for v in coeffs:
             if v.denominator != 1 or v < 0:
                 raise NonPolynomialResult(
                     f"{dt}: numerator coefficient {v} is not a nonnegative integer")
-            coeffs.append(v)
-        numerators.append(Polynomial("q", coeffs))
+        numerators.append(Polynomial("q", list(coeffs)))
     if numerators[0] != one_plus_q(h):
         raise NonPolynomialResult(f"{dt}: trivial numerator is not 1 + q^{h}")
     return MolienSet(dt, tuple(numerators))
@@ -728,12 +735,14 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     Sym^0 needs no case of its own.
 
     lambda^m + lambda^-m reads m only modulo N and is unchanged by
-    m -> N - m, so each row, split once at the orbit reps, makes one sum
-    ``sums[r]`` per r = min(m mod N, -m mod N), and m = r reaches each
-    r <= min(mmax, N/2): at most floor(N/2) + 1 ``trace_dot`` calls per
-    character, each with one term per Galois orbit."""
+    m -> N - m, so it is summed once, ``sums[r]``, per
+    r = min(m mod N, -m mod N), and m = r reaches each r <= min(mmax, N/2):
+    at most floor(N/2) + 1 ``decompose`` sweeps, each with one term per
+    Galois orbit, over the rows' trace matrix, built once at the orbit
+    reps."""
     N = G.conductor
-    rows = [split(N, G.at_reps(row)) for row in table.values]
+    k = len(table.values)
+    rows = trace_rows(N, map(G.at_reps, table.values))
     one = [1] + [0] * (N - 1)
     classes = G.at_reps(G.classes)
     # <lambda^r + lambda^-r, chi_i> per row
@@ -742,8 +751,8 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
             for r in range(min(mmax, N // 2) + 1)]
     out = []
     # <Sym^-2, chi_i> and <Sym^-1, chi_i>; row 0 is the trivial one
-    prev2 = [-1] + [0] * (len(rows) - 1)
-    prev1 = [0] * len(rows)
+    prev2 = [-1] + [0] * (k - 1)
+    prev1 = [0] * k
     for m in range(mmax + 1):
         vals = [p + s for p, s in zip(prev2, sums[min(m % N, -m % N)])]
         out.append(tuple(_multiplicities(vals, f"{G.dynkin}: Sym^{m}")))

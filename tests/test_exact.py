@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adeweights.cyclo import (CycNumber, _Field, dot, euler_phi,
-                              is_galois_image, split, trace_dot, vanishes)
+                              is_galois_image, split, trace_rows, trace_sums,
+                              vanishes)
 from adeweights.errors import NotRational, ValidationFailed
 from adeweights.groups import _tau_times
 from adeweights.poly import (Polynomial, RationalFunction, cos_polynomial,
@@ -296,7 +297,10 @@ class TestDot:
             with pytest.raises(ValueError):
                 dot(8, xs, ys, factors)
             with pytest.raises(ValueError):
-                trace_dot(8, xs, ys, factors, 1)
+                trace_sums(8, xs, trace_rows(8, [ys]), factors, 1)
+        # and a trace matrix refuses rows of different lengths
+        with pytest.raises(ValueError):
+            trace_rows(8, [[1, 2], [1, 2, 3]])
 
 
 def _units(N):
@@ -312,28 +316,37 @@ def _trace(x: CycNumber):
     return total.to_rational()
 
 
-class TestTraceDot:
-    """``trace_dot`` against the trace of the ``dot`` it reads without
-    building, the trace summed over the Galois group."""
+class TestTraceSums:
+    """``trace_sums`` over a ``trace_rows`` matrix against the trace of the
+    ``dot`` of each row, the trace summed over the Galois group."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_equals_dot_over_the_divisor(self, data):
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
-        terms = data.draw(st.lists(st.tuples(_dot_entries(N), _dot_entries(N),
-                                             st.integers(-3, 5)), max_size=8))
-        xs, ys = [x for x, _, _ in terms], [y for _, y, _ in terms]
-        factors = [n for _, _, n in terms] if data.draw(st.booleans()) else None
+        width = data.draw(st.integers(0, 6))
+        entries = st.lists(_dot_entries(N), min_size=width, max_size=width)
+        xs = data.draw(entries)
+        rows = data.draw(st.lists(entries, min_size=1, max_size=4))
+        factors = data.draw(st.one_of(
+            st.none(), st.lists(st.integers(-3, 5), min_size=width,
+                                max_size=width)))
         d = data.draw(st.integers(1, 12))
-        want = _trace(dot(N, xs, ys, factors)) / d
-        got = trace_dot(N, xs, ys, factors, d)
-        assert got == want
-        assert type(got) is (int if want.denominator == 1 else Fraction)
+        matrix = trace_rows(N, rows)
+        got = trace_sums(N, xs, matrix, factors, d)
         # read conjugated, each x_k is conj(x_k)
         conj = [_value(N, x) for x in xs]
         conj = [x.conj() if isinstance(x, CycNumber) else x for x in conj]
-        assert trace_dot(N, split(N, xs, conj=True), ys, factors, d) == \
-            _trace(dot(N, conj, ys, factors)) / d
+        got_conj = trace_sums(N, split(N, xs, conj=True), matrix, factors, d)
+        assert len(got) == len(got_conj) == len(rows)
+        for row, v, v_conj in zip(rows, got, got_conj):
+            want = _trace(dot(N, xs, row, factors)) / d
+            assert v == want
+            assert type(v) is (int if want.denominator == 1 else Fraction)
+            want = _trace(dot(N, conj, row, factors)) / d
+            assert v_conj == want
+            assert type(v_conj) is (int if want.denominator == 1
+                                    else Fraction)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -341,7 +354,8 @@ class TestTraceDot:
         """Rational ``dot`` sums, which random entries rarely give: the
         trace n sum_a sigma_a(x) sigma_a(y) over the Galois group, with x
         and y drawn as CycNumbers over mixed denominators, ints or lifts, is
-        n Tr(x y), the one-term ``trace_dot``."""
+        n Tr(x y), the one-term ``trace_sums`` over the matrix of the one
+        row (y)."""
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
         x, y = (_value(N, data.draw(_dot_entries(N))) for _ in range(2))
         x, y = (CycNumber.from_rational(N, v) if isinstance(v, int) else v
@@ -351,13 +365,13 @@ class TestTraceDot:
         n = data.draw(st.integers(-3, 5))
         d = data.draw(st.integers(1, 12))
         want = dot(N, xs, ys, [n] * len(units)).to_rational() / d
-        got = trace_dot(N, [x], [y], [n], d)
-        assert got == want
-        assert type(got) is (int if want.denominator == 1 else Fraction)
+        got = trace_sums(N, [x], trace_rows(N, [[y]]), [n], d)
+        assert got == [want]
+        assert type(got[0]) is (int if want.denominator == 1 else Fraction)
 
     def test_traces_of_powers_are_ramanujan_sums(self):
         """Tr(zeta^k) = c_N(k) = sum over d | gcd(k, N) of mu(N/d) d, the
-        table ``trace_dot`` reads, against the Galois sum of zeta^k."""
+        table ``trace_rows`` reads, against the Galois sum of zeta^k."""
         for N in DOT_CONDUCTORS + (25, 44, 49, 97):
             fld = _Field(N)
             want = [sum(moebius(N // d) * d for d in range(1, N + 1)

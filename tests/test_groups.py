@@ -617,6 +617,31 @@ class TestMolien:
                     assert m.coefficients(i, n) == series_coefficients(s, n), \
                         (name, i, n)
 
+    def test_series_is_built_once_per_set(self, bundle, monkeypatch):
+        """``MolienSet.series`` keeps what its first read builds, so two
+        ``to_json`` reads of one set build each RationalFunction, a
+        reduction over Z, once, and write the same text; built on every
+        read, they built 2k."""
+        original = groups.RationalFunction
+        built = [0]
+
+        def counting(*args):
+            built[0] += 1
+            return original(*args)
+
+        for name in ("A5", "D7", "E8"):
+            b = bundle(name)
+            fresh = replace(b.molien)  # a set no reader has touched yet
+            monkeypatch.setattr(groups, "RationalFunction", counting)
+            built[0] = 0
+            first = json.dumps(fresh.to_json(b.table.degrees))
+            second = json.dumps(fresh.to_json(b.table.degrees))
+            monkeypatch.undo()
+            assert built[0] == len(b.group.classes), (name, built[0])
+            assert first == second == json.dumps(
+                b.molien.to_json(b.table.degrees))
+            assert fresh == b.molien
+
     def test_series_coefficients_nonnegative_integers(self, bundle):
         for name in SUITE_NAMES:
             b = bundle(name)
@@ -649,7 +674,8 @@ class TestOpCounts:
     """CycNumber constructions over one cold ``verify`` of a type, a count that
     does not jitter the way wall time does. With the closure holding each
     element as its top row and computing top rows by ``dot``, every class
-    sum one ``trace_dot`` per Galois orbit of classes that builds no value,
+    sum one ``trace_sums`` sweep over a trace matrix of the rows, with one
+    term per Galois orbit of classes, that builds no value,
     the table checked for Galois equivariance by ``is_galois_image``, which
     builds none either, each distinct Sym^m power sum summed once, the E
     table one walk of the McKay graph that builds only the rows it finds,
@@ -667,7 +693,10 @@ class TestOpCounts:
     matrix products to 4,551 and 2,323, and one power sum per m to 6,833
     and 4,975 before that. Building one per term and per partial sum took
     them to 27,326 and 27,595, and doing so in ``decompose`` alone, or in
-    the Molien class sum alone, to 10,577-12,918."""
+    the Molien class sum alone, to 10,577-12,918. The class-sum counts
+    below are of sweeps: one ``trace_sums`` per class function over the
+    rows' trace matrix makes 209 on a cold ``verify --types A24,D24``, where
+    one ``trace_dot`` per (class function, row) made 4,625 calls."""
 
     LIMIT = 617
 
@@ -783,8 +812,8 @@ class TestOpCounts:
                                                      monkeypatch):
         """On a freshly built table, validation builds no CycNumber product,
         and ``decompose``, the Sym^m oracle, the McKay matrix and the Molien
-        numerators build no CycNumber at all: every sum is a ``trace_dot``
-        over the Galois orbits with |C_O| |O| an integer factor, read off
+        numerators build no CycNumber at all: every sum is a ``trace_sums``
+        sweep over the Galois orbits with |C_O| |O| an integer factor, read off
         the Ramanujan sums, the cofactor remainders are tested by
         ``vanishes``, conj(f) is read as the reversed lift, and
         tau_C = zeta^e + zeta^-e is two rotations by e. A CycNumber per
@@ -825,52 +854,67 @@ class TestOpCounts:
             assert [list(col) for col in zip(*sym)] == \
                 [molien.coefficients(i, n) for i in range(k)]
 
+    @staticmethod
+    def _counting_sweeps(monkeypatch) -> list[tuple[int, int]]:
+        """Wrap ``groups.trace_sums``; each sweep records its number of
+        class-function entries and of trace-matrix entries per row."""
+        original = groups.trace_sums
+        sweeps = []
+
+        def counting(N, xs, matrix, *args):
+            sweeps.append((len(xs), len(matrix.columns)))
+            return original(N, xs, matrix, *args)
+
+        monkeypatch.setattr(groups, "trace_sums", counting)
+        return sweeps
+
     def test_sym_powers_sum_each_power_once(self, bundle, monkeypatch):
         """lambda^m + lambda^-m reads m only modulo N and is unchanged by
-        m -> N - m, so Sym^0..Sym^(2h+1) make at most
-        floor(N/2) + 2 power-sum ``trace_dot`` calls per character, where
-        one call per m took 2h + 2 (52 on A24, 94 on D24)."""
-        original = groups.trace_dot
-        calls = [0]
-
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(groups, "trace_dot", counting)
+        m -> N - m, so Sym^0..Sym^(2h+1) make min(2h + 1, floor(N/2)) + 1
+        power-sum sweeps, each over all k characters at once, where one
+        ``trace_dot`` per character and distinct power sum took up to
+        (floor(N/2) + 2) k and one call per m 2h + 2 per character (52 on
+        A24, 94 on D24)."""
+        sweeps = self._counting_sweeps(monkeypatch)
         for name in ("A24", "D7", "D24", "E8"):
             b = bundle(name)
-            N, k = b.group.conductor, len(b.group.classes)
-            calls[0] = 0
-            sym_power_multiplicities(b.group, b.table,
-                                     2 * b.dynkin.coxeter_number + 1)
-            assert 0 < calls[0] <= (N // 2 + 2) * k, (name, calls[0])
+            N, mmax = b.group.conductor, 2 * b.dynkin.coxeter_number + 1
+            sweeps.clear()
+            sym_power_multiplicities(b.group, b.table, mmax)
+            assert 0 < len(sweeps) <= N // 2 + 1, (name, len(sweeps))
+            assert len(sweeps) == min(mmax, N // 2) + 1, (name, len(sweeps))
 
     def test_trace_sums_carry_one_term_per_orbit(self, bundle, monkeypatch):
-        """V tensor chi_i and lambda^m + lambda^-m are lifts multiplied by
-        tau_C through ``_tau_times`` at the orbit reps, so every
-        ``trace_dot`` that the McKay matrix and the Sym^m power sums make
-        has one term per Galois orbit of classes, 8 on D24, where one per
-        class took 25 and rows doubled for two rotations 50."""
-        original = groups.trace_dot
-        terms = []
-
-        def counting(N, xs, ys, *args):
-            terms.append((len(xs), len(ys)))
-            return original(N, xs, ys, *args)
-
-        monkeypatch.setattr(groups, "trace_dot", counting)
+        """Every class sum is one ``trace_sums`` sweep of a class function
+        over the trace matrix of the rows, one term per Galois orbit of
+        classes (8 on D24): ``mckay_matrix`` makes k sweeps, one per
+        V tensor chi_i, and ``molien_series`` h + 1, one per cofactor
+        coefficient, where one ``trace_dot`` per (class function, row) made
+        k^2 and k(h + 1); before the orbits a sum took one term per class,
+        25 on D24, and rows doubled for two rotations 50. A cold
+        ``verify --types A24,D24`` makes 209 sweeps, where ``trace_dot``
+        made 4,625 calls."""
+        sweeps = self._counting_sweeps(monkeypatch)
         b = bundle("D24")
-        k = len(b.group.classes)
+        k, h = len(b.group.classes), b.dynkin.coxeter_number
         mckay_matrix(b.group, b.table, b.affine, b.marks)
-        sym_power_multiplicities(b.group, b.table,
-                                 2 * b.dynkin.coxeter_number + 1)
-        assert len(terms) > k * k
-        assert set(terms) == {(8, 8)}
+        assert len(sweeps) == k
+        sweeps.clear()
+        molien_series(b.group, b.table)
+        assert len(sweeps) == h + 1
+        sym_power_multiplicities(b.group, b.table, 2 * h + 1)
+        assert set(sweeps) == {(8, 8)}
+        sweeps.clear()
+        build_bundle.cache_clear()
+        run_suite([dt("A24"), dt("D24")])
+        orbits = {len(build_group(dt(name)).orbits) for name in ("A24", "D24")}
+        assert {n for n, _ in sweeps} <= orbits
+        assert all(n == m for n, m in sweeps)
+        assert len(sweeps) <= 220, len(sweeps)
 
     def test_molien_series_reads_each_entry_once(self, bundle, monkeypatch):
-        """``molien_series`` splits each table row and each cofactor column
-        once and hands the split rows to all k(h+1) class sums: at most
+        """``molien_series`` splits each table row once, into its trace
+        matrix, and each cofactor column once, for its sweep: at most
         k^2 + k(h+1) entry reads, where reading both per sum took
         2k^2(h+1)."""
         original = cyclo._parts

@@ -203,9 +203,11 @@ def test_degree_one_rows_come_from_one_search():
 def test_cyclo_has_one_product_loop():
     """``cyclo`` takes only Phi_N from ``poly``, since no cyclotomic value
     becomes a polynomial there, ``CycNumber.__mul__`` is a one-term
-    ``dot``, and ``dot`` and ``trace_dot`` read ``_accumulate``'s buffer
-    with no product loop of their own: the one product loop is
-    ``_accumulate``'s, and ``rational_dot`` is gone."""
+    ``dot``, and ``dot`` reads ``_accumulate``'s buffer with no product loop
+    of its own: the one product loop is ``_accumulate``'s. Sums of traces
+    are swept off a trace matrix, so ``trace_dot`` and ``rational_dot`` are
+    gone, and only ``trace_rows`` reads the Ramanujan sums
+    ``_Field.traces``."""
     tree = ast.parse((SRC / "cyclo.py").read_text())
     assert [alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == "poly"
@@ -219,11 +221,16 @@ def test_cyclo_has_one_product_loop():
                    for node in ast.walk(mul))
     assert "dot" in {node.id for node in ast.walk(mul)
                      if isinstance(node, ast.Name)}
-    for name in ("dot", "trace_dot"):
-        body = _function(SRC / "cyclo.py", name)
-        assert not any(isinstance(node, loops) for node in ast.walk(body))
-        assert "_accumulate" in _names_in_function(SRC / "cyclo.py", name)
-    assert "rational_dot" not in _named(SRC / "cyclo.py")
+    body = _function(SRC / "cyclo.py", "dot")
+    assert not any(isinstance(node, loops) for node in ast.walk(body))
+    assert "_accumulate" in _names_in_function(SRC / "cyclo.py", "dot")
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert defined & {"trace_dot", "rational_dot"} == set()
+    readers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "traces"}
+    assert readers == {"trace_rows"}
 
 
 def test_galois_action_is_written_once():
