@@ -26,13 +26,13 @@ c_N(k) = Tr(zeta^k), a table each conductor builds on first use; and
 ``trace_sums`` reads sum_o n_o Tr(x_o chi_j[o]) / divisor off that matrix
 for every row at once, one vector add per nonzero coordinate of x, an int
 where the quotient is integral and a Fraction otherwise, reducing nothing
-modulo Phi_N and building no value. A caller builds the matrix once per
-sweep of many class functions x over the same rows and drops it with the
-call. ``vanishes`` likewise tests a lift for zero at zeta. A caller that
-sweeps one row of entries against many others reads it once with ``split``
-(denominator, coordinates and nonzero positions per entry) and hands the
-split row to every sum of the sweep; the split is dropped with the call
-that made it. The Galois action
+modulo Phi_N and building no value. The matrix is built once per set of
+rows and swept by every class function x over them: a character table
+keeps its rows' matrix for all its readers. ``vanishes`` likewise tests a
+lift for zero at zeta. A caller that sweeps one row of entries against
+many others reads it once with ``split`` (denominator, coordinates and
+nonzero positions per entry) and hands the split row to every sum of the
+sweep; the split is dropped with the call that made it. The Galois action
 sigma_a: zeta -> zeta^a is written once, in ``_galois_lift``, an entry's
 lift mapped x^i -> x^(ia mod N), unreduced: ``CycNumber.galois`` reduces
 it, ``split(N, xs, conj=True)`` reads complex conjugates as the case
@@ -356,14 +356,32 @@ def dot(N: int, xs, ys, factors=None) -> CycNumber:
 class TraceMatrix:
     """The traces Tr(zeta^k chi_j[o]) of rows chi_j of ``dot`` entries, built
     by ``trace_rows``: ``columns[o][k]`` is the vector over the rows at entry
-    o and power k < N, each row over its own denominator ``dens[j]``. It is
-    built for one caller's sweep and dropped with that call."""
+    o and power k < N, each row over its own denominator ``dens[j]``. Every
+    sweep over a character table reads the one matrix the table keeps; a
+    walk that finds rows one at a time grows its matrix by ``extend`` and
+    puts the rows in their final order by ``reordered``."""
 
     __slots__ = ("dens", "columns")
 
     def __init__(self, dens: list[int], columns: list[list[list[int]]]):
         self.dens = dens
         self.columns = columns
+
+    def extend(self, other: TraceMatrix) -> None:
+        """Append the rows of ``other``, a matrix over the same entries and
+        powers, below these; a different entry or power count raises
+        ValueError."""
+        self.dens.extend(other.dens)
+        for column, more in zip(self.columns, other.columns, strict=True):
+            for vec, tail in zip(column, more, strict=True):
+                vec.extend(tail)
+
+    def reordered(self, order) -> TraceMatrix:
+        """The matrix of rows ``order[0]``, ``order[1]``, ..., in that
+        order."""
+        return TraceMatrix([self.dens[j] for j in order],
+                           [[[vec[j] for j in order] for vec in column]
+                            for column in self.columns])
 
 
 def trace_rows(N: int, rows) -> TraceMatrix:

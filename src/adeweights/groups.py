@@ -56,12 +56,13 @@ symmetric-power oracle) is ``decompose(G, values, rows)`` over the orbit
 reps, one ``cyclo.trace_sums`` sweep of conj(f), the reversed lift, over
 the trace matrix ``cyclo.trace_rows`` of the rows, which gives the product
 with every row at once; the Molien class sums are sweeps of their own, one
-per cofactor coefficient over a matrix of their own. Each sweep weights
-orbit O by |C_O| |O|, read off the classes at the call, divides by phi(N)
-times the total weight, reduces nothing modulo Phi_N and reads a sum as an
-int when integral, with no CycNumber or Fraction built. A caller sweeping
-many class functions over the same rows builds their matrix once and drops
-it when it returns. The trace is
+per cofactor coefficient over the same matrix. Each sweep weights orbit O
+by |C_O| |O|, read off the classes at the call, divides by phi(N) times
+the total weight, reduces nothing modulo Phi_N and reads a sum as an int
+when integral, with no CycNumber or Fraction built. A table keeps its rows'
+matrix, ``CharTable.trace_matrix``, for validation and every reader after
+it, so a table's rows get their trace forms built once; the E walk grows
+its own matrix by each row it finds and hands it to the table. The trace is
 exact only on equivariant rows, so ``table_violation`` checks equivariance,
 which contains conjugate symmetry, before any sum. Every product by a class
 trace tau_C = zeta^e_C + zeta^-e_C (V tensor chi, det(I - x q),
@@ -343,9 +344,32 @@ def build_group(dt: DynkinType) -> FiniteSubgroup:
 @dataclass(frozen=True)
 class CharTable:
     """Rows are irreducible characters (row 0 trivial) over the group's
-    ``classes``, so column 0 is the identity class and holds the degrees."""
+    ``classes``, so column 0 is the identity class and holds the degrees.
+
+    ``trace_matrix(G)`` is the one trace matrix of the rows that
+    validation, the McKay matrix, the Molien numerators and the Sym^m
+    oracle all sweep. A table's columns are one group's classes, so the
+    matrix is kept with the table: built on the first read, or handed over
+    by ``with_trace_matrix`` from the E walk that grew it row by row."""
 
     values: tuple[tuple[CycNumber, ...], ...]
+
+    @classmethod
+    def with_trace_matrix(cls, values, matrix: TraceMatrix) -> CharTable:
+        """The table of ``values`` keeping ``matrix``, the trace matrix of
+        its rows at the orbit reps, built by whoever found the rows."""
+        table = cls(values)
+        table.__dict__["_trace_matrix"] = matrix
+        return table
+
+    def trace_matrix(self, G: FiniteSubgroup) -> TraceMatrix:
+        """The ``cyclo.trace_rows`` matrix of the rows at G's orbit reps,
+        built on the first read and kept."""
+        kept = self.__dict__.get("_trace_matrix")
+        if kept is None:
+            kept = self.__dict__["_trace_matrix"] = trace_rows(
+                G.conductor, map(G.at_reps, self.values))
+        return kept
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -362,8 +386,9 @@ def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     class function f with each row chi, collapsed to Q: an int where the
     product is integral, else a Fraction. ``values`` and each row are
     ``dot`` entries at G's conductor N over the orbit reps,
-    ``G.at_reps(...)``; ``rows`` may be the ``cyclo.trace_rows`` matrix of
-    the rows, which a caller sweeping many class functions builds once.
+    ``G.at_reps(...)``; ``rows`` may instead be their ``cyclo.trace_rows``
+    matrix, the one a table keeps (``CharTable.trace_matrix``) or the one
+    the E walk grows, so that many sweeps over the same rows build it once.
 
     f and chi must be Galois-equivariant, f(C^a) = sigma_a(f(C)) for a
     prime to N, as characters are (Serre, Linear Representations of Finite
@@ -407,13 +432,12 @@ def _multiplicities(mults, what: str) -> list[int]:
 
 
 def char_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
-    if dt.family == "A":
-        rows = _linear_characters(G)
-    elif dt.family == "D":
-        rows = _binary_dihedral_table(dt, G)
+    if dt.family == "E":
+        table = _e_type_table(dt, G)
     else:
-        rows = _e_type_table(dt, G)
-    table = CharTable(tuple(tuple(r) for r in rows))
+        rows = (_linear_characters(G) if dt.family == "A"
+                else _binary_dihedral_table(dt, G))
+        table = CharTable(tuple(tuple(r) for r in rows))
     problem = table_violation(table, G)
     if problem is not None:
         raise ValidationFailed(problem)
@@ -476,7 +500,7 @@ def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
         for ell in range(1, dt.m - 2)]
 
 
-def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
+def _e_type_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
     """One walk of the McKay graph, V tensor chi = sum of the chi_j adjacent
     to chi (McKay 1980), over a growing list of found rows: the linear
     characters and the distinct Galois conjugates sigma_a V, 1 <= a <= N/2
@@ -485,24 +509,28 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
     reaches: V tensor chi of the six-dimensional one leaves two new rows at
     once. For each found row chi, appended ones included, V tensor chi is
     one ``_tau_times`` lift per class, since a new row needs every class,
-    and one ``decompose`` at the orbit reps gives its multiplicities m; the
-    found rows are orthonormal, so
+    and one ``decompose`` at the orbit reps over the found rows' trace
+    matrix gives its multiplicities m; the found rows are orthonormal, so
     V tensor chi - sum m_j chi_j is a new irreducible exactly when
     <V tensor chi, V tensor chi> - sum m_j^2 = 1, and it is one ``dot`` per
-    class over the nonzero m. Row 0 is trivial, the rest are sorted by the
-    ``sort_key`` of each entry in turn; column 0 is the identity, where a
-    degree d has the key (1, (d, 0, ...)), so the order is by degree first."""
+    class over the nonzero m. The matrix grows by each new row's trace
+    forms, so every row's are built once. Row 0 is trivial, the rest are
+    sorted by the ``sort_key`` of each entry in turn; column 0 is the
+    identity, where a degree d has the key (1, (d, 0, ...)), so the order
+    is by degree first. The table keeps the matrix, its rows in that
+    order."""
     N = G.conductor
     rows = _linear_characters(G)
     conjugates = dict.fromkeys(
         tuple(min(a * c.eigen_exp % N, -a * c.eigen_exp % N) for c in G.classes)
         for a in range(1, N // 2 + 1) if gcd(a, N) == 1)
     rows += [[G.traces[r] for r in exps] for exps in conjugates]
+    matrix = trace_rows(N, map(G.at_reps, rows))
     for chi in rows:
         tensor = [_tau_times(v.to_lift(), c.eigen_exp)
                   for v, c in zip(chi, G.classes)]
         at_reps = G.at_reps(tensor)
-        mults = _multiplicities(decompose(G, at_reps, map(G.at_reps, rows)),
+        mults = _multiplicities(decompose(G, at_reps, matrix),
                                 f"{dt}: V x chi")
         norm = decompose(G, at_reps, [at_reps])[0]
         if norm - sum(m * m for m in mults) == 1:
@@ -510,10 +538,13 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup):
             coeffs = [1] + [-mults[j] for j in used]
             rows.append([dot(N, [t] + [rows[j][i] for j in used], coeffs)
                          for i, t in enumerate(tensor)])
+            matrix.extend(trace_rows(N, [G.at_reps(rows[-1])]))
     if len(rows) < len(G.classes):
         raise ValidationFailed(f"{dt}: irreducible search did not saturate")
-    return rows[:1] + sorted(rows[1:],
-                             key=lambda r: tuple(v.sort_key() for v in r))
+    order = [0] + sorted(range(1, len(rows)), key=lambda j: tuple(
+        v.sort_key() for v in rows[j]))
+    return CharTable.with_trace_matrix(
+        tuple(tuple(rows[j]) for j in order), matrix.reordered(order))
 
 
 def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
@@ -561,10 +592,9 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
                 if not is_galois_image(N, row[cj], row[o.rep], a):
                     return (f"chi_{i} is not Galois-equivariant: "
                             f"chi(C_{cj}) != sigma_{a}(chi(C_{o.rep}))")
-    reps = [G.at_reps(row) for row in values]
-    rows = trace_rows(N, reps)
-    for i in range(k):
-        for j, got in enumerate(decompose(G, reps[i], rows)[i:], i):
+    matrix = table.trace_matrix(G)
+    for i, row in enumerate(values):
+        for j, got in enumerate(decompose(G, G.at_reps(row), matrix)[i:], i):
             if got != (1 if i == j else 0):
                 return f"row orthogonality fails at ({i},{j}): {got}"
     return None
@@ -580,19 +610,17 @@ def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
                  marks: tuple[int, ...]) -> McKayResult:
     """Multiplicities of chi_j inside V tensor chi_i (``decompose`` of the
     lifts ``_tau_times``, built at the orbit reps only, one sweep per i over
-    the rows' trace matrix, built once), plus the node bijection onto the
-    affine graph (trivial character -> node 0), matching degrees against the
-    marks."""
+    the table's trace matrix), plus the node bijection onto the affine graph
+    (trivial character -> node 0), matching degrees against the marks."""
     k = len(G.classes)
-    reps = [G.at_reps(row) for row in table.values]
-    rows = trace_rows(G.conductor, reps)
+    rows = table.trace_matrix(G)
     classes = G.at_reps(G.classes)
     matrix = tuple(
         tuple(_multiplicities(decompose(
             G, [_tau_times(v.to_lift(), c.eigen_exp)
-                for v, c in zip(row, classes)], rows),
+                for v, c in zip(G.at_reps(row), classes)], rows),
             f"{G.dynkin}: V x chi_{i}"))
-        for i, row in enumerate(reps))
+        for i, row in enumerate(table.values))
     if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
         raise NoIsomorphism(f"{G.dynkin}: McKay matrix is not symmetric")
     bijection = _match_affine(matrix, table.degrees, affine, marks)
@@ -695,17 +723,17 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     P_C's coefficients are integer polynomials in tau_C, so
     sigma_a(P_C) = P_(C^a), and chi_i P_C is Galois-equivariant: the
     cofactors are built at the orbit reps only (the remainder at C^a is
-    sigma_a of the one at C, so it vanishes with it). The table rows'
-    trace matrix is built here, for this call alone, and coefficient j of
+    sigma_a of the one at C, so it vanishes with it). Coefficient j of
     every N_i is one ``trace_sums`` sweep of the column of coefficients j of
-    the P_C over it, Tr(chi_i P_C) with no conjugation, weighted as in
-    ``decompose``, each read as an int: h + 1 sweeps.
+    the P_C over the table's trace matrix, Tr(chi_i P_C) with no
+    conjugation, weighted as in ``decompose``, each read as an int: h + 1
+    sweeps.
     """
     dt = G.dynkin
     N = G.conductor
     h = dt.coxeter_number
     std = dt.standard_form.coeffs
-    matrix = trace_rows(N, map(G.at_reps, table.values))
+    matrix = table.trace_matrix(G)
     weights, divisor = _orbit_weights(G)
     # column j holds coefficient j of every orbit rep's P_C
     sums = [trace_sums(N, col, matrix, weights, divisor) for col in zip(*(
@@ -738,11 +766,10 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     m -> N - m, so it is summed once, ``sums[r]``, per
     r = min(m mod N, -m mod N), and m = r reaches each r <= min(mmax, N/2):
     at most floor(N/2) + 1 ``decompose`` sweeps, each with one term per
-    Galois orbit, over the rows' trace matrix, built once at the orbit
-    reps."""
+    Galois orbit, over the table's trace matrix."""
     N = G.conductor
     k = len(table.values)
-    rows = trace_rows(N, map(G.at_reps, table.values))
+    rows = table.trace_matrix(G)
     one = [1] + [0] * (N - 1)
     classes = G.at_reps(G.classes)
     # <lambda^r + lambda^-r, chi_i> per row

@@ -84,21 +84,58 @@ class FaultSpec:
         return cls(str(dt), node, exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeBundle:
-    """Everything both sides compute for one type."""
+    """Everything both sides compute for one type, as parts that are each
+    built on their first read and kept, so a query pays for the parts it
+    prints: ``weights --basis q`` reads the graph parts alone, ``group``
+    the group and its table, ``molien`` those and the Molien series, and
+    ``verify`` every part. Each part calls its builder through this
+    module's globals, so a wrapper set on one of those names sees every
+    build. ``PARTS`` lists the parts in build order; ``charpoly`` is one
+    more, which no query reads."""
 
     dynkin: DynkinType
-    finite: DirectedGraph
-    affine: DirectedGraph
-    semiaffine: DirectedGraph
-    marks: tuple[int, ...]
-    tweights: TWeights
-    numerators: QNumerators
-    group: FiniteSubgroup
-    table: CharTable
-    mckay: McKayResult
-    molien: MolienSet
+
+    @cached_property
+    def finite(self) -> DirectedGraph:
+        return build_graph(self.dynkin, "finite")
+
+    @cached_property
+    def affine(self) -> DirectedGraph:
+        return build_graph(self.dynkin, "affine")
+
+    @cached_property
+    def semiaffine(self) -> DirectedGraph:
+        return build_graph(self.dynkin, "semiaffine")
+
+    @cached_property
+    def marks(self) -> tuple[int, ...]:
+        return graph_marks(self.affine)
+
+    @cached_property
+    def tweights(self) -> TWeights:
+        return solve_semiaffine(self.semiaffine)
+
+    @cached_property
+    def group(self) -> FiniteSubgroup:
+        return build_group(self.dynkin)
+
+    @cached_property
+    def table(self) -> CharTable:
+        return char_table(self.dynkin, self.group)
+
+    @cached_property
+    def numerators(self) -> QNumerators:
+        return to_q_numerators(self.tweights)
+
+    @cached_property
+    def mckay(self) -> McKayResult:
+        return mckay_matrix(self.group, self.table, self.affine, self.marks)
+
+    @cached_property
+    def molien(self) -> MolienSet:
+        return molien_series(self.group, self.table)
 
     @cached_property
     def charpoly(self) -> CharPolyReport:
@@ -108,19 +145,14 @@ class TypeBundle:
         return charpoly_report(self.semiaffine, self.tweights.det)
 
 
+PARTS = ("finite", "affine", "semiaffine", "marks", "tweights", "group",
+         "table", "numerators", "mckay", "molien")
+
+
 @lru_cache(maxsize=None)
 def build_bundle(dt: DynkinType) -> TypeBundle:
-    finite = build_graph(dt, "finite")
-    affine = build_graph(dt, "affine")
-    semi = build_graph(dt, "semiaffine")
-    marks = graph_marks(affine)
-    w = solve_semiaffine(semi)
-    group = build_group(dt)
-    table = char_table(dt, group)
-    return TypeBundle(dt, finite, affine, semi, marks, w,
-                      to_q_numerators(w), group, table,
-                      mckay_matrix(group, table, affine, marks),
-                      molien_series(group, table))
+    """The type's one bundle in this process; no part is built yet."""
+    return TypeBundle(dt)
 
 
 def _check_cross_match(b: TypeBundle, fault: FaultSpec | None) -> tuple:
@@ -309,11 +341,13 @@ def run_suite(types, fault: FaultSpec | None = None) -> VerificationReport:
                 "0 <= exponent <= h")
     checks: list[CheckResult] = []
     for dt in ordered:
+        bundle = build_bundle(dt)
         try:
-            bundle = build_bundle(dt)
+            for part in PARTS:
+                getattr(bundle, part)
         except Exception as exc:  # a failure to build is data, not a crash
             checks.extend(CheckResult(check.name, str(dt), "fail",
-                                      "bundle construction failed: "
+                                      f"bundle construction failed at {part}: "
                                       f"{type(exc).__name__}: {exc}")
                           for check in CHECKS)
             continue

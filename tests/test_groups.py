@@ -6,11 +6,12 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
-from adeweights import cyclo, groups
+from adeweights import cyclo, groups, verify
 from adeweights.cli import main
 from adeweights.cyclo import CycNumber
 from adeweights.errors import (ClosureOverflow, NoIsomorphism,
@@ -23,7 +24,7 @@ from adeweights.groups import (CharTable, build_group, char_table,
                                sym_power_multiplicities, table_violation,
                                _linear_characters, _match_affine)
 from adeweights.poly import Polynomial, cos_polynomial
-from adeweights.verify import build_bundle, run_suite
+from adeweights.verify import DEFAULT_SUITE, build_bundle, run_suite
 from oracles import (galois_orbit_count, inner_product_by_classes,
                      matrix_inverse, matrix_product, matrix_trace,
                      minimal_polynomial, molien_by_elements,
@@ -367,6 +368,17 @@ class TestCharTable:
         with pytest.raises(ValidationFailed,
                            match="irreducible search did not saturate"):
             char_table(dt("E6"), G)
+
+    def test_walked_matrix_is_the_trace_matrix_of_the_rows(self):
+        """The E walk hands its table the matrix it grew, one row per found
+        row, reordered as the rows are: it equals ``trace_rows`` of the
+        table's rows."""
+        for name in ("E6", "E7", "E8"):
+            G = build_group(dt(name))
+            table = char_table(dt(name), G)
+            kept = table.trace_matrix(G)
+            fresh = cyclo.trace_rows(G.conductor, map(G.at_reps, table.values))
+            assert (kept.dens, kept.columns) == (fresh.dens, fresh.columns)
 
     def test_flipped_sign_fails_validation(self, bundle):
         # every entry moved by +-1, one at a time, is rejected: the clauses
@@ -911,6 +923,32 @@ class TestOpCounts:
         assert {n for n, _ in sweeps} <= orbits
         assert all(n == m for n, m in sweeps)
         assert len(sweeps) <= 220, len(sweeps)
+
+    def test_table_rows_get_their_trace_forms_once(self, monkeypatch):
+        """A table keeps its rows' trace matrix, which validation, the McKay
+        matrix, the Molien numerators and the Sym^m oracle all sweep, and
+        the E walk grows its matrix by each row it finds and hands it to
+        the table. So over a fresh bundle cache each table row gets its
+        trace forms built once, and each E-walk row once more, for its
+        norm: 219 rows on the default suite (195 table rows and 24 walked),
+        50 on A24,D24 and 18 on E8, where a matrix per reader and per walked
+        row built 943, 200 and 99."""
+        original = groups.trace_rows
+        built = [0]
+
+        def counting(N, rows):
+            rows = list(rows)
+            built[0] += len(rows)
+            return original(N, rows)
+
+        monkeypatch.setattr(groups, "trace_rows", counting)
+        for types, limit in ((DEFAULT_SUITE, 219),
+                             ((dt("A24"), dt("D24")), 50), ((dt("E8"),), 18)):
+            monkeypatch.setattr(verify, "build_bundle", lru_cache(
+                maxsize=None)(build_bundle.__wrapped__))
+            built[0] = 0
+            run_suite(types)
+            assert built[0] <= limit, (types, built[0])
 
     def test_molien_series_reads_each_entry_once(self, bundle, monkeypatch):
         """``molien_series`` splits each table row once, into its trace

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from dataclasses import FrozenInstanceError, replace
 from functools import lru_cache, partial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,11 @@ from adeweights.weights import (finite_reduction_check,
 # the types whose reduced common denominator strictly exceeds cox(h); the
 # LCD_COX check honestly fails there (see "Verification suite" in the README)
 LCD_EXCEPTIONS = {"A5", "A8", "A9", "A11", "D7", "D10", "D11"}
+
+# exit status and output digest of every call a benchmark workload makes,
+# read only
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                     / "golden.json").read_text())["outputs"]
 
 
 def dt(name):
@@ -66,13 +73,24 @@ class TestRunSuite:
         assert [c.name for c in rep.checks] == list(CHECK_NAMES)
         for c in rep.checks:
             assert (c.type_name, c.status) == ("A13", "fail")
-            assert c.detail == ("bundle construction failed: ValidationFailed: "
-                                "row orthogonality fails at (0,1): 1/2")
+            assert c.detail == ("bundle construction failed at table: "
+                                "ValidationFailed: row orthogonality fails at "
+                                "(0,1): 1/2")
 
     def test_types_deduplicated_and_sorted(self):
         rep = run_suite([dt("E6"), dt("A2"), dt("E6")])
         types = [c.type_name for c in rep.checks]
         assert types == ["A2"] * len(CHECKS) + ["E6"] * len(CHECKS)
+
+
+def _replaced(b, **part):
+    """A bundle with every part of ``b``, each read from ``b`` first, and
+    then the one part given set: the parts built from it, the q-numerators
+    from the t-weights say, stay as ``b`` built them. Its charpoly report is
+    built on its own first read, from the copy's parts."""
+    out = verify.TypeBundle(b.dynkin)
+    vars(out).update({name: getattr(b, name) for name in verify.PARTS}, **part)
+    return out
 
 
 def _t_weight_bumped(b, monkeypatch=None, index=-1):
@@ -81,14 +99,14 @@ def _t_weight_bumped(b, monkeypatch=None, index=-1):
     were solved."""
     y = list(b.tweights.y)
     y[index] = y[index] + 1
-    return replace(b, tweights=replace(b.tweights, y=tuple(y)))
+    return _replaced(b, tweights=replace(b.tweights, y=tuple(y)))
 
 
 def _molien_numerator_bumped(b, monkeypatch=None):
     """The last Molien numerator plus q."""
     nums = list(b.molien.numerators)
     nums[-1] = nums[-1] + Polynomial.monomial("q", 1)
-    return replace(b, molien=replace(b.molien, numerators=tuple(nums)))
+    return _replaced(b, molien=replace(b.molien, numerators=tuple(nums)))
 
 
 def _q_numerator_bumped(b, monkeypatch=None, node=1):
@@ -99,7 +117,7 @@ def _q_numerator_bumped(b, monkeypatch=None, node=1):
     nums = list(b.numerators.N)
     p = nums[node]
     nums[node] = p + Polynomial.monomial("q", p.min_exponent(), 2)
-    return replace(b, numerators=replace(b.numerators, N=tuple(nums)))
+    return _replaced(b, numerators=replace(b.numerators, N=tuple(nums)))
 
 
 class TestIdentityGates:
@@ -174,7 +192,7 @@ def _numerator_times_q(b, monkeypatch, node=-1):
     up: only its degree, above h, shows it."""
     nums = list(b.numerators.N)
     nums[node] = nums[node].shifted(1)
-    return replace(b, numerators=replace(b.numerators, N=tuple(nums)))
+    return _replaced(b, numerators=replace(b.numerators, N=tuple(nums)))
 
 
 def _sym_multiplicity_bumped(b, monkeypatch):
@@ -198,7 +216,7 @@ def _group_order_doubled(b, monkeypatch):
     group.elements = b.group.elements * 2
     group.classes = tuple(replace(c, size=2 * c.size)
                           for c in b.group.classes)
-    return replace(b, group=group)
+    return _replaced(b, group=group)
 
 
 # the checks a bumped Molien numerator, a bumped det and a bumped graph-side
@@ -273,7 +291,8 @@ def test_a_check_that_raises_is_that_checks_failure(bundle, monkeypatch,
     b = bundle("D4")
     group = copy.copy(b.group)
     group.elements = b.group.elements * 2
-    assert {c.name for c in verify._type_checks(replace(b, group=group), None)
+    doubled = _replaced(b, group=group)
+    assert {c.name for c in verify._type_checks(doubled, None)
             if c.status == "fail"} == {"AB_RELATIONS"}
 
 
@@ -433,6 +452,41 @@ class TestBundle:
             verify.build_bundle.__wrapped__))
         run_suite([dt("E8")])
         assert forms == ["semiaffine"]
+
+
+# per query: the golden key of its bytes (its own when None; the JSON of
+# --basis molien is that of --basis q) and the builders it must not call
+LAZY_QUERIES = [
+    (f"weights --type {t} --basis {basis} --format json",
+     f"weights --type {t} --basis q --format json",
+     ("build_group", "char_table", "mckay_matrix", "molien_series"))
+    for t in ("A13", "D13") for basis in ("q", "molien")] + [
+    (f"group --type {t} --format json", None,
+     ("mckay_matrix", "molien_series")) for t in ("A13", "D13")] + [
+    (f"molien --type {t} --series-terms 8 --format json", None,
+     ("mckay_matrix",)) for t in ("A13", "D13")]
+
+
+class TestLazyParts:
+    """A query builds only the bundle parts it prints, and prints the bytes
+    the benchmark pins for it. A13 and D13 lie outside the default suite,
+    and each query gets a bundle cache of its own, so every part it reads
+    is built under the patch."""
+
+    @pytest.mark.parametrize("argv, key, unbuilt", LAZY_QUERIES,
+                             ids=[argv for argv, _, _ in LAZY_QUERIES])
+    def test_query_builds_only_what_it_prints(self, argv, key, unbuilt,
+                                              monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_bundle", lru_cache(maxsize=None)(
+            verify.build_bundle.__wrapped__))
+        called = []
+        for name in unbuilt:
+            monkeypatch.setattr(verify, name, lambda *args, name=name:
+                                called.append(name))
+        assert cli.main(argv.split()) == 0
+        assert called == []
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == GOLDEN[key or argv]["sha256"]
 
 
 class TestSmithMarks:
