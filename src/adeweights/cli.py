@@ -18,8 +18,7 @@ import sys
 import tempfile
 
 from .errors import InvalidParameter
-from .graphs import (FORMS, build_graph, char_poly, charpoly_report,
-                     parse_type_selector)
+from .graphs import FORMS, build_graph, charpoly_report, parse_type_selector
 from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, json_text,
                      report_json, report_text, run_suite)
 from .weights import numerators_latex, solve_semiaffine
@@ -181,8 +180,9 @@ def _cmd_group(args) -> tuple[str, int]:
 
 
 def _charpoly(dt):
-    return charpoly_report(build_graph(dt, "semiaffine"),
-                           char_poly(build_graph(dt, "finite")))
+    """``TypeBundle.charpoly``'s report, kept out of the bundle cache."""
+    semi = build_graph(dt, "semiaffine")
+    return charpoly_report(semi, solve_semiaffine(semi).det)
 
 
 def _cmd_charpoly(args) -> tuple[str, int]:

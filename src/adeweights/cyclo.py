@@ -18,16 +18,17 @@ buffer of 2N coefficients over the lcm of the term denominators, and
 x^N - 1) and by its content once per sum, so a sum of k products builds one
 value, not 2k; an entry is a CycNumber, an int or a lift, and rows of
 different lengths are refused. ``x * y`` is the one-term ``dot`` after a
-zero shortcut. Rational sums of field traces are swept, not built:
-``trace_rows`` reads rows chi_j of entries into a trace matrix, the
-numbers Tr(zeta^k chi_j[o]) for each entry o and power k < N, each entry's
-form over k a sum of shifted slices of the Ramanujan sums
-c_N(k) = Tr(zeta^k), a table each conductor builds on first use; and
-``trace_sums`` reads sum_o n_o Tr(x_o chi_j[o]) / divisor off that matrix
-for every row at once, one vector add per nonzero coordinate of x, an int
-where the quotient is integral and a Fraction otherwise, reducing nothing
-modulo Phi_N and building no value. The matrix is built once per set of
-rows and swept by every class function x over them: a character table
+zero shortcut. Rational sums of field traces of algebraic integers, the
+elements of Z[zeta_N], are swept, not built: ``trace_rows`` reads rows
+chi_j of them into a trace matrix, the integers Tr(zeta^k chi_j[o]) for
+each entry o and power k < N, each entry's form over k a sum of shifted
+slices of the Ramanujan sums c_N(k) = Tr(zeta^k), a table each conductor
+builds on first use; and ``trace_sums`` reads sum_o n_o Tr(x_o chi_j[o])
+/ divisor off that matrix for every row at once, one vector add per
+nonzero coordinate of x, an int where the quotient is integral and a
+Fraction otherwise, reducing nothing modulo Phi_N and building no value.
+Both refuse an entry with a denominator. The matrix is built once per set
+of rows and swept by every class function x over them: a character table
 keeps its rows' matrix for all its readers. ``vanishes`` likewise tests a
 lift for zero at zeta. A caller that sweeps one row of entries against
 many others reads it once with ``split`` (denominator, coordinates and
@@ -191,11 +192,15 @@ class CycNumber:
 
     def to_lift(self) -> list[int]:
         """The coordinates padded to length N, which ``from_lift`` inverts."""
-        if self._den != 1:
+        if not self.is_integral():
             raise ValidationFailed(f"{self} is not an algebraic integer")
         return list(self._nums) + [0] * (self.N - len(self._nums))
 
     # -- inspection -------------------------------------------------------
+    def is_integral(self) -> bool:
+        """Whether this is in Z[zeta_N], the algebraic integers here."""
+        return self._den == 1
+
     def is_zero(self) -> bool:
         return not any(self._nums)
 
@@ -354,24 +359,24 @@ def dot(N: int, xs, ys, factors=None) -> CycNumber:
 
 
 class TraceMatrix:
-    """The traces Tr(zeta^k chi_j[o]) of rows chi_j of ``dot`` entries, built
-    by ``trace_rows``: ``columns[o][k]`` is the vector over the rows at entry
-    o and power k < N, each row over its own denominator ``dens[j]``. Every
-    sweep over a character table reads the one matrix the table keeps; a
-    walk that finds rows one at a time grows its matrix by ``extend`` and
-    puts the rows in their final order by ``reordered``."""
+    """The traces Tr(zeta^k chi_j[o]) of ``height`` rows chi_j of integral
+    ``dot`` entries, built by ``trace_rows``: ``columns[o][k]`` is the int
+    vector over the rows at entry o and power k < N. Every sweep over a
+    character table reads the one matrix the table keeps; a walk that finds
+    rows one at a time grows its matrix by ``extend`` and puts the rows in
+    their final order by ``reordered``."""
 
-    __slots__ = ("dens", "columns")
+    __slots__ = ("height", "columns")
 
-    def __init__(self, dens: list[int], columns: list[list[list[int]]]):
-        self.dens = dens
+    def __init__(self, height: int, columns: list[list[list[int]]]):
+        self.height = height
         self.columns = columns
 
     def extend(self, other: TraceMatrix) -> None:
         """Append the rows of ``other``, a matrix over the same entries and
         powers, below these; a different entry or power count raises
         ValueError."""
-        self.dens.extend(other.dens)
+        self.height += other.height
         for column, more in zip(self.columns, other.columns, strict=True):
             for vec, tail in zip(column, more, strict=True):
                 vec.extend(tail)
@@ -379,74 +384,58 @@ class TraceMatrix:
     def reordered(self, order) -> TraceMatrix:
         """The matrix of rows ``order[0]``, ``order[1]``, ..., in that
         order."""
-        return TraceMatrix([self.dens[j] for j in order],
-                           [[[vec[j] for j in order] for vec in column]
-                            for column in self.columns])
+        return TraceMatrix(len(order), [[[vec[j] for j in order] for vec in c]
+                                        for c in self.columns])
 
 
 def trace_rows(N: int, rows) -> TraceMatrix:
-    """The trace matrix of ``rows``, rows of ``dot`` entries of one length,
-    each read once by ``split``: for entry o and power k < N, the vector
-    over rows of Tr(zeta^k row[o]), Tr the trace of Q(zeta_N) over Q. An
-    entry x = sum_s x_s zeta^s gives Tr(zeta^k x) = sum_s x_s c_N(k + s),
-    so its form over k is the sum of |support| shifted slices of the
-    Ramanujan sums ``_Field.traces``, each taken by a C-level ``map``; each
-    row is put over the lcm of its entries' denominators. Rows of different
-    lengths raise ValueError."""
+    """The trace matrix of ``rows``, rows of integral ``dot`` entries of one
+    length, each read once by ``split``: for entry o and power k < N, the
+    int vector over rows of Tr(zeta^k row[o]), Tr the trace to Q. An entry
+    x = sum_s x_s zeta^s gives Tr(zeta^k x) = sum_s x_s c_N(k + s), so its
+    form over k is the sum of |support| shifted slices of the Ramanujan
+    sums ``_Field.traces``, each a C-level ``map``. Rows of different
+    lengths, or an entry with a denominator, raise ValueError."""
     traces = _field(N).traces
-    rows = [split(N, row) for row in rows]
+    rows = [_integral(split(N, row)) for row in rows]
     width = len(rows[0]) if rows else 0
     for row in rows:
         if len(row) != width:
             raise ValueError(f"rows of {width} and {len(row)} entries")
-    dens = [lcm(*(d for d, _, support in row if support)) for row in rows]
     columns = []
     for o in range(width):  # one entry's forms at a time, then transposed
         forms = []
-        for row, den in zip(rows, dens):
-            d, nums, support = row[o]
-            form, m = [0] * N, den // d
+        for row in rows:
+            _, nums, support = row[o]
+            form = [0] * N
             for s in support:
                 form = list(map(add, form,
-                                map((nums[s] * m).__mul__, traces[s:s + N])))
+                                map(nums[s].__mul__, traces[s:s + N])))
             forms.append(form)
         # lists, not tuples: freed short tuples would stay on a free list
         columns.append(list(map(list, zip(*forms))))
-    return TraceMatrix(dens, columns)
+    return TraceMatrix(len(rows), columns)
 
 
 def trace_sums(N: int, xs, matrix: TraceMatrix, factors,
                divisor: int) -> list[int | Fraction]:
     """sum_o n_o Tr(x_o chi_j[o]) / divisor for every row chi_j of
-    ``matrix`` at once, for a row ``xs`` of ``dot`` entries (or a split row)
-    and int ``factors`` n_o (1 when None): one C-level vector add of the
-    matrix column (o, k) per nonzero coordinate x_o[k], over the lcm of
-    the entries' denominators, and no CycNumber built. A result is an int
-    when it is integral, else a Fraction. Read with
-    ``split(N, xs, conj=True)``, x_o is conj(x_o). ``xs`` or ``factors`` of
-    a length other than the matrix rows' raises ValueError."""
+    ``matrix`` at once, for a row ``xs`` of integral ``dot`` entries (or a
+    split row; read with ``split(N, xs, conj=True)``, x_o is conj(x_o)) and
+    int ``factors`` n_o (1 when None): one C-level vector add of column
+    (o, k) per nonzero coordinate x_o[k], and no CycNumber built; an int
+    where integral, else a Fraction. Lengths other than the matrix rows',
+    or an entry with a denominator, raise ValueError."""
     if not isinstance(xs, Split):
         xs = split(N, xs)
-    acc = [0] * len(matrix.dens)
-    den = 1
-    for (xd, xn, xt), n, column in zip(
-            xs, [1] * len(xs) if factors is None else factors,
+    acc = [0] * matrix.height
+    for (_, xn, xt), n, column in zip(
+            _integral(xs), [1] * len(xs) if factors is None else factors,
             matrix.columns, strict=True):
-        if not xt:
-            continue
-        if den % xd:
-            grown = lcm(den, xd)
-            acc = [c * (grown // den) for c in acc]
-            den = grown
-        m = den // xd * n
         for k in xt:
-            acc = list(map(add, acc, map((xn[k] * m).__mul__, column[k])))
-    out = []
-    for total, d in zip(acc, matrix.dens):
-        d *= den * divisor
-        q, r = divmod(total, d)
-        out.append(Fraction(total, d) if r else q)
-    return out
+            acc = list(map(add, acc, map((xn[k] * n).__mul__, column[k])))
+    return [Fraction(t, divisor) if t % divisor else t // divisor
+            for t in acc]
 
 
 def vanishes(N: int, lift) -> bool:
@@ -510,6 +499,13 @@ def _parts(N: int, x) -> tuple:
         # a list, not an interned tuple: a freed tuple stays on a free list
         return 1, x, list(compress(count(), x))
     raise TypeError(f"dot entry {x!r} is not a CycNumber, an int or a lift")
+
+
+def _integral(row: Split) -> Split:
+    """``row``; an entry with a denominator raises ValidationFailed."""
+    if any(den != 1 for den, _, _ in row):
+        raise ValidationFailed("a trace entry is not an algebraic integer")
+    return row
 
 
 def _galois_lift(N: int, x, a: int) -> tuple[int, list[int], list[int]]:

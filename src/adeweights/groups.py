@@ -50,22 +50,22 @@ integer polynomials in tau_C. So the sum over an orbit O is
 sum c_N(k). ``FiniteSubgroup.orbits`` holds each orbit's rep, size, twists
 and stabiliser generators, read off one walk of the powers of the rep x,
 which also gives each class C_O^a its order, x's, its inverse, the class of
-x^-a, and its trace, read off x^a and x^-a. Every inner
-product of class functions (validation, peeling, McKay, the
-symmetric-power oracle) is ``decompose(G, values, rows)`` over the orbit
-reps, one ``cyclo.trace_sums`` sweep of conj(f), the reversed lift, over
-the trace matrix ``cyclo.trace_rows`` of the rows, which gives the product
-with every row at once; the Molien class sums are sweeps of their own, one
-per cofactor coefficient over the same matrix. Each sweep weights orbit O
-by |C_O| |O|, read off the classes at the call, divides by phi(N) times
-the total weight, reduces nothing modulo Phi_N and reads a sum as an int
-when integral, with no CycNumber or Fraction built. A table keeps its rows'
-matrix, ``CharTable.trace_matrix``, for validation and every reader after
-it, so a table's rows get their trace forms built once; the E walk grows
-its own matrix by each row it finds and hands it to the table. The trace is
-exact only on equivariant rows, so ``table_violation`` checks equivariance,
-which contains conjugate symmetry, before any sum. Every product by a class
-trace tau_C = zeta^e_C + zeta^-e_C (V tensor chi, det(I - x q),
+x^-a, and its trace, read off x^a and x^-a. Every inner product of class
+functions (validation, the E walk, McKay, the symmetric-power oracle) is
+``decompose(G, values, matrix)`` over the orbit reps, one
+``cyclo.trace_sums`` sweep of conj(f), the reversed lift, over the trace
+matrix ``cyclo.trace_rows`` of the rows, which gives the product with
+every row at once; the Molien class sums are sweeps of their own, one per
+cofactor coefficient over the same matrix. Each sweep of algebraic
+integers, all the kernels take, weights orbit O by |C_O| |O|, read off
+the classes at the call, divides by phi(N) times the total weight,
+reduces nothing modulo Phi_N and reads a sum as an int when integral,
+with no CycNumber or Fraction built. A table keeps its rows' matrix,
+``CharTable.trace_matrix``, for every reader; the E walk grows its own
+row by row and hands it to the table. ``table_violation`` checks
+integrality and then equivariance, on which alone the orbit trace is
+exact, before any sum. Every product by a class trace
+tau_C = zeta^e_C + zeta^-e_C (V tensor chi, det(I - x q),
 lambda^m + lambda^-m) is ``_tau_times``, two rotations of a lift in
 Z[x]/(x^N - 1), built at the orbit reps only. The symmetric-power oracle
 sums each distinct power sum once, since lambda^m + lambda^-m depends on m
@@ -384,11 +384,10 @@ class CharTable:
 def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     """Hermitian inner products (1/|G|) sum_C |C| f(C) conj(chi(C)) of the
     class function f with each row chi, collapsed to Q: an int where the
-    product is integral, else a Fraction. ``values`` and each row are
-    ``dot`` entries at G's conductor N over the orbit reps,
-    ``G.at_reps(...)``; ``rows`` may instead be their ``cyclo.trace_rows``
-    matrix, the one a table keeps (``CharTable.trace_matrix``) or the one
-    the E walk grows, so that many sweeps over the same rows build it once.
+    product is integral, else a Fraction. ``values`` are f's integral
+    ``dot`` entries at G's orbit reps, ``G.at_reps(...)``, and ``rows`` the
+    ``cyclo.trace_rows`` matrix of the rows there, one a table keeps
+    (``CharTable.trace_matrix``) or the E walk grows.
 
     f and chi must be Galois-equivariant, f(C^a) = sigma_a(f(C)) for a
     prime to N, as characters are (Serre, Linear Representations of Finite
@@ -404,8 +403,6 @@ def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     """
     N = G.conductor
     weights, divisor = _orbit_weights(G)
-    if not isinstance(rows, TraceMatrix):
-        rows = trace_rows(N, rows)
     return trace_sums(N, split(N, values, conj=True), rows, weights, divisor)
 
 
@@ -513,12 +510,12 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
     matrix gives its multiplicities m; the found rows are orthonormal, so
     V tensor chi - sum m_j chi_j is a new irreducible exactly when
     <V tensor chi, V tensor chi> - sum m_j^2 = 1, and it is one ``dot`` per
-    class over the nonzero m. The matrix grows by each new row's trace
-    forms, so every row's are built once. Row 0 is trivial, the rest are
-    sorted by the ``sort_key`` of each entry in turn; column 0 is the
-    identity, where a degree d has the key (1, (d, 0, ...)), so the order
-    is by degree first. The table keeps the matrix, its rows in that
-    order."""
+    class over the nonzero m. tau_C is real, so the norm is <tau^2 chi, chi>,
+    entry chi of a ``decompose`` of tau V tensor chi over the same matrix,
+    which grows by each new row's trace forms, so only table rows get them.
+    Row 0 is trivial, the rest sorted by their entries' ``sort_key`` in
+    turn: by degree first, a degree d in column 0 (the identity) keying as
+    (1, (d, 0, ...)). The table keeps the matrix, rows in that order."""
     N = G.conductor
     rows = _linear_characters(G)
     conjugates = dict.fromkeys(
@@ -526,13 +523,14 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
         for a in range(1, N // 2 + 1) if gcd(a, N) == 1)
     rows += [[G.traces[r] for r in exps] for exps in conjugates]
     matrix = trace_rows(N, map(G.at_reps, rows))
-    for chi in rows:
+    e_reps = [c.eigen_exp for c in G.at_reps(G.classes)]
+    for r, chi in enumerate(rows):
         tensor = [_tau_times(v.to_lift(), c.eigen_exp)
                   for v, c in zip(chi, G.classes)]
         at_reps = G.at_reps(tensor)
         mults = _multiplicities(decompose(G, at_reps, matrix),
                                 f"{dt}: V x chi")
-        norm = decompose(G, at_reps, [at_reps])[0]
+        norm = decompose(G, list(map(_tau_times, at_reps, e_reps)), matrix)[r]
         if norm - sum(m * m for m in mults) == 1:
             used = [j for j, m in enumerate(mults) if m]
             coeffs = [1] + [-mults[j] for j in used]
@@ -551,8 +549,8 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     """First violated relation, or None when the table is valid.
 
     The columns are ``G.classes``, identity first. Checked: k rows of k
-    entries, the trivial row 0, each chi_i(1) a positive integer, Galois
-    equivariance and row orthonormality.
+    entries, the trivial row 0, each chi_i(1) a positive integer, entries
+    in Z[zeta_N] (Serre 6.5), Galois equivariance and row orthonormality.
 
     ``decompose`` sums over Galois orbits of classes by one field trace per
     orbit, which is exact only for equivariant rows, so equivariance is the
@@ -585,6 +583,10 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
         if not (d.is_rational() and d.to_rational().denominator == 1
                 and d.to_rational() > 0):
             return f"chi_{i}(1) = {d} is not a positive integer"
+    for i, row in enumerate(values):
+        for j, v in enumerate(row):
+            if not v.is_integral():
+                return f"chi_{i}(C_{j}) = {v} is not an algebraic integer"
     N = G.conductor
     for o in G.orbits:
         for cj, a in o.twists + tuple((o.rep, s) for s in o.stabiliser):

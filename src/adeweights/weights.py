@@ -102,7 +102,8 @@ def solve_semiaffine(g: DirectedGraph) -> TWeights:
     b = [row[0] for row in g.mult[1:]]
     vs = [b]
     for k in range(1, r + 1):
-        vs.append([sum(vs[-1][j] for j in js) + det.coefficient(r - k) * bi
+        c, last = det.coefficient(r - k), vs[-1]
+        vs.append([sum([last[j] for j in js]) + c * bi
                    for js, bi in zip(nbrs, b)])
     if any(vs.pop()):
         raise ValidationFailed(f"{g.dynkin}: adj(tI - A_fin) b leaves "

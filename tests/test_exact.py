@@ -197,14 +197,15 @@ class TestCycNumber:
 DOT_CONDUCTORS = (1, 2, 3, 4, 8, 12, 20, 24, 60)
 
 
-def _dot_entries(N):
-    """Sparse CycNumbers over mixed denominators, zero included, ints, and
-    lifts: int tuples of length at most N, coefficients of powers of zeta."""
+def _dot_entries(N, integral=False):
+    """Sparse CycNumbers over mixed denominators (over 1 alone, algebraic
+    integers, when ``integral``), zero included, ints, and lifts: int
+    tuples of length at most N, coefficients of powers of zeta."""
     coord = st.one_of(st.just(0), st.integers(-6, 6))
     cyc = st.builds(lambda nums, den: CycNumber(N, nums, den),
                     st.lists(coord, min_size=euler_phi(N),
                              max_size=euler_phi(N)),
-                    st.integers(1, 6))
+                    st.just(1) if integral else st.integers(1, 6))
     lift = st.lists(coord, max_size=N).map(tuple)
     return st.one_of(cyc, st.integers(-5, 5), lift)
 
@@ -318,14 +319,16 @@ def _trace(x: CycNumber):
 
 class TestTraceSums:
     """``trace_sums`` over a ``trace_rows`` matrix against the trace of the
-    ``dot`` of each row, the trace summed over the Galois group."""
+    ``dot`` of each row, the trace summed over the Galois group, on the
+    algebraic integers the two kernels take."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_equals_dot_over_the_divisor(self, data):
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
         width = data.draw(st.integers(0, 6))
-        entries = st.lists(_dot_entries(N), min_size=width, max_size=width)
+        entries = st.lists(_dot_entries(N, integral=True), min_size=width,
+                           max_size=width)
         xs = data.draw(entries)
         rows = data.draw(st.lists(entries, min_size=1, max_size=4))
         factors = data.draw(st.one_of(
@@ -353,11 +356,12 @@ class TestTraceSums:
     def test_galois_traces_are_read_exactly(self, data):
         """Rational ``dot`` sums, which random entries rarely give: the
         trace n sum_a sigma_a(x) sigma_a(y) over the Galois group, with x
-        and y drawn as CycNumbers over mixed denominators, ints or lifts, is
+        and y drawn as algebraic integers, CycNumbers, ints or lifts, is
         n Tr(x y), the one-term ``trace_sums`` over the matrix of the one
         row (y)."""
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
-        x, y = (_value(N, data.draw(_dot_entries(N))) for _ in range(2))
+        x, y = (_value(N, data.draw(_dot_entries(N, integral=True)))
+                for _ in range(2))
         x, y = (CycNumber.from_rational(N, v) if isinstance(v, int) else v
                 for v in (x, y))
         units = _units(N)
@@ -368,6 +372,24 @@ class TestTraceSums:
         got = trace_sums(N, [x], trace_rows(N, [[y]]), [n], d)
         assert got == [want]
         assert type(got[0]) is (int if want.denominator == 1 else Fraction)
+
+    def test_refuse_an_entry_with_a_denominator(self):
+        """Both kernels take algebraic integers only: an entry over 2 in a
+        row raises ValueError from ``trace_rows`` and from
+        ``trace_sums``, split or conjugated, and its integral double does
+        not."""
+        for N in DOT_CONDUCTORS:
+            half = CycNumber(N, [1] + [0] * (euler_phi(N) - 1), 2)
+            zeta = CycNumber.root_of_unity(N, 1)
+            for bad in (half, zeta * Fraction(1, 2), zeta + half):
+                row = [1, zeta, bad]
+                matrix = trace_rows(N, [[3, zeta, 2 * bad]])
+                with pytest.raises(ValueError, match="not an algebraic"):
+                    trace_rows(N, [[1, 1, 1], row])
+                for xs in (row, split(N, row), split(N, row, conj=True)):
+                    with pytest.raises(ValueError, match="not an algebraic"):
+                        trace_sums(N, xs, matrix, None, 1)
+                trace_sums(N, [1, zeta, 2 * bad], matrix, None, 1)
 
     def test_traces_of_powers_are_ramanujan_sums(self):
         """Tr(zeta^k) = c_N(k) = sum over d | gcd(k, N) of mu(N/d) d, the

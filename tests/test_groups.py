@@ -378,7 +378,8 @@ class TestCharTable:
             table = char_table(dt(name), G)
             kept = table.trace_matrix(G)
             fresh = cyclo.trace_rows(G.conductor, map(G.at_reps, table.values))
-            assert (kept.dens, kept.columns) == (fresh.dens, fresh.columns)
+            assert (kept.height, kept.columns) == \
+                (fresh.height, fresh.columns)
 
     def test_flipped_sign_fails_validation(self, bundle):
         # every entry moved by +-1, one at a time, is rejected: the clauses
@@ -411,6 +412,23 @@ class TestCharTable:
                     bad = CharTable(tuple(tuple(r) for r in values))
                     assert table_violation(bad, b.group) == \
                         f"chi_{i}(1) = {d} is not a positive integer"
+
+    def test_entry_that_is_no_algebraic_integer_fails_validation(self,
+                                                                 bundle):
+        """Character values are sums of roots of unity, algebraic integers
+        (Serre 6.5), and the trace kernels take no other entries: an entry
+        at a non-identity class moved by 1/2 is named by the integrality
+        gate, which comes before equivariance and orthonormality."""
+        for name in ("D4", "E8"):
+            b = bundle(name)
+            k = len(b.group.classes)
+            for i in range(1, k):
+                for j in range(1, k):
+                    values = [list(r) for r in b.table.values]
+                    v = values[i][j] = values[i][j] + Fraction(1, 2)
+                    bad = CharTable(tuple(tuple(r) for r in values))
+                    assert table_violation(bad, b.group) == \
+                        f"chi_{i}(C_{j}) = {v} is not an algebraic integer"
 
     def test_rows_of_the_wrong_length_fail_validation(self, bundle):
         # a ``dot`` that truncated to the shorter row passed a row with
@@ -515,13 +533,15 @@ class TestCharTable:
             regular = [CycNumber.from_rational(g.conductor,
                                                g.order if c.order == 1 else 0)
                        for c in g.at_reps(g.classes)]
-            assert decompose(g, regular, map(g.at_reps, t.values)) == \
+            assert decompose(g, regular, t.trace_matrix(g)) == \
                 list(t.degrees)
 
     def test_decompose_equals_the_sum_over_every_class(self, bundle):
-        """On equivariant class functions, rational combinations of the
-        rows (which span them), ``decompose`` over the orbit reps equals
-        the inner product summed over every class by ``dot``."""
+        """On equivariant class functions with algebraic-integer values,
+        the ones the trace kernel takes: integer combinations of the rows,
+        and for f one more integer at the identity class, which makes the
+        product a Fraction, ``decompose`` over the orbit reps equals the
+        inner product summed over every class by ``dot``."""
         rng = random.Random(31)
         for name in ("A12", "D12", "E6", "E7", "E8", "A24", "D24"):
             b = bundle(name)
@@ -530,10 +550,11 @@ class TestCharTable:
                 f, chi = ([sum((v * n for v, n in zip(col, coeffs)),
                                CycNumber.zero(g.conductor))
                            for col in zip(*rows)]
-                          for coeffs in ([Fraction(rng.randint(-4, 4),
-                                                   rng.randint(1, 3))
-                                          for _ in rows] for _ in range(2)))
-                assert decompose(g, g.at_reps(f), [g.at_reps(chi)]) == \
+                          for coeffs in ([rng.randint(-4, 4) for _ in rows]
+                                         for _ in range(2)))
+                f[0] = f[0] + rng.randint(1, 5)
+                matrix = cyclo.trace_rows(g.conductor, [g.at_reps(chi)])
+                assert decompose(g, g.at_reps(f), matrix) == \
                     [inner_product_by_classes(g, f, chi)], name
 
 
@@ -855,7 +876,7 @@ class TestOpCounts:
             assert table_violation(table, G) is None
             monkeypatch.setattr(CycNumber, "__init__", counting_init)
             assert decompose(G, G.at_reps(table.values[1]),
-                             map(G.at_reps, table.values)) \
+                             table.trace_matrix(G)) \
                 == [int(i == 1) for i in range(k)]
             sym = sym_power_multiplicities(G, table, n - 1)
             mckay = mckay_matrix(G, table, b.affine, b.marks)
@@ -927,12 +948,13 @@ class TestOpCounts:
     def test_table_rows_get_their_trace_forms_once(self, monkeypatch):
         """A table keeps its rows' trace matrix, which validation, the McKay
         matrix, the Molien numerators and the Sym^m oracle all sweep, and
-        the E walk grows its matrix by each row it finds and hands it to
-        the table. So over a fresh bundle cache each table row gets its
-        trace forms built once, and each E-walk row once more, for its
-        norm: 219 rows on the default suite (195 table rows and 24 walked),
-        50 on A24,D24 and 18 on E8, where a matrix per reader and per walked
-        row built 943, 200 and 99."""
+        the E walk grows its matrix by each row it finds, reads each norm
+        <V x chi, V x chi> off that matrix and hands it to the table. So
+        over a fresh bundle cache each table row gets its trace forms built
+        once and no other row does: 195 rows on the default suite, 50 on
+        A24,D24 and 9 on E8, where a one-row matrix per walked norm built
+        219 and 18, and a matrix per reader and per walked row 943, 200
+        and 99."""
         original = groups.trace_rows
         built = [0]
 
@@ -942,8 +964,8 @@ class TestOpCounts:
             return original(N, rows)
 
         monkeypatch.setattr(groups, "trace_rows", counting)
-        for types, limit in ((DEFAULT_SUITE, 219),
-                             ((dt("A24"), dt("D24")), 50), ((dt("E8"),), 18)):
+        for types, limit in ((DEFAULT_SUITE, 195),
+                             ((dt("A24"), dt("D24")), 50), ((dt("E8"),), 9)):
             monkeypatch.setattr(verify, "build_bundle", lru_cache(
                 maxsize=None)(build_bundle.__wrapped__))
             built[0] = 0

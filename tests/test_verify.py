@@ -453,6 +453,27 @@ class TestBundle:
         run_suite([dt("E8")])
         assert forms == ["semiaffine"]
 
+    def test_charpoly_query_runs_one_leverrier(self, monkeypatch, capsys):
+        """The ``charpoly`` query holds LeVerrier on the semi-affine graph
+        against the solver's det, as the bundle's report does, and builds
+        no bundle (a call would exit 3): a cold ``charpoly --type E8``
+        calls ``char_poly`` once, on the semi-affine graph, where LeVerrier
+        on the finite graph made it twice, and prints the pinned bytes."""
+        forms = []
+        leverrier = graphs.char_poly
+
+        def counted(g):
+            forms.append(g.form)
+            return leverrier(g)
+        for module in (graphs, cli):  # wherever a caller may look it up
+            monkeypatch.setattr(module, "char_poly", counted, raising=False)
+        monkeypatch.setattr(cli, "build_bundle", None)
+        argv = "charpoly --type E8 --format json"
+        assert cli.main(argv.split()) == 0
+        assert forms == ["semiaffine"]
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == GOLDEN[argv]["sha256"]
+
 
 # per query: the golden key of its bytes (its own when None; the JSON of
 # --basis molien is that of --basis q) and the builders it must not call
