@@ -21,7 +21,7 @@ from .errors import InvalidParameter
 from .graphs import FORMS, build_graph, charpoly_report, parse_type_selector
 from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, json_text,
                      report_json, report_text, run_suite)
-from .weights import numerators_latex, solve_semiaffine
+from .weights import finite_det, numerators_latex, solve_semiaffine
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -180,9 +180,11 @@ def _cmd_group(args) -> tuple[str, int]:
 
 
 def _charpoly(dt):
-    """``TypeBundle.charpoly``'s report, kept out of the bundle cache."""
+    """``TypeBundle.charpoly``'s report, kept out of the bundle cache: the
+    same det, by the solver's ``finite_det``, without the rest of the
+    solve."""
     semi = build_graph(dt, "semiaffine")
-    return charpoly_report(semi, solve_semiaffine(semi).det)
+    return charpoly_report(semi, finite_det(semi))
 
 
 def _cmd_charpoly(args) -> tuple[str, int]:

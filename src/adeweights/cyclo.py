@@ -13,7 +13,8 @@ once; a reduction only indexes them and refuses more than N entries.
 
 There is one product loop, ``_accumulate``: it adds every term's
 coordinate products, times an optional integer factor, into one integer
-buffer of 2N coefficients over the lcm of the term denominators, and
+buffer of 2N coefficients over the lcm of the term denominators, taken
+before the first product, and
 ``dot`` folds it modulo x^N - 1 and reduces it modulo Phi_N (a factor of
 x^N - 1) and by its content once per sum, so a sum of k products builds one
 value, not 2k; an entry is a CycNumber, an int or a lift, and rows of
@@ -458,24 +459,22 @@ def is_galois_image(N: int, y, x, a: int) -> bool:
 
 def _accumulate(N: int, xs, ys, factors) -> tuple[list[int], int]:
     """The one product loop: the 2N coefficients of sum_k n_k x_k y_k, a
-    sum of products of lifts, over one common denominator."""
+    sum of products of lifts, over the lcm of the nonzero terms'
+    denominators, taken before the loop, so the buffer is never
+    rescaled."""
     if not isinstance(xs, Split):
         xs = split(N, xs)
     if not isinstance(ys, Split):
         ys = split(N, ys)
+    den = lcm(*[xd * yd for (xd, _, xt), (yd, _, yt) in zip(xs, ys)
+                if xt and yt])
     buf = [0] * (2 * N)  # i, j < N
-    den = 1
     for (xd, xn, xt), (yd, yn, yt), n in zip(
             xs, ys, [1] * len(xs) if factors is None else factors,
             strict=True):
         if not (xt and yt):
             continue
-        d = xd * yd
-        if den % d:
-            grown = lcm(den, d)
-            buf = [c * (grown // den) for c in buf]
-            den = grown
-        m = den // d * n
+        m = den // (xd * yd) * n
         for i in xt:
             a = xn[i] * m
             for j in yt:

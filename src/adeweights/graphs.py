@@ -11,8 +11,8 @@ tip then the second far tip; E6: the mirror arm; E7/E8: the branch node).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InvalidParameter, SingularSystem, ValidationFailed
 from .poly import Polynomial, cox, one_plus_q
@@ -25,24 +25,24 @@ _E_CONDUCTOR = {6: 12, 7: 24, 8: 60}
 _TYPE_RE = re.compile(r"^([ADE])(0|[1-9][0-9]*)$")  # ASCII, no leading zeros
 
 
-@dataclass(frozen=True, order=True)
-class DynkinType:
-    """One of A_m (m>=1), D_m (m>=4), E_6, E_7, E_8."""
+class DynkinType(NamedTuple("DynkinType", [("family", str), ("m", int)])):
+    """One of A_m (m>=1), D_m (m>=4), E_6, E_7, E_8; ordered by family,
+    then m."""
 
-    family: str
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family == "A":
-            ok = self.m >= 1
-        elif self.family == "D":
-            ok = self.m >= 4
-        elif self.family == "E":
-            ok = self.m in (6, 7, 8)
+    def __new__(cls, family: str, m: int):
+        if family == "A":
+            ok = m >= 1
+        elif family == "D":
+            ok = m >= 4
+        elif family == "E":
+            ok = m in (6, 7, 8)
         else:
             ok = False
         if not ok:
-            raise InvalidParameter(f"no ADE type {self.family}{self.m}")
+            raise InvalidParameter(f"no ADE type {family}{m}")
+        return super().__new__(cls, family, m)
 
     @classmethod
     def parse(cls, text: str) -> DynkinType:
@@ -107,8 +107,7 @@ class DynkinType:
 FORMS = ("finite", "affine", "semiaffine")
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
+class DirectedGraph(NamedTuple):
     mult: tuple[tuple[int, ...], ...]
     dynkin: DynkinType | None
     form: str
@@ -286,8 +285,7 @@ def graph_marks(affine: DirectedGraph) -> tuple[int, ...]:
     return marks
 
 
-@dataclass(frozen=True)
-class CharPolyReport:
+class CharPolyReport(NamedTuple):
     dynkin: DynkinType
     d: int
     cofactor: Polynomial

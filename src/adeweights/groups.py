@@ -27,6 +27,9 @@ form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q), with no
 remainder at x = zeta, summed against the character values. They read the
 plain table rows and no symmetric-power code, so the symmetric-power oracle
 stays an independent route. ``MolienSet`` keeps only the numerators.
+The values are ``NamedTuple`` records; ``CharTable`` and ``MolienSet``
+subclass theirs without ``__slots__``, for the instance ``__dict__`` their
+caches live in.
 
 Character tables: a ``CharTable`` is its rows alone, each over
 ``G.classes``, whose class 0 is the identity, so column 0 holds the degrees.
@@ -75,12 +78,12 @@ has order d too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import add, sub
+from typing import NamedTuple
 
 from .cyclo import (CycNumber, TraceMatrix, dot, euler_phi, is_galois_image,
                     split, trace_rows, trace_sums, vanishes)
@@ -125,8 +128,7 @@ def generators(dt: DynkinType) -> list[TopRow]:
             quaternion(N, half * phi, half, 0, half * (phi - 1))]
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     rep: int
     members: tuple[int, ...]
     size: int
@@ -136,8 +138,7 @@ class ConjClass:
     inverse: int  # column in ``classes`` of the class of rep^-1
 
 
-@dataclass(frozen=True)
-class GaloisOrbit:
+class GaloisOrbit(NamedTuple):
     """The classes C_O^a, a prime to N, of the class C_O at column ``rep``:
     C^a is the class of g^a for g in C. ``size`` is |O|, ``twists`` holds
     one (column of C, a) with C = C_O^a per other class C of O, and
@@ -341,18 +342,18 @@ def build_group(dt: DynkinType) -> FiniteSubgroup:
     return enumerate_subgroup(generators(dt), dt)
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(NamedTuple("CharTable", [
+        ("values", tuple[tuple[CycNumber, ...], ...])])):
     """Rows are irreducible characters (row 0 trivial) over the group's
     ``classes``, so column 0 is the identity class and holds the degrees.
 
     ``trace_matrix(G)`` is the one trace matrix of the rows that
     validation, the McKay matrix, the Molien numerators and the Sym^m
     oracle all sweep. A table's columns are one group's classes, so the
-    matrix is kept with the table: built on the first read, or handed over
-    by ``with_trace_matrix`` from the E walk that grew it row by row."""
-
-    values: tuple[tuple[CycNumber, ...], ...]
+    matrix is kept with the table, in the instance ``__dict__`` this
+    subclass of its fields' tuple has: built on the first read, or handed
+    over by ``with_trace_matrix`` from the E walk that grew it row by row.
+    It is no field, so equality reads the rows alone."""
 
     @classmethod
     def with_trace_matrix(cls, values, matrix: TraceMatrix) -> CharTable:
@@ -602,8 +603,7 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class McKayResult:
+class McKayResult(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]
     bijection: tuple[int, ...]  # table row -> affine node
 
@@ -661,13 +661,11 @@ def _match_affine(A, degrees, g: DirectedGraph, marks) -> tuple[int, ...]:
     return tuple(assign[i] for i in range(k))
 
 
-@dataclass(frozen=True)
-class MolienSet:
+class MolienSet(NamedTuple("MolienSet", [
+        ("dynkin", DynkinType), ("numerators", tuple[Polynomial, ...])])):
     """Per irreducible character: the numerator N_i of its Molien series
-    m_i = N_i / ((1-q^a)(1-q^b)), the standard form."""
-
-    dynkin: DynkinType
-    numerators: tuple[Polynomial, ...]
+    m_i = N_i / ((1-q^a)(1-q^b)), the standard form. A subclass of its
+    fields' tuple, so it has an instance ``__dict__`` to keep ``series``."""
 
     @cached_property
     def series(self) -> tuple[RationalFunction, ...]:

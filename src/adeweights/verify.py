@@ -2,7 +2,8 @@
 
 Every identity the library computes twice (graph side vs group side, solver
 vs closed form, characteristic polynomial factorizations, ...) is run per
-type and recorded as a CheckResult; ``CHECKS`` is the one list of them.
+type and recorded as a CheckResult, a ``NamedTuple`` like every value
+record here but ``TypeBundle``; ``CHECKS`` is the one list of them.
 Failures are data, not exceptions; the charpoly claim is informational by
 design. A seeded fault-injection hook perturbs one numerator coefficient at
 the cross-match boundary so the suite can prove it is not vacuous.
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import InvalidParameter
 from .graphs import (CharPolyReport, DirectedGraph, DynkinType, build_graph,
@@ -35,8 +36,7 @@ DEFAULT_SUITE = tuple(
     + [DynkinType("E", m) for m in (6, 7, 8)]
 )
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     type_name: str
     status: str  # pass | fail | informational
@@ -51,8 +51,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     checks: tuple[CheckResult, ...]
     summary: dict
@@ -66,8 +65,7 @@ class VerificationReport:
                 "summary": self.summary}
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     """Coefficient perturbation applied to one graph-side numerator, only on
     the copy fed to the cross-match comparison."""
 
@@ -84,7 +82,6 @@ class FaultSpec:
         return cls(str(dt), node, exponent)
 
 
-@dataclass(frozen=True, eq=False)
 class TypeBundle:
     """Everything both sides compute for one type, as parts that are each
     built on their first read and kept, so a query pays for the parts it
@@ -93,9 +90,20 @@ class TypeBundle:
     ``verify`` every part. Each part calls its builder through this
     module's globals, so a wrapper set on one of those names sees every
     build. ``PARTS`` lists the parts in build order; ``charpoly`` is one
-    more, which no query reads."""
+    more, which no query reads.
 
-    dynkin: DynkinType
+    A bundle equals only itself. ``dynkin`` and the built parts live in
+    the instance ``__dict__``, where ``cached_property`` writes them, and
+    assigning any attribute raises AttributeError."""
+
+    def __init__(self, dynkin: DynkinType):
+        vars(self)["dynkin"] = dynkin
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return f"TypeBundle(dynkin={self.dynkin!r})"
 
     @cached_property
     def finite(self) -> DirectedGraph:
@@ -284,8 +292,7 @@ def _check_structural(b: TypeBundle, _fault) -> tuple:
             "structural characteristic-polynomial identity fails")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """``run(bundle, fault)`` returns a verdict, the detail for a true one,
     the detail for a false one and, optionally, a payload."""
 

@@ -2,9 +2,11 @@
 
 ``solve_semiaffine`` imposes t*n_i = sum of the successors of i at every node
 of positive out-degree (the affine node is a sink and is normalized to 1).
-The finite part is a tree: Schwenk's recurrence gives det(tI - A_fin), and
-Faddeev's gives the Cramer vector y_i = det(tI - A_fin) * n_i over the ints,
-checked by Cayley-Hamilton. A weight is reduced in Q(t) only when read.
+The finite part is a tree: Schwenk's recurrence gives det(tI - A_fin),
+``finite_det``, which the ``charpoly`` query reads alone, and Faddeev's gives
+the Cramer vector y_i = det(tI - A_fin) * n_i over the ints, checked by
+Cayley-Hamilton. A weight is reduced in Q(t) only when read. The results
+are ``NamedTuple`` records.
 
 Two renormalizations follow the substitution t = q + 1/q: clearing by cox(h)
 gives the primitive q-weights (when cox(h) really is the common denominator;
@@ -14,17 +16,16 @@ that the group side reproduces as Molien numerators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
+from typing import NamedTuple
 
 from .errors import NonPolynomialResult, ValidationFailed
 from .graphs import DirectedGraph, DynkinType
 from .poly import Polynomial, RationalFunction, cox, poly_gcd, substitute_t
 
 
-@dataclass(frozen=True)
-class TWeights:
+class TWeights(NamedTuple):
     """Node weights n_i = y_i / det in canonical node order, held as the
     Cramer vector y in Z[t]; y_0 = det because n_0 = 1."""
 
@@ -46,8 +47,7 @@ class TWeights:
                 "values": [v.to_json() for v in self.values]}
 
 
-@dataclass(frozen=True)
-class QNumerators:
+class QNumerators(NamedTuple):
     """Standard-form numerators N_i(q), normalized to N_0 = 1 + q^h."""
 
     dynkin: DynkinType
@@ -76,29 +76,46 @@ def _tree_det(children: list[list[int]]) -> Polynomial:
     return phi[0]
 
 
-def solve_semiaffine(g: DirectedGraph) -> TWeights:
-    """Solve (tI - A_fin) x = b, the weight equations with n_0 = 1 moved
-    across (b_i = mult[i][0]), as y = det(tI - A_fin) x = adj(tI - A_fin) b.
+def _finite_neighbours(g: DirectedGraph) -> list[list[int]]:
+    """Per node of A_fin, the semi-affine graph g less its sink, the
+    positions of its nonzero entries."""
+    return [[j for j, v in enumerate(row[1:]) if v] for row in g.mult[1:]]
+
+
+def finite_det(g: DirectedGraph) -> Polynomial:
+    """det(tI - A_fin) of the semi-affine graph g, by ``_tree_det``.
 
     A_fin must be a 0/1 tree in which each node but the first has exactly
-    one neighbour before it, its parent; else ``ValueError``. With det from
-    ``_tree_det`` as sum_k c_k t^(r-k), Faddeev's expansion
-    adj(tI - A) = sum_k t^(r-1-k) B_k, B_0 = I, B_k = A B_(k-1) + c_k I,
-    makes coefficient r-1-k of y the int vector v_k = A v_(k-1) + c_k b,
-    v_0 = b. Cayley-Hamilton makes v_r zero, or ``ValidationFailed``.
-    """
+    one neighbour before it, its parent; else ``ValueError``. The solver
+    reads its det here, and so does the ``charpoly`` query, which needs
+    nothing else of it."""
     if g.form != "semiaffine":
         raise ValueError("solver expects a semi-affine graph")
     r = g.n - 1
     fin = [row[1:] for row in g.mult[1:]]
-    nbrs = [[j for j in range(r) if fin[i][j]] for i in range(r)]
+    nbrs = _finite_neighbours(g)
     if (r < 1 or any(v not in (0, 1) for row in fin for v in row)
             or fin != list(zip(*fin)) or any(fin[i][i] for i in range(r))
             or [sum(j < i for j in js) for i, js in enumerate(nbrs)]
             != [int(i > 0) for i in range(r)]):
         raise ValueError(f"{g.dynkin}: the finite graph is not a tree with "
                          "each parent before its children")
-    det = _tree_det([[j for j in js if j > i] for i, js in enumerate(nbrs)])
+    return _tree_det([[j for j in js if j > i] for i, js in enumerate(nbrs)])
+
+
+def solve_semiaffine(g: DirectedGraph) -> TWeights:
+    """Solve (tI - A_fin) x = b, the weight equations with n_0 = 1 moved
+    across (b_i = mult[i][0]), as y = det(tI - A_fin) x = adj(tI - A_fin) b.
+
+    With det from ``finite_det``, which checks A_fin, as
+    sum_k c_k t^(r-k), Faddeev's expansion
+    adj(tI - A) = sum_k t^(r-1-k) B_k, B_0 = I, B_k = A B_(k-1) + c_k I,
+    makes coefficient r-1-k of y the int vector v_k = A v_(k-1) + c_k b,
+    v_0 = b. Cayley-Hamilton makes v_r zero, or ``ValidationFailed``.
+    """
+    det = finite_det(g)
+    r = g.n - 1
+    nbrs = _finite_neighbours(g)
     b = [row[0] for row in g.mult[1:]]
     vs = [b]
     for k in range(1, r + 1):
@@ -245,8 +262,7 @@ def _mod_one_plus_q(p: Polynomial, h: int) -> list[int]:
     return c[:h]
 
 
-@dataclass(frozen=True)
-class NotesReport:
+class NotesReport(NamedTuple):
     """Outcome of the three structural observations on the exponents."""
 
     chain_ok: bool      # min exponent = distance from the affine node, max = h - distance

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import random
-from dataclasses import replace
+import sys
+import textwrap
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -664,7 +667,7 @@ class TestMolien:
 
         for name in ("A5", "D7", "E8"):
             b = bundle(name)
-            fresh = replace(b.molien)  # a set no reader has touched yet
+            fresh = b.molien._replace()  # a set no reader has touched yet
             monkeypatch.setattr(groups, "RationalFunction", counting)
             built[0] = 0
             first = json.dumps(fresh.to_json(b.table.degrees))
@@ -700,7 +703,7 @@ class TestMolien:
                 nums = list(b.molien.numerators)
                 nums[i] = nums[i] + Polynomial.monomial("q", 1)
                 assert not recurrence_check(
-                    replace(b.molien, numerators=tuple(nums)), b.mckay.matrix)
+                    b.molien._replace(numerators=tuple(nums)), b.mckay.matrix)
 
 
 class TestOpCounts:
@@ -750,6 +753,44 @@ class TestOpCounts:
             finally:
                 CycNumber.__init__ = original
             assert count[0] <= self.LIMIT, (name, count[0])
+
+    def test_product_buffer_is_never_rescaled(self, monkeypatch):
+        """``cyclo._accumulate`` takes the lcm of its terms' denominators
+        before the product loop, so it assigns its 2N buffer once per call:
+        a line trace of its frames counts the assignments to ``buf`` beyond
+        one per call. Growing the denominator term by term rescaled the
+        buffer 894 times over a cold default ``verify``, every one in the
+        E closures, whose generators have halves; most rescaled zeros."""
+        lines, first = inspect.getsourcelines(cyclo._accumulate)
+        tree = ast.parse(textwrap.dedent("".join(lines)))
+        assigns = {first + node.lineno - 1 for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "buf"
+                           for t in node.targets)}
+        code = cyclo._accumulate.__code__
+        calls, built = [0], [0]
+
+        def in_accumulate(frame, event, arg):
+            if event == "line" and frame.f_lineno in assigns:
+                built[0] += 1
+            return in_accumulate
+
+        def on_call(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            calls[0] += 1
+            return in_accumulate
+
+        # a cache of its own, so every E bundle is built cold
+        monkeypatch.setattr(verify, "build_bundle", lru_cache(maxsize=None)(
+            verify.build_bundle.__wrapped__))
+        sys.settrace(on_call)
+        try:
+            run_suite([dt("E6"), dt("E7"), dt("E8")])
+        finally:
+            sys.settrace(None)
+        assert calls[0] > 1000
+        assert built[0] - calls[0] == 0
 
     def test_class_facts_walk_each_orbit_rep_once(self, monkeypatch):
         """``build_group`` walks the powers of each Galois orbit's rep once,
@@ -867,7 +908,7 @@ class TestOpCounts:
 
         for name in ("A12", "D12", "E8", "A24", "D24"):
             b = bundle(name)
-            G, table = b.group, replace(b.table)
+            G, table = b.group, b.table._replace()
             k = len(G.classes)
             n = 2 * b.dynkin.coxeter_number + 2
             products[0] = built[0] = 0

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import adeweights
 from adeweights.cyclo import dot
@@ -67,6 +70,32 @@ def test_poly_imports_nothing_from_fractions():
              or isinstance(node, ast.Import)
              and any(a.name == "fractions" for a in node.names)]
     assert found == []
+
+
+def test_src_imports_no_dataclasses():
+    """The value records are ``NamedTuple``s: importing ``dataclasses``
+    pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and each
+    decoration execs its generated methods, which took most of a cold
+    start's import of the CLI."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "dataclasses"
+             or isinstance(node, ast.Import)
+             and any(a.name == "dataclasses" for a in node.names)]
+    assert found == []
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    """A fresh interpreter, without ``site`` so that nothing else loads it,
+    imports the CLI and has not loaded ``dataclasses``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, adeweights.cli; "
+         "print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_no_matrix_class_or_matrix_product_in_src():
@@ -293,8 +322,10 @@ def test_tables_keep_no_weighted_rows():
 
 
 def test_molien_set_stores_no_series():
-    for f in fields(MolienSet):
-        assert "series" not in f.name and "RationalFunction" not in str(f.type)
+    hints = get_type_hints(MolienSet)
+    for name in MolienSet._fields:
+        assert "series" not in name
+        assert "RationalFunction" not in str(hints[name])
 
 
 def test_series_expansion_lives_in_one_place():
@@ -317,7 +348,7 @@ def test_series_expansion_lives_in_one_place():
 def test_tweights_hold_only_the_cramer_vector():
     """The solver keeps y = det(tI - A_fin) * n unreduced; a weight is
     reduced only when ``TWeights.values`` is read."""
-    assert [f.name for f in fields(TWeights)] == ["dynkin", "y"]
+    assert list(TWeights._fields) == ["dynkin", "y"]
     assert "RationalFunction" not in _names_in_function(SRC / "weights.py",
                                                         "solve_semiaffine")
 
@@ -391,14 +422,14 @@ def test_values_hold_no_copied_type_facts():
     column 0, which a Molien set reads instead of keeping a copy: each value
     keeps only what cannot be derived, and nothing in src/ reads a table's
     classes."""
-    assert [f.name for f in fields(QNumerators)] == ["dynkin", "N"]
-    assert [f.name for f in fields(MolienSet)] == ["dynkin", "numerators"]
-    assert [f.name for f in fields(CharTable)] == ["values"]
+    assert list(QNumerators._fields) == ["dynkin", "N"]
+    assert list(MolienSet._fields) == ["dynkin", "numerators"]
+    assert list(CharTable._fields) == ["values"]
     assert [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr == "classes"
             and "table" in ast.unparse(node.value)] == []
-    assert [f.name for f in fields(DirectedGraph)] == ["mult", "dynkin", "form"]
+    assert list(DirectedGraph._fields) == ["mult", "dynkin", "form"]
 
 
 def test_no_product_by_a_one_plus_q_factor():

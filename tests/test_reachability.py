@@ -37,6 +37,9 @@ ALLOWLIST = {
     "cyclo.CycNumber.__repr__": "for debugging only",
     "poly.Polynomial.__repr__": "for debugging only",
     "poly.RationalFunction.__repr__": "for debugging only",
+    "verify.TypeBundle.__repr__": "for debugging only",
+    "verify.TypeBundle.__setattr__": "refuses assignment to a bundle, which "
+                                     "no CLI call attempts",
     "cyclo.CycNumber.inverse": TRACER_WRAPS,
     "poly.Polynomial.__divmod__": TRACER_WRAPS,
     "poly.RationalFunction.__eq__": "tests compare t-weights with it",
