@@ -136,7 +136,7 @@ def _cmd_molien(args) -> tuple[str, int]:
         b = build_bundle(dt)
         obj = b.molien.to_json(b.table.degrees)
         obj["classes"] = b.group.classes_to_json()
-        obj["char_table"] = b.table.to_json()
+        obj["char_table"] = b.table.to_json(b.group)
         if args.series_terms:
             obj["series_coefficients"] = [
                 [str(c) for c in b.molien.coefficients(i, args.series_terms)]
@@ -166,7 +166,7 @@ def _cmd_group(args) -> tuple[str, int]:
         return {"type": str(dt), "order": b.group.order,
                 "conductor": b.group.conductor,
                 "classes": b.group.classes_to_json(),
-                "char_table": b.table.to_json()}
+                "char_table": b.table.to_json(b.group)}
 
     def render(dt):
         b = build_bundle(dt)

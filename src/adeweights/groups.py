@@ -22,52 +22,45 @@ and eigen-exponent; the D and E tables read their trace-valued rows there,
 and read no coordinates: the D rotation classes are those whose rep's word
 has an even count of generator 1.
 
-Molien numerators come from one cofactor per class: the integer standard
-form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q), with no
-remainder at x = zeta, summed against the character values. They read the
-plain table rows and no symmetric-power code, so the symmetric-power oracle
-stays an independent route. ``MolienSet`` keeps only the numerators.
-The values are ``NamedTuple`` records; ``CharTable`` and ``MolienSet``
-subclass theirs without ``__slots__``, for the instance ``__dict__`` their
-caches live in.
+Molien numerators come from one cofactor per orbit rep: the integer
+standard form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q),
+with no remainder at x = zeta, summed against the character values. They
+read the table rows and no symmetric-power code, so the symmetric-power
+oracle stays an independent route. The values are ``NamedTuple`` records;
+``CharTable`` and ``MolienSet`` subclass theirs without ``__slots__``, for
+the instance ``__dict__`` their caches live in.
 
-Character tables: a ``CharTable`` is its rows alone, each over
-``G.classes``, whose class 0 is the identity, so column 0 holds the degrees.
-Every table starts from ``_linear_characters``, the homomorphisms
-G -> <zeta_N> found by a search over generator images that reads only the
-right-multiplication tables. They are the whole table for A; D adds the
-two-dimensional characters induced from the rotations, written down
-directly; the E types add the Galois conjugates of the defining character V
-and then walk the McKay graph, V tensor chi = sum of the chi_j adjacent to
-chi, peeling each new row off V tensor chi of a row already found. Every
-table must pass ``table_violation`` before use. The McKay matrix is matched
-onto the affine graph in one breadth-first pass with no backtracking.
+Character tables: a ``CharTable`` is its rows alone, each at the reps of
+``G.orbits``, the Galois orbits of classes below, whose orbit 0 is the
+identity, so column 0 holds the degrees. The builders compute the reps
+alone; only printing writes a row at every class, by
+``FiniteSubgroup.expand``. Every table starts from ``_linear_characters``,
+the homomorphisms G -> <zeta_N> found by a search over generator images
+that reads only the right-multiplication tables. They are the whole table
+for A; D adds the characters induced from the rotations; E adds the Galois
+conjugates of the defining character V and then walks the McKay graph,
+V tensor chi = sum of the chi_j adjacent to chi. Every table must pass
+``table_violation`` before use. The McKay matrix is matched onto the
+affine graph in one breadth-first pass with no backtracking.
 
-Class sums run over Galois orbits of classes. For a prime to N, C^a is the
+Class sums run over Galois orbits of classes: for a prime to N, C^a is the
 class of g^a, g in C, and sigma_a is zeta -> zeta^a. Every summand the
-group side sums is Galois-equivariant, f(C^a) = sigma_a(f(C)): characters
-(Serre, Linear Representations of Finite Groups, ch. 12), V tensor chi,
-lambda^m + lambda^-m and the Molien cofactors, whose coefficients are
-integer polynomials in tau_C. So the sum over an orbit O is
-(|O| / phi(N)) Tr(f(C_O)) at its rep C_O, and Tr(zeta^k) is the Ramanujan
-sum c_N(k). ``FiniteSubgroup.orbits`` holds each orbit's rep, size, twists
-and stabiliser generators, read off one walk of the powers of the rep x,
-which also gives each class C_O^a its order, x's, its inverse, the class of
-x^-a, and its trace, read off x^a and x^-a. Every inner product of class
-functions (validation, the E walk, McKay, the symmetric-power oracle) is
-``decompose(G, values, matrix)`` over the orbit reps, one
-``cyclo.trace_sums`` sweep of conj(f), the reversed lift, over the trace
-matrix ``cyclo.trace_rows`` of the rows, which gives the product with
-every row at once; the Molien class sums are sweeps of their own, one per
-cofactor coefficient over the same matrix. Each sweep of algebraic
-integers, all the kernels take, weights orbit O by |C_O| |O|, read off
-the classes at the call, divides by phi(N) times the total weight,
-reduces nothing modulo Phi_N and reads a sum as an int when integral,
-with no CycNumber or Fraction built. A table keeps its rows' matrix,
-``CharTable.trace_matrix``, for every reader; the E walk grows its own
-row by row and hands it to the table. ``table_violation`` checks
-integrality and then equivariance, on which alone the orbit trace is
-exact, before any sum. Every product by a class trace
+group side sums (characters, Serre, Linear Representations of Finite
+Groups, ch. 12; V tensor chi; lambda^m + lambda^-m; the Molien cofactors,
+integer polynomials in tau_C) is Galois-equivariant,
+f(C^a) = sigma_a(f(C)), so an orbit O adds (|O| / phi(N)) Tr(f(C_O)) at
+its rep C_O, and Tr(zeta^k) is the Ramanujan sum c_N(k).
+``FiniteSubgroup.orbits`` holds each orbit's rep, size, twists and
+stabiliser generators, read off one walk of the powers of the rep x, which
+also gives each class C_O^a its order, the class of its inverse and its
+trace, read off x^a and x^-a. Every inner product of class functions is
+``decompose``, one ``cyclo.trace_sums`` sweep of algebraic integers over
+the trace matrix of a table's rows, ``CharTable.trace_matrix``, with no
+CycNumber or Fraction built; the E walk grows its matrix row by row, and
+the Molien class sums are sweeps of their own, one per cofactor
+coefficient. ``table_violation`` checks integrality and then that each
+orbit's stabiliser fixes its rep's value, which makes every row
+equivariant, before any sum. Every product by a class trace
 tau_C = zeta^e_C + zeta^-e_C (V tensor chi, det(I - x q),
 lambda^m + lambda^-m) is ``_tau_times``, two rotations of a lift in
 Z[x]/(x^N - 1), built at the orbit reps only. The symmetric-power oracle
@@ -205,9 +198,20 @@ class FiniteSubgroup:
             y = self.mul(y, x)
         return out
 
-    def at_reps(self, row) -> list:
-        """The entries of ``row``, one per class, at the orbit reps."""
-        return [row[o.rep] for o in self.orbits]
+    @cached_property
+    def rep_classes(self) -> list[ConjClass]:
+        """The class at each Galois orbit's rep: a table's columns."""
+        return [self.classes[o.rep] for o in self.orbits]
+
+    def expand(self, row) -> list[CycNumber]:
+        """A row held at the orbit reps, at every class: sigma_a(chi(C_O))
+        at C = C_O^a for C's stored twist a."""
+        out = [None] * len(self.classes)
+        for o, v in zip(self.orbits, row, strict=True):
+            out[o.rep] = v
+            for cj, a in o.twists:
+                out[cj] = v.galois(a)
+        return out
 
     def classes_to_json(self) -> list[dict]:
         """Each class's order d, size, trace and the trace's minimal
@@ -344,50 +348,48 @@ def build_group(dt: DynkinType) -> FiniteSubgroup:
 
 class CharTable(NamedTuple("CharTable", [
         ("values", tuple[tuple[CycNumber, ...], ...])])):
-    """Rows are irreducible characters (row 0 trivial) over the group's
-    ``classes``, so column 0 is the identity class and holds the degrees.
+    """Rows are irreducible characters (row 0 trivial) at the reps of the
+    group's Galois ``orbits``, so column 0, the identity, holds the
+    degrees; ``to_json`` writes them at every class by ``G.expand``.
 
-    ``trace_matrix(G)`` is the one trace matrix of the rows that
-    validation, the McKay matrix, the Molien numerators and the Sym^m
-    oracle all sweep. A table's columns are one group's classes, so the
-    matrix is kept with the table, in the instance ``__dict__`` this
-    subclass of its fields' tuple has: built on the first read, or handed
-    over by ``with_trace_matrix`` from the E walk that grew it row by row.
-    It is no field, so equality reads the rows alone."""
+    ``trace_matrix`` is the one trace matrix of the rows that validation,
+    the McKay matrix, the Molien numerators and the Sym^m oracle all sweep,
+    kept in the instance ``__dict__`` this subclass of its fields' tuple
+    has: built on the first read, or handed over by ``with_trace_matrix``
+    from the E walk that grew it row by row. It is no field, so equality
+    reads the rows alone."""
 
     @classmethod
     def with_trace_matrix(cls, values, matrix: TraceMatrix) -> CharTable:
         """The table of ``values`` keeping ``matrix``, the trace matrix of
-        its rows at the orbit reps, built by whoever found the rows."""
+        its rows, built by whoever found the rows."""
         table = cls(values)
-        table.__dict__["_trace_matrix"] = matrix
+        table.__dict__["trace_matrix"] = matrix
         return table
 
-    def trace_matrix(self, G: FiniteSubgroup) -> TraceMatrix:
-        """The ``cyclo.trace_rows`` matrix of the rows at G's orbit reps,
-        built on the first read and kept."""
-        kept = self.__dict__.get("_trace_matrix")
-        if kept is None:
-            kept = self.__dict__["_trace_matrix"] = trace_rows(
-                G.conductor, map(G.at_reps, self.values))
-        return kept
+    @cached_property
+    def trace_matrix(self) -> TraceMatrix:
+        """The ``cyclo.trace_rows`` matrix of the rows, over their field."""
+        return trace_rows(self.values[0][0].N, self.values)
 
     @property
     def degrees(self) -> tuple[int, ...]:
         """chi_i(1), column 0: a positive integer on a valid table."""
         return tuple(int(row[0].to_rational()) for row in self.values)
 
-    def to_json(self) -> dict:
+    def to_json(self, G: FiniteSubgroup) -> dict:
+        """The degrees and every row at each of G's classes."""
         return {"degrees": list(self.degrees),
-                "values": [[v.to_json() for v in row] for row in self.values]}
+                "values": [[v.to_json() for v in G.expand(row)]
+                           for row in self.values]}
 
 
 def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     """Hermitian inner products (1/|G|) sum_C |C| f(C) conj(chi(C)) of the
     class function f with each row chi, collapsed to Q: an int where the
     product is integral, else a Fraction. ``values`` are f's integral
-    ``dot`` entries at G's orbit reps, ``G.at_reps(...)``, and ``rows`` the
-    ``cyclo.trace_rows`` matrix of the rows there, one a table keeps
+    ``dot`` entries at G's orbit reps, the columns of a table, and ``rows``
+    the ``cyclo.trace_rows`` matrix of the rows there, one a table keeps
     (``CharTable.trace_matrix``) or the E walk grows.
 
     f and chi must be Galois-equivariant, f(C^a) = sigma_a(f(C)) for a
@@ -461,11 +463,11 @@ def _exponent_labels(G: FiniteSubgroup, ks) -> list[int] | None:
 
 
 def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
-    """Every degree-1 character, a homomorphism G -> <zeta_N>, as a row over
-    G's classes: each generator g is sent to a zeta^k_g whose order divides
-    ord(g), and the assignments that ``_exponent_labels`` extends are kept.
-    The all-zero assignment comes first, so row 0 is trivial; each root of
-    unity is built once."""
+    """Every degree-1 character, a homomorphism G -> <zeta_N>, as a row at
+    G's orbit reps: each generator g is sent to a zeta^k_g whose order
+    divides ord(g), and the assignments that ``_exponent_labels`` extends
+    are kept. The all-zero assignment comes first, so row 0 is trivial;
+    each root of unity is built once."""
     N = G.conductor
     orders = [len(G.powers(x)) for x in G.gen_index]
     roots: dict[int, CycNumber] = {}
@@ -474,7 +476,7 @@ def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
         label = _exponent_labels(G, ks)
         if label is None:
             continue
-        exps = [label[c.rep] for c in G.classes]
+        exps = [label[c.rep] for c in G.rep_classes]
         for e in exps:
             if e not in roots:
                 roots[e] = CycNumber.root_of_unity(N, e)
@@ -494,50 +496,49 @@ def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
     return _linear_characters(G) + [
         [G.traces[min(ell * c.eigen_exp % N, -ell * c.eigen_exp % N)]
          if G.words[c.rep].count(1) % 2 == 0 else zero
-         for c in G.classes]
+         for c in G.rep_classes]
         for ell in range(1, dt.m - 2)]
 
 
 def _e_type_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
     """One walk of the McKay graph, V tensor chi = sum of the chi_j adjacent
-    to chi (McKay 1980), over a growing list of found rows: the linear
-    characters and the distinct Galois conjugates sigma_a V, 1 <= a <= N/2
-    prime to N (V is real), read from ``G.traces``. On E8 sigma_7 V is the
-    second two-dimensional character, which no walk from the linear rows
-    reaches: V tensor chi of the six-dimensional one leaves two new rows at
-    once. For each found row chi, appended ones included, V tensor chi is
-    one ``_tau_times`` lift per class, since a new row needs every class,
-    and one ``decompose`` at the orbit reps over the found rows' trace
-    matrix gives its multiplicities m; the found rows are orthonormal, so
+    to chi (McKay 1980), over a growing list of found rows, all at the
+    orbit reps: the linear characters and the distinct Galois conjugates
+    sigma_a V, 1 <= a <= N/2 prime to N (V is real), read from
+    ``G.traces``. On E8 sigma_7 V is the second two-dimensional character,
+    which no walk from the linear rows reaches: V tensor chi of the
+    six-dimensional one leaves two new rows at once. For each found row chi,
+    appended ones included, V tensor chi is one ``_tau_times`` lift per
+    entry, and one ``decompose`` over the found rows' trace matrix gives
+    its multiplicities m; the found rows are orthonormal, so
     V tensor chi - sum m_j chi_j is a new irreducible exactly when
     <V tensor chi, V tensor chi> - sum m_j^2 = 1, and it is one ``dot`` per
-    class over the nonzero m. tau_C is real, so the norm is <tau^2 chi, chi>,
+    entry over the nonzero m. tau_C is real, so the norm is <tau^2 chi, chi>,
     entry chi of a ``decompose`` of tau V tensor chi over the same matrix,
     which grows by each new row's trace forms, so only table rows get them.
     Row 0 is trivial, the rest sorted by their entries' ``sort_key`` in
-    turn: by degree first, a degree d in column 0 (the identity) keying as
-    (1, (d, 0, ...)). The table keeps the matrix, rows in that order."""
+    turn, distinct on E6, E7 and E8: by degree first, a degree d in
+    column 0 keying as (1, (d, 0, ...)). The table keeps the matrix, rows
+    in that order."""
     N = G.conductor
+    e_reps = [c.eigen_exp for c in G.rep_classes]
     rows = _linear_characters(G)
     conjugates = dict.fromkeys(
-        tuple(min(a * c.eigen_exp % N, -a * c.eigen_exp % N) for c in G.classes)
+        tuple(min(a * e % N, -a * e % N) for e in e_reps)
         for a in range(1, N // 2 + 1) if gcd(a, N) == 1)
     rows += [[G.traces[r] for r in exps] for exps in conjugates]
-    matrix = trace_rows(N, map(G.at_reps, rows))
-    e_reps = [c.eigen_exp for c in G.at_reps(G.classes)]
+    matrix = trace_rows(N, rows)
     for r, chi in enumerate(rows):
-        tensor = [_tau_times(v.to_lift(), c.eigen_exp)
-                  for v, c in zip(chi, G.classes)]
-        at_reps = G.at_reps(tensor)
-        mults = _multiplicities(decompose(G, at_reps, matrix),
+        tensor = [_tau_times(v.to_lift(), e) for v, e in zip(chi, e_reps)]
+        mults = _multiplicities(decompose(G, tensor, matrix),
                                 f"{dt}: V x chi")
-        norm = decompose(G, list(map(_tau_times, at_reps, e_reps)), matrix)[r]
+        norm = decompose(G, list(map(_tau_times, tensor, e_reps)), matrix)[r]
         if norm - sum(m * m for m in mults) == 1:
             used = [j for j, m in enumerate(mults) if m]
             coeffs = [1] + [-mults[j] for j in used]
             rows.append([dot(N, [t] + [rows[j][i] for j in used], coeffs)
                          for i, t in enumerate(tensor)])
-            matrix.extend(trace_rows(N, [G.at_reps(rows[-1])]))
+            matrix.extend(trace_rows(N, [rows[-1]]))
     if len(rows) < len(G.classes):
         raise ValidationFailed(f"{dt}: irreducible search did not saturate")
     order = [0] + sorted(range(1, len(rows)), key=lambda j: tuple(
@@ -549,18 +550,18 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
 def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     """First violated relation, or None when the table is valid.
 
-    The columns are ``G.classes``, identity first. Checked: k rows of k
-    entries, the trivial row 0, each chi_i(1) a positive integer, entries
-    in Z[zeta_N] (Serre 6.5), Galois equivariance and row orthonormality.
+    The columns are the reps of ``G.orbits``, the identity first. Checked:
+    k rows of one entry per orbit, the trivial row 0, each chi_i(1) a
+    positive integer, entries in Z[zeta_N] (Serre 6.5), stabiliser
+    invariance and row orthonormality.
 
-    ``decompose`` sums over Galois orbits of classes by one field trace per
-    orbit, which is exact only for equivariant rows, so equivariance is the
-    gate before it: chi(C) = sigma_a(chi(C_O)) at each orbit's twists
-    (C, a), and chi(C_O) = sigma_s(chi(C_O)) at each stabiliser generator s,
-    each by ``is_galois_image``. Together they give chi(C^a) =
-    sigma_a(chi(C)) for every class C and every a prime to N: if
-    C_O^a = C_O^b for a twist b, then a/b fixes C_O, so it fixes chi(C_O).
-    Conjugate symmetry, chi(C^-1) = conj(chi(C)), is the case a = -1.
+    A row stands for the class function chi(C_O^a) = sigma_a(chi(C_O)), a
+    prime to N, that ``FiniteSubgroup.expand`` writes out. It is well
+    defined exactly when chi(C_O) = sigma_s(chi(C_O)) at each stabiliser
+    generator s, by ``is_galois_image``: if C_O^a = C_O^b, a/b fixes C_O.
+    Then chi(C^a) = sigma_a(chi(C)) for every class C and a prime to N
+    (a = -1 is conjugate symmetry), on which alone ``decompose``'s one
+    field trace per orbit is exact, so this gate comes before it.
 
     Implied (Serre, Linear Representations of Finite Groups, 2.5): row
     orthonormality reads X W X* = |G| I with W = diag(|C|), so the square
@@ -570,13 +571,13 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     are checked once, as row 0 of ``mckay_matrix``, V tensor 1 = V, under the
     same nonnegative-integer gate.
     """
-    k = len(G.classes)
+    k, n = len(G.classes), len(G.orbits)
     values = table.values
     if len(values) != k:
         return f"{len(values)} rows for {k} classes"
     for i, row in enumerate(values):
-        if len(row) != k:
-            return f"chi_{i} has {len(row)} entries for {k} classes"
+        if len(row) != n:
+            return f"chi_{i} has {len(row)} entries for {n} orbits"
     if any(not v == 1 for v in values[0]):
         return "row 0 is not the trivial character"
     for i, row in enumerate(values):
@@ -584,20 +585,19 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
         if not (d.is_rational() and d.to_rational().denominator == 1
                 and d.to_rational() > 0):
             return f"chi_{i}(1) = {d} is not a positive integer"
-    for i, row in enumerate(values):
-        for j, v in enumerate(row):
+        for o, v in zip(G.orbits, row):
             if not v.is_integral():
-                return f"chi_{i}(C_{j}) = {v} is not an algebraic integer"
+                return f"chi_{i}(C_{o.rep}) = {v} is not an algebraic integer"
     N = G.conductor
-    for o in G.orbits:
-        for cj, a in o.twists + tuple((o.rep, s) for s in o.stabiliser):
+    for j, o in enumerate(G.orbits):
+        for s in o.stabiliser:
             for i, row in enumerate(values):
-                if not is_galois_image(N, row[cj], row[o.rep], a):
+                if not is_galois_image(N, row[j], row[j], s):
                     return (f"chi_{i} is not Galois-equivariant: "
-                            f"chi(C_{cj}) != sigma_{a}(chi(C_{o.rep}))")
-    matrix = table.trace_matrix(G)
+                            f"chi(C_{o.rep}) != sigma_{s}(chi(C_{o.rep}))")
+    matrix = table.trace_matrix
     for i, row in enumerate(values):
-        for j, got in enumerate(decompose(G, G.at_reps(row), matrix)[i:], i):
+        for j, got in enumerate(decompose(G, row, matrix)[i:], i):
             if got != (1 if i == j else 0):
                 return f"row orthogonality fails at ({i},{j}): {got}"
     return None
@@ -615,12 +615,11 @@ def mckay_matrix(G: FiniteSubgroup, table: CharTable, affine: DirectedGraph,
     the table's trace matrix), plus the node bijection onto the affine graph
     (trivial character -> node 0), matching degrees against the marks."""
     k = len(G.classes)
-    rows = table.trace_matrix(G)
-    classes = G.at_reps(G.classes)
+    rows = table.trace_matrix
     matrix = tuple(
         tuple(_multiplicities(decompose(
             G, [_tau_times(v.to_lift(), c.eigen_exp)
-                for v, c in zip(G.at_reps(row), classes)], rows),
+                for v, c in zip(row, G.rep_classes)], rows),
             f"{G.dynkin}: V x chi_{i}"))
         for i, row in enumerate(table.values))
     if any(matrix[i][j] != matrix[j][i] for i in range(k) for j in range(i)):
@@ -733,12 +732,12 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     N = G.conductor
     h = dt.coxeter_number
     std = dt.standard_form.coeffs
-    matrix = table.trace_matrix(G)
+    matrix = table.trace_matrix
     weights, divisor = _orbit_weights(G)
     # column j holds coefficient j of every orbit rep's P_C
     sums = [trace_sums(N, col, matrix, weights, divisor) for col in zip(*(
         _cofactor_lifts(std, c.eigen_exp, N, dt)
-        for c in G.at_reps(G.classes)))]
+        for c in G.rep_classes))]
     numerators = []
     for coeffs in zip(*sums):
         for v in coeffs:
@@ -769,12 +768,11 @@ def sym_power_multiplicities(G: FiniteSubgroup, table: CharTable,
     Galois orbit, over the table's trace matrix."""
     N = G.conductor
     k = len(table.values)
-    rows = table.trace_matrix(G)
+    rows = table.trace_matrix
     one = [1] + [0] * (N - 1)
-    classes = G.at_reps(G.classes)
     # <lambda^r + lambda^-r, chi_i> per row
     sums = [decompose(G, [_tau_times(one, r * c.eigen_exp)
-                          for c in classes], rows)
+                          for c in G.rep_classes], rows)
             for r in range(min(mmax, N // 2) + 1)]
     out = []
     # <Sym^-2, chi_i> and <Sym^-1, chi_i>; row 0 is the trivial one

@@ -4,10 +4,12 @@ are checking."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from adeweights.cyclo import CycNumber, dot
 from adeweights.errors import ValidationFailed
+from adeweights.groups import _exponent_labels
 from adeweights.poly import Polynomial, cox
 
 
@@ -219,9 +221,56 @@ def matrix_inverse(m):
             (m[0][1].conj(), m[1][1].conj()))
 
 
-def molien_by_elements(G, table):
+def class_table(G) -> list[list[CycNumber]]:
+    """Every irreducible character of G at every class, each value computed
+    from that class's own data, with no Galois orbit: the linear rows are
+    zeta^e at the label e of the class rep under each generator assignment
+    ``_exponent_labels`` extends, in the search's order; D adds
+    zeta^(l e_C) + zeta^-(l e_C), 1 <= l < m - 2, on a rotation class (its
+    rep's word holds an even count of generator 1) and 0 elsewhere; E adds
+    the distinct Galois conjugates of the defining character,
+    zeta^(a e_C) + zeta^-(a e_C), and walks the McKay graph, V tensor chi
+    by CycNumber products with each class's trace, its multiplicities and
+    norm by ``inner_product_by_classes``, keeping
+    V tensor chi - sum m_j chi_j when the norm exceeds sum m_j^2 by 1, and
+    sorts the rows after the trivial one by the ``sort_key``s of their
+    entries at every class."""
+    N, dt = G.conductor, G.dynkin
+    root = lambda e: CycNumber.root_of_unity(N, e)
+    orders = [len(G.powers(x)) for x in G.gen_index]
+    rows = []
+    for ks in product(*(range(0, N, N // n) for n in orders)):
+        label = _exponent_labels(G, ks)
+        if label is not None:
+            rows.append([root(label[c.rep]) for c in G.classes])
+    if dt.family == "D":
+        rows += [[root(ell * c.eigen_exp) + root(-ell * c.eigen_exp)
+                  if G.words[c.rep].count(1) % 2 == 0 else CycNumber.zero(N)
+                  for c in G.classes] for ell in range(1, dt.m - 2)]
+    if dt.family == "E":
+        for a in range(1, N // 2 + 1):
+            if gcd(a, N) == 1:
+                row = [root(a * c.eigen_exp) + root(-a * c.eigen_exp)
+                       for c in G.classes]
+                if row not in rows:
+                    rows.append(row)
+        for chi in rows:  # grows as rows are found
+            tensor = [v * c.trace for v, c in zip(chi, G.classes)]
+            mults = [inner_product_by_classes(G, tensor, row) for row in rows]
+            if inner_product_by_classes(G, tensor, tensor) \
+                    - sum(m * m for m in mults) == 1:
+                rows.append([t - sum((row[i] * m for row, m in zip(rows, mults)
+                                      if m), CycNumber.zero(N))
+                             for i, t in enumerate(tensor)])
+        rows[1:] = sorted(rows[1:], key=lambda row: tuple(
+            v.sort_key() for v in row))
+    return rows
+
+
+def molien_by_elements(G, rows):
     """Molien numerators summed element by element (not class by class),
-    against (1-q^a)(1-q^b). The quadratics 1 - tr(x) q + q^2 and their
+    against (1-q^a)(1-q^b), for ``rows`` given at every class, as
+    ``class_table`` gives them. The quadratics 1 - tr(x) q + q^2 and their
     product are ascending coefficient lists over Q(zeta_N); each numerator
     must come out integral and is returned as a Polynomial in q."""
     dt = G.dynkin
@@ -239,7 +288,7 @@ def molien_by_elements(G, table):
     std = _list_mul([1] + [0] * (a - 1) + [-1], [1] + [0] * (b - 1) + [-1])
     class_of = {j: k for k, c in enumerate(G.classes) for j in c.members}
     out = []
-    for row in table.values:
+    for row in rows:
         acc = [0] * (len(denom) - 2)
         for idx, tr in enumerate(traces):
             val = row[class_of[idx]]
@@ -253,9 +302,10 @@ def molien_by_elements(G, table):
     return out
 
 
-def sym_power_multiplicities_direct(G, table, m: int) -> list[Fraction]:
-    """Multiplicity of each irreducible in Sym^m of the defining
-    representation for one m, summed directly: the character of Sym^m at a
+def sym_power_multiplicities_direct(G, rows, m: int) -> list[Fraction]:
+    """Multiplicity of each irreducible, given at every class as
+    ``class_table`` gives it, in Sym^m of the defining representation for
+    one m, summed directly: the character of Sym^m at a
     class with eigenvalues zeta^(+-e) is sum_j zeta^((m-2j) e), built from
     ``CycNumber.root_of_unity`` alone, and each multiplicity is
     (1/|G|) sum_C |C| Sym^m(C) conj(chi(C)) by CycNumber products and sums.
@@ -268,7 +318,7 @@ def sym_power_multiplicities_direct(G, table, m: int) -> list[Fraction]:
             s = s + CycNumber.root_of_unity(N, (m - 2 * j) * c.eigen_exp)
         chars.append(s)
     out = []
-    for row in table.values:
+    for row in rows:
         acc = CycNumber.zero(N)
         for c, x, chi in zip(G.classes, chars, row):
             acc = acc + x * chi.conj() * c.size

@@ -28,7 +28,8 @@ from adeweights.groups import (CharTable, build_group, char_table,
                                _linear_characters, _match_affine)
 from adeweights.poly import Polynomial, cos_polynomial
 from adeweights.verify import DEFAULT_SUITE, build_bundle, run_suite
-from oracles import (galois_orbit_count, inner_product_by_classes,
+from oracles import (class_table, galois_orbit_count,
+                     inner_product_by_classes,
                      matrix_inverse, matrix_product, matrix_trace,
                      minimal_polynomial, molien_by_elements,
                      series_coefficients, su2_matrix,
@@ -279,7 +280,8 @@ class TestIndexKernel:
             products = [index[matrix_product(mats[x], mats[y])]
                         for x, y in pairs]
             for row in _linear_characters(g):
-                chi = [row[col[i]] for i in range(n)]
+                full = g.expand(row)
+                chi = [full[col[i]] for i in range(n)]
                 for (x, y), xy in zip(pairs, products):
                     assert chi[xy] == chi[x] * chi[y], (name, x, y)
 
@@ -349,9 +351,37 @@ class TestGeneratorIndependence:
 
 class TestCharTable:
     def test_all_tables_validate(self, bundle):
+        """Every table passes its gate and holds each row at the orbit
+        reps alone, one entry per Galois orbit."""
         for name in SUITE_NAMES:
             b = bundle(name)
             assert table_violation(b.table, b.group) is None
+            assert {len(row) for row in b.table.values} == \
+                {len(b.group.orbits)}, name
+
+    def test_expand_equals_the_per_class_reference(self):
+        """``expand`` writes a row at every class as sigma_a of its value
+        at the orbit rep; the reference computes each class's value from
+        that class's own label or trace, and sorts the E rows by their keys
+        at every class. Every row agrees, in the same order, on A1..A48,
+        D4..D40 and E6..E8."""
+        for name in EXTENDED_NAMES:
+            G = build_group(dt(name))
+            table = char_table(dt(name), G)
+            assert [G.expand(row) for row in table.values] == \
+                class_table(G), name
+
+    def test_e_rows_are_ordered_by_their_keys_at_the_reps(self):
+        """The E walk sorts its rows after the trivial one by the
+        ``sort_key``s of their entries at the orbit reps. On E6, E7 and E8
+        those keys are pairwise distinct, and the keys at every class put
+        the rows in the same order."""
+        for name in ("E6", "E7", "E8"):
+            G = build_group(dt(name))
+            rows = char_table(dt(name), G).values[1:]
+            for keyed in (rows, [G.expand(row) for row in rows]):
+                keys = [tuple(v.sort_key() for v in row) for row in keyed]
+                assert all(a < b for a, b in zip(keys, keys[1:])), name
 
     def test_d4_degrees(self, bundle):
         assert sorted(bundle("D4").table.degrees) == [1, 1, 1, 1, 2]
@@ -379,8 +409,8 @@ class TestCharTable:
         for name in ("E6", "E7", "E8"):
             G = build_group(dt(name))
             table = char_table(dt(name), G)
-            kept = table.trace_matrix(G)
-            fresh = cyclo.trace_rows(G.conductor, map(G.at_reps, table.values))
+            kept = table.trace_matrix
+            fresh = cyclo.trace_rows(G.conductor, table.values)
             assert (kept.height, kept.columns) == \
                 (fresh.height, fresh.columns)
 
@@ -391,7 +421,7 @@ class TestCharTable:
             b = bundle(name)
             k = len(b.group.classes)
             for i in range(k):
-                for j in range(k):
+                for j in range(len(b.group.orbits)):
                     for delta in (1, -1):
                         values = [list(r) for r in b.table.values]
                         values[i][j] = values[i][j] + delta
@@ -421,23 +451,25 @@ class TestCharTable:
         """Character values are sums of roots of unity, algebraic integers
         (Serre 6.5), and the trace kernels take no other entries: an entry
         at a non-identity class moved by 1/2 is named by the integrality
-        gate, which comes before equivariance and orthonormality."""
+        gate, which comes before equivariance and orthonormality, and names
+        the class at the orbit's rep."""
         for name in ("D4", "E8"):
             b = bundle(name)
-            k = len(b.group.classes)
-            for i in range(1, k):
-                for j in range(1, k):
+            orbits = b.group.orbits
+            for i in range(1, len(b.group.classes)):
+                for j in range(1, len(orbits)):
                     values = [list(r) for r in b.table.values]
                     v = values[i][j] = values[i][j] + Fraction(1, 2)
                     bad = CharTable(tuple(tuple(r) for r in values))
-                    assert table_violation(bad, b.group) == \
-                        f"chi_{i}(C_{j}) = {v} is not an algebraic integer"
+                    assert table_violation(bad, b.group) == (
+                        f"chi_{i}(C_{orbits[j].rep}) = {v} is not an "
+                        f"algebraic integer")
 
     def test_rows_of_the_wrong_length_fail_validation(self, bundle):
         # a ``dot`` that truncated to the shorter row passed a row with
         # extra entries
         b = bundle("D5")
-        k = len(b.group.classes)
+        k, n = len(b.group.classes), len(b.group.orbits)
         one = CycNumber.one(b.group.conductor)
         for i in (0, 2, k - 1):
             for extra in (1, 3):
@@ -447,45 +479,26 @@ class TestCharTable:
                     values[i] = row
                     bad = CharTable(tuple(values))
                     assert table_violation(bad, b.group) == \
-                        f"chi_{i} has {len(row)} entries for {k} classes"
-
-    def test_zeta_at_a_class_off_the_reps_names_its_twist(self, bundle):
-        """An entry moved by +zeta at a class C = C_O^a that represents no
-        orbit breaks chi(C) = sigma_a(chi(C_O)) and nothing checked before
-        it, so the message names C, a and C_O."""
-        for name in ("A5", "D5", "E6", "E8", "A24", "D24"):
-            b = bundle(name)
-            G = b.group
-            zeta = CycNumber.root_of_unity(G.conductor, 1)
-            twists = [(cj, a, o.rep) for o in G.orbits for cj, a in o.twists]
-            assert twists, name
-            for cj, a, rep in twists:
-                for i in (1, len(G.classes) - 1):
-                    values = [list(r) for r in b.table.values]
-                    values[i][cj] = values[i][cj] + zeta
-                    bad = CharTable(tuple(tuple(r) for r in values))
-                    assert table_violation(bad, G) == (
-                        f"chi_{i} is not Galois-equivariant: "
-                        f"chi(C_{cj}) != sigma_{a}(chi(C_{rep}))"), (name, cj)
+                        f"chi_{i} has {len(row)} entries for {n} orbits"
 
     def test_non_real_value_on_a_self_inverse_class_breaks_its_stabiliser(
             self, bundle):
         """A class that is its own inverse has -1 in its stabiliser, so its
-        values are real. On one that is an orbit by itself, a +zeta there
-        changes no twist, and the first stabiliser generator s that moves
-        the new value is named, at C_O on both sides."""
+        values are real. A +zeta at the rep of such an orbit passes every
+        check before the stabiliser's, and the first stabiliser generator s
+        that moves the new value is named, at C_O on both sides."""
         seen = 0
         for name in ("A5", "D5", "D7", "E6", "E7", "E8"):
             b = bundle(name)
             G = b.group
             zeta = CycNumber.root_of_unity(G.conductor, 1)
-            for o in G.orbits:
+            for j, o in enumerate(G.orbits):
                 c = G.classes[o.rep]
-                if o.size > 1 or c.inverse != o.rep or c.order == 1:
+                if c.inverse != o.rep or c.order == 1:
                     continue
                 seen += 1
                 values = [list(r) for r in b.table.values]
-                moved = values[1][o.rep] = values[1][o.rep] + zeta
+                moved = values[1][j] = values[1][j] + zeta
                 s = next(s for s in o.stabiliser if moved.galois(s) != moved)
                 bad = CharTable(tuple(tuple(r) for r in values))
                 assert table_violation(bad, G) == (
@@ -494,17 +507,17 @@ class TestCharTable:
         assert seen >= 6
 
     def test_every_perturbed_entry_is_rejected(self, bundle):
-        """Every entry of seven tables moved by +zeta, +1 and -zeta, one at
-        a time, 1,233 tables: each is rejected, by equivariance where the
-        move breaks it and by row orthonormality where it does not."""
+        """Every entry of seven tables, each at an orbit rep, moved by +zeta,
+        +1 and -zeta, one at a time, 825 tables: each is rejected, by
+        stabiliser invariance where the move breaks it and by row
+        orthonormality where it does not."""
         tables = 0
         for name in ("A5", "A8", "D5", "D7", "E6", "E7", "E8"):
             b = bundle(name)
             G = b.group
             zeta = CycNumber.root_of_unity(G.conductor, 1)
-            k = len(G.classes)
-            for i in range(k):
-                for j in range(k):
+            for i in range(len(G.classes)):
+                for j in range(len(G.orbits)):
                     for delta in (zeta, 1, -zeta):
                         values = [list(r) for r in b.table.values]
                         values[i][j] = values[i][j] + delta
@@ -512,7 +525,7 @@ class TestCharTable:
                         assert table_violation(bad, G) is not None, \
                             (name, i, j, delta)
                         tables += 1
-        assert tables == 1233
+        assert tables == 825
 
     def test_inverse_classes(self, bundle):
         for name in CLASS_NAMES:
@@ -535,30 +548,34 @@ class TestCharTable:
             g, t = b.group, b.table
             regular = [CycNumber.from_rational(g.conductor,
                                                g.order if c.order == 1 else 0)
-                       for c in g.at_reps(g.classes)]
-            assert decompose(g, regular, t.trace_matrix(g)) == \
+                       for c in g.rep_classes]
+            assert decompose(g, regular, t.trace_matrix) == \
                 list(t.degrees)
 
     def test_decompose_equals_the_sum_over_every_class(self, bundle):
         """On equivariant class functions with algebraic-integer values,
         the ones the trace kernel takes: integer combinations of the rows,
         and for f one more integer at the identity class, which makes the
-        product a Fraction, ``decompose`` over the orbit reps equals the
-        inner product summed over every class by ``dot``."""
+        product a Fraction, ``decompose`` of the table's rows at the orbit
+        reps equals the inner product of the same combinations of the
+        reference rows, at every class, summed over every class by
+        ``dot``."""
         rng = random.Random(31)
         for name in ("A12", "D12", "E6", "E7", "E8", "A24", "D24"):
             b = bundle(name)
-            g, rows = b.group, b.table.values
+            g, held, full = b.group, b.table.values, class_table(b.group)
+            zero = CycNumber.zero(g.conductor)
             for _ in range(4):
-                f, chi = ([sum((v * n for v, n in zip(col, coeffs)),
-                               CycNumber.zero(g.conductor))
-                           for col in zip(*rows)]
-                          for coeffs in ([rng.randint(-4, 4) for _ in rows]
-                                         for _ in range(2)))
-                f[0] = f[0] + rng.randint(1, 5)
-                matrix = cyclo.trace_rows(g.conductor, [g.at_reps(chi)])
-                assert decompose(g, g.at_reps(f), matrix) == \
-                    [inner_product_by_classes(g, f, chi)], name
+                pair = [[rng.randint(-4, 4) for _ in held] for _ in range(2)]
+                bump = rng.randint(1, 5)
+                (f, chi), (f_all, chi_all) = (
+                    [[sum((v * n for v, n in zip(col, coeffs)), zero)
+                      for col in zip(*rows)] for coeffs in pair]
+                    for rows in (held, full))
+                f[0], f_all[0] = f[0] + bump, f_all[0] + bump
+                matrix = cyclo.trace_rows(g.conductor, [chi])
+                assert decompose(g, f, matrix) == \
+                    [inner_product_by_classes(g, f_all, chi_all)], name
 
 
 class TestMcKay:
@@ -631,7 +648,7 @@ class TestMolien:
         for name in SUITE_NAMES:
             b = bundle(name)
             assert list(b.molien.numerators) == \
-                molien_by_elements(b.group, b.table)
+                molien_by_elements(b.group, class_table(b.group))
 
     def test_class_quadratic_must_divide_standard_form(self, bundle,
                                                        monkeypatch):
@@ -792,6 +809,37 @@ class TestOpCounts:
         assert calls[0] > 1000
         assert built[0] - calls[0] == 0
 
+    def test_tables_hold_and_gate_the_orbit_reps_alone(self, monkeypatch):
+        """A table holds each row at the Galois orbit reps, and its gate
+        checks each rep's value against the orbit's stabiliser generators
+        alone, one ``is_galois_image`` call per row and generator. So a
+        cold default ``verify`` holds 967 table entries and makes 1,588
+        calls; rows held at every class took 1,801 entries, and checking
+        chi(C) = sigma_a(chi(C_O)) at every class C = C_O^a off the reps
+        took the calls to 2,422."""
+        tables, calls = [], [0]
+        original_table, original_image = verify.char_table, \
+            groups.is_galois_image
+
+        def recording(t, G):
+            tables.append((original_table(t, G), G))
+            return tables[-1][0]
+
+        def counting(*args):
+            calls[0] += 1
+            return original_image(*args)
+
+        monkeypatch.setattr(verify, "char_table", recording)
+        monkeypatch.setattr(groups, "is_galois_image", counting)
+        monkeypatch.setattr(verify, "build_bundle", lru_cache(
+            maxsize=None)(build_bundle.__wrapped__))
+        run_suite(DEFAULT_SUITE)
+        assert len(tables) == len(DEFAULT_SUITE)
+        assert sum(len(row) for table, _ in tables
+                   for row in table.values) == 967
+        assert calls[0] == sum(len(G.classes) * len(o.stabiliser)
+                               for _, G in tables for o in G.orbits) == 1588
+
     def test_class_facts_walk_each_orbit_rep_once(self, monkeypatch):
         """``build_group`` walks the powers of each Galois orbit's rep once,
         by ``FiniteSubgroup.powers``, and every class of the orbit takes its
@@ -916,8 +964,7 @@ class TestOpCounts:
             monkeypatch.setattr(CycNumber, "__rmul__", counting_mul)
             assert table_violation(table, G) is None
             monkeypatch.setattr(CycNumber, "__init__", counting_init)
-            assert decompose(G, G.at_reps(table.values[1]),
-                             table.trace_matrix(G)) \
+            assert decompose(G, table.values[1], table.trace_matrix) \
                 == [int(i == 1) for i in range(k)]
             sym = sym_power_multiplicities(G, table, n - 1)
             mckay = mckay_matrix(G, table, b.affine, b.marks)
@@ -1064,9 +1111,10 @@ class TestSymPowers:
             b = bundle(name)
             mmax = 2 * b.dynkin.coxeter_number + 1
             sym = sym_power_multiplicities(b.group, b.table, mmax)
+            rows = class_table(b.group)
             for m in range(mmax + 1):
                 assert list(sym[m]) == sym_power_multiplicities_direct(
-                    b.group, b.table, m), (name, m)
+                    b.group, rows, m), (name, m)
 
     def test_oracle_agreement(self, bundle):
         for name in SUITE_NAMES:

@@ -197,8 +197,8 @@ def test_trace_polynomials_are_read_only_for_json():
 
 def test_inverse_columns_are_read_not_rebuilt():
     """Inner products read conj(f) as a reversed lift at the orbit reps and
-    the table check reads each orbit's stored twists, so neither builds a
-    lookup of classes per call."""
+    the table check reads each orbit's stored stabiliser, so neither builds
+    a lookup of classes per call."""
     dicts = (ast.Dict, ast.DictComp)
     for name in ("decompose", "table_violation"):
         body = _function(SRC / "groups.py", name)
@@ -206,6 +206,29 @@ def test_inverse_columns_are_read_not_rebuilt():
             name
         assert "dict" not in _names_in_function(SRC / "groups.py", name), \
             name
+
+
+def test_only_printing_writes_a_row_at_every_class():
+    """A table holds its rows at the Galois orbit reps, one format that
+    groups.py alone knows: ``FiniteSubgroup.expand``, which writes a row at
+    every class, is called in src/ only by ``CharTable.to_json``, and no
+    module names ``at_reps``, a picker of the reps out of rows held at
+    every class."""
+    tree = ast.parse((SRC / "groups.py").read_text())
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "CharTable")
+    method = next(node for node in table.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "to_json")
+    inside = {id(node) for node in ast.walk(method)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "expand"]
+    assert uses and all(id(node) in inside for node in uses)
+    others = [path for path in sorted(SRC.glob("*.py"))
+              if path.name != "groups.py"]
+    assert [path.name for path in others if "expand" in _named(path)] == []
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "at_reps" in _named(path)] == []
 
 
 def test_power_sums_are_a_list():
@@ -418,8 +441,8 @@ def test_no_dead_methods():
 def test_values_hold_no_copied_type_facts():
     """h, a, b, |G| and the conductor are functions of the ADE type, a
     graph's size and affine node follow from its matrix and form, and a
-    character table's columns are its group's classes, so its degrees are
-    column 0, which a Molien set reads instead of keeping a copy: each value
+    character table's columns are its group's Galois-orbit reps, the
+    identity first, so its degrees are column 0, which a Molien set reads instead of keeping a copy: each value
     keeps only what cannot be derived, and nothing in src/ reads a table's
     classes."""
     assert list(QNumerators._fields) == ["dynkin", "N"]
