@@ -18,10 +18,10 @@ import sys
 import tempfile
 
 from .errors import InvalidParameter
-from .graphs import FORMS, build_graph, charpoly_report, parse_type_selector
+from .graphs import FORMS, parse_type_selector
 from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, json_text,
                      report_json, report_text, run_suite)
-from .weights import finite_det, numerators_latex, solve_semiaffine
+from .weights import numerators_latex
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -83,35 +83,37 @@ def _emit(types, fmt: str, to_json, render) -> str:
 
 def _cmd_graph(args) -> tuple[str, int]:
     types = parse_type_selector(args.types)
+
+    def graph(dt):
+        return getattr(build_bundle(dt), args.form)
     if args.format == "dot":
         if len(types) != 1:
             raise InvalidParameter("dot output requires a single type")
-        g = build_graph(types[0], args.form)
-        return g.to_dot(f"{types[0]}_{args.form}"), 0
+        return graph(types[0]).to_dot(f"{types[0]}_{args.form}"), 0
 
     def render(dt):
-        g = build_graph(dt, args.form)
+        g = graph(dt)
         lines = [f"{dt} {args.form}: {g.n} nodes, affine index {g.affine_index}"]
         lines += [f"  {i} -> {j}  (x{g.mult[i][j]})"
                   for i in range(g.n) for j in range(g.n) if g.mult[i][j]]
         return "\n".join(lines) + "\n"
-    return _emit(types, args.format,
-                 lambda dt: build_graph(dt, args.form).to_json(), render), 0
+    return _emit(types, args.format, lambda dt: graph(dt).to_json(),
+                 render), 0
 
 
 def _cmd_weights(args) -> tuple[str, int]:
     types = parse_type_selector(args.types)
     if args.basis == "t":
         def render(dt):
-            w = solve_semiaffine(build_graph(dt, "semiaffine"))
+            w = build_bundle(dt).tweights
             if args.format == "latex":
                 entries = [f"\\frac{{{v.num}}}{{{v.den}}}"
                            if not v.is_polynomial() else str(v.num)
                            for v in w.values]
                 return ",".join(entries) + "\n"
             return _grouped([str(v) for v in w.values]) + "\n"
-        return _emit(types, args.format, lambda dt: solve_semiaffine(
-            build_graph(dt, "semiaffine")).to_json(), render), 0
+        return _emit(types, args.format,
+                     lambda dt: build_bundle(dt).tweights.to_json(), render), 0
 
     # basis q and molien both emit the standard-form numerators
     def render(dt):
@@ -179,24 +181,16 @@ def _cmd_group(args) -> tuple[str, int]:
     return _emit(types, args.format, to_json, render), 0
 
 
-def _charpoly(dt):
-    """``TypeBundle.charpoly``'s report, kept out of the bundle cache: the
-    same det, by the solver's ``finite_det``, without the rest of the
-    solve."""
-    semi = build_graph(dt, "semiaffine")
-    return charpoly_report(semi, finite_det(semi))
-
-
 def _cmd_charpoly(args) -> tuple[str, int]:
     types = parse_type_selector(args.types)
 
     def render(dt):
-        rep = _charpoly(dt)
+        rep = build_bundle(dt).charpoly
         return (f"{dt}: char(semiaffine) = {rep.char_semiaffine} "
                 f"= t^{rep.d} * ({rep.cofactor}); cox(h) = {rep.cox}; "
                 f"claim {'holds' if rep.claim_holds else 'does not hold'}\n")
-    return _emit(types, args.format, lambda dt: _charpoly(dt).to_json(),
-                 render), 0
+    return _emit(types, args.format,
+                 lambda dt: build_bundle(dt).charpoly.to_json(), render), 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:

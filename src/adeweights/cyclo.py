@@ -38,7 +38,7 @@ sweep; the split is dropped with the call that made it. The Galois action
 sigma_a: zeta -> zeta^a is written once, in ``_galois_lift``, an entry's
 lift mapped x^i -> x^(ia mod N), unreduced: ``CycNumber.galois`` reduces
 it, ``split(N, xs, conj=True)`` reads complex conjugates as the case
-a = -1, and ``is_galois_image`` compares y with sigma_a(x) by ``vanishes``.
+a = -1, and ``is_fixed`` compares sigma_a(x) with x by ``vanishes``.
 The inverse is the product of the other Galois conjugates over the norm, a
 rational number, so no polynomial division is needed.
 """
@@ -445,15 +445,14 @@ def vanishes(N: int, lift) -> bool:
     return not any(_field(N).reduce(list(lift)))
 
 
-def is_galois_image(N: int, y, x, a: int) -> bool:
-    """Whether y = sigma_a(x), sigma_a: zeta -> zeta^a for a prime to N, for
-    ``dot`` entries x and y: ``vanishes`` of sigma_a of x's lift times y's
-    denominator minus y's lift times x's, so no value is built."""
-    yd, yn, yt = _parts(N, y)
-    xd, lift, _ = _galois_lift(N, x, a)
-    lift = lift if yd == 1 else [c * yd for c in lift]
-    for j in yt:
-        lift[j] -= yn[j] * xd
+def is_fixed(N: int, x, a: int) -> bool:
+    """Whether sigma_a(x) = x, sigma_a: zeta -> zeta^a for a prime to N, for
+    a ``dot`` entry x: ``vanishes`` of x's sigma_a lift minus its own
+    coordinates, which share its denominator, so no value is built."""
+    _, lift, _ = _galois_lift(N, x, a)
+    _, nums, support = _parts(N, x)
+    for j in support:
+        lift[j] -= nums[j]
     return vanishes(N, lift)
 
 

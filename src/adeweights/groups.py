@@ -78,7 +78,7 @@ from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
-from .cyclo import (CycNumber, TraceMatrix, dot, euler_phi, is_galois_image,
+from .cyclo import (CycNumber, TraceMatrix, dot, euler_phi, is_fixed,
                     split, trace_rows, trace_sums, vanishes)
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
@@ -558,7 +558,7 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     A row stands for the class function chi(C_O^a) = sigma_a(chi(C_O)), a
     prime to N, that ``FiniteSubgroup.expand`` writes out. It is well
     defined exactly when chi(C_O) = sigma_s(chi(C_O)) at each stabiliser
-    generator s, by ``is_galois_image``: if C_O^a = C_O^b, a/b fixes C_O.
+    generator s, by ``is_fixed``: if C_O^a = C_O^b, a/b fixes C_O.
     Then chi(C^a) = sigma_a(chi(C)) for every class C and a prime to N
     (a = -1 is conjugate symmetry), on which alone ``decompose``'s one
     field trace per orbit is exact, so this gate comes before it.
@@ -592,7 +592,7 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     for j, o in enumerate(G.orbits):
         for s in o.stabiliser:
             for i, row in enumerate(values):
-                if not is_galois_image(N, row[j], row[j], s):
+                if not is_fixed(N, row[j], s):
                     return (f"chi_{i} is not Galois-equivariant: "
                             f"chi(C_{o.rep}) != sigma_{s}(chi(C_{o.rep}))")
     matrix = table.trace_matrix

@@ -84,13 +84,15 @@ class FaultSpec(NamedTuple):
 
 class TypeBundle:
     """Everything both sides compute for one type, as parts that are each
-    built on their first read and kept, so a query pays for the parts it
-    prints: ``weights --basis q`` reads the graph parts alone, ``group``
-    the group and its table, ``molien`` those and the Molien series, and
-    ``verify`` every part. Each part calls its builder through this
-    module's globals, so a wrapper set on one of those names sees every
-    build. ``PARTS`` lists the parts in build order; ``charpoly`` is one
-    more, which no query reads.
+    built on their first read and kept. Every command reads a type's parts
+    here, so a query pays for the parts it prints: ``graph`` reads one
+    graph, ``weights --basis t`` the t-weights, ``charpoly`` those and its
+    report, ``weights --basis q`` the graph parts, ``group`` the group and
+    its table, ``molien`` those and the Molien series, and ``verify`` every
+    part. Each part calls its builder through this module's globals, so a
+    wrapper set on one of those names sees every build. ``PARTS`` lists the
+    parts ``verify`` builds first, in build order; ``charpoly`` is one
+    more, built on its first read.
 
     A bundle equals only itself. ``dynkin`` and the built parts live in
     the instance ``__dict__``, where ``cached_property`` writes them, and
@@ -148,8 +150,7 @@ class TypeBundle:
     @cached_property
     def charpoly(self) -> CharPolyReport:
         """LeVerrier on the semi-affine graph held against the solver's det
-        from the tree recurrence, computed when a check first reads it; the
-        query commands never do."""
+        from the tree recurrence."""
         return charpoly_report(self.semiaffine, self.tweights.det)
 
 
@@ -159,7 +160,9 @@ PARTS = ("finite", "affine", "semiaffine", "marks", "tweights", "group",
 
 @lru_cache(maxsize=None)
 def build_bundle(dt: DynkinType) -> TypeBundle:
-    """The type's one bundle in this process; no part is built yet."""
+    """The type's one bundle for the query commands in this process; no
+    part is built yet. ``run_suite`` reads each type once and builds its
+    own."""
     return TypeBundle(dt)
 
 
@@ -336,7 +339,9 @@ def _type_checks(b: TypeBundle, fault: FaultSpec | None) -> list[CheckResult]:
 
 
 def run_suite(types, fault: FaultSpec | None = None) -> VerificationReport:
-    """Run every check on every type, in canonical type order."""
+    """Run every check on every type, in canonical type order. Each type
+    gets a bundle of its own, dropped once its checks have run, so the
+    run holds one type's parts at a time."""
     ordered = sorted(set(types))
     if fault is not None:
         dt = next((t for t in ordered if str(t) == fault.type_name), None)
@@ -348,7 +353,7 @@ def run_suite(types, fault: FaultSpec | None = None) -> VerificationReport:
                 "0 <= exponent <= h")
     checks: list[CheckResult] = []
     for dt in ordered:
-        bundle = build_bundle(dt)
+        bundle = TypeBundle(dt)
         try:
             for part in PARTS:
                 getattr(bundle, part)

@@ -3,10 +3,10 @@
 ``solve_semiaffine`` imposes t*n_i = sum of the successors of i at every node
 of positive out-degree (the affine node is a sink and is normalized to 1).
 The finite part is a tree: Schwenk's recurrence gives det(tI - A_fin),
-``finite_det``, which the ``charpoly`` query reads alone, and Faddeev's gives
-the Cramer vector y_i = det(tI - A_fin) * n_i over the ints, checked by
-Cayley-Hamilton. A weight is reduced in Q(t) only when read. The results
-are ``NamedTuple`` records.
+``finite_det``, and Faddeev's gives the Cramer vector
+y_i = det(tI - A_fin) * n_i over the ints, checked by Cayley-Hamilton. A
+weight is reduced in Q(t) only when read. The results are ``NamedTuple``
+records.
 
 Two renormalizations follow the substitution t = q + 1/q: clearing by cox(h)
 gives the primitive q-weights (when cox(h) really is the common denominator;
@@ -87,8 +87,7 @@ def finite_det(g: DirectedGraph) -> Polynomial:
 
     A_fin must be a 0/1 tree in which each node but the first has exactly
     one neighbour before it, its parent; else ``ValueError``. The solver
-    reads its det here, and so does the ``charpoly`` query, which needs
-    nothing else of it."""
+    is its one reader."""
     if g.form != "semiaffine":
         raise ValueError("solver expects a semi-affine graph")
     r = g.n - 1

@@ -217,8 +217,8 @@ class TestRejectedArguments:
         # every type of the selector is checked before anything is built,
         # and a range before it is expanded
         def refuse(*args, **kwargs):
-            raise AssertionError("built a graph, bundle or suite")
-        for name in ("build_graph", "build_bundle", "run_suite"):
+            raise AssertionError("built a bundle or suite")
+        for name in ("build_bundle", "run_suite"):
             monkeypatch.setattr(cli, name, refuse)
         commands = [["graph"], ["weights", "--basis", "t"], ["weights"],
                     ["molien"], ["group"], ["charpoly"], ["verify"]]

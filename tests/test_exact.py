@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adeweights.cyclo import (CycNumber, _Field, dot, euler_phi,
-                              is_galois_image, split, trace_rows, trace_sums,
-                              vanishes)
+from adeweights.cyclo import (CycNumber, _Field, dot, euler_phi, is_fixed,
+                              split, trace_rows, trace_sums, vanishes)
 from adeweights.errors import NotRational, ValidationFailed
 from adeweights.groups import _tau_times
 from adeweights.poly import (Polynomial, RationalFunction, cos_polynomial,
@@ -404,21 +403,26 @@ class TestTraceSums:
                                 for k in range(N)]
 
 
-class TestGaloisImage:
+class TestIsFixed:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_agrees_with_galois(self, data):
-        """``is_galois_image`` against ``CycNumber.galois``, on x, its image
-        and the image moved by a root of unity or a rational."""
+        """``is_fixed`` against ``CycNumber.galois``, on a ``dot`` entry x,
+        on the sum of x's images under the powers of sigma_a, which sigma_a
+        fixes, and on that sum moved by a root of unity or a rational."""
         N = data.draw(st.sampled_from(DOT_CONDUCTORS))
-        x = _value(N, data.draw(_dot_entries(N)))
-        x = CycNumber.from_rational(N, x) if isinstance(x, int) else x
+        x = data.draw(_dot_entries(N))
+        v = _value(N, x)
+        v = CycNumber.from_rational(N, v) if isinstance(v, int) else v
         a = data.draw(st.sampled_from(_units(N)))
-        y = x.galois(a)
-        assert is_galois_image(N, y, x, a)
-        for moved in (y + CycNumber.root_of_unity(N, 1), y + Fraction(1, 2),
-                      y * 2):
-            assert is_galois_image(N, moved, x, a) == (moved == y)
+        assert is_fixed(N, x, a) == (v.galois(a) == v)
+        fixed, image = v, v.galois(a)
+        while image != v:
+            fixed, image = fixed + image, image.galois(a)
+        assert is_fixed(N, fixed, a)
+        for moved in (fixed + CycNumber.root_of_unity(N, 1),
+                      fixed + Fraction(1, 2), fixed * 2):
+            assert is_fixed(N, moved, a) == (moved.galois(a) == moved)
 
 
 class TestVanishes:

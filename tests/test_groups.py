@@ -9,7 +9,6 @@ import random
 import sys
 import textwrap
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -27,7 +26,7 @@ from adeweights.groups import (CharTable, build_group, char_table,
                                sym_power_multiplicities, table_violation,
                                _linear_characters, _match_affine)
 from adeweights.poly import Polynomial, cos_polynomial
-from adeweights.verify import DEFAULT_SUITE, build_bundle, run_suite
+from adeweights.verify import DEFAULT_SUITE, run_suite
 from oracles import (class_table, galois_orbit_count,
                      inner_product_by_classes,
                      matrix_inverse, matrix_product, matrix_trace,
@@ -314,7 +313,6 @@ class TestGeneratorIndependence:
         return [(x.galois(a), y.galois(a)) for x, y in gens]
 
     def verify(self):
-        build_bundle.cache_clear()
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             status = main(["verify", "--types", self.TYPES, "--format",
@@ -322,31 +320,28 @@ class TestGeneratorIndependence:
         return status, out.getvalue()
 
     def test_reports_do_not_depend_on_the_generators(self, monkeypatch):
-        try:
-            status, plain = self.verify()
-            assert status == 1 and plain
-            for change in (self.conjugated, self.twisted):
-                moved = set()
+        status, plain = self.verify()
+        assert status == 1 and plain
+        for change in (self.conjugated, self.twisted):
+            moved = set()
 
-                def changed(t, change=change, moved=moved):
-                    gens = generators(t)
-                    new = change(gens, t.conductor)
-                    if new != gens:
-                        moved.add(str(t))
-                    return new
+            def changed(t, change=change, moved=moved):
+                gens = generators(t)
+                new = change(gens, t.conductor)
+                if new != gens:
+                    moved.add(str(t))
+                return new
 
-                monkeypatch.setattr(groups, "generators", changed)
-                got = self.verify()
-                monkeypatch.undo()
-                differ = sorted(
-                    {c["type"] for c, d in zip(json.loads(plain)["checks"],
-                                               json.loads(got[1])["checks"])
-                     if c != d})
-                assert differ == [], change.__name__
-                assert got == (status, plain), change.__name__
-                assert {"D5", "D9", "E8"} <= moved, change.__name__
-        finally:
-            build_bundle.cache_clear()
+            monkeypatch.setattr(groups, "generators", changed)
+            got = self.verify()
+            monkeypatch.undo()
+            differ = sorted(
+                {c["type"] for c, d in zip(json.loads(plain)["checks"],
+                                           json.loads(got[1])["checks"])
+                 if c != d})
+            assert differ == [], change.__name__
+            assert got == (status, plain), change.__name__
+            assert {"D5", "D9", "E8"} <= moved, change.__name__
 
 
 class TestCharTable:
@@ -729,7 +724,7 @@ class TestOpCounts:
     element as its top row and computing top rows by ``dot``, every class
     sum one ``trace_sums`` sweep over a trace matrix of the rows, with one
     term per Galois orbit of classes, that builds no value,
-    the table checked for Galois equivariance by ``is_galois_image``, which
+    the table checked for Galois equivariance by ``is_fixed``, which
     builds none either, each distinct Sym^m power sum summed once, the E
     table one walk of the McKay graph that builds only the rows it finds,
     each zeta^r + zeta^-r built once per group, in
@@ -762,7 +757,6 @@ class TestOpCounts:
             original(self, *args, **kwargs)
 
         for name in ("E8", "D12"):
-            build_bundle.cache_clear()
             count[0] = 0
             CycNumber.__init__ = counting
             try:
@@ -798,9 +792,6 @@ class TestOpCounts:
             calls[0] += 1
             return in_accumulate
 
-        # a cache of its own, so every E bundle is built cold
-        monkeypatch.setattr(verify, "build_bundle", lru_cache(maxsize=None)(
-            verify.build_bundle.__wrapped__))
         sys.settrace(on_call)
         try:
             run_suite([dt("E6"), dt("E7"), dt("E8")])
@@ -812,14 +803,13 @@ class TestOpCounts:
     def test_tables_hold_and_gate_the_orbit_reps_alone(self, monkeypatch):
         """A table holds each row at the Galois orbit reps, and its gate
         checks each rep's value against the orbit's stabiliser generators
-        alone, one ``is_galois_image`` call per row and generator. So a
+        alone, one ``is_fixed`` call per row and generator. So a
         cold default ``verify`` holds 967 table entries and makes 1,588
         calls; rows held at every class took 1,801 entries, and checking
         chi(C) = sigma_a(chi(C_O)) at every class C = C_O^a off the reps
         took the calls to 2,422."""
         tables, calls = [], [0]
-        original_table, original_image = verify.char_table, \
-            groups.is_galois_image
+        original_table, original_fixed = verify.char_table, groups.is_fixed
 
         def recording(t, G):
             tables.append((original_table(t, G), G))
@@ -827,12 +817,10 @@ class TestOpCounts:
 
         def counting(*args):
             calls[0] += 1
-            return original_image(*args)
+            return original_fixed(*args)
 
         monkeypatch.setattr(verify, "char_table", recording)
-        monkeypatch.setattr(groups, "is_galois_image", counting)
-        monkeypatch.setattr(verify, "build_bundle", lru_cache(
-            maxsize=None)(build_bundle.__wrapped__))
+        monkeypatch.setattr(groups, "is_fixed", counting)
         run_suite(DEFAULT_SUITE)
         assert len(tables) == len(DEFAULT_SUITE)
         assert sum(len(row) for table, _ in tables
@@ -1026,7 +1014,6 @@ class TestOpCounts:
         sym_power_multiplicities(b.group, b.table, 2 * h + 1)
         assert set(sweeps) == {(8, 8)}
         sweeps.clear()
-        build_bundle.cache_clear()
         run_suite([dt("A24"), dt("D24")])
         orbits = {len(build_group(dt(name)).orbits) for name in ("A24", "D24")}
         assert {n for n, _ in sweeps} <= orbits
@@ -1038,7 +1025,7 @@ class TestOpCounts:
         matrix, the Molien numerators and the Sym^m oracle all sweep, and
         the E walk grows its matrix by each row it finds, reads each norm
         <V x chi, V x chi> off that matrix and hands it to the table. So
-        over a fresh bundle cache each table row gets its trace forms built
+        over a ``verify`` run each table row gets its trace forms built
         once and no other row does: 195 rows on the default suite, 50 on
         A24,D24 and 9 on E8, where a one-row matrix per walked norm built
         219 and 18, and a matrix per reader and per walked row 943, 200
@@ -1054,8 +1041,6 @@ class TestOpCounts:
         monkeypatch.setattr(groups, "trace_rows", counting)
         for types, limit in ((DEFAULT_SUITE, 195),
                              ((dt("A24"), dt("D24")), 50), ((dt("E8"),), 9)):
-            monkeypatch.setattr(verify, "build_bundle", lru_cache(
-                maxsize=None)(build_bundle.__wrapped__))
             built[0] = 0
             run_suite(types)
             assert built[0] <= limit, (types, built[0])

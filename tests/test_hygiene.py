@@ -290,7 +290,7 @@ def test_galois_action_is_written_once():
     ``FiniteSubgroup.powers``, so it defines no ``_galois_orbits`` and no
     ``order_and_inverse``. In cyclo.py one function writes the index map of
     sigma_a, x^i -> x^(ia mod N) (a ``%`` of a product or of a negation),
-    and ``CycNumber.galois``, ``split`` and ``is_galois_image`` call it."""
+    and ``CycNumber.galois``, ``split`` and ``is_fixed`` call it."""
     tree = ast.parse((SRC / "groups.py").read_text())
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
@@ -305,7 +305,7 @@ def test_galois_action_is_written_once():
     assert writers == {"_galois_lift"}
     callers = {fn.name for fn in functions for node in ast.walk(fn)
                if isinstance(node, ast.Name) and node.id == "_galois_lift"}
-    assert callers == {"galois", "split", "is_galois_image"}
+    assert callers == {"galois", "split", "is_fixed"}
 
 
 def test_table_builders_read_no_coordinates():

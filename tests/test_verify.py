@@ -3,6 +3,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adeweights import cli, graphs, verify
+from adeweights import cli, graphs, verify, weights
 from adeweights.cyclo import CycNumber
 from adeweights.errors import InvalidParameter, ValidationFailed
 from adeweights.graphs import DynkinType, char_poly, charpoly_report
@@ -299,11 +302,9 @@ def test_a_raising_charpoly_report_fails_only_its_two_readers(monkeypatch,
                                                               capsys):
     """CHARPOLY_CLAIM and STRUCTURAL_CHARPOLY read the bundle's one charpoly
     report: a raise there fails those two records alone, on that type alone,
-    and the CLI exits 1. The bundles come from a cache of their own, as a
-    cached bundle may already hold its report."""
+    and the CLI exits 1. Each run builds bundles of its own, so every
+    report is built under the patch."""
     clean = run_suite([dt("D4"), dt("E6")])
-    monkeypatch.setattr(verify, "build_bundle", lru_cache(maxsize=None)(
-        verify.build_bundle.__wrapped__))
     original = verify.charpoly_report
 
     def raising(g, det):
@@ -396,7 +397,7 @@ class TestFaultInjection:
         """A fault names a type in the run, a node 0..rank and an exponent
         0..h, the ranges ``from_seed`` draws from; any other is refused
         before a bundle is built."""
-        monkeypatch.setattr(verify, "build_bundle", lambda dt: pytest.fail(
+        monkeypatch.setattr(verify, "TypeBundle", lambda dt: pytest.fail(
             f"bundle {dt} built for a refused fault"))
         for fault in (FaultSpec("D4", 1, -1), FaultSpec("D4", 1, 7),
                       FaultSpec("D4", -1, 1), FaultSpec("D4", 9, 1),
@@ -446,44 +447,44 @@ class TestBundle:
             forms.append(g.form)
             return leverrier(g)
         monkeypatch.setattr(graphs, "char_poly", counted)
-        # a cache of its own, so the E8 bundle is built cold
-        monkeypatch.setattr(verify, "build_bundle", lru_cache(maxsize=None)(
-            verify.build_bundle.__wrapped__))
         run_suite([dt("E8")])
         assert forms == ["semiaffine"]
 
-    def test_charpoly_query_runs_one_leverrier(self, monkeypatch, capsys):
-        """The ``charpoly`` query holds LeVerrier on the semi-affine graph
-        against the solver's det, as the bundle's report does, and builds
-        no bundle (a call would exit 3): a cold ``charpoly --type E8``
-        calls ``char_poly`` once, on the semi-affine graph, where LeVerrier
-        on the finite graph made it twice, and prints the pinned bytes."""
-        forms = []
-        leverrier = graphs.char_poly
-
-        def counted(g):
-            forms.append(g.form)
-            return leverrier(g)
-        for module in (graphs, cli):  # wherever a caller may look it up
-            monkeypatch.setattr(module, "char_poly", counted, raising=False)
-        monkeypatch.setattr(cli, "build_bundle", None)
-        argv = "charpoly --type E8 --format json"
-        assert cli.main(argv.split()) == 0
-        assert forms == ["semiaffine"]
-        out = capsys.readouterr().out.encode()
-        assert hashlib.sha256(out).hexdigest() == GOLDEN[argv]["sha256"]
-
-    @pytest.mark.parametrize("name", ["A1", "E8"])
-    def test_charpoly_query_reads_the_det_alone(self, name, monkeypatch,
-                                                capsys):
-        """The ``charpoly`` query takes det from ``weights.finite_det`` and
-        runs no solve (a call would exit 3), so it builds no Faddeev vector
-        and no Cramer polynomial, and prints the pinned bytes."""
-        monkeypatch.setattr(cli, "solve_semiaffine", None)
-        argv = f"charpoly --type {name} --format json"
-        assert cli.main(argv.split()) == 0
-        out = capsys.readouterr().out.encode()
-        assert hashlib.sha256(out).hexdigest() == GOLDEN[argv]["sha256"]
+    def test_weights_and_charpoly_queries_share_one_solve(self, monkeypatch,
+                                                          capsys):
+        """``weights --basis t`` and ``charpoly`` read one bundle: over a
+        fresh bundle cache the two queries of a type, in either order, build
+        the semi-affine graph once and call ``finite_det``,
+        ``solve_semiaffine`` and LeVerrier (``char_poly``) once each, on
+        that graph, and print the pinned bytes."""
+        watched = {"build_graph": (graphs, verify, cli),
+                   "finite_det": (weights, cli),
+                   "solve_semiaffine": (weights, verify, cli),
+                   "char_poly": (graphs, verify, cli)}
+        forms = {name: [] for name in watched}
+        for name, modules in watched.items():
+            def counted(*args, original=getattr(modules[0], name),
+                        calls=forms[name]):
+                # build_graph takes (dynkin, form), the others a graph
+                calls.append(getattr(args[0], "form", args[-1]))
+                return original(*args)
+            for module in modules:  # wherever a caller may look it up
+                monkeypatch.setattr(module, name, counted, raising=False)
+        for t in ("A1", "E8"):
+            queries = [f"weights --type {t} --basis t --format json",
+                       f"charpoly --type {t} --format json"]
+            for order in (queries, queries[::-1]):
+                monkeypatch.setattr(cli, "build_bundle", lru_cache(
+                    maxsize=None)(verify.build_bundle.__wrapped__))
+                for calls in forms.values():
+                    calls.clear()
+                for argv in order:
+                    assert cli.main(argv.split()) == 0
+                    out = capsys.readouterr().out.encode()
+                    assert hashlib.sha256(out).hexdigest() == \
+                        GOLDEN[argv]["sha256"], argv
+                assert forms == {name: ["semiaffine"] for name in watched}, \
+                    order
 
 
 # per query: the golden key of its bytes (its own when None; the JSON of
@@ -496,7 +497,11 @@ LAZY_QUERIES = [
     (f"group --type {t} --format json", None,
      ("mckay_matrix", "molien_series")) for t in ("A13", "D13")] + [
     (f"molien --type {t} --series-terms 8 --format json", None,
-     ("mckay_matrix",)) for t in ("A13", "D13")]
+     ("mckay_matrix",)) for t in ("A13", "D13")] + [
+    (f"{query.format(t)} --format json", None,
+     ("build_group", "char_table", "mckay_matrix", "molien_series"))
+    for query in ("graph --type {}", "weights --type {} --basis t",
+                  "charpoly --type {}") for t in ("A13", "D13")]
 
 
 class TestLazyParts:
@@ -519,6 +524,40 @@ class TestLazyParts:
         assert called == []
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == GOLDEN[key or argv]["sha256"]
+
+
+# A child spawned from a large process starts with that process's peak RSS
+# as its own (Linux keeps the high-water mark of the image it replaces). So
+# a bare launcher spawns the verify child and prints its exit status and
+# its peak RSS in KiB, from RUSAGE_CHILDREN.
+_PEAK_LAUNCHER = (
+    "import resource, subprocess, sys\n"
+    "status = subprocess.run([sys.executable, '-m', 'adeweights.cli', "
+    "'verify', '--types', sys.argv[1]], stdout=subprocess.DEVNULL)"
+    ".returncode\n"
+    "print(status, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+
+
+class TestMemory:
+    def test_verify_holds_one_bundle_at_a_time(self):
+        """``verify`` drops each type's bundle once its checks have run, so
+        a cold run over the 40 types D20..D59 peaks within 8 MB of D59, its
+        largest type, run alone. Keeping every bundle to the end of the run
+        put it 33.8 MB above."""
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+
+        def peak_mb(selector):
+            proc = subprocess.run([sys.executable, "-c", _PEAK_LAUNCHER,
+                                   selector], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            status, kib = proc.stdout.split()
+            assert status in ("0", "1"), (selector, proc.stderr)
+            return int(kib) / 1024
+
+        alone, run = peak_mb("D59"), peak_mb("D20..D59")
+        assert run - alone <= 8, (alone, run)
 
 
 class TestSmithMarks:
