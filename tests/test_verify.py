@@ -450,41 +450,64 @@ class TestBundle:
         run_suite([dt("E8")])
         assert forms == ["semiaffine"]
 
-    def test_weights_and_charpoly_queries_share_one_solve(self, monkeypatch,
-                                                          capsys):
-        """``weights --basis t`` and ``charpoly`` read one bundle: over a
-        fresh bundle cache the two queries of a type, in either order, build
-        the semi-affine graph once and call ``finite_det``,
+    def test_charpoly_query_runs_one_leverrier(self, monkeypatch, capsys):
+        """The ``charpoly`` query reads the bundle's report, LeVerrier on
+        the semi-affine graph held against the solver's det: over a fresh
+        bundle cache a lone ``charpoly --type E8`` builds the semi-affine
+        graph alone and calls ``char_poly`` once, on it, where LeVerrier on
+        the finite graph made it twice, and prints the pinned bytes."""
+        forms = {"build_graph": [], "char_poly": []}
+        for name, calls in forms.items():
+            def counted(*args, original=getattr(graphs, name), calls=calls):
+                # build_graph takes (dynkin, form), char_poly a graph
+                calls.append(getattr(args[0], "form", args[-1]))
+                return original(*args)
+            for module in (graphs, verify, cli):  # wherever a caller looks
+                monkeypatch.setattr(module, name, counted, raising=False)
+        monkeypatch.setattr(cli, "build_bundle", lru_cache(maxsize=None)(
+            verify.build_bundle.__wrapped__))
+        argv = "charpoly --type E8 --format json"
+        assert cli.main(argv.split()) == 0
+        assert forms == {"build_graph": ["semiaffine"],
+                         "char_poly": ["semiaffine"]}
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == GOLDEN[argv]["sha256"]
+
+    @pytest.mark.parametrize("name", ["A1", "E8"])
+    def test_charpoly_query_reads_the_det_alone(self, name, monkeypatch,
+                                                capsys):
+        """The ``charpoly`` query reads its det from the bundle's one solve
+        alone, the solve ``weights --basis t`` prints: over a fresh bundle
+        cache the two queries of a type, in either order, build the
+        semi-affine graph once and call ``finite_det``,
         ``solve_semiaffine`` and LeVerrier (``char_poly``) once each, on
         that graph, and print the pinned bytes."""
         watched = {"build_graph": (graphs, verify, cli),
                    "finite_det": (weights, cli),
                    "solve_semiaffine": (weights, verify, cli),
                    "char_poly": (graphs, verify, cli)}
-        forms = {name: [] for name in watched}
-        for name, modules in watched.items():
-            def counted(*args, original=getattr(modules[0], name),
-                        calls=forms[name]):
+        forms = {key: [] for key in watched}
+        for key, modules in watched.items():
+            def counted(*args, original=getattr(modules[0], key),
+                        calls=forms[key]):
                 # build_graph takes (dynkin, form), the others a graph
                 calls.append(getattr(args[0], "form", args[-1]))
                 return original(*args)
             for module in modules:  # wherever a caller may look it up
-                monkeypatch.setattr(module, name, counted, raising=False)
-        for t in ("A1", "E8"):
-            queries = [f"weights --type {t} --basis t --format json",
-                       f"charpoly --type {t} --format json"]
-            for order in (queries, queries[::-1]):
-                monkeypatch.setattr(cli, "build_bundle", lru_cache(
-                    maxsize=None)(verify.build_bundle.__wrapped__))
-                for calls in forms.values():
-                    calls.clear()
-                for argv in order:
-                    assert cli.main(argv.split()) == 0
-                    out = capsys.readouterr().out.encode()
-                    assert hashlib.sha256(out).hexdigest() == \
-                        GOLDEN[argv]["sha256"], argv
-                assert forms == {name: ["semiaffine"] for name in watched}, \
-                    order
+                monkeypatch.setattr(module, key, counted, raising=False)
+        queries = [f"weights --type {name} --basis t --format json",
+                   f"charpoly --type {name} --format json"]
+        for order in (queries, queries[::-1]):
+            monkeypatch.setattr(cli, "build_bundle", lru_cache(maxsize=None)(
+                verify.build_bundle.__wrapped__))
+            for calls in forms.values():
+                calls.clear()
+            for argv in order:
+                assert cli.main(argv.split()) == 0
+                out = capsys.readouterr().out.encode()
+                assert hashlib.sha256(out).hexdigest() == \
+                    GOLDEN[argv]["sha256"], argv
+            assert forms == {key: ["semiaffine"] for key in watched}, order
 
 
 # per query: the golden key of its bytes (its own when None; the JSON of
