@@ -447,10 +447,14 @@ def vanishes(N: int, lift) -> bool:
 
 def is_fixed(N: int, x, a: int) -> bool:
     """Whether sigma_a(x) = x, sigma_a: zeta -> zeta^a for a prime to N, for
-    a ``dot`` entry x: ``vanishes`` of x's sigma_a lift minus its own
-    coordinates, which share its denominator, so no value is built."""
-    _, lift, _ = _galois_lift(N, x, a)
+    a ``dot`` entry x. An x with no coordinate past the constant one is
+    rational and sigma_a fixes Q, so it is True with no lift built; else
+    ``vanishes`` of x's sigma_a lift minus its own coordinates, which share
+    its denominator, so no value is built."""
     _, nums, support = _parts(N, x)
+    if not any(support):  # support () or (0,): x is rational
+        return True
+    _, lift, _ = _galois_lift(N, x, a)
     for j in support:
         lift[j] -= nums[j]
     return vanishes(N, lift)

@@ -203,14 +203,29 @@ class FiniteSubgroup:
         """The class at each Galois orbit's rep: a table's columns."""
         return [self.classes[o.rep] for o in self.orbits]
 
-    def expand(self, row) -> list[CycNumber]:
-        """A row held at the orbit reps, at every class: sigma_a(chi(C_O))
-        at C = C_O^a for C's stored twist a."""
-        out = [None] * len(self.classes)
-        for o, v in zip(self.orbits, row, strict=True):
-            out[o.rep] = v
-            for cj, a in o.twists:
-                out[cj] = v.galois(a)
+    def expand(self, rows) -> list[list[CycNumber]]:
+        """Rows held at the orbit reps, at every class: sigma_a(chi(C_O))
+        at C = C_O^a for C's stored twist a. A rational value is its own
+        image, since sigma_a fixes Q, and every other image is built once
+        per distinct (value, a) of the call, keyed on ``sort_key``, which
+        unlike the CycNumber's hash builds no Fraction."""
+        images: dict[tuple, CycNumber] = {}
+        out = []
+        for row in rows:
+            full = [None] * len(self.classes)
+            for o, v in zip(self.orbits, row, strict=True):
+                full[o.rep] = v
+                if v.is_rational():
+                    for cj, _ in o.twists:
+                        full[cj] = v
+                    continue
+                key = v.sort_key()
+                for cj, a in o.twists:
+                    image = images.get((key, a))
+                    if image is None:
+                        image = images[key, a] = v.galois(a)
+                    full[cj] = image
+            out.append(full)
         return out
 
     def classes_to_json(self) -> list[dict]:
@@ -378,10 +393,22 @@ class CharTable(NamedTuple("CharTable", [
         return tuple(int(row[0].to_rational()) for row in self.values)
 
     def to_json(self, G: FiniteSubgroup) -> dict:
-        """The degrees and every row at each of G's classes."""
-        return {"degrees": list(self.degrees),
-                "values": [[v.to_json() for v in G.expand(row)]
-                           for row in self.values]}
+        """The degrees and every row at each of G's classes. Each distinct
+        value's JSON object is built once, keyed on ``sort_key``, and every
+        entry equal to it holds that one object, which ``json_text`` then
+        writes once per indent."""
+        objects: dict[tuple, dict] = {}
+        values = []
+        for row in G.expand(self.values):
+            out = []
+            for v in row:
+                key = v.sort_key()
+                obj = objects.get(key)
+                if obj is None:
+                    obj = objects[key] = v.to_json()
+                out.append(obj)
+            values.append(out)
+        return {"degrees": list(self.degrees), "values": values}
 
 
 def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
@@ -558,7 +585,8 @@ def table_violation(table: CharTable, G: FiniteSubgroup) -> str | None:
     A row stands for the class function chi(C_O^a) = sigma_a(chi(C_O)), a
     prime to N, that ``FiniteSubgroup.expand`` writes out. It is well
     defined exactly when chi(C_O) = sigma_s(chi(C_O)) at each stabiliser
-    generator s, by ``is_fixed``: if C_O^a = C_O^b, a/b fixes C_O.
+    generator s, by ``is_fixed``: if C_O^a = C_O^b, a/b fixes C_O. A
+    rational value passes with no lift built, since sigma_s fixes Q.
     Then chi(C^a) = sigma_a(chi(C)) for every class C and a prime to N
     (a = -1 is conjugate symmetry), on which alone ``decompose``'s one
     field trace per orbit is exact, so this gate comes before it.

@@ -379,42 +379,77 @@ def run_suite(types, fault: FaultSpec | None = None) -> VerificationReport:
 
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2)`` for the values the commands print: str,
-    int, bool, None, and lists, tuples and str-keyed dicts of them, built in
-    one recursive pass of joins with strings quoted by the C encoder (the
-    ``json`` module's C encoder runs only without an indent). Anything else,
-    a float, a set, a non-str key or a CycNumber among them, raises
+    int, bool, None, and lists, tuples and str-keyed dicts of them. One
+    recursive pass appends tokens to one list, joined once at the end, with
+    strings quoted by the C encoder (the ``json`` module's C encoder runs
+    only without an indent). A dict object met again at the same indent is
+    written from the text of its first writing: ``obj`` is alive for the
+    whole call, so no id is reused, and a command that shares one JSON
+    object among equal values pays for its text once. Anything else, a
+    float, a set, a non-str key or a CycNumber among them, raises
     TypeError."""
-    return _json(obj, "\n")
+    out: list[str] = []
+    _emit(obj, "\n", out, {})
+    return "".join(out)
 
 
-def _json(obj, newline: str) -> str:
-    """The JSON text of ``obj``, whose lines below the first start with
-    ``newline``'s indent."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+def _emit(obj, newline: str, out: list[str], seen: dict) -> None:
+    """Append the JSON text of ``obj``, whose lines below the first start
+    with ``newline``'s indent, to ``out``. ``seen`` maps (id, newline) of
+    each dict written so far to the span of ``out`` that holds its tokens,
+    or, once it is met again, to their joined text. A str in a container is
+    quoted in place, with no call of its own."""
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
-        return ("[" + inner + ("," + inner).join([_json(v, inner) for v in obj])
-                + newline + "]")
-    if isinstance(obj, dict):
+        sep = "," + inner
+        out.append("[" + inner)
+        for v in obj:
+            if type(v) is str:
+                out.append(encode_basestring_ascii(v))
+            else:
+                _emit(v, inner, out, seen)
+            out.append(sep)
+        out[-1] = newline + "]"  # the last separator
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
+        key = (id(obj), newline)
+        text = seen.get(key)
+        if text is not None:
+            if type(text) is tuple:  # met once: join its span, once
+                text = seen[key] = "".join(out[text[0]:text[1]])
+            out.append(text)
+            return
+        start = len(out)
         inner = newline + "  "
-        # the encoder raises TypeError on a key that is not a str
-        return ("{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _json(v, inner)
-             for k, v in obj.items()]) + newline + "}")
-    raise TypeError(f"{type(obj).__name__} value {obj!r} has no JSON text")
+        sep = "," + inner
+        out.append("{" + inner)
+        for k, v in obj.items():
+            # the encoder raises TypeError on a key that is not a str
+            out.append(encode_basestring_ascii(k) + ": ")
+            if type(v) is str:
+                out.append(encode_basestring_ascii(v))
+            else:
+                _emit(v, inner, out, seen)
+            out.append(sep)
+        out[-1] = newline + "}"  # the last separator
+        seen[key] = (start, len(out))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"{type(obj).__name__} value {obj!r} has no JSON text")
 
 
 def report_json(report: VerificationReport) -> str:

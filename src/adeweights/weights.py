@@ -39,8 +39,16 @@ class TWeights(NamedTuple):
 
     @property
     def values(self) -> tuple[RationalFunction, ...]:
-        """Each weight y_i / det, reduced when read."""
-        return tuple(RationalFunction(yi, self.det) for yi in self.y)
+        """Each weight y_i / det, reduced when read, once per distinct y_i:
+        nodes that mirror each other share one reduced value."""
+        reduced: dict[tuple[int, ...], RationalFunction] = {}
+        out = []
+        for yi in self.y:
+            v = reduced.get(yi.coeffs)
+            if v is None:
+                v = reduced[yi.coeffs] = RationalFunction(yi, self.det)
+            out.append(v)
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {"type": str(self.dynkin),

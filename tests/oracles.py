@@ -267,6 +267,23 @@ def class_table(G) -> list[list[CycNumber]]:
     return rows
 
 
+def table_json_by_galois(table, G) -> dict:
+    """``CharTable.to_json(G)`` written entry by entry with no memo: a row's
+    value at each class C = C_O^a of a Galois orbit O is
+    ``CycNumber.galois(a)`` of its value at the rep, and every entry gets
+    its own ``to_json``."""
+    values = []
+    for row in table.values:
+        full = [None] * len(G.classes)
+        for o, v in zip(G.orbits, row, strict=True):
+            full[o.rep] = v.to_json()
+            for cj, a in o.twists:
+                full[cj] = v.galois(a).to_json()
+        values.append(full)
+    return {"degrees": [int(row[0].to_rational()) for row in table.values],
+            "values": values}
+
+
 def molien_by_elements(G, rows):
     """Molien numerators summed element by element (not class by class),
     against (1-q^a)(1-q^b), for ``rows`` given at every class, as

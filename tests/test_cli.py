@@ -178,6 +178,22 @@ class TestOtherCommands:
             assert [c["molien"] for c in obj["characters"]] == \
                 [RationalFunction(n, std).to_json() for n in nums]
 
+    @pytest.mark.parametrize("argv", [
+        ("group", "--types", "E6,E7"),
+        ("molien", "--types", "D5,D6", "--series-terms", "4")])
+    def test_several_types_print_the_list_of_their_objects(self, capsys,
+                                                            argv):
+        """A selector of several types prints the list of the one-type
+        objects, so every character table is written one indent deeper
+        than for one type."""
+        command, _, types, *extra = argv
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        singles = [json.loads(run_cli(capsys, command, "--type", t, *extra,
+                                      "--format", "json")[1])
+                   for t in types.split(",")]
+        assert json.loads(out) == singles
+        assert out == json.dumps(singles, indent=2) + "\n"
+
     def test_usage_error_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 

@@ -31,6 +31,7 @@ from oracles import (class_table, galois_orbit_count,
                      inner_product_by_classes,
                      matrix_inverse, matrix_product, matrix_trace,
                      minimal_polynomial, molien_by_elements,
+                     table_json_by_galois,
                      series_coefficients, su2_matrix,
                      sym_power_multiplicities_direct)
 
@@ -278,8 +279,7 @@ class TestIndexKernel:
                            for _ in range(500)])
             products = [index[matrix_product(mats[x], mats[y])]
                         for x, y in pairs]
-            for row in _linear_characters(g):
-                full = g.expand(row)
+            for full in g.expand(_linear_characters(g)):
                 chi = [full[col[i]] for i in range(n)]
                 for (x, y), xy in zip(pairs, products):
                     assert chi[xy] == chi[x] * chi[y], (name, x, y)
@@ -363,8 +363,23 @@ class TestCharTable:
         for name in EXTENDED_NAMES:
             G = build_group(dt(name))
             table = char_table(dt(name), G)
-            assert [G.expand(row) for row in table.values] == \
-                class_table(G), name
+            assert G.expand(table.values) == class_table(G), name
+
+    def test_to_json_equals_the_entry_by_entry_galois_oracle(self):
+        """``CharTable.to_json`` expands the rows once per table, mapping
+        each distinct (value, a) once and keeping a rational value, and
+        builds one JSON object per distinct value. It equals the oracle that
+        maps and encodes every entry on its own, on A1..A16, D4..D16 and
+        E6..E8, and its entries hold exactly one object per distinct
+        value."""
+        for name in SESSION_NAMES:
+            G = build_group(dt(name))
+            table = char_table(dt(name), G)
+            got = table.to_json(G)
+            assert got == table_json_by_galois(table, G), name
+            entries = [obj for row in got["values"] for obj in row]
+            assert len({id(obj) for obj in entries}) == \
+                len({json.dumps(obj) for obj in entries}), name
 
     def test_e_rows_are_ordered_by_their_keys_at_the_reps(self):
         """The E walk sorts its rows after the trivial one by the
@@ -374,7 +389,7 @@ class TestCharTable:
         for name in ("E6", "E7", "E8"):
             G = build_group(dt(name))
             rows = char_table(dt(name), G).values[1:]
-            for keyed in (rows, [G.expand(row) for row in rows]):
+            for keyed in (rows, G.expand(rows)):
                 keys = [tuple(v.sort_key() for v in row) for row in keyed]
                 assert all(a < b for a, b in zip(keys, keys[1:])), name
 

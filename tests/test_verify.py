@@ -345,6 +345,11 @@ _JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
+_SHARED_DICT = {"N": 5, "coeffs": ["1", "-1/2", "0", "3"]}
+_SHARED_LIST = ["1", {"k": None}, [True, -2]]
+_NESTING = {"v": _SHARED_DICT, "w": [_SHARED_DICT, _SHARED_LIST]}
+
+
 class TestJsonText:
     """``json_text`` is the one emitter of the commands' JSON."""
 
@@ -360,6 +365,20 @@ class TestJsonText:
     @example({})
     @example({"a": [[], {}, ()], "b": [{"c": (1, -2, False)}]})
     def test_equals_json_dumps_indent_2(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        [_SHARED_DICT, _SHARED_DICT, "x", _SHARED_DICT],
+        {"a": _SHARED_DICT, "b": [_SHARED_DICT, {"c": _SHARED_DICT}],
+         "d": _SHARED_DICT},
+        [_SHARED_LIST, _SHARED_LIST, {"a": _SHARED_LIST}],
+        {"a": [_SHARED_LIST, [_SHARED_LIST]], "b": _SHARED_LIST},
+        [_NESTING, _NESTING, [_NESTING, {"n": _NESTING}], _SHARED_DICT]])
+    def test_shared_objects_equal_json_dumps_indent_2(self, obj):
+        """One dict or list object at several places of the payload, at
+        the same depth and at two depths, as ``CharTable.to_json`` shares
+        one object among equal entries; Hypothesis builds no shared
+        objects."""
         assert json_text(obj) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("obj", [

@@ -444,6 +444,21 @@ class TestProducts:
 
 
 class TestSerialization:
+    def test_values_equal_the_per_node_reduction(self):
+        """``TWeights.values`` reduces each distinct y_i once and hands
+        that one value to every node with that numerator; each value equals
+        ``RationalFunction(y_i, det)`` built node by node, on A1..A48,
+        D4..D40 and E6..E8."""
+        names = ([f"A{m}" for m in range(1, 49)]
+                 + [f"D{m}" for m in range(4, 41)] + ["E6", "E7", "E8"])
+        for name in names:
+            w = solve(name)
+            values = w.values
+            assert list(values) == [RationalFunction(yi, w.det)
+                                    for yi in w.y], name
+            assert len({id(v) for v in values}) == \
+                len({yi.coeffs for yi in w.y}), name
+
     def test_qnumerators_json_round_trip(self):
         # h, a and b are written from the type, in this key order
         obj = to_q_numerators(solve("D4")).to_json()
