@@ -89,7 +89,6 @@ class _Field:
                 last = [a + top * b for a, b in zip(last, base)]
             rows.append(tuple((i, a) for i, a in enumerate(last) if a))
         self._rows = tuple(rows)
-        self._supports: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def reduce(self, nums: list[int]) -> list[int]:
         """nums, at most N of them, reduced in place by indexing rows[e - phi],
@@ -125,12 +124,6 @@ class _Field:
                         c = 0 if rest % p == 0 else -c // (p - 1)
                 by_m[m] = c
         return [by_m[N // gcd(k, N)] for k in range(2 * N)]
-
-    def support(self, nums) -> tuple[int, ...]:
-        """Positions of the nonzero nums; equal patterns share one tuple, so
-        a value ``split`` has read keeps no tuple of its own."""
-        s = tuple(compress(count(), nums))
-        return self._supports.setdefault(s, s)
 
 
 @lru_cache(maxsize=None)
@@ -491,14 +484,14 @@ def _parts(N: int, x) -> tuple:
         if x.N != N:
             raise ValueError(f"conductor mismatch: {x.N} vs {N}")
         if x._support is None:
-            x._support = _field(N).support(x._nums)
+            x._support = tuple(compress(count(), x._nums))
         return x._den, x._nums, x._support
     if isinstance(x, int):
         x = (x,)  # an int is a lift of length 1
     if isinstance(x, (tuple, list)):
         if len(x) > N:
             raise ValueError(f"lift of length {len(x)} at conductor {N}")
-        # a list, not an interned tuple: a freed tuple stays on a free list
+        # a list, not a tuple: a freed tuple stays on a free list
         return 1, x, list(compress(count(), x))
     raise TypeError(f"dot entry {x!r} is not a CycNumber, an int or a lift")
 

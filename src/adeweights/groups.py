@@ -198,9 +198,10 @@ class FiniteSubgroup:
             y = self.mul(y, x)
         return out
 
-    @cached_property
+    @property
     def rep_classes(self) -> list[ConjClass]:
-        """The class at each Galois orbit's rep: a table's columns."""
+        """The class at each Galois orbit's rep, a table's columns, read off
+        ``classes`` and ``orbits`` at each call."""
         return [self.classes[o.rep] for o in self.orbits]
 
     def expand(self, rows) -> list[list[CycNumber]]:
@@ -437,9 +438,9 @@ def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
 
 
 def _orbit_weights(G: FiniteSubgroup) -> tuple[list[int], int]:
-    """Per Galois orbit O the weight |C_O| |O|, read off G's classes at the
-    call, and the divisor phi(N) sum_O |C_O| |O| of an orbit trace sum."""
-    weights = [G.classes[o.rep].size * o.size for o in G.orbits]
+    """Per Galois orbit O the weight |C_O| |O| and the divisor
+    phi(N) sum_O |C_O| |O| of an orbit trace sum."""
+    weights = [c.size * o.size for c, o in zip(G.rep_classes, G.orbits)]
     return weights, euler_phi(G.conductor) * sum(weights)
 
 

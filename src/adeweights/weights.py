@@ -51,8 +51,16 @@ class TWeights(NamedTuple):
         return tuple(out)
 
     def to_json(self) -> dict:
+        """One JSON object per distinct value, keyed on ``id``: mirror nodes
+        share one value, so they share its object, which ``json_text``
+        writes once per indent."""
+        values = self.values
+        objs: dict[int, dict] = {}
+        for v in values:
+            if id(v) not in objs:
+                objs[id(v)] = v.to_json()
         return {"type": str(self.dynkin),
-                "values": [v.to_json() for v in self.values]}
+                "values": [objs[id(v)] for v in values]}
 
 
 class QNumerators(NamedTuple):

@@ -186,16 +186,31 @@ def _list_mul(p, r):
     return out
 
 
-def _list_div_monic(p, d):
-    """Exact quotient of coefficient lists by a divisor with leading 1."""
+def _list_divmod_monic(p, d):
+    """Quotient and remainder of coefficient lists by a divisor with
+    leading 1, by synthetic division."""
     p = list(p)
     quo = [0] * (len(p) - len(d) + 1)
     for k in range(len(quo) - 1, -1, -1):
         c = quo[k] = p[k + len(d) - 1]
         for j, y in enumerate(d):
             p[k + j] = p[k + j] - c * y
-    assert all(x == 0 for x in p), "inexact division"
+    return quo, p[:len(d) - 1]
+
+
+def _list_div_monic(p, d):
+    """Exact quotient of coefficient lists by a divisor with leading 1."""
+    quo, rem = _list_divmod_monic(p, d)
+    assert all(x == 0 for x in rem), "inexact division"
     return quo
+
+
+def remainder(p: Polynomial, d: Polynomial) -> Polynomial:
+    """p mod d in Z[x] for a divisor d with leading coefficient 1, on
+    coefficient lists; no Polynomial division is used."""
+    if d.coeffs[-1:] != (1,):
+        raise ValueError(f"divisor {d} does not have leading coefficient 1")
+    return Polynomial(p.var, _list_divmod_monic(p.coeffs, d.coeffs)[1])
 
 
 def su2_matrix(row):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import inspect
 import io
 import json
@@ -178,6 +179,21 @@ class TestEnumeration:
         # the rotation alone closes on 4 of the 8 quaternions
         with pytest.raises(ValidationFailed):
             enumerate_subgroup([generators(dt("D4"))[0]], dt("D4"))
+
+    def test_rep_classes_follow_the_classes(self, bundle):
+        """``rep_classes`` is read off ``classes`` at each call, so a copy
+        of a built group whose classes are replaced, as
+        ``_group_order_doubled`` in tests/test_verify.py replaces them,
+        names the new classes at its orbit reps, not the old ones."""
+        G = bundle("D4").group
+        before = G.rep_classes
+        doubled = copy.copy(G)
+        doubled.classes = tuple(c._replace(size=2 * c.size)
+                                for c in G.classes)
+        assert doubled.rep_classes == [doubled.classes[o.rep]
+                                       for o in G.orbits]
+        assert [c.size for c in doubled.rep_classes] == \
+            [2 * c.size for c in before]
 
     def test_eigen_exponent_is_least(self, bundle):
         for name in SUITE_NAMES:

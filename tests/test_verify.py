@@ -23,15 +23,11 @@ from adeweights.verify import (CHECK_NAMES, CHECKS, DEFAULT_SUITE, FaultSpec,
                                json_text, report_json, report_text, run_suite)
 from adeweights.weights import (finite_reduction_check,
                                 specialization_identity, to_q_numerators)
+from golden_outputs import GOLDEN, mismatches
 
 # the types whose reduced common denominator strictly exceeds cox(h); the
 # LCD_COX check honestly fails there (see "Verification suite" in the README)
 LCD_EXCEPTIONS = {"A5", "A8", "A9", "A11", "D7", "D10", "D11"}
-
-# exit status and output digest of every call a benchmark workload makes,
-# read only
-GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                     / "golden.json").read_text())["outputs"]
 
 
 def dt(name):
@@ -566,6 +562,36 @@ class TestLazyParts:
         assert called == []
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == GOLDEN[key or argv]["sha256"]
+
+
+class TestGoldenOutputs:
+    """Every call ``perfbench/golden.json`` pins exits with its pinned
+    status and prints its pinned bytes: in this process, and in a
+    ``python -O`` child under another hash seed, since no invariant may rest
+    on ``assert`` and no output on the iteration order of a set of str. A
+    change that alters outputs on purpose recaptures golden.json with
+    ``perfbench/golden.py``; there is no list of calls to edit."""
+
+    def test_every_pinned_output(self, monkeypatch):
+        """Each call reads bundles from a cache of this test's own, so
+        every bundle is built under this run."""
+        monkeypatch.setattr(cli, "build_bundle", lru_cache(maxsize=None)(
+            verify.build_bundle.__wrapped__))
+        bad = mismatches()
+        assert not bad, f"{len(bad)} of {len(GOLDEN)} outputs differ:\n" + \
+            "\n".join(bad)
+
+    def test_every_pinned_output_under_optimize(self):
+        seed = "124" if os.environ.get("PYTHONHASHSEED") == "123" else "123"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-O", str(Path(__file__).with_name(
+                "golden_outputs.py"))],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert (proc.returncode, proc.stdout.splitlines()[-1:]) == (
+            0, [f"0 of {len(GOLDEN)} outputs differ (optimize 1)"]), \
+            proc.stdout + proc.stderr
 
 
 # A child spawned from a large process starts with that process's peak RSS

@@ -16,7 +16,7 @@ from adeweights.weights import (_mod_one_plus_q, check_notes, closed_form,
                                 numerators_latex, solve_semiaffine,
                                 specialization_identity, to_q_numerators,
                                 weights_satisfy)
-from oracles import char_poly_bareiss, krylov_minpoly, lcd_law
+from oracles import char_poly_bareiss, krylov_minpoly, lcd_law, remainder
 
 Q = lambda *cs: Polynomial("q", cs)
 T = lambda *cs: Polynomial("t", cs)
@@ -175,7 +175,7 @@ class TestCommonDenominator:
         for name in SUITE_NAMES:
             h = DynkinType.parse(name).coxeter_number
             lcd = common_denominator(solve(name))
-            assert divmod(lcd, cox(h))[1].is_zero()
+            assert remainder(lcd, cox(h)).is_zero()
         assert common_denominator(solve("A5")) == T(0, -3, 0, 1)  # t(t^2-3)
 
     def test_family_law(self):
@@ -333,12 +333,12 @@ class TestIdentities:
                 p = Polynomial("q", [rng.randint(-5, 5)
                                      for _ in range(rng.randint(0, 3 * h + 2))])
                 assert Polynomial("q", _mod_one_plus_q(p, h)) \
-                    == divmod(p, one_plus_q(h))[1], (h, p)
+                    == remainder(p, one_plus_q(h)), (h, p)
 
     def test_d4_center_reduction_by_hand(self):
         # q(q+1/q)(q+2q^3+q^5) - 3q(q^2+q^4) = (1+q^2)(1+q^6) - (1+q^2) ... = 0 mod 1+q^6
         lhs = Q(1, 0, 1) * Q(0, 1, 0, 2, 0, 1) - Q(0, 0, 0, 3, 0, 3)
-        assert divmod(lhs, Q(1, 0, 0, 0, 0, 0, 1))[1].is_zero()
+        assert remainder(lhs, Q(1, 0, 0, 0, 0, 0, 1)).is_zero()
 
     def test_notes_all_types(self):
         for name in SUITE_NAMES:
@@ -458,6 +458,27 @@ class TestSerialization:
                                     for yi in w.y], name
             assert len({id(v) for v in values}) == \
                 len({yi.coeffs for yi in w.y}), name
+
+    def test_tweights_json_encodes_each_distinct_value_once(self,
+                                                           monkeypatch):
+        """``TWeights.to_json`` builds one JSON object per distinct value
+        and hands it to every node that shares the value: over the
+        graph_queries types, A1..A24, D4..D24 and E6..E8, 495
+        ``RationalFunction.to_json`` calls for 663 nodes, where one object
+        per node made 663. Each node's object equals its value's."""
+        names = ([f"A{m}" for m in range(1, 25)]
+                 + [f"D{m}" for m in range(4, 25)] + ["E6", "E7", "E8"])
+        encode = RationalFunction.to_json
+        calls = []
+        monkeypatch.setattr(RationalFunction, "to_json",
+                            lambda v: calls.append(v) or encode(v))
+        nodes = 0
+        for name in names:
+            w = solve(name)
+            assert w.to_json() == {"type": name, "values": [
+                encode(v) for v in w.values]}, name
+            nodes += len(w.y)
+        assert (len(calls), nodes) == (495, 663)
 
     def test_qnumerators_json_round_trip(self):
         # h, a and b are written from the type, in this key order
