@@ -41,13 +41,18 @@ it, ``split(N, xs, conj=True)`` reads complex conjugates as the case
 a = -1, and ``is_fixed`` compares sigma_a(x) with x by ``vanishes``.
 The inverse is the product of the other Galois conjugates over the norm, a
 rational number, so no polynomial division is needed.
+
+``su2_mod_p`` is the one reduction to a finite field: zeta -> omega, an
+element of order exactly N in F_p^* for the least prime p = 1 (mod N)
+dividing no denominator of its entries. omega is a root of Phi_N mod p, so
+the map is a ring homomorphism on the p-integral values of Q(zeta_N).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, count
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add
 
 from .errors import NotRational, ValidationFailed
@@ -451,6 +456,48 @@ def is_fixed(N: int, x, a: int) -> bool:
     for j in support:
         lift[j] -= nums[j]
     return vanishes(N, lift)
+
+
+def residue_field(N: int, dens) -> tuple[int, int]:
+    """The least prime p = 1 (mod N) dividing none of the ints ``dens``,
+    and an omega of order exactly N in F_p^*: g^((p-1)/N) for the least g
+    for which that power has no order N/q, q a prime factor of N. F_p^* is
+    cyclic of order divisible by N, so such a g exists. p is odd, as
+    N >= 2: an even p = 1 (mod N) is 2 only when N = 1."""
+    if N < 2:
+        raise ValueError(f"conductor {N} has no odd prime p = 1 (mod N)")
+    primes = [q for q in range(2, N + 1)
+              if N % q == 0 and all(q % r for r in range(2, q))]
+    p = N + 1
+    while any(p % r == 0 for r in range(2, isqrt(p) + 1)) \
+            or any(d % p == 0 for d in dens):
+        p += N
+    for g in range(2, p):
+        w = pow(g, (p - 1) // N, p)
+        if all(pow(w, N // q, p) != 1 for q in primes):
+            return p, w
+
+
+def su2_mod_p(N: int, rows) -> tuple[int, int, list[tuple[int, int, int, int]]]:
+    """p, omega and each top row (a, b) of ``rows`` as its SU(2) matrix
+    [[a, b], [-conj(b), conj(a)]] reduced by zeta -> omega: the 4-tuple
+    (a(omega), b(omega), -conj(b)(omega), conj(a)(omega)) of ints mod p,
+    with p and omega from ``residue_field`` over the entries' denominators.
+    conj(x)(omega) is x read at omega^-1, so no conjugate is built."""
+    parts = [_parts(N, x) for row in rows for x in row]
+    p, w = residue_field(N, [den for den, _, _ in parts])
+    parts = [(pow(den, -1, p), nums, support) for den, nums, support in parts]
+    phi = _field(N).phi
+
+    def at(u: int) -> list[int]:
+        """Each entry c/den, c = sum_i c_i zeta^i, read at zeta = u."""
+        powers = [pow(u, i, p) for i in range(phi)]
+        return [sum(nums[i] * inv * powers[i] for i in support) % p
+                for inv, nums, support in parts]
+
+    top, conj = at(w), at(pow(w, -1, p))
+    return p, w, [(top[k], top[k + 1], (p - conj[k + 1]) % p, conj[k])
+                  for k in range(0, len(parts), 2)]
 
 
 def _accumulate(N: int, xs, ys, factors) -> tuple[list[int], int]:

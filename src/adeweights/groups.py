@@ -1,26 +1,35 @@
 """Finite subgroups of SU(2) attached to the ADE types.
 
-Each group is enumerated exactly over a cyclotomic field whose conductor is
-the group exponent. Conjugacy classes, character tables, the McKay matrix,
-generalized Molien series, and symmetric-power multiplicities are all
-computed over the same field and collapsed to Q where the theory says they
+Each group is enumerated by its image in SL_2(F_p), and everything after
+the closure is computed exactly over a cyclotomic field whose conductor N
+is the group exponent. Conjugacy classes, character tables, the McKay
+matrix, generalized Molien series, and symmetric-power multiplicities are
+all computed over that field and collapsed to Q where the theory says they
 must be rational.
 
 An element of SU(2) is [[a, b], [-conj(b), conj(a)]], so its top row (a, b)
-determines it, and each generator and element is held as that pair alone:
-its trace is a + conj(a), and the generators' unitarity check is one
-``dot``, |a|^2 + |b|^2 = 1. The closure computes the top row of x g as two
-2-term ``cyclo.dot`` calls against g's columns, so it makes no CycNumber
-product and builds no bottom row. It records each element's word over the
-generators and each generator's right-multiplication table, and
+determines it, and each generator is held as that pair alone: the
+generators' unitarity check is one exact ``dot``, |a|^2 + |b|^2 = 1. The
+closure runs over F_p: ``cyclo.su2_mod_p`` reduces each generator's matrix
+by zeta -> omega, omega of order exactly N in F_p^*, p the least prime
+= 1 (mod N) dividing no generator denominator, and each x g is one 2x2
+product of ints mod p, keyed on its four entries. The reduction is
+faithful on the finite group the generators generate, which is the one
+premise: p does not divide N, so it is unramified in Q(zeta_N), and p > 2,
+so reduction modulo a prime above p has a torsion-free kernel on GL_2 of
+the p-integral ring (Minkowski 1887; Serre, "Bounds for the orders of the
+finite subgroups of G(k)", 2007) and is injective on every finite
+subgroup. The order and class-count gates catch an image that is not.
+No element's value is kept: the closure records each element's word over
+the generators and each generator's right-multiplication table, and
 ``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits are index
 arithmetic, and so is ``FiniteSubgroup.powers``, the one walk of an
-element's powers. Each zeta^r + zeta^-r, 0 <= r <= N/2, is built once into
-``FiniteSubgroup.traces``. A class's trace is one sum, a plus the top left
-entry conj(a) of the inverse, looked up there for the class's stored trace
-and eigen-exponent; the D and E tables read their trace-valued rows there,
-and read no coordinates: the D rotation classes are those whose rep's word
-has an even count of generator 1.
+element's powers. Each zeta^r + zeta^-r, 0 <= r <= N/2, is built exactly
+once into ``FiniteSubgroup.traces``; a class's eigen-exponent e is the r
+whose image omega^r + omega^-r, distinct over r <= N/2, is the trace of
+its rep's image, and its trace is ``traces[e]``. The D and E tables read
+their trace-valued rows there, and read no coordinates: the D rotation
+classes are those whose rep's word has an even count of generator 1.
 
 Molien numerators come from one cofactor per orbit rep: the integer
 standard form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q),
@@ -79,7 +88,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .cyclo import (CycNumber, TraceMatrix, dot, euler_phi, is_fixed,
-                    split, trace_rows, trace_sums, vanishes)
+                    split, su2_mod_p, trace_rows, trace_sums, vanishes)
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
@@ -157,12 +166,10 @@ class FiniteSubgroup:
     """
 
     def __init__(self, dynkin: DynkinType, conductor: int, gens: list[TopRow],
-                 elements: list[TopRow], words: list[tuple[int, ...]],
-                 right: list[list[int]]):
+                 words: list[tuple[int, ...]], right: list[list[int]]):
         self.dynkin = dynkin
         self.conductor = conductor
         self.generators = tuple(gens)
-        self.elements = tuple(elements)
         self.words = tuple(words)
         self.right = tuple(tuple(r) for r in right)
         # element indices of each generator and of its inverse
@@ -174,10 +181,10 @@ class FiniteSubgroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
     def mul(self, i: int, j: int) -> int:
-        """Index of the product elements[i] elements[j]."""
+        """Index of the product of elements i and j."""
         for g in self.words[j]:
             i = self.right[g][i]
         return i
@@ -250,55 +257,64 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     reaching a class is its twist; the a returning to x's class are its
     stabiliser, whose generators are taken greedily, each one outside the
     subgroup the earlier ones generate.
-    ``traces`` holds zeta^r + zeta^-r for 0 <= r <= N/2, each built once
-    from the lift x^r + x^-r; they are distinct, and r and N - r give the
-    same trace, so a class's eigen-exponent is the least e with
-    trace = zeta^e + zeta^-e.
 
-    Each generator and element is a top row (a, b), standing for the
-    matrix [[a, b], [-conj(b), conj(a)]], which is special unitary exactly
-    when |a|^2 + |b|^2 = 1; a generator failing that raises ``ValueError``.
-    The closure keys elements on the top row and computes the top row of
-    x g as two ``dot`` calls of x's split top row against g's split columns
-    (a, -conj(b)) and (b, conj(a)). It makes no CycNumber product and must
-    reach exactly the expected order and class count, or
-    ``ValidationFailed`` is raised."""
+    Each generator is a top row (a, b), standing for the matrix
+    [[a, b], [-conj(b), conj(a)]], which is special unitary exactly when
+    |a|^2 + |b|^2 = 1, one exact ``dot``; a generator failing that raises
+    ``ValueError``. The closure runs over F_p: ``cyclo.su2_mod_p`` maps
+    each generator to its 2x2 matrix under zeta -> omega, omega of order
+    exactly N in F_p^*, p the least prime = 1 (mod N) dividing no
+    generator denominator, and each step is one 2x2 product mod p, keyed
+    on its four ints. The elements' images are dropped with the call.
+    The image is faithful: p is prime to N, so unramified in Q(zeta_N), and
+    odd, so reduction modulo a prime above p has a torsion-free kernel on
+    GL_2 of the p-integral ring (Minkowski 1887; Serre, "Bounds for the
+    orders of the finite subgroups of G(k)", 2007) and is injective on
+    every finite subgroup. The one premise is that the generators generate
+    a finite group; the closure must reach exactly the expected order and
+    class count, or ``ValidationFailed`` is raised, which also catches a
+    non-faithful image.
+
+    ``traces`` holds zeta^r + zeta^-r for 0 <= r <= N/2, each built
+    exactly once from the lift x^r + x^-r, and a class's eigen-exponent is
+    the r whose image omega^r + omega^-r is its rep's image trace. r and
+    N - r give the same trace, and for omega of order N the images for
+    r <= N/2 are distinct, or ``ValidationFailed`` is raised; an image
+    trace among none of them raises ``ValueError``."""
     N = gens[0][0].N
     for a, b in gens:
         if dot(N, (a, b), (a.conj(), b.conj())) != 1:
             raise ValueError(f"generator is not special unitary: ({a}, {b})")
+    p, w, steps = su2_mod_p(N, gens)
     limit = 2 * dt.group_order
-    one, zero = CycNumber.one(N), CycNumber.zero(N)
-    elements = [(one, zero)]
-    index = {(one.sort_key(), zero.sort_key()): 0}
-    columns = [(split(N, (a, -b.conj())), split(N, (b, a.conj())))
-               for a, b in gens]
+    images = [(1, 0, 0, 1)]
+    index = {images[0]: 0}
     words: list[tuple[int, ...]] = [()]
     right: list[list[int]] = [[] for _ in gens]
     pos = 0
-    while pos < len(elements):
-        top = split(N, elements[pos])
-        for gi, (first, second) in enumerate(columns):
-            a, b = dot(N, top, first), dot(N, top, second)
-            key = (a.sort_key(), b.sort_key())
-            j = index.get(key)
+    while pos < len(images):
+        a, b, c, d = images[pos]
+        for gi, (e, f, g, h) in enumerate(steps):
+            y = ((a * e + b * g) % p, (a * f + b * h) % p,
+                 (c * e + d * g) % p, (c * f + d * h) % p)
+            j = index.get(y)
             if j is None:
-                if len(elements) >= limit:
+                if len(images) >= limit:
                     raise ClosureOverflow(
                         f"closure of {dt} exceeded {limit} elements")
-                j = index[key] = len(elements)
-                elements.append((a, b))
+                j = index[y] = len(images)
+                images.append(y)
                 words.append(words[pos] + (gi,))
             right[gi].append(j)
         pos += 1
-    if len(elements) != dt.group_order:
-        raise ValidationFailed(f"{dt}: closure has {len(elements)} elements, "
+    if len(images) != dt.group_order:
+        raise ValidationFailed(f"{dt}: closure has {len(images)} elements, "
                                f"expected {dt.group_order}")
-    G = FiniteSubgroup(dt, N, gens, elements, words, right)
+    G = FiniteSubgroup(dt, N, gens, words, right)
 
-    class_of = [-1] * len(elements)
+    class_of = [-1] * len(images)
     partition: list[tuple[int, ...]] = []  # each class's members, rep first
-    for i in range(len(elements)):
+    for i in range(len(images)):
         if class_of[i] >= 0:
             continue
         orbit, stack = {i}, [i]
@@ -318,7 +334,10 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     unit = [1] + [0] * (N - 1)
     G.traces = tuple(CycNumber.from_lift(N, _tau_times(unit, r))
                      for r in range(N // 2 + 1))
-    exps = {t: r for r, t in enumerate(G.traces)}
+    exps = {(pow(w, r, p) + pow(w, -r, p)) % p: r for r in range(N // 2 + 1)}
+    if len(exps) != N // 2 + 1:
+        raise ValidationFailed(f"{dt}: omega = {w} mod {p} is not of order "
+                               f"{N}: its traces omega^r + omega^-r repeat")
     units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
     classes: list[ConjClass | None] = [None] * len(partition)
     orbits = []
@@ -333,11 +352,10 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
             x, inv = powers[a % order], powers[-a % order]
             cj = class_of[x]
             if classes[cj] is None:
-                # x^-1's top left entry is conj(a): trace(x) = a + conj(a)
-                trace = elements[x][0] + elements[inv][0]
+                trace = (images[x][0] + images[x][3]) % p
                 if trace not in exps:
-                    raise ValueError(
-                        f"trace {trace} is not a sum zeta^e + zeta^-e")
+                    raise ValueError(f"trace {trace} mod {p} is not a sum "
+                                     f"omega^e + omega^-e")
                 e = exps[trace]
                 members = partition[cj]
                 classes[cj] = ConjClass(members[0], members, len(members),
@@ -346,10 +364,10 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
                 twists.setdefault(cj, a)
             elif a not in fixed:
                 stabiliser.append(a)
-                grown, p = set(fixed), a
-                while p not in fixed:
-                    grown |= {f * p % N for f in fixed}
-                    p = p * a % N
+                grown, power = set(fixed), a
+                while power not in fixed:
+                    grown |= {f * power % N for f in fixed}
+                    power = power * a % N
                 fixed = grown
         orbits.append(GaloisOrbit(ci, 1 + len(twists), tuple(twists.items()),
                                   tuple(stabiliser)))

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from adeweights.cyclo import CycNumber, dot
+from adeweights.cyclo import CycNumber, dot, split
 from adeweights.errors import ValidationFailed
 from adeweights.groups import _exponent_labels
 from adeweights.poly import Polynomial, cox
@@ -236,6 +236,52 @@ def matrix_inverse(m):
             (m[0][1].conj(), m[1][1].conj()))
 
 
+def exact_closure(gens):
+    """The breadth-first closure of the top rows ``gens`` under right
+    multiplication, exact over Q(zeta_N) and keyed on each element's top
+    row: the top row of x g is two 2-term ``dot`` calls of x's split top
+    row against g's split columns (a, -conj(b)) and (b, conj(a)). Returns
+    the elements' top rows, their generator words and each generator's
+    right-multiplication table, in the order ``groups.enumerate_subgroup``
+    gives, with no order limit: the generators must generate a finite
+    group."""
+    N = gens[0][0].N
+    one, zero = CycNumber.one(N), CycNumber.zero(N)
+    elements = [(one, zero)]
+    index = {(one.sort_key(), zero.sort_key()): 0}
+    columns = [(split(N, (a, -b.conj())), split(N, (b, a.conj())))
+               for a, b in gens]
+    words = [()]
+    right = [[] for _ in gens]
+    for pos, x in enumerate(elements):  # grows as elements are found
+        top = split(N, x)
+        for gi, (first, second) in enumerate(columns):
+            a, b = dot(N, top, first), dot(N, top, second)
+            key = (a.sort_key(), b.sort_key())
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(elements)
+                elements.append((a, b))
+                words.append(words[pos] + (gi,))
+            right[gi].append(j)
+    return elements, words, right
+
+
+def exact_elements(G) -> list:
+    """The exact top rows of G's elements, rebuilt along ``G.right`` in
+    index order: element 0 is the identity, and each other element is
+    first reached as x g from an earlier x, as the closure found it, by one
+    ``matrix_product``."""
+    N = G.conductor
+    out = [(CycNumber.one(N), CycNumber.zero(N))] + [None] * (G.order - 1)
+    for i in range(G.order):
+        for step, gen in zip(G.right, G.generators):
+            if out[step[i]] is None:
+                out[step[i]] = matrix_product(su2_matrix(out[i]),
+                                              su2_matrix(gen))[0]
+    return out
+
+
 def class_table(G) -> list[list[CycNumber]]:
     """Every irreducible character of G at every class, each value computed
     from that class's own data, with no Galois orbit: the linear rows are
@@ -309,7 +355,7 @@ def molien_by_elements(G, rows):
     a, b = dt.standard_ab
     one = CycNumber.one(G.conductor)
     quads = {}
-    traces = [matrix_trace(su2_matrix(x)) for x in G.elements]
+    traces = [matrix_trace(su2_matrix(x)) for x in exact_elements(G)]
     for tr in traces:
         if tr not in quads:
             quads[tr] = [one, -tr, one]

@@ -26,9 +26,10 @@ from adeweights.groups import (CharTable, build_group, char_table,
                                recurrence_check,
                                sym_power_multiplicities, table_violation,
                                _linear_characters, _match_affine)
-from adeweights.poly import Polynomial, cos_polynomial
+from adeweights.poly import Polynomial, cos_polynomial, cyclotomic
 from adeweights.verify import DEFAULT_SUITE, run_suite
-from oracles import (class_table, galois_orbit_count,
+from oracles import (class_table, exact_closure, exact_elements,
+                     galois_orbit_count,
                      inner_product_by_classes,
                      matrix_inverse, matrix_product, matrix_trace,
                      minimal_polynomial, molien_by_elements,
@@ -54,9 +55,9 @@ def dt(name):
     return DynkinType.parse(name)
 
 
-def element_index(g) -> dict:
-    """Each element's full matrix -> its position in ``g.elements``."""
-    return {su2_matrix(x): i for i, x in enumerate(g.elements)}
+def element_index(elements) -> dict:
+    """Each element's full matrix -> its index in ``elements``."""
+    return {su2_matrix(x): i for i, x in enumerate(elements)}
 
 
 def is_special_unitary(m) -> bool:
@@ -102,8 +103,9 @@ class TestEnumeration:
     def test_a1_is_plus_minus_identity(self, bundle):
         g = bundle("A1").group
         assert g.order == 2
-        m = su2_matrix(g.elements[1])
-        assert matrix_product(m, m) == su2_matrix(g.elements[0])
+        elements = exact_elements(g)
+        m = su2_matrix(elements[1])
+        assert matrix_product(m, m) == su2_matrix(elements[0])
 
     def test_a2_cyclic(self, bundle):
         assert bundle("A2").group.order == 3
@@ -120,17 +122,18 @@ class TestEnumeration:
 
     def test_all_elements_special_unitary(self, bundle):
         for name in ("A3", "D5", "E6"):
-            for x in bundle(name).group.elements:
+            for x in exact_elements(bundle(name).group):
                 assert is_special_unitary(su2_matrix(x))
 
     def test_class_traces_real_and_constant(self, bundle):
         for name in CLASS_NAMES:
             g = bundle(name).group
+            elements = exact_elements(g)
             for c in g.classes:
                 assert c.trace.conj() == c.trace
                 assert g.traces[c.eigen_exp] == c.trace, (name, c.rep)
                 for member in c.members:
-                    assert matrix_trace(su2_matrix(g.elements[member])) \
+                    assert matrix_trace(su2_matrix(elements[member])) \
                         == c.trace, (name, member)
 
     def test_classes_partition_the_group(self, bundle):
@@ -206,44 +209,119 @@ class TestEnumeration:
                 assert c.eigen_exp == least
 
 
+def image_mod_p(x: CycNumber, p: int, w: int) -> int:
+    """x at zeta = w mod p, read off its printed coordinates."""
+    v = sum(Fraction(c) * pow(w, i, p)
+            for i, c in enumerate(x.to_json()["coeffs"]) if c != "0")
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
+class TestReductionModP:
+    """The closure runs over F_p through ``cyclo.su2_mod_p``; the exact
+    closure of tests/oracles.py is its oracle."""
+
+    ALL_NAMES = [f"A{m}" for m in range(1, 129)] + \
+                [f"D{m}" for m in range(4, 129)] + ["E6", "E7", "E8"]
+
+    def test_reduction_map_on_every_conductor(self):
+        """For every type up to A128 and D128: p is prime, p = 1 (mod N)
+        and divides no generator denominator, omega has order exactly N and
+        is a root of Phi_N mod p, the images of zeta^r + zeta^-r,
+        r <= N/2, are distinct, and each generator's 4-tuple is the image
+        of [[a, b], [-conj(b), conj(a)]], conjugates built exactly."""
+        for name in self.ALL_NAMES:
+            gens = generators(dt(name))
+            N = gens[0][0].N
+            p, w, images = cyclo.su2_mod_p(N, gens)
+            assert p % N == 1 and all(p % r for r in range(2, p)), name
+            assert all(Fraction(c).denominator % p for row in gens
+                       for x in row for c in x.to_json()["coeffs"]), name
+            assert [k for k in range(1, N + 1) if pow(w, k, p) == 1] == [N]
+            assert sum(c * w ** i for i, c in enumerate(
+                cyclotomic(N).coeffs)) % p == 0, name
+            assert len({(w ** r + pow(w, -r, p)) % p
+                        for r in range(N // 2 + 1)}) == N // 2 + 1, name
+            assert images == [tuple(image_mod_p(x, p, w) for x in (
+                a, b, -b.conj(), a.conj())) for a, b in gens], name
+
+    @pytest.mark.parametrize("name, match", [
+        ("D4", "closure has 4 elements"), ("E6", "closure has 4 elements"),
+        ("D5", "not of order 12")])
+    def test_omega_of_half_order_is_refused(self, name, match, monkeypatch):
+        """An omega of order N/2 is no root of Phi_N, so zeta -> omega is
+        no ring map: the closure of D4 and of E6 falls short of |G|, and on
+        D5 the images omega^r + omega^-r, r <= N/2, repeat, so no class
+        could read its eigen-exponent off them."""
+        original = cyclo.residue_field
+
+        def squared(N, dens):
+            p, w = original(N, dens)
+            return p, w * w % p
+
+        monkeypatch.setattr(cyclo, "residue_field", squared)
+        with pytest.raises(ValidationFailed, match=match):
+            build_group(dt(name))
+
+    def test_fp_closure_equals_the_exact_closure(self):
+        """On A1..A48, D4..D40 and E6..E8 the exact closure over
+        Q(zeta_N), keyed on top rows, gives the same words and right
+        tables, so the same classes and Galois orbits, which are index
+        arithmetic on those tables; each class's trace and eigen-exponent
+        are a + conj(a) of its rep's exact top row (a, b)."""
+        for name in EXTENDED_NAMES:
+            g = build_group(dt(name))
+            elements, words, right = exact_closure(list(g.generators))
+            assert (tuple(words), tuple(map(tuple, right))) == \
+                (g.words, g.right), name
+            for c in g.classes:
+                a = elements[c.rep][0]
+                assert c.trace == a + a.conj() == g.traces[c.eigen_exp], \
+                    (name, c.rep)
+
+
 class TestIndexKernel:
     @staticmethod
-    def _check(g, index, i, j):
+    def _check(g, elements, index, i, j):
         assert g.mul(i, j) == index[matrix_product(
-            su2_matrix(g.elements[i]), su2_matrix(g.elements[j]))]
+            su2_matrix(elements[i]), su2_matrix(elements[j]))]
 
     def test_mul_on_every_pair(self, bundle):
         for name in ("A5", "D4", "E6"):
             g = bundle(name).group
-            index = element_index(g)
+            elements = exact_elements(g)
+            index = element_index(elements)
             for i in range(g.order):
                 for j in range(g.order):
-                    self._check(g, index, i, j)
+                    self._check(g, elements, index, i, j)
 
     def test_mul_on_sampled_e8_pairs(self, bundle):
         g = bundle("E8").group
-        index = element_index(g)
+        elements = exact_elements(g)
+        index = element_index(elements)
         rng = random.Random(20261018)
         for _ in range(500):
-            self._check(g, index, rng.randrange(g.order),
+            self._check(g, elements, index, rng.randrange(g.order),
                         rng.randrange(g.order))
 
     def test_right_tables_are_matrix_products(self, bundle):
-        """The closure holds elements as top rows and computes the top row
-        of each product by ``dot``; the full 2x2 product by CycNumber
-        products, bottom rows included, is the oracle."""
+        """The closure runs over F_p; the exact full 2x2 product by
+        CycNumber products, bottom rows included, is the oracle, at every
+        element and generator, not only the edge ``exact_elements`` first
+        reaches each element by."""
         for name in SUITE_NAMES:
             g = bundle(name).group
+            elements = exact_elements(g)
             for k, gen in enumerate(g.generators):
-                for i, x in enumerate(g.elements):
+                for i, x in enumerate(elements):
                     assert matrix_product(su2_matrix(x), su2_matrix(gen)) \
-                        == su2_matrix(g.elements[g.right[k][i]]), (name, k, i)
+                        == su2_matrix(elements[g.right[k][i]]), (name, k, i)
 
     def test_words_spell_their_elements(self, bundle):
         for name in ("D5", "E7"):
             g = bundle(name).group
-            for x, word in zip(g.elements, g.words):
-                prod = su2_matrix(g.elements[0])
+            elements = exact_elements(g)
+            for x, word in zip(elements, g.words, strict=True):
+                prod = su2_matrix(elements[0])
                 for k in word:
                     prod = matrix_product(prod, su2_matrix(g.generators[k]))
                 assert prod == su2_matrix(x)
@@ -251,9 +329,10 @@ class TestIndexKernel:
     def test_class_orders_match_matrix_powers(self, bundle):
         for name in CLASS_NAMES:
             g = bundle(name).group
-            identity = su2_matrix(g.elements[0])
+            elements = exact_elements(g)
+            identity = su2_matrix(elements[0])
             for c in g.classes:
-                m = su2_matrix(g.elements[c.rep])
+                m = su2_matrix(elements[c.rep])
                 power, k = m, 1
                 while power != identity:
                     power = matrix_product(power, m)
@@ -262,10 +341,11 @@ class TestIndexKernel:
 
     def test_conjugate_by_generators(self, bundle):
         g = bundle("E6").group
-        index = element_index(g)
+        elements = exact_elements(g)
+        index = element_index(elements)
         for k, gen in enumerate(g.generators):
             m = su2_matrix(gen)
-            for i, x in enumerate(g.elements):
+            for i, x in enumerate(elements):
                 assert g.conjugate(i, k) == index[matrix_product(
                     matrix_product(m, su2_matrix(x)), matrix_inverse(m))]
 
@@ -287,8 +367,9 @@ class TestIndexKernel:
         for name in SUITE_NAMES:
             g = bundle(name).group
             n = g.order
-            index = element_index(g)
-            mats = [su2_matrix(x) for x in g.elements]
+            elements = exact_elements(g)
+            index = element_index(elements)
+            mats = [su2_matrix(x) for x in elements]
             col = {j: ci for ci, c in enumerate(g.classes) for j in c.members}
             pairs = ([(x, y) for x in range(n) for y in range(n)] if n <= 48
                      else [(rng.randrange(n), rng.randrange(n))
@@ -556,11 +637,12 @@ class TestCharTable:
     def test_inverse_classes(self, bundle):
         for name in CLASS_NAMES:
             g = bundle(name).group
-            index = element_index(g)
+            elements = exact_elements(g)
+            index = element_index(elements)
             column_of = {j: i for i, c in enumerate(g.classes)
                          for j in c.members}
             for c in g.classes:
-                inv = index[matrix_inverse(su2_matrix(g.elements[c.rep]))]
+                inv = index[matrix_inverse(su2_matrix(elements[c.rep]))]
                 assert c.inverse == column_of[inv], (name, c.rep)
                 assert g.classes[c.inverse].size == c.size
 
@@ -802,7 +884,11 @@ class TestOpCounts:
         a line trace of its frames counts the assignments to ``buf`` beyond
         one per call. Growing the denominator term by term rescaled the
         buffer 894 times over a cold default ``verify``, every one in the
-        E closures, whose generators have halves; most rescaled zeros."""
+        E closures, whose generators have halves; most rescaled zeros. The
+        closure now runs over F_p, so the traced run is a ``verify`` of
+        E6..E8, 106 calls, and the exact oracle closure of their
+        generators, which takes two ``dot`` calls per element and
+        generator."""
         lines, first = inspect.getsourcelines(cyclo._accumulate)
         tree = ast.parse(textwrap.dedent("".join(lines)))
         assigns = {first + node.lineno - 1 for node in ast.walk(tree)
@@ -825,7 +911,9 @@ class TestOpCounts:
 
         sys.settrace(on_call)
         try:
-            run_suite([dt("E6"), dt("E7"), dt("E8")])
+            for name in ("E6", "E7", "E8"):
+                run_suite([dt(name)])
+                exact_closure(generators(dt(name)))
         finally:
             sys.settrace(None)
         assert calls[0] > 1000
@@ -927,27 +1015,41 @@ class TestOpCounts:
                        for g in enumerated for c in g.classes]
 
     def test_closure_makes_no_product_per_step(self, monkeypatch):
-        """The closure computes each top row of x g by ``dot`` and checks
-        each generator's |a|^2 + |b|^2 = 1 by ``dot``, so it makes no
-        CycNumber product, whatever |G|; the 2x2 unitarity check took 10
-        per generator, and full matrix products 8 per element and
-        generator."""
-        original = CycNumber.__mul__
-        count = [0]
+        """The closure checks each generator's |a|^2 + |b|^2 = 1 by one
+        exact ``dot`` and takes every product x g as a 2x2 product of ints
+        mod p, the generators reduced by zeta -> omega of order exactly N,
+        p the least prime = 1 (mod N) dividing no generator denominator:
+        odd and unramified in Q(zeta_N), so the reduction is injective on
+        every finite subgroup (Minkowski 1887; Serre, "Bounds for the
+        orders of the finite subgroups of G(k)", 2007), given the one
+        premise that the generated group is finite, which
+        ``test_fp_closure_equals_the_exact_closure`` checks for the tested
+        types. So it makes one ``dot`` per generator and no CycNumber
+        product, whatever |G|. The exact closure made two ``dot`` calls per
+        element and generator, 2,052 over a cold default ``verify``; the
+        2x2 unitarity check took 10 products per generator, and full matrix
+        products 8 per element and generator."""
+        original_mul, original_dot = CycNumber.__mul__, groups.dot
+        products, dots = [0], [0]
 
-        def counting(self, other):
-            count[0] += 1
-            return original(self, other)
+        def counting_mul(self, other):
+            products[0] += 1
+            return original_mul(self, other)
+
+        def counting_dot(*args):
+            dots[0] += 1
+            return original_dot(*args)
 
         for name in ("A24", "D24", "E7", "E8"):
             gens = generators(dt(name))
-            monkeypatch.setattr(CycNumber, "__mul__", counting)
-            monkeypatch.setattr(CycNumber, "__rmul__", counting)
-            count[0] = 0
+            monkeypatch.setattr(CycNumber, "__mul__", counting_mul)
+            monkeypatch.setattr(CycNumber, "__rmul__", counting_mul)
+            monkeypatch.setattr(groups, "dot", counting_dot)
+            products[0] = dots[0] = 0
             g = enumerate_subgroup(gens, dt(name))
             monkeypatch.undo()
             assert g.order == dt(name).group_order
-            assert count[0] == 0, (name, count[0])
+            assert (products[0], dots[0]) == (0, len(gens)), name
 
     def test_class_sums_build_no_cyclotomic_products(self, bundle,
                                                      monkeypatch):

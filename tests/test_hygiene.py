@@ -99,8 +99,16 @@ def test_cli_import_leaves_dataclasses_unloaded():
 
 
 def test_no_matrix_class_or_matrix_product_in_src():
-    """An SU(2) element is its top row (a, b): src/ has no 2x2 matrix class
-    and no ``@``; full matrices live in tests/oracles.py as the oracle."""
+    """A generator is its top row (a, b) over Q(zeta_N), and the closure
+    runs on its 2x2 image mod p, ``cyclo.su2_mod_p``: zeta -> omega of
+    order exactly N in F_p^*, p the least prime = 1 (mod N) dividing no
+    generator denominator, faithful on every finite subgroup since p is odd
+    and unramified in Q(zeta_N) (Minkowski 1887; Serre, "Bounds for the
+    orders of the finite subgroups of G(k)", 2007), given the one premise
+    that the generators generate a finite group. So src/ has no 2x2 matrix
+    class over Q(zeta_N) and no ``@``; the exact elements and full matrices
+    live in tests/oracles.py as the oracle, whose exact closure checks that
+    premise for the tested types."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()

@@ -35,6 +35,9 @@ TRACER_WRAPS = ("perfbench/tracer.py wraps it through cls.__dict__, so it "
 ALLOWLIST = {
     "cli.run": "the console entry point; the corpus calls cli.main",
     "cyclo.CycNumber.__repr__": "for debugging only",
+    "cyclo.CycNumber.__hash__": "the pair of __eq__, which a class defining "
+                                "__eq__ alone would lose; tests key dicts "
+                                "on CycNumbers and on matrices of them",
     "poly.Polynomial.__repr__": "for debugging only",
     "poly.RationalFunction.__repr__": "for debugging only",
     "verify.TypeBundle.__repr__": "for debugging only",

@@ -207,11 +207,11 @@ def _sym_multiplicity_bumped(b, monkeypatch):
 
 
 def _group_order_doubled(b, monkeypatch):
-    """Every element listed twice and every class size doubled: each inner
-    product, so every Sym^m multiplicity, is unchanged, and only
-    a*b = 2|G| can see the order."""
+    """Every element's word listed twice, so ``order`` reads 2|G|, and
+    every class size doubled: each inner product, so every Sym^m
+    multiplicity, is unchanged, and only a*b = 2|G| can see the order."""
     group = copy.copy(b.group)
-    group.elements = b.group.elements * 2
+    group.words = b.group.words * 2
     group.classes = tuple(c._replace(size=2 * c.size)
                           for c in b.group.classes)
     return _replaced(b, group=group)
@@ -284,11 +284,12 @@ def test_a_check_that_raises_is_that_checks_failure(bundle, monkeypatch,
     assert cli.main(["verify", "--types", "D4"]) == 1
     assert "check raised ValidationFailed" in capsys.readouterr().out
     monkeypatch.undo()
-    # the group listed twice with its class sizes kept: SYM_ORACLE takes
-    # |G| as sum_C |C|, as ``decompose`` does, so only a*b = 2|G| sees it
+    # the group's words listed twice with its class sizes kept: SYM_ORACLE
+    # takes |G| as sum_C |C|, as ``decompose`` does, so only a*b = 2|G|
+    # sees it
     b = bundle("D4")
     group = copy.copy(b.group)
-    group.elements = b.group.elements * 2
+    group.words = b.group.words * 2
     doubled = _replaced(b, group=group)
     assert {c.name for c in verify._type_checks(doubled, None)
             if c.status == "fail"} == {"AB_RELATIONS"}
