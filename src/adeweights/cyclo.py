@@ -11,30 +11,27 @@ reduces one), on which a root of unity acts by rotation. Each conductor
 builds its reduction rows, zeta^e in the power basis for phi(N) <= e < N,
 once; a reduction only indexes them and refuses more than N entries.
 
-There is one product loop, ``_accumulate``: it adds every term's
-coordinate products, times an optional integer factor, into one integer
-buffer of 2N coefficients over the lcm of the term denominators, taken
-before the first product, and
-``dot`` folds it modulo x^N - 1 and reduces it modulo Phi_N (a factor of
-x^N - 1) and by its content once per sum, so a sum of k products builds one
-value, not 2k; an entry is a CycNumber, an int or a lift, and rows of
-different lengths are refused. ``x * y`` is the one-term ``dot`` after a
-zero shortcut. Rational sums of field traces of algebraic integers, the
-elements of Z[zeta_N], are swept, not built: ``trace_rows`` reads rows
-chi_j of them into a trace matrix, the integers Tr(zeta^k chi_j[o]) for
-each entry o and power k < N, each entry's form over k a sum of shifted
-slices of the Ramanujan sums c_N(k) = Tr(zeta^k), a table each conductor
-builds on first use; and ``trace_sums`` reads sum_o n_o Tr(x_o chi_j[o])
-/ divisor off that matrix for every row at once, one vector add per
-nonzero coordinate of x, an int where the quotient is integral and a
-Fraction otherwise, reducing nothing modulo Phi_N and building no value.
-Both refuse an entry with a denominator. The matrix is built once per set
-of rows and swept by every class function x over them: a character table
-keeps its rows' matrix for all its readers. ``vanishes`` likewise tests a
-lift for zero at zeta. A caller that sweeps one row of entries against
-many others reads it once with ``split`` (denominator, coordinates and
-nonzero positions per entry) and hands the split row to every sum of the
-sweep; the split is dropped with the call that made it. The Galois action
+There is one product loop, in ``CycNumber.__mul__``: after a zero
+shortcut it adds the products of the two values' nonzero coordinates into
+an integer buffer of 2N coefficients, folds it modulo x^N - 1 and reduces
+it modulo Phi_N (a factor of x^N - 1) once, over the product of the two
+denominators, and the constructor divides out the content. An entry, the
+input of a sweep below, is a CycNumber, an int or a lift. Rational sums of
+field traces of algebraic integers, the elements of Z[zeta_N], are swept,
+not built: ``trace_rows`` reads rows chi_j of entries into a trace matrix,
+the integers Tr(zeta^k chi_j[o]) for each entry o and power k < N, each
+entry's form over k a sum of shifted slices of the Ramanujan sums
+c_N(k) = Tr(zeta^k), a table each conductor builds on first use; and
+``trace_sums`` reads sum_o n_o Tr(x_o chi_j[o]) / divisor off that matrix
+for every row at once, one vector add per nonzero coordinate of x, an int
+where the quotient is integral and a Fraction otherwise, reducing nothing
+modulo Phi_N and building no value. Both refuse an entry with a
+denominator. The matrix is built once per set of rows and swept by every
+class function x over them: a character table keeps its rows' matrix for
+all its readers. ``vanishes`` likewise tests a lift for zero at zeta.
+``trace_sums`` takes its row x as read by ``split``, a list of each
+entry's denominator, coordinates and nonzero positions, built by the call
+that sweeps it and dropped with that call. The Galois action
 sigma_a: zeta -> zeta^a is written once, in ``_galois_lift``, an entry's
 lift mapped x^i -> x^(ia mod N), unreduced: ``CycNumber.galois`` reduces
 it, ``split(N, xs, conj=True)`` reads complex conjugates as the case
@@ -52,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import add
 
 from .errors import NotRational, ValidationFailed
@@ -252,7 +249,16 @@ class CycNumber:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return CycNumber.zero(self.N)
-        return dot(self.N, (self,), (other,))
+        N = self.N
+        xd, xn, xt = _parts(N, self)
+        yd, yn, yt = _parts(N, other)
+        buf = [0] * (2 * N)  # i, j < phi(N) <= N
+        for i in xt:
+            a = xn[i]
+            for j in yt:
+                buf[i + j] += a * yn[j]
+        folded = [a + b for a, b in zip(buf, buf[N:])]
+        return CycNumber(N, _field(N).reduce(folded), xd * yd)
 
     __rmul__ = __mul__
 
@@ -319,47 +325,20 @@ class CycNumber:
                 "coeffs": [str(Fraction(a, den)) for a in self._nums]}
 
 
-class Split(tuple):
-    """A row of ``dot`` entries read once, by ``split``: per entry its
-    denominator, its coordinates and the positions of the nonzero ones. It
-    is built inside the call that sweeps it and is dropped with that call."""
-
-    __slots__ = ()
-
-
-def split(N: int, xs, conj: bool = False) -> Split:
+def split(N: int, xs, conj: bool = False) -> list[tuple]:
     """Read each entry of ``xs`` once, so that every sum of a sweep over
     the same row reuses the reading instead of taking it apart per term.
     With ``conj`` each entry is read as its complex conjugate, the
     ``_galois_lift`` at a = -1: its lift reversed, x^i -> x^(N-i), a lift
     of length N."""
     if conj:
-        return Split(_galois_lift(N, x, -1) for x in xs)
-    return Split(_parts(N, x) for x in xs)
-
-
-def dot(N: int, xs, ys, factors=None) -> CycNumber:
-    """sum_k n_k * x_k * y_k in Q(zeta_N), built as one CycNumber.
-
-    Entries are CycNumbers of conductor N, ints, or lifts: tuples or lists
-    of at most N ints, the coefficients of a polynomial in x read at
-    x = zeta. The int ``factors`` n_k (1 when None) scale a term's
-    coordinates. ``xs`` and ``ys`` are rows of entries or rows already read
-    by ``split``; a caller that sweeps one row against many splits it once
-    and passes the split row to every ``dot``. Rows of different lengths
-    raise ValueError. Zero coordinates are skipped; the products of the
-    nonzero ones go into one integer buffer over the lcm of the term
-    denominators, which is folded modulo x^N - 1 and reduced modulo Phi_N
-    and by its content once, at the end.
-    """
-    buf, den = _accumulate(N, xs, ys, factors)
-    folded = [a + b for a, b in zip(buf, buf[N:])]
-    return CycNumber(N, _field(N).reduce(folded), den)
+        return [_galois_lift(N, x, -1) for x in xs]
+    return [_parts(N, x) for x in xs]
 
 
 class TraceMatrix:
     """The traces Tr(zeta^k chi_j[o]) of ``height`` rows chi_j of integral
-    ``dot`` entries, built by ``trace_rows``: ``columns[o][k]`` is the int
+    entries, built by ``trace_rows``: ``columns[o][k]`` is the int
     vector over the rows at entry o and power k < N. Every sweep over a
     character table reads the one matrix the table keeps; a walk that finds
     rows one at a time grows its matrix by ``extend`` and puts the rows in
@@ -388,7 +367,7 @@ class TraceMatrix:
 
 
 def trace_rows(N: int, rows) -> TraceMatrix:
-    """The trace matrix of ``rows``, rows of integral ``dot`` entries of one
+    """The trace matrix of ``rows``, rows of integral entries of one
     length, each read once by ``split``: for entry o and power k < N, the
     int vector over rows of Tr(zeta^k row[o]), Tr the trace to Q. An entry
     x = sum_s x_s zeta^s gives Tr(zeta^k x) = sum_s x_s c_N(k + s), so its
@@ -419,14 +398,12 @@ def trace_rows(N: int, rows) -> TraceMatrix:
 def trace_sums(N: int, xs, matrix: TraceMatrix, factors,
                divisor: int) -> list[int | Fraction]:
     """sum_o n_o Tr(x_o chi_j[o]) / divisor for every row chi_j of
-    ``matrix`` at once, for a row ``xs`` of integral ``dot`` entries (or a
-    split row; read with ``split(N, xs, conj=True)``, x_o is conj(x_o)) and
-    int ``factors`` n_o (1 when None): one C-level vector add of column
+    ``matrix`` at once, for a row of integral entries x_o read by ``split``
+    into ``xs`` (read by ``split(N, row, conj=True)``, x_o is conj(x_o))
+    and int ``factors`` n_o (1 when None): one C-level vector add of column
     (o, k) per nonzero coordinate x_o[k], and no CycNumber built; an int
     where integral, else a Fraction. Lengths other than the matrix rows',
     or an entry with a denominator, raise ValueError."""
-    if not isinstance(xs, Split):
-        xs = split(N, xs)
     acc = [0] * matrix.height
     for (_, xn, xt), n, column in zip(
             _integral(xs), [1] * len(xs) if factors is None else factors,
@@ -445,7 +422,7 @@ def vanishes(N: int, lift) -> bool:
 
 def is_fixed(N: int, x, a: int) -> bool:
     """Whether sigma_a(x) = x, sigma_a: zeta -> zeta^a for a prime to N, for
-    a ``dot`` entry x. An x with no coordinate past the constant one is
+    an entry x. An x with no coordinate past the constant one is
     rational and sigma_a fixes Q, so it is True with no lift built; else
     ``vanishes`` of x's sigma_a lift minus its own coordinates, which share
     its denominator, so no value is built."""
@@ -500,33 +477,8 @@ def su2_mod_p(N: int, rows) -> tuple[int, int, list[tuple[int, int, int, int]]]:
                   for k in range(0, len(parts), 2)]
 
 
-def _accumulate(N: int, xs, ys, factors) -> tuple[list[int], int]:
-    """The one product loop: the 2N coefficients of sum_k n_k x_k y_k, a
-    sum of products of lifts, over the lcm of the nonzero terms'
-    denominators, taken before the loop, so the buffer is never
-    rescaled."""
-    if not isinstance(xs, Split):
-        xs = split(N, xs)
-    if not isinstance(ys, Split):
-        ys = split(N, ys)
-    den = lcm(*[xd * yd for (xd, _, xt), (yd, _, yt) in zip(xs, ys)
-                if xt and yt])
-    buf = [0] * (2 * N)  # i, j < N
-    for (xd, xn, xt), (yd, yn, yt), n in zip(
-            xs, ys, [1] * len(xs) if factors is None else factors,
-            strict=True):
-        if not (xt and yt):
-            continue
-        m = den // (xd * yd) * n
-        for i in xt:
-            a = xn[i] * m
-            for j in yt:
-                buf[i + j] += a * yn[j]
-    return buf, den
-
-
 def _parts(N: int, x) -> tuple:
-    """Denominator, coordinates and nonzero positions of a ``dot`` entry."""
+    """Denominator, coordinates and nonzero positions of an entry."""
     if isinstance(x, CycNumber):
         if x.N != N:
             raise ValueError(f"conductor mismatch: {x.N} vs {N}")
@@ -540,10 +492,10 @@ def _parts(N: int, x) -> tuple:
             raise ValueError(f"lift of length {len(x)} at conductor {N}")
         # a list, not a tuple: a freed tuple stays on a free list
         return 1, x, list(compress(count(), x))
-    raise TypeError(f"dot entry {x!r} is not a CycNumber, an int or a lift")
+    raise TypeError(f"entry {x!r} is not a CycNumber, an int or a lift")
 
 
-def _integral(row: Split) -> Split:
+def _integral(row: list[tuple]) -> list[tuple]:
     """``row``; an entry with a denominator raises ValidationFailed."""
     if any(den != 1 for den, _, _ in row):
         raise ValidationFailed("a trace entry is not an algebraic integer")
@@ -552,7 +504,7 @@ def _integral(row: Split) -> Split:
 
 def _galois_lift(N: int, x, a: int) -> tuple[int, list[int], list[int]]:
     """Denominator, lift of length N and nonzero positions of sigma_a(x),
-    sigma_a: zeta -> zeta^a for a prime to N, for a ``dot`` entry x: its
+    sigma_a: zeta -> zeta^a for a prime to N, for an entry x: its
     lift mapped x^i -> x^(ia mod N), which permutes the positions, and left
     unreduced."""
     den, nums, support = _parts(N, x)

@@ -9,7 +9,7 @@ must be rational.
 
 An element of SU(2) is [[a, b], [-conj(b), conj(a)]], so its top row (a, b)
 determines it, and each generator is held as that pair alone: the
-generators' unitarity check is one exact ``dot``, |a|^2 + |b|^2 = 1. The
+generators' unitarity check is exact, a * conj(a) + b * conj(b) = 1. The
 closure runs over F_p: ``cyclo.su2_mod_p`` reduces each generator's matrix
 by zeta -> omega, omega of order exactly N in F_p^*, p the least prime
 = 1 (mod N) dividing no generator denominator, and each x g is one 2x2
@@ -87,8 +87,8 @@ from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
-from .cyclo import (CycNumber, TraceMatrix, dot, euler_phi, is_fixed,
-                    split, su2_mod_p, trace_rows, trace_sums, vanishes)
+from .cyclo import (CycNumber, TraceMatrix, euler_phi, is_fixed, split,
+                    su2_mod_p, trace_rows, trace_sums, vanishes)
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
@@ -260,20 +260,20 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
 
     Each generator is a top row (a, b), standing for the matrix
     [[a, b], [-conj(b), conj(a)]], which is special unitary exactly when
-    |a|^2 + |b|^2 = 1, one exact ``dot``; a generator failing that raises
-    ``ValueError``. The closure runs over F_p: ``cyclo.su2_mod_p`` maps
-    each generator to its 2x2 matrix under zeta -> omega, omega of order
-    exactly N in F_p^*, p the least prime = 1 (mod N) dividing no
-    generator denominator, and each step is one 2x2 product mod p, keyed
-    on its four ints. The elements' images are dropped with the call.
-    The image is faithful: p is prime to N, so unramified in Q(zeta_N), and
-    odd, so reduction modulo a prime above p has a torsion-free kernel on
-    GL_2 of the p-integral ring (Minkowski 1887; Serre, "Bounds for the
-    orders of the finite subgroups of G(k)", 2007) and is injective on
-    every finite subgroup. The one premise is that the generators generate
-    a finite group; the closure must reach exactly the expected order and
-    class count, or ``ValidationFailed`` is raised, which also catches a
-    non-faithful image.
+    a * conj(a) + b * conj(b) = 1, two exact CycNumber products; a
+    generator failing that raises ``ValueError``. The closure runs over
+    F_p: ``cyclo.su2_mod_p`` maps each generator to its 2x2 matrix under
+    zeta -> omega, omega of order exactly N in F_p^*, p the least prime
+    = 1 (mod N) dividing no generator denominator, and each step is one
+    2x2 product mod p, keyed on its four ints. The elements' images are
+    dropped with the call. The image is faithful: p is prime to N, so
+    unramified in Q(zeta_N), and odd, so reduction modulo a prime above p
+    has a torsion-free kernel on GL_2 of the p-integral ring (Minkowski
+    1887; Serre, "Bounds for the orders of the finite subgroups of G(k)",
+    2007) and is injective on every finite subgroup. The one premise is
+    that the generators generate a finite group; the closure must reach
+    exactly the expected order and class count, or ``ValidationFailed`` is
+    raised, which also catches a non-faithful image.
 
     ``traces`` holds zeta^r + zeta^-r for 0 <= r <= N/2, each built
     exactly once from the lift x^r + x^-r, and a class's eigen-exponent is
@@ -283,7 +283,7 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     trace among none of them raises ``ValueError``."""
     N = gens[0][0].N
     for a, b in gens:
-        if dot(N, (a, b), (a.conj(), b.conj())) != 1:
+        if a * a.conj() + b * b.conj() != 1:
             raise ValueError(f"generator is not special unitary: ({a}, {b})")
     p, w, steps = su2_mod_p(N, gens)
     limit = 2 * dt.group_order
@@ -434,9 +434,9 @@ def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     """Hermitian inner products (1/|G|) sum_C |C| f(C) conj(chi(C)) of the
     class function f with each row chi, collapsed to Q: an int where the
     product is integral, else a Fraction. ``values`` are f's integral
-    ``dot`` entries at G's orbit reps, the columns of a table, and ``rows``
-    the ``cyclo.trace_rows`` matrix of the rows there, one a table keeps
-    (``CharTable.trace_matrix``) or the E walk grows.
+    entries (CycNumbers or lifts) at G's orbit reps, the columns of a
+    table, and ``rows`` the ``cyclo.trace_rows`` matrix of the rows there,
+    one a table keeps (``CharTable.trace_matrix``) or the E walk grows.
 
     f and chi must be Galois-equivariant, f(C^a) = sigma_a(f(C)) for a
     prime to N, as characters are (Serre, Linear Representations of Finite
@@ -558,8 +558,10 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
     entry, and one ``decompose`` over the found rows' trace matrix gives
     its multiplicities m; the found rows are orthonormal, so
     V tensor chi - sum m_j chi_j is a new irreducible exactly when
-    <V tensor chi, V tensor chi> - sum m_j^2 = 1, and it is one ``dot`` per
-    entry over the nonzero m. tau_C is real, so the norm is <tau^2 chi, chi>,
+    <V tensor chi, V tensor chi> - sum m_j^2 = 1, and its entry at o is
+    one CycNumber, ``from_lift`` of the int lift
+    t_o - sum m_j ``to_lift``(chi_j[o]) over the nonzero m, t_o the
+    ``_tau_times`` lift. tau_C is real, so the norm is <tau^2 chi, chi>,
     entry chi of a ``decompose`` of tau V tensor chi over the same matrix,
     which grows by each new row's trace forms, so only table rows get them.
     Row 0 is trivial, the rest sorted by their entries' ``sort_key`` in
@@ -580,10 +582,14 @@ def _e_type_table(dt: DynkinType, G: FiniteSubgroup) -> CharTable:
                                 f"{dt}: V x chi")
         norm = decompose(G, list(map(_tau_times, tensor, e_reps)), matrix)[r]
         if norm - sum(m * m for m in mults) == 1:
-            used = [j for j, m in enumerate(mults) if m]
-            coeffs = [1] + [-mults[j] for j in used]
-            rows.append([dot(N, [t] + [rows[j][i] for j in used], coeffs)
-                         for i, t in enumerate(tensor)])
+            used = [(m, rows[j]) for j, m in enumerate(mults) if m]
+            new = []
+            for i, lift in enumerate(tensor):
+                for m, row in used:
+                    lift = list(map(sub, lift, map(m.__mul__,
+                                                   row[i].to_lift())))
+                new.append(CycNumber.from_lift(N, lift))
+            rows.append(new)
             matrix.extend(trace_rows(N, [rows[-1]]))
     if len(rows) < len(G.classes):
         raise ValidationFailed(f"{dt}: irreducible search did not saturate")
@@ -771,9 +777,9 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     cofactors are built at the orbit reps only (the remainder at C^a is
     sigma_a of the one at C, so it vanishes with it). Coefficient j of
     every N_i is one ``trace_sums`` sweep of the column of coefficients j of
-    the P_C over the table's trace matrix, Tr(chi_i P_C) with no
-    conjugation, weighted as in ``decompose``, each read as an int: h + 1
-    sweeps.
+    the P_C, read by ``split``, over the table's trace matrix,
+    Tr(chi_i P_C) with no conjugation, weighted as in ``decompose``, each
+    read as an int: h + 1 sweeps.
     """
     dt = G.dynkin
     N = G.conductor
@@ -782,9 +788,9 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     matrix = table.trace_matrix
     weights, divisor = _orbit_weights(G)
     # column j holds coefficient j of every orbit rep's P_C
-    sums = [trace_sums(N, col, matrix, weights, divisor) for col in zip(*(
-        _cofactor_lifts(std, c.eigen_exp, N, dt)
-        for c in G.rep_classes))]
+    sums = [trace_sums(N, split(N, col), matrix, weights, divisor)
+            for col in zip(*(_cofactor_lifts(std, c.eigen_exp, N, dt)
+                             for c in G.rep_classes))]
     numerators = []
     for coeffs in zip(*sums):
         for v in coeffs:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from adeweights.cyclo import CycNumber, dot, split
+from adeweights.cyclo import CycNumber
 from adeweights.errors import ValidationFailed
 from adeweights.groups import _exponent_labels
 from adeweights.poly import Polynomial, cox
@@ -221,7 +221,8 @@ def su2_matrix(row):
 
 
 def matrix_product(x, y):
-    """2x2 matrix product by CycNumber ``*`` and ``+``, with no ``dot``."""
+    """2x2 matrix product by CycNumber ``*`` and ``+``; x may be a tuple
+    of its top row alone, which gives the top row of x y."""
     return tuple(tuple(r[0] * y[0][j] + r[1] * y[1][j] for j in range(2))
                  for r in x)
 
@@ -239,8 +240,8 @@ def matrix_inverse(m):
 def exact_closure(gens):
     """The breadth-first closure of the top rows ``gens`` under right
     multiplication, exact over Q(zeta_N) and keyed on each element's top
-    row: the top row of x g is two 2-term ``dot`` calls of x's split top
-    row against g's split columns (a, -conj(b)) and (b, conj(a)). Returns
+    row: the top row of x g is x's top row times g's ``su2_matrix`` by
+    ``matrix_product``, four CycNumber products. Returns
     the elements' top rows, their generator words and each generator's
     right-multiplication table, in the order ``groups.enumerate_subgroup``
     gives, with no order limit: the generators must generate a finite
@@ -249,14 +250,12 @@ def exact_closure(gens):
     one, zero = CycNumber.one(N), CycNumber.zero(N)
     elements = [(one, zero)]
     index = {(one.sort_key(), zero.sort_key()): 0}
-    columns = [(split(N, (a, -b.conj())), split(N, (b, a.conj())))
-               for a, b in gens]
+    matrices = [su2_matrix(g) for g in gens]
     words = [()]
     right = [[] for _ in gens]
     for pos, x in enumerate(elements):  # grows as elements are found
-        top = split(N, x)
-        for gi, (first, second) in enumerate(columns):
-            a, b = dot(N, top, first), dot(N, top, second)
+        for gi, m in enumerate(matrices):
+            a, b = matrix_product((x,), m)[0]
             key = (a.sort_key(), b.sort_key())
             j = index.get(key)
             if j is None:
@@ -387,7 +386,7 @@ def sym_power_multiplicities_direct(G, rows, m: int) -> list[Fraction]:
     class with eigenvalues zeta^(+-e) is sum_j zeta^((m-2j) e), built from
     ``CycNumber.root_of_unity`` alone, and each multiplicity is
     (1/|G|) sum_C |C| Sym^m(C) conj(chi(C)) by CycNumber products and sums.
-    No ``dot``, no recurrence in m and no periodicity in m is used."""
+    No trace sweep, no recurrence in m and no periodicity in m is used."""
     N = G.conductor
     chars = []
     for c in G.classes:
@@ -406,10 +405,12 @@ def sym_power_multiplicities_direct(G, rows, m: int) -> list[Fraction]:
 
 def inner_product_by_classes(G, f, chi) -> Fraction:
     """(1/|G|) sum_C |C| f(C) conj(chi(C)) over every class, f and chi
-    given over all of G's classes: one ``dot`` with conj(chi(C)) built by
-    ``CycNumber.conj``, read with ``to_rational``, no Galois orbit used."""
-    value = dot(G.conductor, f, [x.conj() for x in chi],
-                [c.size for c in G.classes])
+    given over all of G's classes: a sum of CycNumber products with
+    conj(chi(C)) built by ``CycNumber.conj``, read with ``to_rational``, no
+    Galois orbit used."""
+    value = sum((x * y.conj() * c.size for x, y, c in zip(f, chi, G.classes,
+                                                          strict=True)),
+                CycNumber.zero(G.conductor))
     return value.to_rational() / G.order
 
 

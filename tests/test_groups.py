@@ -1,14 +1,10 @@
 from __future__ import annotations
 
-import ast
 import contextlib
 import copy
-import inspect
 import io
 import json
 import random
-import sys
-import textwrap
 from fractions import Fraction
 from math import gcd
 
@@ -573,8 +569,8 @@ class TestCharTable:
                         f"algebraic integer")
 
     def test_rows_of_the_wrong_length_fail_validation(self, bundle):
-        # a ``dot`` that truncated to the shorter row passed a row with
-        # extra entries
+        # a sum that truncated to the shorter row passed a row with extra
+        # entries
         b = bundle("D5")
         k, n = len(b.group.classes), len(b.group.orbits)
         one = CycNumber.one(b.group.conductor)
@@ -667,7 +663,7 @@ class TestCharTable:
         product a Fraction, ``decompose`` of the table's rows at the orbit
         reps equals the inner product of the same combinations of the
         reference rows, at every class, summed over every class by
-        ``dot``."""
+        CycNumber products."""
         rng = random.Random(31)
         for name in ("A12", "D12", "E6", "E7", "E8", "A24", "D24"):
             b = bundle(name)
@@ -834,7 +830,8 @@ class TestMolien:
 class TestOpCounts:
     """CycNumber constructions over one cold ``verify`` of a type, a count that
     does not jitter the way wall time does. With the closure holding each
-    element as its top row and computing top rows by ``dot``, every class
+    element as its top row and computing top rows by sums of products,
+    every class
     sum one ``trace_sums`` sweep over a trace matrix of the rows, with one
     term per Galois orbit of classes, that builds no value,
     the table checked for Galois equivariance by ``is_fixed``, which
@@ -877,47 +874,6 @@ class TestOpCounts:
             finally:
                 CycNumber.__init__ = original
             assert count[0] <= self.LIMIT, (name, count[0])
-
-    def test_product_buffer_is_never_rescaled(self, monkeypatch):
-        """``cyclo._accumulate`` takes the lcm of its terms' denominators
-        before the product loop, so it assigns its 2N buffer once per call:
-        a line trace of its frames counts the assignments to ``buf`` beyond
-        one per call. Growing the denominator term by term rescaled the
-        buffer 894 times over a cold default ``verify``, every one in the
-        E closures, whose generators have halves; most rescaled zeros. The
-        closure now runs over F_p, so the traced run is a ``verify`` of
-        E6..E8, 106 calls, and the exact oracle closure of their
-        generators, which takes two ``dot`` calls per element and
-        generator."""
-        lines, first = inspect.getsourcelines(cyclo._accumulate)
-        tree = ast.parse(textwrap.dedent("".join(lines)))
-        assigns = {first + node.lineno - 1 for node in ast.walk(tree)
-                   if isinstance(node, ast.Assign)
-                   and any(isinstance(t, ast.Name) and t.id == "buf"
-                           for t in node.targets)}
-        code = cyclo._accumulate.__code__
-        calls, built = [0], [0]
-
-        def in_accumulate(frame, event, arg):
-            if event == "line" and frame.f_lineno in assigns:
-                built[0] += 1
-            return in_accumulate
-
-        def on_call(frame, event, arg):
-            if frame.f_code is not code:
-                return None
-            calls[0] += 1
-            return in_accumulate
-
-        sys.settrace(on_call)
-        try:
-            for name in ("E6", "E7", "E8"):
-                run_suite([dt(name)])
-                exact_closure(generators(dt(name)))
-        finally:
-            sys.settrace(None)
-        assert calls[0] > 1000
-        assert built[0] - calls[0] == 0
 
     def test_tables_hold_and_gate_the_orbit_reps_alone(self, monkeypatch):
         """A table holds each row at the Galois orbit reps, and its gate
@@ -1015,8 +971,9 @@ class TestOpCounts:
                        for g in enumerated for c in g.classes]
 
     def test_closure_makes_no_product_per_step(self, monkeypatch):
-        """The closure checks each generator's |a|^2 + |b|^2 = 1 by one
-        exact ``dot`` and takes every product x g as a 2x2 product of ints
+        """The closure checks each generator's a conj(a) + b conj(b) = 1 by
+        two exact CycNumber products and takes every product x g as a 2x2
+        product of ints
         mod p, the generators reduced by zeta -> omega of order exactly N,
         p the least prime = 1 (mod N) dividing no generator denominator:
         odd and unramified in Q(zeta_N), so the reduction is injective on
@@ -1024,32 +981,27 @@ class TestOpCounts:
         orders of the finite subgroups of G(k)", 2007), given the one
         premise that the generated group is finite, which
         ``test_fp_closure_equals_the_exact_closure`` checks for the tested
-        types. So it makes one ``dot`` per generator and no CycNumber
-        product, whatever |G|. The exact closure made two ``dot`` calls per
-        element and generator, 2,052 over a cold default ``verify``; the
-        2x2 unitarity check took 10 products per generator, and full matrix
-        products 8 per element and generator."""
-        original_mul, original_dot = CycNumber.__mul__, groups.dot
-        products, dots = [0], [0]
+        types. So it makes two CycNumber products per generator and none
+        per step, whatever |G|. The exact closure made two two-term sums of
+        products per element and generator, 2,052 over a cold default
+        ``verify``; the 2x2 unitarity check took 10 products per generator,
+        and full matrix products 8 per element and generator."""
+        original_mul = CycNumber.__mul__
+        products = [0]
 
         def counting_mul(self, other):
             products[0] += 1
             return original_mul(self, other)
 
-        def counting_dot(*args):
-            dots[0] += 1
-            return original_dot(*args)
-
         for name in ("A24", "D24", "E7", "E8"):
             gens = generators(dt(name))
             monkeypatch.setattr(CycNumber, "__mul__", counting_mul)
             monkeypatch.setattr(CycNumber, "__rmul__", counting_mul)
-            monkeypatch.setattr(groups, "dot", counting_dot)
-            products[0] = dots[0] = 0
+            products[0] = 0
             g = enumerate_subgroup(gens, dt(name))
             monkeypatch.undo()
             assert g.order == dt(name).group_order
-            assert (products[0], dots[0]) == (0, len(gens)), name
+            assert products[0] == 2 * len(gens), name
 
     def test_class_sums_build_no_cyclotomic_products(self, bundle,
                                                      monkeypatch):
@@ -1268,7 +1220,8 @@ class TestGenerators:
             enumerate_subgroup([(half, CycNumber.zero(4))], dt("A3"))
 
     def test_generators_are_special_unitary(self):
-        """|a|^2 + |b|^2 = 1 by CycNumber products, not by ``dot``."""
+        """|a|^2 + |b|^2 = 1 by CycNumber products, and the full matrix
+        is special unitary."""
         for name in SUITE_NAMES:
             for a, b in generators(dt(name)):
                 assert a * a.conj() + b * b.conj() == 1

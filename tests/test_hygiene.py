@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 import adeweights
-from adeweights.cyclo import dot
 from adeweights.graphs import DirectedGraph
 from adeweights.groups import CharTable, MolienSet, decompose
 from adeweights.verify import CHECK_NAMES
@@ -137,8 +136,9 @@ def _names_in_function(path: Path, name: str) -> set[str]:
 
 
 def test_molien_series_stays_off_the_other_group_routes():
-    """The Molien class sum shares the ``dot`` kernel with ``decompose`` and
-    the symmetric-power oracle, never their intermediate results."""
+    """The Molien class sum shares the ``trace_sums`` sweep with
+    ``decompose`` and the symmetric-power oracle, never their intermediate
+    results."""
     names = _names_in_function(SRC / "groups.py", "molien_series")
     assert names & {"weighted", "decompose", "sym_power_values",
                     "sym_power_multiplicities"} == set()
@@ -161,9 +161,7 @@ def test_mckay_and_molien_read_no_class_trace():
 
 def test_trace_products_go_through_one_helper():
     """tau_C = zeta^e_C + zeta^-e_C multiplies through ``_tau_times`` alone:
-    ``dot`` takes no rotations and ``decompose`` no tensor mode."""
-    assert list(inspect.signature(dot).parameters) == ["N", "xs", "ys",
-                                                       "factors"]
+    ``decompose`` takes no tensor mode."""
     assert list(inspect.signature(decompose).parameters) == [
         "G", "values", "rows"]
     for name in ("mckay_matrix", "sym_power_multiplicities",
@@ -260,14 +258,30 @@ def test_degree_one_rows_come_from_one_search():
     assert callers == {"quaternion", "generators", "_linear_characters"}
 
 
+def _product_loops(node: ast.AST) -> bool:
+    """Whether ``node`` holds a ``for`` nested in a ``for`` whose body adds
+    a product into a target by ``+=``."""
+    return any(isinstance(outer, ast.For) and any(
+        isinstance(inner, ast.For) and any(
+            isinstance(step, ast.AugAssign) and isinstance(step.op, ast.Add)
+            and isinstance(step.value, ast.BinOp)
+            and isinstance(step.value.op, ast.Mult)
+            for step in ast.walk(inner))
+        for body in outer.body for inner in ast.walk(body))
+        for outer in ast.walk(node))
+
+
 def test_cyclo_has_one_product_loop():
     """``cyclo`` takes only Phi_N from ``poly``, since no cyclotomic value
-    becomes a polynomial there, ``CycNumber.__mul__`` is a one-term
-    ``dot``, and ``dot`` reads ``_accumulate``'s buffer with no product loop
-    of its own: the one product loop is ``_accumulate``'s. Sums of traces
-    are swept off a trace matrix, so ``trace_dot`` and ``rational_dot`` are
-    gone, and only ``trace_rows`` reads the Ramanujan sums
-    ``_Field.traces``."""
+    becomes a polynomial there, and the one product loop is
+    ``CycNumber.__mul__``'s: no function of cyclo but it nests a ``for``
+    in a ``for`` around a ``+=`` of a product, except ``_Field.reduce``,
+    which adds integer multiples of its fixed reduction rows. The sum of
+    products ``dot``, its ``_accumulate`` buffer and its ``Split`` rows are
+    gone: every caller took one product or an integer combination. Sums
+    of traces are swept off a trace matrix, so ``trace_dot`` and
+    ``rational_dot`` are gone, and only ``trace_rows`` reads the Ramanujan
+    sums ``_Field.traces``."""
     tree = ast.parse((SRC / "cyclo.py").read_text())
     assert [alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == "poly"
@@ -276,17 +290,18 @@ def test_cyclo_has_one_product_loop():
                if isinstance(node, ast.ClassDef) and node.name == "CycNumber")
     mul = next(node for node in cls.body
                if isinstance(node, ast.FunctionDef) and node.name == "__mul__")
-    loops = (ast.For, ast.While)
-    assert not any(isinstance(node, loops + (ast.comprehension,))
-                   for node in ast.walk(mul))
-    assert "dot" in {node.id for node in ast.walk(mul)
-                     if isinstance(node, ast.Name)}
-    body = _function(SRC / "cyclo.py", "dot")
-    assert not any(isinstance(node, loops) for node in ast.walk(body))
-    assert "_accumulate" in _names_in_function(SRC / "cyclo.py", "dot")
+    assert _product_loops(mul)
+
+    def looping(fn):
+        return any(_product_loops(node) for node in fn.body)
+
+    assert {fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and looping(fn)} \
+        == {"__mul__", "reduce"}
     defined = {node.name for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef)}
-    assert defined & {"trace_dot", "rational_dot"} == set()
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"dot", "_accumulate", "Split", "trace_dot",
+                      "rational_dot"} == set()
     readers = {fn.name for fn in ast.walk(tree)
                if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
                if isinstance(node, ast.Attribute) and node.attr == "traces"}
