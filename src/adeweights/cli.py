@@ -176,7 +176,7 @@ def _cmd_group(args) -> tuple[str, int]:
                  f"{len(b.group.classes)} classes"]
         for i, c in enumerate(b.group.classes):
             lines.append(f"  class {i}: size {c.size}, element order {c.order}, "
-                         f"trace {c.trace}")
+                         f"trace {b.group.traces[c.eigen_exp]}")
         return "\n".join(lines) + "\n"
     return _emit(types, args.format, to_json, render), 0
 

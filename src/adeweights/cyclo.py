@@ -16,7 +16,7 @@ shortcut it adds the products of the two values' nonzero coordinates into
 an integer buffer of 2N coefficients, folds it modulo x^N - 1 and reduces
 it modulo Phi_N (a factor of x^N - 1) once, over the product of the two
 denominators, and the constructor divides out the content. An entry, the
-input of a sweep below, is a CycNumber, an int or a lift. Rational sums of
+input of a sweep below, is a CycNumber or a lift. Rational sums of
 field traces of algebraic integers, the elements of Z[zeta_N], are swept,
 not built: ``trace_rows`` reads rows chi_j of entries into a trace matrix,
 the integers Tr(zeta^k chi_j[o]) for each entry o and power k < N, each
@@ -400,14 +400,13 @@ def trace_sums(N: int, xs, matrix: TraceMatrix, factors,
     """sum_o n_o Tr(x_o chi_j[o]) / divisor for every row chi_j of
     ``matrix`` at once, for a row of integral entries x_o read by ``split``
     into ``xs`` (read by ``split(N, row, conj=True)``, x_o is conj(x_o))
-    and int ``factors`` n_o (1 when None): one C-level vector add of column
+    and int ``factors`` n_o: one C-level vector add of column
     (o, k) per nonzero coordinate x_o[k], and no CycNumber built; an int
     where integral, else a Fraction. Lengths other than the matrix rows',
     or an entry with a denominator, raise ValueError."""
     acc = [0] * matrix.height
-    for (_, xn, xt), n, column in zip(
-            _integral(xs), [1] * len(xs) if factors is None else factors,
-            matrix.columns, strict=True):
+    for (_, xn, xt), n, column in zip(_integral(xs), factors, matrix.columns,
+                                      strict=True):
         for k in xt:
             acc = list(map(add, acc, map((xn[k] * n).__mul__, column[k])))
     return [Fraction(t, divisor) if t % divisor else t // divisor
@@ -485,14 +484,12 @@ def _parts(N: int, x) -> tuple:
         if x._support is None:
             x._support = tuple(compress(count(), x._nums))
         return x._den, x._nums, x._support
-    if isinstance(x, int):
-        x = (x,)  # an int is a lift of length 1
     if isinstance(x, (tuple, list)):
         if len(x) > N:
             raise ValueError(f"lift of length {len(x)} at conductor {N}")
         # a list, not a tuple: a freed tuple stays on a free list
         return 1, x, list(compress(count(), x))
-    raise TypeError(f"entry {x!r} is not a CycNumber, an int or a lift")
+    raise TypeError(f"entry {x!r} is not a CycNumber or a lift")
 
 
 def _integral(row: list[tuple]) -> list[tuple]:

@@ -20,24 +20,26 @@ so reduction modulo a prime above p has a torsion-free kernel on GL_2 of
 the p-integral ring (Minkowski 1887; Serre, "Bounds for the orders of the
 finite subgroups of G(k)", 2007) and is injective on every finite
 subgroup. The order and class-count gates catch an image that is not.
-No element's value is kept: the closure records each element's word over
-the generators and each generator's right-multiplication table, and
-``FiniteSubgroup.mul`` walks those tables, so conjugacy orbits are index
-arithmetic, and so is ``FiniteSubgroup.powers``, the one walk of an
-element's powers. Each zeta^r + zeta^-r, 0 <= r <= N/2, is built exactly
-once into ``FiniteSubgroup.traces``; a class's eigen-exponent e is the r
-whose image omega^r + omega^-r, distinct over r <= N/2, is the trace of
-its rep's image, and its trace is ``traces[e]``. The D and E tables read
-their trace-valued rows there, and read no coordinates: the D rotation
-classes are those whose rep's word has an even count of generator 1.
+``_sl2_times`` is the one group product: the closure step, the class
+scan's conjugates and the one walk of powers per Galois orbit rep all
+multiply the images the call holds, and none is kept past it. The group
+keeps each generator's right-multiplication table alone, and
+``FiniteSubgroup`` is a record built once, at the end of the call. Each
+zeta^r + zeta^-r, 0 <= r <= N/2, is built exactly once into
+``FiniteSubgroup.traces``; a class's eigen-exponent e is the r whose image
+omega^r + omega^-r, distinct over r <= N/2, is the trace of its rep's
+image, and its trace is ``traces[e]``. The D and E tables read their
+trace-valued rows there, and read no coordinates: the D rotation classes
+are the kernel of the sign character, trivial on generator 0 and -1 on
+generator 1, that ``_exponent_labels`` finds on the right tables.
 
 Molien numerators come from one cofactor per orbit rep: the integer
 standard form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q),
 with no remainder at x = zeta, summed against the character values. They
 read the table rows and no symmetric-power code, so the symmetric-power
-oracle stays an independent route. The values are ``NamedTuple`` records;
-``CharTable`` and ``MolienSet`` subclass theirs without ``__slots__``, for
-the instance ``__dict__`` their caches live in.
+oracle stays an independent route. The values, the group included, are
+``NamedTuple`` records; ``CharTable`` and ``MolienSet`` subclass theirs
+without ``__slots__``, for the instance ``__dict__`` their caches live in.
 
 Character tables: a ``CharTable`` is its rows alone, each at the reps of
 ``G.orbits``, the Galois orbits of classes below, whose orbit 0 is the
@@ -134,9 +136,8 @@ class ConjClass(NamedTuple):
     rep: int
     members: tuple[int, ...]
     size: int
-    trace: CycNumber
     order: int
-    eigen_exp: int  # trace = zeta^e + zeta^(-e)
+    eigen_exp: int  # trace = zeta^e + zeta^(-e), ``traces[e]`` of the group
     inverse: int  # column in ``classes`` of the class of rep^-1
 
 
@@ -152,58 +153,29 @@ class GaloisOrbit(NamedTuple):
     stabiliser: tuple[int, ...]
 
 
-class FiniteSubgroup:
-    """Enumerated subgroup with its conjugacy class partition.
+class FiniteSubgroup(NamedTuple):
+    """Enumerated subgroup with its conjugacy class partition, built once
+    by ``enumerate_subgroup``.
 
-    The closure records how it reached each element: ``words[i]`` lists the
-    generator positions whose product, left to right, is element i, and
-    ``right[g][i]`` is the index of element i times generator g. ``mul``
-    walks a word through those tables, so group products after the closure
-    are index lookups, not matrix products.
-
-    The closure starts from the identity and the class scan from element 0,
-    so element 0 is the identity and ``classes[0]`` is {1}.
+    ``right[g][i]`` is the index of element i times generator g, the one
+    record of the group's multiplication the closure keeps; ``traces[r]``
+    is zeta^r + zeta^-r for 0 <= r <= N/2, and a class's trace is
+    ``traces[eigen_exp]``. The closure starts from the identity and the
+    class scan from element 0, so element 0 is the identity and
+    ``classes[0]`` is {1}.
     """
 
-    def __init__(self, dynkin: DynkinType, conductor: int, gens: list[TopRow],
-                 words: list[tuple[int, ...]], right: list[list[int]]):
-        self.dynkin = dynkin
-        self.conductor = conductor
-        self.generators = tuple(gens)
-        self.words = tuple(words)
-        self.right = tuple(tuple(r) for r in right)
-        # element indices of each generator and of its inverse
-        self.gen_index = tuple(r[0] for r in self.right)
-        self.gen_inverse = tuple(r.index(0) for r in self.right)
-        self.classes: tuple[ConjClass, ...] = ()
-        self.orbits: tuple[GaloisOrbit, ...] = ()
-        self.traces: tuple[CycNumber, ...] = ()  # zeta^r + zeta^-r, r <= N/2
+    dynkin: DynkinType
+    conductor: int
+    generators: tuple[TopRow, ...]
+    right: tuple[tuple[int, ...], ...]
+    classes: tuple[ConjClass, ...]
+    orbits: tuple[GaloisOrbit, ...]
+    traces: tuple[CycNumber, ...]
 
     @property
     def order(self) -> int:
-        return len(self.words)
-
-    def mul(self, i: int, j: int) -> int:
-        """Index of the product of elements i and j."""
-        for g in self.words[j]:
-            i = self.right[g][i]
-        return i
-
-    def conjugate(self, x: int, g: int) -> int:
-        """Index of g x g^-1 for generator position g."""
-        return self.mul(self.mul(self.gen_index[g], x), self.gen_inverse[g])
-
-    def powers(self, x: int) -> list[int]:
-        """x^0, x^1, ..., x^(k-1) for element x of order k, through ``mul``:
-        the length is the order, and x^a is entry a mod k."""
-        out, y = [0], x
-        while y != 0:
-            if len(out) >= self.order:
-                raise ValidationFailed(f"{self.dynkin}: element {x} has no "
-                                       f"power equal to the identity")
-            out.append(y)
-            y = self.mul(y, x)
-        return out
+        return len(self.right[0])
 
     @property
     def rep_classes(self) -> list[ConjClass]:
@@ -241,39 +213,52 @@ class FiniteSubgroup:
         polynomial, that of zeta_d + zeta_d^-1: the eigenvalue zeta^e has
         the element's order, so the trace is its Galois conjugate.
         ``cos_polynomial`` caches it, once per order in the process."""
-        return [{"order": c.order, "size": c.size, "trace": c.trace.to_json(),
+        return [{"order": c.order, "size": c.size,
+                 "trace": self.traces[c.eigen_exp].to_json(),
                  "trace_min_poly": cos_polynomial(c.order).to_json()}
                 for c in self.classes]
 
 
+def _sl2_times(x, y, p: int) -> tuple[int, int, int, int]:
+    """The product x y mod p of 2x2 matrices held as their entries
+    (a, b, c, d) = [[a, b], [c, d]]: the one group product, of the closure
+    step, the class scan and the power walks."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p,
+            (c * e + d * g) % p, (c * f + d * h) % p)
+
+
 def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     """Breadth-first closure under right multiplication by the generators,
-    recording each element's generator word and each generator's
-    right-multiplication table; then conjugacy classes as orbits of
-    generator conjugation, computed on indices, and their Galois orbits in
-    one pass: ``powers`` walks the rep x of each new orbit once, and each a
-    prime to N, in increasing order, places the class of x^a with x's
-    order, the column of x^-a's class and the trace of x^a. The least a
-    reaching a class is its twist; the a returning to x's class are its
-    stabiliser, whose generators are taken greedily, each one outside the
-    subgroup the earlier ones generate.
+    recording each generator's right-multiplication table; then conjugacy
+    classes as orbits of generator conjugation, and their Galois orbits in
+    one pass: the powers of the rep x of each new orbit are walked once,
+    and each a prime to N, in increasing order, places the class of x^a
+    with x's order, the column of x^-a's class and the trace of x^a. The
+    least a reaching a class is its twist; the a returning to x's class are
+    its stabiliser, whose generators are taken greedily, each one outside
+    the subgroup the earlier ones generate.
 
     Each generator is a top row (a, b), standing for the matrix
     [[a, b], [-conj(b), conj(a)]], which is special unitary exactly when
     a * conj(a) + b * conj(b) = 1, two exact CycNumber products; a
-    generator failing that raises ``ValueError``. The closure runs over
-    F_p: ``cyclo.su2_mod_p`` maps each generator to its 2x2 matrix under
-    zeta -> omega, omega of order exactly N in F_p^*, p the least prime
-    = 1 (mod N) dividing no generator denominator, and each step is one
-    2x2 product mod p, keyed on its four ints. The elements' images are
-    dropped with the call. The image is faithful: p is prime to N, so
-    unramified in Q(zeta_N), and odd, so reduction modulo a prime above p
-    has a torsion-free kernel on GL_2 of the p-integral ring (Minkowski
-    1887; Serre, "Bounds for the orders of the finite subgroups of G(k)",
-    2007) and is injective on every finite subgroup. The one premise is
-    that the generators generate a finite group; the closure must reach
-    exactly the expected order and class count, or ``ValidationFailed`` is
-    raised, which also catches a non-faithful image.
+    generator failing that raises ``ValueError``. Everything until the
+    record is built runs over F_p: ``cyclo.su2_mod_p`` maps each generator
+    to its 2x2 matrix under zeta -> omega, omega of order exactly N in
+    F_p^*, p the least prime = 1 (mod N) dividing no generator denominator,
+    and every group product is ``_sl2_times`` of those images, each image
+    keyed on its four ints: the closure step x g, the conjugate g x g^-1,
+    g^-1 = (d, -b, -c, a) at determinant 1, and each power step. The
+    images are dropped with the call. The image is faithful: p is prime to
+    N, so unramified in Q(zeta_N), and odd, so reduction modulo a prime
+    above p has a torsion-free kernel on GL_2 of the p-integral ring
+    (Minkowski 1887; Serre, "Bounds for the orders of the finite subgroups
+    of G(k)", 2007) and is injective on every finite subgroup. The one
+    premise is that the generators generate a finite group; the closure
+    must reach exactly the expected order and class count, or
+    ``ValidationFailed`` is raised, which also catches a non-faithful image,
+    and so does a power walk running past |G| steps.
 
     ``traces`` holds zeta^r + zeta^-r for 0 <= r <= N/2, each built
     exactly once from the lift x^r + x^-r, and a class's eigen-exponent is
@@ -289,14 +274,10 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     limit = 2 * dt.group_order
     images = [(1, 0, 0, 1)]
     index = {images[0]: 0}
-    words: list[tuple[int, ...]] = [()]
     right: list[list[int]] = [[] for _ in gens]
-    pos = 0
-    while pos < len(images):
-        a, b, c, d = images[pos]
-        for gi, (e, f, g, h) in enumerate(steps):
-            y = ((a * e + b * g) % p, (a * f + b * h) % p,
-                 (c * e + d * g) % p, (c * f + d * h) % p)
+    for x in images:  # grows as elements are found
+        for row, step in zip(right, steps):
+            y = _sl2_times(x, step, p)
             j = index.get(y)
             if j is None:
                 if len(images) >= limit:
@@ -304,14 +285,12 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
                         f"closure of {dt} exceeded {limit} elements")
                 j = index[y] = len(images)
                 images.append(y)
-                words.append(words[pos] + (gi,))
-            right[gi].append(j)
-        pos += 1
+            row.append(j)
     if len(images) != dt.group_order:
         raise ValidationFailed(f"{dt}: closure has {len(images)} elements, "
                                f"expected {dt.group_order}")
-    G = FiniteSubgroup(dt, N, gens, words, right)
 
+    inverses = [(h, -f % p, -g % p, e) for e, f, g, h in steps]
     class_of = [-1] * len(images)
     partition: list[tuple[int, ...]] = []  # each class's members, rep first
     for i in range(len(images)):
@@ -319,9 +298,9 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
             continue
         orbit, stack = {i}, [i]
         while stack:
-            x = stack.pop()
-            for g in range(len(gens)):
-                j = G.conjugate(x, g)
+            x = images[stack.pop()]
+            for step, inv in zip(steps, inverses):
+                j = index[_sl2_times(_sl2_times(step, x, p), inv, p)]
                 if j not in orbit:
                     orbit.add(j)
                     stack.append(j)
@@ -332,8 +311,8 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
         raise ValidationFailed(
             f"{dt}: {len(partition)} classes, expected {dt.rank + 1}")
     unit = [1] + [0] * (N - 1)
-    G.traces = tuple(CycNumber.from_lift(N, _tau_times(unit, r))
-                     for r in range(N // 2 + 1))
+    traces = tuple(CycNumber.from_lift(N, _tau_times(unit, r))
+                   for r in range(N // 2 + 1))
     exps = {(pow(w, r, p) + pow(w, -r, p)) % p: r for r in range(N // 2 + 1)}
     if len(exps) != N // 2 + 1:
         raise ValidationFailed(f"{dt}: omega = {w} mod {p} is not of order "
@@ -344,22 +323,29 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
     for ci in range(len(partition)):
         if classes[ci] is not None:
             continue
-        powers = G.powers(partition[ci][0])
+        rep = partition[ci][0]
+        x = y = images[rep]
+        powers = [0]  # x^a is element powers[a mod order]
+        while y != images[0]:
+            if len(powers) >= len(images):
+                raise ValidationFailed(f"{dt}: element {rep} has no power "
+                                       f"equal to the identity")
+            powers.append(index[y])
+            y = _sl2_times(y, x, p)
         order = len(powers)
         twists: dict[int, int] = {}
         stabiliser, fixed = [], {1}  # the subgroup stabiliser generates
         for a in units:
-            x, inv = powers[a % order], powers[-a % order]
-            cj = class_of[x]
+            xa, inv = powers[a % order], powers[-a % order]
+            cj = class_of[xa]
             if classes[cj] is None:
-                trace = (images[x][0] + images[x][3]) % p
+                trace = (images[xa][0] + images[xa][3]) % p
                 if trace not in exps:
                     raise ValueError(f"trace {trace} mod {p} is not a sum "
                                      f"omega^e + omega^-e")
-                e = exps[trace]
                 members = partition[cj]
                 classes[cj] = ConjClass(members[0], members, len(members),
-                                        G.traces[e], order, e, class_of[inv])
+                                        order, exps[trace], class_of[inv])
             if cj != ci:
                 twists.setdefault(cj, a)
             elif a not in fixed:
@@ -371,9 +357,8 @@ def enumerate_subgroup(gens: list[TopRow], dt: DynkinType) -> FiniteSubgroup:
                 fixed = grown
         orbits.append(GaloisOrbit(ci, 1 + len(twists), tuple(twists.items()),
                                   tuple(stabiliser)))
-    G.classes = tuple(classes)
-    G.orbits = tuple(orbits)
-    return G
+    return FiniteSubgroup(dt, N, tuple(gens), tuple(map(tuple, right)),
+                          tuple(classes), tuple(orbits), traces)
 
 
 def build_group(dt: DynkinType) -> FiniteSubgroup:
@@ -511,11 +496,12 @@ def _exponent_labels(G: FiniteSubgroup, ks) -> list[int] | None:
 def _linear_characters(G: FiniteSubgroup) -> list[list[CycNumber]]:
     """Every degree-1 character, a homomorphism G -> <zeta_N>, as a row at
     G's orbit reps: each generator g is sent to a zeta^k_g whose order
-    divides ord(g), and the assignments that ``_exponent_labels`` extends
-    are kept. The all-zero assignment comes first, so row 0 is trivial;
-    each root of unity is built once."""
+    divides ord(g), the order of the class holding g, and the assignments
+    that ``_exponent_labels`` extends are kept. The all-zero assignment
+    comes first, so row 0 is trivial; each root of unity is built once."""
     N = G.conductor
-    orders = [len(G.powers(x)) for x in G.gen_index]
+    orders = [next(c.order for c in G.classes if step[0] in c.members)
+              for step in G.right]
     roots: dict[int, CycNumber] = {}
     rows = []
     for ks in product(*(range(0, N, N // n) for n in orders)):
@@ -534,15 +520,19 @@ def _binary_dihedral_table(dt: DynkinType, G: FiniteSubgroup):
     """The four linear characters, then for 1 <= l < k = m - 2 the character
     induced from the rotation subgroup: zeta^(l e_C) + zeta^-(l e_C) on a
     rotation class and 0 elsewhere, read from ``G.traces`` at
-    min(l e_C mod N, -l e_C mod N). The rotations are the words with an even
-    count of generator 1, the kernel of the linear character trivial on
-    generator 0 and -1 on generator 1, so no coordinate is read."""
+    min(l e_C mod N, -l e_C mod N). The rotations are the kernel of the
+    linear character trivial on generator 0 and -1 on generator 1: the
+    classes ``_exponent_labels`` labels 0 under (0, N/2), so no coordinate
+    is read. No such character raises ``ValidationFailed``."""
     N = G.conductor
     zero = CycNumber.zero(N)
+    sign = _exponent_labels(G, (0, N // 2))
+    if sign is None:
+        raise ValidationFailed(f"{dt}: no linear character is -1 on "
+                               f"generator 1 and trivial on generator 0")
     return _linear_characters(G) + [
         [G.traces[min(ell * c.eigen_exp % N, -ell * c.eigen_exp % N)]
-         if G.words[c.rep].count(1) % 2 == 0 else zero
-         for c in G.rep_classes]
+         if sign[c.rep] == 0 else zero for c in G.rep_classes]
         for ell in range(1, dt.m - 2)]
 
 

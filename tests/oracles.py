@@ -281,23 +281,59 @@ def exact_elements(G) -> list:
     return out
 
 
+def matrix_order(m) -> int:
+    """The least k >= 1 with m^k = I, by ``matrix_product``."""
+    power, k = m, 1
+    while not (power[0][0] == 1 and power[1][1] == 1
+               and power[0][1].is_zero() and power[1][0].is_zero()):
+        power = matrix_product(power, m)
+        k += 1
+    return k
+
+
+def exact_classes(G) -> list[tuple[int, ...]]:
+    """The conjugacy class of each class rep of G, from ``exact_elements``:
+    the orbit of the rep under x -> g x g^-1 for each generator's
+    ``su2_matrix`` g, g^-1 its ``matrix_inverse``, by ``matrix_product``,
+    each element looked up by its full matrix, as sorted indices."""
+    elements = exact_elements(G)
+    index = {su2_matrix(x): i for i, x in enumerate(elements)}
+    conjugators = [(su2_matrix(g), matrix_inverse(su2_matrix(g)))
+                   for g in G.generators]
+    out = []
+    for c in G.classes:
+        orbit, stack = {c.rep}, [c.rep]
+        while stack:
+            x = su2_matrix(elements[stack.pop()])
+            for g, inv in conjugators:
+                j = index[matrix_product(matrix_product(g, x), inv)]
+                if j not in orbit:
+                    orbit.add(j)
+                    stack.append(j)
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
 def class_table(G) -> list[list[CycNumber]]:
     """Every irreducible character of G at every class, each value computed
     from that class's own data, with no Galois orbit: the linear rows are
     zeta^e at the label e of the class rep under each generator assignment
-    ``_exponent_labels`` extends, in the search's order; D adds
+    ``_exponent_labels`` extends, in the search's order, each generator's
+    order found by ``matrix_order``; D adds
     zeta^(l e_C) + zeta^-(l e_C), 1 <= l < m - 2, on a rotation class (its
-    rep's word holds an even count of generator 1) and 0 elsewhere; E adds
-    the distinct Galois conjugates of the defining character,
-    zeta^(a e_C) + zeta^-(a e_C), and walks the McKay graph, V tensor chi
-    by CycNumber products with each class's trace, its multiplicities and
-    norm by ``inner_product_by_classes``, keeping
-    V tensor chi - sum m_j chi_j when the norm exceeds sum m_j^2 by 1, and
-    sorts the rows after the trivial one by the ``sort_key``s of their
-    entries at every class."""
+    rep's exact top row (a, b) has b = 0, a diagonal matrix) and 0
+    elsewhere; E adds the distinct Galois conjugates of the defining
+    character, zeta^(a e_C) + zeta^-(a e_C), and walks the McKay graph,
+    V tensor chi by CycNumber products with the ``matrix_trace`` of each
+    class rep, its multiplicities and norm by ``inner_product_by_classes``,
+    keeping V tensor chi - sum m_j chi_j when the norm exceeds sum m_j^2 by
+    1, and sorts the rows after the trivial one by the ``sort_key``s of
+    their entries at every class."""
     N, dt = G.conductor, G.dynkin
     root = lambda e: CycNumber.root_of_unity(N, e)
-    orders = [len(G.powers(x)) for x in G.gen_index]
+    orders = [matrix_order(su2_matrix(g)) for g in G.generators]
+    elements = exact_elements(G)
+    reps = [elements[c.rep] for c in G.classes]
     rows = []
     for ks in product(*(range(0, N, N // n) for n in orders)):
         label = _exponent_labels(G, ks)
@@ -305,8 +341,9 @@ def class_table(G) -> list[list[CycNumber]]:
             rows.append([root(label[c.rep]) for c in G.classes])
     if dt.family == "D":
         rows += [[root(ell * c.eigen_exp) + root(-ell * c.eigen_exp)
-                  if G.words[c.rep].count(1) % 2 == 0 else CycNumber.zero(N)
-                  for c in G.classes] for ell in range(1, dt.m - 2)]
+                  if x[1].is_zero() else CycNumber.zero(N)
+                  for c, x in zip(G.classes, reps)]
+                 for ell in range(1, dt.m - 2)]
     if dt.family == "E":
         for a in range(1, N // 2 + 1):
             if gcd(a, N) == 1:
@@ -315,7 +352,8 @@ def class_table(G) -> list[list[CycNumber]]:
                 if row not in rows:
                     rows.append(row)
         for chi in rows:  # grows as rows are found
-            tensor = [v * c.trace for v, c in zip(chi, G.classes)]
+            tensor = [v * matrix_trace(su2_matrix(x))
+                      for v, x in zip(chi, reps)]
             mults = [inner_product_by_classes(G, tensor, row) for row in rows]
             if inner_product_by_classes(G, tensor, tensor) \
                     - sum(m * m for m in mults) == 1:
@@ -416,9 +454,11 @@ def inner_product_by_classes(G, f, chi) -> Fraction:
 
 def galois_orbit_count(G) -> int:
     """The classes closed under x -> x^a, a prime to the conductor, over
-    every element x: x^a by ``G.mul`` power by power, classes joined by
-    union-find, and the number of blocks left."""
+    every element x: x^a power by power, each product walking a generator
+    word of ``exact_closure`` through its right-multiplication tables,
+    classes joined by union-find, and the number of blocks left."""
     N = G.conductor
+    _, words, right = exact_closure(list(G.generators))
     units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
     class_of = {j: k for k, c in enumerate(G.classes) for j in c.members}
     parent = list(range(len(G.classes)))
@@ -428,10 +468,15 @@ def galois_orbit_count(G) -> int:
             k = parent[k]
         return k
 
+    def mul(i, j):
+        for g in words[j]:
+            i = right[g][i]
+        return i
+
     for x in range(G.order):
         powers = [0]
         while len(powers) < 2 or powers[-1] != 0:
-            powers.append(G.mul(powers[-1], x))
+            powers.append(mul(powers[-1], x))
         order = len(powers) - 1
         for a in units:
             parent[find(class_of[powers[a % order]])] = find(class_of[x])

@@ -208,11 +208,13 @@ def _cycnumbers(N, integral=False):
 
 
 def _entries(N, integral=False):
-    """Sweep entries: ``_cycnumbers``, ints, and lifts, int tuples of length
-    at most N, coefficients of powers of zeta."""
+    """Sweep entries: ``_cycnumbers`` and lifts, int tuples of length at
+    most N, coefficients of powers of zeta, among them the one-element
+    lifts of small ints."""
     lift = st.lists(st.one_of(st.just(0), st.integers(-6, 6)),
                     max_size=N).map(tuple)
-    return st.one_of(_cycnumbers(N, integral), st.integers(-5, 5), lift)
+    return st.one_of(_cycnumbers(N, integral),
+                     st.integers(-5, 5).map(lambda n: (n,)), lift)
 
 
 def _value(N, x):
@@ -227,11 +229,10 @@ def _value(N, x):
 
 
 def _sum_of_products(N, xs, ys, factors):
-    """sum_k n_k x_k y_k, n_k 1 when ``factors`` is None, by CycNumber
-    ``*`` and ``+`` on the entries' ``_value``s."""
+    """sum_k n_k x_k y_k by CycNumber ``*`` and ``+`` on the entries'
+    ``_value``s."""
     total = CycNumber.zero(N)
-    for x, y, n in zip(xs, ys, [1] * len(xs) if factors is None else factors,
-                       strict=True):
+    for x, y, n in zip(xs, ys, factors, strict=True):
         total = total + _value(N, x) * _value(N, y) * n
     return total
 
@@ -340,15 +341,13 @@ class TestTraceSums:
                            max_size=width)
         xs = data.draw(entries)
         rows = data.draw(st.lists(entries, min_size=1, max_size=4))
-        factors = data.draw(st.one_of(
-            st.none(), st.lists(st.integers(-3, 5), min_size=width,
-                                max_size=width)))
+        factors = data.draw(st.lists(st.integers(-3, 5), min_size=width,
+                                     max_size=width))
         d = data.draw(st.integers(1, 12))
         matrix = trace_rows(N, rows)
         got = trace_sums(N, split(N, xs), matrix, factors, d)
         # read conjugated, each x_k is conj(x_k)
-        conj = [_value(N, x) for x in xs]
-        conj = [x.conj() if isinstance(x, CycNumber) else x for x in conj]
+        conj = [_value(N, x).conj() for x in xs]
         got_conj = trace_sums(N, split(N, xs, conj=True), matrix, factors, d)
         assert len(got) == len(got_conj) == len(rows)
         for row, v, v_conj in zip(rows, got, got_conj):
@@ -365,14 +364,12 @@ class TestTraceSums:
     def test_galois_traces_are_read_exactly(self, data):
         """Rational sums of products, which random entries rarely give: the
         trace n sum_a sigma_a(x) sigma_a(y) over the Galois group, with x
-        and y drawn as algebraic integers, CycNumbers, ints or lifts, is
+        and y drawn as algebraic integers, CycNumbers or lifts, is
         n Tr(x y), the one-term ``trace_sums`` over the matrix of the one
         row (y)."""
         N = data.draw(st.sampled_from(CONDUCTORS))
         x, y = (_value(N, data.draw(_entries(N, integral=True)))
                 for _ in range(2))
-        x, y = (CycNumber.from_rational(N, v) if isinstance(v, int) else v
-                for v in (x, y))
         units = _units(N)
         xs, ys = [x.galois(a) for a in units], [y.galois(a) for a in units]
         n = data.draw(st.integers(-3, 5))
@@ -391,27 +388,29 @@ class TestTraceSums:
             half = CycNumber(N, [1] + [0] * (euler_phi(N) - 1), 2)
             zeta = CycNumber.root_of_unity(N, 1)
             for bad in (half, zeta * Fraction(1, 2), zeta + half):
-                row = [1, zeta, bad]
-                matrix = trace_rows(N, [[3, zeta, 2 * bad]])
+                row = [(1,), zeta, bad]
+                matrix = trace_rows(N, [[(3,), zeta, 2 * bad]])
                 with pytest.raises(ValueError, match="not an algebraic"):
-                    trace_rows(N, [[1, 1, 1], row])
+                    trace_rows(N, [[(1,)] * 3, row])
                 for xs in (split(N, row), split(N, row, conj=True)):
                     with pytest.raises(ValueError, match="not an algebraic"):
-                        trace_sums(N, xs, matrix, None, 1)
-                trace_sums(N, split(N, [1, zeta, 2 * bad]), matrix, None, 1)
+                        trace_sums(N, xs, matrix, [1] * 3, 1)
+                trace_sums(N, split(N, [(1,), zeta, 2 * bad]), matrix,
+                           [1] * 3, 1)
 
     def test_rejects_rows_of_different_lengths(self):
         """A row of another length than the matrix rows', or a factor list
         of another length, raises ValueError; zip used to truncate."""
-        for xs, ys, factors in (([1, 2, 3], [1, 1], None),
-                                ([1, 1], [1, 2, 3], None),
+        for xs, ys, factors in (([1, 2, 3], [1, 1], [1, 1, 1]),
+                                ([1, 1], [1, 2, 3], [1, 1]),
                                 ([1, 2], [1, 1], [1]),
                                 ([1, 2], [1, 1], [1, 1, 1])):
             with pytest.raises(ValueError):
-                trace_sums(8, split(8, xs), trace_rows(8, [ys]), factors, 1)
+                trace_sums(8, split(8, [(x,) for x in xs]),
+                           trace_rows(8, [[(y,) for y in ys]]), factors, 1)
         # and a trace matrix refuses rows of different lengths
         with pytest.raises(ValueError):
-            trace_rows(8, [[1, 2], [1, 2, 3]])
+            trace_rows(8, [[(1,), (2,)], [(1,), (2,), (3,)]])
 
     def test_traces_of_powers_are_ramanujan_sums(self):
         """Tr(zeta^k) = c_N(k) = sum over d | gcd(k, N) of mu(N/d) d, the
@@ -436,7 +435,6 @@ class TestIsFixed:
         N = data.draw(st.sampled_from(CONDUCTORS))
         x = data.draw(_entries(N))
         v = _value(N, x)
-        v = CycNumber.from_rational(N, v) if isinstance(v, int) else v
         a = data.draw(st.sampled_from(_units(N)))
         assert is_fixed(N, x, a) == (v.galois(a) == v)
         fixed, image = v, v.galois(a)

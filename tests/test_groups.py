@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import copy
 import io
 import json
 import random
@@ -24,10 +23,12 @@ from adeweights.groups import (CharTable, build_group, char_table,
                                _linear_characters, _match_affine)
 from adeweights.poly import Polynomial, cos_polynomial, cyclotomic
 from adeweights.verify import DEFAULT_SUITE, run_suite
-from oracles import (class_table, exact_closure, exact_elements,
+from oracles import (class_table, exact_classes, exact_closure,
+                     exact_elements,
                      galois_orbit_count,
                      inner_product_by_classes,
-                     matrix_inverse, matrix_product, matrix_trace,
+                     matrix_inverse, matrix_order, matrix_product,
+                     matrix_trace,
                      minimal_polynomial, molien_by_elements,
                      table_json_by_galois,
                      series_coefficients, su2_matrix,
@@ -108,7 +109,8 @@ class TestEnumeration:
 
     def test_d4_quaternion_traces(self, bundle):
         g = bundle("D4").group
-        traces = sorted(c.trace.to_rational() for c in g.classes)
+        traces = sorted(g.traces[c.eigen_exp].to_rational()
+                        for c in g.classes)
         assert traces == [-2, 0, 0, 0, 2]
         assert sorted(c.size for c in g.classes) == [1, 1, 2, 2, 2]
 
@@ -126,11 +128,11 @@ class TestEnumeration:
             g = bundle(name).group
             elements = exact_elements(g)
             for c in g.classes:
-                assert c.trace.conj() == c.trace
-                assert g.traces[c.eigen_exp] == c.trace, (name, c.rep)
+                trace = g.traces[c.eigen_exp]
+                assert trace.conj() == trace
                 for member in c.members:
                     assert matrix_trace(su2_matrix(elements[member])) \
-                        == c.trace, (name, member)
+                        == trace, (name, member)
 
     def test_classes_partition_the_group(self, bundle):
         for name in ("A5", "D7", "E8"):
@@ -142,8 +144,9 @@ class TestEnumeration:
     def test_identity_and_minus_identity_classes(self, bundle):
         for name in SUITE_NAMES:
             g = bundle(name).group
-            assert g.classes[0].size == 1 and g.classes[0].trace == 2
-            minus = [c for c in g.classes if c.trace == -2]
+            traces = [g.traces[c.eigen_exp] for c in g.classes]
+            assert g.classes[0].size == 1 and traces[0] == 2
+            minus = [c for c, t in zip(g.classes, traces) if t == -2]
             if g.order % 2 == 0:
                 assert len(minus) == 1 and minus[0].size == 1
             else:
@@ -157,7 +160,8 @@ class TestEnumeration:
             g = build_group(dt(name))
             for c, data in zip(g.classes, g.classes_to_json(), strict=True):
                 assert data["trace_min_poly"] == \
-                    minimal_polynomial(c.trace).to_json(), (name, c.rep)
+                    minimal_polynomial(g.traces[c.eigen_exp]).to_json(), \
+                    (name, c.rep)
 
     def test_eigenvalue_order_is_the_element_order(self):
         """zeta_N^e is a primitive d-th root of unity, d = N / gcd(N, e),
@@ -180,28 +184,31 @@ class TestEnumeration:
             enumerate_subgroup([generators(dt("D4"))[0]], dt("D4"))
 
     def test_rep_classes_follow_the_classes(self, bundle):
-        """``rep_classes`` is read off ``classes`` at each call, so a copy
-        of a built group whose classes are replaced, as
+        """``rep_classes`` is read off ``classes`` at each call, so a group
+        whose classes are replaced by ``_replace``, as
         ``_group_order_doubled`` in tests/test_verify.py replaces them,
         names the new classes at its orbit reps, not the old ones."""
         G = bundle("D4").group
         before = G.rep_classes
-        doubled = copy.copy(G)
-        doubled.classes = tuple(c._replace(size=2 * c.size)
-                                for c in G.classes)
+        doubled = G._replace(classes=tuple(c._replace(size=2 * c.size)
+                                           for c in G.classes))
         assert doubled.rep_classes == [doubled.classes[o.rep]
                                        for o in G.orbits]
         assert [c.size for c in doubled.rep_classes] == \
             [2 * c.size for c in before]
 
     def test_eigen_exponent_is_least(self, bundle):
+        """Each class's eigen-exponent is the least e with
+        zeta^e + zeta^-e the exact trace of its rep."""
         for name in SUITE_NAMES:
             g = bundle(name).group
             N = g.conductor
+            elements = exact_elements(g)
             for c in g.classes:
+                trace = matrix_trace(su2_matrix(elements[c.rep]))
                 least = next(e for e in range(N)
                              if CycNumber.root_of_unity(N, e)
-                             + CycNumber.root_of_unity(N, -e) == c.trace)
+                             + CycNumber.root_of_unity(N, -e) == trace)
                 assert c.eigen_exp == least
 
 
@@ -260,45 +267,19 @@ class TestReductionModP:
 
     def test_fp_closure_equals_the_exact_closure(self):
         """On A1..A48, D4..D40 and E6..E8 the exact closure over
-        Q(zeta_N), keyed on top rows, gives the same words and right
-        tables, so the same classes and Galois orbits, which are index
-        arithmetic on those tables; each class's trace and eigen-exponent
-        are a + conj(a) of its rep's exact top row (a, b)."""
+        Q(zeta_N), keyed on top rows, gives the same right tables, so the
+        same element indices; each class's trace ``traces[eigen_exp]`` is
+        a + conj(a) of its rep's exact top row (a, b)."""
         for name in EXTENDED_NAMES:
             g = build_group(dt(name))
-            elements, words, right = exact_closure(list(g.generators))
-            assert (tuple(words), tuple(map(tuple, right))) == \
-                (g.words, g.right), name
+            elements, _, right = exact_closure(list(g.generators))
+            assert tuple(map(tuple, right)) == g.right, name
             for c in g.classes:
                 a = elements[c.rep][0]
-                assert c.trace == a + a.conj() == g.traces[c.eigen_exp], \
-                    (name, c.rep)
+                assert a + a.conj() == g.traces[c.eigen_exp], (name, c.rep)
 
 
 class TestIndexKernel:
-    @staticmethod
-    def _check(g, elements, index, i, j):
-        assert g.mul(i, j) == index[matrix_product(
-            su2_matrix(elements[i]), su2_matrix(elements[j]))]
-
-    def test_mul_on_every_pair(self, bundle):
-        for name in ("A5", "D4", "E6"):
-            g = bundle(name).group
-            elements = exact_elements(g)
-            index = element_index(elements)
-            for i in range(g.order):
-                for j in range(g.order):
-                    self._check(g, elements, index, i, j)
-
-    def test_mul_on_sampled_e8_pairs(self, bundle):
-        g = bundle("E8").group
-        elements = exact_elements(g)
-        index = element_index(elements)
-        rng = random.Random(20261018)
-        for _ in range(500):
-            self._check(g, elements, index, rng.randrange(g.order),
-                        rng.randrange(g.order))
-
     def test_right_tables_are_matrix_products(self, bundle):
         """The closure runs over F_p; the exact full 2x2 product by
         CycNumber products, bottom rows included, is the oracle, at every
@@ -312,38 +293,21 @@ class TestIndexKernel:
                     assert matrix_product(su2_matrix(x), su2_matrix(gen)) \
                         == su2_matrix(elements[g.right[k][i]]), (name, k, i)
 
-    def test_words_spell_their_elements(self, bundle):
-        for name in ("D5", "E7"):
-            g = bundle(name).group
-            elements = exact_elements(g)
-            for x, word in zip(elements, g.words, strict=True):
-                prod = su2_matrix(elements[0])
-                for k in word:
-                    prod = matrix_product(prod, su2_matrix(g.generators[k]))
-                assert prod == su2_matrix(x)
-
     def test_class_orders_match_matrix_powers(self, bundle):
         for name in CLASS_NAMES:
             g = bundle(name).group
             elements = exact_elements(g)
-            identity = su2_matrix(elements[0])
             for c in g.classes:
-                m = su2_matrix(elements[c.rep])
-                power, k = m, 1
-                while power != identity:
-                    power = matrix_product(power, m)
-                    k += 1
-                assert c.order == k, (name, c.rep)
+                assert c.order == matrix_order(su2_matrix(elements[c.rep])), \
+                    (name, c.rep)
 
-    def test_conjugate_by_generators(self, bundle):
-        g = bundle("E6").group
-        elements = exact_elements(g)
-        index = element_index(elements)
-        for k, gen in enumerate(g.generators):
-            m = su2_matrix(gen)
-            for i, x in enumerate(elements):
-                assert g.conjugate(i, k) == index[matrix_product(
-                    matrix_product(m, su2_matrix(x)), matrix_inverse(m))]
+    def test_members_are_the_conjugacy_class_of_the_rep(self, bundle):
+        """The class scan conjugates images mod p; each class's members are
+        the exact conjugacy class of its rep, found by exact matrix
+        products with each generator and its inverse."""
+        for name in CLASS_NAMES:
+            g = bundle(name).group
+            assert [c.members for c in g.classes] == exact_classes(g), name
 
     def test_linear_character_counts(self, bundle):
         # |G / [G, G]|: m + 1 for the cyclic group of A_m, 4 for every
@@ -488,6 +452,15 @@ class TestCharTable:
 
     def test_d4_degrees(self, bundle):
         assert sorted(bundle("D4").table.degrees) == [1, 1, 1, 1, 2]
+
+    def test_rotations_need_the_sign_character(self, bundle):
+        """The D rotation classes are the kernel of the sign character,
+        trivial on generator 0 and -1 on generator 1. With D5's two right
+        tables swapped no such character extends, since j^2 = a^3 would go
+        to 1 = -1, and ``char_table`` refuses instead of guessing."""
+        G = bundle("D5").group
+        with pytest.raises(ValidationFailed, match="no linear character"):
+            char_table(dt("D5"), G._replace(right=G.right[::-1]))
 
     def test_e8_degree_identity(self, bundle):
         degrees = bundle("E8").table.degrees
@@ -828,23 +801,21 @@ class TestMolien:
 
 
 class TestOpCounts:
-    """CycNumber constructions over one cold ``verify`` of a type, a count that
-    does not jitter the way wall time does. With the closure holding each
-    element as its top row and computing top rows by sums of products,
-    every class
-    sum one ``trace_sums`` sweep over a trace matrix of the rows, with one
-    term per Galois orbit of classes, that builds no value,
-    the table checked for Galois equivariance by ``is_fixed``, which
-    builds none either, each distinct Sym^m power sum summed once, the E
-    table one walk of the McKay graph that builds only the rows it finds,
-    each zeta^r + zeta^-r built once per group, in
-    ``FiniteSubgroup.traces``, and each class trace one sum of the top left
-    entries of an element and its inverse, E8 builds 617 values and D12
-    204; a conjugate-symmetry check by ``conj`` took them to 698 and 373,
-    a class trace built as a + conj(a), two values, to 707
-    and 386, building the traces apart for the eigen-exponent lookup, the D
-    rows and the E Galois-conjugate rows to 725 and 397, the E-type queue
-    of CycNumber tensor candidates, its Sym^m fallback and a
+    """CycNumber constructions over one cold ``run_suite`` of a type, a
+    count that does not jitter the way wall time does. With the closure and
+    the class scan run on images mod p, every class sum one ``trace_sums``
+    sweep over a trace matrix of the rows, with one term per Galois orbit of
+    classes, that builds no value, the table checked for Galois
+    equivariance by ``is_fixed``, which builds none either, each distinct
+    Sym^m power sum summed once, the E table one walk of the McKay graph
+    that builds only the rows it finds, and each zeta^r + zeta^-r built once
+    per group, in ``FiniteSubgroup.traces``, E8 builds 112 values and D12
+    27. The closure over exact top rows by sums of CycNumber products took
+    them to 617 and 204; a conjugate-symmetry check by ``conj`` to 698 and
+    373, a class trace built as a + conj(a), two values, to 707 and 386,
+    building the traces apart for the eigen-exponent lookup, the D rows and
+    the E Galois-conjugate rows to 725 and 397, the E-type queue of
+    CycNumber tensor candidates, its Sym^m fallback and a
     regular-character completion took E8 to 1,184, discrete-log tables for
     the linear rows D12 to 439, a bottom row per element them to 1,575 and
     573, a CycNumber per class sum to 2,359 and 1,314, the closure by full
@@ -856,7 +827,7 @@ class TestOpCounts:
     rows' trace matrix makes 209 on a cold ``verify --types A24,D24``, where
     one ``trace_dot`` per (class function, row) made 4,625 calls."""
 
-    LIMIT = 617
+    LIMITS = {"E8": 112, "D12": 27}
 
     def test_constructions_per_cold_verify(self):
         original = CycNumber.__init__
@@ -866,14 +837,14 @@ class TestOpCounts:
             count[0] += 1
             original(self, *args, **kwargs)
 
-        for name in ("E8", "D12"):
+        for name, limit in self.LIMITS.items():
             count[0] = 0
             CycNumber.__init__ = counting
             try:
                 run_suite([dt(name)])
             finally:
                 CycNumber.__init__ = original
-            assert count[0] <= self.LIMIT, (name, count[0])
+            assert count[0] <= limit, (name, count[0])
 
     def test_tables_hold_and_gate_the_orbit_reps_alone(self, monkeypatch):
         """A table holds each row at the Galois orbit reps, and its gate
@@ -904,26 +875,29 @@ class TestOpCounts:
                                for _, G in tables for o in G.orbits) == 1588
 
     def test_class_facts_walk_each_orbit_rep_once(self, monkeypatch):
-        """``build_group`` walks the powers of each Galois orbit's rep once,
-        by ``FiniteSubgroup.powers``, and every class of the orbit takes its
-        order, inverse and trace off that walk; its other ``mul`` calls are
-        the conjugations that find the classes. A96, two orbits, makes 290
-        calls and the default suite 2,428; a walk per class for its order
-        and inverse and a second walk per orbit rep made 9,506 and 3,508."""
-        original = groups.FiniteSubgroup.mul
+        """``build_group`` makes every group product by ``_sl2_times`` on
+        images mod p: one per closure step, two per conjugation of the class
+        scan, and one per step of the single power walk of each Galois
+        orbit's rep, off which every class of the orbit takes its order,
+        inverse and trace. A96, two orbits, makes 387 calls and the
+        default suite 3,454; the word walker ``mul`` made 290 and
+        2,428 walks besides the closure steps, and a walk per class for its
+        order and inverse and a second walk per orbit rep made 9,506 and
+        3,508 walks."""
+        original = groups._sl2_times
         calls = [0]
 
-        def counting(self, i, j):
+        def counting(x, y, p):
             calls[0] += 1
-            return original(self, i, j)
+            return original(x, y, p)
 
-        monkeypatch.setattr(groups.FiniteSubgroup, "mul", counting)
+        monkeypatch.setattr(groups, "_sl2_times", counting)
         build_group(dt("A96"))
-        assert calls[0] <= 300, calls[0]
+        assert calls[0] == 387, calls[0]
         calls[0] = 0
         for name in SUITE_NAMES:
             build_group(dt(name))
-        assert calls[0] <= 2500, calls[0]
+        assert calls[0] == 3454, calls[0]
 
     def test_class_json_makes_no_cyclotomic_product(self, monkeypatch):
         """``classes_to_json`` takes each ``trace_min_poly`` from

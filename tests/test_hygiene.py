@@ -17,7 +17,8 @@ from typing import get_type_hints
 
 import adeweights
 from adeweights.graphs import DirectedGraph
-from adeweights.groups import CharTable, MolienSet, decompose
+from adeweights.groups import (CharTable, ConjClass, FiniteSubgroup, MolienSet,
+                               decompose)
 from adeweights.verify import CHECK_NAMES
 from adeweights.weights import QNumerators, TWeights
 
@@ -309,16 +310,18 @@ def test_cyclo_has_one_product_loop():
 
 
 def test_galois_action_is_written_once():
-    """groups.py walks each Galois orbit rep's powers once, through
-    ``FiniteSubgroup.powers``, so it defines no ``_galois_orbits`` and no
+    """groups.py walks each Galois orbit rep's powers once, inside
+    ``enumerate_subgroup`` by ``_sl2_times``, the one group product, so it
+    defines no ``powers``, ``mul``, ``conjugate``, ``_galois_orbits`` or
     ``order_and_inverse``. In cyclo.py one function writes the index map of
     sigma_a, x^i -> x^(ia mod N) (a ``%`` of a product or of a negation),
     and ``CycNumber.galois``, ``split`` and ``is_fixed`` call it."""
     tree = ast.parse((SRC / "groups.py").read_text())
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
-    assert "powers" in defined
-    assert defined & {"_galois_orbits", "order_and_inverse"} == set()
+    assert "_sl2_times" in defined
+    assert defined & {"powers", "mul", "conjugate", "_galois_orbits",
+                      "order_and_inverse"} == set()
     functions = [node for node in ast.walk(ast.parse(
         (SRC / "cyclo.py").read_text())) if isinstance(node, ast.FunctionDef)]
     moves = (ast.Mult, ast.USub)
@@ -332,8 +335,8 @@ def test_galois_action_is_written_once():
 
 
 def test_table_builders_read_no_coordinates():
-    """The character tables read the group through its classes, words and
-    right-multiplication tables, never an element's coordinates, so no
+    """The character tables read the group through its classes, traces
+    and right-multiplication tables, never an element's coordinates, so no
     row depends on which generators G was given."""
     for name in ("_linear_characters", "_binary_dihedral_table",
                  "_e_type_table"):
@@ -465,12 +468,18 @@ def test_values_hold_no_copied_type_facts():
     """h, a, b, |G| and the conductor are functions of the ADE type, a
     graph's size and affine node follow from its matrix and form, and a
     character table's columns are its group's Galois-orbit reps, the
-    identity first, so its degrees are column 0, which a Molien set reads instead of keeping a copy: each value
-    keeps only what cannot be derived, and nothing in src/ reads a table's
-    classes."""
+    identity first, so its degrees are column 0, which a Molien set reads
+    instead of keeping a copy. A group's order is the length of its
+    right-multiplication tables, and a class's trace is the group's
+    ``traces`` at its eigen-exponent. Each value keeps only what cannot be
+    derived, and nothing in src/ reads a table's classes."""
     assert list(QNumerators._fields) == ["dynkin", "N"]
     assert list(MolienSet._fields) == ["dynkin", "numerators"]
     assert list(CharTable._fields) == ["values"]
+    assert list(FiniteSubgroup._fields) == [
+        "dynkin", "conductor", "generators", "right", "classes", "orbits",
+        "traces"]
+    assert "trace" not in ConjClass._fields
     assert [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr == "classes"

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
@@ -18,12 +17,13 @@ from adeweights.cyclo import CycNumber
 from adeweights.errors import InvalidParameter, ValidationFailed
 from adeweights.graphs import DynkinType, char_poly, charpoly_report
 from adeweights.groups import molien_series, recurrence_check
-from adeweights.poly import Polynomial, cos_polynomial
+from adeweights.poly import Polynomial, cos_polynomial, cox
 from adeweights.verify import (CHECK_NAMES, CHECKS, DEFAULT_SUITE, FaultSpec,
                                json_text, report_json, report_text, run_suite)
 from adeweights.weights import (finite_reduction_check,
                                 specialization_identity, to_q_numerators)
-from golden_outputs import GOLDEN, mismatches
+from golden_outputs import GOLDEN, HEAVY_PATH, load, mismatches
+from oracles import lcd_law
 
 # the types whose reduced common denominator strictly exceeds cox(h); the
 # LCD_COX check honestly fails there (see "Verification suite" in the README)
@@ -207,14 +207,13 @@ def _sym_multiplicity_bumped(b, monkeypatch):
 
 
 def _group_order_doubled(b, monkeypatch):
-    """Every element's word listed twice, so ``order`` reads 2|G|, and
-    every class size doubled: each inner product, so every Sym^m
+    """Every right-multiplication table listed twice, so ``order`` reads
+    2|G|, and every class size doubled: each inner product, so every Sym^m
     multiplicity, is unchanged, and only a*b = 2|G| can see the order."""
-    group = copy.copy(b.group)
-    group.words = b.group.words * 2
-    group.classes = tuple(c._replace(size=2 * c.size)
-                          for c in b.group.classes)
-    return _replaced(b, group=group)
+    G = b.group
+    return _replaced(b, group=G._replace(
+        right=tuple(r * 2 for r in G.right),
+        classes=tuple(c._replace(size=2 * c.size) for c in G.classes)))
 
 
 # the checks a bumped Molien numerator, a bumped det and a bumped graph-side
@@ -284,13 +283,12 @@ def test_a_check_that_raises_is_that_checks_failure(bundle, monkeypatch,
     assert cli.main(["verify", "--types", "D4"]) == 1
     assert "check raised ValidationFailed" in capsys.readouterr().out
     monkeypatch.undo()
-    # the group's words listed twice with its class sizes kept: SYM_ORACLE
-    # takes |G| as sum_C |C|, as ``decompose`` does, so only a*b = 2|G|
-    # sees it
+    # the group's right tables listed twice with its class sizes kept:
+    # SYM_ORACLE takes |G| as sum_C |C|, as ``decompose`` does, so only
+    # a*b = 2|G| sees it
     b = bundle("D4")
-    group = copy.copy(b.group)
-    group.words = b.group.words * 2
-    doubled = _replaced(b, group=group)
+    doubled = _replaced(b, group=b.group._replace(
+        right=tuple(r * 2 for r in b.group.right)))
     assert {c.name for c in verify._type_checks(doubled, None)
             if c.status == "fail"} == {"AB_RELATIONS"}
 
@@ -571,7 +569,9 @@ class TestGoldenOutputs:
     ``python -O`` child under another hash seed, since no invariant may rest
     on ``assert`` and no output on the iteration order of a set of str. A
     change that alters outputs on purpose recaptures golden.json with
-    ``perfbench/golden.py``; there is no list of calls to edit."""
+    ``perfbench/golden.py``, and ``tests/heavy_golden.json`` with
+    ``tests/golden_outputs.py --capture``, which reruns the calls the file
+    already pins; there is no list of calls to edit."""
 
     def test_every_pinned_output(self, monkeypatch):
         """Each call reads bundles from a cache of this test's own, so
@@ -581,6 +581,29 @@ class TestGoldenOutputs:
         bad = mismatches()
         assert not bad, f"{len(bad)} of {len(GOLDEN)} outputs differ:\n" + \
             "\n".join(bad)
+
+    def test_every_heavy_pin(self, monkeypatch):
+        """The heavy end, which no workload runs, prints the bytes
+        ``tests/heavy_golden.json`` pins: the extended set, D128 and A128
+        verified, D128's group, and one multi-type call of each query
+        command in JSON and one in text. The extended run reads 1,005
+        pass, 51 fail and 88 informational, each failure an LCD_COX, and
+        its failing types are exactly those whose common denominator by
+        the per-family law, ``oracles.lcd_law``, is not cox(h)."""
+        monkeypatch.setattr(cli, "build_bundle", lru_cache(maxsize=None)(
+            verify.build_bundle.__wrapped__))
+        heavy, texts = load(HEAVY_PATH), {}
+        bad = mismatches(heavy, texts)
+        assert not bad, f"{len(bad)} of {len(heavy)} outputs differ:\n" + \
+            "\n".join(bad)
+        selector = "A1..A48,D4..D40,E6..E8"
+        report = json.loads(texts[f"verify --types {selector} --format json"])
+        assert report["summary"] == {"pass": 1005, "fail": 51, "info": 88}
+        failing = [(c["type"], c["name"]) for c in report["checks"]
+                   if c["status"] == "fail"]
+        assert sorted(failing) == sorted(
+            (str(t), "LCD_COX") for t in graphs.parse_type_selector(selector)
+            if lcd_law(t) != cox(t.coxeter_number))
 
     def test_every_pinned_output_under_optimize(self):
         seed = "124" if os.environ.get("PYTHONHASHSEED") == "123" else "123"
