@@ -4,6 +4,11 @@ Subcommands: graph, weights, molien, group, charpoly, verify. Output formats
 are json / text / latex (dot for graphs only). --out writes atomically via a
 temp file and rename, so failures never leave partial files.
 
+The five query commands (graph, weights, molien, group, charpoly) share one
+driver, ``_query``: it parses the selector once and reads each type's bundle
+once, and a command says only what it prints of a bundle, as JSON and as
+text. ``graph --format dot`` takes a single type and is drawn on its own.
+
 Exit status: 0 on success, 1 when verification reports a failure, 2 on usage
 errors, an --out path that cannot be written and a type of rank above
 graphs.MAX_RANK among them, and 3 on an internal error, reported as one
@@ -20,7 +25,7 @@ import tempfile
 from .errors import InvalidParameter
 from .graphs import FORMS, parse_type_selector
 from .verify import (DEFAULT_SUITE, FaultSpec, build_bundle, json_text,
-                     report_json, report_text, run_suite)
+                     report_text, run_suite)
 from .weights import numerators_latex
 
 USAGE_ERROR = 2
@@ -68,74 +73,66 @@ def _types_arg(parser: argparse.ArgumentParser) -> None:
                         help='type selector, e.g. "D4", "E6,E7,E8", "A1..A12"')
 
 
-def _emit(types, fmt: str, to_json, render) -> str:
-    """One JSON object (a list for several types), else rendered text with a
-    header per section when there are several types."""
-    if fmt == "json":
-        payload = [to_json(dt) for dt in types]
-        return json_text(payload[0] if len(types) == 1 else payload) + "\n"
-    parts = []
-    for dt in types:
-        body = render(dt)
-        parts.append(body if len(types) == 1 else f"== {dt} ==\n{body}")
-    return "\n".join(parts)
+def _query(args, to_json, render) -> tuple[str, int]:
+    """The types of ``args.types``, each bundle read once: one JSON object of
+    ``to_json(bundle)`` (a list for several types), else the sections
+    ``render(dt, bundle)`` joined, each headed "== T ==" when there are
+    several types."""
+    types = parse_type_selector(args.types)
+    bundles = ((dt, build_bundle(dt)) for dt in types)
+    if args.format == "json":
+        payload = [to_json(b) for _, b in bundles]
+        return json_text(payload[0] if len(types) == 1 else payload) + "\n", 0
+    if len(types) == 1:
+        return render(*next(bundles)), 0
+    return "\n".join(f"== {dt} ==\n{render(dt, b)}" for dt, b in bundles), 0
 
 
 def _cmd_graph(args) -> tuple[str, int]:
-    types = parse_type_selector(args.types)
-
-    def graph(dt):
-        return getattr(build_bundle(dt), args.form)
     if args.format == "dot":
+        types = parse_type_selector(args.types)
         if len(types) != 1:
             raise InvalidParameter("dot output requires a single type")
-        return graph(types[0]).to_dot(f"{types[0]}_{args.form}"), 0
+        g = getattr(build_bundle(types[0]), args.form)
+        return g.to_dot(f"{types[0]}_{args.form}"), 0
 
-    def render(dt):
-        g = graph(dt)
+    def render(dt, b):
+        g = getattr(b, args.form)
         lines = [f"{dt} {args.form}: {g.n} nodes, affine index {g.affine_index}"]
         lines += [f"  {i} -> {j}  (x{g.mult[i][j]})"
                   for i in range(g.n) for j in range(g.n) if g.mult[i][j]]
         return "\n".join(lines) + "\n"
-    return _emit(types, args.format, lambda dt: graph(dt).to_json(),
-                 render), 0
+    return _query(args, lambda b: getattr(b, args.form).to_json(), render)
 
 
 def _cmd_weights(args) -> tuple[str, int]:
-    types = parse_type_selector(args.types)
     if args.basis == "t":
-        def render(dt):
-            w = build_bundle(dt).tweights
+        def render(dt, b):
             if args.format == "latex":
                 entries = [f"\\frac{{{v.num}}}{{{v.den}}}"
                            if not v.is_polynomial() else str(v.num)
-                           for v in w.values]
+                           for v in b.tweights.values]
                 return ",".join(entries) + "\n"
-            return _grouped([str(v) for v in w.values]) + "\n"
-        return _emit(types, args.format,
-                     lambda dt: build_bundle(dt).tweights.to_json(), render), 0
+            return _grouped([str(v) for v in b.tweights.values]) + "\n"
+        return _query(args, lambda b: b.tweights.to_json(), render)
 
     # basis q and molien both emit the standard-form numerators
-    def render(dt):
-        b = build_bundle(dt)
+    def render(dt, b):
         if args.format == "latex":
             return numerators_latex(b.numerators) + "\n"
         text = _grouped([str(p) for p in b.numerators.N])
         if args.basis == "molien":
             text += "   over (1-q^{})(1-q^{})".format(*dt.standard_ab)
         return text + "\n"
-    return _emit(types, args.format,
-                 lambda dt: build_bundle(dt).numerators.to_json(), render), 0
+    return _query(args, lambda b: b.numerators.to_json(), render)
 
 
 def _cmd_molien(args) -> tuple[str, int]:
-    types = parse_type_selector(args.types)
     if not 0 <= args.series_terms <= MAX_SERIES_TERMS:
         raise InvalidParameter(
             f"--series-terms must be between 0 and {MAX_SERIES_TERMS}")
 
-    def to_json(dt):
-        b = build_bundle(dt)
+    def to_json(b):
         obj = b.molien.to_json(b.table.degrees)
         obj["classes"] = b.group.classes_to_json()
         obj["char_table"] = b.table.to_json(b.group)
@@ -145,8 +142,7 @@ def _cmd_molien(args) -> tuple[str, int]:
                 for i in range(len(b.molien.numerators))]
         return obj
 
-    def render(dt):
-        b = build_bundle(dt)
+    def render(dt, b):
         ms = b.molien
         lines = [f"{dt}: |G|={b.group.order}, h={dt.coxeter_number}, "
                  + "denominator (1-q^{})(1-q^{})".format(*dt.standard_ab)]
@@ -157,40 +153,33 @@ def _cmd_molien(args) -> tuple[str, int]:
                 line += "   series " + " ".join(str(c) for c in coeffs)
             lines.append(line)
         return "\n".join(lines) + "\n"
-    return _emit(types, args.format, to_json, render), 0
+    return _query(args, to_json, render)
 
 
 def _cmd_group(args) -> tuple[str, int]:
-    types = parse_type_selector(args.types)
-
-    def to_json(dt):
-        b = build_bundle(dt)
-        return {"type": str(dt), "order": b.group.order,
+    def to_json(b):
+        return {"type": str(b.dynkin), "order": b.group.order,
                 "conductor": b.group.conductor,
                 "classes": b.group.classes_to_json(),
                 "char_table": b.table.to_json(b.group)}
 
-    def render(dt):
-        b = build_bundle(dt)
+    def render(dt, b):
         lines = [f"{dt}: order {b.group.order}, conductor {b.group.conductor}, "
                  f"{len(b.group.classes)} classes"]
         for i, c in enumerate(b.group.classes):
             lines.append(f"  class {i}: size {c.size}, element order {c.order}, "
                          f"trace {b.group.traces[c.eigen_exp]}")
         return "\n".join(lines) + "\n"
-    return _emit(types, args.format, to_json, render), 0
+    return _query(args, to_json, render)
 
 
 def _cmd_charpoly(args) -> tuple[str, int]:
-    types = parse_type_selector(args.types)
-
-    def render(dt):
-        rep = build_bundle(dt).charpoly
+    def render(dt, b):
+        rep = b.charpoly
         return (f"{dt}: char(semiaffine) = {rep.char_semiaffine} "
                 f"= t^{rep.d} * ({rep.cofactor}); cox(h) = {rep.cox}; "
                 f"claim {'holds' if rep.claim_holds else 'does not hold'}\n")
-    return _emit(types, args.format,
-                 lambda dt: build_bundle(dt).charpoly.to_json(), render), 0
+    return _query(args, lambda b: b.charpoly.to_json(), render)
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -200,7 +189,8 @@ def _cmd_verify(args) -> tuple[str, int]:
     if args.inject_fault is not None:
         fault = FaultSpec.from_seed(args.inject_fault, sorted(set(types)))
     report = run_suite(types, fault=fault)
-    text = report_json(report) if args.format == "json" else report_text(report)
+    text = (json_text(report.to_json()) + "\n" if args.format == "json"
+            else report_text(report))
     return text, 0 if report.ok() else 1
 
 

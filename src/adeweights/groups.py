@@ -38,8 +38,9 @@ standard form (1-q^a)(1-q^b) divided over Z[x]/(x^N - 1) by det(I - x q),
 with no remainder at x = zeta, summed against the character values. They
 read the table rows and no symmetric-power code, so the symmetric-power
 oracle stays an independent route. The values, the group included, are
-``NamedTuple`` records; ``CharTable`` and ``MolienSet`` subclass theirs
-without ``__slots__``, for the instance ``__dict__`` their caches live in.
+``NamedTuple`` records; ``CharTable`` subclasses its fields' tuple
+without ``__slots__``, for the instance ``__dict__`` its trace matrix lives
+in.
 
 Character tables: a ``CharTable`` is its rows alone, each at the reps of
 ``G.orbits``, the Galois orbits of classes below, whose orbit 0 is the
@@ -703,16 +704,16 @@ def _match_affine(A, degrees, g: DirectedGraph, marks) -> tuple[int, ...]:
     return tuple(assign[i] for i in range(k))
 
 
-class MolienSet(NamedTuple("MolienSet", [
-        ("dynkin", DynkinType), ("numerators", tuple[Polynomial, ...])])):
+class MolienSet(NamedTuple):
     """Per irreducible character: the numerator N_i of its Molien series
-    m_i = N_i / ((1-q^a)(1-q^b)), the standard form. A subclass of its
-    fields' tuple, so it has an instance ``__dict__`` to keep ``series``."""
+    m_i = N_i / ((1-q^a)(1-q^b)), the standard form."""
 
-    @cached_property
+    dynkin: DynkinType
+    numerators: tuple[Polynomial, ...]
+
+    @property
     def series(self) -> tuple[RationalFunction, ...]:
-        """Each m_i reduced over Z, built on the first read and kept; it is
-        no field, so equality reads the numerators alone."""
+        """Each m_i reduced over Z, built anew on each read."""
         std = self.dynkin.standard_form
         return tuple(RationalFunction(n, std) for n in self.numerators)
 

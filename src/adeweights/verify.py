@@ -319,7 +319,6 @@ CHECKS = (
     Check("CHARPOLY_CLAIM", _check_charpoly_claim, "informational"),
     Check("STRUCTURAL_CHARPOLY", _check_structural),
 )
-CHECK_NAMES = tuple(c.name for c in CHECKS)
 
 
 def _type_checks(b: TypeBundle, fault: FaultSpec | None) -> list[CheckResult]:
@@ -450,10 +449,6 @@ def _emit(obj, newline: str, out: list[str], seen: dict) -> None:
         out.append(int.__repr__(obj))
     else:
         raise TypeError(f"{type(obj).__name__} value {obj!r} has no JSON text")
-
-
-def report_json(report: VerificationReport) -> str:
-    return json_text(report.to_json()) + "\n"
 
 
 def report_text(report: VerificationReport) -> str:

@@ -686,6 +686,25 @@ class TestMcKay:
         with pytest.raises(ValidationFailed):
             mckay_matrix(b.group, bad, b.affine, b.marks)
 
+    def test_asymmetric_matrix_raises(self, bundle, monkeypatch):
+        """One off-diagonal multiplicity raised by one, row 0's at chi_1:
+        the matrix is no longer symmetric, and the gate refuses it before
+        any node is matched."""
+        b = bundle("D4")
+        original = groups.decompose
+        calls = [0]
+
+        def raised(*args):
+            mults = original(*args)
+            calls[0] += 1
+            if calls[0] == 1:  # row 0, V tensor the trivial character
+                mults[1] += 1
+            return mults
+        monkeypatch.setattr(groups, "decompose", raised)
+        with pytest.raises(NoIsomorphism) as exc:
+            mckay_matrix(b.group, b.table, b.affine, b.marks)
+        assert str(exc.value) == "D4: McKay matrix is not symmetric"
+
     def test_no_isomorphism_raises(self, bundle):
         b = bundle("D4")
         a4 = build_graph(dt("A4"), "affine")
@@ -736,6 +755,35 @@ class TestMolien:
         with pytest.raises(NonPolynomialResult, match="does not divide"):
             molien_series(b.group, b.table)
 
+    @staticmethod
+    def molien_with(bundle, monkeypatch, row, value):
+        """D4's Molien set with every coefficient of numerator ``row`` read
+        as ``value``: each ``trace_sums`` sweep gives one coefficient of
+        every numerator."""
+        b = bundle("D4")
+        original = groups.trace_sums
+
+        def changed(*args):
+            sums = original(*args)
+            sums[row] = value
+            return sums
+        monkeypatch.setattr(groups, "trace_sums", changed)
+        return molien_series(b.group, b.table)
+
+    def test_numerator_coefficients_must_be_nonnegative_integers(
+            self, bundle, monkeypatch):
+        for value in (Fraction(1, 2), -1):
+            with pytest.raises(NonPolynomialResult) as exc:
+                self.molien_with(bundle, monkeypatch, 1, value)
+            assert str(exc.value) == (f"D4: numerator coefficient {value} "
+                                      "is not a nonnegative integer")
+
+    def test_trivial_numerator_must_be_one_plus_q_h(self, bundle, monkeypatch):
+        # 1 + q + ... + q^6 passes the coefficient gate
+        with pytest.raises(NonPolynomialResult) as exc:
+            self.molien_with(bundle, monkeypatch, 0, 1)
+        assert str(exc.value) == "D4: trivial numerator is not 1 + q^6"
+
     def test_coefficients_equal_long_division(self, bundle):
         # the two strided prefix sums against the reference long division of
         # the reduced series, on either side of each stride
@@ -747,11 +795,10 @@ class TestMolien:
                     assert m.coefficients(i, n) == series_coefficients(s, n), \
                         (name, i, n)
 
-    def test_series_is_built_once_per_set(self, bundle, monkeypatch):
-        """``MolienSet.series`` keeps what its first read builds, so two
-        ``to_json`` reads of one set build each RationalFunction, a
-        reduction over Z, once, and write the same text; built on every
-        read, they built 2k."""
+    def test_series_is_built_on_each_read(self, bundle, monkeypatch):
+        """``MolienSet.series`` keeps nothing: each ``to_json`` read builds
+        each RationalFunction, a reduction over Z, once, k per read, and two
+        reads write the same text."""
         original = groups.RationalFunction
         built = [0]
 
@@ -761,16 +808,15 @@ class TestMolien:
 
         for name in ("A5", "D7", "E8"):
             b = bundle(name)
-            fresh = b.molien._replace()  # a set no reader has touched yet
+            k = len(b.group.classes)
             monkeypatch.setattr(groups, "RationalFunction", counting)
             built[0] = 0
-            first = json.dumps(fresh.to_json(b.table.degrees))
-            second = json.dumps(fresh.to_json(b.table.degrees))
+            first = json.dumps(b.molien.to_json(b.table.degrees))
+            assert built[0] == k, (name, built[0])
+            second = json.dumps(b.molien.to_json(b.table.degrees))
+            assert built[0] == 2 * k, (name, built[0])
             monkeypatch.undo()
-            assert built[0] == len(b.group.classes), (name, built[0])
-            assert first == second == json.dumps(
-                b.molien.to_json(b.table.degrees))
-            assert fresh == b.molien
+            assert first == second
 
     def test_series_coefficients_nonnegative_integers(self, bundle):
         for name in SUITE_NAMES:

@@ -19,7 +19,7 @@ import adeweights
 from adeweights.graphs import DirectedGraph
 from adeweights.groups import (CharTable, ConjClass, FiniteSubgroup, MolienSet,
                                decompose)
-from adeweights.verify import CHECK_NAMES
+from adeweights.verify import CHECKS
 from adeweights.weights import QNumerators, TWeights
 
 SRC = Path(adeweights.__file__).parent
@@ -506,9 +506,9 @@ def test_each_check_is_named_once():
     literals = Counter(node.value for path in sorted(SRC.glob("*.py"))
                        for node in ast.walk(ast.parse(path.read_text()))
                        if isinstance(node, ast.Constant))
-    assert len(CHECK_NAMES) == 13
-    assert {name: literals[name] for name in CHECK_NAMES} == dict.fromkeys(
-        CHECK_NAMES, 1)
+    names = tuple(c.name for c in CHECKS)
+    assert len(names) == 13
+    assert {name: literals[name] for name in names} == dict.fromkeys(names, 1)
 
 
 def test_type_checks_calls_every_check_the_same_way():

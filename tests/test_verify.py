@@ -18,8 +18,8 @@ from adeweights.errors import InvalidParameter, ValidationFailed
 from adeweights.graphs import DynkinType, char_poly, charpoly_report
 from adeweights.groups import molien_series, recurrence_check
 from adeweights.poly import Polynomial, cos_polynomial, cox
-from adeweights.verify import (CHECK_NAMES, CHECKS, DEFAULT_SUITE, FaultSpec,
-                               json_text, report_json, report_text, run_suite)
+from adeweights.verify import (CHECKS, DEFAULT_SUITE, FaultSpec, json_text,
+                               report_text, run_suite)
 from adeweights.weights import (finite_reduction_check,
                                 specialization_identity, to_q_numerators)
 from golden_outputs import GOLDEN, HEAVY_PATH, load, mismatches
@@ -48,7 +48,8 @@ class TestRunSuite:
 
     def test_every_check_name_present_per_type(self):
         rep = run_suite([dt("E6")])
-        assert tuple(c.name for c in rep.checks) == CHECK_NAMES
+        assert tuple(c.name for c in rep.checks) == tuple(
+            c.name for c in CHECKS)
 
     def test_full_suite_failures_are_exactly_lcd_exceptions(self):
         rep = run_suite(DEFAULT_SUITE)
@@ -68,7 +69,7 @@ class TestRunSuite:
         # A13 is outside the default suite, so no cached bundle hides the patch
         monkeypatch.setattr(verify, "char_table", broken)
         rep = run_suite([dt("A13")])
-        assert [c.name for c in rep.checks] == list(CHECK_NAMES)
+        assert [c.name for c in rep.checks] == [c.name for c in CHECKS]
         for c in rep.checks:
             assert (c.type_name, c.status) == ("A13", "fail")
             assert c.detail == ("bundle construction failed at table: "
@@ -321,10 +322,11 @@ def test_a_raising_charpoly_report_fails_only_its_two_readers(monkeypatch,
 class TestDeterminism:
     def test_byte_identical_reports(self):
         types = [dt("A3"), dt("D4"), dt("E6")]
-        assert report_json(run_suite(types)) == report_json(run_suite(types))
+        assert (json_text(run_suite(types).to_json())
+                == json_text(run_suite(types).to_json()))
 
     def test_json_schema(self):
-        obj = json.loads(report_json(run_suite([dt("A2")])))
+        obj = json.loads(json_text(run_suite([dt("A2")]).to_json()))
         assert set(obj) == {"suite", "checks", "summary"}
         assert set(obj["summary"]) == {"pass", "fail", "info"}
         for check in obj["checks"]:
