@@ -21,6 +21,7 @@ import functools
 import os
 import sys
 import tempfile
+from itertools import groupby
 
 from .errors import InvalidParameter
 from .graphs import FORMS, parse_type_selector
@@ -36,15 +37,8 @@ MAX_SERIES_TERMS = 100_000
 
 def _grouped(items: list[str]) -> str:
     """Run-length render: "q^2+q^4 (×3)" for repeated consecutive entries."""
-    out = []
-    i = 0
-    while i < len(items):
-        j = i
-        while j < len(items) and items[j] == items[i]:
-            j += 1
-        out.append(items[i] if j - i == 1 else f"{items[i]} (×{j - i})")
-        i = j
-    return "; ".join(out)
+    runs = [(item, sum(1 for _ in run)) for item, run in groupby(items)]
+    return "; ".join(item if n == 1 else f"{item} (×{n})" for item, n in runs)
 
 
 def _write_output(text: str, out_path: str | None) -> None:

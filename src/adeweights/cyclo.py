@@ -43,45 +43,78 @@ rational number, so no polynomial division is needed.
 element of order exactly N in F_p^* for the least prime p = 1 (mod N)
 dividing no denominator of its entries. omega is a root of Phi_N mod p, so
 the map is a ring homomorphism on the p-integral values of Q(zeta_N).
+
+One trial division, ``_primes``, factors every integer here, and the rest
+is derived from the primes it gives: the Moebius values mu(N / d) over the
+divisors d (``_moebius_divisors``), ``euler_phi``, the Ramanujan sums,
+``residue_field``'s primes of N and its primality test, and Phi_N, which
+``_Field`` expands for itself as prod_{d | N} (1 - x^d)^mu(N/d), each
+mu = -1 factor a geometric series. So cyclo imports nothing from ``poly``:
+the group side runs none of the graph side's polynomial division.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, count
-from math import gcd, isqrt
+from math import gcd
 from operator import add
 
 from .errors import NotRational, ValidationFailed
-from .poly import cyclotomic
+
+
+def _primes(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order: the one
+    trial division of this module, from which phi, mu, the Ramanujan sums,
+    Phi_N and the residue field's primes all come."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _moebius_divisors(n: int) -> dict[int, int]:
+    """mu(n / d) at each divisor d of n where it is not 0, those with n / d
+    squarefree: (-1)^k where n / d is a product of k of n's primes."""
+    mu = {n: 1}
+    for p in _primes(n):
+        mu.update([(d // p, -s) for d, s in mu.items()])
+    return mu
 
 
 def euler_phi(n: int) -> int:
+    """Euler's phi(n) = sum_{d | n} mu(n / d) d, inclusion-exclusion over
+    n's primes; n < 1 raises ValueError."""
     if n < 1:
         raise ValueError("euler_phi of a non-positive integer")
-    out = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
-    return out
+    return sum(s * d for d, s in _moebius_divisors(n).items())
 
 
 class _Field:
     """Per-conductor context: reduction rows for zeta^e, phi(N) <= e < N,
-    and, built on first use, the traces of the powers of zeta."""
+    read off a Phi_N of its own, the Moebius product over the divisors of
+    N truncated below x^phi with no division, and, built on first use, the
+    traces of the powers of zeta."""
 
     def __init__(self, N: int):
         self.N = N
         self.phi = phi = euler_phi(N)
-        # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
-        base = [-c for c in cyclotomic(N).coeffs[:phi]]
+        # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1}), the
+        # c_i of Phi_N = prod_{d | N} (1 - x^d)^mu(N/d) (N > 1) below x^phi:
+        # the factor 1 - x^N is 1 there, a mu = -1 factor is sum_k x^(kd),
+        # and base starts at -1 to hold the c_i negated
+        base = [-1] + [0] * (phi - 1)
+        for d, mu in _moebius_divisors(N).items():
+            if mu == 1:
+                for i in range(phi - 1, d - 1, -1):
+                    base[i] -= base[i - d]
+            else:
+                for i in range(d, phi):
+                    base[i] += base[i - d]
         last = [0] * (phi - 1) + [1]  # zeta^(phi-1)
         rows = []
         for _ in range(N - phi):
@@ -112,20 +145,13 @@ class _Field:
         """Tr(zeta^k) for 0 <= k < 2N, the indices s + k, s, k < N, of the
         slices ``trace_rows`` takes: the Ramanujan sum c_N(k), by von
         Sterneck's formula mu(m) phi(N) / phi(m) at m = N / gcd(k, N),
-        which for squarefree m is phi(N) times -1/(p - 1) per prime p | m,
-        and 0 otherwise. A list, since a freed slice of a short tuple would
+        taken at the d = gcd(k, N) with N / d squarefree, and 0 at every
+        other d, where mu is 0. A list, since a freed slice of a short tuple would
         stay on the interpreter's tuple free list."""
-        N = self.N
-        by_m: dict[int, int] = {}
-        for m in range(1, N + 1):
-            if N % m == 0:
-                c, rest = self.phi, m
-                for p in range(2, m + 1):  # each p dividing rest is prime
-                    if rest % p == 0:
-                        rest //= p
-                        c = 0 if rest % p == 0 else -c // (p - 1)
-                by_m[m] = c
-        return [by_m[N // gcd(k, N)] for k in range(2 * N)]
+        N, phi = self.N, self.phi
+        by_d = {d: s * phi // euler_phi(N // d)
+                for d, s in _moebius_divisors(N).items()}
+        return [by_d.get(gcd(k, N), 0) for k in range(2 * N)]
 
 
 @lru_cache(maxsize=None)
@@ -439,14 +465,14 @@ def residue_field(N: int, dens) -> tuple[int, int]:
     and an omega of order exactly N in F_p^*: g^((p-1)/N) for the least g
     for which that power has no order N/q, q a prime factor of N. F_p^* is
     cyclic of order divisible by N, so such a g exists. p is odd, as
-    N >= 2: an even p = 1 (mod N) is 2 only when N = 1."""
+    N >= 2: an even p = 1 (mod N) is 2 only when N = 1. The primes q and
+    the test of each candidate p, prime when its primes are [p], are
+    ``_primes``'."""
     if N < 2:
         raise ValueError(f"conductor {N} has no odd prime p = 1 (mod N)")
-    primes = [q for q in range(2, N + 1)
-              if N % q == 0 and all(q % r for r in range(2, q))]
+    primes = _primes(N)
     p = N + 1
-    while any(p % r == 0 for r in range(2, isqrt(p) + 1)) \
-            or any(d % p == 0 for d in dens):
+    while _primes(p) != [p] or any(d % p == 0 for d in dens):
         p += N
     for g in range(2, p):
         w = pow(g, (p - 1) // N, p)

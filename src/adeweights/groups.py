@@ -212,12 +212,17 @@ class FiniteSubgroup(NamedTuple):
     def classes_to_json(self) -> list[dict]:
         """Each class's order d, size, trace and the trace's minimal
         polynomial, that of zeta_d + zeta_d^-1: the eigenvalue zeta^e has
-        the element's order, so the trace is its Galois conjugate.
-        ``cos_polynomial`` caches it, once per order in the process."""
-        return [{"order": c.order, "size": c.size,
-                 "trace": self.traces[c.eigen_exp].to_json(),
-                 "trace_min_poly": cos_polynomial(c.order).to_json()}
-                for c in self.classes]
+        the element's order, so the trace is its Galois conjugate. Each
+        call encodes one trace per distinct eigen-exponent and one
+        polynomial per distinct order, and the classes share them, which
+        ``verify.json_text`` writes once each; ``cos_polynomial`` caches the
+        polynomial, once per order in the process."""
+        traces = {e: self.traces[e].to_json()
+                  for e in {c.eigen_exp for c in self.classes}}
+        polys = {d: cos_polynomial(d).to_json()
+                 for d in {c.order for c in self.classes}}
+        return [{"order": c.order, "size": c.size, "trace": traces[c.eigen_exp],
+                 "trace_min_poly": polys[c.order]} for c in self.classes]
 
 
 def _sl2_times(x, y, p: int) -> tuple[int, int, int, int]:

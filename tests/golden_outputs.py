@@ -15,10 +15,13 @@ ladder, which no workload runs), is given by its path.
     PYTHONPATH=src python tests/golden_outputs.py --capture FILE [ARGV ...]
 
 writes FILE as ``{"outputs": {argv: {"rc", "sha256"}}}`` for each ARGV
-string, or for the calls FILE already pins when none is given. Capture only
-at the commit whose outputs are the reference. tests/test_verify.py runs the
-check in-process, and the benchmark's file also in a ``python -O`` child.
-Needs only the standard library.
+string, or for the calls FILE already pins when none is given. Before it
+writes, it prints each call whose exit status or sha256 moves, old -> new,
+each call added or dropped against the pins FILE held, and a count, so a
+recapture names every key it moves. Capture only at the commit whose
+outputs are the reference. tests/test_verify.py runs the check in-process,
+and the benchmark's file also in a ``python -O`` child. Needs only the
+standard library.
 """
 from __future__ import annotations
 
@@ -72,13 +75,40 @@ def mismatches(golden: dict = GOLDEN, texts: dict | None = None) -> list[str]:
     return out
 
 
+def differences(old: dict, new: dict) -> list[str]:
+    """One line per call whose exit status or sha256 moves from the pins
+    ``old`` to ``new``, then per call only one of them pins: "changed",
+    "added" or "dropped", the call, and its pins."""
+    def pin(want: dict) -> str:
+        return f"exit {want['rc']}, sha256 {want['sha256']}"
+
+    out = []
+    for argv, want in new.items():
+        if argv not in old:
+            out.append(f"added {argv}: {pin(want)}")
+        elif pin(old[argv]) != pin(want):
+            out.append(f"changed {argv}: {pin(old[argv])} -> {pin(want)}")
+    out.extend(f"dropped {argv}: {pin(was)}"
+               for argv, was in old.items() if argv not in new)
+    return out
+
+
 def capture(path: Path, argvs: list[str]) -> None:
     """Write ``path`` pinning each call of ``argvs``, or the calls it
-    already pins when ``argvs`` is empty."""
+    already pins when ``argvs`` is empty, after printing ``differences``
+    from the pins it held (none in a new file, so each call is added) and
+    their count by kind."""
+    old = load(path) if path.exists() or not argvs else {}
     outputs = {}
-    for argv in argvs or list(load(path)):
+    for argv in argvs or list(old):
         status, text = run(argv)
         outputs[argv] = {"rc": status, "sha256": digest(text)}
+    lines = differences(old, outputs)
+    for line in lines:
+        print(line)
+    kinds = [line.split(" ", 1)[0] for line in lines]
+    print(", ".join(f"{kinds.count(kind)} {kind}"
+                    for kind in ("changed", "added", "dropped")))
     path.write_text(json.dumps({"outputs": outputs}, indent=1) + "\n")
     print(f"wrote {len(outputs)} outputs to {path}")
 

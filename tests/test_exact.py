@@ -50,6 +50,17 @@ class TestCyclotomic:
         with pytest.raises(ValueError):
             cyclotomic(0)
 
+    def test_field_builds_the_same_phi_n_as_poly(self):
+        """The group side's Phi_N, the Moebius product ``_Field`` expands
+        for itself, and the graph side's ``poly.cyclotomic``, built by
+        exact division, are kept apart on purpose; they agree: the row of
+        zeta^phi is minus the coefficients of Phi_N below degree phi."""
+        for N in range(2, 401):
+            fld = _Field(N)  # a fresh table, not the cached one
+            row = dict(fld._rows[0])
+            assert [row.get(i, 0) for i in range(fld.phi)] == \
+                [-c for c in cyclotomic(N).coeffs[:fld.phi]], N
+
 
 class TestFoldAndSubstitute:
     def test_paper_fold(self):

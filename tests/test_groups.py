@@ -972,23 +972,60 @@ class TestOpCounts:
         assert sum(map(len, out)) == sum(dt(n).rank + 1 for n in SESSION_NAMES)
 
     def test_class_json_builds_one_polynomial_per_eigenvalue_order(self):
-        """``classes_to_json`` asks ``cos_polynomial`` for each class's
-        polynomial by its order, and the answers are cached, so two sweeps
-        over the 319 classes of the query session's types compute one per
-        distinct order, 23 of them; keyed by (N, e) and uncached, each
-        sweep computed 319."""
+        """``classes_to_json`` asks ``cos_polynomial`` once per distinct
+        order of a group's classes, and the answers are cached, so two
+        sweeps over the 319 classes of the query session's types look up
+        2 x 139 polynomials and compute one per distinct order, 23 of them;
+        the classes of one order share one JSON object, and those of one
+        eigen-exponent one trace object. A lookup per class made 2 x 319;
+        keyed by (N, e) and uncached, each sweep computed 319."""
         enumerated = [build_group(dt(name)) for name in SESSION_NAMES]
         orders = {c.order for g in enumerated for c in g.classes}
         cos_polynomial.cache_clear()
         for _ in range(2):
-            out = [c["trace_min_poly"] for g in enumerated
-                   for c in g.classes_to_json()]
+            data = [g.classes_to_json() for g in enumerated]
+            out = [c["trace_min_poly"] for cs in data for c in cs]
         info = cos_polynomial.cache_info()
         assert info.misses == len(orders) == 23
-        assert info.hits + info.misses == 2 * 319
+        assert info.hits + info.misses == 2 * 139
+        for g, cs in zip(enumerated, data):
+            for key, field in (("order", "trace_min_poly"),
+                               ("eigen_exp", "trace")):
+                shared = {getattr(c, key): id(d[field])
+                          for c, d in zip(g.classes, cs)}
+                assert len({id(d[field]) for d in cs}) == len(shared)
+                assert all(id(d[field]) == shared[getattr(c, key)]
+                           for c, d in zip(g.classes, cs))
         direct = cos_polynomial.__wrapped__
         assert out == [direct(c.order).to_json()
                        for g in enumerated for c in g.classes]
+
+    def test_group_side_runs_no_polynomial_division(self, monkeypatch):
+        """The group side of D7, cold (its group, table, McKay matrix,
+        Molien numerators and Sym^m multiplicities), never enters
+        ``Polynomial._divide``, the division of the graph side's
+        ``exact_div``: ``cyclo._Field`` expands Phi_N as a product of
+        1 - x^d and geometric series. Taking Phi_N from ``poly.cyclotomic``
+        divided 12 times."""
+        d7 = dt("D7")
+        affine = build_graph(d7, "affine")
+        marks = graph_marks(affine)
+        cyclo._field.cache_clear()
+        cyclotomic.cache_clear()
+        original = Polynomial._divide
+        calls = [0]
+
+        def counting(self, other):
+            calls[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Polynomial, "_divide", counting)
+        G = build_group(d7)
+        table = char_table(d7, G)
+        mckay_matrix(G, table, affine, marks)
+        molien_series(G, table).numerators
+        sym_power_multiplicities(G, table, 2 * d7.coxeter_number + 1)
+        assert calls[0] == 0
 
     def test_closure_makes_no_product_per_step(self, monkeypatch):
         """The closure checks each generator's a conj(a) + b conj(b) = 1 by

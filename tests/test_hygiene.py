@@ -273,8 +273,9 @@ def _product_loops(node: ast.AST) -> bool:
 
 
 def test_cyclo_has_one_product_loop():
-    """``cyclo`` takes only Phi_N from ``poly``, since no cyclotomic value
-    becomes a polynomial there, and the one product loop is
+    """``cyclo`` imports nothing from ``poly``: no cyclotomic value
+    becomes a polynomial there, and it builds its own Phi_N, so the group
+    side runs none of the graph side's division. The one product loop is
     ``CycNumber.__mul__``'s: no function of cyclo but it nests a ``for``
     in a ``for`` around a ``+=`` of a product, except ``_Field.reduce``,
     which adds integer multiples of its fixed reduction rows. The sum of
@@ -286,7 +287,8 @@ def test_cyclo_has_one_product_loop():
     tree = ast.parse((SRC / "cyclo.py").read_text())
     assert [alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == "poly"
-            for alias in node.names] == ["cyclotomic"]
+            for alias in node.names] == []
+    assert "poly" not in _named(SRC / "cyclo.py")
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "CycNumber")
     mul = next(node for node in cls.body
@@ -307,6 +309,50 @@ def test_cyclo_has_one_product_loop():
                if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
                if isinstance(node, ast.Attribute) and node.attr == "traces"}
     assert readers == {"trace_rows"}
+
+
+def _trial_divisions(tree: ast.AST) -> set[str]:
+    """Names of the functions holding a loop that divides by its own
+    variable: ``x % v`` in a comprehension over v, in the body of a ``for``
+    over v, or in the body of a ``while`` that steps v by ``+=``."""
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp,
+                      ast.GeneratorExp)
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for loop in ast.walk(fn):
+            if isinstance(loop, comprehensions):
+                names = {gen.target for gen in loop.generators}
+                body = [loop]
+            elif isinstance(loop, ast.For):
+                names, body = {loop.target}, loop.body
+            elif isinstance(loop, ast.While):
+                names = {step.target for stmt in loop.body
+                         for step in ast.walk(stmt)
+                         if isinstance(step, ast.AugAssign)
+                         and isinstance(step.op, ast.Add)}
+                body = loop.body
+            else:
+                continue
+            ids = {n.id for n in names if isinstance(n, ast.Name)}
+            if any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                   and isinstance(node.right, ast.Name)
+                   and node.right.id in ids
+                   for stmt in body for node in ast.walk(stmt)):
+                out.add(fn.name)
+    return out
+
+
+def test_cyclo_factors_by_one_kernel():
+    """``cyclo._primes`` is the one trial division of cyclo: phi, the
+    Moebius values mu(N / d) over the divisors d, Phi_N, the Ramanujan sums
+    and ``residue_field``'s primes and primality test all come from it.
+    Before, ``euler_phi``, ``_Field.traces`` and ``residue_field`` each
+    divided by a running candidate, and ``isqrt`` bounded one of them."""
+    tree = ast.parse((SRC / "cyclo.py").read_text())
+    assert _trial_divisions(tree) == {"_primes"}
+    assert "isqrt" not in _named(SRC / "cyclo.py")
 
 
 def test_galois_action_is_written_once():

@@ -22,6 +22,7 @@ from adeweights.verify import (CHECKS, DEFAULT_SUITE, FaultSpec, json_text,
                                report_text, run_suite)
 from adeweights.weights import (finite_reduction_check,
                                 specialization_identity, to_q_numerators)
+import golden_outputs
 from golden_outputs import GOLDEN, HEAVY_PATH, load, mismatches
 from oracles import lcd_law
 
@@ -573,7 +574,8 @@ class TestGoldenOutputs:
     change that alters outputs on purpose recaptures golden.json with
     ``perfbench/golden.py``, and ``tests/heavy_golden.json`` with
     ``tests/golden_outputs.py --capture``, which reruns the calls the file
-    already pins; there is no list of calls to edit."""
+    already pins and prints every key it moves; there is no list of calls
+    to edit."""
 
     def test_every_pinned_output(self, monkeypatch):
         """Each call reads bundles from a cache of this test's own, so
@@ -606,6 +608,32 @@ class TestGoldenOutputs:
         assert sorted(failing) == sorted(
             (str(t), "LCD_COX") for t in graphs.parse_type_selector(selector)
             if lcd_law(t) != cox(t.coxeter_number))
+
+    def test_capture_names_every_key_it_moves(self, tmp_path, capsys):
+        """``golden_outputs.py --capture`` on a temporary copy of three
+        pins, one of them with a wrong sha256, rewritten over two of them
+        and a new call: before it writes it prints the changed key old ->
+        new, the added and the dropped one, and their count; the file then
+        holds the true pins, and a second capture moves nothing."""
+        keep, moved, dropped, added = (f"charpoly --type A{m} --format json"
+                                       for m in (1, 10, 11, 12))
+        wrong = {"rc": GOLDEN[moved]["rc"], "sha256": "0" * 64}
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps({"outputs": {
+            keep: GOLDEN[keep], moved: wrong, dropped: GOLDEN[dropped]}}))
+        assert golden_outputs.main(["--capture", str(path), keep, moved,
+                                    added]) == 0
+        pin = "exit {rc}, sha256 {sha256}".format
+        assert capsys.readouterr().out.splitlines() == [
+            f"changed {moved}: {pin(**wrong)} -> {pin(**GOLDEN[moved])}",
+            f"added {added}: {pin(**GOLDEN[added])}",
+            f"dropped {dropped}: {pin(**GOLDEN[dropped])}",
+            "1 changed, 1 added, 1 dropped",
+            f"wrote 3 outputs to {path}"]
+        assert load(path) == {k: GOLDEN[k] for k in (keep, moved, added)}
+        assert golden_outputs.main(["--capture", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "0 changed, 0 added, 0 dropped"
 
     def test_every_pinned_output_under_optimize(self):
         seed = "124" if os.environ.get("PYTHONHASHSEED") == "123" else "123"
