@@ -18,24 +18,25 @@ it modulo Phi_N (a factor of x^N - 1) once, over the product of the two
 denominators, and the constructor divides out the content. An entry, the
 input of a sweep below, is a CycNumber or a lift. Rational sums of
 field traces of algebraic integers, the elements of Z[zeta_N], are swept,
-not built: ``trace_rows`` reads rows chi_j of entries into a trace matrix,
-the integers Tr(zeta^k chi_j[o]) for each entry o and power k < N, each
-entry's form over k a sum of shifted slices of the Ramanujan sums
-c_N(k) = Tr(zeta^k), a table each conductor builds on first use; and
-``trace_sums`` reads sum_o n_o Tr(x_o chi_j[o]) / divisor off that matrix
-for every row at once, one vector add per nonzero coordinate of x, an int
-where the quotient is integral and a Fraction otherwise, reducing nothing
-modulo Phi_N and building no value. Both refuse an entry with a
-denominator. The matrix is built once per set of rows and swept by every
-class function x over them: a character table keeps its rows' matrix for
-all its readers. ``vanishes`` likewise tests a lift for zero at zeta.
-``trace_sums`` takes its row x as read by ``split``, a list of each
-entry's denominator, coordinates and nonzero positions, built by the call
-that sweeps it and dropped with that call. The Galois action
+not built: ``trace_rows`` reads rows chi_j of entries into a trace matrix
+of their complex conjugates, the integers Tr(zeta^k conj(chi_j[o])) for
+each entry o and power k < N. An entry chi = sum_s chi_s zeta^s gives
+Tr(zeta^k conj(chi)) = sum_s chi_s c_N(k - s), a sum of shifted slices of
+the Ramanujan sums c_N(k) = Tr(zeta^k), a table each conductor builds on
+first use. c_N is even, c_N(-k) = c_N(k), so this is the entry's own form
+read at -k, and the conjugate costs nothing: the same slices, taken at
+N - s instead of s. ``trace_sums`` reads the weighted mean
+sum_o n_o Tr(x_o conj(chi_j[o])) / (phi(N) sum_o n_o), weights n_o > 0,
+off that matrix for every row at once, each entry x_o read once as it is,
+one vector add per nonzero coordinate of x_o, an int where the quotient
+is integral and a Fraction otherwise, reducing nothing modulo Phi_N and
+building no value. Both refuse an entry with a denominator. The matrix is
+built once per set of rows and swept by every class function x over them:
+a character table keeps its rows' matrix for all its readers.
+``vanishes`` likewise tests a lift for zero at zeta. The Galois action
 sigma_a: zeta -> zeta^a is written once, in ``_galois_lift``, an entry's
 lift mapped x^i -> x^(ia mod N), unreduced: ``CycNumber.galois`` reduces
-it, ``split(N, xs, conj=True)`` reads complex conjugates as the case
-a = -1, and ``is_fixed`` compares sigma_a(x) with x by ``vanishes``.
+it and ``is_fixed`` compares sigma_a(x) with x by ``vanishes``.
 The inverse is the product of the other Galois conjugates over the norm, a
 rational number, so no polynomial division is needed.
 
@@ -142,8 +143,8 @@ class _Field:
 
     @cached_property
     def traces(self) -> list[int]:
-        """Tr(zeta^k) for 0 <= k < 2N, the indices s + k, s, k < N, of the
-        slices ``trace_rows`` takes: the Ramanujan sum c_N(k), by von
+        """Tr(zeta^k) for 0 <= k < 2N, the indices N - s + k, s, k < N, of
+        the slices ``trace_rows`` takes: the Ramanujan sum c_N(k), by von
         Sterneck's formula mu(m) phi(N) / phi(m) at m = N / gcd(k, N),
         taken at the d = gcd(k, N) with N / d squarefree, and 0 at every
         other d, where mu is 0. A list, since a freed slice of a short tuple would
@@ -185,7 +186,7 @@ class CycNumber:
         self.N = N
         self._den = den
         self._nums = tuple(nums)
-        self._support = None  # positions of the nonzero nums, set by ``split``
+        self._support = None  # positions of the nonzero nums, set by ``_parts``
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -305,7 +306,7 @@ class CycNumber:
         a %= self.N
         if gcd(a, self.N) != 1:
             raise ValueError(f"{a} is not coprime to {self.N}")
-        den, lift, _ = _galois_lift(self.N, self, a)
+        den, lift = _galois_lift(self.N, self, a)
         return CycNumber(self.N, _field(self.N).reduce(lift), den)
 
     def conj(self) -> CycNumber:
@@ -351,24 +352,13 @@ class CycNumber:
                 "coeffs": [str(Fraction(a, den)) for a in self._nums]}
 
 
-def split(N: int, xs, conj: bool = False) -> list[tuple]:
-    """Read each entry of ``xs`` once, so that every sum of a sweep over
-    the same row reuses the reading instead of taking it apart per term.
-    With ``conj`` each entry is read as its complex conjugate, the
-    ``_galois_lift`` at a = -1: its lift reversed, x^i -> x^(N-i), a lift
-    of length N."""
-    if conj:
-        return [_galois_lift(N, x, -1) for x in xs]
-    return [_parts(N, x) for x in xs]
-
-
 class TraceMatrix:
-    """The traces Tr(zeta^k chi_j[o]) of ``height`` rows chi_j of integral
-    entries, built by ``trace_rows``: ``columns[o][k]`` is the int
-    vector over the rows at entry o and power k < N. Every sweep over a
-    character table reads the one matrix the table keeps; a walk that finds
-    rows one at a time grows its matrix by ``extend`` and puts the rows in
-    their final order by ``reordered``."""
+    """The traces Tr(zeta^k conj(chi_j[o])) of the conjugates of
+    ``height`` rows chi_j of integral entries, built by ``trace_rows``:
+    ``columns[o][k]`` is the int vector over the rows at entry o and power
+    k < N. Every sweep over a character table reads the one matrix the
+    table keeps; a walk that finds rows one at a time grows its matrix by
+    ``extend`` and puts the rows in their final order by ``reordered``."""
 
     __slots__ = ("height", "columns")
 
@@ -393,46 +383,47 @@ class TraceMatrix:
 
 
 def trace_rows(N: int, rows) -> TraceMatrix:
-    """The trace matrix of ``rows``, rows of integral entries of one
-    length, each read once by ``split``: for entry o and power k < N, the
-    int vector over rows of Tr(zeta^k row[o]), Tr the trace to Q. An entry
-    x = sum_s x_s zeta^s gives Tr(zeta^k x) = sum_s x_s c_N(k + s), so its
-    form over k is the sum of |support| shifted slices of the Ramanujan
-    sums ``_Field.traces``, each a C-level ``map``. Rows of different
-    lengths, or an entry with a denominator, raise ValueError."""
+    """The trace matrix of the conjugates of ``rows``, rows of integral
+    entries of one length, each entry read once by ``_parts``: for entry o
+    and power k < N, the int vector over rows of Tr(zeta^k conj(row[o])),
+    Tr the trace to Q. An entry x = sum_s x_s zeta^s gives
+    Tr(zeta^k conj(x)) = sum_s x_s c_N(k - s), so its form over k is the
+    sum of |support| shifted slices of the Ramanujan sums
+    ``_Field.traces``, each a C-level ``map``, taken at N - s where the
+    unconjugated form takes them at s. Rows of different lengths, or an
+    entry with a denominator, raise ValueError."""
     traces = _field(N).traces
-    rows = [_integral(split(N, row)) for row in rows]
-    width = len(rows[0]) if rows else 0
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"rows of {width} and {len(row)} entries")
+    rows = [[_integral(N, x) for x in row] for row in rows]
     columns = []
-    for o in range(width):  # one entry's forms at a time, then transposed
+    # one entry's forms at a time, then transposed
+    for entries in zip(*rows, strict=True):
         forms = []
-        for row in rows:
-            _, nums, support = row[o]
+        for _, nums, support in entries:
             form = [0] * N
             for s in support:
-                form = list(map(add, form,
-                                map(nums[s].__mul__, traces[s:s + N])))
+                form = list(map(add, form, map(nums[s].__mul__,
+                                               traces[N - s:2 * N - s])))
             forms.append(form)
         # lists, not tuples: freed short tuples would stay on a free list
         columns.append(list(map(list, zip(*forms))))
     return TraceMatrix(len(rows), columns)
 
 
-def trace_sums(N: int, xs, matrix: TraceMatrix, factors,
-               divisor: int) -> list[int | Fraction]:
-    """sum_o n_o Tr(x_o chi_j[o]) / divisor for every row chi_j of
-    ``matrix`` at once, for a row of integral entries x_o read by ``split``
-    into ``xs`` (read by ``split(N, row, conj=True)``, x_o is conj(x_o))
-    and int ``factors`` n_o: one C-level vector add of column
-    (o, k) per nonzero coordinate x_o[k], and no CycNumber built; an int
-    where integral, else a Fraction. Lengths other than the matrix rows',
-    or an entry with a denominator, raise ValueError."""
+def trace_sums(N: int, xs, matrix: TraceMatrix,
+               factors) -> list[int | Fraction]:
+    """sum_o n_o Tr(x_o conj(chi_j[o])) / (phi(N) sum_o n_o) for every row
+    chi_j of ``matrix`` at once, for a row ``xs`` of integral entries x_o,
+    each read once by ``_parts``, and positive int ``factors`` n_o: one
+    C-level vector add of column (o, k) per nonzero coordinate x_o[k], and
+    no CycNumber built; an int where integral, else a Fraction. Lengths
+    other than the matrix rows', no factor or one <= 0, or an entry with a
+    denominator, raise ValueError."""
+    if min(factors) <= 0:  # an empty list raises ValueError too
+        raise ValueError(f"trace sum weights {factors} are not all positive")
+    divisor = _field(N).phi * sum(factors)
     acc = [0] * matrix.height
-    for (_, xn, xt), n, column in zip(_integral(xs), factors, matrix.columns,
-                                      strict=True):
+    for x, n, column in zip(xs, factors, matrix.columns, strict=True):
+        _, xn, xt = _integral(N, x)
         for k in xt:
             acc = list(map(add, acc, map((xn[k] * n).__mul__, column[k])))
     return [Fraction(t, divisor) if t % divisor else t // divisor
@@ -454,7 +445,7 @@ def is_fixed(N: int, x, a: int) -> bool:
     _, nums, support = _parts(N, x)
     if not any(support):  # support () or (0,): x is rational
         return True
-    _, lift, _ = _galois_lift(N, x, a)
+    _, lift = _galois_lift(N, x, a)
     for j in support:
         lift[j] -= nums[j]
     return vanishes(N, lift)
@@ -518,20 +509,22 @@ def _parts(N: int, x) -> tuple:
     raise TypeError(f"entry {x!r} is not a CycNumber or a lift")
 
 
-def _integral(row: list[tuple]) -> list[tuple]:
-    """``row``; an entry with a denominator raises ValidationFailed."""
-    if any(den != 1 for den, _, _ in row):
+def _integral(N: int, x) -> tuple:
+    """``_parts`` of an entry x; one with a denominator raises
+    ValidationFailed."""
+    parts = _parts(N, x)
+    if parts[0] != 1:
         raise ValidationFailed("a trace entry is not an algebraic integer")
-    return row
+    return parts
 
 
-def _galois_lift(N: int, x, a: int) -> tuple[int, list[int], list[int]]:
-    """Denominator, lift of length N and nonzero positions of sigma_a(x),
-    sigma_a: zeta -> zeta^a for a prime to N, for an entry x: its
-    lift mapped x^i -> x^(ia mod N), which permutes the positions, and left
+def _galois_lift(N: int, x, a: int) -> tuple[int, list[int]]:
+    """Denominator and lift of length N of sigma_a(x), sigma_a:
+    zeta -> zeta^a for a prime to N, for an entry x: its lift mapped
+    x^i -> x^(ia mod N), which permutes the positions, and left
     unreduced."""
     den, nums, support = _parts(N, x)
     lift = [0] * N
     for i in support:
         lift[i * a % N] += nums[i]
-    return den, lift, [i * a % N for i in support]
+    return den, lift

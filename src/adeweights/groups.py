@@ -67,12 +67,12 @@ stabiliser generators, read off one walk of the powers of the rep x, which
 also gives each class C_O^a its order, the class of its inverse and its
 trace, read off x^a and x^-a. Every inner product of class functions is
 ``decompose``, one ``cyclo.trace_sums`` sweep of algebraic integers over
-the trace matrix of a table's rows, ``CharTable.trace_matrix``, with no
-CycNumber or Fraction built; the E walk grows its matrix row by row, and
-the Molien class sums are sweeps of their own, one per cofactor
-coefficient. ``table_violation`` checks integrality and then that each
-orbit's stabiliser fixes its rep's value, which makes every row
-equivariant, before any sum. Every product by a class trace
+the trace matrix of a table's conjugate rows, ``CharTable.trace_matrix``,
+read as it is, with no CycNumber or Fraction built; the E walk grows its
+matrix row by row, and the Molien class sums are sweeps of their own, one
+per cofactor coefficient. ``table_violation`` checks integrality and
+then that each orbit's stabiliser fixes its rep's value, which makes every
+row equivariant, before any sum. Every product by a class trace
 tau_C = zeta^e_C + zeta^-e_C (V tensor chi, det(I - x q),
 lambda^m + lambda^-m) is ``_tau_times``, two rotations of a lift in
 Z[x]/(x^N - 1), built at the orbit reps only. The symmetric-power oracle
@@ -90,8 +90,8 @@ from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
-from .cyclo import (CycNumber, TraceMatrix, euler_phi, is_fixed, split,
-                    su2_mod_p, trace_rows, trace_sums, vanishes)
+from .cyclo import (CycNumber, TraceMatrix, is_fixed, su2_mod_p, trace_rows,
+                    trace_sums, vanishes)
 from .errors import (ClosureOverflow, NoIsomorphism, NonPolynomialResult,
                      ValidationFailed)
 from .graphs import DirectedGraph, DynkinType
@@ -435,22 +435,17 @@ def decompose(G: FiniteSubgroup, values, rows) -> list[int | Fraction]:
     so is f conj(chi), and |C^a| = |C|, since x -> x^a permutes G and
     commutes with conjugation; each class of an orbit O is C_O^a for
     phi(N) / |O| of the a, so the orbit's share of the sum is
-    |C_O| (|O| / phi(N)) Tr(f(C_O) conj(chi(C_O))), and Tr is unchanged
-    by complex conjugation, so it is Tr(conj(f(C_O)) chi(C_O)). That is one
-    ``trace_sums`` sweep of f, split conjugated, over the rows' trace matrix,
-    each orbit weighted by |C_O| |O| and every sum divided by phi(N) times
-    the total weight, sum_C |C| = |G|.
+    |C_O| (|O| / phi(N)) Tr(f(C_O) conj(chi(C_O))). That is one
+    ``trace_sums`` sweep of f over the rows' trace matrix, which holds the
+    conjugate rows, each orbit weighted by |C_O| |O| and every sum divided
+    by phi(N) times the total weight, sum_C |C| = |G|.
     """
-    N = G.conductor
-    weights, divisor = _orbit_weights(G)
-    return trace_sums(N, split(N, values, conj=True), rows, weights, divisor)
+    return trace_sums(G.conductor, values, rows, _orbit_weights(G))
 
 
-def _orbit_weights(G: FiniteSubgroup) -> tuple[list[int], int]:
-    """Per Galois orbit O the weight |C_O| |O| and the divisor
-    phi(N) sum_O |C_O| |O| of an orbit trace sum."""
-    weights = [c.size * o.size for c, o in zip(G.rep_classes, G.orbits)]
-    return weights, euler_phi(G.conductor) * sum(weights)
+def _orbit_weights(G: FiniteSubgroup) -> list[int]:
+    """Per Galois orbit O the weight |C_O| |O| of an orbit trace sum."""
+    return [c.size * o.size for c, o in zip(G.rep_classes, G.orbits)]
 
 
 def _tau_times(c, e: int) -> list[int]:
@@ -773,18 +768,19 @@ def molien_series(G: FiniteSubgroup, table: CharTable) -> MolienSet:
     cofactors are built at the orbit reps only (the remainder at C^a is
     sigma_a of the one at C, so it vanishes with it). Coefficient j of
     every N_i is one ``trace_sums`` sweep of the column of coefficients j of
-    the P_C, read by ``split``, over the table's trace matrix,
-    Tr(chi_i P_C) with no conjugation, weighted as in ``decompose``, each
-    read as an int: h + 1 sweeps.
+    the P_C over the table's trace matrix, weighted as in ``decompose``,
+    each read as an int: h + 1 sweeps. The matrix holds conj(chi_i), and
+    P_C is real, its coefficients integer polynomials in the real tau_C, so
+    Tr(P_C conj(chi_i)) = Tr(conj(P_C) chi_i) = Tr(P_C chi_i).
     """
     dt = G.dynkin
     N = G.conductor
     h = dt.coxeter_number
     std = dt.standard_form.coeffs
     matrix = table.trace_matrix
-    weights, divisor = _orbit_weights(G)
+    weights = _orbit_weights(G)
     # column j holds coefficient j of every orbit rep's P_C
-    sums = [trace_sums(N, split(N, col), matrix, weights, divisor)
+    sums = [trace_sums(N, col, matrix, weights)
             for col in zip(*(_cofactor_lifts(std, c.eigen_exp, N, dt)
                              for c in G.rep_classes))]
     numerators = []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adeweights.cyclo import (CycNumber, _Field, euler_phi, is_fixed, split,
+from adeweights.cyclo import (CycNumber, _Field, euler_phi, is_fixed,
                               trace_rows, trace_sums, vanishes)
 from adeweights.errors import NotRational, ValidationFailed
 from adeweights.groups import _tau_times
@@ -339,62 +339,71 @@ def _trace(x: CycNumber):
 
 class TestTraceSums:
     """``trace_sums`` over a ``trace_rows`` matrix against the trace of the
-    sum of products with each row, by CycNumber ``*`` and ``+``, the trace
-    summed over the Galois group, on the algebraic integers the two
-    kernels take."""
+    sum of products with the conjugate of each row, by CycNumber ``*`` and
+    ``+``, the trace summed over the Galois group and divided by phi(N)
+    times the factors' sum, on the algebraic integers the two kernels
+    take."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_equals_dot_over_the_divisor(self, data):
+        """sum_k n_k Tr(x_k conj(row_k)) / (phi(N) sum_k n_k) for positive
+        factors n_k, and doubling every factor changes no sum."""
         N = data.draw(st.sampled_from(CONDUCTORS))
-        width = data.draw(st.integers(0, 6))
+        width = data.draw(st.integers(1, 6))
         entries = st.lists(_entries(N, integral=True), min_size=width,
                            max_size=width)
         xs = data.draw(entries)
         rows = data.draw(st.lists(entries, min_size=1, max_size=4))
-        factors = data.draw(st.lists(st.integers(-3, 5), min_size=width,
+        factors = data.draw(st.lists(st.integers(1, 5), min_size=width,
                                      max_size=width))
-        d = data.draw(st.integers(1, 12))
         matrix = trace_rows(N, rows)
-        got = trace_sums(N, split(N, xs), matrix, factors, d)
-        # read conjugated, each x_k is conj(x_k)
-        conj = [_value(N, x).conj() for x in xs]
-        got_conj = trace_sums(N, split(N, xs, conj=True), matrix, factors, d)
-        assert len(got) == len(got_conj) == len(rows)
-        for row, v, v_conj in zip(rows, got, got_conj):
-            want = _trace(_sum_of_products(N, xs, row, factors)) / d
+        got = trace_sums(N, xs, matrix, factors)
+        assert len(got) == len(rows)
+        for row, v in zip(rows, got):
+            conj = [_value(N, y).conj() for y in row]
+            want = (_trace(_sum_of_products(N, xs, conj, factors))
+                    / (euler_phi(N) * sum(factors)))
             assert v == want
             assert type(v) is (int if want.denominator == 1 else Fraction)
-            want = _trace(_sum_of_products(N, conj, row, factors)) / d
-            assert v_conj == want
-            assert type(v_conj) is (int if want.denominator == 1
-                                    else Fraction)
+        assert trace_sums(N, xs, matrix, [2 * n for n in factors]) == got
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_galois_traces_are_read_exactly(self, data):
         """Rational sums of products, which random entries rarely give: the
-        trace n sum_a sigma_a(x) sigma_a(y) over the Galois group, with x
-        and y drawn as algebraic integers, CycNumbers or lifts, is
-        n Tr(x y), the one-term ``trace_sums`` over the matrix of the one
-        row (y)."""
+        sum over the Galois group of sigma_a(x) sigma_a(conj(y)), with x and
+        y drawn as algebraic integers, CycNumbers or lifts, is
+        Tr(x conj(y)), and over phi(N) it is the one-term ``trace_sums``
+        over the matrix of the one row (y), whatever its factor n > 0."""
         N = data.draw(st.sampled_from(CONDUCTORS))
         x, y = (_value(N, data.draw(_entries(N, integral=True)))
                 for _ in range(2))
         units = _units(N)
-        xs, ys = [x.galois(a) for a in units], [y.galois(a) for a in units]
-        n = data.draw(st.integers(-3, 5))
-        d = data.draw(st.integers(1, 12))
-        want = _sum_of_products(N, xs, ys, [n] * len(units)).to_rational() / d
-        got = trace_sums(N, split(N, [x]), trace_rows(N, [[y]]), [n], d)
+        xs = [x.galois(a) for a in units]
+        ys = [y.conj().galois(a) for a in units]
+        n = data.draw(st.integers(1, 5))
+        want = (_sum_of_products(N, xs, ys, [1] * len(units)).to_rational()
+                / euler_phi(N))
+        got = trace_sums(N, [x], trace_rows(N, [[y]]), [n])
         assert got == [want]
         assert type(got[0]) is (int if want.denominator == 1 else Fraction)
 
+    def test_refuses_a_factor_that_is_not_positive(self):
+        """The factors are weights of a mean: a zero or negative one, or
+        none at all, raises ValueError before any entry is read."""
+        zeta = CycNumber.root_of_unity(12, 1)
+        matrix = trace_rows(12, [[(1,), zeta]])
+        for factors in ([1, 0], [0, 1], [2, -1], [-3, -3]):
+            with pytest.raises(ValueError):
+                trace_sums(12, [(1,), zeta], matrix, factors)
+        with pytest.raises(ValueError):
+            trace_sums(12, [], trace_rows(12, [[]]), [])
+
     def test_refuse_an_entry_with_a_denominator(self):
         """Both kernels take algebraic integers only: an entry over 2 in a
-        row raises ValueError from ``trace_rows`` and from
-        ``trace_sums``, split or conjugated, and its integral double does
-        not."""
+        row raises ValueError from ``trace_rows`` and from ``trace_sums``,
+        and its integral double does not."""
         for N in CONDUCTORS:
             half = CycNumber(N, [1] + [0] * (euler_phi(N) - 1), 2)
             zeta = CycNumber.root_of_unity(N, 1)
@@ -403,11 +412,9 @@ class TestTraceSums:
                 matrix = trace_rows(N, [[(3,), zeta, 2 * bad]])
                 with pytest.raises(ValueError, match="not an algebraic"):
                     trace_rows(N, [[(1,)] * 3, row])
-                for xs in (split(N, row), split(N, row, conj=True)):
-                    with pytest.raises(ValueError, match="not an algebraic"):
-                        trace_sums(N, xs, matrix, [1] * 3, 1)
-                trace_sums(N, split(N, [(1,), zeta, 2 * bad]), matrix,
-                           [1] * 3, 1)
+                with pytest.raises(ValueError, match="not an algebraic"):
+                    trace_sums(N, row, matrix, [1] * 3)
+                trace_sums(N, [(1,), zeta, 2 * bad], matrix, [1] * 3)
 
     def test_rejects_rows_of_different_lengths(self):
         """A row of another length than the matrix rows', or a factor list
@@ -417,8 +424,8 @@ class TestTraceSums:
                                 ([1, 2], [1, 1], [1]),
                                 ([1, 2], [1, 1], [1, 1, 1])):
             with pytest.raises(ValueError):
-                trace_sums(8, split(8, [(x,) for x in xs]),
-                           trace_rows(8, [[(y,) for y in ys]]), factors, 1)
+                trace_sums(8, [(x,) for x in xs],
+                           trace_rows(8, [[(y,) for y in ys]]), factors)
         # and a trace matrix refuses rows of different lengths
         with pytest.raises(ValueError):
             trace_rows(8, [[(1,), (2,)], [(1,), (2,), (3,)]])
@@ -525,10 +532,10 @@ class TestReduceTable:
 
     def test_lift_longer_than_the_conductor_is_refused(self):
         """A lift has at most N entries: ``from_lift``, ``vanishes`` and
-        ``split`` refuse one more instead of reducing it."""
+        ``trace_sums`` refuse one more instead of reducing it."""
         refused = "lift of length 13 at conductor 12"
         with pytest.raises(ValueError, match=refused):
-            split(12, [(0,) * 12 + (1,)])
+            trace_sums(12, [(0,) * 12 + (1,)], trace_rows(12, [[(1,)]]), [1])
         with pytest.raises(ValueError, match=refused):
             CycNumber.from_lift(12, [0] * 12 + [1])
         with pytest.raises(ValueError, match=refused):

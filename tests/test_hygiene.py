@@ -361,7 +361,11 @@ def test_galois_action_is_written_once():
     defines no ``powers``, ``mul``, ``conjugate``, ``_galois_orbits`` or
     ``order_and_inverse``. In cyclo.py one function writes the index map of
     sigma_a, x^i -> x^(ia mod N) (a ``%`` of a product or of a negation),
-    and ``CycNumber.galois``, ``split`` and ``is_fixed`` call it."""
+    and ``CycNumber.galois`` and ``is_fixed`` alone call it. No sweep reads
+    a conjugate: ``trace_rows`` builds the matrix of the conjugate rows, so
+    cyclo defines no ``split``, ``trace_sums`` takes exactly
+    (N, xs, matrix, factors), dividing by phi(N) times the factors' sum
+    itself, and groups imports neither ``split`` nor ``euler_phi``."""
     tree = ast.parse((SRC / "groups.py").read_text())
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
@@ -377,7 +381,16 @@ def test_galois_action_is_written_once():
     assert writers == {"_galois_lift"}
     callers = {fn.name for fn in functions for node in ast.walk(fn)
                if isinstance(node, ast.Name) and node.id == "_galois_lift"}
-    assert callers == {"galois", "split", "is_fixed"}
+    assert callers == {"galois", "is_fixed"}
+    assert "split" not in {fn.name for fn in functions}
+    sums = next(fn for fn in functions if fn.name == "trace_sums")
+    assert [arg.arg for arg in sums.args.args] == ["N", "xs", "matrix",
+                                                   "factors"]
+    imported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module == "cyclo"
+                for alias in node.names}
+    assert "trace_sums" in imported
+    assert imported & {"split", "euler_phi"} == set()
 
 
 def test_table_builders_read_no_coordinates():
@@ -564,3 +577,17 @@ def test_type_checks_calls_every_check_the_same_way():
     assert not any(isinstance(node, ast.Lambda) for node in ast.walk(body))
     assert _names_in_function(SRC / "verify.py", "_type_checks") & {
         "partial", "cache", "lru_cache", "cached_property"} == set()
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    """``tests/code_lines.py`` counts a line when it holds code outside a
+    module, class or function docstring: a comment, a blank line and a
+    docstring count 0, a string assigned to a name and each line of a
+    bracketed expression count."""
+    from code_lines import code_lines
+    text = ('"""Module\ndocstring."""\nimport os  # a comment\n\n'
+            '# only a comment\nclass C:\n    """Class docstring."""\n\n'
+            '    def f(self, x):\n        """Function\n        docstring."""\n'
+            '        s = """a string,\n        not a docstring"""\n'
+            '        return (x +\n                1)\n')
+    assert code_lines(text) == 7
